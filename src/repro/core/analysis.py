@@ -1,20 +1,29 @@
 """Determinacy-race analysis passes (the paper's Algorithm 1).
 
-Three interchangeable implementations, all producing identical candidate
-sets (property-tested against each other):
+Every pass emits its conflicts as one :class:`ConflictTable`: four int64
+columns ``(i, j, lo, hi)``, one row per conflicting byte range (a
+*piece*), rows grouped by segment pair in :meth:`RaceCandidate.key`
+order.  The sweep builds no per-pair object.  The Section IV
+suppressions (:meth:`repro.core.suppress.SuppressionEngine.filter_all`)
+classify all rows at once, and only pairs with surviving bytes become
+:class:`RaceCandidate` objects.  :func:`analyze_and_suppress` is that
+pipeline — pass, raw count, replay pair filter, suppression — shared by
+the online tool and the offline and served analyzers.
 
-* :func:`find_races_naive` — the faithful Algorithm 1: for every ordered pair
-  of segments with no happens-before path, intersect
-  ``s1.w ∩ (s2.r ∪ s2.w)``.  :math:`O(n^2)` pairs; used on the
-  microbenchmarks and as the oracle.
-* :func:`find_races_indexed` — address-indexed candidate generation: a sweep
-  over all write intervals finds only the segment pairs that actually share
+Three interchangeable passes, all producing identical tables
+(property-tested against each other):
+
+* the naive pass — the faithful Algorithm 1: for every pair of segments
+  with no happens-before path, intersect ``s1.w ∩ (s2.r ∪ s2.w)``.
+  :math:`O(n^2)` pairs; used on the microbenchmarks and as the oracle.
+* the indexed pass — address-indexed candidate generation: a sweep over
+  all access intervals finds only the segment pairs that actually share
   bytes, then applies the same happens-before filter.  This is what the
   harness uses for LULESH-sized graphs.
-* :func:`find_races_parallel` — the paper's future-work item ("the analysis
-  is embarrassingly parallel, but currently run sequentially"): the indexed
-  candidate set is partitioned across worker threads.  Benchmarked by the A1
-  ablation.
+* the parallel pass — the paper's future-work item ("the analysis is
+  embarrassingly parallel, but currently run sequentially"): the indexed
+  candidate set is partitioned across worker threads.  Benchmarked by the
+  A1 ablation.
 
 The parallel pass runs under a supervisor (:func:`find_races_supervised`):
 each chunk of candidate pairs gets a bounded number of retries with
@@ -24,10 +33,10 @@ the result is a :class:`PartialAnalysis` that states exactly how many
 candidate pairs went unchecked.  A worker exception therefore degrades the
 analysis instead of discarding every completed chunk.
 
-The passes produce *raw* :class:`RaceCandidate` conflicts; the Section IV
-suppressions are applied afterwards by
-:class:`repro.core.suppress.SuppressionEngine` so ablations can toggle them
-independently.
+:func:`find_races_naive`, :func:`find_races_indexed` and
+:func:`find_races_parallel` return the *raw* (pre-suppression) table
+materialized as a sorted ``List[RaceCandidate]`` — the form tests, the
+baseline tools and the ablations consume.
 """
 
 from __future__ import annotations
@@ -36,7 +45,10 @@ import concurrent.futures
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
+
+import numpy as np
 
 from repro.core.segments import Segment, SegmentGraph
 from repro.faults.inject import get_injector
@@ -44,6 +56,9 @@ from repro.obs.metrics import get_registry
 from repro.util.intervals import IntervalSet
 
 _FAULTS = get_injector()
+
+#: one block of conflict rows: ``(i, j, lo, hi)`` columns of equal length
+Rows = Tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]
 
 
 @dataclass
@@ -57,6 +72,90 @@ class RaceCandidate:
     def key(self) -> Tuple[int, int]:
         a, b = self.s1.id, self.s2.id
         return (a, b) if a <= b else (b, a)
+
+
+class ConflictTable:
+    """Algorithm 1's conflicts as columns: one int64 row ``(i, j, lo, hi)``
+    per conflict piece.
+
+    ``i < j`` index ``segs``, the analysed segments in ascending id order,
+    so sorting rows by ``(i, j, lo)`` groups each pair's pieces in
+    :meth:`RaceCandidate.key` order.  A pair's rows are exactly the pieces
+    of its normalized conflict :class:`IntervalSet`: ascending, disjoint
+    and non-adjacent.
+    """
+
+    __slots__ = ("segs", "i", "j", "lo", "hi")
+
+    def __init__(self, segs: Sequence[Segment], i: np.ndarray,
+                 j: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        self.segs = segs
+        self.i = i
+        self.j = j
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def build(cls, segs: Sequence[Segment],
+              blocks: Iterable[Rows]) -> "ConflictTable":
+        """Concatenate row blocks and sort them into key order."""
+        cols = [[], [], [], []]
+        for block in blocks:
+            for col, part in zip(cols, block):
+                col.append(np.asarray(part, dtype=np.int64))
+        if not cols[0]:
+            empty = np.empty(0, dtype=np.int64)
+            return cls(segs, empty, empty, empty, empty)
+        i, j, lo, hi = (np.concatenate(col) for col in cols)
+        order = np.lexsort((lo, j, i))
+        return cls(segs, i[order], j[order], lo[order], hi[order])
+
+    def __len__(self) -> int:
+        return int(self.i.shape[0])
+
+    def pair_starts(self) -> np.ndarray:
+        """Row index of each pair's first piece."""
+        n = len(self)
+        new = np.ones(n, dtype=bool)
+        if n > 1:
+            np.logical_or(self.i[1:] != self.i[:-1],
+                          self.j[1:] != self.j[:-1], out=new[1:])
+        return np.flatnonzero(new)
+
+    def pair_count(self) -> int:
+        return int(self.pair_starts().shape[0])
+
+    def select(self, mask: np.ndarray) -> "ConflictTable":
+        """The rows where ``mask`` holds, order kept."""
+        return ConflictTable(self.segs, self.i[mask], self.j[mask],
+                             self.lo[mask], self.hi[mask])
+
+    def pair_mask(self, admits: Callable[[int, int], bool]) -> np.ndarray:
+        """Row mask keeping every piece of the pairs for which
+        ``admits(s1.id, s2.id)`` holds."""
+        starts = self.pair_starts()
+        segs = self.segs
+        keep = np.fromiter(
+            (admits(segs[a].id, segs[b].id)
+             for a, b in zip(self.i[starts].tolist(),
+                             self.j[starts].tolist())),
+            dtype=bool, count=starts.shape[0])
+        return np.repeat(keep, np.diff(np.append(starts, len(self))))
+
+    def candidates(self) -> List[RaceCandidate]:
+        """One :class:`RaceCandidate` per pair, in key order."""
+        segs = self.segs
+        starts = self.pair_starts().tolist()
+        ends = starts[1:] + [len(self)]
+        i, j = self.i.tolist(), self.j.tolist()
+        lo, hi = self.lo.tolist(), self.hi.tolist()
+        out: List[RaceCandidate] = []
+        for a, b in zip(starts, ends):
+            ranges = IntervalSet()
+            ranges._los = lo[a:b]
+            ranges._his = hi[a:b]
+            out.append(RaceCandidate(segs[i[a]], segs[j[a]], ranges))
+        return out
 
 
 def _conflict_ranges(s1: Segment, s2: Segment) -> IntervalSet:
@@ -83,31 +182,56 @@ def _conflict_ranges_tree(s1: Segment, s2: Segment) -> IntervalSet:
     return out
 
 
-def find_races_naive(graph: SegmentGraph) -> List[RaceCandidate]:
-    """Faithful Algorithm 1: all-pairs with happens-before filtering."""
+def _check_pairs_python(graph: SegmentGraph, segs: Sequence[Segment],
+                        pairs: Iterable[Tuple[int, int]]
+                        ) -> Tuple[Rows, int, int]:
+    """The Python kernel: one HB query and three merges per pair.
+
+    Returns ``(rows, checked, ordered)``.
+    """
+    ci: List[int] = []
+    cj: List[int] = []
+    clo: List[int] = []
+    chi: List[int] = []
+    checked = ordered = 0
+    for i, j in pairs:
+        checked += 1
+        s1, s2 = segs[i], segs[j]
+        if graph.ordered(s1, s2):
+            ordered += 1
+            continue
+        ranges = _conflict_ranges(s1, s2)
+        n = len(ranges)
+        if n:
+            ci += [i] * n
+            cj += [j] * n
+            clo += ranges._los
+            chi += ranges._his
+    return (ci, cj, clo, chi), checked, ordered
+
+
+def _naive_table(graph: SegmentGraph) -> ConflictTable:
+    """Faithful Algorithm 1: all pairs with happens-before filtering."""
     reg = get_registry()
-    out: List[RaceCandidate] = []
     with reg.phase("analysis"):
         with reg.phase("analysis.prepare"):
             graph.prepare_queries()
         segs = [s for s in graph.segments if s.has_accesses]
-        checked = ordered = 0
+        reg.gauge("analysis.hb_tier").set("per_pair")
         with reg.phase("analysis.pairs"):
-            for i in range(len(segs)):
-                s1 = segs[i]
-                for j in range(i + 1, len(segs)):
-                    s2 = segs[j]
-                    if not s1.writes and not s2.writes:
-                        continue
-                    checked += 1
-                    if graph.ordered(s1, s2):
-                        ordered += 1
-                        continue
-                    ranges = _conflict_ranges(s1, s2)
-                    if ranges:
-                        out.append(RaceCandidate(s1, s2, ranges))
-        _record_pass(reg, "naive", checked, ordered, len(out))
-    return out
+            writes = [bool(s.writes) for s in segs]
+            n = len(segs)
+            pairs = ((i, j) for i in range(n) for j in range(i + 1, n)
+                     if writes[i] or writes[j])
+            rows, checked, ordered = _check_pairs_python(graph, segs, pairs)
+        table = ConflictTable.build(segs, [rows])
+        _record_pass(reg, "naive", checked, ordered, table.pair_count())
+    return table
+
+
+def find_races_naive(graph: SegmentGraph) -> List[RaceCandidate]:
+    """Faithful Algorithm 1: all-pairs with happens-before filtering."""
+    return _naive_table(graph).candidates()
 
 
 def _record_pass(reg, mode: str, checked: int, ordered: int,
@@ -158,7 +282,34 @@ def _resolve_kernel(reg, kernel: str, graph: SegmentGraph,
         # requested but unavailable: degrade loudly, not fatally
         reg.counter("analysis.kernel_fallbacks").inc()
     reg.gauge("analysis.kernel").set(used)
+    if used == "python":
+        reg.gauge("analysis.hb_tier").set("per_pair")
     return used
+
+
+def _indexed_table(graph: SegmentGraph, *,
+                   kernel: str = "auto") -> ConflictTable:
+    """Address-indexed Algorithm 1 (same table as the naive pass)."""
+    reg = get_registry()
+    with reg.phase("analysis"):
+        with reg.phase("analysis.prepare"):
+            graph.prepare_queries()
+        segs = [s for s in graph.segments if s.has_accesses]
+        with reg.phase("analysis.candidates"):
+            pairs = _candidate_pairs(segs)
+        reg.counter("analysis.candidate_pairs").inc(len(pairs))
+        used = _resolve_kernel(reg, kernel, graph, len(pairs))
+        with reg.phase("analysis.pairs"):
+            if used == "numpy":
+                from repro.core.npkernel import KernelContext
+                ctx = KernelContext(graph, segs)
+                rows, ordered = ctx.check_pairs(list(pairs))
+            else:
+                rows, _checked, ordered = _check_pairs_python(graph, segs,
+                                                              pairs)
+        table = ConflictTable.build(segs, [rows])
+        _record_pass(reg, "indexed", len(pairs), ordered, table.pair_count())
+    return table
 
 
 def find_races_indexed(graph: SegmentGraph, *,
@@ -169,41 +320,7 @@ def find_races_indexed(graph: SegmentGraph, *,
     ``numpy`` (batched array sweeps, :mod:`repro.core.npkernel`) or ``auto``.
     Both kernels produce identical candidate lists.
     """
-    reg = get_registry()
-    out: List[RaceCandidate] = []
-    with reg.phase("analysis"):
-        with reg.phase("analysis.prepare"):
-            graph.prepare_queries()
-        segs = [s for s in graph.segments if s.has_accesses]
-        with reg.phase("analysis.candidates"):
-            pairs = _candidate_pairs(segs)
-        reg.counter("analysis.candidate_pairs").inc(len(pairs))
-        ordered = 0
-        used = _resolve_kernel(reg, kernel, graph, len(pairs))
-        if used == "numpy":
-            from repro.core.npkernel import KernelContext
-            with reg.phase("analysis.pairs"):
-                ctx = KernelContext(graph, segs)
-                found, ordered = ctx.check_pairs(list(pairs))
-                out = [RaceCandidate(segs[i], segs[j], ranges)
-                       for i, j, ranges in found]
-        else:
-            # iterate unsorted and sort only the (much smaller) surviving
-            # candidate list — segment ids increase with segs-list index, so
-            # sorting by key() yields the same deterministic order as sorting
-            # all pairs up front
-            with reg.phase("analysis.pairs"):
-                for i, j in pairs:
-                    s1, s2 = segs[i], segs[j]
-                    if graph.ordered(s1, s2):
-                        ordered += 1
-                        continue
-                    ranges = _conflict_ranges(s1, s2)
-                    if ranges:
-                        out.append(RaceCandidate(s1, s2, ranges))
-        out.sort(key=lambda c: c.key())
-        _record_pass(reg, "indexed", len(pairs), ordered, len(out))
-    return out
+    return _indexed_table(graph, kernel=kernel).candidates()
 
 
 #: fixed chunk size for the parallel pass — independent of the worker count
@@ -228,15 +345,16 @@ class QuarantinedChunk:
 
 @dataclass
 class PartialAnalysis:
-    """The supervised pass's result: candidates + explicit coverage.
+    """The supervised pass's result: conflicts + explicit coverage.
 
-    ``candidates`` is always the deterministic sorted list over every chunk
-    that *did* complete; ``unchecked_pairs`` says exactly how much of the
-    candidate space the quarantined chunks cover.  A fault-free run has
+    ``table`` always holds the rows of every chunk that *did* complete, in
+    key order; ``unchecked_pairs`` says exactly how much of the candidate
+    space the quarantined chunks cover.  A fault-free run has
     ``complete == True`` and quarantines nothing.
     """
 
-    candidates: List[RaceCandidate] = field(default_factory=list)
+    table: ConflictTable = field(
+        default_factory=lambda: ConflictTable.build((), []))
     chunks_total: int = 0
     chunks_ok: int = 0
     pairs_total: int = 0
@@ -244,6 +362,11 @@ class PartialAnalysis:
     retries: int = 0
     deadline_hits: int = 0
     quarantined: List[QuarantinedChunk] = field(default_factory=list)
+
+    @property
+    def candidates(self) -> List[RaceCandidate]:
+        """The table as a sorted candidate list."""
+        return self.table.candidates()
 
     @property
     def complete(self) -> bool:
@@ -316,26 +439,15 @@ def find_races_supervised(graph: SegmentGraph, *,
                 kctx = KernelContext(graph, segs)
 
         def check(index: int, chunk: Sequence[Tuple[int, int]]
-                  ) -> Tuple[List[RaceCandidate], int]:
+                  ) -> Tuple[Rows, int]:
             _FAULTS.on_analysis_chunk(index)   # may raise / hang on demand
-            found: List[RaceCandidate] = []
-            n_ordered = 0
             # per-worker-thread phase: wall seconds sum across workers
             with reg.phase("analysis.pairs"):
                 if kctx is not None:
-                    hits, n_ordered = kctx.check_pairs(chunk)
-                    found = [RaceCandidate(segs[i], segs[j], ranges)
-                             for i, j, ranges in hits]
-                    return found, n_ordered
-                for i, j in chunk:
-                    s1, s2 = segs[i], segs[j]
-                    if graph.ordered(s1, s2):
-                        n_ordered += 1
-                        continue
-                    ranges = _conflict_ranges(s1, s2)
-                    if ranges:
-                        found.append(RaceCandidate(s1, s2, ranges))
-            return found, n_ordered
+                    return kctx.check_pairs(chunk)
+                rows, _checked, n_ordered = _check_pairs_python(graph, segs,
+                                                                chunk)
+            return rows, n_ordered
 
         if not pairs:
             reg.gauge("analysis.workers_requested").set(workers)
@@ -352,7 +464,7 @@ def find_races_supervised(graph: SegmentGraph, *,
         reg.gauge("analysis.workers_requested").set(workers)
         reg.gauge("analysis.workers_effective").set(workers_eff)
         reg.histogram("analysis.chunk_pairs").observe(len(chunks))
-        out: List[RaceCandidate] = []
+        blocks: List[Rows] = []
         ordered = 0
         pending = list(range(len(chunks)))
         last_error: Dict[int, str] = {}
@@ -372,7 +484,7 @@ def find_races_supervised(graph: SegmentGraph, *,
                     failed: List[int] = []
                     for idx, fut in futures.items():
                         try:
-                            res, n_ordered = fut.result(timeout=deadline_s)
+                            rows, n_ordered = fut.result(timeout=deadline_s)
                         except concurrent.futures.TimeoutError:
                             result.deadline_hits += 1
                             reg.counter(
@@ -385,7 +497,7 @@ def find_races_supervised(graph: SegmentGraph, *,
                             last_error[idx] = repr(exc)
                             failed.append(idx)
                             continue
-                        out.extend(res)
+                        blocks.append(rows)
                         ordered += n_ordered
                         result.chunks_ok += 1
                         result.pairs_checked += len(chunks[idx])
@@ -406,10 +518,9 @@ def find_races_supervised(graph: SegmentGraph, *,
                 # don't block on a worker stuck past its deadline; cancel
                 # anything not yet started and let stragglers finish alone
                 pool.shutdown(wait=deadline_s is None, cancel_futures=True)
-        out.sort(key=lambda c: c.key())
-        result.candidates = out
+        result.table = ConflictTable.build(segs, blocks)
         _record_pass(reg, "parallel", result.pairs_checked, ordered,
-                     len(out))
+                     result.table.pair_count())
     return result
 
 
@@ -429,3 +540,52 @@ def find_races_parallel(graph: SegmentGraph, *,
     """
     return find_races_supervised(graph, workers=workers,
                                  kernel=kernel).candidates
+
+
+@dataclass
+class Detection:
+    """What :func:`analyze_and_suppress` found, with the pipeline's books."""
+
+    surviving: List[RaceCandidate]
+    #: segment pairs with conflicting bytes before any filter
+    raw_candidates: int
+    #: the supervised pass's coverage (``mode="parallel"`` only)
+    partial: Optional[PartialAnalysis] = None
+    #: pairs the replay pair filter dropped before suppression
+    pair_dropped: int = 0
+
+
+def analyze_and_suppress(graph: SegmentGraph, engine, *,
+                         mode: str = "indexed", kernel: str = "auto",
+                         workers: int = 4,
+                         deadline_s: Optional[float] = None,
+                         max_retries: int = 2,
+                         pair_filter=None) -> Detection:
+    """Algorithm 1, the replay pair filter and Section IV suppression.
+
+    The one pipeline behind :meth:`repro.core.tool.TaskgrindTool.finalize`
+    and :func:`repro.core.trace.analyze_loaded` (offline and served).
+    ``mode`` picks the pass: ``naive``, ``parallel`` (supervised; only it
+    uses ``workers``, ``deadline_s`` and ``max_retries``) or, for anything
+    else, indexed.  ``pair_filter`` (a
+    :class:`repro.replay.filter.ReplayFilter`) keeps only the rows of the
+    segment pairs it admits.  ``engine`` is the run's
+    :class:`repro.core.suppress.SuppressionEngine`.
+    """
+    partial = None
+    if mode == "naive":
+        table = _naive_table(graph)
+    elif mode == "parallel":
+        partial = find_races_supervised(graph, workers=workers,
+                                        deadline_s=deadline_s,
+                                        max_retries=max_retries,
+                                        kernel=kernel)
+        table = partial.table
+    else:
+        table = _indexed_table(graph, kernel=kernel)
+    raw = table.pair_count()
+    dropped = 0
+    if pair_filter is not None and pair_filter.pairs:
+        table = table.select(table.pair_mask(pair_filter.admits_pair))
+        dropped = raw - table.pair_count()
+    return Detection(engine.filter_all(table), raw, partial, dropped)

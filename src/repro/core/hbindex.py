@@ -21,7 +21,10 @@ For segments of a series-parallel graph the invariant is::
     a happens-before b   <=>   a <E b  and  a <H b
     a parallel with b    <=>   a <E b  xor  a <H b
 
-Maintenance discipline (all O(1) amortized per event):
+Maintenance discipline — O(1) per event while the order lists have label
+room between the neighbours involved; when a gap runs out the list
+relabels globally in O(n) (:mod:`repro.util.omlist`; the count is
+published as ``graph.hb_relabels``), so this is not amortized O(1):
 
 * a **root** goes last in E and first in H (mutually-parallel roots end up
   on opposite sides of each order);
@@ -200,6 +203,11 @@ class HbIndex:
         return e, h
 
     # -- accounting -----------------------------------------------------------
+
+    @property
+    def relabel_count(self) -> int:
+        """Global relabels of the E and H order lists so far."""
+        return self._e.relabel_count + self._h.relabel_count
 
     def memory_bytes(self, *, bytes_per_label: int = 48) -> int:
         """Simulated footprint: two list nodes + dict slots per segment."""

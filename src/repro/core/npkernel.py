@@ -19,6 +19,9 @@ same computation over flat sorted ``int64`` arrays:
   bitmask DP (when it is not).
 * **Batched bounding-box prefilter** — pairs whose access-set hulls cannot
   overlap are dropped before any per-pair interval work.
+* **Row output** — the conflicts leave the kernel as int64 rows
+  ``(i, j, lo, hi)``, one per conflict piece, ready for
+  :class:`repro.core.analysis.ConflictTable`; no per-pair object is built.
 
 The Python kernel remains the oracle: for any input both kernels produce
 byte-identical conflict sets (enforced by the parity tests and the fuzz
@@ -27,8 +30,9 @@ harness), so ``auto`` may pick either purely on performance grounds.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.obs.metrics import get_registry
 from repro.util.intervals import IntervalSet
 
 try:  # pragma: no cover - exercised via both arms of the parity tests
@@ -57,6 +61,9 @@ _WINDOW_SHIFT = 48
 #: int64 overflow (``_PAIR_BATCH << _WINDOW_SHIFT`` must fit in 63 bits).
 _PAIR_BATCH = 8192
 
+#: conflict rows ``(i, j, lo, hi)``: four int64 columns of equal length
+Rows = Tuple["_np.ndarray", "_np.ndarray", "_np.ndarray", "_np.ndarray"]
+
 
 # ---------------------------------------------------------------------------
 # primitive sweeps over sorted disjoint (los, his) arrays
@@ -65,6 +72,11 @@ _PAIR_BATCH = 8192
 def _empty() -> Tuple["_np.ndarray", "_np.ndarray"]:
     z = _np.empty(0, dtype=_np.int64)
     return z, z
+
+
+def _empty_rows() -> Rows:
+    z = _np.empty(0, dtype=_np.int64)
+    return z, z, z, z
 
 
 def coalesce_arrays(los: "_np.ndarray", his: "_np.ndarray"
@@ -208,6 +220,11 @@ class KernelContext:
       the big-int reachability masks (only when the segment count is small
       enough to justify it);
     * neither → per-pair :meth:`SegmentGraph.ordered` fallback.
+
+    The tier reached is ``hb_tier`` (``label|matrix|per_pair``, also the
+    ``analysis.hb_tier`` gauge); a label snapshot that overflows int64 and
+    a matrix skipped for size book ``analysis.hb.label_overflow`` and
+    ``analysis.hb.matrix_skipped``.
     """
 
     def __init__(self, graph, segs: Sequence) -> None:
@@ -255,8 +272,13 @@ class KernelContext:
         self._batched = top < (1 << _WINDOW_SHIFT)
         self._e = self._h = None
         self._matrix = None
-        if not self._snapshot_labels():
-            self._build_matrix()
+        if self._snapshot_labels():
+            self.hb_tier = "label"
+        elif self._build_matrix():
+            self.hb_tier = "matrix"
+        else:
+            self.hb_tier = "per_pair"
+        get_registry().gauge("analysis.hb_tier").set(self.hb_tier)
 
     def _snapshot_labels(self) -> bool:
         graph = self.graph
@@ -276,12 +298,14 @@ class KernelContext:
                                   dtype=_np.int64)
         except OverflowError:
             self._e = self._h = None
+            get_registry().counter("analysis.hb.label_overflow").inc()
             return False
         return True
 
-    def _build_matrix(self) -> None:
+    def _build_matrix(self) -> bool:
         if len(self.segs) > MATRIX_MAX_SEGS:
-            return
+            get_registry().counter("analysis.hb.matrix_skipped").inc()
+            return False
         reach = self.graph._reachability()
         n_global = len(reach)
         nbytes = (n_global + 7) // 8 or 1
@@ -295,6 +319,7 @@ class KernelContext:
             rows[k] = bits[:n_global]
         sub = rows[:, ids]                      # reach[i] restricted to segs
         self._matrix = sub | sub.T              # ordered in either direction
+        return True
 
     def ordered_mask(self, ii: "_np.ndarray", jj: "_np.ndarray"
                      ) -> Optional["_np.ndarray"]:
@@ -311,15 +336,17 @@ class KernelContext:
         return None
 
     def check_pairs(self, pairs: Sequence[Tuple[int, int]]
-                    ) -> Tuple[List[Tuple[int, int, IntervalSet]], int]:
-        """One chunk of the pair sweep: returns ``([(i, j, ranges)], ordered)``.
+                    ) -> Tuple[Rows, int]:
+        """One chunk of the pair sweep: ``((i, j, lo, hi), ordered)``.
 
-        Produces exactly the conflicts the Python loop would: the batched
-        ordered mask and hull prefilter only remove pairs whose result is
-        known (ordered, or provably disjoint hulls).
+        The conflicts come back as four int64 row columns, one row per
+        conflict piece: a pair's pieces are contiguous and ascending, pairs
+        follow input order.  Produces exactly the conflicts the Python loop
+        would: the batched ordered mask and hull prefilter only remove
+        pairs whose result is known (ordered, or provably disjoint hulls).
         """
         if not pairs:
-            return [], 0
+            return _empty_rows(), 0
         idx = _np.asarray(pairs, dtype=_np.int64)
         ii, jj = idx[:, 0], idx[:, 1]
         omask = self.ordered_mask(ii, jj)
@@ -337,24 +364,30 @@ class KernelContext:
                | ((self.w_lo[j_u] < self.r_hi[i_u])
                   & (self.r_lo[i_u] < self.w_hi[j_u])))
         i_h, j_h = i_u[hit], j_u[hit]
-        out: List[Tuple[int, int, IntervalSet]] = []
         if not self._batched:
+            cols: Tuple[List[int], ...] = ([], [], [], [])
             segs = self.segs
             for i, j in zip(i_h.tolist(), j_h.tolist()):
                 ranges = conflict_ranges_arrays(segs[i].np_arrays(),
                                                 segs[j].np_arrays())
                 if ranges is not None:
-                    out.append((i, j, ranges))
-            return out, n_ordered
-        for start in range(0, i_h.shape[0], _PAIR_BATCH):
-            bi = i_h[start:start + _PAIR_BATCH]
-            bj = j_h[start:start + _PAIR_BATCH]
-            self._conflicts_batch(bi, bj, out)
-        return out, n_ordered
+                    n = len(ranges)
+                    cols[0].extend([i] * n)
+                    cols[1].extend([j] * n)
+                    cols[2].extend(ranges._los)
+                    cols[3].extend(ranges._his)
+            return tuple(_np.asarray(c, dtype=_np.int64)
+                         for c in cols), n_ordered
+        blocks = [self._conflicts_batch(i_h[start:start + _PAIR_BATCH],
+                                        j_h[start:start + _PAIR_BATCH])
+                  for start in range(0, i_h.shape[0], _PAIR_BATCH)]
+        if not blocks:
+            return _empty_rows(), n_ordered
+        return tuple(_np.concatenate(col) for col in zip(*blocks)), n_ordered
 
-    def _conflicts_batch(self, bi: "_np.ndarray", bj: "_np.ndarray",
-                         out: List[Tuple[int, int, IntervalSet]]) -> None:
-        """Compute ``(w1 ∩ rw2) ∪ (w2 ∩ r1)`` for every pair in one sweep.
+    def _conflicts_batch(self, bi: "_np.ndarray", bj: "_np.ndarray") -> Rows:
+        """Conflict rows of ``(w1 ∩ rw2) ∪ (w2 ∩ r1)`` for every pair in
+        one sweep.
 
         Pair ``k``'s operands are relocated into window ``k << 48``; windows
         are disjoint and ordered, so the pooled arrays stay sorted, the
@@ -367,22 +400,9 @@ class KernelContext:
         p2 = intersect_arrays(*self.w_pool.gather(bj, offsets),
                               *self.r_pool.gather(bi, offsets))
         los, his = union_arrays(*p1, *p2)
-        n = los.shape[0]
-        if not n:
-            return
         pair_pos = los >> _WINDOW_SHIFT
         base = pair_pos << _WINDOW_SHIFT
-        los_l = (los - base).tolist()
-        his_l = (his - base).tolist()
-        bounds = _np.nonzero(_np.diff(pair_pos))[0] + 1
-        starts = [0] + bounds.tolist() + [n]
-        owners = pair_pos[starts[:-1]].tolist()
-        for g, k in enumerate(owners):
-            lo_s, hi_s = starts[g], starts[g + 1]
-            ranges = IntervalSet()
-            ranges._los = los_l[lo_s:hi_s]
-            ranges._his = his_l[lo_s:hi_s]
-            out.append((int(bi[k]), int(bj[k]), ranges))
+        return bi[pair_pos], bj[pair_pos], los - base, his - base
 
 
 def resolve_kernel(kernel: str, graph, n_pairs: int) -> str:

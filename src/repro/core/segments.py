@@ -652,6 +652,7 @@ class SegmentGraph:
             "dp_rebuilds": self.dp_rebuilds,
             "index_queries": idx.queries if idx is not None else 0,
             "index_fallbacks": idx.fallbacks if idx is not None else 0,
+            "hb_relabels": idx.relabel_count if idx is not None else 0,
             "memory_bytes": self.memory_bytes(),
         }
 

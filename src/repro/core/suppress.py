@@ -1,7 +1,14 @@
 """False-positive suppression (paper Section IV).
 
 Four mechanisms, individually toggleable so the S4 ablation bench can
-quantify each one's contribution:
+quantify each one's contribution.  The two analysis-time ones (3 and 4)
+run over Algorithm 1's whole :class:`~repro.core.analysis.ConflictTable`
+at once (:meth:`SuppressionEngine.filter_all`): one ``searchsorted`` over
+the sorted region table finds each piece's region, the stack rule is a
+handful of array comparisons over per-segment thread / stack-bounds /
+start-stack-pointer columns, and only pieces in TLS regions take the
+scalar DTV check.  Only pairs with surviving bytes become
+:class:`~repro.core.analysis.RaceCandidate` objects.
 
 1. **Symbol filtering** (IV-A) — the *ignore-list* drops accesses occurring
    in matching symbols (default: ``__kmp*`` and friends, the parallel
@@ -28,15 +35,16 @@ quantify each one's contribution:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.analysis import RaceCandidate
+import numpy as _np
+
+from repro.core.analysis import ConflictTable, RaceCandidate
 from repro.core.segments import Segment
 from repro.machine.memory import RegionKind
 from repro.obs.metrics import get_registry
 from repro.obs.prof import get_profiler
 from repro.obs.tracer import get_tracer
-from repro.util.intervals import Interval, IntervalSet
 
 _TRACER = get_tracer()
 _PROF = get_profiler()
@@ -98,81 +106,94 @@ class SuppressionEngine:
         site of lattice class ``klass``?
 
         The per-site decision the compile-time pre-pass takes *instead of*
-        the per-access ``filter_candidate`` path below — gated on the same
-        per-class toggles, so elision is always a subset of what the
-        runtime filters would have removed.
+        the per-piece :meth:`filter_all` classification below — gated on
+        the same per-class toggles, so elision is always a subset of what
+        the runtime filters would have removed.
         """
         from repro.vex.elide import ElisionPlan
         return ElisionPlan(self.config).site_elidable(klass)
 
     # -- analysis-time filters -------------------------------------------------
 
-    def filter_candidate(self, cand: RaceCandidate) -> Optional[RaceCandidate]:
-        """Return the candidate with suppressed byte-ranges removed.
+    def filter_all(self, table: ConflictTable) -> List[RaceCandidate]:
+        """Drop the suppressed pieces of every conflict row at once.
 
-        ``None`` when every conflicting byte was suppressed.
+        Returns one :class:`RaceCandidate` per pair with surviving bytes, in
+        key order; pairs whose every piece is suppressed are counted in
+        ``stats.fully_suppressed_pairs`` and never materialized.
         """
-        surviving = IntervalSet()
-        for piece in cand.ranges:
-            if self._piece_suppressed(piece, cand.s1, cand.s2):
-                continue
-            surviving.add(piece.lo, piece.hi)
-        if not surviving:
-            self.stats.fully_suppressed_pairs += 1
-            if _PROF.enabled:
-                _PROF.count("suppress.pair-dropped", cand.s1.label())
-            return None
-        self.stats.survived += 1
-        if _PROF.enabled:
-            _PROF.count("suppress.survived", cand.s1.label())
-        return RaceCandidate(cand.s1, cand.s2, surviving)
+        reg = get_registry()
+        s = self.stats
+        with reg.phase("suppress"):
+            stack, tls = self._classify(table)
+            dropped = stack | tls
+            starts = table.pair_starts()
+            # a pair survives when any of its pieces does
+            kept = _np.logical_or.reduceat(~dropped, starts)
+            n_stack, n_tls = int(stack.sum()), int(tls.sum())
+            n_survived = int(kept.sum())
+            n_full = int(kept.shape[0]) - n_survived
+            s.stack_suppressed += n_stack
+            s.tls_suppressed += n_tls
+            s.survived += n_survived
+            s.fully_suppressed_pairs += n_full
+            if _PROF.enabled or _TRACER.enabled:
+                _emit_events(table, starts, stack, tls, kept)
+            out = table.select(~dropped).candidates()
+        reg.counter("suppress.drop.tls").inc(n_tls)
+        reg.counter("suppress.drop.stack").inc(n_stack)
+        reg.counter("suppress.survived").inc(n_survived)
+        reg.counter("suppress.fully_suppressed_pairs").inc(n_full)
+        return out
 
-    def _piece_suppressed(self, piece: Interval, s1: Segment,
-                          s2: Segment) -> bool:
-        region = self.machine.space.region_at(piece.lo)
-        if region is None:
-            return False
-        if region.kind == RegionKind.STACK and self.config.suppress_stack:
-            if self._stack_local(piece, s1, region) and \
-                    self._stack_local(piece, s2, region):
-                self.stats.stack_suppressed += 1
-                if _PROF.enabled:
-                    _PROF.count("suppress.stack", s1.label())
-                if _TRACER.enabled:
-                    _TRACER.instant("suppress.stack", cat="suppress",
-                                    args={"lo": piece.lo, "hi": piece.hi,
-                                          "s1": s1.id, "s2": s2.id})
-                return True
-        if region.kind == RegionKind.TLS and self.config.suppress_tls:
-            if self._tls_suppressed(piece, s1, s2):
-                self.stats.tls_suppressed += 1
-                if _PROF.enabled:
-                    _PROF.count("suppress.tls", s1.label())
-                if _TRACER.enabled:
-                    _TRACER.instant("suppress.tls", cat="suppress",
-                                    args={"lo": piece.lo, "hi": piece.hi,
-                                          "s1": s1.id, "s2": s2.id})
-                return True
-        return False
+    def _classify(self, table: ConflictTable
+                  ) -> Tuple[_np.ndarray, _np.ndarray]:
+        """Per-row masks: (stack-suppressed, TLS-suppressed)."""
+        n = len(table)
+        stack = _np.zeros(n, dtype=bool)
+        tls = _np.zeros(n, dtype=bool)
+        cfg = self.config
+        regions = self.machine.space.regions          # sorted by base
+        if not (n and regions and (cfg.suppress_stack or cfg.suppress_tls)):
+            return stack, tls
+        lo, hi = table.lo, table.hi
+        bases = _np.fromiter((r.base for r in regions), dtype=_np.int64,
+                             count=len(regions))
+        ends = _np.fromiter((r.end for r in regions), dtype=_np.int64,
+                            count=len(regions))
+        # the region of a piece is the region holding its first byte
+        ridx = _np.searchsorted(bases, lo, side="right") - 1
+        mapped = ridx >= 0
+        mapped[mapped] = lo[mapped] < ends[ridx[mapped]]
+        kinds = [r.kind for r in regions]
+        if cfg.suppress_stack:
+            is_stack = _np.fromiter((k == RegionKind.STACK for k in kinds),
+                                    dtype=bool, count=len(regions))
+            rows = _np.flatnonzero(mapped & is_stack[ridx])
+            if rows.shape[0]:
+                owner = _np.fromiter(
+                    (_NO_OWNER if r.owner_thread is None else r.owner_thread
+                     for r in regions), dtype=_np.int64,
+                    count=len(regions))[ridx[rows]]
+                local = _np.ones(rows.shape[0], dtype=bool)
+                cols = _segment_columns(table.segs)
+                for side in (table.i[rows], table.j[rows]):
+                    local &= _stack_local_rows(owner, lo[rows], hi[rows],
+                                               *(c[side] for c in cols))
+                stack[rows[local]] = True
+        if cfg.suppress_tls:
+            is_tls = _np.fromiter((k == RegionKind.TLS for k in kinds),
+                                  dtype=bool, count=len(regions))
+            segs = table.segs
+            # the scalar residue: TLS pieces are few, and the DTV
+            # generation warning needs each pair's snapshots
+            for r in _np.flatnonzero(mapped & is_tls[ridx]).tolist():
+                tls[r] = self._tls_suppressed(
+                    int(lo[r]), int(hi[r]), segs[int(table.i[r])],
+                    segs[int(table.j[r])])
+        return stack, tls
 
-    @staticmethod
-    def _stack_local(piece: Interval, seg: Segment, region) -> bool:
-        """Did ``seg`` only reach ``piece`` through frames it pushed itself?
-
-        Stacks grow downward: an address *below* the stack pointer registered
-        at segment start belongs to a frame created inside the segment.  The
-        segment must also have executed on the thread owning the stack —
-        otherwise it reached the bytes through a shared pointer and the
-        conflict is real (TMB 1001-stack.1).
-        """
-        if region.owner_thread != seg.thread_id:
-            return False
-        lo, hi = seg.stack_bounds
-        if not (lo <= piece.lo and piece.hi <= hi):
-            return False
-        return piece.hi <= seg.sp_at_start
-
-    def _tls_suppressed(self, piece: Interval, s1: Segment,
+    def _tls_suppressed(self, lo: int, hi: int, s1: Segment,
                         s2: Segment) -> bool:
         """Same thread + same DTV ⇒ the 'conflict' is one thread's own TLS."""
         if s1.thread_id != s2.thread_id:
@@ -183,34 +204,12 @@ class SuppressionEngine:
         if snap1.generation != snap2.generation:
             # DTV churn between the segments: the paper's gen-number warning
             self.stats.tls_gen_warnings += 1
-        covered = snap1.covers(piece.lo, piece.size) and \
-            snap2.covers(piece.lo, piece.size)
+        covered = snap1.covers(lo, hi - lo) and snap2.covers(lo, hi - lo)
         if not covered:
             # e.g. a dynamic block allocated+freed inside the segment never
             # made it into the snapshot: conflict survives (paper limitation)
             return False
         return snap1.dtv == snap2.dtv and snap1.tcb == snap2.tcb
-
-    # -- batch API ------------------------------------------------------------------
-
-    def filter_all(self, candidates: List[RaceCandidate]
-                   ) -> List[RaceCandidate]:
-        reg = get_registry()
-        s = self.stats
-        tls0, stack0 = s.tls_suppressed, s.stack_suppressed
-        surv0, full0 = s.survived, s.fully_suppressed_pairs
-        out = []
-        with reg.phase("suppress"):
-            for cand in candidates:
-                kept = self.filter_candidate(cand)
-                if kept is not None:
-                    out.append(kept)
-        reg.counter("suppress.drop.tls").inc(s.tls_suppressed - tls0)
-        reg.counter("suppress.drop.stack").inc(s.stack_suppressed - stack0)
-        reg.counter("suppress.survived").inc(s.survived - surv0)
-        reg.counter("suppress.fully_suppressed_pairs").inc(
-            s.fully_suppressed_pairs - full0)
-        return out
 
     def stats_doc(self) -> dict:
         """Analysis-time drop counts per mechanism (Section IV classes)."""
@@ -222,3 +221,61 @@ class SuppressionEngine:
             "fully_suppressed_pairs": s.fully_suppressed_pairs,
             "tls_gen_warnings": s.tls_gen_warnings,
         }
+
+
+#: owner of a region no thread owns: equal to no segment's thread id
+_NO_OWNER = _np.iinfo(_np.int64).min
+
+
+def _segment_columns(segs: Sequence[Segment]) -> Tuple[_np.ndarray, ...]:
+    """Per-segment IV-D inputs: thread, stack bounds, stack pointer at start."""
+    n = len(segs)
+    return (_np.fromiter((s.thread_id for s in segs), _np.int64, n),
+            _np.fromiter((s.stack_bounds[0] for s in segs), _np.int64, n),
+            _np.fromiter((s.stack_bounds[1] for s in segs), _np.int64, n),
+            _np.fromiter((s.sp_at_start for s in segs), _np.int64, n))
+
+
+def _stack_local_rows(owner, lo, hi, thread, stack_lo, stack_hi, sp):
+    """Did each row's segment reach its piece only through frames it pushed
+    itself?
+
+    Stacks grow downward: an address *below* the stack pointer registered
+    at segment start belongs to a frame created inside the segment.  The
+    segment must also have executed on the thread owning the stack —
+    otherwise it reached the bytes through a shared pointer and the
+    conflict is real (TMB 1001-stack.1).  A piece straddling the start
+    stack pointer is not local.
+    """
+    return ((owner == thread) & (stack_lo <= lo) & (hi <= stack_hi)
+            & (hi <= sp))
+
+
+def _emit_events(table: ConflictTable, starts: _np.ndarray,
+                 stack: _np.ndarray, tls: _np.ndarray,
+                 kept: _np.ndarray) -> None:
+    """Profiler counts and tracer instants, pair by pair, piece by piece."""
+    segs = table.segs
+    i, j = table.i.tolist(), table.j.tolist()
+    lo, hi = table.lo.tolist(), table.hi.tolist()
+    stack_l, tls_l = stack.tolist(), tls.tolist()
+    bounds = starts.tolist() + [len(table)]
+    for g, pair_kept in enumerate(kept.tolist()):
+        first = bounds[g]
+        s1, s2 = segs[i[first]], segs[j[first]]
+        for r in range(first, bounds[g + 1]):
+            if stack_l[r]:
+                name = "suppress.stack"
+            elif tls_l[r]:
+                name = "suppress.tls"
+            else:
+                continue
+            if _PROF.enabled:
+                _PROF.count(name, s1.label())
+            if _TRACER.enabled:
+                _TRACER.instant(name, cat="suppress",
+                                args={"lo": lo[r], "hi": hi[r],
+                                      "s1": s1.id, "s2": s2.id})
+        if _PROF.enabled:
+            _PROF.count("suppress.survived" if pair_kept
+                        else "suppress.pair-dropped", s1.label())

@@ -33,8 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core.analysis import (PartialAnalysis, find_races_indexed,
-                                 find_races_naive, find_races_supervised)
+from repro.core.analysis import PartialAnalysis, analyze_and_suppress
 from repro.core.ompt_shim import TaskgrindOmptShim
 from repro.core.reports import (RaceReport, build_report, build_witness,
                                 dedupe_reports)
@@ -389,27 +388,18 @@ class TaskgrindTool(Tool):
             return self.reports
         with reg.phase("finalize"):
             graph = self.builder.graph
-            mode = self.options.analysis
-            if mode == "naive":
-                candidates = find_races_naive(graph)
-            elif mode == "parallel":
-                self.partial_analysis = find_races_supervised(
-                    graph, workers=self.options.analysis_workers,
-                    deadline_s=self.options.analysis_deadline_s,
-                    max_retries=self.options.analysis_max_retries,
-                    kernel=self.options.analysis_kernel)
-                candidates = self.partial_analysis.candidates
-            else:
-                candidates = find_races_indexed(
-                    graph, kernel=self.options.analysis_kernel)
-            self.raw_candidates = len(candidates)
-            flt = self.replay_filter
-            if flt is not None and flt.pairs:
-                kept = [c for c in candidates
-                        if flt.admits_pair(c.s1.id, c.s2.id)]
-                self.filter_pair_dropped = len(candidates) - len(kept)
-                candidates = kept
-            surviving = self.suppressor.filter_all(candidates)
+            opts = self.options
+            found = analyze_and_suppress(
+                graph, self.suppressor, mode=opts.analysis,
+                kernel=opts.analysis_kernel,
+                workers=opts.analysis_workers,
+                deadline_s=opts.analysis_deadline_s,
+                max_retries=opts.analysis_max_retries,
+                pair_filter=self.replay_filter)
+            self.partial_analysis = found.partial
+            self.raw_candidates = found.raw_candidates
+            self.filter_pair_dropped = found.pair_dropped
+            surviving = found.surviving
             with reg.phase("report"):
                 reports = [build_report(self.machine, c) for c in surviving]
                 if self.options.dedupe:

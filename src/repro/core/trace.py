@@ -39,11 +39,11 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import IO, List, Optional, Tuple
 
-from repro.core.analysis import (PartialAnalysis, find_races_indexed,
-                                 find_races_naive, find_races_supervised)
+from repro.core.analysis import PartialAnalysis, analyze_and_suppress
 from repro.core.reports import RaceReport, build_report
 from repro.core.segments import SegmentGraph
 from repro.core.suppress import SuppressionConfig, SuppressionEngine
@@ -310,11 +310,19 @@ class _OfflineBlock:
 class _OfflineSpace:
     def __init__(self, regions: List[_OfflineRegion]) -> None:
         self._regions = sorted(regions, key=lambda r: r.base)
+        self._bases = [r.base for r in self._regions]
+
+    @property
+    def regions(self) -> List[_OfflineRegion]:
+        """Every region, sorted by base (as ``AddressSpace.regions``)."""
+        return list(self._regions)
 
     def region_at(self, addr: int) -> Optional[_OfflineRegion]:
-        for r in self._regions:
-            if r.base <= addr < r.end:
-                return r
+        """The region containing ``addr``, or ``None`` — the last region
+        based at or below ``addr``, as ``AddressSpace.region_at``."""
+        k = bisect_right(self._bases, addr) - 1
+        if k >= 0 and addr < self._regions[k].end:
+            return self._regions[k]
         return None
 
     def describe(self, addr: int) -> str:
@@ -791,22 +799,14 @@ def analyze_loaded(graph: SegmentGraph, view: OfflineMachineView,
     from repro.core.reports import build_witness
     from repro.obs.tracer import get_tracer
     reg = get_registry()
-    partial: Optional[PartialAnalysis] = None
-    if mode == "naive":
-        candidates = find_races_naive(graph)
-    elif mode == "parallel":
-        partial = find_races_supervised(graph, workers=workers,
-                                        deadline_s=deadline_s,
-                                        max_retries=max_retries,
-                                        kernel=kernel)
-        candidates = partial.candidates
-    else:
-        candidates = find_races_indexed(graph, kernel=kernel)
     config = SuppressionConfig(
         suppress_tls=supp_flags.get("suppress_tls", True),
         suppress_stack=supp_flags.get("suppress_stack", True))
     engine = SuppressionEngine(view, config)
-    surviving = engine.filter_all(candidates)
+    found = analyze_and_suppress(graph, engine, mode=mode, kernel=kernel,
+                                 workers=workers, deadline_s=deadline_s,
+                                 max_retries=max_retries)
+    partial, surviving = found.partial, found.surviving
     with reg.phase("report"):
         reports = [build_report(view, c) for c in surviving]
         notes = []
@@ -829,7 +829,8 @@ def analyze_loaded(graph: SegmentGraph, view: OfflineMachineView,
                                  args={
                     "label1": r.s1.label(), "label2": r.s2.label(),
                     "bytes": r.ranges.total_bytes})
-    return LoadedAnalysis(reports=reports, raw_candidates=len(candidates),
+    return LoadedAnalysis(reports=reports,
+                          raw_candidates=found.raw_candidates,
                           partial=partial, engine=engine)
 
 

@@ -1,13 +1,21 @@
-"""Order-maintenance list: O(1) amortized insert-after + O(1) order queries.
+"""Order-maintenance list: label-bisecting inserts + O(1) order queries.
 
-The classic building block of constant-time series-parallel happens-before
-indexes (Bender et al., "Two simplified algorithms for maintaining order in
-a list"; used the same way by DePa, arXiv:2204.14168, and by SP-order race
+The building block of constant-time series-parallel happens-before indexes
+(Bender et al., "Two simplified algorithms for maintaining order in a
+list"; used the same way by DePa, arXiv:2204.14168, and by SP-order race
 detectors).  Each element carries an integer label; ``a`` precedes ``b`` iff
-``a.label < b.label``.  Inserts bisect the label gap; when a gap is
-exhausted the whole list is relabeled with a fresh stride — O(n), amortized
-away because each relabel doubles the usable label space consumed since the
-last one.
+``a.label < b.label``.
+
+Cost.  An insert bisects the label gap between its neighbours: O(1) while
+the gap has room.  Neighbours start ``2**60`` apart, so about 60 inserts
+into one spot exhaust that gap, and then :meth:`OrderList._relabel`
+renumbers the *whole* list with the fixed stride — O(n) per event.  A
+workload that keeps inserting at one spot relabels every ~60 inserts, so n
+inserts cost O(n²) in the worst case; this is *not* the amortized bound of
+Bender et al., whose relabel touches only a local density range.
+``relabel_count`` counts the events (the stats document publishes the E+H
+total as ``graph.hb_relabels``).  ROADMAP.md open item 2(b) replaces the
+global relabel with the local one.
 
 The happens-before index (:mod:`repro.core.hbindex`) keeps two of these
 ("English" and "Hebrew" orders) and answers ordering queries by label
@@ -173,7 +181,8 @@ class OrderList:
     # -- internals ------------------------------------------------------------
 
     def _relabel(self) -> None:
-        """Renumber every node with a fresh stride (rare, O(n))."""
+        """Renumber every node with a fresh stride: O(n), once per
+        exhausted gap (see the module docstring)."""
         self.relabel_count += 1
         label = 0
         n = self._head

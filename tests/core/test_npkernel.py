@@ -196,3 +196,67 @@ class TestResolveKernel:
         monkeypatch.setattr(npkernel, "HAVE_NUMPY", False)
         assert resolve_kernel("numpy", self._graph(), 10_000) == "python"
         assert resolve_kernel("auto", self._graph(), 10_000) == "python"
+
+
+class TestHbTierObservability:
+    """Every batched-HB fallback is a counter, and the tier is a gauge."""
+
+    def _delta(self, build):
+        from repro.obs.metrics import get_registry
+        reg = get_registry()
+        mark = reg.mark()
+        ctx = build()
+        return ctx, reg.delta_since(mark)["counters"], \
+            reg.gauge("analysis.hb_tier").value
+
+    def test_label_tier(self):
+        g = make_graph(2, [], [(0, 0, 8, True), (1, 0, 8, True)])
+        g._hb_labels = ({s.id: s.id for s in g.segments},
+                        {s.id: -s.id for s in g.segments})
+        segs = [s for s in g.segments if s.has_accesses]
+        ctx, counters, tier = self._delta(lambda: KernelContext(g, segs))
+        assert tier == ctx.hb_tier == "label"
+        assert "analysis.hb.label_overflow" not in counters
+
+    def test_overflow_books_counter_then_matrix(self):
+        g = make_graph(2, [], [(0, 0, 8, True), (1, 0, 8, True)])
+        g._hb_labels = ({s.id: (1 << 80) + s.id for s in g.segments},
+                        {s.id: (1 << 81) + s.id for s in g.segments})
+        segs = [s for s in g.segments if s.has_accesses]
+        ctx, counters, tier = self._delta(lambda: KernelContext(g, segs))
+        assert counters["analysis.hb.label_overflow"] == 1
+        assert tier == ctx.hb_tier == "matrix"
+
+    def test_matrix_skip_books_counter_then_per_pair(self, monkeypatch):
+        monkeypatch.setattr(npkernel, "MATRIX_MAX_SEGS", 1)
+        g = make_graph(2, [], [(0, 0, 8, True), (1, 0, 8, True)])
+        segs = [s for s in g.segments if s.has_accesses]
+        ctx, counters, tier = self._delta(lambda: KernelContext(g, segs))
+        assert counters["analysis.hb.matrix_skipped"] == 1
+        assert tier == ctx.hb_tier == "per_pair"
+
+    def test_python_kernel_reports_per_pair(self):
+        from repro.obs.metrics import get_registry
+        g = make_graph(2, [], [(0, 0, 8, True), (1, 0, 8, True)])
+        find_races_indexed(g, kernel="python")
+        assert get_registry().gauge("analysis.hb_tier").value == "per_pair"
+
+    def test_fib_overflows_labels_and_uses_matrix(self):
+        """fib(17) on 4 threads: 72-bit order-maintenance labels overflow
+        int64 once, and the segments with accesses fit the matrix."""
+        from repro.bench.programs import BenchProgram
+        from repro.bench.runner import run_benchmark
+        from repro.obs.metrics import get_registry
+        from repro.workloads.synthetic import omp_fib
+        program = BenchProgram(name="fib", racy=False,
+                               entry=lambda env: omp_fib(env, 17),
+                               description="fib(17)", source_file="fib.c",
+                               features=frozenset({"task"}))
+        result = run_benchmark(program, "taskgrind", nthreads=4, seed=7)
+        counters = result.stats["registry"]["counters"]
+        assert counters["analysis.hb.label_overflow"] == 1
+        assert "analysis.hb.matrix_skipped" not in counters
+        assert get_registry().gauge("analysis.hb_tier").value == "matrix"
+        graph = result.stats["graph"]
+        assert graph["segments"] > npkernel.MATRIX_MAX_SEGS
+        assert graph["hb_relabels"] > 0
