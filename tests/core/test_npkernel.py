@@ -13,10 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import npkernel
 from repro.core.analysis import find_races_indexed, find_races_supervised
-from repro.core.npkernel import (KernelContext, build_segment_arrays,
-                                 coalesce_arrays, conflict_ranges_arrays,
-                                 intersect_arrays, resolve_kernel,
-                                 union_arrays)
+from repro.core.npkernel import (KernelContext, coalesce_arrays,
+                                 intersect_arrays, resolve_kernel)
 from repro.core.segments import SegmentGraph
 from repro.util.intervals import IntervalSet
 
@@ -73,15 +71,6 @@ class TestPrimitives:
         assert los.tolist() == oracle._los
         assert his.tolist() == oracle._his
 
-    @given(ranges_strategy, ranges_strategy)
-    @settings(max_examples=200, deadline=None)
-    def test_union_matches_intervalset(self, raw_a, raw_b):
-        a, b = to_set(raw_a), to_set(raw_b)
-        oracle = to_set(list(a.pairs()) + list(b.pairs()))
-        los, his = union_arrays(*to_arrays(a), *to_arrays(b))
-        assert los.tolist() == oracle._los
-        assert his.tolist() == oracle._his
-
     @given(ranges_strategy, ranges_strategy, ranges_strategy, ranges_strategy)
     @settings(max_examples=150, deadline=None)
     def test_conflict_matches_python_formula(self, w1, r1, w2, r2):
@@ -97,17 +86,13 @@ class TestPrimitives:
         for lo, hi in r2:
             s2.record(lo, hi - lo, False, None)
         oracle = _conflict_ranges(s1, s2)
-        got = conflict_ranges_arrays(s1.np_arrays(), s2.np_arrays())
-        if not oracle:
-            assert got is None
-        else:
-            assert got.pairs() == oracle.pairs()
-
-    def test_build_segment_arrays_precomputes_rw(self):
-        r, w = to_set([(0, 8), (16, 24)]), to_set([(8, 12)])
-        arr = build_segment_arrays(r, w)
-        assert arr[4].tolist() == [0, 16]       # rw = r ∪ w coalesced
-        assert arr[5].tolist() == [12, 24]
+        ctx = KernelContext(g, [s1, s2])
+        ctx.prepare_hb()
+        (ci, cj, lo, hi), ordered = ctx.check_pairs(
+            np.asarray([0], dtype=np.int64), np.asarray([1], dtype=np.int64))
+        assert ordered == 0
+        assert list(zip(lo.tolist(), hi.tolist())) == oracle.pairs()
+        assert set(ci.tolist()) <= {0} and set(cj.tolist()) <= {1}
 
 
 @st.composite
@@ -156,13 +141,35 @@ class TestKernelParity:
             keys(find_races_indexed(g2, kernel="numpy"))
 
     def test_label_overflow_falls_back(self):
-        # int64-overflowing order-maintenance labels must not be gathered
-        g = make_graph(2, [], [(0, 0, 8, True), (1, 0, 8, True)])
-        g._hb_labels = ({s.id: (1 << 80) + s.id for s in g.segments},
-                        {s.id: (1 << 81) + s.id for s in g.segments})
+        """Labels wider than int64 no longer fall back: their dense ranks
+        take the ``label`` tier and answer like the raw labels."""
+        g = make_graph(4, [], [(k, 0, 8, True) for k in range(4)])
+        _wide_labels(g)
         segs = [s for s in g.segments if s.has_accesses]
         ctx = KernelContext(g, segs)
-        assert ctx._e is None
+        assert ctx.prepare_hb() == "label"
+        assert ctx._e.dtype == np.int64
+        _assert_mask_matches_labels(g, ctx)
+
+
+def _wide_labels(g):
+    """80-bit (E, H) labels: segments 0 < 1 in both orders (ordered), 2
+    and 3 reversed in H (unordered with each other and with 0 and 1)."""
+    g._hb_labels = ({0: (1 << 80) + 1, 1: (1 << 80) + 2, 2: (1 << 80) + 3,
+                     3: (1 << 80) + 4},
+                    {0: (1 << 81) + 3, 1: (1 << 81) + 4, 2: (1 << 81) + 2,
+                     3: (1 << 81) + 1})
+
+
+def _assert_mask_matches_labels(g, ctx):
+    """The batched rank compare agrees with ``graph.ordered`` on the raw
+    labels for every pair."""
+    n = len(ctx.segs)
+    ii, jj = np.triu_indices(n, 1)
+    got = ctx.ordered_mask(ii.astype(np.int64), jj.astype(np.int64))
+    want = [g.ordered(ctx.segs[i], ctx.segs[j]) for i, j in zip(ii, jj)]
+    assert got.tolist() == want
+    assert any(want) and not all(want)
 
 
 class TestResolveKernel:
@@ -209,29 +216,35 @@ class TestHbTierObservability:
         return ctx, reg.delta_since(mark)["counters"], \
             reg.gauge("analysis.hb_tier").value
 
+    def _ctx(self, g):
+        segs = [s for s in g.segments if s.has_accesses]
+        ctx = KernelContext(g, segs)
+        ctx.prepare_hb()
+        return ctx
+
     def test_label_tier(self):
         g = make_graph(2, [], [(0, 0, 8, True), (1, 0, 8, True)])
         g._hb_labels = ({s.id: s.id for s in g.segments},
                         {s.id: -s.id for s in g.segments})
-        segs = [s for s in g.segments if s.has_accesses]
-        ctx, counters, tier = self._delta(lambda: KernelContext(g, segs))
+        ctx, counters, tier = self._delta(lambda: self._ctx(g))
         assert tier == ctx.hb_tier == "label"
-        assert "analysis.hb.label_overflow" not in counters
+        assert not any(k.startswith("analysis.hb.") for k in counters)
 
     def test_overflow_books_counter_then_matrix(self):
-        g = make_graph(2, [], [(0, 0, 8, True), (1, 0, 8, True)])
-        g._hb_labels = ({s.id: (1 << 80) + s.id for s in g.segments},
-                        {s.id: (1 << 81) + s.id for s in g.segments})
-        segs = [s for s in g.segments if s.has_accesses]
-        ctx, counters, tier = self._delta(lambda: KernelContext(g, segs))
-        assert counters["analysis.hb.label_overflow"] == 1
-        assert tier == ctx.hb_tier == "matrix"
+        """80-bit labels book no fallback counter and stay on the label
+        tier, with the same answers as the raw labels."""
+        g = make_graph(4, [], [(k, 0, 8, True) for k in range(4)])
+        _wide_labels(g)
+        ctx, counters, tier = self._delta(lambda: self._ctx(g))
+        assert not any(k.startswith("analysis.hb.") for k in counters)
+        assert tier == ctx.hb_tier == "label"
+        assert g.dp_rebuilds == 0
+        _assert_mask_matches_labels(g, ctx)
 
     def test_matrix_skip_books_counter_then_per_pair(self, monkeypatch):
         monkeypatch.setattr(npkernel, "MATRIX_MAX_SEGS", 1)
         g = make_graph(2, [], [(0, 0, 8, True), (1, 0, 8, True)])
-        segs = [s for s in g.segments if s.has_accesses]
-        ctx, counters, tier = self._delta(lambda: KernelContext(g, segs))
+        ctx, counters, tier = self._delta(lambda: self._ctx(g))
         assert counters["analysis.hb.matrix_skipped"] == 1
         assert tier == ctx.hb_tier == "per_pair"
 
@@ -242,8 +255,9 @@ class TestHbTierObservability:
         assert get_registry().gauge("analysis.hb_tier").value == "per_pair"
 
     def test_fib_overflows_labels_and_uses_matrix(self):
-        """fib(17) on 4 threads: 72-bit order-maintenance labels overflow
-        int64 once, and the segments with accesses fit the matrix."""
+        """fib(17) on 4 threads: its order-maintenance labels are 72 bits
+        wide, yet the exact series-parallel graph answers every HB query
+        from label ranks — no DP rebuild, no DP query."""
         from repro.bench.programs import BenchProgram
         from repro.bench.runner import run_benchmark
         from repro.obs.metrics import get_registry
@@ -254,9 +268,12 @@ class TestHbTierObservability:
                                features=frozenset({"task"}))
         result = run_benchmark(program, "taskgrind", nthreads=4, seed=7)
         counters = result.stats["registry"]["counters"]
-        assert counters["analysis.hb.label_overflow"] == 1
-        assert "analysis.hb.matrix_skipped" not in counters
-        assert get_registry().gauge("analysis.hb_tier").value == "matrix"
+        assert not any(k.startswith("analysis.hb.") for k in counters)
+        assert get_registry().gauge("analysis.hb_tier").value == "label"
         graph = result.stats["graph"]
         assert graph["segments"] > npkernel.MATRIX_MAX_SEGS
         assert graph["hb_relabels"] > 0
+        assert graph["dp_rebuilds"] == 0
+        assert graph["queries"]["dp"] == 0
+        assert graph["queries"]["label"] == \
+            counters["analysis.candidate_pairs"] > 0

@@ -14,8 +14,7 @@ import repro.core.analysis as analysis_mod
 from repro.bench import drb, tmb
 from repro.bench.programs import BenchProgram
 from repro.bench.runner import run_benchmark
-from repro.core.analysis import (_candidate_pairs, _indexed_table,
-                                 analyze_and_suppress,
+from repro.core.analysis import (_indexed_table, analyze_and_suppress,
                                  find_races_supervised)
 from repro.core.reports import format_report
 from repro.core.suppress import SuppressionEngine
@@ -24,6 +23,7 @@ from repro.faults.inject import inject_plan
 from repro.faults.plan import FaultPlan
 from repro.replay.filter import ReplayFilter
 from repro.workloads.lulesh import LuleshConfig, run_lulesh
+from tests.core.analysis_oracle import candidate_pairs
 
 PASSES = [("naive", "python"), ("indexed", "python"), ("indexed", "numpy"),
           ("parallel", "python"), ("parallel", "numpy")]
@@ -100,7 +100,7 @@ def test_quarantined_chunk_rows_absent_none_invented(small_chunks, kernel):
                                         kernel=kernel)
     assert [q.index for q in partial.quarantined] == [1]
     segs = [s for s in graph.segments if s.has_accesses]
-    lost = set(sorted(_candidate_pairs(segs))[4:8])
+    lost = set(sorted(candidate_pairs(segs))[4:8])
     expected = {row for row in full if row[:2] not in lost}
     assert _rows(partial.table) == expected
     assert expected < full                  # the fault really cost rows

@@ -135,21 +135,21 @@ class TestShuffleStability:
     def test_check_pairs_is_order_independent(self, trace_path):
         """The batched kernel's output must not depend on the order pairs
         arrive in — the parallel pass chunks them arbitrarily."""
-        from repro.core.analysis import _candidate_pairs
         from repro.core.trace import load_trace
 
         graph, _view, _supp = load_trace(trace_path)
         graph.prepare_queries()
         segs = [s for s in graph.segments if s.has_accesses]
-        pairs = sorted(_candidate_pairs(segs))
         ctx = KernelContext(graph, segs)
-        base, base_ordered = ctx.check_pairs(pairs)
+        ii, jj = ctx.candidate_pairs()
+        ctx.prepare_hb()
+        base, base_ordered = ctx.check_pairs(ii, jj)
         base_key = sorted(zip(*(col.tolist() for col in base)))
         assert base_key
         rng = random.Random(7)
+        perm = list(range(ii.shape[0]))
         for _ in range(4):
-            shuffled = pairs[:]
-            rng.shuffle(shuffled)
-            got, got_ordered = ctx.check_pairs(shuffled)
+            rng.shuffle(perm)
+            got, got_ordered = ctx.check_pairs(ii[perm], jj[perm])
             assert sorted(zip(*(col.tolist() for col in got))) == base_key
             assert got_ordered == base_ordered
