@@ -3,17 +3,20 @@
 The paper's Section VII: *"The determinacy race post-processing analysis is
 an embarrassingly parallel algorithm, but it is currently run sequentially
 within the Valgrind framework."*  This bench builds a large synthetic segment
-graph and compares the faithful O(n^2) pass, the address-indexed pass, and
-the thread-parallel pass — asserting identical results and measuring the
+graph and compares the faithful O(n^2) pass (the test oracle in
+``tests/core/analysis_oracle.py``), the address-indexed pass, and the
+thread-parallel pass — asserting identical results and measuring the
 speedups a parallel pass would buy.
 """
 
 import pytest
 
-from repro.core.analysis import (find_races_indexed, find_races_naive,
-                                 find_races_parallel)
+import repro.core.analysis as analysis_mod
+from repro.core.analysis import find_races_indexed, find_races_parallel
 from repro.core.segments import SegmentGraph
 from repro.util.rng import RngHub
+from tests.core.analysis_oracle import (candidate_pairs, find_races_naive,
+                                        naive_table)
 
 
 def build_graph(n_segments=300, seed=7):
@@ -65,19 +68,17 @@ def test_bench_parallel(benchmark, graph, expected):
 class TestAblationShape:
     def test_indexed_examines_fewer_pairs(self, graph):
         """The address index prunes the O(n^2) pair space."""
-        from tests.core.analysis_oracle import candidate_pairs
         segs = [s for s in graph.segments if s.has_accesses]
         n = len(segs)
         assert len(candidate_pairs(segs)) < n * (n - 1) // 2
 
-    def test_all_passes_agree_on_lulesh(self):
+    def test_all_passes_agree_on_lulesh(self, monkeypatch):
         from repro.core.tool import TaskgrindOptions, TaskgrindTool
         from repro.machine.machine import Machine
         from repro.openmp.api import make_env
         from repro.workloads.lulesh import LuleshConfig, run_lulesh
 
-        counts = {}
-        for mode in ("naive", "indexed", "parallel"):
+        def count(mode):
             machine = Machine(seed=0)
             tool = TaskgrindTool(TaskgrindOptions(analysis=mode))
             machine.add_tool(tool)
@@ -85,6 +86,10 @@ class TestAblationShape:
             env.rt.ompt.register(tool.make_ompt_shim())
             machine.run(lambda: run_lulesh(
                 env, LuleshConfig(s=8, racy=True, iterations=2)))
-            counts[mode] = len(tool.finalize())
+            return len(tool.finalize())
+
+        counts = {mode: count(mode) for mode in analysis_mod.MODES}
+        monkeypatch.setattr(analysis_mod, "_indexed_table", naive_table)
+        counts["naive"] = count("indexed")
         assert counts["naive"] == counts["indexed"] == counts["parallel"]
         assert counts["naive"] > 0

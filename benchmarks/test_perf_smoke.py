@@ -2,14 +2,16 @@
 
 Assert-only (no wall-clock gates — timings live in ``python -m
 repro.bench.perf`` / ``BENCH_perf.json``): for every DRB and TMB program,
+checked against the test oracles in ``tests/core/analysis_oracle.py``,
 
-* the default tool configuration (write-combining recorder + O(1)
-  happens-before index) and the legacy configuration
-  (``fast_record=False, hb_mode='bitmask'``) produce identical raw
-  candidate sets and identical post-suppression reports;
-* on the recorded graph, ``find_races_naive`` / ``find_races_indexed`` /
-  ``find_races_parallel`` (several worker counts) agree pair-for-pair,
-  byte-for-byte.
+* the write-combining recorder leaves the same interval trees as
+  per-access inserts (``Segment.record_immediate``) of the run's access
+  log, and every happens-before tier agrees with the reachability DP on
+  every segment pair of the recorded graph;
+* on the recorded graph, ``find_races_indexed`` and ``find_races_parallel``
+  (several worker counts) produce the all-pairs pass's candidates
+  pair-for-pair, byte-for-byte;
+* the fork-join majority of the suite stays on the exact O(1) index.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ import pytest
 
 from repro.bench import drb, tmb
 from repro.bench.runner import run_benchmark
-from repro.core.analysis import (find_races_indexed, find_races_naive,
-                                 find_races_parallel)
-from repro.core.tool import TaskgrindOptions
+from repro.core.analysis import find_races_indexed, find_races_parallel
+from tests.core.analysis_oracle import (assert_hb_matches_dp,
+                                        assert_trees_match_log,
+                                        find_races_naive)
 
 SEED = 2                      # the Table I harness seed
 
@@ -34,25 +37,25 @@ def _canon(cands) -> List[Tuple]:
     return sorted((c.key(), tuple(c.ranges.pairs())) for c in cands)
 
 
-def _run(program, nthreads, options=None):
+def _log_accesses(machine, tool) -> None:
+    tool.builder.access_log = []
+
+
+def _run(program, nthreads):
     return run_benchmark(program, "taskgrind", nthreads=nthreads,
-                         seed=SEED, taskgrind_options=options)
+                         seed=SEED, on_machine=_log_accesses)
 
 
 @pytest.mark.parametrize(
     "program,nthreads", ALL_PROGRAMS,
     ids=[f"{p.name}-{n}t" for p, n in ALL_PROGRAMS])
 def test_fastpath_parity(program, nthreads):
-    fast = _run(program, nthreads)
-    legacy = _run(program, nthreads,
-                  TaskgrindOptions(fast_record=False, hb_mode="bitmask"))
-    assert fast.verdict == legacy.verdict, \
-        f"{program.name}: verdict changed {legacy.verdict} -> {fast.verdict}"
-    if fast.tool_obj is None or legacy.tool_obj is None:
+    res = _run(program, nthreads)
+    if res.tool_obj is None or res.tool_obj.builder is None:
         return                      # ncs/segv before the tool ran
-    assert fast.tool_obj.raw_candidates == legacy.tool_obj.raw_candidates
-    assert [r.key() for r in fast.reports] \
-        == [r.key() for r in legacy.reports]
+    builder = res.tool_obj.builder
+    assert_trees_match_log(builder.graph, builder.access_log)
+    assert_hb_matches_dp(builder.graph)
 
 
 @pytest.mark.parametrize(
@@ -69,18 +72,15 @@ def test_analysis_pass_parity(program, nthreads):
         assert _canon(find_races_parallel(graph, workers=workers)) == naive
 
 
-def test_checked_mode_sweep():
-    """Run every program with the index cross-checked against the bitmask
-    oracle inline (hb_mode='checked' asserts on every answered query)."""
+def test_exact_index_sweep():
+    """The fork-join majority of the suite answers HB from the exact
+    order-maintenance index (each graph's tiers are held to the DP by
+    ``test_fastpath_parity``)."""
     exact = 0
     for program, nthreads in ALL_PROGRAMS:
-        res = _run(program, nthreads,
-                   TaskgrindOptions(hb_mode="checked"))
-        tool = res.tool_obj
+        tool = _run(program, nthreads).tool_obj
         if tool is None or tool.builder is None:
             continue
-        find_races_indexed(tool.builder.graph)    # query-heavy, all asserted
         if tool.builder.hb.exact:
             exact += 1
-    # the fork-join majority of the suite must stay on the exact index
     assert exact >= len(ALL_PROGRAMS) // 2

@@ -7,7 +7,8 @@ dump the segment graph at exit and run Algorithm 1 *outside* the tool —
 sequentially, thread-parallel, or on another machine.
 
 This example records a racy LULESH run to a trace file, then analyzes it
-offline in all three modes and shows they agree.
+offline with both passes (sequential and thread-parallel) and shows they
+agree.
 
 Run with::
 
@@ -18,6 +19,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.core.analysis import MODES
 from repro.core.tool import TaskgrindTool
 from repro.core.trace import analyze_trace, save_trace
 from repro.core.reports import format_report
@@ -42,8 +44,8 @@ def main() -> None:
     segments = len(tool.builder.graph.segments)
     print(f"recorded {segments} segments to {trace_path} ({size_kib:.0f} KiB)")
 
-    # 2. offline analysis, three ways
-    for mode in ("naive", "indexed", "parallel"):
+    # 2. offline analysis, both ways
+    for mode in MODES:
         t0 = time.perf_counter()
         reports = analyze_trace(str(trace_path), mode=mode, workers=4)
         dt = (time.perf_counter() - t0) * 1000

@@ -49,14 +49,14 @@ import sys
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.analysis import (RaceCandidate, _conflict_ranges_tree,
-                                 find_races_indexed)
+from repro.core.analysis import RaceCandidate, find_races_indexed
 from repro.core.segments import Segment, SegmentGraph
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.machine.debuginfo import Symbol
 from repro.machine.machine import Machine
 from repro.obs.metrics import get_registry
 from repro.openmp.api import make_env
+from repro.util.intervals import IntervalSet
 from repro.workloads.lulesh import LuleshConfig, run_lulesh
 from repro.workloads.synthetic import omp_fib, omp_heat
 
@@ -225,32 +225,40 @@ def _legacy_candidate_pairs(segs: List[Segment]) -> Set[Tuple[int, int]]:
     return pairs
 
 
+def _conflict_ranges_tree(s1: Segment, s2: Segment) -> IntervalSet:
+    """Replica of the pre-PR conflict computation: tree-walk
+    intersections."""
+    out = s1.writes.intersection_tree(s2.writes)
+    out = out.union(s1.writes.intersection_tree(s2.reads))
+    out = out.union(s2.writes.intersection_tree(s1.reads))
+    return out
+
+
 def _analyze_once(graph: SegmentGraph, *, legacy: bool) -> List[RaceCandidate]:
     if legacy:
         # replica of the pre-PR find_races_indexed: bitmask DP only,
         # tree-walk conflict intersections
         segs = [s for s in graph.segments if s.has_accesses]
+        reach = graph._reachability()
         out: List[RaceCandidate] = []
         for i, j in sorted(_legacy_candidate_pairs(segs)):
             s1, s2 = segs[i], segs[j]
-            if graph.ordered(s1, s2):
+            if reach[s1.id] >> s2.id & 1 or reach[s2.id] >> s1.id & 1:
                 continue
             ranges = _conflict_ranges_tree(s1, s2)
             if ranges:
                 out.append(RaceCandidate(s1, s2, ranges))
         return out
     # the fast side is the full current stack: order-maintenance index +
-    # the batched numpy conflict kernel (degrades to python when absent)
-    return find_races_indexed(graph, kernel="numpy")
+    # the batched numpy conflict kernel
+    return find_races_indexed(graph)
 
 
 def bench_analyze(graph: SegmentGraph, repeats: int) -> Dict[str, float]:
-    from repro.core.npkernel import HAVE_NUMPY
     for seg in graph.segments:
         seg.flush_accesses()
 
     def run(legacy: bool) -> Tuple[float, List[RaceCandidate]]:
-        graph.hb_mode = "bitmask" if legacy else "auto"
         graph._reach = None                 # cold DP, like a fresh finalize
         for seg in graph.segments:
             seg._rset = seg._wset = None    # cold set caches too
@@ -263,10 +271,8 @@ def bench_analyze(graph: SegmentGraph, repeats: int) -> Dict[str, float]:
     _, a = run(True)
     _, b = run(False)
     assert _canon(a) == _canon(b), "fast analyze changed the candidate set"
-    graph.hb_mode = "auto"
     return {"legacy_s": legacy, "fast_s": fast,
             "speedup": legacy / fast if fast else float("inf"),
-            "kernel": "numpy" if HAVE_NUMPY else "python",
             "candidates": len(a)}
 
 

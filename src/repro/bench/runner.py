@@ -27,6 +27,7 @@ from repro.baselines.common import Verdict, classify
 from repro.baselines.romp import RompTool
 from repro.baselines.tasksanitizer import TaskSanitizerTool
 from repro.bench.programs import BenchProgram
+from repro.core.analysis import MODES
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.errors import (GuestCrash, NoCompilerSupport, OutOfMemory,
                           SimDeadlock)
@@ -247,8 +248,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "this run (resilience testing); "
                              "'builtin:<kind@at>' names a CI-matrix plan, "
                              "e.g. builtin:worker-exc@0")
-    parser.add_argument("--analysis", default=None,
-                        choices=["naive", "indexed", "parallel"],
+    parser.add_argument("--analysis", default=None, choices=MODES,
                         help="analysis mode (taskgrind only; default "
                              "indexed, parallel runs supervised)")
     parser.add_argument("--list", action="store_true",
@@ -327,7 +327,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "record_mode": args.record,
             "options": {
                 "analysis": options.analysis,
-                "analysis_kernel": options.analysis_kernel,
                 "model_multithread_lockup":
                     options.model_multithread_lockup,
             }})

@@ -10,26 +10,29 @@ classify all rows at once, and only pairs with surviving bytes become
 pipeline — pass, raw count, replay pair filter, suppression — shared by
 the online tool and the offline and served analyzers.
 
-Three interchangeable passes, all producing identical tables
-(property-tested against each other):
+Two passes (:data:`MODES`), both producing the table the faithful
+Algorithm 1 would — for every pair of segments with no happens-before
+path, ``s1.w ∩ (s2.r ∪ s2.w)`` — without visiting all :math:`O(n^2)`
+pairs:
 
-* the naive pass — the faithful Algorithm 1: for every pair of segments
-  with no happens-before path, intersect ``s1.w ∩ (s2.r ∪ s2.w)``.
-  :math:`O(n^2)` pairs; used on the microbenchmarks and as the oracle.
 * the indexed pass — address-indexed candidate generation: a vectorized
   sweep over all access intervals
   (:meth:`repro.core.npkernel.KernelContext.candidate_pairs`) finds only
   the segment pairs that actually share bytes, as two index arrays sorted
-  by ``(i, j)``, then applies the same happens-before filter.  This is
-  what the harness uses for LULESH-sized graphs.
+  by ``(i, j)``, then filters them by happens-before and intersects them
+  with :meth:`~repro.core.npkernel.KernelContext.check_pairs`.  ``repro
+  run`` uses it.
 * the parallel pass — the paper's future-work item ("the analysis is
   embarrassingly parallel, but currently run sequentially"): the indexed
-  candidate arrays are sliced into fixed chunks across worker threads.
-  Benchmarked by the A1 ablation.
+  candidate arrays are sliced into fixed chunks across supervised worker
+  threads.  The server, the chaos smoke and the fault campaigns use it for
+  its deadlines and quarantine; the A1 ablation benchmarks it.
 
-The indexed and parallel passes share one front half (:func:`_front_half`)
-and its phase names:
-``analysis.prepare`` for the HB index and its batched backing,
+The faithful all-pairs pass and the per-pair Python check are test
+oracles (``tests/core/analysis_oracle.py``), not production paths.
+
+Both passes share one front half (:func:`_front_half`) and its phase
+names: ``analysis.prepare`` for the HB index and its batched backing,
 ``analysis.candidates`` for the interval pools and the sweep, and
 ``analysis.pairs`` for the pair check alone.
 
@@ -41,10 +44,10 @@ the result is a :class:`PartialAnalysis` that states exactly how many
 candidate pairs went unchecked.  A worker exception therefore degrades the
 analysis instead of discarding every completed chunk.
 
-:func:`find_races_naive`, :func:`find_races_indexed` and
-:func:`find_races_parallel` return the *raw* (pre-suppression) table
-materialized as a sorted ``List[RaceCandidate]`` — the form tests, the
-baseline tools and the ablations consume.
+:func:`find_races_indexed` and :func:`find_races_parallel` return the
+*raw* (pre-suppression) table materialized as a sorted
+``List[RaceCandidate]`` — the form tests, the baseline tools and the
+ablations consume.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 
 import numpy as np
 
-from repro.core import npkernel
 from repro.core.npkernel import KernelContext
 from repro.core.segments import Segment, SegmentGraph
 from repro.faults.inject import get_injector
@@ -66,6 +68,9 @@ from repro.obs.metrics import get_registry
 from repro.util.intervals import IntervalSet
 
 _FAULTS = get_injector()
+
+#: the analysis passes a run can select (``TaskgrindOptions.analysis``)
+MODES = ("indexed", "parallel")
 
 #: one block of conflict rows: ``(i, j, lo, hi)`` columns of equal length
 Rows = Tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]
@@ -173,7 +178,9 @@ def _conflict_ranges(s1: Segment, s2: Segment) -> IntervalSet:
 
     Uses each segment's cached flat :class:`IntervalSet` view, so each of the
     three intersections is one linear merge of sorted interval lists instead
-    of a tree-stabbing walk; the results are unioned in one pass.
+    of a tree-stabbing walk; the results are unioned in one pass.  The pair
+    check calls it per pair when addresses reach ``2**48``, past what its
+    batched window relocation can hold.
     """
     w1, w2 = s1.writes_set(), s2.writes_set()
     out = w1.intersection(w2)
@@ -184,64 +191,11 @@ def _conflict_ranges(s1: Segment, s2: Segment) -> IntervalSet:
     return out
 
 
-def _conflict_ranges_tree(s1: Segment, s2: Segment) -> IntervalSet:
-    """Legacy tree-walk conflict computation (bench baseline / test oracle)."""
-    out = s1.writes.intersection_tree(s2.writes)
-    out = out.union(s1.writes.intersection_tree(s2.reads))
-    out = out.union(s2.writes.intersection_tree(s1.reads))
-    return out
-
-
-def _check_pairs_python(graph: SegmentGraph, segs: Sequence[Segment],
-                        pairs: Iterable[Tuple[int, int]]
-                        ) -> Tuple[Rows, int, int]:
-    """The Python kernel: one HB query and three merges per pair.
-
-    Returns ``(rows, checked, ordered)``.
-    """
-    ci: List[int] = []
-    cj: List[int] = []
-    clo: List[int] = []
-    chi: List[int] = []
-    checked = ordered = 0
-    for i, j in pairs:
-        checked += 1
-        s1, s2 = segs[i], segs[j]
-        if graph.ordered(s1, s2):
-            ordered += 1
-            continue
-        ranges = _conflict_ranges(s1, s2)
-        n = len(ranges)
-        if n:
-            ci += [i] * n
-            cj += [j] * n
-            clo += ranges._los
-            chi += ranges._his
-    return (ci, cj, clo, chi), checked, ordered
-
-
-def _naive_table(graph: SegmentGraph) -> ConflictTable:
-    """Faithful Algorithm 1: all pairs with happens-before filtering."""
-    reg = get_registry()
-    with reg.phase("analysis"):
-        with reg.phase("analysis.prepare"):
-            graph.prepare_queries()
-        segs = [s for s in graph.segments if s.has_accesses]
-        reg.gauge("analysis.hb_tier").set("per_pair")
-        with reg.phase("analysis.pairs"):
-            writes = [bool(s.writes) for s in segs]
-            n = len(segs)
-            pairs = ((i, j) for i in range(n) for j in range(i + 1, n)
-                     if writes[i] or writes[j])
-            rows, checked, ordered = _check_pairs_python(graph, segs, pairs)
-        table = ConflictTable.build(segs, [rows])
-        _record_pass(reg, "naive", checked, ordered, table.pair_count())
-    return table
-
-
-def find_races_naive(graph: SegmentGraph) -> List[RaceCandidate]:
-    """Faithful Algorithm 1: all-pairs with happens-before filtering."""
-    return _naive_table(graph).candidates()
+def check_mode(mode: str) -> None:
+    """Raise ``ValueError`` unless ``mode`` names an analysis pass."""
+    if mode not in MODES:
+        raise ValueError(f"unknown analysis mode {mode!r} "
+                         f"(expected {'|'.join(MODES)})")
 
 
 def _record_pass(reg, mode: str, checked: int, ordered: int,
@@ -253,26 +207,13 @@ def _record_pass(reg, mode: str, checked: int, ordered: int,
     reg.gauge("analysis.last_mode").set(mode)
 
 
-def _resolve_kernel(reg, kernel: str, graph: SegmentGraph,
-                    n_pairs: int) -> str:
-    """Pick the pair-check kernel for this pass and publish the choice."""
-    used = npkernel.resolve_kernel(kernel, graph, n_pairs)
-    if kernel == "numpy" and used == "python":
-        # requested but unavailable: degrade loudly, not fatally
-        reg.counter("analysis.kernel_fallbacks").inc()
-    reg.gauge("analysis.kernel").set(used)
-    if used == "python":
-        reg.gauge("analysis.hb_tier").set("per_pair")
-    return used
-
-
-def _front_half(reg, graph: SegmentGraph, kernel: str
-                ) -> Tuple[KernelContext, np.ndarray, np.ndarray, str]:
+def _front_half(reg, graph: SegmentGraph
+                ) -> Tuple[KernelContext, np.ndarray, np.ndarray]:
     """What the indexed and supervised passes do before the pair check.
 
-    Phases: the HB index (and, for the numpy kernel, its batched backing)
-    under ``analysis.prepare``; the interval pools and the candidate sweep
-    under ``analysis.candidates``.  Returns ``(ctx, ii, jj, kernel used)``.
+    Phases: the HB index and its batched backing under
+    ``analysis.prepare``; the interval pools and the candidate sweep under
+    ``analysis.candidates``.  Returns ``(ctx, ii, jj)``.
     """
     with reg.phase("analysis.prepare"):
         graph.prepare_queries()
@@ -281,46 +222,26 @@ def _front_half(reg, graph: SegmentGraph, kernel: str
         ctx = KernelContext(graph, segs)
         ii, jj = ctx.candidate_pairs()
     reg.counter("analysis.candidate_pairs").inc(len(ii))
-    used = _resolve_kernel(reg, kernel, graph, len(ii))
-    if used == "numpy":
-        with reg.phase("analysis.prepare"):
-            ctx.prepare_hb()
-    return ctx, ii, jj, used
+    with reg.phase("analysis.prepare"):
+        ctx.prepare_hb()
+    return ctx, ii, jj
 
 
-def _check(ctx: KernelContext, used: str, ii: np.ndarray,
-           jj: np.ndarray) -> Tuple[Rows, int]:
-    """Check one run of candidate pairs with the chosen kernel:
-    ``(rows, ordered)``."""
-    if used == "numpy":
-        return ctx.check_pairs(ii, jj)
-    rows, _checked, ordered = _check_pairs_python(
-        ctx.graph, ctx.segs, zip(ii.tolist(), jj.tolist()))
-    return rows, ordered
-
-
-def _indexed_table(graph: SegmentGraph, *,
-                   kernel: str = "auto") -> ConflictTable:
-    """Address-indexed Algorithm 1 (same table as the naive pass)."""
+def _indexed_table(graph: SegmentGraph) -> ConflictTable:
+    """Address-indexed Algorithm 1."""
     reg = get_registry()
     with reg.phase("analysis"):
-        ctx, ii, jj, used = _front_half(reg, graph, kernel)
+        ctx, ii, jj = _front_half(reg, graph)
         with reg.phase("analysis.pairs"):
-            rows, ordered = _check(ctx, used, ii, jj)
+            rows, ordered = ctx.check_pairs(ii, jj)
         table = ConflictTable.build(ctx.segs, [rows])
         _record_pass(reg, "indexed", len(ii), ordered, table.pair_count())
     return table
 
 
-def find_races_indexed(graph: SegmentGraph, *,
-                       kernel: str = "auto") -> List[RaceCandidate]:
-    """Address-indexed Algorithm 1 (same result set as the naive pass).
-
-    ``kernel`` selects the pair-check backend: ``python`` (the oracle loop),
-    ``numpy`` (batched array sweeps, :mod:`repro.core.npkernel`) or ``auto``.
-    Both kernels produce identical candidate lists.
-    """
-    return _indexed_table(graph, kernel=kernel).candidates()
+def find_races_indexed(graph: SegmentGraph) -> List[RaceCandidate]:
+    """Address-indexed Algorithm 1: the raw candidates, sorted by key."""
+    return _indexed_table(graph).candidates()
 
 
 #: fixed chunk size for the parallel pass — independent of the worker count
@@ -403,8 +324,7 @@ def find_races_supervised(graph: SegmentGraph, *,
                           workers: Optional[int] = None,
                           deadline_s: Optional[float] = None,
                           max_retries: int = 2,
-                          backoff_s: float = 0.01,
-                          kernel: str = "auto") -> PartialAnalysis:
+                          backoff_s: float = 0.01) -> PartialAnalysis:
     """The parallel pass under supervision.
 
     Every chunk is attempted up to ``1 + max_retries`` times with
@@ -421,7 +341,7 @@ def find_races_supervised(graph: SegmentGraph, *,
     with reg.phase("analysis"):
         # everything workers read is built here, single-threaded: the HB
         # index, the segments' flat interval sets and the kernel context
-        ctx, ii, jj, used = _front_half(reg, graph, kernel)
+        ctx, ii, jj = _front_half(reg, graph)
         result.pairs_total = len(ii)
 
         def check(index: int, chunk: Tuple[np.ndarray, np.ndarray]
@@ -429,7 +349,7 @@ def find_races_supervised(graph: SegmentGraph, *,
             _FAULTS.on_analysis_chunk(index)   # may raise / hang on demand
             # per-worker-thread phase: wall seconds sum across workers
             with reg.phase("analysis.pairs"):
-                return _check(ctx, used, *chunk)
+                return ctx.check_pairs(*chunk)
 
         if not len(ii):
             reg.gauge("analysis.workers_requested").set(workers)
@@ -507,8 +427,7 @@ def find_races_supervised(graph: SegmentGraph, *,
 
 
 def find_races_parallel(graph: SegmentGraph, *,
-                        workers: Optional[int] = None,
-                        kernel: str = "auto") -> List[RaceCandidate]:
+                        workers: Optional[int] = None) -> List[RaceCandidate]:
     """Parallelized candidate verification (paper Section VII future work).
 
     Candidate generation stays sequential (it is a single cheap sweep); the
@@ -520,8 +439,7 @@ def find_races_parallel(graph: SegmentGraph, *,
     failing chunk, never the completed ones; callers that need the explicit
     coverage accounting should call :func:`find_races_supervised` directly.
     """
-    return find_races_supervised(graph, workers=workers,
-                                 kernel=kernel).candidates
+    return find_races_supervised(graph, workers=workers).candidates
 
 
 @dataclass
@@ -538,7 +456,7 @@ class Detection:
 
 
 def analyze_and_suppress(graph: SegmentGraph, engine, *,
-                         mode: str = "indexed", kernel: str = "auto",
+                         mode: str = "indexed",
                          workers: int = 4,
                          deadline_s: Optional[float] = None,
                          max_retries: int = 2,
@@ -547,24 +465,22 @@ def analyze_and_suppress(graph: SegmentGraph, engine, *,
 
     The one pipeline behind :meth:`repro.core.tool.TaskgrindTool.finalize`
     and :func:`repro.core.trace.analyze_loaded` (offline and served).
-    ``mode`` picks the pass: ``naive``, ``parallel`` (supervised; only it
-    uses ``workers``, ``deadline_s`` and ``max_retries``) or, for anything
-    else, indexed.  ``pair_filter`` (a
+    ``mode`` picks the pass: ``indexed`` or ``parallel`` (supervised; only
+    it uses ``workers``, ``deadline_s`` and ``max_retries``); any other
+    value raises ``ValueError``.  ``pair_filter`` (a
     :class:`repro.replay.filter.ReplayFilter`) keeps only the rows of the
     segment pairs it admits.  ``engine`` is the run's
     :class:`repro.core.suppress.SuppressionEngine`.
     """
+    check_mode(mode)
     partial = None
-    if mode == "naive":
-        table = _naive_table(graph)
-    elif mode == "parallel":
+    if mode == "parallel":
         partial = find_races_supervised(graph, workers=workers,
                                         deadline_s=deadline_s,
-                                        max_retries=max_retries,
-                                        kernel=kernel)
+                                        max_retries=max_retries)
         table = partial.table
     else:
-        table = _indexed_table(graph, kernel=kernel)
+        table = _indexed_table(graph)
     raw = table.pair_count()
     dropped = 0
     if pair_filter is not None and pair_filter.pairs:

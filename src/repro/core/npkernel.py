@@ -27,28 +27,20 @@ per candidate pair:
   ``(i, j, lo, hi)``, one per conflict piece, ready for
   :class:`repro.core.analysis.ConflictTable`.
 
-The Python kernel remains the oracle: for any input both kernels produce
-byte-identical conflict sets (enforced by the parity tests and the fuzz
-harness), so ``auto`` may pick either purely on performance grounds.
+This is the only pair check every analysis pass runs.  The per-pair
+Python loop it replaced lives on as a test oracle
+(``tests/core/analysis_oracle.py``); the parity tests and the fuzz corpus
+hold the kernel to byte-identical conflict sets against it.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.obs.metrics import get_registry
 from repro.util.intervals import IntervalSet
-
-try:  # pragma: no cover - exercised via both arms of the parity tests
-    import numpy as _np
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - no-numpy environments
-    _np = None
-    HAVE_NUMPY = False
-
-#: Below this many candidate pairs the fixed numpy call overhead outweighs
-#: the vectorization win; ``analysis_kernel=auto`` stays on the Python loop.
-AUTO_MIN_PAIRS = 32
 
 #: Ceiling on the dense reachability matrix (segments with accesses): above
 #: this the matrix is not materialized and ordering falls back to per-pair
@@ -293,7 +285,7 @@ class KernelContext:
     def _snapshot_ranks(self) -> bool:
         graph = self.graph
         labs = graph._hb_labels
-        if labs is None or graph.hb_mode != "auto":
+        if labs is None:
             return False
         e, h = labs
         ids = [s.id for s in self.segs]
@@ -406,23 +398,3 @@ class KernelContext:
         base = pair_pos << _WINDOW_SHIFT
         return bi[pair_pos], bj[pair_pos], los - base, his - base
 
-
-def resolve_kernel(kernel: str, graph, n_pairs: int) -> str:
-    """Map the ``analysis_kernel`` knob to the kernel actually used.
-
-    ``auto`` picks numpy only when it is importable, the pair count clears
-    :data:`AUTO_MIN_PAIRS`, and the graph is not in ``checked`` happens-before
-    mode (whose whole point is the per-query index-vs-DP cross-check the
-    batched mask would skip).  An explicit ``numpy`` request degrades to
-    ``python`` gracefully when numpy is absent.
-    """
-    if kernel not in ("auto", "numpy", "python"):
-        raise ValueError(f"unknown analysis_kernel {kernel!r} "
-                         "(expected auto|numpy|python)")
-    if kernel == "python":
-        return "python"
-    if not HAVE_NUMPY or graph.hb_mode == "checked":
-        return "python"
-    if kernel == "auto" and n_pairs < AUTO_MIN_PAIRS:
-        return "python"
-    return "numpy"

@@ -25,6 +25,7 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.core.analysis import MODES
 from repro.core.reports import format_report, report_to_dict
 from repro.core.trace import analyze_trace_with_stats
 from repro.errors import TraceError
@@ -33,14 +34,8 @@ from repro.errors import TraceError
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", help="trace JSON from save_trace()")
-    parser.add_argument("--mode", default="indexed",
-                        choices=["naive", "indexed", "parallel"])
+    parser.add_argument("--mode", default="indexed", choices=MODES)
     parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--analysis-kernel", default="auto",
-                        choices=["auto", "numpy", "python"],
-                        help="conflict kernel for the pair sweep (auto picks "
-                             "numpy when importable and profitable; python "
-                             "is the oracle)")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
     parser.add_argument("--suggest", action="store_true",
@@ -82,8 +77,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         reports, stats = analyze_trace_with_stats(
             args.trace, mode=args.mode, workers=args.workers,
-            explain=args.explain, strict=args.strict_trace,
-            kernel=args.analysis_kernel)
+            explain=args.explain, strict=args.strict_trace)
     except TraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -356,16 +356,13 @@ class Segment:
 
 
 class SegmentGraph:
-    """DAG of segments with an O(1) label index + bitset reachability oracle.
+    """DAG of segments with an O(1) label index + bitset reachability DP.
 
-    ``hb_mode`` selects the query path:
-
-    * ``'auto'`` (default) — answer from the order-maintenance
-      :class:`~repro.core.hbindex.HbIndex` when it is exact for this run,
-      else from the bitmask DP;
-    * ``'bitmask'`` — always the DP (the pre-index behaviour);
-    * ``'checked'`` — answer from the index but assert agreement with the DP
-      on every query (the property-test mode).
+    Happens-before queries try three tiers in order: the flat label
+    snapshot :meth:`prepare_queries` takes while the order-maintenance
+    :class:`~repro.core.hbindex.HbIndex` is exact, then the index's
+    per-query hint, then the bitmask reachability DP.  The tests hold every
+    tier to the DP on every segment pair.
     """
 
     def __init__(self) -> None:
@@ -374,7 +371,6 @@ class SegmentGraph:
         self.edge_count = 0
         self._reach: Optional[List[int]] = None    # descendant bitmask per node
         self.hb_index: Optional[HbIndex] = None
-        self.hb_mode: str = "auto"                 # 'auto'|'bitmask'|'checked'
         #: (E, H) label snapshot from prepare_queries — valid only while the
         #: graph is unchanged
         self._hb_labels: Optional[Tuple[List, List]] = None
@@ -459,7 +455,7 @@ class SegmentGraph:
         return self._reach
 
     def prepare_queries(self) -> None:
-        """Materialize whatever the configured query path will need.
+        """Materialize whatever the query path will need.
 
         Called once before a query-heavy pass (Algorithm 1) so the first
         ``ordered`` call doesn't pay a full DP rebuild mid-loop — and so that
@@ -468,8 +464,7 @@ class SegmentGraph:
         cheapest possible per-query cost.
         """
         idx = self.hb_index
-        if (idx is None or not idx.exact
-                or self.hb_mode in ("bitmask", "checked")):
+        if idx is None or not idx.exact:
             self._reachability()
         elif self._hb_labels is None:
             self._hb_labels = idx.label_arrays(len(self.segments))
@@ -477,7 +472,7 @@ class SegmentGraph:
     def ordered(self, a: Segment, b: Segment) -> bool:
         """True when a path exists between ``a`` and ``b`` (either direction)."""
         labs = self._hb_labels
-        if labs is not None and self.hb_mode == "auto":
+        if labs is not None:
             e, h = labs
             ea, eb = e[a.id], e[b.id]
             if ea is not None and eb is not None:
@@ -488,16 +483,9 @@ class SegmentGraph:
                     _PROF.count("hb.query.label")
                 return (ea < eb) == (h[a.id] < h[b.id])
         idx = self.hb_index
-        if idx is not None and self.hb_mode != "bitmask":
+        if idx is not None:
             hint = idx.ordered_hint(a.id, b.id)
             if hint is not None:
-                if self.hb_mode == "checked":
-                    reach = self._reachability()
-                    dp = bool(reach[a.id] >> b.id & 1) or \
-                        bool(reach[b.id] >> a.id & 1)
-                    assert hint == dp, (
-                        f"hb index disagrees with bitmask oracle on "
-                        f"({a.id}, {b.id}): index={hint} dp={dp}")
                 self.q_index += 1
                 if _PROF.enabled:
                     _PROF.count("hb.query.index")
@@ -510,7 +498,7 @@ class SegmentGraph:
 
     def happens_before(self, a: Segment, b: Segment) -> bool:
         labs = self._hb_labels
-        if labs is not None and self.hb_mode == "auto":
+        if labs is not None:
             e, h = labs
             ea, eb = e[a.id], e[b.id]
             if ea is not None and eb is not None:
@@ -519,14 +507,9 @@ class SegmentGraph:
                     _PROF.count("hb.query.label")
                 return ea < eb and h[a.id] < h[b.id]
         idx = self.hb_index
-        if idx is not None and self.hb_mode != "bitmask":
+        if idx is not None:
             hint = idx.happens_before_hint(a.id, b.id)
             if hint is not None:
-                if self.hb_mode == "checked":
-                    dp = bool(self._reachability()[a.id] >> b.id & 1)
-                    assert hint == dp, (
-                        f"hb index disagrees with bitmask oracle on "
-                        f"({a.id} -> {b.id}): index={hint} dp={dp}")
                 self.q_index += 1
                 if _PROF.enabled:
                     _PROF.count("hb.query.index")
@@ -540,7 +523,7 @@ class SegmentGraph:
         return a is not b and not self.ordered(a, b)
 
     def explain_unordered(self, a: Segment, b: Segment) -> dict:
-        """Why the configured query path found no happens-before path.
+        """Why the query path found no happens-before path.
 
         Mirrors the tier selection of :meth:`ordered` without touching the
         query counters: reports which mechanism answered (label snapshot,
@@ -548,7 +531,7 @@ class SegmentGraph:
         the provenance half of a race report's witness.
         """
         labs = self._hb_labels
-        if labs is not None and self.hb_mode == "auto":
+        if labs is not None:
             e, h = labs
             ea, eb = e[a.id], e[b.id]
             if ea is not None and eb is not None:
@@ -563,7 +546,7 @@ class SegmentGraph:
                         f"segments are parallel branches"),
                 }
         idx = self.hb_index
-        if idx is not None and self.hb_mode != "bitmask":
+        if idx is not None:
             hint = idx.ordered_hint(a.id, b.id)
             if hint is not None:
                 return {
@@ -619,7 +602,6 @@ class SegmentGraph:
         return {
             "segments": len(self.segments),
             "edges": self.edge_count,
-            "hb_mode": self.hb_mode,
             "hb_exact": idx.exact if idx is not None else False,
             "hb_inexact_reason": (idx.inexact_reason
                                   if idx is not None else None),
@@ -667,8 +649,8 @@ class SegmentBuilder:
     builder's methods.
     """
 
-    def __init__(self, machine, config: Optional[SegmentModelConfig] = None,
-                 *, fast_record: bool = True) -> None:
+    def __init__(self, machine,
+                 config: Optional[SegmentModelConfig] = None) -> None:
         self.machine = machine
         self.config = config or SegmentModelConfig()
         self.graph = SegmentGraph()
@@ -677,12 +659,10 @@ class SegmentBuilder:
         #: graph falls back to the bitmask DP.
         self.hb = HbIndex()
         self.graph.hb_index = self.hb
-        #: route accesses through the write-combining fast path (False =
-        #: legacy per-access tree inserts; the perf bench flips this)
-        self.fast_record = fast_record
         #: when set to a list, every access is appended as
-        #: ``(segment_id, addr, size, is_write)`` — the perf bench's capture
-        #: hook for replaying identical streams through both record paths
+        #: ``(segment_id, addr, size, is_write)`` — the capture hook the
+        #: perf bench and the recorder tests replay through
+        #: :meth:`Segment.record_immediate`
         self.access_log: Optional[List[Tuple[int, int, int, bool]]] = None
         #: 0 = exact byte recording; a power of two widens every access to
         #: its enclosing granule window (memory-budget degradation — see
@@ -1111,7 +1091,4 @@ class SegmentBuilder:
             addr = lo
         if self.access_log is not None:
             self.access_log.append((seg.id, addr, size, is_write))
-        if self.fast_record:
-            seg.record(addr, size, is_write, loc)
-        else:
-            seg.record_immediate(addr, size, is_write, loc)
+        seg.record(addr, size, is_write, loc)

@@ -33,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core.analysis import PartialAnalysis, analyze_and_suppress
+from repro.core.analysis import (PartialAnalysis, analyze_and_suppress,
+                                 check_mode)
 from repro.core.ompt_shim import TaskgrindOmptShim
 from repro.core.reports import (RaceReport, build_report, build_witness,
                                 dedupe_reports)
@@ -59,28 +60,18 @@ class TaskgrindOptions:
 
     suppression: SuppressionConfig = field(default_factory=SuppressionConfig)
     segment_model: SegmentModelConfig = field(default_factory=SegmentModelConfig)
-    #: 'indexed' (default), 'naive' (faithful Algorithm 1) or 'parallel'
+    #: 'indexed' (default) or 'parallel' (supervised; see analysis.MODES)
     analysis: str = "indexed"
     analysis_workers: int = 4
-    #: conflict kernel for the pair sweep: 'auto' (numpy when importable and
-    #: the pair count justifies it), 'numpy' or 'python' (the oracle; also
-    #: the graceful fallback when numpy is absent)
-    analysis_kernel: str = "auto"
     #: collapse reports with identical segment-label pairs
     dedupe: bool = False
     #: model the multi-thread cross-thread-confirmation lock-up (Table II)
     model_multithread_lockup: bool = True
     #: path to a Valgrind-style suppression file (see repro.core.suppfile)
     suppression_file: Optional[str] = None
-    #: route accesses through the write-combining recorder + raw dispatch
-    #: (False restores the legacy per-access tree inserts + event objects)
-    fast_record: bool = True
     #: honor ``private=True`` site declarations with compile-time elision
     #: (no-op instrumentation); False records every declared site normally
     elide_sites: bool = True
-    #: happens-before query path: 'auto' (O(1) index with bitmask fallback),
-    #: 'bitmask' (legacy DP only) or 'checked' (index cross-checked vs DP)
-    hb_mode: str = "auto"
     #: attach a provenance witness (ancestry, NCA, hb-tier evidence) to each
     #: report — the ``--explain`` flag
     explain: bool = False
@@ -110,6 +101,9 @@ class TaskgrindTool(Tool):
 
     name = "taskgrind"
     is_dbi = True
+    # raw dispatch into the write-combining recorder; the hub still routes
+    # atomic accesses through on_access
+    fast_path = True
     # ~100x single-thread slowdown and the Valgrind big lock (serialized
     # client); translation charged once per symbol (JIT to VEX IR).  The
     # write-combining fast path charges a cheaper per-access factor (most
@@ -126,7 +120,6 @@ class TaskgrindTool(Tool):
     def __init__(self, options: Optional[TaskgrindOptions] = None) -> None:
         super().__init__()
         self.options = options or TaskgrindOptions()
-        self.fast_path = self.options.fast_record
         self.builder: Optional[SegmentBuilder] = None
         self.suppressor: Optional[SuppressionEngine] = None
         #: ahead-of-time per-site elision decisions (tg_static_site)
@@ -156,6 +149,7 @@ class TaskgrindTool(Tool):
         if self.options.record_mode not in ("full", "sync"):
             raise ValueError(
                 f"unknown record_mode {self.options.record_mode!r}")
+        check_mode(self.options.analysis)
         if self.sync_only:
             self.on_access = self._on_access_sync
             self.on_access_raw = self._on_access_raw_sync
@@ -169,9 +163,7 @@ class TaskgrindTool(Tool):
 
     def attach(self, machine) -> None:
         super().attach(machine)
-        self.builder = SegmentBuilder(machine, self.options.segment_model,
-                                      fast_record=self.options.fast_record)
-        self.builder.graph.hb_mode = self.options.hb_mode
+        self.builder = SegmentBuilder(machine, self.options.segment_model)
         if _PROF.enabled:
             # fallback attribution frame when a thread has no shadow stack
             # (runtime-internal charges): the executing task's ancestry label
@@ -391,7 +383,6 @@ class TaskgrindTool(Tool):
             opts = self.options
             found = analyze_and_suppress(
                 graph, self.suppressor, mode=opts.analysis,
-                kernel=opts.analysis_kernel,
                 workers=opts.analysis_workers,
                 deadline_s=opts.analysis_deadline_s,
                 max_retries=opts.analysis_max_retries,
@@ -458,7 +449,6 @@ class TaskgrindTool(Tool):
         doc: dict = {
             "schema": "taskgrind-stats/1",
             "record": {
-                "fast_path": self.fast_path,
                 "mode": self.options.record_mode,
                 "recorded_accesses": self.recorded_accesses,
                 "filtered_accesses": self.filtered_accesses,
@@ -481,7 +471,6 @@ class TaskgrindTool(Tool):
             doc["graph"] = graph.stats()
         doc["analysis"] = {
             "mode": self.options.analysis,
-            "kernel": self.options.analysis_kernel,
             "raw_candidates": self.raw_candidates,
             "reports": len(self.reports),
         }

@@ -28,8 +28,9 @@ and in order), ``edges`` chunks, one ``environment``, one ``suppression``,
 an optional ``stats`` chunk, and an ``end`` footer.  Every line carries a
 CRC-32 of its canonical payload JSON plus the cost-model virtual time at
 write — so the salvage reader can checksum each chunk independently and
-report the last good vtime of a torn stream.  Version-1 single-document
-traces remain readable through every entry point.
+report the last good vtime of a torn stream.  Any other format — such
+as a version-1 single-document trace — is rejected with a
+:class:`~repro.errors.TraceVersionError` naming the version found.
 
 CLI: ``python -m repro.core.offline <trace.json> [--mode parallel]``.
 """
@@ -57,7 +58,6 @@ from repro.obs.metrics import get_registry
 
 TRACE_VERSION = 2
 TRACE_SCHEMA = "taskgrind-trace/2"
-LEGACY_TRACE_VERSION = 1
 
 #: graph nodes per ``segments`` chunk — small enough that one corrupt chunk
 #: costs a bounded slice of the run, large enough that chunk framing stays
@@ -177,7 +177,6 @@ class _ChunkWriter:
 
 
 def save_trace(tool, machine, path: str, *,
-               version: int = TRACE_VERSION,
                chunk_segments: int = DEFAULT_CHUNK_SEGMENTS) -> None:
     """Serialize a Taskgrind run for offline analysis — atomically.
 
@@ -189,17 +188,11 @@ def save_trace(tool, machine, path: str, *,
     once the stream is complete (or deliberately truncated by a fault
     plan): an interrupted save never leaves a half-written ``path``
     behind, and a pre-existing trace at ``path`` survives the crash.
-    ``version=1`` writes the legacy single-document format.
     """
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            if version == LEGACY_TRACE_VERSION:
-                _write_legacy(tool, machine, fh)
-            elif version == TRACE_VERSION:
-                _write_v2(tool, machine, fh, chunk_segments=chunk_segments)
-            else:
-                raise ValueError(f"cannot write trace version {version}")
+            _write_v2(tool, machine, fh, chunk_segments=chunk_segments)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -221,18 +214,6 @@ def checkpoint_trace(tool, machine, path: str) -> None:
     save_trace(tool, machine, path)
 
 
-def _write_legacy(tool, machine, fh: IO[bytes]) -> None:
-    doc = {
-        "version": LEGACY_TRACE_VERSION,
-        "graph": dump_graph(tool.builder.graph),
-        "environment": dump_environment(machine),
-        "suppression": _supp_flags(tool),
-    }
-    if hasattr(tool, "stats"):
-        doc["stats"] = tool.stats()
-    fh.write(json.dumps(doc).encode("utf-8"))
-
-
 def _supp_flags(tool) -> dict:
     return {
         "suppress_tls": tool.options.suppression.suppress_tls,
@@ -242,10 +223,8 @@ def _supp_flags(tool) -> dict:
 
 def _write_v2(tool, machine, fh: IO[bytes], *,
               chunk_segments: int = DEFAULT_CHUNK_SEGMENTS) -> None:
-    graph = tool.builder.graph
-    segments = [_seg_to_dict(seg) for seg in graph.segments]
-    edges = [[sid, dst] for sid, succs in enumerate(graph._succ)
-             for dst in succs]
+    data = dump_graph(tool.builder.graph)
+    segments, edges = data["segments"], data["edges"]
     # each edge travels with the chunk of its HIGHEST-id endpoint: any
     # contiguous segment prefix then carries the *complete* happens-before
     # relation among its segments.  A salvage that recovered segments
@@ -381,15 +360,6 @@ def _load_segment(graph: SegmentGraph, sd: dict) -> None:
             thread_id=t["thread"], tcb=t["tcb"],
             generation=t["generation"],
             dtv=tuple(tuple(entry) for entry in t["dtv"]))
-
-
-def load_graph(data: dict) -> SegmentGraph:
-    graph = SegmentGraph()
-    for sd in data["segments"]:
-        _load_segment(graph, sd)
-    for src, dst in data["edges"]:
-        graph.add_edge(graph.segments[src], graph.segments[dst])
-    return graph
 
 
 def load_environment(data: dict) -> OfflineMachineView:
@@ -631,34 +601,14 @@ def _assemble_v2(path: str, chunks: List[_RawChunk],
                          stats=stats, coverage=cov)
 
 
-def _load_legacy(path: str, doc: dict, cov: TraceCoverage) -> SalvagedTrace:
-    version = doc.get("version")
-    if version != LEGACY_TRACE_VERSION:
-        raise TraceVersionError(path, version,
-                                f"versions 1-{TRACE_VERSION}")
-    try:
-        graph = load_graph(doc["graph"])
-        view = load_environment(doc["environment"])
-    except (KeyError, TypeError, ValueError, AssertionError) as exc:
-        raise TraceFormatError(
-            path, f"legacy v1 document is structurally broken: {exc!r}") \
-            from exc
-    cov.trace_version = LEGACY_TRACE_VERSION
-    cov.segments_total = cov.segments_recovered = len(graph.segments)
-    cov.edges_total = cov.edges_recovered = graph.edge_count
-    return SalvagedTrace(graph=graph, view=view,
-                         suppression=doc.get("suppression", {}),
-                         stats=doc.get("stats"), coverage=cov)
-
-
 def load_trace_salvaged(path: str) -> SalvagedTrace:
     """Crash-tolerant load: recover the longest valid prefix.
 
     Never raises on damage within the stream — a truncated file, a
     corrupt middle chunk or an outright empty file all come back as a
     (possibly empty) graph plus a :class:`TraceCoverage` explaining the
-    loss.  Only a missing file or a legacy/unknown *format* still raises
-    (there is nothing to salvage from the wrong format).
+    loss.  Only a missing file or another *format* still raises (there is
+    nothing to salvage from the wrong format).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -675,19 +625,16 @@ def load_trace_salvaged(path: str) -> SalvagedTrace:
         header_doc = json.loads(first_line)
     except json.JSONDecodeError:
         header_doc = None
-    if isinstance(header_doc, dict) and "graph" in header_doc:
-        # legacy single-document trace (version key checked inside)
-        return _load_legacy(path, header_doc, cov)
-    if isinstance(header_doc, dict) and "version" in header_doc \
-            and "kind" not in header_doc:
-        # a single-line document claiming some other version
-        return _load_legacy(path, header_doc, cov)
-    if isinstance(header_doc, dict) and header_doc.get("kind") == "header" \
-            and header_doc.get("version") != TRACE_VERSION:
-        # an intact v2-shaped header from some other format revision:
-        # wrong-format, not damage — salvaging it would misread every chunk
+    if isinstance(header_doc, dict) and (
+            "graph" in header_doc
+            or ("version" in header_doc and "kind" not in header_doc)
+            or (header_doc.get("kind") == "header"
+                and header_doc.get("version") != TRACE_VERSION)):
+        # a single-document trace (version 1) or an intact header from some
+        # other format revision: wrong format, not damage — salvaging it
+        # would misread every chunk
         raise TraceVersionError(path, header_doc.get("version"),
-                                f"versions 1-{TRACE_VERSION}")
+                                f"version {TRACE_VERSION}")
     chunks = _scan_chunks(path, data, cov)
     return _assemble_v2(path, chunks, cov)
 
@@ -784,7 +731,7 @@ def analyze_loaded(graph: SegmentGraph, view: OfflineMachineView,
                    supp_flags: dict, *,
                    coverage: Optional[TraceCoverage] = None,
                    mode: str = "indexed", workers: int = 4,
-                   explain: bool = False, kernel: str = "auto",
+                   explain: bool = False,
                    deadline_s: Optional[float] = None,
                    max_retries: int = 2) -> LoadedAnalysis:
     """Algorithm 1 + suppression + reporting on an already-loaded trace.
@@ -803,7 +750,7 @@ def analyze_loaded(graph: SegmentGraph, view: OfflineMachineView,
         suppress_tls=supp_flags.get("suppress_tls", True),
         suppress_stack=supp_flags.get("suppress_stack", True))
     engine = SuppressionEngine(view, config)
-    found = analyze_and_suppress(graph, engine, mode=mode, kernel=kernel,
+    found = analyze_and_suppress(graph, engine, mode=mode,
                                  workers=workers, deadline_s=deadline_s,
                                  max_retries=max_retries)
     partial, surviving = found.partial, found.surviving
@@ -837,20 +784,18 @@ def analyze_loaded(graph: SegmentGraph, view: OfflineMachineView,
 def analyze_trace(path: str, *, mode: str = "indexed",
                   workers: int = 4,
                   explain: bool = False,
-                  strict: bool = False,
-                  kernel: str = "auto") -> List[RaceReport]:
+                  strict: bool = False) -> List[RaceReport]:
     """The full offline pipeline: load, Algorithm 1, suppress, report."""
     reports, _stats = analyze_trace_with_stats(path, mode=mode,
                                                workers=workers,
                                                explain=explain,
-                                               strict=strict,
-                                               kernel=kernel)
+                                               strict=strict)
     return reports
 
 
 def analyze_trace_with_stats(path: str, *, mode: str = "indexed",
                              workers: int = 4, explain: bool = False,
-                             strict: bool = False, kernel: str = "auto"
+                             strict: bool = False
                              ) -> Tuple[List[RaceReport], dict]:
     """The offline pipeline with a per-phase stats document.
 
@@ -885,8 +830,7 @@ def analyze_trace_with_stats(path: str, *, mode: str = "indexed",
                     reg.counter("resilience.trace_chunks_lost").inc(
                         coverage.chunks_corrupt)
         la = analyze_loaded(graph, view, supp_flags, coverage=coverage,
-                            mode=mode, workers=workers, explain=explain,
-                            kernel=kernel)
+                            mode=mode, workers=workers, explain=explain)
     reports = la.reports
     stats = {
         "schema": "taskgrind-offline-stats/1",

@@ -58,11 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "taskgrind-profile/1 document")
     parser.add_argument("--no-shrink", action="store_true",
                         help="report divergences without minimizing them")
-    parser.add_argument("--analysis-kernel", default="auto",
-                        choices=["auto", "numpy", "python"],
-                        help="conflict kernel for Taskgrind's pair sweep "
-                             "(the baselines always use the python oracle, "
-                             "so 'numpy' differentially tests the kernel)")
     parser.add_argument("--break-suppression", choices=sorted(BREAKABLE),
                         default=None,
                         help="intentionally disable one suppression class "
@@ -101,8 +96,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     overrides = dict(BREAKABLE[args.break_suppression]) \
         if args.break_suppression else {}
-    if args.analysis_kernel != "auto":
-        overrides["analysis_kernel"] = args.analysis_kernel
 
     pinned = None
     if args.reproducer is not None:
@@ -140,7 +133,6 @@ def main(argv: Optional[List[str]] = None) -> int:
               "seeds": [], "divergent": [], "config": {
                   "schedules": args.schedules, "families": families,
                   "base_seed": args.base_seed,
-                  "analysis_kernel": args.analysis_kernel,
                   "break_suppression": args.break_suppression,
                   "faults": args.faults, "two_phase": args.two_phase,
                   "reproducer": args.reproducer}}

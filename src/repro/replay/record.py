@@ -95,7 +95,6 @@ def record_bench(program, *, nthreads: int = 4, seed: int = 0,
         "seed": seed, "record_mode": options.record_mode,
         "options": {
             "analysis": options.analysis,
-            "analysis_kernel": options.analysis_kernel,
             "dedupe": options.dedupe,
             "model_multithread_lockup": options.model_multithread_lockup,
         }})

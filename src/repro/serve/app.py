@@ -26,10 +26,12 @@ anything else                         500
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.core.analysis import MODES
 from repro.core.reports import report_to_dict
 from repro.core.trace import analyze_loaded
 from repro.errors import (InjectedFault, JobStateError, ResourceNotFound,
@@ -76,6 +78,52 @@ def error_response(exc: Exception) -> Response:
         "type": type(exc).__name__, "message": str(exc)}})
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+#: the analyze request body's fields: ``name -> (valid?, what it must be)``
+_ANALYZE_FIELDS = {
+    "mode": (lambda v: isinstance(v, str) and v in MODES,
+             "one of " + "|".join(MODES)),
+    "workers": (lambda v: _is_int(v) and v >= 1, "an int >= 1"),
+    "deadline_s": (lambda v: v is None or (
+        (_is_int(v) or isinstance(v, float)) and math.isfinite(v) and v > 0),
+        "null or a finite number > 0"),
+    "max_retries": (lambda v: _is_int(v) and v >= 0, "an int >= 0"),
+    "explain": (lambda v: isinstance(v, bool), "a bool"),
+}
+
+
+def _parse_analyze_options(trace_id: str, body: bytes) -> dict:
+    """The analyze request's option overrides, validated at the edge.
+
+    The body is empty or a JSON object whose keys are a subset of
+    :data:`_ANALYZE_FIELDS`; anything else is a
+    :class:`~repro.errors.TraceFormatError` (400) naming the field, so a
+    malformed request never reaches the job executor.
+    """
+    try:
+        opts = json.loads(body) if body.strip() else {}
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(trace_id,
+                               f"analyze options: {exc.msg}") from exc
+    if not isinstance(opts, dict):
+        raise TraceFormatError(trace_id, "analyze options: the body must be "
+                                         "a JSON object")
+    for key, value in opts.items():
+        if key not in _ANALYZE_FIELDS:
+            raise TraceFormatError(
+                trace_id, f"analyze options: unknown field {key!r} "
+                          f"(expected {', '.join(_ANALYZE_FIELDS)})")
+        valid, want = _ANALYZE_FIELDS[key]
+        if not valid(value):
+            raise TraceFormatError(
+                trace_id, f"analyze options: {key} must be {want}, "
+                          f"got {value!r}")
+    return opts
+
+
 @dataclass
 class ServeConfig:
     host: str = "127.0.0.1"
@@ -85,7 +133,6 @@ class ServeConfig:
     analysis_workers: int = 2
     deadline_s: Optional[float] = None
     max_retries: int = 2
-    kernel: str = "auto"
     graph_cache: int = 32
     result_cache: int = 128
     #: durable state directory (None: in-memory only, nothing survives)
@@ -266,19 +313,14 @@ class TraceService:
         self._admit("analyze")
         self.admission.admit_job(self.pool.active_count())
         up = self.store.get(trace_id)
-        try:
-            opts = json.loads(req.body) if req.body.strip() else {}
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(trace_id,
-                                   f"analyze options: {exc.msg}") from exc
+        opts = _parse_analyze_options(trace_id, req.body)
         cfg = self.config
         params = {
             "mode": opts.get("mode", cfg.analysis_mode),
-            "workers": int(opts.get("workers", cfg.analysis_workers)),
+            "workers": opts.get("workers", cfg.analysis_workers),
             "deadline_s": opts.get("deadline_s", cfg.deadline_s),
-            "max_retries": int(opts.get("max_retries", cfg.max_retries)),
-            "kernel": opts.get("kernel", cfg.kernel),
-            "explain": bool(opts.get("explain", False)),
+            "max_retries": opts.get("max_retries", cfg.max_retries),
+            "explain": opts.get("explain", False),
             # analyses of an in-flight upload see a stable prefix snapshot
             "chunk_count": len(up.chunks),
         }
@@ -298,7 +340,7 @@ class TraceService:
         key = BuildCache.result_key(
             job.content_hash, mode=p["mode"], workers=p["workers"],
             deadline_s=p["deadline_s"], max_retries=p["max_retries"],
-            kernel=p["kernel"], explain=p["explain"])
+            explain=p["explain"])
         cached = self.cache.get_result(key)
         if cached is not None:
             job.cache_hit = True
@@ -313,7 +355,7 @@ class TraceService:
                                 salvaged.suppression,
                                 coverage=salvaged.coverage,
                                 mode=p["mode"], workers=p["workers"],
-                                explain=p["explain"], kernel=p["kernel"],
+                                explain=p["explain"],
                                 deadline_s=p["deadline_s"],
                                 max_retries=p["max_retries"])
         with job.span("report"):

@@ -26,6 +26,7 @@ import signal
 import sys
 from typing import List, Optional
 
+from repro.core.analysis import MODES
 from repro.errors import StateDirError
 from repro.serve.app import ServeConfig
 from repro.serve.wal import FSYNC_POLICIES
@@ -52,8 +53,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="listen port; 0 for kernel-assigned (default: 8787)")
     ap.add_argument("--shards", type=int, default=4,
                     help="worker shards draining analysis jobs (default: 4)")
-    ap.add_argument("--mode", default="parallel",
-                    choices=("parallel", "indexed", "naive"),
+    ap.add_argument("--mode", default="parallel", choices=MODES,
                     help="default analysis mode for jobs (default: "
                          "parallel — supervised with quarantine)")
     ap.add_argument("--workers", type=int, default=2,

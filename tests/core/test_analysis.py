@@ -1,13 +1,15 @@
 """Tests for the determinacy-race passes (Algorithm 1 + variants).
 
-Includes property tests asserting the three implementations (naive, indexed,
-parallel) produce identical candidate sets on random graphs.
+Includes property tests asserting the indexed and parallel passes produce
+the candidate set of the faithful all-pairs pass (the test oracle in
+``tests/core/analysis_oracle.py``) on random graphs.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.analysis import (find_races_indexed, find_races_naive, find_races_parallel)
+from repro.core.analysis import find_races_indexed, find_races_parallel
 from repro.core.segments import SegmentGraph
+from tests.core.analysis_oracle import find_races_naive
 
 
 def make_graph(segments, edges, accesses):

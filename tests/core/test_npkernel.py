@@ -1,22 +1,19 @@
-"""Tests for the vectorized conflict kernel (``analysis_kernel=numpy``).
+"""Tests for the vectorized conflict kernel (:mod:`repro.core.npkernel`).
 
 Property tests pin every numpy primitive to the IntervalSet oracle, and the
-end-to-end kernel to the pure-Python analysis pass on random graphs — the
-soundness contract of ``analysis_kernel=auto`` picking either freely.
+end-to-end kernel to the all-pairs Python loop of the test oracle
+(``tests/core/analysis_oracle.py``) on random graphs.
 """
 
-import pytest
-
-np = pytest.importorskip("numpy")
-
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import npkernel
 from repro.core.analysis import find_races_indexed, find_races_supervised
-from repro.core.npkernel import (KernelContext, coalesce_arrays,
-                                 intersect_arrays, resolve_kernel)
+from repro.core.npkernel import KernelContext, coalesce_arrays, intersect_arrays
 from repro.core.segments import SegmentGraph
 from repro.util.intervals import IntervalSet
+from tests.core.analysis_oracle import find_races_naive
 
 ranges_strategy = st.lists(
     st.tuples(st.integers(0, 400), st.integers(1, 40)).map(
@@ -115,19 +112,17 @@ class TestKernelParity:
         n, edges, accesses = spec
         g1 = make_graph(n, edges, accesses)
         g2 = make_graph(n, edges, accesses)
-        assert keys(find_races_indexed(g1, kernel="python")) == \
-            keys(find_races_indexed(g2, kernel="numpy"))
+        assert keys(find_races_naive(g1)) == keys(find_races_indexed(g2))
 
     def test_supervised_numpy_equals_python(self):
         accesses = [(i, (i * 7) % 40, (i * 7) % 40 + 12, i % 2 == 0)
                     for i in range(12)]
         g1 = make_graph(12, [(0, 1), (2, 3)], accesses)
         g2 = make_graph(12, [(0, 1), (2, 3)], accesses)
-        a = find_races_supervised(g1, workers=2, kernel="python")
-        b = find_races_supervised(g2, workers=2, kernel="numpy")
-        assert keys(a.candidates) == keys(b.candidates)
+        b = find_races_supervised(g2, workers=2)
+        assert keys(find_races_naive(g1)) == keys(b.candidates)
 
-    def test_unbatched_fallback_matches(self, monkeypatch):
+    def test_unbatched_fallback_matches(self):
         # huge addresses overflow the per-pair window: the context must fall
         # back to the per-pair loop and still agree with the oracle
         big = 1 << 50
@@ -137,8 +132,8 @@ class TestKernelParity:
         segs = [s for s in g2.segments if s.has_accesses]
         ctx = KernelContext(g2, segs)
         assert not ctx._batched
-        assert keys(find_races_indexed(g1, kernel="python")) == \
-            keys(find_races_indexed(g2, kernel="numpy"))
+        assert keys(find_races_naive(g1)) == keys(find_races_indexed(g2))
+        assert keys(find_races_indexed(g2))
 
     def test_label_overflow_falls_back(self):
         """Labels wider than int64 no longer fall back: their dense ranks
@@ -170,39 +165,6 @@ def _assert_mask_matches_labels(g, ctx):
     want = [g.ordered(ctx.segs[i], ctx.segs[j]) for i, j in zip(ii, jj)]
     assert got.tolist() == want
     assert any(want) and not all(want)
-
-
-class TestResolveKernel:
-    def _graph(self):
-        return make_graph(2, [], [(0, 0, 8, True), (1, 0, 8, True)])
-
-    def test_explicit_python(self):
-        assert resolve_kernel("python", self._graph(), 10_000) == "python"
-
-    def test_auto_small_pair_count_stays_python(self):
-        assert resolve_kernel("auto", self._graph(),
-                              npkernel.AUTO_MIN_PAIRS - 1) == "python"
-
-    def test_auto_large_pair_count_picks_numpy(self):
-        assert resolve_kernel("auto", self._graph(),
-                              npkernel.AUTO_MIN_PAIRS) == "numpy"
-
-    def test_explicit_numpy_ignores_pair_count(self):
-        assert resolve_kernel("numpy", self._graph(), 1) == "numpy"
-
-    def test_checked_hb_mode_forces_python(self):
-        g = self._graph()
-        g.hb_mode = "checked"
-        assert resolve_kernel("numpy", g, 10_000) == "python"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_kernel("cuda", self._graph(), 10)
-
-    def test_numpy_absent_degrades(self, monkeypatch):
-        monkeypatch.setattr(npkernel, "HAVE_NUMPY", False)
-        assert resolve_kernel("numpy", self._graph(), 10_000) == "python"
-        assert resolve_kernel("auto", self._graph(), 10_000) == "python"
 
 
 class TestHbTierObservability:
@@ -247,12 +209,6 @@ class TestHbTierObservability:
         ctx, counters, tier = self._delta(lambda: self._ctx(g))
         assert counters["analysis.hb.matrix_skipped"] == 1
         assert tier == ctx.hb_tier == "per_pair"
-
-    def test_python_kernel_reports_per_pair(self):
-        from repro.obs.metrics import get_registry
-        g = make_graph(2, [], [(0, 0, 8, True), (1, 0, 8, True)])
-        find_races_indexed(g, kernel="python")
-        assert get_registry().gauge("analysis.hb_tier").value == "per_pair"
 
     def test_fib_overflows_labels_and_uses_matrix(self):
         """fib(17) on 4 threads: its order-maintenance labels are 72 bits

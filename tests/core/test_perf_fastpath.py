@@ -2,18 +2,17 @@
 happens-before index, parallel analysis).
 
 Three contracts, each checked against the pre-existing implementation as
-oracle:
+oracle (``tests/core/analysis_oracle.py``):
 
 * the write-combining recorder (``Segment.record`` + bulk flush) leaves
-  byte-identical interval trees to the legacy immediate-insert path, for any
-  access stream;
-* the order-maintenance happens-before index agrees with the bitmask
-  reachability DP on **every** segment pair of randomly shaped programs —
-  exercised in ``checked`` mode, where every O(1) answer is asserted against
-  the DP inline, plus an explicit all-pairs sweep here;
-* the three analysis passes (naive / indexed / parallel at several worker
-  counts) produce identical candidate sets, and the fast-record tool run
-  reports the same races as a legacy-configured run.
+  byte-identical interval trees to the immediate-insert path
+  (``Segment.record_immediate``), for any access stream and for the access
+  log of a whole tool run;
+* every happens-before tier (order-maintenance index hints, the label
+  snapshot, the batched rank compare) agrees with the bitmask reachability
+  DP on **every** segment pair of randomly shaped programs;
+* the indexed and parallel passes (at several worker counts) produce the
+  candidate set of the faithful all-pairs pass.
 """
 
 from __future__ import annotations
@@ -23,12 +22,15 @@ from typing import List, Tuple
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.analysis import (find_races_indexed, find_races_naive,
-                                 find_races_parallel)
+from repro.core.analysis import find_races_indexed, find_races_parallel
 from repro.core.segments import Segment
+from repro.core.suppress import SuppressionEngine
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.machine.machine import Machine
 from repro.openmp.api import make_env
+from tests.core.analysis_oracle import (assert_hb_matches_dp,
+                                        assert_trees_match_log,
+                                        find_races_naive, naive_table)
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +134,12 @@ def _random_body(rng: random.Random, *, with_deps: bool):
     return body
 
 
-def _run(body, *, nthreads: int, seed: int, options=None
-         ) -> TaskgrindTool:
+def _run(body, *, nthreads: int, seed: int) -> TaskgrindTool:
+    """Run ``body`` under Taskgrind with the builder's access log on."""
     machine = Machine(seed=seed)
-    tool = TaskgrindTool(options or TaskgrindOptions(
-        model_multithread_lockup=False))
+    tool = TaskgrindTool(TaskgrindOptions(model_multithread_lockup=False))
     machine.add_tool(tool)
+    tool.builder.access_log = []
     env = make_env(machine, nthreads=nthreads)
     env.rt.ompt.register(tool.make_ompt_shim())
 
@@ -157,9 +159,7 @@ class TestHbIndexAgainstOracle:
     @settings(max_examples=25, deadline=None)
     def test_all_pairs_agree(self, prog_seed, nthreads):
         body = _random_body(random.Random(prog_seed), with_deps=False)
-        tool = _run(body, nthreads=nthreads, seed=prog_seed % 97,
-                    options=TaskgrindOptions(model_multithread_lockup=False,
-                                             hb_mode="checked"))
+        tool = _run(body, nthreads=nthreads, seed=prog_seed % 97)
         graph = tool.builder.graph
         idx = graph.hb_index
         assert idx is not None
@@ -175,16 +175,15 @@ class TestHbIndexAgainstOracle:
                 assert hint is not None
                 assert hint == bool(reach[a.id] >> b.id & 1), \
                     f"({a.id} -> {b.id})"
+        assert_hb_matches_dp(graph)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=15, deadline=None)
     def test_dependences_degrade_safely(self, prog_seed):
         """With task dependences the index may go inexact — every query must
-        then fall back to the DP, and checked mode must still pass."""
+        then fall back to the DP, and every tier must still match it."""
         body = _random_body(random.Random(prog_seed), with_deps=True)
-        tool = _run(body, nthreads=2, seed=prog_seed % 97,
-                    options=TaskgrindOptions(model_multithread_lockup=False,
-                                             hb_mode="checked"))
+        tool = _run(body, nthreads=2, seed=prog_seed % 97)
         graph = tool.builder.graph
         idx = graph.hb_index
         reach = graph._reachability()
@@ -195,6 +194,7 @@ class TestHbIndexAgainstOracle:
                 hint = idx.happens_before_hint(a.id, b.id)
                 if hint is not None:
                     assert hint == bool(reach[a.id] >> b.id & 1)
+        assert_hb_matches_dp(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +224,17 @@ class TestAnalysisParity:
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=12, deadline=None)
     def test_fast_tool_matches_legacy_tool(self, prog_seed):
-        """End-to-end: fast-record + auto hb vs legacy record + bitmask hb
-        must produce identical reports."""
+        """End-to-end: the recorder's trees equal per-access inserts of the
+        run's access log, the HB tiers match the DP on the same graph, and
+        the reports are the all-pairs pass's."""
         body = _random_body(random.Random(prog_seed), with_deps=True)
-        fast = _run(body, nthreads=2, seed=prog_seed % 97)
-        legacy = _run(body, nthreads=2, seed=prog_seed % 97,
-                      options=TaskgrindOptions(
-                          model_multithread_lockup=False,
-                          fast_record=False, hb_mode="bitmask"))
-        fr = fast.finalize()
-        lr = legacy.finalize()
-        assert fast.raw_candidates == legacy.raw_candidates
-        assert [r.key() for r in fr] == [r.key() for r in lr]
+        tool = _run(body, nthreads=2, seed=prog_seed % 97)
+        graph = tool.builder.graph
+        reports = tool.finalize()
+        assert_trees_match_log(graph, tool.builder.access_log)
+        assert_hb_matches_dp(graph)
+        table = naive_table(graph)
+        assert tool.raw_candidates == table.pair_count()
+        engine = SuppressionEngine(tool.machine, tool.options.suppression)
+        assert [(r.s1.id, r.s2.id) for r in reports] == \
+            [c.key() for c in engine.filter_all(table)]

@@ -1,12 +1,16 @@
 """The analyze → pair filter → suppress pipeline is one function of the
-recorded evidence, whichever pass and kernel produce the conflict table.
+recorded evidence, whichever pass and pair check produce the conflict
+table.
 
 ``raw_candidates``, the reports and the ``suppress`` block must be
-identical across naive / indexed / parallel × python / numpy; a
-supervised run with injected chunk faults may lose exactly the rows of
-its quarantined chunks and must invent none; a replay ``--pairs`` filter
-keeps exactly the admitted pairs.
+identical for the indexed and parallel passes and for the all-pairs
+oracle pass, with the batched pair check and with the oracle's per-pair
+Python loop in its place; a supervised run with injected chunk faults may
+lose exactly the rows of its quarantined chunks and must invent none; a
+replay ``--pairs`` filter keeps exactly the admitted pairs.
 """
+
+import contextlib
 
 import pytest
 
@@ -16,6 +20,7 @@ from repro.bench.programs import BenchProgram
 from repro.bench.runner import run_benchmark
 from repro.core.analysis import (_indexed_table, analyze_and_suppress,
                                  find_races_supervised)
+from repro.core.npkernel import KernelContext
 from repro.core.reports import format_report
 from repro.core.suppress import SuppressionEngine
 from repro.core.tool import TaskgrindOptions
@@ -23,10 +28,27 @@ from repro.faults.inject import inject_plan
 from repro.faults.plan import FaultPlan
 from repro.replay.filter import ReplayFilter
 from repro.workloads.lulesh import LuleshConfig, run_lulesh
-from tests.core.analysis_oracle import candidate_pairs
+from tests.core.analysis_oracle import (candidate_pairs, loop_check_pairs,
+                                        naive_table)
 
+#: (pass, pair check): ``naive`` is the oracle's all-pairs pass, run in
+#: place of the indexed one; ``python`` patches the oracle's per-pair loop
+#: over the batched ``numpy`` check
 PASSES = [("naive", "python"), ("indexed", "python"), ("indexed", "numpy"),
           ("parallel", "python"), ("parallel", "numpy")]
+
+
+@contextlib.contextmanager
+def _pass(mode, kernel):
+    """Swap the oracles in for one :data:`PASSES` entry; yields the
+    ``analysis`` option to run with."""
+    with pytest.MonkeyPatch.context() as mp:
+        if kernel == "python":
+            mp.setattr(KernelContext, "check_pairs", loop_check_pairs)
+        if mode == "naive":
+            mp.setattr(analysis_mod, "_indexed_table", naive_table)
+            mode = "indexed"
+        yield mode
 
 LULESH = BenchProgram(
     name="lulesh", racy=True,
@@ -40,10 +62,12 @@ PROGRAMS = [(tmb.by_name("1003-stack.3"), 1), (tmb.by_name("1006-tls.1"), 1),
             (drb.by_name("127-tasking-threadprivate1-orig"), 4), (LULESH, 1)]
 
 
-def _outcome(program, nthreads, **options):
-    result = run_benchmark(program, "taskgrind", nthreads=nthreads, seed=2,
-                           taskgrind_options=TaskgrindOptions(**options),
-                           keep_machine=True)
+def _outcome(program, nthreads, mode="indexed", kernel="numpy", **options):
+    with _pass(mode, kernel) as analysis:
+        result = run_benchmark(
+            program, "taskgrind", nthreads=nthreads, seed=2,
+            taskgrind_options=TaskgrindOptions(analysis=analysis, **options),
+            keep_machine=True)
     stats = result.stats
     return ([format_report(r) for r in result.reports],
             stats["analysis"]["raw_candidates"],
@@ -56,8 +80,7 @@ def _outcome(program, nthreads, **options):
 @pytest.mark.parametrize("program,nthreads", PROGRAMS,
                          ids=[p.name for p, _ in PROGRAMS])
 def test_every_pass_and_kernel_agree(program, nthreads):
-    outcomes = {(mode, kernel): _outcome(program, nthreads, analysis=mode,
-                                         analysis_kernel=kernel)[:3]
+    outcomes = {(mode, kernel): _outcome(program, nthreads, mode, kernel)[:3]
                 for mode, kernel in PASSES}
     reference = outcomes[("indexed", "numpy")]
     assert reference[1] > 0
@@ -72,8 +95,8 @@ def test_offline_passes_agree(tmp_path):
     path = str(tmp_path / "lulesh.trace")
     save_trace(result.tool_obj, result.machine, path)
     for mode, kernel in PASSES:
-        reports, stats = analyze_trace_with_stats(path, mode=mode,
-                                                  kernel=kernel)
+        with _pass(mode, kernel) as analysis:
+            reports, stats = analyze_trace_with_stats(path, mode=analysis)
         assert [format_report(r) for r in reports] == texts, (mode, kernel)
         assert stats["analysis"]["raw_candidates"] == raw
         assert stats["suppress"] == supp
@@ -95,9 +118,9 @@ def test_quarantined_chunk_rows_absent_none_invented(small_chunks, kernel):
     *_, result = _outcome(LULESH, 1)
     graph = result.tool_obj.builder.graph
     full = _rows(_indexed_table(graph))
-    with inject_plan(FaultPlan.single("worker-exc", 1)):
-        partial = find_races_supervised(graph, workers=2, max_retries=0,
-                                        kernel=kernel)
+    with inject_plan(FaultPlan.single("worker-exc", 1)), \
+            _pass("parallel", kernel):
+        partial = find_races_supervised(graph, workers=2, max_retries=0)
     assert [q.index for q in partial.quarantined] == [1]
     segs = [s for s in graph.segments if s.has_accesses]
     lost = set(sorted(candidate_pairs(segs))[4:8])
@@ -125,13 +148,12 @@ def test_faulted_pipeline_keeps_a_subset(small_chunks):
 
 @pytest.mark.parametrize("mode,kernel", PASSES)
 def test_replay_pair_filter(mode, kernel):
-    texts, raw, _supp, full = _outcome(LULESH, 1, analysis=mode,
-                                       analysis_kernel=kernel)
+    texts, raw, _supp, full = _outcome(LULESH, 1, mode, kernel)
     first = full.reports[0]
     keep = (first.s1.id, first.s2.id)
     flt = ReplayFilter(pairs=frozenset({keep}))
     f_texts, f_raw, _f_supp, filtered = _outcome(
-        LULESH, 1, analysis=mode, analysis_kernel=kernel, replay_filter=flt)
+        LULESH, 1, mode, kernel, replay_filter=flt)
     assert f_raw == raw
     assert f_texts == [t for t, r in zip(texts, full.reports)
                        if (r.s1.id, r.s2.id) == keep]

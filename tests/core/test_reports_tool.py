@@ -1,9 +1,12 @@
 """Tests for report formatting (Listings 5/6) and TaskgrindTool plumbing."""
 
+import pytest
 
+from repro.core.analysis import MODES
 from repro.core.reports import dedupe_reports, format_report
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.errors import SimDeadlock
+from tests.core.analysis_oracle import find_races_naive
 
 
 def listing4(env, annotate=False):
@@ -118,10 +121,18 @@ class TestToolPlumbing:
         assert tool.memory_bytes(0) > tool.VALGRIND_CORE_BYTES
 
     def test_analysis_modes_agree(self, run_taskgrind):
-        for mode in ("naive", "indexed", "parallel"):
+        for mode in MODES:
             opts = TaskgrindOptions(analysis=mode)
             tool, _ = run_taskgrind(lambda env: listing4(env), options=opts)
             assert len(tool.reports) == 1, mode
+            assert tool.raw_candidates == \
+                len(find_races_naive(tool.builder.graph)), mode
+
+    def test_unknown_analysis_mode_rejected(self):
+        with pytest.raises(ValueError, match="paralel"):
+            TaskgrindTool(TaskgrindOptions(analysis="paralel"))
+        with pytest.raises(ValueError, match="naive"):
+            TaskgrindTool(TaskgrindOptions(analysis="naive"))
 
     def test_serialized_clock(self, run_taskgrind):
         tool, machine = run_taskgrind(lambda env: listing4(env))

@@ -3,8 +3,7 @@
 import pytest
 
 import repro.core.analysis as analysis_mod
-from repro.core.analysis import (find_races_naive, find_races_parallel,
-                                 find_races_supervised)
+from repro.core.analysis import find_races_parallel, find_races_supervised
 from repro.core.reports import format_report
 from repro.core.segments import SegmentBuilder
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
@@ -12,6 +11,7 @@ from repro.faults.inject import inject_plan
 from repro.faults.plan import FaultPlan
 from repro.machine.machine import Machine
 from repro.openmp.api import make_env
+from tests.core.analysis_oracle import find_races_naive
 
 
 def racy_listing(env):

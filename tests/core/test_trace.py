@@ -4,9 +4,14 @@ import json
 
 import pytest
 
+import repro.core.analysis as analysis_mod
+from repro.core.analysis import MODES
 from repro.core.offline import main as offline_main
+from repro.core.reports import format_report
 from repro.core.trace import (_payload_crc, analyze_trace, load_trace,
                               save_trace)
+from repro.errors import TraceVersionError
+from tests.core.analysis_oracle import naive_table
 
 
 def racy_listing(env):
@@ -64,11 +69,17 @@ class TestRoundTrip:
         assert offline[0].block_size == tool.reports[0].block_size
         assert str(offline[0].alloc_site) == str(tool.reports[0].alloc_site)
 
-    def test_all_modes_agree_offline(self, trace_path):
+    def test_all_modes_agree_offline(self, trace_path, monkeypatch):
+        """Both passes report what the all-pairs oracle pass reports."""
         path, _ = trace_path
-        counts = {mode: len(analyze_trace(path, mode=mode))
-                  for mode in ("naive", "indexed", "parallel")}
-        assert len(set(counts.values())) == 1
+
+        def texts(mode):
+            return [format_report(r) for r in analyze_trace(path, mode=mode)]
+        got = {mode: texts(mode) for mode in MODES}
+        monkeypatch.setattr(analysis_mod, "_indexed_table", naive_table)
+        oracle = texts("indexed")
+        assert len(oracle) == 1
+        assert all(t == oracle for t in got.values())
 
     def test_version_gate(self, trace_path, tmp_path):
         path, _ = trace_path
@@ -86,6 +97,22 @@ class TestRoundTrip:
         bad.write_text(json.dumps({"version": 99, "graph": {}}))
         with pytest.raises(ValueError, match="version"):
             load_trace(str(bad))
+
+    def test_version_1_doc_is_rejected(self, tmp_path, capsys):
+        """The retired single-document format is a typed version error:
+        exit 2 offline, naming the version found and the one spoken."""
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps({
+            "version": 1, "graph": {"segments": [], "edges": []},
+            "environment": {"regions": [], "blocks": []},
+            "suppression": {"suppress_tls": True, "suppress_stack": True}}))
+        with pytest.raises(TraceVersionError) as exc:
+            load_trace(str(old))
+        assert exc.value.found == 1
+        assert "version 1" in str(exc.value)
+        assert "version 2" in str(exc.value)
+        assert offline_main([str(old)]) == 2
+        assert "version 2" in capsys.readouterr().err
 
 
 class TestSuppressionsOffline:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.analysis import find_races_indexed
 from repro.core.segments import SegmentGraph
-from repro.core.trace import dump_graph, load_graph
+from repro.core.trace import assemble_chunks, dump_graph
 
 
 def build(n, raw_edges, raw_accs):
@@ -39,9 +39,12 @@ def result_keys(graph):
 def test_dump_load_preserves_analysis(n, raw_edges, raw_accs):
     graph = build(n, raw_edges, raw_accs)
     expected = result_keys(graph)
-    # through JSON, like the on-disk trace
+    # through JSON and the chunk reader, like the on-disk trace
     data = json.loads(json.dumps(dump_graph(graph)))
-    restored = load_graph(data)
+    restored = assemble_chunks([{
+        "seq": 0, "kind": "segments", "vtime": 0.0,
+        "payload": {"start": 0, "segments": data["segments"],
+                    "edges": data["edges"]}}]).graph
     assert result_keys(restored) == expected
     assert restored.edge_count == graph.edge_count
     for a, b in zip(restored.segments, graph.segments):

@@ -1,20 +1,22 @@
 """Kernel parity over the fuzz corpus and salvaged traces.
 
-``analysis_kernel=numpy`` must be report-for-report indistinguishable from
-the pure-Python oracle on exactly the inputs the fuzz harness pins down:
-every checked-in reproducer (including intentionally-broken-suppression
-configs), truncated/salvaged traces, and arbitrary candidate-pair orderings
-(the parallel pass chunks pairs in whatever order the scheduler lands on).
+The batched pair check (:meth:`KernelContext.check_pairs`) must be
+report-for-report indistinguishable from the per-pair Python loop of the
+test oracle (``tests/core/analysis_oracle.py``) on exactly the inputs the
+fuzz harness pins down: every checked-in reproducer (including
+intentionally-broken-suppression configs), truncated/salvaged traces, and
+arbitrary candidate-pair orderings (the parallel pass chunks pairs in
+whatever order the scheduler lands on).
 """
 
 import glob
+import json
 import os
 import random
 
 import pytest
 
-pytest.importorskip("numpy")
-
+import repro.core.analysis as analysis_mod
 from repro.core.npkernel import KernelContext
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.core.trace import analyze_trace_with_stats, save_trace
@@ -23,6 +25,7 @@ from repro.fuzz.executors import fuzz_options, run_taskgrind
 from repro.fuzz.shrink import load_reproducer
 from repro.machine.machine import Machine
 from repro.openmp.api import make_env
+from tests.core.analysis_oracle import loop_check_pairs, naive_table
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 ENTRIES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -35,27 +38,45 @@ def outcome_key(outcome):
 
 @pytest.mark.parametrize("path", ENTRIES,
                          ids=[os.path.basename(p) for p in ENTRIES])
-def test_corpus_outcomes_identical_across_kernels(path):
+def test_corpus_outcomes_identical_across_kernels(path, monkeypatch):
     """Every reproducer — clean or pinned-divergent — behaves identically
-    under both kernels, schedule by schedule."""
+    under the batched check and the oracle loop, schedule by schedule."""
     program, _expect, options, _note = load_reproducer(path)
-    for seed in (0, 1, 2):
-        runs = {}
-        for kernel in ("python", "numpy"):
-            opts = fuzz_options(**dict(options, analysis_kernel=kernel))
-            runs[kernel] = run_taskgrind(program, schedule_seed=seed,
-                                         options=opts)
-        assert outcome_key(runs["python"]) == outcome_key(runs["numpy"]), \
+    opts = fuzz_options(**options)
+    seeds = (0, 1, 2)
+    numpy_runs = [run_taskgrind(program, schedule_seed=seed, options=opts)
+                  for seed in seeds]
+    monkeypatch.setattr(KernelContext, "check_pairs", loop_check_pairs)
+    for seed, numpy_run in zip(seeds, numpy_runs):
+        python_run = run_taskgrind(program, schedule_seed=seed, options=opts)
+        assert outcome_key(python_run) == outcome_key(numpy_run), \
             f"{os.path.basename(path)} seed={seed} kernel divergence"
+
+
+def test_reproducer_with_retired_kernel_option_replays(tmp_path):
+    """A corpus entry written while ``analysis_kernel`` was an option
+    still loads and runs: the retired key selects nothing."""
+    with open(ENTRIES[0]) as fh:
+        doc = json.load(fh)
+    doc["options"]["analysis_kernel"] = "python"
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    program, _expect, options, _note = load_reproducer(str(path))
+    old = run_taskgrind(program, schedule_seed=0,
+                        options=fuzz_options(**options))
+    del options["analysis_kernel"]
+    new = run_taskgrind(program, schedule_seed=0,
+                        options=fuzz_options(**options))
+    assert old.ok and outcome_key(old) == outcome_key(new)
 
 
 @pytest.mark.parametrize("path", ENTRIES[:2],
                          ids=[os.path.basename(p) for p in ENTRIES[:2]])
 def test_differential_harness_clean_with_numpy(path):
-    """The full differential harness with the numpy kernel forced must
-    reach the same verdicts as the pinned expectation."""
+    """The full differential harness with the batched kernel must reach
+    the same verdicts as the pinned expectation."""
     program, expect, options, note = load_reproducer(path)
-    opts = fuzz_options(**dict(options, analysis_kernel="numpy"))
+    opts = fuzz_options(**options)
     result = run_differential(program, schedules=4, taskgrind_options=opts)
     if not expect:
         assert result.ok, (f"{note}: numpy kernel introduced "
@@ -105,28 +126,34 @@ def report_keys(reports):
 
 
 class TestSalvagedTraceParity:
-    def test_intact_trace(self, trace_path):
-        a, _ = analyze_trace_with_stats(trace_path, kernel="python")
-        b, _ = analyze_trace_with_stats(trace_path, kernel="numpy")
+    def test_intact_trace(self, trace_path, monkeypatch):
+        b, _ = analyze_trace_with_stats(trace_path)
+        monkeypatch.setattr(analysis_mod, "_indexed_table", naive_table)
+        a, _ = analyze_trace_with_stats(trace_path)
         assert report_keys(a) == report_keys(b)
         assert report_keys(a)          # the fixture really races
 
-    def test_truncated_trace(self, trace_path, tmp_path):
-        """Every salvage prefix yields the same reports from both kernels."""
+    def test_truncated_trace(self, trace_path, tmp_path, monkeypatch):
+        """Every salvage prefix yields the same reports from the indexed
+        pass and the all-pairs oracle pass."""
         data = open(trace_path, "rb").read()
         cut_points = range(0, len(data), max(1, len(data) // 12))
+        got = {}
         for cut in cut_points:
-            trunc = tmp_path / "cut.json"
+            trunc = tmp_path / f"cut{cut}.json"
             trunc.write_bytes(data[:cut])
-            a, _ = analyze_trace_with_stats(str(trunc), kernel="python")
-            b, _ = analyze_trace_with_stats(str(trunc), kernel="numpy")
-            assert report_keys(a) == report_keys(b), f"cut={cut}"
+            got[cut] = report_keys(analyze_trace_with_stats(str(trunc))[0])
+        monkeypatch.setattr(analysis_mod, "_indexed_table", naive_table)
+        for cut in cut_points:
+            a, _ = analyze_trace_with_stats(str(tmp_path / f"cut{cut}.json"))
+            assert report_keys(a) == got[cut], f"cut={cut}"
 
-    def test_supervised_partial_parity(self, trace_path):
-        a, sa = analyze_trace_with_stats(trace_path, mode="parallel",
-                                         workers=2, kernel="python")
+    def test_supervised_partial_parity(self, trace_path, monkeypatch):
         b, sb = analyze_trace_with_stats(trace_path, mode="parallel",
-                                         workers=2, kernel="numpy")
+                                         workers=2)
+        monkeypatch.setattr(KernelContext, "check_pairs", loop_check_pairs)
+        a, sa = analyze_trace_with_stats(trace_path, mode="parallel",
+                                         workers=2)
         assert report_keys(a) == report_keys(b)
         assert sa["coverage"]["complete"] and sb["coverage"]["complete"]
 

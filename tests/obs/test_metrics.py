@@ -200,7 +200,7 @@ class TestStatsDocuments:
         doc = result.stats
         assert doc["schema"] == "taskgrind-stats/1"
         rec = doc["record"]
-        for key in ("fast_path", "recorded_accesses", "filtered_accesses",
+        for key in ("mode", "recorded_accesses", "filtered_accesses",
                     "fast_accesses", "legacy_accesses", "hub"):
             assert key in rec, f"missing record.{key}"
         assert rec["recorded_accesses"] > 0
@@ -209,9 +209,13 @@ class TestStatsDocuments:
         assert doc["virtual"]["makespan_ops"] > 0
         assert doc["virtual"]["seconds"] > 0
         graph = doc["graph"]
-        for key in ("segments", "edges", "hb_mode", "queries", "dp_rebuilds"):
+        for key in ("segments", "edges", "hb_exact", "queries",
+                    "dp_rebuilds"):
             assert key in graph, f"missing graph.{key}"
+        for key in ("fast_path", "hb_mode"):
+            assert key not in rec and key not in graph, key
         assert doc["analysis"]["mode"] == "indexed"
+        assert "kernel" not in doc["analysis"]
         assert doc["analysis"]["reports"] == result.report_count
 
     def test_suppression_classes_all_present(self):
@@ -467,9 +471,9 @@ class TestPromExposition:
 
     def test_non_numeric_gauge_becomes_info(self):
         reg = MetricsRegistry()
-        reg.gauge("analysis.kernel").set("numpy")
+        reg.gauge("analysis.hb_tier").set("label")
         text = reg.render_prom()
-        assert 'taskgrind_analysis_kernel_info{value="numpy"} 1' in text
+        assert 'taskgrind_analysis_hb_tier_info{value="label"} 1' in text
 
     def test_name_sanitization(self):
         reg = MetricsRegistry()

@@ -76,6 +76,17 @@ class TestReplayParity:
         result, _ = replay_bench(doc)
         assert result.report_count == 0
 
+    def test_retired_kernel_option_still_replays(self, racy_recording,
+                                                 racy_single_pass):
+        """A schedule recorded while ``analysis_kernel`` was an option
+        still replays; the key selects nothing."""
+        _, doc = racy_recording
+        data = copy.deepcopy(doc.to_dict())
+        data["program"]["options"]["analysis_kernel"] = "python"
+        result, _ = replay_bench(ScheduleDoc.from_dict(data))
+        assert _canon_reports(result.reports, None) \
+            == _canon_reports(racy_single_pass.reports, None)
+
 
 class TestPartialReplay:
     def test_addr_filter_parity_with_clipped_full_run(self, racy_recording,

@@ -197,7 +197,7 @@ def _wl_entry(speedup=2.0):
             "record": {"legacy_s": 1.0, "fast_s": 0.5, "speedup": 2.0},
             "record_sync": {"full_s": 1.0, "sync_s": 0.25, "speedup": 4.0},
             "analyze": {"legacy_s": 1.0, "fast_s": 0.5, "speedup": speedup,
-                        "kernel": "python", "candidates": 1},
+                        "candidates": 1},
             "combined_speedup": speedup,
             "stats": {"phases": {}, "record_counters": {}},
             "profile": {"classes": {"mem.read": 10.0}, "vtime_ops": 10.0}}

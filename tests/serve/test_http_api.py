@@ -134,6 +134,55 @@ class TestStructuredErrors:
         assert status == 400
 
 
+#: malformed analyze bodies -> the field the 400 must name
+BAD_ANALYZE_BODIES = [
+    ({"workers": "two"}, "workers"),
+    ({"workers": 0}, "workers"),
+    ({"workers": True}, "workers"),
+    ({"max_retries": -1}, "max_retries"),
+    ({"max_retries": 1.5}, "max_retries"),
+    ({"deadline_s": 0}, "deadline_s"),
+    ({"deadline_s": "1"}, "deadline_s"),
+    ({"explain": "yes"}, "explain"),
+    ({"mode": "naive"}, "mode"),
+    ({"mode": ["indexed"]}, "mode"),
+    ({"kernel": "numpy"}, "kernel"),
+    ([1, 2], "JSON object"),
+    ("indexed", "JSON object"),
+]
+
+
+class TestAnalyzeOptionValidation:
+    """The analyze body is validated at the edge: a malformed request is a
+    typed 400 naming the field, never a 500 from the job executor."""
+
+    def _analyze(self, client, trace_id, body):
+        return client.request("POST", f"/v1/traces/{trace_id}/analyze",
+                              body=json.dumps(body).encode(), retry=False)
+
+    def test_each_malformed_body_is_a_typed_400(self, client, trace_lines):
+        trace_id, _ = client.upload_trace(trace_lines)
+        for body, field in BAD_ANALYZE_BODIES:
+            status, doc = self._analyze(client, trace_id, body)
+            assert status == 400, body
+            assert doc["error"]["type"] == "TraceFormatError", body
+            assert field in doc["error"]["message"], body
+
+    def test_malformed_requests_leave_the_breaker_closed(self, server,
+                                                         client,
+                                                         trace_lines):
+        trace_id, _ = client.upload_trace(trace_lines)
+        for body, _field in BAD_ANALYZE_BODIES[:6]:
+            assert self._analyze(client, trace_id, body)[0] == 400
+        assert server.service.breaker.state_of("analyze") == "closed"
+        status, doc = self._analyze(client, trace_id,
+                                    {"mode": "indexed", "workers": 2,
+                                     "deadline_s": None, "max_retries": 0,
+                                     "explain": True})
+        assert status == 202, doc
+        assert client.wait(doc["job_id"], timeout=60.0)["state"] == "done"
+
+
 class TestCacheKeying:
     def test_reupload_shares_one_graph_build(self, server, trace_lines):
         with ServeClient(server.base_url) as client:

@@ -9,7 +9,6 @@ sweep discipline as ``tests/core/test_trace_salvage.py``).
 """
 
 import json
-import os
 import shutil
 import time
 
@@ -163,6 +162,41 @@ class TestJobRecovery:
         try:
             assert srv.service.durable.recovered.requeue_jobs == []
             assert srv.service.pool.get(job_id).state == "done"
+        finally:
+            srv.stop()
+
+
+    def test_job_journaled_with_retired_kernel_param_runs(self, state_dir,
+                                                          trace_lines):
+        """A journal whose job params still carry ``kernel`` (written
+        while it was an analyze option) recovers and runs the job."""
+        srv = ServerThread(_config(state_dir)).start()
+        try:
+            with ServeClient(srv.base_url) as client:
+                trace_id, ack = client.upload_trace(trace_lines)
+                want = client.wait(client.analyze(trace_id), timeout=60.0)
+                _status, want_report = client.report(want["job_id"])
+        finally:
+            srv.kill()
+        log = DurableLog(str(state_dir), fsync_policy="never")
+        log.job_enqueued("j99", trace_id, ack["content_hash"], {
+            "mode": "parallel", "workers": 2, "deadline_s": None,
+            "max_retries": 2, "kernel": "python", "explain": False,
+            "chunk_count": len(trace_lines)})
+        log.close()
+
+        srv = ServerThread(_config(state_dir)).start()
+        try:
+            recovered = srv.service.durable.recovered
+            assert [j.job_id for j in recovered.requeue_jobs] == ["j99"]
+            with ServeClient(srv.base_url) as client:
+                assert client.wait("j99", timeout=60.0)["state"] == "done"
+                status, report = client.report("j99")
+            assert status == 200
+            for doc in (report, want_report):
+                doc.pop("job_id"), doc.pop("trace_id")
+            assert json.dumps(report, sort_keys=True) == \
+                json.dumps(want_report, sort_keys=True)
         finally:
             srv.stop()
 
