@@ -4,19 +4,19 @@ The paper's Section VII: *"The determinacy race post-processing analysis is
 an embarrassingly parallel algorithm, but it is currently run sequentially
 within the Valgrind framework."*  This bench builds a large synthetic segment
 graph and compares the faithful O(n^2) pass (the test oracle in
-``tests/core/analysis_oracle.py``), the address-indexed pass, and the
-thread-parallel pass — asserting identical results and measuring the
-speedups a parallel pass would buy.
+``tests/core/analysis_oracle.py``) with the address-indexed pass run
+sequentially (one worker) and thread-parallel (four workers) — asserting
+identical results and measuring the speedups a parallel pass would buy.
 """
 
 import pytest
 
-import repro.core.analysis as analysis_mod
-from repro.core.analysis import find_races_indexed, find_races_parallel
+from repro.core.analysis import find_races
+from repro.core.npkernel import KernelContext
 from repro.core.segments import SegmentGraph
 from repro.util.rng import RngHub
-from tests.core.analysis_oracle import (candidate_pairs, find_races_naive,
-                                        naive_table)
+from tests.core.analysis_oracle import (all_pairs, candidate_pairs,
+                                        find_races_naive)
 
 
 def build_graph(n_segments=300, seed=7):
@@ -53,14 +53,14 @@ def test_bench_naive(benchmark, graph, expected):
         expected
 
 
-def test_bench_indexed(benchmark, graph, expected):
-    cands = benchmark(find_races_indexed, graph)
+def test_bench_sequential(benchmark, graph, expected):
+    cands = benchmark(find_races, graph, workers=1).candidates
     assert sorted((c.key(), tuple(c.ranges.pairs())) for c in cands) == \
         expected
 
 
 def test_bench_parallel(benchmark, graph, expected):
-    cands = benchmark(find_races_parallel, graph, workers=4)
+    cands = benchmark(find_races, graph, workers=4).candidates
     assert sorted((c.key(), tuple(c.ranges.pairs())) for c in cands) == \
         expected
 
@@ -78,9 +78,9 @@ class TestAblationShape:
         from repro.openmp.api import make_env
         from repro.workloads.lulesh import LuleshConfig, run_lulesh
 
-        def count(mode):
+        def count(workers):
             machine = Machine(seed=0)
-            tool = TaskgrindTool(TaskgrindOptions(analysis=mode))
+            tool = TaskgrindTool(TaskgrindOptions(analysis_workers=workers))
             machine.add_tool(tool)
             env = make_env(machine, nthreads=1, source_file="lulesh.cc")
             env.rt.ompt.register(tool.make_ompt_shim())
@@ -88,8 +88,8 @@ class TestAblationShape:
                 env, LuleshConfig(s=8, racy=True, iterations=2)))
             return len(tool.finalize())
 
-        counts = {mode: count(mode) for mode in analysis_mod.MODES}
-        monkeypatch.setattr(analysis_mod, "_indexed_table", naive_table)
-        counts["naive"] = count("indexed")
-        assert counts["naive"] == counts["indexed"] == counts["parallel"]
+        counts = {workers: count(workers) for workers in (1, 4)}
+        monkeypatch.setattr(KernelContext, "candidate_pairs", all_pairs)
+        counts["naive"] = count(1)
+        assert counts["naive"] == counts[1] == counts[4]
         assert counts["naive"] > 0

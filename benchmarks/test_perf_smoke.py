@@ -8,9 +8,8 @@ checked against the test oracles in ``tests/core/analysis_oracle.py``,
   per-access inserts (``Segment.record_immediate``) of the run's access
   log, and every happens-before tier agrees with the reachability DP on
   every segment pair of the recorded graph;
-* on the recorded graph, ``find_races_indexed`` and ``find_races_parallel``
-  (several worker counts) produce the all-pairs pass's candidates
-  pair-for-pair, byte-for-byte;
+* on the recorded graph, ``find_races`` (one worker and several) produces
+  the all-pairs pass's candidates pair-for-pair, byte-for-byte;
 * the fork-join majority of the suite stays on the exact O(1) index.
 """
 
@@ -22,7 +21,7 @@ import pytest
 
 from repro.bench import drb, tmb
 from repro.bench.runner import run_benchmark
-from repro.core.analysis import find_races_indexed, find_races_parallel
+from repro.core.analysis import find_races
 from tests.core.analysis_oracle import (assert_hb_matches_dp,
                                         assert_trees_match_log,
                                         find_races_naive)
@@ -67,9 +66,8 @@ def test_analysis_pass_parity(program, nthreads):
         return
     graph = res.tool_obj.builder.graph
     naive = _canon(find_races_naive(graph))
-    assert _canon(find_races_indexed(graph)) == naive
     for workers in (1, 4):
-        assert _canon(find_races_parallel(graph, workers=workers)) == naive
+        assert _canon(find_races(graph, workers=workers).candidates) == naive
 
 
 def test_exact_index_sweep():

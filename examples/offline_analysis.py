@@ -4,11 +4,10 @@
 The paper's Section VII notes the determinacy-race pass is embarrassingly
 parallel but runs sequentially inside Valgrind.  The reproduction's answer:
 dump the segment graph at exit and run Algorithm 1 *outside* the tool —
-sequentially, thread-parallel, or on another machine.
+with one worker or several, or on another machine.
 
 This example records a racy LULESH run to a trace file, then analyzes it
-offline with both passes (sequential and thread-parallel) and shows they
-agree.
+offline with one pair-check worker and with four, and shows they agree.
 
 Run with::
 
@@ -19,7 +18,6 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core.analysis import MODES
 from repro.core.tool import TaskgrindTool
 from repro.core.trace import analyze_trace, save_trace
 from repro.core.reports import format_report
@@ -44,12 +42,12 @@ def main() -> None:
     segments = len(tool.builder.graph.segments)
     print(f"recorded {segments} segments to {trace_path} ({size_kib:.0f} KiB)")
 
-    # 2. offline analysis, both ways
-    for mode in MODES:
+    # 2. offline analysis, sequential and with four workers
+    for workers in (1, 4):
         t0 = time.perf_counter()
-        reports = analyze_trace(str(trace_path), mode=mode, workers=4)
+        reports = analyze_trace(str(trace_path), workers=workers)
         dt = (time.perf_counter() - t0) * 1000
-        print(f"  {mode:8s}: {len(reports)} race(s) in {dt:6.1f} ms")
+        print(f"  {workers} worker(s): {len(reports)} race(s) in {dt:6.1f} ms")
 
     # 3. the reports carry full debug info, exactly as online
     reports = analyze_trace(str(trace_path))

@@ -23,7 +23,7 @@ from typing import List, Optional, Set
 
 from repro.baselines.shadow import IntervalMap
 from repro.baselines.tasksanitizer import _BuilderOmptShim, EPOCH_STRIDE
-from repro.core.analysis import RaceCandidate, find_races_indexed
+from repro.core.analysis import RaceCandidate, find_races
 from repro.core.segments import SegmentBuilder, SegmentModelConfig
 from repro.errors import GuestCrash
 from repro.machine.cost import ToolCost
@@ -145,7 +145,7 @@ class RompTool(Tool):
     # -- analysis + coarse suppressions ----------------------------------------------
 
     def finalize(self) -> List[RaceCandidate]:
-        candidates = find_races_indexed(self.builder.graph)
+        candidates = find_races(self.builder.graph).candidates
         self.reports = [c for c in candidates if not self._suppressed(c)]
         return self.reports
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.baselines.shadow import IntervalMap
-from repro.core.analysis import RaceCandidate, find_races_indexed
+from repro.core.analysis import RaceCandidate, find_races
 from repro.core.segments import SegmentBuilder, SegmentModelConfig
 from repro.errors import NoCompilerSupport
 from repro.machine.cost import ToolCost
@@ -173,7 +173,7 @@ class TaskSanitizerTool(Tool):
     # -- analysis --------------------------------------------------------------------
 
     def finalize(self) -> List[RaceCandidate]:
-        self.reports = find_races_indexed(self.builder.graph)
+        self.reports = find_races(self.builder.graph).candidates
         return self.reports
 
     def memory_bytes(self, app_bytes: int = 0) -> int:

@@ -49,7 +49,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.analysis import RaceCandidate, find_races_indexed
+from repro.core.analysis import RaceCandidate, find_races
 from repro.core.segments import Segment, SegmentGraph
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.machine.debuginfo import Symbol
@@ -236,7 +236,7 @@ def _conflict_ranges_tree(s1: Segment, s2: Segment) -> IntervalSet:
 
 def _analyze_once(graph: SegmentGraph, *, legacy: bool) -> List[RaceCandidate]:
     if legacy:
-        # replica of the pre-PR find_races_indexed: bitmask DP only,
+        # replica of the original indexed pass: bitmask DP only,
         # tree-walk conflict intersections
         segs = [s for s in graph.segments if s.has_accesses]
         reach = graph._reachability()
@@ -251,7 +251,7 @@ def _analyze_once(graph: SegmentGraph, *, legacy: bool) -> List[RaceCandidate]:
         return out
     # the fast side is the full current stack: order-maintenance index +
     # the batched numpy conflict kernel
-    return find_races_indexed(graph)
+    return find_races(graph).candidates
 
 
 def bench_analyze(graph: SegmentGraph, repeats: int) -> Dict[str, float]:

@@ -27,7 +27,6 @@ from repro.baselines.common import Verdict, classify
 from repro.baselines.romp import RompTool
 from repro.baselines.tasksanitizer import TaskSanitizerTool
 from repro.bench.programs import BenchProgram
-from repro.core.analysis import MODES
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.errors import (GuestCrash, NoCompilerSupport, OutOfMemory,
                           SimDeadlock)
@@ -248,9 +247,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "this run (resilience testing); "
                              "'builtin:<kind@at>' names a CI-matrix plan, "
                              "e.g. builtin:worker-exc@0")
-    parser.add_argument("--analysis", default=None, choices=MODES,
-                        help="analysis mode (taskgrind only; default "
-                             "indexed, parallel runs supervised)")
     parser.add_argument("--list", action="store_true",
                         help="list runnable program names and exit")
     args = parser.parse_args(argv)
@@ -310,11 +306,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             "record_mode": args.record,
         })
     options = None
-    if args.explain or args.analysis is not None or args.record != "full":
+    if args.explain or args.record != "full":
         options = TaskgrindOptions(explain=args.explain,
                                    record_mode=args.record)
-        if args.analysis is not None:
-            options.analysis = args.analysis
     recorder = None
     on_machine = None
     if args.save_schedule is not None:
@@ -326,7 +320,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "nthreads": args.threads, "seed": args.seed,
             "record_mode": args.record,
             "options": {
-                "analysis": options.analysis,
                 "model_multithread_lockup":
                     options.model_multithread_lockup,
             }})

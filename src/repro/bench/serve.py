@@ -262,7 +262,7 @@ def run_load(traces: List[Tuple[str, str]], *, clients: int, rounds: int,
     trace_lines = {name: read_trace_lines(path) for name, path in traces}
     expected: Dict[str, Optional[str]] = {name: None for name, _ in traces}
     if verify:
-        # mode-independent ground truth: the offline pipeline on the file
+        # ground truth: the offline pipeline on the file
         for name, path in traces:
             reports = analyze_trace(path)
             expected[name] = json.dumps(
@@ -463,7 +463,7 @@ def _one_chaos_session(client: ServeClient, name: str, lines: List[bytes],
             # the clean document — the analysis truly re-runs under the
             # armed plan and a planted hang meets the deadline/quarantine
             # path instead of a cache hit
-            job_id = client.analyze(trace_id, mode="parallel", workers=1)
+            job_id = client.analyze(trace_id, workers=1)
             status_doc = client.wait(job_id, timeout=60.0)
         except TimeoutError as exc:
             outcome["hang"] = str(exc)
@@ -638,8 +638,7 @@ def _one_kill_mid_analysis(name: str, lines: List[bytes], shards: int,
                 # before the terminal record can reach the journal
                 with inject_plan(FaultPlan.single("worker-hang", 0,
                                                   seconds=0.4, times=1)):
-                    job_id = client.analyze(trace_id, mode="parallel",
-                                            workers=1)
+                    job_id = client.analyze(trace_id, workers=1)
                     time.sleep(0.05)
                     srv.kill()
                     killed = True

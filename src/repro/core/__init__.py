@@ -5,8 +5,8 @@
   happens-before rule via fork/join nodes, plus per-segment read/write
   interval trees (Section III-B).
 * :mod:`repro.core.analysis` — the determinacy-race pass (Algorithm 1) in an
-  address-indexed form, plus the parallel post-processing variant the paper
-  lists as future work.
+  address-indexed form, supervised, sequential with one worker and the
+  parallel post-processing the paper lists as future work with more.
 * :mod:`repro.core.suppress` — the Section IV false-positive suppressions:
   ignore/instrument symbol lists, memory-recycling defeat (free-as-noop),
   TLS (TCB/DTV) filtering, and stack-frame (segment-local) filtering.
@@ -19,8 +19,7 @@
 
 from repro.core.segments import (Segment, SegmentGraph, SegmentBuilder,
                                  SegmentModelConfig)
-from repro.core.analysis import (RaceCandidate, find_races_indexed,
-                                 find_races_parallel)
+from repro.core.analysis import RaceCandidate, find_races
 from repro.core.suppress import SuppressionConfig, SuppressionEngine
 from repro.core.reports import RaceReport, format_report
 from repro.core.tool import TaskgrindTool, TaskgrindOptions
@@ -28,7 +27,7 @@ from repro.core.assistant import Suggestion, render_suggestions, suggest
 
 __all__ = [
     "Segment", "SegmentGraph", "SegmentBuilder", "SegmentModelConfig",
-    "RaceCandidate", "find_races_indexed", "find_races_parallel",
+    "RaceCandidate", "find_races",
     "SuppressionConfig", "SuppressionEngine",
     "RaceReport", "format_report",
     "TaskgrindTool", "TaskgrindOptions",

@@ -1,6 +1,6 @@
-"""Determinacy-race analysis passes (the paper's Algorithm 1).
+"""Determinacy-race analysis (the paper's Algorithm 1).
 
-Every pass emits its conflicts as one :class:`ConflictTable`: four int64
+The pass emits its conflicts as one :class:`ConflictTable`: four int64
 columns ``(i, j, lo, hi)``, one row per conflicting byte range (a
 *piece*), rows grouped by segment pair in :meth:`RaceCandidate.key`
 order.  The sweep builds no per-pair object.  The Section IV
@@ -10,50 +10,39 @@ classify all rows at once, and only pairs with surviving bytes become
 pipeline — pass, raw count, replay pair filter, suppression — shared by
 the online tool and the offline and served analyzers.
 
-Two passes (:data:`MODES`), both producing the table the faithful
-Algorithm 1 would — for every pair of segments with no happens-before
-path, ``s1.w ∩ (s2.r ∪ s2.w)`` — without visiting all :math:`O(n^2)`
-pairs:
+There is one pass, :func:`find_races`.  It produces the table the
+faithful Algorithm 1 would — for every pair of segments with no
+happens-before path, ``s1.w ∩ (s2.r ∪ s2.w)`` — without visiting all
+:math:`O(n^2)` pairs: a vectorized sweep over all access intervals
+(:meth:`repro.core.npkernel.KernelContext.candidate_pairs`) finds only
+the segment pairs that actually share bytes, as two index arrays sorted
+by ``(i, j)``, and
+:meth:`~repro.core.npkernel.KernelContext.check_pairs` filters them by
+happens-before and intersects them.  The faithful all-pairs pass and the
+per-pair Python check are test oracles (``tests/core/analysis_oracle.py``),
+not production paths.
 
-* the indexed pass — address-indexed candidate generation: a vectorized
-  sweep over all access intervals
-  (:meth:`repro.core.npkernel.KernelContext.candidate_pairs`) finds only
-  the segment pairs that actually share bytes, as two index arrays sorted
-  by ``(i, j)``, then filters them by happens-before and intersects them
-  with :meth:`~repro.core.npkernel.KernelContext.check_pairs`.  ``repro
-  run`` uses it.
-* the parallel pass — the paper's future-work item ("the analysis is
-  embarrassingly parallel, but currently run sequentially"): the indexed
-  candidate arrays are sliced into fixed chunks across supervised worker
-  threads.  The server, the chaos smoke and the fault campaigns use it for
-  its deadlines and quarantine; the A1 ablation benchmarks it.
+The pair check runs in chunks of the kernel's own batch
+(:data:`~repro.core.npkernel._PAIR_BATCH` pairs) under a supervisor: each
+chunk gets a bounded number of retries with exponential backoff and an
+optional deadline that runs from when a worker starts it; chunks that keep
+failing are quarantined rather than allowed to take down the whole pass,
+and the result is a :class:`PartialAnalysis` that states exactly how many
+candidate pairs went unchecked.  One worker (the default) is the paper's
+sequential pass; more workers are its Section VII future-work item ("the
+analysis is embarrassingly parallel, but currently run sequentially"),
+which the A1 ablation measures.
 
-The faithful all-pairs pass and the per-pair Python check are test
-oracles (``tests/core/analysis_oracle.py``), not production paths.
-
-Both passes share one front half (:func:`_front_half`) and its phase
-names: ``analysis.prepare`` for the HB index and its batched backing,
-``analysis.candidates`` for the interval pools and the sweep, and
-``analysis.pairs`` for the pair check alone.
-
-The parallel pass runs under a supervisor (:func:`find_races_supervised`):
-each chunk of candidate pairs gets a bounded number of retries with
-exponential backoff and an optional per-chunk deadline; chunks that keep
-failing are quarantined rather than allowed to take down the whole pass, and
-the result is a :class:`PartialAnalysis` that states exactly how many
-candidate pairs went unchecked.  A worker exception therefore degrades the
-analysis instead of discarding every completed chunk.
-
-:func:`find_races_indexed` and :func:`find_races_parallel` return the
-*raw* (pre-suppression) table materialized as a sorted
-``List[RaceCandidate]`` — the form tests, the baseline tools and the
-ablations consume.
+Phase names: ``analysis.prepare`` for the HB index and its batched
+backing, ``analysis.candidates`` for the interval pools and the sweep,
+``analysis.pairs`` for the pair check alone (booked per worker thread, so
+its wall seconds sum across workers) and ``analysis.supervise`` for the
+supervised chunk loop around it.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import os
 import time
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
@@ -61,6 +50,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 
 import numpy as np
 
+from repro.core import npkernel
 from repro.core.npkernel import KernelContext
 from repro.core.segments import Segment, SegmentGraph
 from repro.faults.inject import get_injector
@@ -68,9 +58,6 @@ from repro.obs.metrics import get_registry
 from repro.util.intervals import IntervalSet
 
 _FAULTS = get_injector()
-
-#: the analysis passes a run can select (``TaskgrindOptions.analysis``)
-MODES = ("indexed", "parallel")
 
 #: one block of conflict rows: ``(i, j, lo, hi)`` columns of equal length
 Rows = Tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]
@@ -191,65 +178,6 @@ def _conflict_ranges(s1: Segment, s2: Segment) -> IntervalSet:
     return out
 
 
-def check_mode(mode: str) -> None:
-    """Raise ``ValueError`` unless ``mode`` names an analysis pass."""
-    if mode not in MODES:
-        raise ValueError(f"unknown analysis mode {mode!r} "
-                         f"(expected {'|'.join(MODES)})")
-
-
-def _record_pass(reg, mode: str, checked: int, ordered: int,
-                 conflicts: int) -> None:
-    """Publish one analysis pass's pair-work counters."""
-    reg.counter("analysis.pairs_checked").inc(checked)
-    reg.counter("analysis.pairs_ordered").inc(ordered)
-    reg.counter("analysis.conflicts").inc(conflicts)
-    reg.gauge("analysis.last_mode").set(mode)
-
-
-def _front_half(reg, graph: SegmentGraph
-                ) -> Tuple[KernelContext, np.ndarray, np.ndarray]:
-    """What the indexed and supervised passes do before the pair check.
-
-    Phases: the HB index and its batched backing under
-    ``analysis.prepare``; the interval pools and the candidate sweep under
-    ``analysis.candidates``.  Returns ``(ctx, ii, jj)``.
-    """
-    with reg.phase("analysis.prepare"):
-        graph.prepare_queries()
-    segs = [s for s in graph.segments if s.has_accesses]
-    with reg.phase("analysis.candidates"):
-        ctx = KernelContext(graph, segs)
-        ii, jj = ctx.candidate_pairs()
-    reg.counter("analysis.candidate_pairs").inc(len(ii))
-    with reg.phase("analysis.prepare"):
-        ctx.prepare_hb()
-    return ctx, ii, jj
-
-
-def _indexed_table(graph: SegmentGraph) -> ConflictTable:
-    """Address-indexed Algorithm 1."""
-    reg = get_registry()
-    with reg.phase("analysis"):
-        ctx, ii, jj = _front_half(reg, graph)
-        with reg.phase("analysis.pairs"):
-            rows, ordered = ctx.check_pairs(ii, jj)
-        table = ConflictTable.build(ctx.segs, [rows])
-        _record_pass(reg, "indexed", len(ii), ordered, table.pair_count())
-    return table
-
-
-def find_races_indexed(graph: SegmentGraph) -> List[RaceCandidate]:
-    """Address-indexed Algorithm 1: the raw candidates, sorted by key."""
-    return _indexed_table(graph).candidates()
-
-
-#: fixed chunk size for the parallel pass — independent of the worker count
-#: so the work partition (and therefore any fp-free result assembly) is
-#: deterministic on every machine
-_PARALLEL_CHUNK = 64
-
-
 @dataclass
 class QuarantinedChunk:
     """One chunk the supervisor gave up on after exhausting retries."""
@@ -266,7 +194,7 @@ class QuarantinedChunk:
 
 @dataclass
 class PartialAnalysis:
-    """The supervised pass's result: conflicts + explicit coverage.
+    """:func:`find_races`'s result: conflicts + explicit coverage.
 
     ``table`` always holds the rows of every chunk that *did* complete, in
     key order; ``unchecked_pairs`` says exactly how much of the candidate
@@ -320,126 +248,168 @@ class PartialAnalysis:
                 f"candidate pairs unchecked")
 
 
-def find_races_supervised(graph: SegmentGraph, *,
-                          workers: Optional[int] = None,
-                          deadline_s: Optional[float] = None,
-                          max_retries: int = 2,
-                          backoff_s: float = 0.01) -> PartialAnalysis:
-    """The parallel pass under supervision.
+def _attempt(check: Callable[[int], Tuple[Rows, int]],
+             pending: Sequence[int], workers: int,
+             deadline_s: Optional[float]
+             ) -> Tuple[Dict[int, object], List[int]]:
+    """One attempt at every pending chunk.
 
-    Every chunk is attempted up to ``1 + max_retries`` times with
-    exponential backoff between attempts; a chunk whose worker raises (or
-    misses the per-chunk ``deadline_s``) on every attempt is quarantined
-    and its candidate pairs booked as unchecked — the chunks that *did*
-    complete are never discarded.  Faults are observed exactly where the
-    fault injector plants them (:meth:`FaultInjector.on_analysis_chunk`).
+    Returns ``(outcome, late)``: ``outcome[index]`` is the chunk's
+    ``(rows, ordered)``, or the error text of an attempt that raised or
+    missed its deadline; ``late`` lists the chunks that missed it.  The
+    deadline runs from when a worker starts the chunk.  A worker past it
+    is abandoned but stays stuck in its pool, so the chunks that never
+    started move to a fresh pool instead of queueing behind it; a chunk
+    that never started is neither late nor a failed attempt.
     """
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
+    started: Dict[int, float] = {}
+
+    def run(index: int) -> Tuple[Rows, int]:
+        started[index] = time.monotonic()
+        return check(index)
+
+    pools: List[concurrent.futures.ThreadPoolExecutor] = []
+    live: Dict[concurrent.futures.Future, int] = {}
+
+    def launch(indices: Sequence[int]) -> None:
+        pool = concurrent.futures.ThreadPoolExecutor(
+            max_workers=min(workers, len(indices)))
+        pools.append(pool)
+        live.update((pool.submit(run, index), index) for index in indices)
+
+    outcome: Dict[int, object] = {}
+    late: List[int] = []
+    launch(pending)
+    try:
+        while live:
+            timeout = None
+            if deadline_s is not None:
+                begun = [started[i] for i in live.values() if i in started]
+                timeout = (max(0.0, min(begun) + deadline_s - time.monotonic())
+                           if begun else deadline_s)
+            done, _ = concurrent.futures.wait(
+                live, timeout=timeout,
+                return_when=concurrent.futures.FIRST_COMPLETED)
+            for fut in done:
+                index = live.pop(fut)
+                try:
+                    outcome[index] = fut.result()
+                except Exception as exc:
+                    outcome[index] = repr(exc)
+            if deadline_s is None:
+                continue
+            now = time.monotonic()
+            over = [fut for fut, i in live.items()
+                    if i in started and now - started[i] >= deadline_s]
+            for fut in over:
+                index = live.pop(fut)
+                outcome[index] = f"deadline exceeded ({deadline_s}s)"
+                late.append(index)
+            if over:
+                queued = [fut for fut in live if fut.cancel()]
+                if queued:
+                    launch([live.pop(fut) for fut in queued])
+    finally:
+        # don't block on a worker stuck past its deadline; let stragglers
+        # finish alone
+        for pool in pools:
+            pool.shutdown(wait=deadline_s is None, cancel_futures=True)
+    return outcome, late
+
+
+def find_races(graph: SegmentGraph, *, workers: int = 1,
+               deadline_s: Optional[float] = None, max_retries: int = 2,
+               backoff_s: float = 0.01) -> PartialAnalysis:
+    """Algorithm 1 under supervision: the raw conflicts and their coverage.
+
+    The candidate pairs are checked in chunks of the kernel's batch
+    (:data:`repro.core.npkernel._PAIR_BATCH` pairs) by ``workers``
+    threads; one worker is the sequential pass.  Every chunk is attempted
+    up to ``1 + max_retries`` times with exponential backoff between
+    attempts; a chunk whose worker raises (or runs past ``deadline_s``) on
+    every attempt is quarantined and its candidate pairs booked as
+    unchecked — the chunks that *did* complete are never discarded.
+    Faults are observed exactly where the fault injector plants them
+    (:meth:`FaultInjector.on_analysis_chunk`).
+    """
     reg = get_registry()
     result = PartialAnalysis()
     with reg.phase("analysis"):
         # everything workers read is built here, single-threaded: the HB
         # index, the segments' flat interval sets and the kernel context
-        ctx, ii, jj = _front_half(reg, graph)
+        with reg.phase("analysis.prepare"):
+            graph.prepare_queries()
+        segs = [s for s in graph.segments if s.has_accesses]
+        with reg.phase("analysis.candidates"):
+            ctx = KernelContext(graph, segs)
+            ii, jj = ctx.candidate_pairs()
+        reg.counter("analysis.candidate_pairs").inc(len(ii))
+        with reg.phase("analysis.prepare"):
+            ctx.prepare_hb()
+        batch = npkernel._PAIR_BATCH
+        chunks = [(ii[k:k + batch], jj[k:k + batch])
+                  for k in range(0, len(ii), batch)]
         result.pairs_total = len(ii)
+        result.chunks_total = len(chunks)
+        # a pool wider than the chunk list would idle the extra workers;
+        # clamp explicitly and record both counts so perf runs can see the
+        # effective parallelism, not the requested one
+        workers_eff = min(workers, len(chunks))
+        reg.gauge("analysis.workers_requested").set(workers)
+        reg.gauge("analysis.workers_effective").set(workers_eff)
 
-        def check(index: int, chunk: Tuple[np.ndarray, np.ndarray]
-                  ) -> Tuple[Rows, int]:
+        def check(index: int) -> Tuple[Rows, int]:
             _FAULTS.on_analysis_chunk(index)   # may raise / hang on demand
             # per-worker-thread phase: wall seconds sum across workers
             with reg.phase("analysis.pairs"):
-                return ctx.check_pairs(*chunk)
+                return ctx.check_pairs(*chunks[index])
 
-        if not len(ii):
-            reg.gauge("analysis.workers_requested").set(workers)
-            reg.gauge("analysis.workers_effective").set(0)
-            _record_pass(reg, "parallel", 0, 0, 0)
-            return result
-        chunks = [(ii[k:k + _PARALLEL_CHUNK], jj[k:k + _PARALLEL_CHUNK])
-                  for k in range(0, len(ii), _PARALLEL_CHUNK)]
-        result.chunks_total = len(chunks)
-        # a pool wider than the chunk list would silently idle the extra
-        # workers; clamp explicitly and record both counts so perf runs can
-        # see the effective parallelism, not the requested one
-        workers_eff = max(1, min(workers, len(chunks)))
-        reg.gauge("analysis.workers_requested").set(workers)
-        reg.gauge("analysis.workers_effective").set(workers_eff)
-        reg.histogram("analysis.chunk_pairs").observe(len(chunks))
         blocks: List[Rows] = []
         ordered = 0
         pending = list(range(len(chunks)))
-        last_error: Dict[int, str] = {}
+        errors: Dict[int, str] = {}
         attempt = 0
         with reg.phase("analysis.supervise"):
-            pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=workers_eff)
-            try:
-                while pending:
-                    if attempt > 0:
-                        reg.counter("resilience.chunks_retried").inc(
-                            len(pending))
-                        result.retries += len(pending)
-                        time.sleep(backoff_s * (2 ** (attempt - 1)))
-                    futures = {idx: pool.submit(check, idx, chunks[idx])
-                               for idx in pending}
-                    failed: List[int] = []
-                    for idx, fut in futures.items():
-                        try:
-                            rows, n_ordered = fut.result(timeout=deadline_s)
-                        except concurrent.futures.TimeoutError:
-                            result.deadline_hits += 1
-                            reg.counter(
-                                "resilience.analysis_deadline_hits").inc()
-                            last_error[idx] = (
-                                f"deadline exceeded ({deadline_s}s)")
-                            failed.append(idx)
-                            continue
-                        except Exception as exc:
-                            last_error[idx] = repr(exc)
-                            failed.append(idx)
-                            continue
-                        blocks.append(rows)
-                        ordered += n_ordered
-                        result.chunks_ok += 1
-                        result.pairs_checked += len(chunks[idx][0])
-                    pending = failed
-                    attempt += 1
-                    if pending and attempt > max_retries:
-                        for idx in pending:
-                            result.quarantined.append(QuarantinedChunk(
-                                index=idx, pairs=len(chunks[idx][0]),
-                                attempts=attempt,
-                                error=last_error.get(idx, "unknown")))
-                        reg.counter("resilience.chunks_quarantined").inc(
-                            len(pending))
-                        reg.counter("resilience.pairs_unchecked").inc(
-                            sum(len(chunks[idx][0]) for idx in pending))
-                        pending = []
-            finally:
-                # don't block on a worker stuck past its deadline; cancel
-                # anything not yet started and let stragglers finish alone
-                pool.shutdown(wait=deadline_s is None, cancel_futures=True)
+            while pending:
+                if attempt > 0:
+                    reg.counter("resilience.chunks_retried").inc(len(pending))
+                    result.retries += len(pending)
+                    time.sleep(backoff_s * (2 ** (attempt - 1)))
+                outcome, late = _attempt(check, pending, workers_eff,
+                                         deadline_s)
+                if late:
+                    result.deadline_hits += len(late)
+                    reg.counter("resilience.analysis_deadline_hits").inc(
+                        len(late))
+                failed: List[int] = []
+                for index in pending:
+                    got = outcome[index]
+                    if isinstance(got, str):
+                        errors[index] = got
+                        failed.append(index)
+                        continue
+                    rows, n_ordered = got
+                    blocks.append(rows)
+                    ordered += n_ordered
+                    result.chunks_ok += 1
+                    result.pairs_checked += len(chunks[index][0])
+                pending = failed
+                attempt += 1
+                if pending and attempt > max_retries:
+                    for index in pending:
+                        result.quarantined.append(QuarantinedChunk(
+                            index=index, pairs=len(chunks[index][0]),
+                            attempts=attempt, error=errors[index]))
+                    reg.counter("resilience.chunks_quarantined").inc(
+                        len(pending))
+                    reg.counter("resilience.pairs_unchecked").inc(
+                        sum(len(chunks[index][0]) for index in pending))
+                    pending = []
         result.table = ConflictTable.build(ctx.segs, blocks)
-        _record_pass(reg, "parallel", result.pairs_checked, ordered,
-                     result.table.pair_count())
+        reg.counter("analysis.pairs_checked").inc(result.pairs_checked)
+        reg.counter("analysis.pairs_ordered").inc(ordered)
+        reg.counter("analysis.conflicts").inc(result.table.pair_count())
     return result
-
-
-def find_races_parallel(graph: SegmentGraph, *,
-                        workers: Optional[int] = None) -> List[RaceCandidate]:
-    """Parallelized candidate verification (paper Section VII future work).
-
-    Candidate generation stays sequential (it is a single cheap sweep); the
-    happens-before check + interval intersection of each candidate pair —
-    the dominant cost — is farmed out over a thread pool.  Produces the same
-    sorted candidate list as :func:`find_races_indexed` for any worker count.
-
-    Runs under the supervisor, so a worker exception costs (at most) the
-    failing chunk, never the completed ones; callers that need the explicit
-    coverage accounting should call :func:`find_races_supervised` directly.
-    """
-    return find_races_supervised(graph, workers=workers).candidates
 
 
 @dataclass
@@ -449,15 +419,14 @@ class Detection:
     surviving: List[RaceCandidate]
     #: segment pairs with conflicting bytes before any filter
     raw_candidates: int
-    #: the supervised pass's coverage (``mode="parallel"`` only)
-    partial: Optional[PartialAnalysis] = None
+    #: the pass's coverage: chunks checked, retried and quarantined
+    partial: PartialAnalysis
     #: pairs the replay pair filter dropped before suppression
     pair_dropped: int = 0
 
 
 def analyze_and_suppress(graph: SegmentGraph, engine, *,
-                         mode: str = "indexed",
-                         workers: int = 4,
+                         workers: int = 1,
                          deadline_s: Optional[float] = None,
                          max_retries: int = 2,
                          pair_filter=None) -> Detection:
@@ -465,22 +434,15 @@ def analyze_and_suppress(graph: SegmentGraph, engine, *,
 
     The one pipeline behind :meth:`repro.core.tool.TaskgrindTool.finalize`
     and :func:`repro.core.trace.analyze_loaded` (offline and served).
-    ``mode`` picks the pass: ``indexed`` or ``parallel`` (supervised; only
-    it uses ``workers``, ``deadline_s`` and ``max_retries``); any other
-    value raises ``ValueError``.  ``pair_filter`` (a
+    ``workers``, ``deadline_s`` and ``max_retries`` go to
+    :func:`find_races`.  ``pair_filter`` (a
     :class:`repro.replay.filter.ReplayFilter`) keeps only the rows of the
     segment pairs it admits.  ``engine`` is the run's
     :class:`repro.core.suppress.SuppressionEngine`.
     """
-    check_mode(mode)
-    partial = None
-    if mode == "parallel":
-        partial = find_races_supervised(graph, workers=workers,
-                                        deadline_s=deadline_s,
-                                        max_retries=max_retries)
-        table = partial.table
-    else:
-        table = _indexed_table(graph)
+    partial = find_races(graph, workers=workers, deadline_s=deadline_s,
+                         max_retries=max_retries)
+    table = partial.table
     raw = table.pair_count()
     dropped = 0
     if pair_filter is not None and pair_filter.pairs:

@@ -27,7 +27,7 @@ per candidate pair:
   ``(i, j, lo, hi)``, one per conflict piece, ready for
   :class:`repro.core.analysis.ConflictTable`.
 
-This is the only pair check every analysis pass runs.  The per-pair
+This is the only pair check the analysis runs.  The per-pair
 Python loop it replaced lives on as a test oracle
 (``tests/core/analysis_oracle.py``); the parity tests and the fuzz corpus
 hold the kernel to byte-identical conflict sets against it.
@@ -203,7 +203,9 @@ class KernelContext:
 
     The tier reached is ``hb_tier`` (``label|matrix|per_pair``, also the
     ``analysis.hb_tier`` gauge); a matrix skipped for size books
-    ``analysis.hb.matrix_skipped``.
+    ``analysis.hb.matrix_skipped``.  Addresses at or above ``2**48`` leave
+    the batched intersection; :meth:`check_pairs` then intersects pair by
+    pair and books those pairs as ``analysis.intersect.unbatched_pairs``.
     """
 
     def __init__(self, graph, segs: Sequence) -> None:
@@ -359,6 +361,8 @@ class KernelContext:
         i_u, j_u = ii[unordered], jj[unordered]
         if not self._batched:
             from repro.core.analysis import _conflict_ranges
+            get_registry().counter("analysis.intersect.unbatched_pairs").inc(
+                i_u.shape[0])
             cols: Tuple[List[int], ...] = ([], [], [], [])
             segs = self.segs
             for i, j in zip(i_u.tolist(), j_u.tolist()):

@@ -25,7 +25,6 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.core.analysis import MODES
 from repro.core.reports import format_report, report_to_dict
 from repro.core.trace import analyze_trace_with_stats
 from repro.errors import TraceError
@@ -34,8 +33,8 @@ from repro.errors import TraceError
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", help="trace JSON from save_trace()")
-    parser.add_argument("--mode", default="indexed", choices=MODES)
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="pair-check worker threads (default: 1)")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
     parser.add_argument("--suggest", action="store_true",
@@ -71,12 +70,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.obs.prof import get_profiler
         prof = get_profiler()
         prof.enable()
-        prof.meta.update({"trace": args.trace, "mode": args.mode,
-                          "axis": "counts-only"})
+        prof.meta.update({"trace": args.trace, "axis": "counts-only"})
         reg_baseline = get_registry().mark()
     try:
         reports, stats = analyze_trace_with_stats(
-            args.trace, mode=args.mode, workers=args.workers,
+            args.trace, workers=args.workers,
             explain=args.explain, strict=args.strict_trace)
     except TraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -112,8 +110,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"({coverage['chunks']['corrupt']} bad chunk(s), last good "
                   f"vtime {coverage['last_good_vtime']:.0f}); results below "
                   f"cover the recovered prefix only\n")
-        resilience = stats.get("analysis", {}).get("resilience")
-        if resilience is not None and not resilience["complete"]:
+        resilience = stats["analysis"]["resilience"]
+        if not resilience["complete"]:
             pairs = resilience["pairs"]
             print(f"WARNING: analysis incomplete — "
                   f"{resilience['chunks']['quarantined']} chunk(s) "

@@ -93,7 +93,7 @@ class RaceReport:
 
         Everything :func:`dedupe_reports` needs to produce the same output
         list — same representatives, same order — regardless of the order
-        analysis emitted the reports in (parallel mode shuffles it).
+        analysis emitted the reports in.
         """
         span = self.ranges.span
         return (self.key(),

@@ -33,8 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core.analysis import (PartialAnalysis, analyze_and_suppress,
-                                 check_mode)
+from repro.core.analysis import PartialAnalysis, analyze_and_suppress
 from repro.core.ompt_shim import TaskgrindOmptShim
 from repro.core.reports import (RaceReport, build_report, build_witness,
                                 dedupe_reports)
@@ -60,9 +59,8 @@ class TaskgrindOptions:
 
     suppression: SuppressionConfig = field(default_factory=SuppressionConfig)
     segment_model: SegmentModelConfig = field(default_factory=SegmentModelConfig)
-    #: 'indexed' (default) or 'parallel' (supervised; see analysis.MODES)
-    analysis: str = "indexed"
-    analysis_workers: int = 4
+    #: pair-check worker threads of the analysis (1 = sequential)
+    analysis_workers: int = 1
     #: collapse reports with identical segment-label pairs
     dedupe: bool = False
     #: model the multi-thread cross-thread-confirmation lock-up (Table II)
@@ -81,8 +79,8 @@ class TaskgrindOptions:
     #: every report carries a degraded-precision warning
     memory_budget: Optional[int] = None
     memory_budget_granule: int = 64
-    #: supervised parallel analysis: per-chunk wall deadline (None = none)
-    #: and retry budget before a failing chunk is quarantined
+    #: supervised analysis: per-chunk wall deadline (None = none) and
+    #: retry budget before a failing chunk is quarantined
     analysis_deadline_s: Optional[float] = None
     analysis_max_retries: int = 2
     #: two-phase detection (repro.replay): ``"full"`` records accesses and
@@ -133,7 +131,7 @@ class TaskgrindTool(Tool):
         self.legacy_accesses = 0        # via on_access (AccessEvent path)
         self.file_suppressed = 0
         self._symbol_filtered: dict = {}       # symbol name -> filtered?
-        #: supervised-analysis coverage of the last finalize (parallel mode)
+        #: supervised-analysis coverage of the last finalize
         self.partial_analysis: Optional[PartialAnalysis] = None
         #: vtime-ordered access count at which the memory budget tripped
         self.budget_tripped_at: Optional[int] = None
@@ -149,7 +147,6 @@ class TaskgrindTool(Tool):
         if self.options.record_mode not in ("full", "sync"):
             raise ValueError(
                 f"unknown record_mode {self.options.record_mode!r}")
-        check_mode(self.options.analysis)
         if self.sync_only:
             self.on_access = self._on_access_sync
             self.on_access_raw = self._on_access_raw_sync
@@ -382,8 +379,7 @@ class TaskgrindTool(Tool):
             graph = self.builder.graph
             opts = self.options
             found = analyze_and_suppress(
-                graph, self.suppressor, mode=opts.analysis,
-                workers=opts.analysis_workers,
+                graph, self.suppressor, workers=opts.analysis_workers,
                 deadline_s=opts.analysis_deadline_s,
                 max_retries=opts.analysis_max_retries,
                 pair_filter=self.replay_filter)
@@ -470,7 +466,6 @@ class TaskgrindTool(Tool):
         if graph is not None:
             doc["graph"] = graph.stats()
         doc["analysis"] = {
-            "mode": self.options.analysis,
             "raw_candidates": self.raw_candidates,
             "reports": len(self.reports),
         }

@@ -5,7 +5,7 @@ an embarrassingly parallel algorithm, but it is currently run sequentially
 within the Valgrind framework after the instrumented program execution."*
 The natural fix is to externalize it: dump the segment graph (with the
 per-segment interval trees and the suppression metadata) at program exit and
-run Algorithm 1 offline — sequentially, thread-parallel, or on another
+run Algorithm 1 offline — with one worker or several, or on another
 machine entirely.
 
 This module implements that pipeline:
@@ -18,7 +18,7 @@ This module implements that pipeline:
 * :func:`load_trace_salvaged` — the crash-tolerant reader: recovers the
   longest valid prefix of a truncated or corrupted trace and reports what
   was lost in a :class:`TraceCoverage` block instead of raising;
-* :func:`analyze_trace` — run any analysis mode + suppressions offline.
+* :func:`analyze_trace` — run Algorithm 1 + suppressions offline.
 
 Trace format (version 2)
 ------------------------
@@ -32,7 +32,7 @@ report the last good vtime of a torn stream.  Any other format — such
 as a version-1 single-document trace — is rejected with a
 :class:`~repro.errors.TraceVersionError` naming the version found.
 
-CLI: ``python -m repro.core.offline <trace.json> [--mode parallel]``.
+CLI: ``python -m repro.core.offline <trace.json> [--workers N]``.
 """
 
 from __future__ import annotations
@@ -723,14 +723,14 @@ class LoadedAnalysis:
 
     reports: List[RaceReport]
     raw_candidates: int
-    partial: Optional[PartialAnalysis]
+    partial: PartialAnalysis
     engine: SuppressionEngine
 
 
 def analyze_loaded(graph: SegmentGraph, view: OfflineMachineView,
                    supp_flags: dict, *,
                    coverage: Optional[TraceCoverage] = None,
-                   mode: str = "indexed", workers: int = 4,
+                   workers: int = 1,
                    explain: bool = False,
                    deadline_s: Optional[float] = None,
                    max_retries: int = 2) -> LoadedAnalysis:
@@ -740,8 +740,9 @@ def analyze_loaded(graph: SegmentGraph, view: OfflineMachineView,
     :func:`analyze_trace_with_stats` and the ingestion server's job
     executor (which assembles graphs from uploaded chunks and caches them
     by content hash) both funnel through here, so their reports are
-    byte-identical for the same trace content.  ``deadline_s`` /
-    ``max_retries`` only apply to ``mode="parallel"`` (supervised).
+    byte-identical for the same trace content.  ``workers``,
+    ``deadline_s`` and ``max_retries`` go to
+    :func:`~repro.core.analysis.find_races`.
     """
     from repro.core.reports import build_witness
     from repro.obs.tracer import get_tracer
@@ -750,7 +751,7 @@ def analyze_loaded(graph: SegmentGraph, view: OfflineMachineView,
         suppress_tls=supp_flags.get("suppress_tls", True),
         suppress_stack=supp_flags.get("suppress_stack", True))
     engine = SuppressionEngine(view, config)
-    found = analyze_and_suppress(graph, engine, mode=mode,
+    found = analyze_and_suppress(graph, engine,
                                  workers=workers, deadline_s=deadline_s,
                                  max_retries=max_retries)
     partial, surviving = found.partial, found.surviving
@@ -759,7 +760,7 @@ def analyze_loaded(graph: SegmentGraph, view: OfflineMachineView,
         notes = []
         if coverage is not None and not coverage.complete:
             notes.append("incomplete evidence: " + coverage.summary())
-        if partial is not None and not partial.complete:
+        if not partial.complete:
             notes.append("incomplete analysis: " + partial.summary())
         for note in notes:
             for r in reports:
@@ -781,20 +782,18 @@ def analyze_loaded(graph: SegmentGraph, view: OfflineMachineView,
                           partial=partial, engine=engine)
 
 
-def analyze_trace(path: str, *, mode: str = "indexed",
-                  workers: int = 4,
+def analyze_trace(path: str, *, workers: int = 1,
                   explain: bool = False,
                   strict: bool = False) -> List[RaceReport]:
     """The full offline pipeline: load, Algorithm 1, suppress, report."""
-    reports, _stats = analyze_trace_with_stats(path, mode=mode,
-                                               workers=workers,
+    reports, _stats = analyze_trace_with_stats(path, workers=workers,
                                                explain=explain,
                                                strict=strict)
     return reports
 
 
-def analyze_trace_with_stats(path: str, *, mode: str = "indexed",
-                             workers: int = 4, explain: bool = False,
+def analyze_trace_with_stats(path: str, *, workers: int = 1,
+                             explain: bool = False,
                              strict: bool = False
                              ) -> Tuple[List[RaceReport], dict]:
     """The offline pipeline with a per-phase stats document.
@@ -830,15 +829,15 @@ def analyze_trace_with_stats(path: str, *, mode: str = "indexed",
                     reg.counter("resilience.trace_chunks_lost").inc(
                         coverage.chunks_corrupt)
         la = analyze_loaded(graph, view, supp_flags, coverage=coverage,
-                            mode=mode, workers=workers, explain=explain)
+                            workers=workers, explain=explain)
     reports = la.reports
     stats = {
         "schema": "taskgrind-offline-stats/1",
         "trace": path,
         "analysis": {
-            "mode": mode,
             "raw_candidates": la.raw_candidates,
             "reports": len(reports),
+            "resilience": la.partial.to_dict(),
         },
         "suppress": la.engine.stats_doc(),
         "graph": graph.stats(),
@@ -847,7 +846,5 @@ def analyze_trace_with_stats(path: str, *, mode: str = "indexed",
     }
     if coverage is not None:
         stats["coverage"] = coverage.to_dict()
-    if la.partial is not None:
-        stats["analysis"]["resilience"] = la.partial.to_dict()
     reg.publish("offline", stats)
     return reports, stats

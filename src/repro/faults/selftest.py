@@ -41,10 +41,10 @@ def _report_keys(reports) -> Set[Tuple[str, str]]:
 
 
 def _options() -> TaskgrindOptions:
-    # parallel analysis so worker faults have a supervisor to hit; a short
-    # per-chunk deadline so a planted hang quarantines instead of stalling
-    return TaskgrindOptions(analysis="parallel", analysis_workers=2,
-                            analysis_deadline_s=0.1, analysis_max_retries=1)
+    # a short per-chunk deadline so a planted hang quarantines instead of
+    # stalling
+    return TaskgrindOptions(analysis_workers=2, analysis_deadline_s=0.1,
+                            analysis_max_retries=1)
 
 
 def run_plan(plan: FaultPlan, *, program_name: str = DEFAULT_PROGRAM,
@@ -92,9 +92,7 @@ def run_plan(plan: FaultPlan, *, program_name: str = DEFAULT_PROGRAM,
             for name, count in plan.fired_summary().items():
                 fired[name] = fired.get(name, 0) + count
         if os.path.exists(trace_path):
-            reports, stats = analyze_trace_with_stats(trace_path,
-                                                      mode="parallel",
-                                                      workers=2)
+            reports, stats = analyze_trace_with_stats(trace_path, workers=2)
             offline_keys = _report_keys(reports)
             verdict["offline_reports"] = len(reports)
             verdict["coverage_complete"] = stats["coverage"]["complete"]

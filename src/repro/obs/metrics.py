@@ -2,7 +2,7 @@
 
 The pipeline is instrumented at every major stage (VEX translation, the
 access-recording hub, segment-graph construction, the happens-before query
-mix, suppression, each analysis mode) through one
+mix, suppression, the analysis pass) through one
 :class:`MetricsRegistry`.  The registry is deliberately minimal:
 
 * **Counters** — monotonically increasing event counts.  Hot paths keep

@@ -94,7 +94,6 @@ def record_bench(program, *, nthreads: int = 4, seed: int = 0,
         "kind": "bench", "name": program.name, "nthreads": nthreads,
         "seed": seed, "record_mode": options.record_mode,
         "options": {
-            "analysis": options.analysis,
             "dedupe": options.dedupe,
             "model_multithread_lockup": options.model_multithread_lockup,
         }})

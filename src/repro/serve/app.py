@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.analysis import MODES
 from repro.core.reports import report_to_dict
 from repro.core.trace import analyze_loaded
 from repro.errors import (InjectedFault, JobStateError, ResourceNotFound,
@@ -84,8 +83,6 @@ def _is_int(v) -> bool:
 
 #: the analyze request body's fields: ``name -> (valid?, what it must be)``
 _ANALYZE_FIELDS = {
-    "mode": (lambda v: isinstance(v, str) and v in MODES,
-             "one of " + "|".join(MODES)),
     "workers": (lambda v: _is_int(v) and v >= 1, "an int >= 1"),
     "deadline_s": (lambda v: v is None or (
         (_is_int(v) or isinstance(v, float)) and math.isfinite(v) and v > 0),
@@ -129,7 +126,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0                      # 0: kernel-assigned (tests/bench)
     shards: int = 4
-    analysis_mode: str = "parallel"    # supervised: deadline/retry/quarantine
     analysis_workers: int = 2
     deadline_s: Optional[float] = None
     max_retries: int = 2
@@ -316,7 +312,6 @@ class TraceService:
         opts = _parse_analyze_options(trace_id, req.body)
         cfg = self.config
         params = {
-            "mode": opts.get("mode", cfg.analysis_mode),
             "workers": opts.get("workers", cfg.analysis_workers),
             "deadline_s": opts.get("deadline_s", cfg.deadline_s),
             "max_retries": opts.get("max_retries", cfg.max_retries),
@@ -338,7 +333,7 @@ class TraceService:
         reg = get_registry()
         p = job.params
         key = BuildCache.result_key(
-            job.content_hash, mode=p["mode"], workers=p["workers"],
+            job.content_hash, workers=p["workers"],
             deadline_s=p["deadline_s"], max_retries=p["max_retries"],
             explain=p["explain"])
         cached = self.cache.get_result(key)
@@ -354,7 +349,7 @@ class TraceService:
             la = analyze_loaded(salvaged.graph, salvaged.view,
                                 salvaged.suppression,
                                 coverage=salvaged.coverage,
-                                mode=p["mode"], workers=p["workers"],
+                                workers=p["workers"],
                                 explain=p["explain"],
                                 deadline_s=p["deadline_s"],
                                 max_retries=p["max_retries"])
@@ -363,9 +358,9 @@ class TraceService:
                 "schema": REPORT_SCHEMA,
                 "content_hash": job.content_hash,
                 "analysis": {
-                    "mode": p["mode"],
                     "raw_candidates": la.raw_candidates,
                     "reports": len(la.reports),
+                    "resilience": la.partial.to_dict(),
                 },
                 "errors": [report_to_dict(r) for r in la.reports],
                 "error_count": len(la.reports),
@@ -374,10 +369,8 @@ class TraceService:
                 "graph": salvaged.graph.stats(),
                 "record_run": salvaged.stats,
             }
-            if la.partial is not None:
-                doc["analysis"]["resilience"] = la.partial.to_dict()
         degraded = (not salvaged.coverage.complete
-                    or (la.partial is not None and not la.partial.complete))
+                    or not la.partial.complete)
         if not degraded:
             # degraded results are never cached: the damage may be a
             # transient fault, and the same content hash must be able to

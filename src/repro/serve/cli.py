@@ -26,7 +26,6 @@ import signal
 import sys
 from typing import List, Optional
 
-from repro.core.analysis import MODES
 from repro.errors import StateDirError
 from repro.serve.app import ServeConfig
 from repro.serve.wal import FSYNC_POLICIES
@@ -37,7 +36,6 @@ from repro.serve.wal import FSYNC_POLICIES
 
 def _build_config(args: argparse.Namespace) -> ServeConfig:
     return ServeConfig(host=args.host, port=args.port, shards=args.shards,
-                       analysis_mode=args.mode,
                        analysis_workers=args.workers,
                        deadline_s=args.deadline_s,
                        max_retries=args.max_retries,
@@ -53,9 +51,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="listen port; 0 for kernel-assigned (default: 8787)")
     ap.add_argument("--shards", type=int, default=4,
                     help="worker shards draining analysis jobs (default: 4)")
-    ap.add_argument("--mode", default="parallel", choices=MODES,
-                    help="default analysis mode for jobs (default: "
-                         "parallel — supervised with quarantine)")
     ap.add_argument("--workers", type=int, default=2,
                     help="supervised analysis workers per job (default: 2)")
     ap.add_argument("--deadline-s", type=float, default=None,
@@ -102,7 +97,7 @@ def _serve_forever(config: ServeConfig) -> int:
         await server.start()
         print(f"taskgrind-serve listening on http://{config.host}:"
               f"{server.port} ({config.shards} shards, "
-              f"mode={config.analysis_mode}"
+              f"workers={config.analysis_workers}"
               + (f", state-dir={config.state_dir}"
                  if config.state_dir else "") + ")", flush=True)
         loop = asyncio.get_event_loop()

@@ -13,9 +13,12 @@ the same answers:
 * :func:`check_pairs_python` — one ``graph.ordered`` query and three
   interval merges per pair (:func:`loop_check_pairs` is the drop-in for
   ``KernelContext.check_pairs``);
+* :func:`all_pairs` — every segment pair with a write, the faithful
+  Algorithm 1's :math:`O(n^2)` candidate set (a drop-in for
+  ``KernelContext.candidate_pairs``, so the production pass runs as the
+  all-pairs oracle);
 * :func:`naive_table` / :func:`find_races_naive` — the faithful Algorithm
-  1 over all :math:`O(n^2)` segment pairs (a drop-in for
-  ``repro.core.analysis._indexed_table``);
+  1 as a standalone pass, for direct comparisons;
 * :func:`assert_hb_matches_dp` — every happens-before tier against the
   bitmask reachability DP;
 * :func:`assert_trees_match_log` — the recorder's trees against per-access
@@ -95,6 +98,16 @@ def loop_check_pairs(ctx: KernelContext, ii: np.ndarray,
     rows, _checked, ordered = check_pairs_python(
         ctx.graph, ctx.segs, zip(ii.tolist(), jj.tolist()))
     return rows, ordered
+
+
+def all_pairs(ctx: KernelContext) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair ``i < j`` of ``ctx.segs`` where either segment writes,
+    sorted by ``(i, j)``: ``KernelContext.candidate_pairs``'s signature,
+    to monkeypatch over the candidate sweep."""
+    writes = np.array([bool(s.writes) for s in ctx.segs], dtype=bool)
+    ii, jj = np.triu_indices(len(ctx.segs), 1)
+    keep = writes[ii] | writes[jj]
+    return ii[keep].astype(np.int64), jj[keep].astype(np.int64)
 
 
 def naive_table(graph: SegmentGraph) -> ConflictTable:

@@ -1,13 +1,14 @@
-"""Tests for the determinacy-race passes (Algorithm 1 + variants).
+"""Tests for the determinacy-race pass (Algorithm 1).
 
-Includes property tests asserting the indexed and parallel passes produce
-the candidate set of the faithful all-pairs pass (the test oracle in
-``tests/core/analysis_oracle.py``) on random graphs.
+Includes property tests asserting the address-indexed pass, with one
+worker and with several, produces the candidate set of the faithful
+all-pairs pass (the test oracle in ``tests/core/analysis_oracle.py``) on
+random graphs.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.analysis import find_races_indexed, find_races_parallel
+from repro.core.analysis import find_races
 from repro.core.segments import SegmentGraph
 from tests.core.analysis_oracle import find_races_naive
 
@@ -26,6 +27,10 @@ def make_graph(segments, edges, accesses):
 
 def keys(cands):
     return sorted((c.key(), tuple(c.ranges.pairs())) for c in cands)
+
+
+def races(g, workers=1):
+    return find_races(g, workers=workers).candidates
 
 
 class TestAlgorithmOne:
@@ -80,13 +85,13 @@ class TestIndexedEquivalence:
     def test_simple_case(self):
         g, _ = make_graph(3, [(0, 1)],
                           [(0, 0, 8, True), (1, 0, 8, True), (2, 4, 12, True)])
-        assert keys(find_races_naive(g)) == keys(find_races_indexed(g))
+        assert keys(find_races_naive(g)) == keys(races(g))
 
     def test_parallel_matches(self):
         g, _ = make_graph(6, [(0, 1), (2, 3)],
                           [(i, (i % 3) * 8, (i % 3) * 8 + 12, i % 2 == 0)
                            for i in range(6)])
-        assert keys(find_races_naive(g)) == keys(find_races_parallel(g))
+        assert keys(find_races_naive(g)) == keys(races(g, workers=2))
 
     @given(
         st.integers(2, 10),
@@ -101,8 +106,8 @@ class TestIndexedEquivalence:
         accs = [(idx % n, lo, lo + sz, w) for idx, lo, sz, w in raw_accs]
         g, _ = make_graph(n, edges, accs)
         expected = keys(find_races_naive(g))
-        assert keys(find_races_indexed(g)) == expected
-        assert keys(find_races_parallel(g, workers=3)) == expected
+        assert keys(races(g)) == expected
+        assert keys(races(g, workers=3)) == expected
 
 
 class TestParallelWorkerClamp:
@@ -118,7 +123,7 @@ class TestParallelWorkerClamp:
         # 3 conflicting pairs -> 1 chunk of pairs; 16 requested workers
         g, _ = make_graph(3, [], [(0, 0, 8, True), (1, 0, 8, True),
                                   (2, 0, 8, True)])
-        cands = find_races_parallel(g, workers=16)
+        cands = races(g, workers=16)
         assert len(cands) == 3
         requested, effective = self._gauges()
         assert requested == 16
@@ -126,7 +131,7 @@ class TestParallelWorkerClamp:
 
     def test_effective_zero_when_no_pairs(self):
         g, _ = make_graph(2, [], [(0, 0, 8, True), (1, 100, 108, True)])
-        assert find_races_parallel(g, workers=8) == []
+        assert races(g, workers=8) == []
         requested, effective = self._gauges()
         assert requested == 8
         assert effective == 0
@@ -135,9 +140,9 @@ class TestParallelWorkerClamp:
         g, _ = make_graph(5, [(0, 1)],
                           [(i, (i % 2) * 8, (i % 2) * 8 + 8, True)
                            for i in range(5)])
-        expected = keys(find_races_parallel(g, workers=1))
+        expected = keys(races(g, workers=1))
         for w in (2, 3, 64):
-            assert keys(find_races_parallel(g, workers=w)) == expected
+            assert keys(races(g, workers=w)) == expected
 
 
 class TestScaling:
@@ -147,7 +152,7 @@ class TestScaling:
         for i in range(200):
             s = g.new_segment(thread_id=0, task=None, kind="task")
             s.record(i * 100, 8, True, None)
-        assert find_races_indexed(g) == []
+        assert races(g) == []
 
     def test_indexed_finds_the_needle(self):
         g = SegmentGraph()
@@ -156,6 +161,6 @@ class TestScaling:
             s.record(i * 100, 8, True, None)
         needle = g.new_segment(thread_id=1, task=None, kind="task")
         needle.record(4200, 8, True, None)       # collides with segment 42
-        cands = find_races_indexed(g)
+        cands = races(g)
         assert len(cands) == 1
         assert {cands[0].s1.id, cands[0].s2.id} == {42, needle.id}

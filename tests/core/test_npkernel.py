@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import npkernel
-from repro.core.analysis import find_races_indexed, find_races_supervised
+from repro.core.analysis import find_races
 from repro.core.npkernel import KernelContext, coalesce_arrays, intersect_arrays
 from repro.core.segments import SegmentGraph
 from repro.util.intervals import IntervalSet
@@ -112,19 +112,29 @@ class TestKernelParity:
         n, edges, accesses = spec
         g1 = make_graph(n, edges, accesses)
         g2 = make_graph(n, edges, accesses)
-        assert keys(find_races_naive(g1)) == keys(find_races_indexed(g2))
+        assert keys(find_races_naive(g1)) == keys(find_races(g2).candidates)
 
     def test_supervised_numpy_equals_python(self):
         accesses = [(i, (i * 7) % 40, (i * 7) % 40 + 12, i % 2 == 0)
                     for i in range(12)]
         g1 = make_graph(12, [(0, 1), (2, 3)], accesses)
         g2 = make_graph(12, [(0, 1), (2, 3)], accesses)
-        b = find_races_supervised(g2, workers=2)
+        b = find_races(g2, workers=2)
         assert keys(find_races_naive(g1)) == keys(b.candidates)
 
     def test_unbatched_fallback_matches(self):
         # huge addresses overflow the per-pair window: the context must fall
-        # back to the per-pair loop and still agree with the oracle
+        # back to the per-pair loop, still agree with the oracle, and count
+        # the pairs it intersected that way
+        from repro.obs.metrics import get_registry
+        reg = get_registry()
+
+        def unbatched(g):
+            mark = reg.mark()
+            found = keys(find_races(g).candidates)
+            counters = reg.delta_since(mark)["counters"]
+            return found, counters.get("analysis.intersect.unbatched_pairs", 0)
+
         big = 1 << 50
         accesses = [(0, big, big + 8, True), (1, big + 4, big + 12, True)]
         g1 = make_graph(2, [], accesses)
@@ -132,8 +142,12 @@ class TestKernelParity:
         segs = [s for s in g2.segments if s.has_accesses]
         ctx = KernelContext(g2, segs)
         assert not ctx._batched
-        assert keys(find_races_naive(g1)) == keys(find_races_indexed(g2))
-        assert keys(find_races_indexed(g2))
+        found, count = unbatched(g2)
+        assert found and found == keys(find_races_naive(g1))
+        assert count > 0
+        low = [(i, lo - big, hi - big, w) for i, lo, hi, w in accesses]
+        found, count = unbatched(make_graph(2, [], low))
+        assert found and count == 0
 
     def test_label_overflow_falls_back(self):
         """Labels wider than int64 no longer fall back: their dense ranks

@@ -1,8 +1,5 @@
 """Tests for report formatting (Listings 5/6) and TaskgrindTool plumbing."""
 
-import pytest
-
-from repro.core.analysis import MODES
 from repro.core.reports import dedupe_reports, format_report
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.errors import SimDeadlock
@@ -121,18 +118,13 @@ class TestToolPlumbing:
         assert tool.memory_bytes(0) > tool.VALGRIND_CORE_BYTES
 
     def test_analysis_modes_agree(self, run_taskgrind):
-        for mode in MODES:
-            opts = TaskgrindOptions(analysis=mode)
+        """One analysis worker and several find what the oracle finds."""
+        for workers in (1, 2, 4):
+            opts = TaskgrindOptions(analysis_workers=workers)
             tool, _ = run_taskgrind(lambda env: listing4(env), options=opts)
-            assert len(tool.reports) == 1, mode
+            assert len(tool.reports) == 1, workers
             assert tool.raw_candidates == \
-                len(find_races_naive(tool.builder.graph)), mode
-
-    def test_unknown_analysis_mode_rejected(self):
-        with pytest.raises(ValueError, match="paralel"):
-            TaskgrindTool(TaskgrindOptions(analysis="paralel"))
-        with pytest.raises(ValueError, match="naive"):
-            TaskgrindTool(TaskgrindOptions(analysis="naive"))
+                len(find_races_naive(tool.builder.graph)), workers
 
     def test_serialized_clock(self, run_taskgrind):
         tool, machine = run_taskgrind(lambda env: listing4(env))

@@ -1,11 +1,14 @@
-"""Supervised parallel analysis + the memory-budget degradation path."""
+"""Supervised analysis + the memory-budget degradation path."""
+
+import time
 
 import pytest
 
-import repro.core.analysis as analysis_mod
-from repro.core.analysis import find_races_parallel, find_races_supervised
+import repro.core.npkernel as npkernel_mod
+from repro.core.analysis import analyze_and_suppress, find_races
 from repro.core.reports import format_report
 from repro.core.segments import SegmentBuilder
+from repro.core.suppress import SuppressionEngine
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.faults.inject import inject_plan
 from repro.faults.plan import FaultPlan
@@ -37,21 +40,25 @@ def _cand_keys(candidates):
 
 
 @pytest.fixture
-def graph(run_taskgrind):
-    tool, _ = run_taskgrind(racy_listing)
-    return tool.builder.graph
+def ran(run_taskgrind):
+    return run_taskgrind(racy_listing)
+
+
+@pytest.fixture
+def graph(ran):
+    return ran[0].builder.graph
 
 
 @pytest.fixture
 def tiny_chunks(monkeypatch):
     """One candidate pair per chunk, so a single poisoned chunk cannot
     shadow the whole pair space."""
-    monkeypatch.setattr(analysis_mod, "_PARALLEL_CHUNK", 1)
+    monkeypatch.setattr(npkernel_mod, "_PAIR_BATCH", 1)
 
 
 class TestSupervisor:
     def test_fault_free_run_is_complete(self, graph):
-        partial = find_races_supervised(graph, workers=2)
+        partial = find_races(graph, workers=2)
         assert partial.complete
         assert partial.unchecked_pairs == 0
         assert partial.quarantined == []
@@ -64,7 +71,7 @@ class TestSupervisor:
         that chunk, not the whole analysis."""
         full = _cand_keys(find_races_naive(graph))
         with inject_plan(FaultPlan.single("worker-exc", 0)):
-            partial = find_races_supervised(graph, workers=2, max_retries=1)
+            partial = find_races(graph, workers=2, max_retries=1)
         assert not partial.complete
         assert [q.index for q in partial.quarantined] == [0]
         assert partial.unchecked_pairs == 1
@@ -76,30 +83,53 @@ class TestSupervisor:
     def test_retry_recovers_a_transient_fault(self, graph, tiny_chunks):
         full = _cand_keys(find_races_naive(graph))
         with inject_plan(FaultPlan.single("worker-exc", 0, times=1)):
-            partial = find_races_supervised(graph, workers=2, max_retries=2)
+            partial = find_races(graph, workers=2, max_retries=2)
         assert partial.complete
         assert partial.retries >= 1
         assert _cand_keys(partial.candidates) == full
 
     def test_hang_hits_deadline_and_quarantines(self, graph, tiny_chunks):
         with inject_plan(FaultPlan.single("worker-hang", 0, seconds=0.5)):
-            partial = find_races_supervised(graph, workers=2,
-                                            deadline_s=0.05, max_retries=0)
+            partial = find_races(graph, workers=2, deadline_s=0.05,
+                                 max_retries=0)
         assert partial.deadline_hits >= 1
         assert not partial.complete
         assert any("deadline" in q.error for q in partial.quarantined)
 
-    def test_parallel_entry_point_delegates(self, graph, tiny_chunks):
-        """find_races_parallel rides the supervisor: a transient worker
-        death no longer discards every completed chunk."""
+    def test_queued_chunk_is_not_charged_a_deadline(self, graph,
+                                                    tiny_chunks):
+        """A chunk waiting behind a hung one never started: its deadline
+        has not begun, so only the hung chunk is quarantined, and the hung
+        worker cannot hold the rest back until its hang ends."""
+        later = set(sorted(_cand_keys(find_races_naive(graph)))[1:])
+        for workers, hang in ((1, 0.3), (2, 0.3), (1, 1.0)):
+            t0 = time.monotonic()
+            with inject_plan(FaultPlan.single("worker-hang", 0,
+                                              seconds=hang)):
+                partial = find_races(graph, workers=workers,
+                                     deadline_s=0.1, max_retries=0)
+            elapsed = time.monotonic() - t0
+            assert [q.index for q in partial.quarantined] == [0], workers
+            assert partial.deadline_hits == 1, workers
+            assert partial.pairs_checked == partial.pairs_total - 1
+            assert _cand_keys(partial.candidates) == later, workers
+        assert elapsed < hang          # a hang ten times the deadline
+
+    def test_parallel_entry_point_delegates(self, ran, tiny_chunks):
+        """The pipeline entry point rides the supervisor: a transient
+        worker death no longer discards every completed chunk."""
+        tool, machine = ran
+        graph = tool.builder.graph
         full = _cand_keys(find_races_naive(graph))
         with inject_plan(FaultPlan.single("worker-exc", 0, times=1)):
-            candidates = find_races_parallel(graph, workers=2)
-        assert _cand_keys(candidates) == full
+            found = analyze_and_suppress(graph, SuppressionEngine(machine),
+                                         workers=2)
+        assert found.partial.complete and found.partial.retries == 1
+        assert found.raw_candidates == len(full)
 
     def test_partial_analysis_document(self, graph, tiny_chunks):
         with inject_plan(FaultPlan.single("worker-exc", 0)):
-            partial = find_races_supervised(graph, workers=2, max_retries=0)
+            partial = find_races(graph, workers=2, max_retries=0)
         doc = partial.to_dict()
         assert doc["schema"] == "taskgrind-partial-analysis/1"
         assert doc["complete"] is False
@@ -125,8 +155,7 @@ class TestToolIntegration:
         return tool, tool.finalize()
 
     def test_incomplete_analysis_stamps_reports(self, tiny_chunks):
-        opts = TaskgrindOptions(analysis="parallel", analysis_workers=2,
-                                analysis_max_retries=0)
+        opts = TaskgrindOptions(analysis_workers=2, analysis_max_retries=0)
         with inject_plan(FaultPlan.single("worker-exc", 0)):
             tool, reports = self._run(opts)
         assert tool.partial_analysis is not None

@@ -16,7 +16,7 @@ import pytest
 from repro.bench import drb, tmb
 from repro.bench.programs import BenchProgram
 from repro.bench.runner import run_benchmark
-from repro.core.analysis import _indexed_table
+from repro.core.analysis import find_races
 from repro.core.segments import SegmentGraph
 from repro.core.suppress import SuppressionConfig, SuppressionEngine
 from repro.core.trace import load_trace, save_trace
@@ -44,7 +44,7 @@ def _keys(candidates):
 def assert_parity(graph, machine, config=None):
     """Both filters over one table: same survivors, same stats."""
     config = config or SuppressionConfig()
-    table = _indexed_table(graph)
+    table = find_races(graph).table
     vec = SuppressionEngine(machine, config)
     got = vec.filter_all(table)
     oracle = SuppressionEngine(machine, config)
@@ -222,7 +222,7 @@ def test_edge_cases(suppress_stack, suppress_tls):
     assert stats.tls_suppressed == int(suppress_tls)
     assert stats.tls_gen_warnings == (2 if suppress_tls else 0)
     survivors = SuppressionEngine(machine, config).filter_all(
-        _indexed_table(graph))
+        find_races(graph).table)
     same_thread = next(c for c in survivors if c.key() == (0, 1))
     expected = [p for p in PIECES
                 if not (suppress_stack and p == BELOW_SP)
@@ -246,7 +246,7 @@ def test_other_threads_stack_survives():
 def test_empty_table():
     graph = SegmentGraph()
     engine = SuppressionEngine(SimpleNamespace(space=AddressSpace()))
-    assert engine.filter_all(_indexed_table(graph)) == []
+    assert engine.filter_all(find_races(graph).table) == []
     assert engine.stats_doc() == {"tls": 0, "stack": 0, "survived": 0,
                                   "fully_suppressed_pairs": 0,
                                   "tls_gen_warnings": 0}
@@ -281,7 +281,7 @@ def test_tracer_and_profiler_events_match(observed):
     graph, machine = _edge_case_graph()
     tool, run_machine = _run(tmb.by_name("1003-stack.3"), 1)
     for g, m in ((graph, machine), (tool.builder.graph, run_machine)):
-        table = _indexed_table(g)
+        table = find_races(g).table
         mark = tracer.mark()
         prof.reset()
         SuppressionEngine(m).filter_all(table)

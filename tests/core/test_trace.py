@@ -4,14 +4,13 @@ import json
 
 import pytest
 
-import repro.core.analysis as analysis_mod
-from repro.core.analysis import MODES
+from repro.core.npkernel import KernelContext
 from repro.core.offline import main as offline_main
 from repro.core.reports import format_report
 from repro.core.trace import (_payload_crc, analyze_trace, load_trace,
                               save_trace)
 from repro.errors import TraceVersionError
-from tests.core.analysis_oracle import naive_table
+from tests.core.analysis_oracle import all_pairs
 
 
 def racy_listing(env):
@@ -70,14 +69,15 @@ class TestRoundTrip:
         assert str(offline[0].alloc_site) == str(tool.reports[0].alloc_site)
 
     def test_all_modes_agree_offline(self, trace_path, monkeypatch):
-        """Both passes report what the all-pairs oracle pass reports."""
+        """One worker and two report what the all-pairs oracle reports."""
         path, _ = trace_path
 
-        def texts(mode):
-            return [format_report(r) for r in analyze_trace(path, mode=mode)]
-        got = {mode: texts(mode) for mode in MODES}
-        monkeypatch.setattr(analysis_mod, "_indexed_table", naive_table)
-        oracle = texts("indexed")
+        def texts(workers):
+            return [format_report(r)
+                    for r in analyze_trace(path, workers=workers)]
+        got = {workers: texts(workers) for workers in (1, 2)}
+        monkeypatch.setattr(KernelContext, "candidate_pairs", all_pairs)
+        oracle = texts(1)
         assert len(oracle) == 1
         assert all(t == oracle for t in got.values())
 
@@ -153,7 +153,7 @@ class TestCli:
 
     def test_json_output(self, trace_path, capsys):
         path, _ = trace_path
-        offline_main([path, "--json", "--mode", "parallel"])
+        offline_main([path, "--json", "--workers", "2"])
         doc = json.loads(capsys.readouterr().out)
         assert doc["error_count"] == 1
 

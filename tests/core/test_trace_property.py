@@ -4,7 +4,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.analysis import find_races_indexed
+from repro.core.analysis import find_races
 from repro.core.segments import SegmentGraph
 from repro.core.trace import assemble_chunks, dump_graph
 
@@ -26,7 +26,7 @@ def build(n, raw_edges, raw_accs):
 
 def result_keys(graph):
     return sorted((c.key(), tuple(c.ranges.pairs()))
-                  for c in find_races_indexed(graph))
+                  for c in find_races(graph).candidates)
 
 
 @given(

@@ -5,8 +5,8 @@ report-for-report indistinguishable from the per-pair Python loop of the
 test oracle (``tests/core/analysis_oracle.py``) on exactly the inputs the
 fuzz harness pins down: every checked-in reproducer (including
 intentionally-broken-suppression configs), truncated/salvaged traces, and
-arbitrary candidate-pair orderings (the parallel pass chunks pairs in
-whatever order the scheduler lands on).
+arbitrary candidate-pair orderings (the chunks of a multi-worker pass
+complete in whatever order the scheduler lands on).
 """
 
 import glob
@@ -16,7 +16,6 @@ import random
 
 import pytest
 
-import repro.core.analysis as analysis_mod
 from repro.core.npkernel import KernelContext
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.core.trace import analyze_trace_with_stats, save_trace
@@ -25,7 +24,7 @@ from repro.fuzz.executors import fuzz_options, run_taskgrind
 from repro.fuzz.shrink import load_reproducer
 from repro.machine.machine import Machine
 from repro.openmp.api import make_env
-from tests.core.analysis_oracle import loop_check_pairs, naive_table
+from tests.core.analysis_oracle import all_pairs, loop_check_pairs
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 ENTRIES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -54,17 +53,19 @@ def test_corpus_outcomes_identical_across_kernels(path, monkeypatch):
 
 
 def test_reproducer_with_retired_kernel_option_replays(tmp_path):
-    """A corpus entry written while ``analysis_kernel`` was an option
-    still loads and runs: the retired key selects nothing."""
+    """A corpus entry written while ``analysis_kernel`` and ``analysis``
+    were options still loads and runs: the retired keys select nothing."""
+    retired = {"analysis_kernel": "python", "analysis": "indexed"}
     with open(ENTRIES[0]) as fh:
         doc = json.load(fh)
-    doc["options"]["analysis_kernel"] = "python"
+    doc["options"].update(retired)
     path = tmp_path / "old.json"
     path.write_text(json.dumps(doc))
     program, _expect, options, _note = load_reproducer(str(path))
     old = run_taskgrind(program, schedule_seed=0,
                         options=fuzz_options(**options))
-    del options["analysis_kernel"]
+    for key in retired:
+        del options[key]
     new = run_taskgrind(program, schedule_seed=0,
                         options=fuzz_options(**options))
     assert old.ok and outcome_key(old) == outcome_key(new)
@@ -128,14 +129,14 @@ def report_keys(reports):
 class TestSalvagedTraceParity:
     def test_intact_trace(self, trace_path, monkeypatch):
         b, _ = analyze_trace_with_stats(trace_path)
-        monkeypatch.setattr(analysis_mod, "_indexed_table", naive_table)
+        monkeypatch.setattr(KernelContext, "candidate_pairs", all_pairs)
         a, _ = analyze_trace_with_stats(trace_path)
         assert report_keys(a) == report_keys(b)
         assert report_keys(a)          # the fixture really races
 
     def test_truncated_trace(self, trace_path, tmp_path, monkeypatch):
         """Every salvage prefix yields the same reports from the indexed
-        pass and the all-pairs oracle pass."""
+        candidates and the all-pairs oracle candidates."""
         data = open(trace_path, "rb").read()
         cut_points = range(0, len(data), max(1, len(data) // 12))
         got = {}
@@ -143,17 +144,15 @@ class TestSalvagedTraceParity:
             trunc = tmp_path / f"cut{cut}.json"
             trunc.write_bytes(data[:cut])
             got[cut] = report_keys(analyze_trace_with_stats(str(trunc))[0])
-        monkeypatch.setattr(analysis_mod, "_indexed_table", naive_table)
+        monkeypatch.setattr(KernelContext, "candidate_pairs", all_pairs)
         for cut in cut_points:
             a, _ = analyze_trace_with_stats(str(tmp_path / f"cut{cut}.json"))
             assert report_keys(a) == got[cut], f"cut={cut}"
 
     def test_supervised_partial_parity(self, trace_path, monkeypatch):
-        b, sb = analyze_trace_with_stats(trace_path, mode="parallel",
-                                         workers=2)
+        b, sb = analyze_trace_with_stats(trace_path, workers=2)
         monkeypatch.setattr(KernelContext, "check_pairs", loop_check_pairs)
-        a, sa = analyze_trace_with_stats(trace_path, mode="parallel",
-                                         workers=2)
+        a, sa = analyze_trace_with_stats(trace_path, workers=2)
         assert report_keys(a) == report_keys(b)
         assert sa["coverage"]["complete"] and sb["coverage"]["complete"]
 
@@ -161,7 +160,7 @@ class TestSalvagedTraceParity:
 class TestShuffleStability:
     def test_check_pairs_is_order_independent(self, trace_path):
         """The batched kernel's output must not depend on the order pairs
-        arrive in — the parallel pass chunks them arbitrarily."""
+        arrive in — a multi-worker pass completes chunks in any order."""
         from repro.core.trace import load_trace
 
         graph, _view, _supp = load_trace(trace_path)

@@ -214,8 +214,9 @@ class TestStatsDocuments:
             assert key in graph, f"missing graph.{key}"
         for key in ("fast_path", "hb_mode"):
             assert key not in rec and key not in graph, key
-        assert doc["analysis"]["mode"] == "indexed"
-        assert "kernel" not in doc["analysis"]
+        for key in ("mode", "kernel"):
+            assert key not in doc["analysis"], key
+        assert doc["resilience"]["analysis"]["complete"] is True
         assert doc["analysis"]["reports"] == result.report_count
 
     def test_suppression_classes_all_present(self):

@@ -78,11 +78,12 @@ class TestReplayParity:
 
     def test_retired_kernel_option_still_replays(self, racy_recording,
                                                  racy_single_pass):
-        """A schedule recorded while ``analysis_kernel`` was an option
-        still replays; the key selects nothing."""
+        """A schedule recorded while ``analysis_kernel`` and ``analysis``
+        were options still replays; the keys select nothing."""
         _, doc = racy_recording
         data = copy.deepcopy(doc.to_dict())
-        data["program"]["options"]["analysis_kernel"] = "python"
+        data["program"]["options"].update(analysis_kernel="python",
+                                          analysis="parallel")
         result, _ = replay_bench(ScheduleDoc.from_dict(data))
         assert _canon_reports(result.reports, None) \
             == _canon_reports(racy_single_pass.reports, None)

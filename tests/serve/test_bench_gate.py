@@ -58,7 +58,7 @@ class TestRaceKey:
 def _report(resilience=None):
     doc = {"schema": "taskgrind-serve-report/1", "errors": [],
            "error_count": 0, "coverage": {"complete": False},
-           "analysis": {"mode": "parallel", "reports": 0}}
+           "analysis": {"reports": 0}}
     if resilience is not None:
         doc["analysis"]["resilience"] = resilience
     return doc

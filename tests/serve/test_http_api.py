@@ -144,8 +144,8 @@ BAD_ANALYZE_BODIES = [
     ({"deadline_s": 0}, "deadline_s"),
     ({"deadline_s": "1"}, "deadline_s"),
     ({"explain": "yes"}, "explain"),
-    ({"mode": "naive"}, "mode"),
-    ({"mode": ["indexed"]}, "mode"),
+    ({"mode": "indexed"}, "mode"),
+    ({"mode": "parallel"}, "mode"),
     ({"kernel": "numpy"}, "kernel"),
     ([1, 2], "JSON object"),
     ("indexed", "JSON object"),
@@ -176,9 +176,8 @@ class TestAnalyzeOptionValidation:
             assert self._analyze(client, trace_id, body)[0] == 400
         assert server.service.breaker.state_of("analyze") == "closed"
         status, doc = self._analyze(client, trace_id,
-                                    {"mode": "indexed", "workers": 2,
-                                     "deadline_s": None, "max_retries": 0,
-                                     "explain": True})
+                                    {"workers": 2, "deadline_s": None,
+                                     "max_retries": 0, "explain": True})
         assert status == 202, doc
         assert client.wait(doc["job_id"], timeout=60.0)["state"] == "done"
 
@@ -213,7 +212,7 @@ class TestCacheKeying:
             t1, _ = client.upload_trace(trace_lines)
             j1 = client.analyze(t1)
             client.wait(j1, timeout=60.0)
-            j2 = client.analyze(t1, mode="indexed")
+            j2 = client.analyze(t1, workers=1)
             doc2 = client.wait(j2, timeout=60.0)
             assert doc2["cache_hit"] is False
             assert server.service.cache.graph_builds == 1
