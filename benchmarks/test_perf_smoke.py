@@ -4,10 +4,10 @@ Assert-only (no wall-clock gates — timings live in ``python -m
 repro.bench.perf`` / ``BENCH_perf.json``): for every DRB and TMB program,
 checked against the test oracles in ``tests/core/analysis_oracle.py``,
 
-* the write-combining recorder leaves the same interval trees as
-  per-access inserts (``Segment.record_immediate``) of the run's access
-  log, and every happens-before tier agrees with the reachability DP on
-  every segment pair of the recorded graph;
+* the write-combining recorder leaves the same access sets as per-access
+  interval-tree inserts (``TreeSegment``) of the run's access log, and
+  every happens-before tier agrees with the reachability DP on every
+  segment pair of the recorded graph;
 * on the recorded graph, ``find_races`` (one worker and several) produces
   the all-pairs pass's candidates pair-for-pair, byte-for-byte;
 * the fork-join majority of the suite stays on the exact O(1) index.
@@ -23,7 +23,7 @@ from repro.bench import drb, tmb
 from repro.bench.runner import run_benchmark
 from repro.core.analysis import find_races
 from tests.core.analysis_oracle import (assert_hb_matches_dp,
-                                        assert_trees_match_log,
+                                        assert_sets_match_log,
                                         find_races_naive)
 
 SEED = 2                      # the Table I harness seed
@@ -53,7 +53,7 @@ def test_fastpath_parity(program, nthreads):
     if res.tool_obj is None or res.tool_obj.builder is None:
         return                      # ncs/segv before the tool ran
     builder = res.tool_obj.builder
-    assert_trees_match_log(builder.graph, builder.access_log)
+    assert_sets_match_log(builder.graph, builder.access_log)
     assert_hb_matches_dp(builder.graph)
 
 

@@ -6,16 +6,17 @@ measured **legacy vs fast**:
 
 * **record** — the access stream captured from a real instrumented run is
   replayed into fresh segments twice: through the legacy per-access
-  ``IntervalTree.insert`` path and through the write-combining recorder +
-  bulk build.  Bulk ``read_range``/``write_range`` intervals are expanded
-  into 8-byte element accesses first (capped, reported) so the replay has
-  DBI-per-instruction granularity like the real tool.
+  ``IntervalTree.insert`` path and through the write-combining recorder,
+  which drains into flat interval sets.  Bulk ``read_range``/
+  ``write_range`` intervals are expanded into 8-byte element accesses
+  first (capped, reported) so the replay has DBI-per-instruction
+  granularity like the real tool.
 * **analyze** — the run's segment graph is analyzed twice: with the pre-PR
-  implementation (bitmask-DP happens-before + tree-walk intersections) and
-  with the fast path (O(1) order-maintenance index where exact + cached
-  flat interval sets with linear-merge intersections).
+  implementation (bitmask-DP happens-before + tree-walk intersections over
+  interval trees built from the segments' sets) and with the fast path
+  (the numpy kernel over the flat interval sets).
 
-Both phases assert bit-identical results (interval trees, candidate sets)
+Both phases assert bit-identical results (access sets, candidate sets)
 between the two implementations before reporting any numbers, and the tool
 emits ``BENCH_perf.json`` so future PRs have a trajectory.
 
@@ -50,13 +51,14 @@ import time
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.analysis import RaceCandidate, find_races
-from repro.core.segments import Segment, SegmentGraph
+from repro.core.segments import MAX_LOC_SAMPLES, Segment, SegmentGraph
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.machine.debuginfo import Symbol
 from repro.machine.machine import Machine
 from repro.obs.metrics import get_registry
 from repro.openmp.api import make_env
 from repro.util.intervals import IntervalSet
+from repro.util.itree import IntervalTree
 from repro.workloads.lulesh import LuleshConfig, run_lulesh
 from repro.workloads.synthetic import omp_fib, omp_heat
 
@@ -114,6 +116,26 @@ def expand_elements(stream: List[Tuple[int, int, int, bool]],
 # record phase: replay the same stream through both recorder paths
 # ---------------------------------------------------------------------------
 
+class _TreeSegment:
+    """Replica of the original recorder: one coalescing tree insert per
+    access into a read and a write :class:`IntervalTree`."""
+
+    __slots__ = ("reads", "writes", "loc_samples")
+
+    def __init__(self) -> None:
+        self.reads = IntervalTree()
+        self.writes = IntervalTree()
+        self.loc_samples: list = []
+
+    def record(self, addr: int, size: int, is_write: bool, loc) -> None:
+        (self.writes if is_write else self.reads).insert(addr, addr + size)
+        if len(self.loc_samples) < MAX_LOC_SAMPLES:
+            self.loc_samples.append((addr, addr + size, is_write, loc))
+
+    def flush_accesses(self) -> None:
+        pass
+
+
 def _replay(events: List[Tuple[int, int, int, bool]], *, immediate: bool
             ) -> Tuple[float, Dict[int, Segment]]:
     segs: Dict[int, Segment] = {}
@@ -121,11 +143,9 @@ def _replay(events: List[Tuple[int, int, int, bool]], *, immediate: bool
     for sid, addr, size, w in events:
         seg = segs.get(sid)
         if seg is None:
-            seg = segs[sid] = Segment(sid, 0, None, "task")
-        if immediate:
-            seg.record_immediate(addr, size, w, None)
-        else:
-            seg.record(addr, size, w, None)
+            seg = segs[sid] = (_TreeSegment() if immediate
+                               else Segment(sid, 0, None, "task"))
+        seg.record(addr, size, w, None)
     for seg in segs.values():
         seg.flush_accesses()
     return time.perf_counter() - t0, segs
@@ -135,15 +155,15 @@ def bench_record(events: List[Tuple[int, int, int, bool]], repeats: int
                  ) -> Dict[str, float]:
     legacy = min(_replay(events, immediate=True)[0] for _ in range(repeats))
     fast = min(_replay(events, immediate=False)[0] for _ in range(repeats))
-    # parity: both paths must produce byte-identical interval trees
+    # parity: both paths must record byte-identical access sets
     _, a = _replay(events, immediate=True)
     _, b = _replay(events, immediate=False)
     assert a.keys() == b.keys()
     for sid in a:
         assert a[sid].reads.pairs() == b[sid].reads.pairs(), \
-            f"segment {sid}: read trees differ"
+            f"segment {sid}: read sets differ"
         assert a[sid].writes.pairs() == b[sid].writes.pairs(), \
-            f"segment {sid}: write trees differ"
+            f"segment {sid}: write sets differ"
     return {"legacy_s": legacy, "fast_s": fast,
             "speedup": legacy / fast if fast else float("inf")}
 
@@ -203,7 +223,19 @@ def _canon(cands: List[RaceCandidate]) -> List[Tuple]:
     return sorted((c.key(), tuple(c.ranges.pairs())) for c in cands)
 
 
-def _legacy_candidate_pairs(segs: List[Segment]) -> Set[Tuple[int, int]]:
+def _legacy_trees(graph: SegmentGraph) -> Dict[int, _TreeSegment]:
+    """Per-segment read and write trees, as the original recorder held them."""
+    out: Dict[int, _TreeSegment] = {}
+    for seg in graph.segments:
+        t = out[seg.id] = _TreeSegment()
+        for tree, flat in ((t.reads, seg.reads), (t.writes, seg.writes)):
+            for lo, hi in flat.pairs():
+                tree.insert(lo, hi)
+    return out
+
+
+def _legacy_candidate_pairs(segs: List[_TreeSegment]
+                            ) -> Set[Tuple[int, int]]:
     """Replica of the pre-PR candidate sweep: every access interval sorted
     by address, an active list pruned by end address, a Python set of
     index pairs sharing a byte with at least one write."""
@@ -225,7 +257,8 @@ def _legacy_candidate_pairs(segs: List[Segment]) -> Set[Tuple[int, int]]:
     return pairs
 
 
-def _conflict_ranges_tree(s1: Segment, s2: Segment) -> IntervalSet:
+def _conflict_ranges_tree(s1: _TreeSegment, s2: _TreeSegment
+                          ) -> IntervalSet:
     """Replica of the pre-PR conflict computation: tree-walk
     intersections."""
     out = s1.writes.intersection_tree(s2.writes)
@@ -234,18 +267,23 @@ def _conflict_ranges_tree(s1: Segment, s2: Segment) -> IntervalSet:
     return out
 
 
-def _analyze_once(graph: SegmentGraph, *, legacy: bool) -> List[RaceCandidate]:
-    if legacy:
+def _analyze_once(graph: SegmentGraph, *,
+                  legacy: Optional[Dict[int, _TreeSegment]] = None
+                  ) -> List[RaceCandidate]:
+    """One analysis pass: the legacy replica over ``legacy``'s trees, or
+    the current :func:`find_races` when ``legacy`` is None."""
+    if legacy is not None:
         # replica of the original indexed pass: bitmask DP only,
         # tree-walk conflict intersections
         segs = [s for s in graph.segments if s.has_accesses]
+        trees = [legacy[s.id] for s in segs]
         reach = graph._reachability()
         out: List[RaceCandidate] = []
-        for i, j in sorted(_legacy_candidate_pairs(segs)):
+        for i, j in sorted(_legacy_candidate_pairs(trees)):
             s1, s2 = segs[i], segs[j]
             if reach[s1.id] >> s2.id & 1 or reach[s2.id] >> s1.id & 1:
                 continue
-            ranges = _conflict_ranges_tree(s1, s2)
+            ranges = _conflict_ranges_tree(trees[i], trees[j])
             if ranges:
                 out.append(RaceCandidate(s1, s2, ranges))
         return out
@@ -255,15 +293,12 @@ def _analyze_once(graph: SegmentGraph, *, legacy: bool) -> List[RaceCandidate]:
 
 
 def bench_analyze(graph: SegmentGraph, repeats: int) -> Dict[str, float]:
-    for seg in graph.segments:
-        seg.flush_accesses()
+    trees = _legacy_trees(graph)        # the original recorder's output
 
     def run(legacy: bool) -> Tuple[float, List[RaceCandidate]]:
         graph._reach = None                 # cold DP, like a fresh finalize
-        for seg in graph.segments:
-            seg._rset = seg._wset = None    # cold set caches too
         t0 = time.perf_counter()
-        cands = _analyze_once(graph, legacy=legacy)
+        cands = _analyze_once(graph, legacy=trees if legacy else None)
         return time.perf_counter() - t0, cands
 
     legacy = min(run(True)[0] for _ in range(repeats))

@@ -3,7 +3,8 @@
 * :mod:`repro.core.segments` — segment-graph construction from OMPT-style
   runtime events (Section II-A / III-A), including the Eq. (1) parallel-region
   happens-before rule via fork/join nodes, plus per-segment read/write
-  interval trees (Section III-B).
+  interval sets (the Section III-B interval trees as flat normalized
+  lists).
 * :mod:`repro.core.analysis` — the determinacy-race pass (Algorithm 1) in an
   address-indexed form, supervised, sequential with one worker and the
   parallel post-processing the paper lists as future work with more.

@@ -163,16 +163,15 @@ class ConflictTable:
 def _conflict_ranges(s1: Segment, s2: Segment) -> IntervalSet:
     """``(s1.w ∩ (s2.r ∪ s2.w)) ∪ (s2.w ∩ s1.r)`` as a normalized set.
 
-    Uses each segment's cached flat :class:`IntervalSet` view, so each of the
-    three intersections is one linear merge of sorted interval lists instead
-    of a tree-stabbing walk; the results are unioned in one pass.  The pair
+    Each of the three intersections is one linear merge of the segments'
+    sorted interval lists; the results are unioned in one pass.  The pair
     check calls it per pair when addresses reach ``2**48``, past what its
     batched window relocation can hold.
     """
-    w1, w2 = s1.writes_set(), s2.writes_set()
+    w1, w2 = s1.writes, s2.writes
     out = w1.intersection(w2)
-    for part in (w1.intersection(s2.reads_set()),
-                 w2.intersection(s1.reads_set())):
+    for part in (w1.intersection(s2.reads),
+                 w2.intersection(s1.reads)):
         for lo, hi in part.pairs():
             out.add(lo, hi)
     return out

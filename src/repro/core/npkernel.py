@@ -211,8 +211,8 @@ class KernelContext:
     def __init__(self, graph, segs: Sequence) -> None:
         self.graph = graph
         self.segs = segs
-        self.w_pool = _Pool([seg.writes_set() for seg in segs])
-        self.r_pool = _Pool([seg.reads_set() for seg in segs])
+        self.w_pool = _Pool([seg.writes for seg in segs])
+        self.r_pool = _Pool([seg.reads for seg in segs])
         # the window relocation trick needs every address under one window
         top = max((int(pool.his.max()) for pool in (self.w_pool, self.r_pool)
                    if pool.his.shape[0]), default=0)

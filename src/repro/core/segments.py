@@ -54,8 +54,7 @@ from repro.obs.tracer import get_tracer
 from repro.machine.tls import TlsSnapshot
 from repro.openmp.ompt import DepKind, Dependence, TaskFlags
 from repro.openmp.tasks import Task
-from repro.util.intervals import IntervalSet
-from repro.util.itree import IntervalTree, coalesce_sorted_pairs
+from repro.util.intervals import IntervalSet, coalesce_sorted_pairs
 
 MAX_LOC_SAMPLES = 64
 
@@ -85,10 +84,11 @@ _WC_SPILLS = _REG.counter("record.wc_spills")
 _WC_TINY_DRAINS = _REG.counter("record.wc_tiny_drains")
 _WC_FLUSHES = _REG.counter("record.wc_flushes")
 _WC_ACCESSES = _REG.counter("record.wc_accesses")
-_FLUSH_BULK_BUILD = _REG.counter("record.flush_bulk_build")
-_FLUSH_BULK_MERGE = _REG.counter("record.flush_bulk_merge")
-_FLUSH_INSERTS = _REG.counter("record.flush_inserts")
-_FLUSH_BATCH = _REG.histogram("record.flush_batch_ranges")
+
+#: the access set of every segment that recorded nothing in one direction
+#: (most of a deep task tree's segments).  Shared, so no segment's set is
+#: ever mutated in place: a drain always builds a new one.
+_NO_ACCESSES = IntervalSet()
 
 
 @dataclass
@@ -114,9 +114,8 @@ class _PendingAccesses:
     The fast path of :meth:`Segment.record`: a direct-mapped cache of
     recently-touched cells (hits extend the cell's hull in place — the common
     case for the dense strided sweeps of Fig. 3) backed by an append-only
-    spill of evicted cells.  Nothing is sorted or tree-shaped until
-    :meth:`drain`, which sorts + coalesces once and hands the result to
-    :meth:`repro.util.itree.IntervalTree.build_from_sorted`.
+    spill of evicted cells.  Nothing is sorted until the segment's set is
+    next read (:func:`_drain_into`), which sorts and coalesces once.
 
     The cell cache is *adaptive*: the first ``_WC_ACTIVATE`` accesses go to a
     plain append list (with a last-entry hull-extend for the sequential
@@ -163,7 +162,7 @@ class _PendingAccesses:
         cells[slot] = [lo, hi]
 
     def drain(self) -> List[Tuple[int, int]]:
-        """All buffered ranges, sorted and coalesced; resets the buffer."""
+        """All buffered ranges, unsorted; resets the buffer."""
         pairs = self.spill
         spilled = 0
         if self.cells is not None:
@@ -189,15 +188,32 @@ class _PendingAccesses:
         self.spill = []
         self.count = 0
         self.hits = 0
-        pairs.sort()
-        return coalesce_sorted_pairs(pairs)
+        return pairs
+
+
+def _drain_into(current: IntervalSet, pend: _PendingAccesses) -> IntervalSet:
+    """A new set holding ``current`` plus everything ``pend`` buffered.
+
+    One path for the first drain and any later one (a segment read while
+    still open): the buffered ranges and the set's intervals are sorted
+    together and coalesced in one pass.
+    """
+    pairs = pend.drain()
+    if current:
+        pairs += zip(current._los, current._his)
+    pairs.sort()
+    merged = coalesce_sorted_pairs(pairs)
+    out = IntervalSet()
+    out._los = [lo for lo, _ in merged]
+    out._his = [hi for _, hi in merged]
+    return out
 
 
 class Segment:
-    """One node of the segment graph, with its access interval trees."""
+    """One node of the segment graph, with its read and write sets."""
 
     __slots__ = ("id", "thread_id", "task", "kind", "virtual", "open",
-                 "_reads", "_writes", "_pend_r", "_pend_w", "_rset", "_wset",
+                 "_reads", "_writes", "_pend_r", "_pend_w",
                  "loc_samples", "sp_at_start",
                  "stack_bounds", "tls_snapshot", "label_loc", "seq_opened",
                  "seq_closed")
@@ -213,12 +229,10 @@ class Segment:
         self.kind = kind                 # 'serial','implicit','task','join'
         self.virtual = virtual
         self.open = not virtual
-        self._reads = IntervalTree()
-        self._writes = IntervalTree()
+        self._reads = _NO_ACCESSES
+        self._writes = _NO_ACCESSES
         self._pend_r: Optional[_PendingAccesses] = None
         self._pend_w: Optional[_PendingAccesses] = None
-        self._rset: Optional[Tuple[Tuple[int, int], IntervalSet]] = None
-        self._wset: Optional[Tuple[Tuple[int, int], IntervalSet]] = None
         #: (lo, hi, is_write, loc) samples for report rendering
         self.loc_samples: List[Tuple[int, int, bool, Optional[SourceLocation]]] = []
         self.sp_at_start = sp_at_start
@@ -230,49 +244,32 @@ class Segment:
 
     # -- recording ---------------------------------------------------------
 
-    @staticmethod
-    def _flush_into(tree: IntervalTree,
-                    pend: _PendingAccesses) -> IntervalTree:
-        """Drain a pending buffer into a tree, picking the cheaper strategy:
-        bulk rebuild for large batches, plain inserts for a handful of pairs
-        (sparse segments would otherwise pay the rebuild machinery for 1-2
-        intervals)."""
-        pairs = pend.drain()
-        _FLUSH_BATCH.observe(len(pairs))
-        if not tree and len(pairs) > 8:
-            _FLUSH_BULK_BUILD.inc()
-            return IntervalTree.build_from_sorted(pairs)
-        if tree and len(pairs) * 4 >= len(tree):
-            _FLUSH_BULK_MERGE.inc()
-            return tree.bulk_merge(pairs)
-        _FLUSH_INSERTS.inc()
-        for lo, hi in pairs:
-            tree.insert(lo, hi)
-        return tree
-
     @property
-    def reads(self) -> IntervalTree:
-        """The read tree; flushes any write-combined pending accesses first."""
+    def reads(self) -> IntervalSet:
+        """The read set; drains any write-combined pending accesses first.
+
+        Treat it as read-only: sets are shared and replaced, never mutated.
+        """
         p = self._pend_r
         if p is not None and p.count:
-            self._reads = self._flush_into(self._reads, p)
+            self._reads = _drain_into(self._reads, p)
         return self._reads
 
     @property
-    def writes(self) -> IntervalTree:
-        """The write tree; flushes any write-combined pending accesses first."""
+    def writes(self) -> IntervalSet:
+        """The write set; drains any write-combined pending accesses first."""
         p = self._pend_w
         if p is not None and p.count:
-            self._writes = self._flush_into(self._writes, p)
+            self._writes = _drain_into(self._writes, p)
         return self._writes
 
     def record(self, addr: int, size: int, is_write: bool,
                loc: Optional[SourceLocation] = None) -> None:
-        """Fast path: write-combine into a pending buffer.
+        """Write-combine one access into a pending buffer.
 
-        The interval trees are only built when the segment's trees are next
-        observed (normally when the segment closes) — one sorted bulk build
-        instead of one AVL insert per access.
+        The segment's sets are only rebuilt when they are next read
+        (normally when the segment closes): one sort and coalesce per
+        drain instead of one insert per access.
         """
         if is_write:
             p = self._pend_w
@@ -286,48 +283,10 @@ class Segment:
         if len(self.loc_samples) < MAX_LOC_SAMPLES:
             self.loc_samples.append((addr, addr + size, is_write, loc))
 
-    def record_immediate(self, addr: int, size: int, is_write: bool,
-                         loc: Optional[SourceLocation] = None) -> None:
-        """Legacy path: one coalescing tree insert per access.
-
-        Kept as the oracle/baseline the fast path is benchmarked and
-        property-tested against.
-        """
-        tree = self.writes if is_write else self.reads
-        tree.insert(addr, addr + size)
-        if len(self.loc_samples) < MAX_LOC_SAMPLES:
-            self.loc_samples.append((addr, addr + size, is_write, loc))
-
     def flush_accesses(self) -> None:
-        """Force pending write-combined accesses into the interval trees."""
+        """Drain pending write-combined accesses into the segment's sets."""
         self.reads
         self.writes
-
-    def reads_set(self) -> IntervalSet:
-        """The read tree as a cached normalized :class:`IntervalSet`."""
-        tree = self.reads
-        key = (len(tree), tree.total_bytes)
-        cached = self._rset
-        if cached is None or cached[0] != key:
-            s = IntervalSet()
-            for lo, hi in tree.pairs():
-                s._los.append(lo)
-                s._his.append(hi)
-            cached = self._rset = (key, s)
-        return cached[1]
-
-    def writes_set(self) -> IntervalSet:
-        """The write tree as a cached normalized :class:`IntervalSet`."""
-        tree = self.writes
-        key = (len(tree), tree.total_bytes)
-        cached = self._wset
-        if cached is None or cached[0] != key:
-            s = IntervalSet()
-            for lo, hi in tree.pairs():
-                s._los.append(lo)
-                s._his.append(hi)
-            cached = self._wset = (key, s)
-        return cached[1]
 
     def sample_loc(self, lo: int, hi: int,
                    want_write: Optional[bool] = None) -> Optional[SourceLocation]:
@@ -587,7 +546,8 @@ class SegmentGraph:
 
     def memory_bytes(self, *, bytes_per_node: int = 64,
                      bytes_per_segment: int = 160) -> int:
-        """Simulated footprint of the graph + its interval trees."""
+        """Simulated footprint of the graph + its access sets (one tree node
+        per interval, as the paper's per-segment trees would hold)."""
         nodes = sum(len(s.reads) + len(s.writes) for s in self.segments)
         index_bytes = (self.hb_index.memory_bytes()
                        if self.hb_index is not None else 0)
@@ -661,8 +621,8 @@ class SegmentBuilder:
         self.graph.hb_index = self.hb
         #: when set to a list, every access is appended as
         #: ``(segment_id, addr, size, is_write)`` — the capture hook the
-        #: perf bench and the recorder tests replay through
-        #: :meth:`Segment.record_immediate`
+        #: perf bench and the recorder tests replay through per-access
+        #: interval-tree inserts
         self.access_log: Optional[List[Tuple[int, int, int, bool]]] = None
         #: 0 = exact byte recording; a power of two widens every access to
         #: its enclosing granule window (memory-budget degradation — see
@@ -728,7 +688,7 @@ class SegmentBuilder:
         if seg.open:
             seg.open = False
             seg.seq_closed = self._bump(thread_id)
-            seg.flush_accesses()       # bulk-build the interval trees now
+            seg.flush_accesses()       # drain into the access sets now
             if _TRACER.enabled:
                 _TRACER.segment_end(seg.id, args={
                     "reads": len(seg._reads), "writes": len(seg._writes)})
@@ -1068,7 +1028,7 @@ class SegmentBuilder:
         """Degrade recording to ``granule``-byte intervals (memory budget).
 
         Every subsequent access is widened to the enclosing granule-aligned
-        window, so adjacent accesses coalesce into far fewer tree nodes.
+        window, so adjacent accesses coalesce into far fewer intervals.
         This *over*-approximates the access sets — the analysis can then
         report byte overlaps that never happened — which is why the tool
         stamps a degraded-precision warning on every report of such a run.

@@ -9,7 +9,7 @@ Wiring (mirrors Fig. 2 of the paper):
   (:mod:`repro.core.ompt_shim`).
 * ``on_access`` observes **every** access (DBI), drops those filtered by the
   ignore/instrument lists (IV-A), and records the rest into the current
-  segment's interval trees (III-B).
+  segment's read/write interval sets (III-B).
 * ``finalize`` runs the determinacy-race pass (Algorithm 1), applies the TLS
   and stack suppressions (IV-C/IV-D), and assembles the Listing-6 reports.
 

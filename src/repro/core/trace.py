@@ -3,10 +3,10 @@
 The paper's Section VII: *"The determinacy race post-processing analysis is
 an embarrassingly parallel algorithm, but it is currently run sequentially
 within the Valgrind framework after the instrumented program execution."*
-The natural fix is to externalize it: dump the segment graph (with the
-per-segment interval trees and the suppression metadata) at program exit and
-run Algorithm 1 offline — with one worker or several, or on another
-machine entirely.
+The natural fix is to externalize it: dump the segment graph (with each
+segment's read and write interval lists and the suppression metadata) at
+program exit and run Algorithm 1 offline — with one worker or several, or
+on another machine entirely.
 
 This module implements that pipeline:
 
@@ -55,6 +55,7 @@ from repro.machine.debuginfo import SourceLocation
 from repro.machine.memory import RegionKind
 from repro.machine.tls import TlsSnapshot
 from repro.obs.metrics import get_registry
+from repro.util.intervals import IntervalSet
 
 TRACE_VERSION = 2
 TRACE_SCHEMA = "taskgrind-trace/2"
@@ -206,10 +207,10 @@ def checkpoint_trace(tool, machine, path: str) -> None:
     """Mid-run trace snapshot (periodic flush during recording).
 
     Safe to call while the instrumented program is still running: reading
-    the segment trees flushes any write-combined pending accesses, and
-    recording resumes into fresh buffers afterwards.  Each checkpoint is a
-    complete, atomic trace — a crash between checkpoints costs only the
-    accesses since the last one.
+    an open segment's sets drains its write-combined pending accesses into
+    new sets, and recording resumes into fresh buffers afterwards.  Each
+    checkpoint is a complete, atomic trace — a crash between checkpoints
+    costs only the accesses since the last one.
     """
     save_trace(tool, machine, path)
 
@@ -340,26 +341,58 @@ class OfflineMachineView:
 # deserialization
 # ---------------------------------------------------------------------------
 
+#: exclusive bound on a stored address: the analysis pools addresses as int64
+_ADDR_LIMIT = 1 << 63
+
+
+def _interval_set(pairs) -> IntervalSet:
+    """Adopt a stored interval list after one linear check that it is what
+    the writer emits: int pairs with ``0 <= lo < hi < 2**63``, ascending,
+    disjoint and non-adjacent.  Raises ``ValueError`` or ``TypeError``."""
+    los: List[int] = []
+    his: List[int] = []
+    prev_hi = -1
+    for lo, hi in pairs:
+        if type(lo) is not int or type(hi) is not int \
+                or not prev_hi < lo < hi < _ADDR_LIMIT:
+            raise ValueError(f"interval {[lo, hi]!r} is not canonical after "
+                             f"end {prev_hi}")
+        los.append(lo)
+        his.append(hi)
+        prev_hi = hi
+    out = IntervalSet()
+    out._los, out._his = los, his
+    return out
+
+
 def _load_segment(graph: SegmentGraph, sd: dict) -> None:
-    seg = graph.new_segment(
-        thread_id=sd["thread"], task=None, kind=sd["kind"],
-        virtual=sd["virtual"], sp_at_start=sd["sp_at_start"],
-        stack_bounds=tuple(sd["stack_bounds"]),
-        label_loc=_loc_from_list(sd["label_loc"]))
-    assert seg.id == sd["id"], "trace ids must be dense and ordered"
+    """Decode one stored segment and append it to ``graph``.
+
+    Every field is decoded and checked before the graph is touched, so a
+    malformed segment raises (``KeyError``, ``TypeError``, ``ValueError``,
+    ``IndexError``) and leaves the graph as it was.
+    """
+    if sd["id"] != len(graph.segments):
+        raise ValueError(f"segment id {sd['id']!r} where "
+                         f"{len(graph.segments)} was due: trace ids must "
+                         "be dense and ordered")
+    fields = dict(thread_id=sd["thread"], task=None, kind=sd["kind"],
+                  virtual=sd["virtual"], sp_at_start=sd["sp_at_start"],
+                  stack_bounds=tuple(sd["stack_bounds"]),
+                  label_loc=_loc_from_list(sd["label_loc"]))
+    reads = _interval_set(sd["reads"])
+    writes = _interval_set(sd["writes"])
+    loc_samples = [(lo, hi, w, _loc_from_list(loc))
+                   for lo, hi, w, loc in sd["loc_samples"]]
+    t = sd["tls"]
+    tls = None if t is None else TlsSnapshot(
+        thread_id=t["thread"], tcb=t["tcb"], generation=t["generation"],
+        dtv=tuple(tuple(entry) for entry in t["dtv"]))
+    seg = graph.new_segment(**fields)
     seg.open = False
-    for lo, hi in sd["reads"]:
-        seg.reads.insert(lo, hi)
-    for lo, hi in sd["writes"]:
-        seg.writes.insert(lo, hi)
-    seg.loc_samples = [(lo, hi, w, _loc_from_list(loc))
-                       for lo, hi, w, loc in sd["loc_samples"]]
-    if sd["tls"] is not None:
-        t = sd["tls"]
-        seg.tls_snapshot = TlsSnapshot(
-            thread_id=t["thread"], tcb=t["tcb"],
-            generation=t["generation"],
-            dtv=tuple(tuple(entry) for entry in t["dtv"]))
+    seg._reads, seg._writes = reads, writes
+    seg.loc_samples = loc_samples
+    seg.tls_snapshot = tls
 
 
 def load_environment(data: dict) -> OfflineMachineView:
@@ -549,7 +582,7 @@ def _assemble_v2(path: str, chunks: List[_RawChunk],
             for sd in c.payload["segments"]:
                 _load_segment(graph, sd)
                 next_id += 1
-        except (KeyError, TypeError, AssertionError) as exc:
+        except (LookupError, TypeError, ValueError) as exc:
             seg_stream_broken = True
             cov.complete = False
             cov.errors.append(

@@ -6,8 +6,9 @@ intervals
     Half-open integer interval algebra (:class:`~repro.util.intervals.Interval`,
     :class:`~repro.util.intervals.IntervalSet`).
 itree
-    Self-balancing (AVL) interval tree used to record per-segment memory
-    accesses, mirroring the paper's Section III-B data structure.
+    Self-balancing (AVL) interval tree, the paper's Section III-B
+    per-segment structure: kept as a micro-benchmark subject and a test
+    oracle (segments record into flat ``IntervalSet`` lists).
 rng
     Seeded, named random streams so every simulated schedule is reproducible.
 tables

@@ -9,10 +9,12 @@ two value types everything else builds on:
   intervals with union / intersection / difference, backed by ``bisect`` for
   :math:`O(\\log n)` point and range queries.
 
-The interval *tree* used by the access recorder lives in
-:mod:`repro.util.itree`; :class:`IntervalSet` is used where a flat normalized
-representation is more convenient (suppression masks, report formatting,
-tests and property-based oracles).
+:class:`IntervalSet` is also each segment's read and write set: the
+recorder drains its write-combining buffer into one through
+:func:`coalesce_sorted_pairs`, and the analysis kernel pools the sets'
+columns as they are.  The paper's interval tree
+(:mod:`repro.util.itree`) is kept as a micro-benchmark subject and a test
+oracle.
 """
 
 from __future__ import annotations
@@ -283,6 +285,33 @@ class IntervalSet:
             else:
                 b += 1
         return False
+
+
+def coalesce_sorted_pairs(pairs: Iterable[Tuple[int, int]]
+                          ) -> List[Tuple[int, int]]:
+    """Coalesce a lo-sorted sequence of ``(lo, hi)`` pairs in one pass.
+
+    Overlapping *and* adjacent pairs merge, so the result is in
+    :class:`IntervalSet`'s canonical form.  Empty pairs are dropped.  O(n);
+    the sort (if any) is the caller's.
+    """
+    out: List[Tuple[int, int]] = []
+    cur_lo: Optional[int] = None
+    cur_hi = 0
+    for lo, hi in pairs:
+        if lo >= hi:
+            continue
+        if cur_lo is None:
+            cur_lo, cur_hi = lo, hi
+        elif lo <= cur_hi:                      # overlap or adjacency
+            if hi > cur_hi:
+                cur_hi = hi
+        else:
+            out.append((cur_lo, cur_hi))
+            cur_lo, cur_hi = lo, hi
+    if cur_lo is not None:
+        out.append((cur_lo, cur_hi))
+    return out
 
 
 def coalesce(pairs: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:

@@ -1,9 +1,19 @@
 """Self-balancing (AVL) interval tree with dense-access coalescing.
 
-This is the reproduction of the per-segment access structure from the paper's
-Section III-B: *"Two interval trees are attached to each segment to record
-read and write access ... Such structure allows compactly accumulated dense
-memory accesses and a light O(log n) complexity on most tree operations"*.
+This is the per-segment access structure of the paper's Section III-B:
+*"Two interval trees are attached to each segment to record read and write
+access ... Such structure allows compactly accumulated dense memory accesses
+and a light O(log n) complexity on most tree operations"*.
+
+The recorder does not use it.  A segment keeps each access set as one
+normalized flat list (:class:`repro.util.intervals.IntervalSet`): the
+write-combining buffer drains sorted and coalesced, the numpy kernel pools
+the lists as they are, and a saved trace stores them in that form.  The
+coalescing and the interval count are the tree's, so the memory model is
+unchanged.  This module stays for two jobs: the Section III-B
+micro-benchmarks (``benchmarks/test_datastructures.py``) time it, and the
+recorder tests replay an access log through :meth:`IntervalTree.insert` as
+the per-access oracle for the flat sets.
 
 Design
 ------
@@ -14,19 +24,14 @@ Design
   is adjacent to existing nodes replaces them with their hull, so a segment
   that sweeps a dense array ends up with a single node regardless of access
   order — exactly the compaction Fig. 3 of the paper illustrates.
-* Intersection between two trees (the hot operation of Algorithm 1's
-  ``s1.w ∩ (s2.r ∪ s2.w)`` test) walks the smaller tree and stabs the larger,
-  giving :math:`O(m \\log n)` with early exit for the boolean variant.
-
-A plain normalized list (:class:`repro.util.intervals.IntervalSet`) would give
-the same asymptotics via ``bisect``; the tree is kept because it is the
-paper's stated structure and because property-based tests in
-``tests/util/test_itree.py`` use the flat set as an oracle against it.
+* Intersection between two trees (Algorithm 1's ``s1.w ∩ (s2.r ∪ s2.w)``
+  test) walks the smaller tree and stabs the larger, giving
+  :math:`O(m \\log n)` with early exit for the boolean variant.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.util.intervals import Interval, IntervalSet
 
@@ -145,55 +150,6 @@ class IntervalTree:
 
     def insert_interval(self, iv: Interval) -> None:
         self.insert(iv.lo, iv.hi)
-
-    # -- bulk construction (the access fast path) -----------------------------
-
-    @classmethod
-    def build_from_sorted(cls, pairs: Sequence[Tuple[int, int]]
-                          ) -> "IntervalTree":
-        """Build a perfectly balanced tree from sorted disjoint pairs in O(n).
-
-        ``pairs`` must be sorted by ``lo``, pairwise disjoint and
-        non-adjacent (i.e. already coalesced — what
-        :func:`coalesce_sorted_pairs` or :class:`IntervalSet` produce).  This
-        replaces n × :meth:`insert` when a segment closes: the
-        write-combining recorder batches raw accesses and loads them here in
-        one pass instead of paying the AVL rebalance/coalesce machinery per
-        event.
-        """
-        tree = cls()
-        n = len(pairs)
-        if n == 0:
-            return tree
-
-        def build(lo_idx: int, hi_idx: int) -> Optional[_Node]:
-            if lo_idx >= hi_idx:
-                return None
-            mid = (lo_idx + hi_idx) // 2
-            lo, hi = pairs[mid]
-            node = _Node(lo, hi)
-            node.left = build(lo_idx, mid)
-            node.right = build(mid + 1, hi_idx)
-            _update(node)
-            return node
-
-        tree._root = build(0, n)
-        tree._count = n
-        tree._bytes = sum(hi - lo for lo, hi in pairs)
-        return tree
-
-    def bulk_merge(self, pairs: Sequence[Tuple[int, int]]) -> "IntervalTree":
-        """Return a new tree holding this tree's ranges plus ``pairs``.
-
-        ``pairs`` must be sorted and coalesced.  Linear merge of the two
-        sorted sequences followed by :meth:`build_from_sorted` — O(n + m)
-        instead of m × O(log n) inserts.
-        """
-        if not self._root:
-            return IntervalTree.build_from_sorted(pairs)
-        merged = coalesce_sorted_pairs(
-            _merge_sorted(self.pairs(), pairs))
-        return IntervalTree.build_from_sorted(merged)
 
     def _find_touching(self, n: Optional[_Node], lo: int, hi: int) -> Optional[_Node]:
         """Some node with ``node.lo <= hi and node.hi >= lo``, else ``None``."""
@@ -375,45 +331,3 @@ class IntervalTree:
             return h, mx
 
         walk(self._root)
-
-
-def coalesce_sorted_pairs(pairs: Iterable[Tuple[int, int]]
-                          ) -> List[Tuple[int, int]]:
-    """Coalesce a lo-sorted sequence of ``(lo, hi)`` pairs in one pass.
-
-    Overlapping *and* adjacent pairs merge — the invariant
-    :meth:`IntervalTree.build_from_sorted` requires.  Empty pairs are
-    dropped.  O(n); the sort (if any) is the caller's.
-    """
-    out: List[Tuple[int, int]] = []
-    cur_lo: Optional[int] = None
-    cur_hi = 0
-    for lo, hi in pairs:
-        if lo >= hi:
-            continue
-        if cur_lo is None:
-            cur_lo, cur_hi = lo, hi
-        elif lo <= cur_hi:                      # overlap or adjacency
-            if hi > cur_hi:
-                cur_hi = hi
-        else:
-            out.append((cur_lo, cur_hi))
-            cur_lo, cur_hi = lo, hi
-    if cur_lo is not None:
-        out.append((cur_lo, cur_hi))
-    return out
-
-
-def _merge_sorted(a: Sequence[Tuple[int, int]], b: Sequence[Tuple[int, int]]
-                  ) -> Iterator[Tuple[int, int]]:
-    """Merge two lo-sorted pair sequences into one lo-sorted stream."""
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i][0] <= b[j][0]:
-            yield a[i]
-            i += 1
-        else:
-            yield b[j]
-            j += 1
-    yield from a[i:]
-    yield from b[j:]

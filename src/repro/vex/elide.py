@@ -4,7 +4,7 @@ The runtime :class:`~repro.core.suppress.SuppressionEngine` pays per access
 (record everything, filter conflicts post-mortem).  "Compiling Away the
 Overhead of Race Detection"-style tools show most of that work is decidable
 per *site*: an access whose target is provably private to its executing
-context can get **no-op instrumentation** and never enter the interval trees
+context can get **no-op instrumentation** and never enter the access sets
 at all.  This module is that pre-pass, in two forms matching the two ways
 guest code reaches the hub:
 

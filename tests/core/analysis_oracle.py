@@ -21,8 +21,9 @@ the same answers:
   1 as a standalone pass, for direct comparisons;
 * :func:`assert_hb_matches_dp` — every happens-before tier against the
   bitmask reachability DP;
-* :func:`assert_trees_match_log` — the recorder's trees against per-access
-  inserts (:meth:`Segment.record_immediate`) of the same access log.
+* :class:`TreeSegment` / :func:`assert_sets_match_log` — the recorder's
+  flat read and write sets against one :class:`IntervalTree` insert per
+  access of the same access log (the paper's Section III-B structure).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.core.analysis import (ConflictTable, RaceCandidate, Rows,
                                  _conflict_ranges)
 from repro.core.npkernel import KernelContext
 from repro.core.segments import Segment, SegmentGraph
+from repro.util.itree import IntervalTree
 
 
 def write_index(segs: Sequence[Segment]) -> List[Tuple[int, int, int, bool]]:
@@ -164,25 +166,37 @@ def assert_hb_matches_dp(graph: SegmentGraph) -> None:
         assert mask.tolist() == want, ctx.hb_tier
 
 
+class TreeSegment:
+    """A segment's access sets as the paper's two interval trees, recorded
+    with one coalescing insert per access — the recorder's oracle."""
+
+    def __init__(self) -> None:
+        self.reads = IntervalTree()
+        self.writes = IntervalTree()
+
+    def record_immediate(self, addr: int, size: int, is_write: bool) -> None:
+        (self.writes if is_write else self.reads).insert(addr, addr + size)
+
+
 def replay_access_log(log: Iterable[Tuple[int, int, int, bool]]
-                      ) -> Dict[int, Segment]:
-    """Replay ``SegmentBuilder.access_log`` through per-access tree inserts
-    into fresh segments, keyed by segment id."""
-    segs: Dict[int, Segment] = {}
+                      ) -> Dict[int, TreeSegment]:
+    """Replay ``SegmentBuilder.access_log`` through per-access tree inserts,
+    keyed by segment id."""
+    segs: Dict[int, TreeSegment] = {}
     for sid, addr, size, is_write in log:
         seg = segs.get(sid)
         if seg is None:
-            seg = segs[sid] = Segment(sid, 0, None, "task")
-        seg.record_immediate(addr, size, is_write, None)
+            seg = segs[sid] = TreeSegment()
+        seg.record_immediate(addr, size, is_write)
     return segs
 
 
-def assert_trees_match_log(graph: SegmentGraph,
-                           log: Iterable[Tuple[int, int, int, bool]]) -> None:
-    """The recorded read and write trees equal the log's per-access
+def assert_sets_match_log(graph: SegmentGraph,
+                          log: Iterable[Tuple[int, int, int, bool]]) -> None:
+    """The recorded read and write sets equal the log's per-access tree
     replay, segment by segment."""
     replayed = replay_access_log(log)
-    empty = Segment(-1, 0, None, "task")
+    empty = TreeSegment()
     for seg in graph.segments:
         ref = replayed.pop(seg.id, empty)
         assert seg.reads.pairs() == ref.reads.pairs(), f"seg {seg.id} reads"

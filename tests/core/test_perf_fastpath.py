@@ -4,10 +4,10 @@ happens-before index, batched analysis).
 Three contracts, each checked against the pre-existing implementation as
 oracle (``tests/core/analysis_oracle.py``):
 
-* the write-combining recorder (``Segment.record`` + bulk flush) leaves
-  byte-identical interval trees to the immediate-insert path
-  (``Segment.record_immediate``), for any access stream and for the access
-  log of a whole tool run;
+* the write-combining recorder (``Segment.record`` + drain) leaves
+  byte-identical access sets to one interval-tree insert per access
+  (``TreeSegment.record_immediate``), for any access stream and for the
+  access log of a whole tool run, drained once or after every access;
 * every happens-before tier (order-maintenance index hints, the label
   snapshot, the batched rank compare) agrees with the bitmask reachability
   DP on **every** segment pair of randomly shaped programs;
@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.analysis import find_races
 from repro.core.segments import Segment
@@ -28,8 +28,8 @@ from repro.core.suppress import SuppressionEngine
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.machine.machine import Machine
 from repro.openmp.api import make_env
-from tests.core.analysis_oracle import (assert_hb_matches_dp,
-                                        assert_trees_match_log,
+from tests.core.analysis_oracle import (TreeSegment, assert_hb_matches_dp,
+                                        assert_sets_match_log,
                                         find_races_naive, naive_table)
 
 
@@ -69,10 +69,10 @@ class TestRecorderParity:
     @settings(max_examples=80, deadline=None)
     def test_byte_identical_trees(self, stream):
         fast = Segment(0, 0, None, "task")
-        legacy = Segment(1, 0, None, "task")
+        legacy = TreeSegment()
         for addr, size, w in stream:
             fast.record(addr, size, w, None)
-            legacy.record_immediate(addr, size, w, None)
+            legacy.record_immediate(addr, size, w)
         fast.flush_accesses()
         assert fast.reads.pairs() == legacy.reads.pairs()
         assert fast.writes.pairs() == legacy.writes.pairs()
@@ -82,17 +82,17 @@ class TestRecorderParity:
     @given(streams, streams)
     @settings(max_examples=40, deadline=None)
     def test_interleaved_flushes(self, s1, s2):
-        """Reading ``.reads``/``.writes`` mid-stream (which flushes pending
-        cells) must not change the final trees."""
+        """Reading ``.reads``/``.writes`` mid-stream (which drains pending
+        cells into the non-empty sets) must not change the final sets."""
         fast = Segment(0, 0, None, "task")
-        legacy = Segment(1, 0, None, "task")
+        legacy = TreeSegment()
         for addr, size, w in s1:
             fast.record(addr, size, w, None)
-            legacy.record_immediate(addr, size, w, None)
-        fast.flush_accesses()                     # mid-stream flush
+            legacy.record_immediate(addr, size, w)
+        fast.flush_accesses()                     # mid-stream drain
         for addr, size, w in s2:
             fast.record(addr, size, w, None)
-            legacy.record_immediate(addr, size, w, None)
+            legacy.record_immediate(addr, size, w)
         fast.flush_accesses()
         assert fast.reads.pairs() == legacy.reads.pairs()
         assert fast.writes.pairs() == legacy.writes.pairs()
@@ -153,10 +153,22 @@ def _random_body(rng: random.Random, *, with_deps: bool):
     return body
 
 
-def _run(body, *, nthreads: int, seed: int) -> TaskgrindTool:
-    """Run ``body`` under Taskgrind with the builder's access log on."""
+def _run(body, *, nthreads: int, seed: int,
+         drain_every_access: bool = False) -> TaskgrindTool:
+    """Run ``body`` under Taskgrind with the builder's access log on.
+
+    ``drain_every_access`` sets a memory budget that never trips but is
+    checked after every access: the check's footprint model reads every
+    segment's sets, so each open segment drains into a non-empty set over
+    and over, as a mid-run checkpoint does.
+    """
     machine = Machine(seed=seed)
-    tool = TaskgrindTool(TaskgrindOptions(model_multithread_lockup=False))
+    opts = TaskgrindOptions(model_multithread_lockup=False)
+    if drain_every_access:
+        opts.memory_budget = 10 ** 12
+    tool = TaskgrindTool(opts)
+    if drain_every_access:
+        tool._budget_check_every = 1
     machine.add_tool(tool)
     tool.builder.access_log = []
     env = make_env(machine, nthreads=nthreads)
@@ -238,17 +250,22 @@ class TestAnalysisParity:
             # any worker count promises a deterministic sorted order
             assert [c.key() for c in par] == sorted(c.key() for c in par)
 
-    @given(st.integers(0, 10 ** 6))
+    @given(st.integers(0, 10 ** 6), st.booleans())
+    @example(7, True)
     @settings(max_examples=12, deadline=None)
-    def test_fast_tool_matches_legacy_tool(self, prog_seed):
-        """End-to-end: the recorder's trees equal per-access inserts of the
-        run's access log, the HB tiers match the DP on the same graph, and
-        the reports are the all-pairs pass's."""
+    def test_fast_tool_matches_legacy_tool(self, prog_seed,
+                                           drain_every_access):
+        """End-to-end: the recorder's sets equal per-access tree inserts of
+        the run's access log (also when every access is followed by a
+        drain), the HB tiers match the DP on the same graph, and the
+        reports are the all-pairs pass's."""
         body = _random_body(random.Random(prog_seed), with_deps=True)
-        tool = _run(body, nthreads=2, seed=prog_seed % 97)
+        tool = _run(body, nthreads=2, seed=prog_seed % 97,
+                    drain_every_access=drain_every_access)
+        assert tool.budget_tripped_at is None
         graph = tool.builder.graph
         reports = tool.finalize()
-        assert_trees_match_log(graph, tool.builder.access_log)
+        assert_sets_match_log(graph, tool.builder.access_log)
         assert_hb_matches_dp(graph)
         table = naive_table(graph)
         assert tool.raw_candidates == table.pair_count()

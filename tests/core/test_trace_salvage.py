@@ -7,13 +7,17 @@ fault-free analysis of the intact trace.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core.offline import main as offline_main
-from repro.core.trace import (analyze_trace, analyze_trace_with_stats,
-                              load_trace, load_trace_salvaged, save_trace)
-from repro.errors import InjectedFault, TraceError
+from repro.core.trace import (_payload_crc, analyze_trace,
+                              analyze_trace_with_stats, load_trace,
+                              load_trace_salvaged, save_trace)
+from repro.errors import InjectedFault, TraceCorruptionError, TraceError
 from repro.faults.inject import inject_plan
 from repro.faults.plan import FaultPlan
 
@@ -47,6 +51,27 @@ def _damaged(tmp_path, lines, name="damaged.json"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
     return str(path)
+
+
+def _resegmented(path, tmp_path, edit):
+    """The trace at ``path`` with ``edit(segments)`` applied to its segment
+    dicts and the chunk re-checksummed: damage that passes the CRC and only
+    the segment decoder can catch."""
+    lines = []
+    for line in open(path).read().splitlines():
+        doc = json.loads(line)
+        if doc["kind"] == "segments":
+            edit(doc["payload"]["segments"])
+            doc["crc"] = _payload_crc(doc["payload"])
+            line = json.dumps(doc)
+        lines.append(line)
+    return _damaged(tmp_path, lines, "malformed.json")
+
+
+def _racers(tool):
+    """The ids of the racing segment pair, lower first."""
+    (report,) = tool.reports
+    return sorted((report.s1.id, report.s2.id))
 
 
 class TestSalvage:
@@ -137,6 +162,55 @@ class TestSalvage:
         assert stats["coverage"]["segments"]["recovered"] > 0
 
 
+class TestMalformedSegments:
+    """A CRC-valid segment the writer could not have emitted is lost whole,
+    with the rest of the dense id prefix after it — never half-loaded."""
+
+    @pytest.mark.parametrize(
+        "interval", [[1, 2, 3], [-16, -8], [2 ** 63, 2 ** 63 + 8]],
+        ids=["not-a-pair", "negative", "past-int64"])
+    def test_malformed_interval_loses_the_segment(self, traced, tmp_path,
+                                                  interval):
+        """Both racers write ``interval``.  A non-pair used to escape the
+        salvage reader as ``ValueError``; negative addresses aliased into
+        a neighbouring pair's window in the batched kernel (inventing a
+        range); addresses at or past 2**63 overflowed its int64 pools."""
+        path, tool = traced
+        racers = _racers(tool)
+
+        def edit(segs):
+            for sid in racers:
+                segs[sid]["writes"] = [interval]
+        bad = _resegmented(path, tmp_path, edit)
+        reports, stats = analyze_trace_with_stats(bad)
+        cov = stats["coverage"]
+        assert reports == [] and cov["complete"] is False
+        # lost whole: neither half-built into the graph nor counted
+        assert cov["segments"]["recovered"] == stats["graph"]["segments"] \
+            == racers[0]
+        assert any("unreadable segment" in e for e in cov["errors"])
+        with pytest.raises(TraceCorruptionError):
+            analyze_trace(bad, strict=True)
+
+    def test_id_gap_loses_the_tail_under_optimize(self, traced, tmp_path):
+        """The dense-id check must not be an ``assert``: under ``python -O``
+        a chunk with ids ``[0, 5, ...]`` still loads only segment 0."""
+        path, _ = traced
+
+        def edit(segs):
+            segs[1]["id"] = 5
+        bad = _resegmented(path, tmp_path, edit)
+        probe = ("import json, sys\n"
+                 "from repro.core.trace import load_trace_salvaged\n"
+                 "cov = load_trace_salvaged(sys.argv[1]).coverage\n"
+                 "print(json.dumps([cov.complete, cov.segments_recovered]))")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run([sys.executable, "-O", "-c", probe, bad],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert json.loads(out.stdout) == [False, 1]
+
+
 class TestOfflineCli:
     def test_damaged_trace_exits_cleanly(self, traced, tmp_path, capsys):
         path, _ = traced
@@ -153,6 +227,19 @@ class TestOfflineCli:
         trunc = _damaged(tmp_path, lines[:2])
         assert offline_main([trunc, "--strict-trace"]) == 2
         assert capsys.readouterr().err       # actionable message on stderr
+
+    def test_malformed_segment_exits_cleanly(self, traced, tmp_path,
+                                             capsys):
+        """A CRC-valid interval that is not a pair used to end the CLI
+        with a traceback (exit 1, read as "races found")."""
+        path, tool = traced
+
+        def edit(segs):
+            segs[_racers(tool)[0]]["writes"] = [[1, 2, 3]]
+        bad = _resegmented(path, tmp_path, edit)
+        assert offline_main([bad]) == 0          # the racers are lost
+        assert "WARNING: trace damaged" in capsys.readouterr().out
+        assert offline_main([bad, "--strict-trace"]) == 2
 
     def test_strict_flag_ok_on_intact_trace(self, traced, capsys):
         path, _ = traced

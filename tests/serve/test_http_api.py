@@ -234,6 +234,27 @@ class TestDegradedUpload:
         for error in report["errors"]:
             assert any("incomplete evidence" in n for n in error["notes"])
 
+    def test_malformed_segment_degrades(self, client, trace_lines):
+        """A CRC-valid segment whose interval is not a pair is a lost
+        segment, so the job degrades instead of failing."""
+        lines = list(trace_lines)
+        for seq, line in enumerate(lines):
+            doc = json.loads(line)
+            if doc["kind"] == "segments":
+                doc["payload"]["segments"][0]["writes"] = [[1, 2, 3]]
+                lines[seq] = chunk_line(seq, "segments", doc["payload"])
+        trace_id = client.create_trace()
+        for seq, line in enumerate(lines):
+            assert client.upload_chunk(trace_id, seq, line)[0] == 200
+        job_id = client.analyze(trace_id)
+        doc = client.wait(job_id, timeout=60.0)
+        assert doc["state"] == "degraded"
+        status, report = client.report(job_id)
+        assert status == 200
+        assert report["coverage"]["complete"] is False
+        assert report["coverage"]["segments"]["recovered"] == 0
+        assert report["error_count"] == 0
+
     def test_header_only_upload_analyzes_empty(self, client):
         trace_id = client.create_trace()
         assert client.upload_chunk(trace_id, 0, header_line())[0] == 200

@@ -1,15 +1,16 @@
-"""Tests for the bulk interval-tree construction paths (repro.util.itree).
+"""Tests for ``coalesce_sorted_pairs`` (repro.util.intervals).
 
-``build_from_sorted`` / ``bulk_merge`` / ``coalesce_sorted_pairs`` back the
-write-combining recorder's segment-close flush; their contract is exact
-equivalence with a per-interval ``insert`` loop, which is used as the oracle
-throughout.
+It is the recorder's drain: a segment's buffered ranges and its current
+intervals are sorted together and coalesced by it into the segment's new
+access set.  Its contract is exact equivalence with a per-interval
+:meth:`IntervalTree.insert` loop (the paper's Section III-B structure),
+used as the oracle.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.util.itree import (IntervalTree, _merge_sorted,
-                              coalesce_sorted_pairs)
+from repro.util.intervals import coalesce_sorted_pairs
+from repro.util.itree import IntervalTree
 
 
 def inserted(pairs):
@@ -22,11 +23,6 @@ def inserted(pairs):
 raw_pairs = st.lists(st.tuples(st.integers(0, 500), st.integers(1, 40)),
                      max_size=60).map(
     lambda xs: [(lo, lo + n) for lo, n in xs])
-
-
-def normalize(pairs):
-    """Sorted disjoint non-adjacent pairs — build_from_sorted's precondition."""
-    return coalesce_sorted_pairs(sorted(pairs))
 
 
 class TestCoalesceSortedPairs:
@@ -44,56 +40,3 @@ class TestCoalesceSortedPairs:
     @settings(max_examples=80, deadline=None)
     def test_matches_insert_oracle(self, pairs):
         assert coalesce_sorted_pairs(sorted(pairs)) == inserted(pairs).pairs()
-
-
-class TestBuildFromSorted:
-    def test_empty(self):
-        t = IntervalTree.build_from_sorted([])
-        assert t.pairs() == [] and len(t) == 0 and t.total_bytes == 0
-
-    @given(raw_pairs)
-    @settings(max_examples=80, deadline=None)
-    def test_matches_insert_oracle(self, pairs):
-        canon = normalize(pairs)
-        t = IntervalTree.build_from_sorted(canon)
-        oracle = inserted(pairs)
-        assert t.pairs() == oracle.pairs()
-        assert len(t) == len(oracle)
-        assert t.total_bytes == oracle.total_bytes
-        t.check_invariants()
-
-    @given(raw_pairs, st.tuples(st.integers(0, 520), st.integers(1, 30)))
-    @settings(max_examples=60, deadline=None)
-    def test_built_tree_still_mutable(self, pairs, extra):
-        """A bulk-built tree must accept further inserts like any other."""
-        lo, n = extra
-        t = IntervalTree.build_from_sorted(normalize(pairs))
-        t.insert(lo, lo + n)
-        assert t.pairs() == inserted(pairs + [(lo, lo + n)]).pairs()
-        t.check_invariants()
-
-
-class TestBulkMerge:
-    @given(raw_pairs, raw_pairs)
-    @settings(max_examples=80, deadline=None)
-    def test_matches_insert_oracle(self, base, batch):
-        t = inserted(base)
-        merged = t.bulk_merge(normalize(batch))
-        assert merged.pairs() == inserted(base + batch).pairs()
-        merged.check_invariants()
-
-    def test_into_empty(self):
-        t = IntervalTree()
-        merged = t.bulk_merge([(0, 8), (16, 24)])
-        assert merged.pairs() == [(0, 8), (16, 24)]
-
-    @given(raw_pairs, raw_pairs)
-    @settings(max_examples=60, deadline=None)
-    def test_merge_sorted_feeds_coalesce(self, a, b):
-        """_merge_sorted orders by lo (lo-ties in either source order);
-        coalescing its output must equal coalescing a full sort."""
-        ca, cb = normalize(a), normalize(b)
-        merged = list(_merge_sorted(ca, cb))
-        assert [p[0] for p in merged] == sorted(p[0] for p in merged)
-        assert coalesce_sorted_pairs(merged) \
-            == coalesce_sorted_pairs(sorted(ca + cb))
