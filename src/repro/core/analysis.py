@@ -160,23 +160,6 @@ class ConflictTable:
         return out
 
 
-def _conflict_ranges(s1: Segment, s2: Segment) -> IntervalSet:
-    """``(s1.w ∩ (s2.r ∪ s2.w)) ∪ (s2.w ∩ s1.r)`` as a normalized set.
-
-    Each of the three intersections is one linear merge of the segments'
-    sorted interval lists; the results are unioned in one pass.  The pair
-    check calls it per pair when addresses reach ``2**48``, past what its
-    batched window relocation can hold.
-    """
-    w1, w2 = s1.writes, s2.writes
-    out = w1.intersection(w2)
-    for part in (w1.intersection(s2.reads),
-                 w2.intersection(s1.reads)):
-        for lo, hi in part.pairs():
-            out.add(lo, hi)
-    return out
-
-
 @dataclass
 class QuarantinedChunk:
     """One chunk the supervisor gave up on after exhausting retries."""
@@ -286,9 +269,13 @@ def _attempt(check: Callable[[int], Tuple[Rows, int]],
                 begun = [started[i] for i in live.values() if i in started]
                 timeout = (max(0.0, min(begun) + deadline_s - time.monotonic())
                            if begun else deadline_s)
+            # each wait walks every live future, so without a deadline to
+            # check between completions one wait takes them all
             done, _ = concurrent.futures.wait(
                 live, timeout=timeout,
-                return_when=concurrent.futures.FIRST_COMPLETED)
+                return_when=(concurrent.futures.ALL_COMPLETED
+                             if deadline_s is None
+                             else concurrent.futures.FIRST_COMPLETED))
             for fut in done:
                 index = live.pop(fut)
                 try:

@@ -44,11 +44,11 @@ published as ``graph.hb_relabels``), so this is not amortized O(1):
 Shapes outside the fork-join fragment — task *dependences*,
 ``mutexinoutset`` serialization edges, ``detach`` completion nodes, or a
 late in-edge to a segment that already has successors — cannot generally be
-embedded in two orders.  The first such event marks the index **inexact**
-and every query returns ``None``; callers (``SegmentGraph.ordered``) then
-fall back to the bitmask DP, which remains the correctness oracle.  The
-``checked`` mode of :class:`~repro.core.segments.SegmentGraph` cross-checks
-every O(1) answer against the DP and is used by the property tests.
+embedded in two orders.  The first such event marks the index **inexact**:
+:meth:`~repro.core.segments.SegmentGraph.prepare_queries` then takes no
+label snapshot, and every query goes to the bitmask DP, which remains the
+correctness oracle.  The property tests hold the label order of
+:meth:`HbIndex.label_arrays` to the DP on every segment pair.
 """
 
 from __future__ import annotations
@@ -72,8 +72,6 @@ class HbIndex:
         self._out: Dict[int, int] = {}
         self.exact = True
         self.inexact_reason: Optional[str] = None
-        self.queries = 0              # observability (bench counters)
-        self.fallbacks = 0
 
     # -- maintenance ---------------------------------------------------------
 
@@ -157,32 +155,6 @@ class HbIndex:
 
     def placed(self, sid: int) -> bool:
         return sid in self._pos
-
-    def happens_before_hint(self, a_sid: int, b_sid: int) -> Optional[bool]:
-        """O(1) directional query, or ``None`` when the index cannot answer."""
-        if not self.exact:
-            return None
-        pa = self._pos.get(a_sid)
-        pb = self._pos.get(b_sid)
-        if pa is None or pb is None:
-            self.fallbacks += 1
-            return None
-        self.queries += 1
-        return pa[0].label < pb[0].label and pa[1].label < pb[1].label
-
-    def ordered_hint(self, a_sid: int, b_sid: int) -> Optional[bool]:
-        """O(1) either-direction query, or ``None`` when unanswerable."""
-        if not self.exact:
-            return None
-        pa = self._pos.get(a_sid)
-        pb = self._pos.get(b_sid)
-        if pa is None or pb is None:
-            self.fallbacks += 1
-            return None
-        self.queries += 1
-        if pa[0].label < pb[0].label:
-            return pa[1].label < pb[1].label
-        return pb[0].label < pa[0].label and pb[1].label < pa[1].label
 
     def label_arrays(self, n: int) -> Tuple[List[Optional[int]],
                                             List[Optional[int]]]:

@@ -1,17 +1,20 @@
 """Vectorized Algorithm 1 — candidate sweep, batched HB and conflict kernel.
 
 The pure-Python analysis pass walks every candidate segment pair with an
-interpreted happens-before query followed by three linear IntervalSet merges
-(:func:`repro.core.analysis._conflict_ranges`).  This module reformulates the
-whole pass over flat sorted ``int64`` arrays, so no Python object is built
-per candidate pair:
+interpreted happens-before query followed by three linear IntervalSet
+merges.  This module reformulates the whole pass over flat sorted
+``int64`` arrays, so no Python object is built per candidate pair:
 
 * **Pools** — every segment's write set and read set are concatenated into
   two pools (:class:`_Pool`) straight from the segments' flat
   :class:`~repro.util.intervals.IntervalSet` lists, one ``np.asarray`` per
   column.  A segment's intervals keep the canonical sorted, disjoint,
   non-adjacent form, so ``s1.w ∩ s2.r`` is one ``searchsorted`` sweep
-  instead of a Python merge loop.
+  instead of a Python merge loop.  The pools hold each endpoint as its
+  *rank* among all distinct endpoints (:attr:`KernelContext.coords`): the
+  sweeps only compare endpoints, and a strictly monotone map keeps every
+  ``<`` and ``==``, so ranks give the same answers as addresses while
+  staying small whatever the addresses are.
 * **Candidate sweep** — all pooled intervals sorted by ``lo``; interval
   ``k`` overlaps exactly the later intervals ``m`` with ``lo[m] < hi[k]``,
   a contiguous range found by one ``searchsorted``.  The ranges are
@@ -21,11 +24,11 @@ per candidate pair:
   sorted by ``(i, j)``.
 * **Batched happens-before** — a whole chunk of candidate pairs is filtered
   with one vectorized comparison of dense E/H label *ranks* (when the
-  order-maintenance index is exact) or one gather into a dense
-  reachability matrix unpacked from the bitmask DP (when it is not).
+  order-maintenance index is exact) or one bit test in packed
+  reachability rows copied from the bitmask DP (when it is not).
 * **Row output** — the conflicts leave the kernel as int64 rows
-  ``(i, j, lo, hi)``, one per conflict piece, ready for
-  :class:`repro.core.analysis.ConflictTable`.
+  ``(i, j, lo, hi)``, one per conflict piece, their ranks mapped back to
+  addresses, ready for :class:`repro.core.analysis.ConflictTable`.
 
 This is the only pair check the analysis runs.  The per-pair
 Python loop it replaced lives on as a test oracle
@@ -35,22 +38,17 @@ hold the kernel to byte-identical conflict sets against it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as _np
 
 from repro.obs.metrics import get_registry
 from repro.util.intervals import IntervalSet
 
-#: Ceiling on the dense reachability matrix (segments with accesses): above
-#: this the matrix is not materialized and ordering falls back to per-pair
-#: queries inside the chunk loop.
-MATRIX_MAX_SEGS = 4096
-
-#: Each candidate pair's operand intervals are relocated into a private
-#: ``1 << _WINDOW_SHIFT`` address window so one global sweep intersects every
-#: pair at once.  Valid while guest addresses stay below the window size —
-#: the simulated address space tops out under 2**47 (stack region base).
+#: Each candidate pair's operand intervals, as endpoint ranks, are relocated
+#: into a private ``1 << _WINDOW_SHIFT`` window so one global sweep
+#: intersects every pair at once.  A rank counts distinct endpoints, so it
+#: stays below the window size for any address (pools under 2**47 intervals).
 _WINDOW_SHIFT = 48
 
 #: Pairs processed per batched sweep: bounds the window offsets well below
@@ -153,7 +151,8 @@ class _Pool:
     """Every segment's intervals of one kind, concatenated once.
 
     ``los``/``his`` hold segment ``k``'s intervals at
-    ``[starts[k], starts[k] + lens[k])``; a batched sweep *gathers* the
+    ``[starts[k], starts[k] + lens[k])``, as endpoint ranks once
+    :class:`KernelContext` has mapped them; a batched sweep *gathers* the
     operand arrays for a whole pair list with fancy indexing instead of one
     numpy call per pair.
     """
@@ -190,22 +189,17 @@ class KernelContext:
 
     Built and prepared single-threaded before the (possibly parallel) pair
     sweep, so chunk workers only read.  Construction pools the segments'
-    write and read intervals (:class:`_Pool`); :meth:`candidate_pairs`
-    sweeps the pools for the pairs Algorithm 1 must check.
-    :meth:`prepare_hb` then builds whichever batched happens-before backing
-    applies for :meth:`check_pairs`:
+    write and read intervals (:class:`_Pool`) as ranks into ``coords``, the
+    sorted distinct endpoints; :meth:`candidate_pairs` sweeps the pools for
+    the pairs Algorithm 1 must check.  :meth:`prepare_hb` then builds the
+    batched happens-before backing :meth:`check_pairs` reads:
 
     * exact order-maintenance labels → two dense ``int64`` rank arrays;
-    * bitmask DP → a dense boolean matrix ``ordered[i, j]`` unpacked from
-      the big-int reachability masks (only when the segment count is small
-      enough to justify it);
-    * neither → per-pair :meth:`SegmentGraph.ordered` fallback.
+    * otherwise → each analysed segment's bitmask DP row, packed into one
+      ``uint8`` buffer of ``⌈n/8⌉`` bytes per segment.
 
-    The tier reached is ``hb_tier`` (``label|matrix|per_pair``, also the
-    ``analysis.hb_tier`` gauge); a matrix skipped for size books
-    ``analysis.hb.matrix_skipped``.  Addresses at or above ``2**48`` leave
-    the batched intersection; :meth:`check_pairs` then intersects pair by
-    pair and books those pairs as ``analysis.intersect.unbatched_pairs``.
+    The tier reached is ``hb_tier`` (``label|reach``, also the
+    ``analysis.hb_tier`` gauge).
     """
 
     def __init__(self, graph, segs: Sequence) -> None:
@@ -213,13 +207,16 @@ class KernelContext:
         self.segs = segs
         self.w_pool = _Pool([seg.writes for seg in segs])
         self.r_pool = _Pool([seg.reads for seg in segs])
-        # the window relocation trick needs every address under one window
-        top = max((int(pool.his.max()) for pool in (self.w_pool, self.r_pool)
-                   if pool.his.shape[0]), default=0)
-        self._batched = top < (1 << _WINDOW_SHIFT)
-        self.hb_tier: Optional[str] = None
+        # the sweeps only compare endpoints, so ranks answer like addresses
+        # and fit a pair's window whatever the addresses are
+        pools = (self.w_pool, self.r_pool)
+        self.coords = _sorted_unique(_np.concatenate(
+            [col for pool in pools for col in (pool.los, pool.his)]))
+        for pool in pools:
+            pool.los = _np.searchsorted(self.coords, pool.los)
+            pool.his = _np.searchsorted(self.coords, pool.his)
+        self.hb_tier = None
         self._e = self._h = None
-        self._matrix = None
 
     def candidate_pairs(self) -> Tuple["_np.ndarray", "_np.ndarray"]:
         """Segment index pairs sharing at least one byte with >= 1 write.
@@ -277,10 +274,9 @@ class KernelContext:
         """Build the batched happens-before backing; returns the tier."""
         if self._snapshot_ranks():
             self.hb_tier = "label"
-        elif self._build_matrix():
-            self.hb_tier = "matrix"
         else:
-            self.hb_tier = "per_pair"
+            self._pack_reach()
+            self.hb_tier = "reach"
         get_registry().gauge("analysis.hb_tier").set(self.hb_tier)
         return self.hb_tier
 
@@ -301,38 +297,36 @@ class KernelContext:
         self._h = _ranks([h[sid] for sid in ids])
         return True
 
-    def _build_matrix(self) -> bool:
-        if len(self.segs) > MATRIX_MAX_SEGS:
-            get_registry().counter("analysis.hb.matrix_skipped").inc()
-            return False
+    def _pack_reach(self) -> None:
+        """Copy each analysed segment's DP descendant bitmask into row ``k``
+        of one flat ``uint8`` buffer: bit ``sid & 7`` of byte
+        ``k * nbytes + (sid >> 3)`` is set iff segment ``sid`` descends
+        from ``segs[k]``.  No larger than the DP it is copied from."""
         reach = self.graph._reachability()
-        n_global = len(reach)
-        nbytes = (n_global + 7) // 8 or 1
-        ids = [s.id for s in self.segs]
-        rows = _np.empty((len(ids), n_global), dtype=bool)
-        for k, sid in enumerate(ids):
-            bits = _np.unpackbits(
-                _np.frombuffer(reach[sid].to_bytes(nbytes, "little"),
-                               dtype=_np.uint8),
-                bitorder="little")
-            rows[k] = bits[:n_global]
-        sub = rows[:, ids]                      # reach[i] restricted to segs
-        self._matrix = sub | sub.T              # ordered in either direction
-        return True
+        self._nbytes = nbytes = (len(reach) + 7) // 8
+        self._rows = _np.frombuffer(
+            b"".join(reach[s.id].to_bytes(nbytes, "little")
+                     for s in self.segs), dtype=_np.uint8)
+        ids = _np.asarray([s.id for s in self.segs], dtype=_np.int64)
+        self._col = ids >> 3
+        self._bit = (1 << (ids & 7)).astype(_np.uint8)
 
     def ordered_mask(self, ii: "_np.ndarray", jj: "_np.ndarray"
-                     ) -> Optional["_np.ndarray"]:
-        """Batched ``graph.ordered`` over pair index arrays (None = no
-        batched backing; caller falls back to per-pair queries)."""
+                     ) -> "_np.ndarray":
+        """Batched ``graph.ordered`` over pair index arrays (after
+        :meth:`prepare_hb`)."""
         graph = self.graph
         if self._e is not None:
             graph.q_label += ii.shape[0]
             return ((self._e[ii] < self._e[jj])
                     == (self._h[ii] < self._h[jj]))
-        if self._matrix is not None:
-            graph.q_dp += ii.shape[0]
-            return self._matrix[ii, jj]
-        return None
+        graph.q_dp += ii.shape[0]
+        # ids are not topological, so either segment may be the ancestor:
+        # bit j of row i or bit i of row j
+        rows, nbytes = self._rows, self._nbytes
+        hit = rows.take(ii * nbytes + self._col[jj]) & self._bit[jj]
+        hit |= rows.take(jj * nbytes + self._col[ii]) & self._bit[ii]
+        return hit.astype(bool)
 
     # -- the pair check -------------------------------------------------------
 
@@ -340,40 +334,19 @@ class KernelContext:
                     ) -> Tuple[Rows, int]:
         """One chunk of the pair sweep: ``((i, j, lo, hi), ordered)``.
 
-        ``ii``/``jj`` index ``segs``, in any order; without
-        :meth:`prepare_hb` every pair takes a per-pair ``graph.ordered``
-        query.  The conflicts come back as four int64 row columns, one row
-        per conflict piece: a pair's pieces are contiguous and ascending,
-        pairs follow input order.  Produces exactly the conflicts the Python
-        loop would: the batched ordered mask only removes ordered pairs.
+        ``ii``/``jj`` index ``segs``, in any order, after
+        :meth:`prepare_hb`.  The conflicts come back as four int64 row
+        columns, one row per conflict piece: a pair's pieces are contiguous
+        and ascending, pairs follow input order.  Produces exactly the
+        conflicts the Python loop would: the batched ordered mask only
+        removes ordered pairs.
         """
         if not ii.shape[0]:
             return _empty_rows(), 0
         omask = self.ordered_mask(ii, jj)
-        if omask is None:
-            graph, segs = self.graph, self.segs
-            omask = _np.fromiter(
-                (graph.ordered(segs[i], segs[j])
-                 for i, j in zip(ii.tolist(), jj.tolist())),
-                dtype=bool, count=ii.shape[0])
         n_ordered = int(omask.sum())
         unordered = ~omask
         i_u, j_u = ii[unordered], jj[unordered]
-        if not self._batched:
-            from repro.core.analysis import _conflict_ranges
-            get_registry().counter("analysis.intersect.unbatched_pairs").inc(
-                i_u.shape[0])
-            cols: Tuple[List[int], ...] = ([], [], [], [])
-            segs = self.segs
-            for i, j in zip(i_u.tolist(), j_u.tolist()):
-                ranges = _conflict_ranges(segs[i], segs[j])
-                n = len(ranges)
-                cols[0].extend([i] * n)
-                cols[1].extend([j] * n)
-                cols[2].extend(ranges._los)
-                cols[3].extend(ranges._his)
-            return tuple(_np.asarray(c, dtype=_np.int64)
-                         for c in cols), n_ordered
         blocks = [self._conflicts_batch(i_u[start:start + _PAIR_BATCH],
                                         j_u[start:start + _PAIR_BATCH])
                   for start in range(0, i_u.shape[0], _PAIR_BATCH)]
@@ -385,10 +358,10 @@ class KernelContext:
         """Conflict rows of ``(w1 ∩ w2) ∪ (w1 ∩ r2) ∪ (w2 ∩ r1)`` for every
         pair in one sweep.
 
-        Pair ``k``'s operands are relocated into window ``k << 48``; windows
-        are disjoint and ordered, so the pooled arrays stay sorted, the
-        global intersect/coalesce sweeps never mix pairs, and the owning
-        pair of each output interval is just ``lo >> 48``.
+        Pair ``k``'s operand ranks are relocated into window ``k << 48``;
+        windows are disjoint and ordered, so the pooled arrays stay sorted,
+        the global intersect/coalesce sweeps never mix pairs, and the
+        owning pair of each output interval is just ``lo >> 48``.
         """
         offsets = _np.arange(bi.shape[0], dtype=_np.int64) << _WINDOW_SHIFT
         w1 = self.w_pool.gather(bi, offsets)
@@ -400,5 +373,5 @@ class KernelContext:
                                    _np.concatenate([p[1] for p in parts]))
         pair_pos = los >> _WINDOW_SHIFT
         base = pair_pos << _WINDOW_SHIFT
-        return bi[pair_pos], bj[pair_pos], los - base, his - base
-
+        return (bi[pair_pos], bj[pair_pos],
+                self.coords[los - base], self.coords[his - base])

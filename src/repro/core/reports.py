@@ -163,30 +163,35 @@ def _task_ancestry(seg: Segment) -> List[str]:
     return labels
 
 
-def build_witness(graph: SegmentGraph, report: RaceReport) -> ProvenanceWitness:
-    """Assemble the provenance witness for one report from the graph."""
-    s1, s2 = report.s1, report.s2
+def build_witnesses(graph: SegmentGraph, reports: List[RaceReport]) -> None:
+    """Attach a provenance witness to every report in ``reports``.
+
+    The graph's reverse adjacency and topological positions are walked
+    once for the whole list, not once per report.
+    """
+    if not reports:
+        return
     preds = graph.predecessors_map()
-    par1, anc1 = _ancestors(graph, preds, s1.id)
-    par2, anc2 = _ancestors(graph, preds, s2.id)
-    common = anc1 & anc2
-    nca: Optional[int] = None
-    if common:
-        pos = graph.topo_positions()
-        nca = max(common, key=lambda sid: pos[sid])
-    witness = ProvenanceWitness(
-        s1_path=_path_to(graph, par1, s1.id, nca),
-        s2_path=_path_to(graph, par2, s2.id, nca),
-        s1_tasks=_task_ancestry(s1),
-        s2_tasks=_task_ancestry(s2),
-        nca_id=nca,
-        nca_label=graph.segments[nca].label() if nca is not None else "",
-        hb_explanation=graph.explain_unordered(s1, s2),
-    )
-    for lo, hi in report.ranges.pairs():
-        witness.first_interval = (lo, hi)
-        break
-    return witness
+    pos = graph.topo_positions()
+    for report in reports:
+        s1, s2 = report.s1, report.s2
+        par1, anc1 = _ancestors(graph, preds, s1.id)
+        par2, anc2 = _ancestors(graph, preds, s2.id)
+        common = anc1 & anc2
+        nca = max(common, key=lambda sid: pos[sid]) if common else None
+        witness = ProvenanceWitness(
+            s1_path=_path_to(graph, par1, s1.id, nca),
+            s2_path=_path_to(graph, par2, s2.id, nca),
+            s1_tasks=_task_ancestry(s1),
+            s2_tasks=_task_ancestry(s2),
+            nca_id=nca,
+            nca_label=graph.segments[nca].label() if nca is not None else "",
+            hb_explanation=graph.explain_unordered(s1, s2),
+        )
+        for lo, hi in report.ranges.pairs():
+            witness.first_interval = (lo, hi)
+            break
+        report.witness = witness
 
 
 def _format_path(path: List[Tuple[int, str, str]]) -> str:

@@ -317,11 +317,11 @@ class Segment:
 class SegmentGraph:
     """DAG of segments with an O(1) label index + bitset reachability DP.
 
-    Happens-before queries try three tiers in order: the flat label
-    snapshot :meth:`prepare_queries` takes while the order-maintenance
-    :class:`~repro.core.hbindex.HbIndex` is exact, then the index's
-    per-query hint, then the bitmask reachability DP.  The tests hold every
-    tier to the DP on every segment pair.
+    Happens-before queries take one of two tiers: the flat label snapshot
+    :meth:`prepare_queries` takes while the order-maintenance
+    :class:`~repro.core.hbindex.HbIndex` is exact, or else the bitmask
+    reachability DP.  The tests hold the label tier to the DP on every
+    segment pair.
     """
 
     def __init__(self) -> None:
@@ -336,7 +336,6 @@ class SegmentGraph:
         # query-path mix (plain ints: incremented on the analysis hot path,
         # published into the metrics registry at stats-assembly time)
         self.q_label = 0           # answered from the flat label snapshot
-        self.q_index = 0           # answered by an HbIndex hint
         self.q_dp = 0              # answered by the bitmask DP
         self.dp_rebuilds = 0       # full reachability DP materializations
         #: replay hook (repro.replay): an object with ``on_segment(seg)``
@@ -441,14 +440,6 @@ class SegmentGraph:
                 if _PROF.enabled:
                     _PROF.count("hb.query.label")
                 return (ea < eb) == (h[a.id] < h[b.id])
-        idx = self.hb_index
-        if idx is not None:
-            hint = idx.ordered_hint(a.id, b.id)
-            if hint is not None:
-                self.q_index += 1
-                if _PROF.enabled:
-                    _PROF.count("hb.query.index")
-                return hint
         self.q_dp += 1
         if _PROF.enabled:
             _PROF.count("hb.query.dp")
@@ -465,14 +456,6 @@ class SegmentGraph:
                 if _PROF.enabled:
                     _PROF.count("hb.query.label")
                 return ea < eb and h[a.id] < h[b.id]
-        idx = self.hb_index
-        if idx is not None:
-            hint = idx.happens_before_hint(a.id, b.id)
-            if hint is not None:
-                self.q_index += 1
-                if _PROF.enabled:
-                    _PROF.count("hb.query.index")
-                return hint
         self.q_dp += 1
         if _PROF.enabled:
             _PROF.count("hb.query.dp")
@@ -485,9 +468,9 @@ class SegmentGraph:
         """Why the query path found no happens-before path.
 
         Mirrors the tier selection of :meth:`ordered` without touching the
-        query counters: reports which mechanism answered (label snapshot,
-        order-maintenance index, or bitmask DP) and the evidence it used —
-        the provenance half of a race report's witness.
+        query counters: reports which mechanism answered (label snapshot or
+        bitmask DP) and the evidence it used — the provenance half of a
+        race report's witness.
         """
         labs = self._hb_labels
         if labs is not None:
@@ -503,15 +486,6 @@ class SegmentGraph:
                         f"E({ea} {'<' if ea < eb else '>'} {eb}) but "
                         f"H({ha} {'<' if ha < hb else '>'} {hb}) — the "
                         f"segments are parallel branches"),
-                }
-        idx = self.hb_index
-        if idx is not None:
-            hint = idx.ordered_hint(a.id, b.id)
-            if hint is not None:
-                return {
-                    "tier": "index",
-                    "reason": ("order-maintenance index query returned "
-                               "unordered (E and H comparisons disagree)"),
                 }
         reach = self._reachability()
         return {
@@ -567,12 +541,9 @@ class SegmentGraph:
                                   if idx is not None else None),
             "queries": {
                 "label": self.q_label,
-                "index": self.q_index,
                 "dp": self.q_dp,
             },
             "dp_rebuilds": self.dp_rebuilds,
-            "index_queries": idx.queries if idx is not None else 0,
-            "index_fallbacks": idx.fallbacks if idx is not None else 0,
             "hb_relabels": idx.relabel_count if idx is not None else 0,
             "memory_bytes": self.memory_bytes(),
         }

@@ -35,7 +35,7 @@ from typing import List, Optional
 
 from repro.core.analysis import PartialAnalysis, analyze_and_suppress
 from repro.core.ompt_shim import TaskgrindOmptShim
-from repro.core.reports import (RaceReport, build_report, build_witness,
+from repro.core.reports import (RaceReport, build_report, build_witnesses,
                                 dedupe_reports)
 from repro.core.segments import SegmentBuilder, SegmentModelConfig
 from repro.core.suppress import SuppressionConfig, SuppressionEngine
@@ -397,8 +397,7 @@ class TaskgrindTool(Tool):
                     reports, self.file_suppressed = supp.filter(reports)
                 if self.options.explain:
                     with reg.phase("explain"):
-                        for r in reports:
-                            r.witness = build_witness(graph, r)
+                        build_witnesses(graph, reports)
                 for note in self._degradation_notes():
                     for r in reports:
                         r.notes = r.notes + (note,)

@@ -777,7 +777,7 @@ def analyze_loaded(graph: SegmentGraph, view: OfflineMachineView,
     ``deadline_s`` and ``max_retries`` go to
     :func:`~repro.core.analysis.find_races`.
     """
-    from repro.core.reports import build_witness
+    from repro.core.reports import build_witnesses
     from repro.obs.tracer import get_tracer
     reg = get_registry()
     config = SuppressionConfig(
@@ -800,8 +800,7 @@ def analyze_loaded(graph: SegmentGraph, view: OfflineMachineView,
                 r.notes = r.notes + (note,)
         if explain:
             with reg.phase("explain"):
-                for r in reports:
-                    r.witness = build_witness(graph, r)
+                build_witnesses(graph, reports)
         tracer = get_tracer()
         if tracer.enabled:
             for r in reports:

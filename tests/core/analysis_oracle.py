@@ -10,9 +10,11 @@ straightforward forms those replaced, so tests can check that both give
 the same answers:
 
 * :func:`candidate_pairs` — the pure-Python candidate sweep;
-* :func:`check_pairs_python` — one ``graph.ordered`` query and three
-  interval merges per pair (:func:`loop_check_pairs` is the drop-in for
-  ``KernelContext.check_pairs``);
+* :func:`conflict_ranges` — one pair's conflict set by three linear
+  interval merges;
+* :func:`check_pairs_python` — one ``graph.ordered`` query and
+  :func:`conflict_ranges` per pair (:func:`loop_check_pairs` is the
+  drop-in for ``KernelContext.check_pairs``);
 * :func:`all_pairs` — every segment pair with a write, the faithful
   Algorithm 1's :math:`O(n^2)` candidate set (a drop-in for
   ``KernelContext.candidate_pairs``, so the production pass runs as the
@@ -32,10 +34,10 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.analysis import (ConflictTable, RaceCandidate, Rows,
-                                 _conflict_ranges)
+from repro.core.analysis import ConflictTable, RaceCandidate, Rows
 from repro.core.npkernel import KernelContext
 from repro.core.segments import Segment, SegmentGraph
+from repro.util.intervals import IntervalSet
 from repro.util.itree import IntervalTree
 
 
@@ -68,6 +70,21 @@ def candidate_pairs(segs: Sequence[Segment]) -> Set[Tuple[int, int]]:
     return pairs
 
 
+def conflict_ranges(s1: Segment, s2: Segment) -> IntervalSet:
+    """``(s1.w ∩ (s2.r ∪ s2.w)) ∪ (s2.w ∩ s1.r)`` as a normalized set.
+
+    Each of the three intersections is one linear merge of the segments'
+    sorted interval lists; the results are unioned in one pass.
+    """
+    w1, w2 = s1.writes, s2.writes
+    out = w1.intersection(w2)
+    for part in (w1.intersection(s2.reads),
+                 w2.intersection(s1.reads)):
+        for lo, hi in part.pairs():
+            out.add(lo, hi)
+    return out
+
+
 def check_pairs_python(graph: SegmentGraph, segs: Sequence[Segment],
                        pairs: Iterable[Tuple[int, int]]
                        ) -> Tuple[Rows, int, int]:
@@ -83,7 +100,7 @@ def check_pairs_python(graph: SegmentGraph, segs: Sequence[Segment],
         if graph.ordered(s1, s2):
             ordered += 1
             continue
-        ranges = _conflict_ranges(s1, s2)
+        ranges = conflict_ranges(s1, s2)
         n = len(ranges)
         if n:
             ci += [i] * n
@@ -132,38 +149,31 @@ def find_races_naive(graph: SegmentGraph) -> List[RaceCandidate]:
 def assert_hb_matches_dp(graph: SegmentGraph) -> None:
     """Every HB tier agrees with the reachability DP on every segment pair.
 
-    ``ordered`` and ``happens_before`` are swept twice: without a label
-    snapshot, so the order-maintenance index answers wherever its hint
-    does, then after :meth:`SegmentGraph.prepare_queries`, so an exact
-    graph answers from the label snapshot.  The batched rank or matrix
-    compare of :class:`KernelContext` is checked on the same pairs.
+    ``ordered`` and ``happens_before`` are swept after
+    :meth:`SegmentGraph.prepare_queries`, so an exact graph answers from
+    the label snapshot and any other from the DP itself.  The batched
+    rank compare or packed-row bit test of :class:`KernelContext` is
+    checked on the same pairs.
     """
     reach = graph._reachability()
     segs = graph.segments
-
-    def sweep(tier: str) -> None:
-        for a in segs:
-            for b in segs:
-                if a is b:
-                    continue
-                ab = bool(reach[a.id] >> b.id & 1)
-                ba = bool(reach[b.id] >> a.id & 1)
-                assert graph.happens_before(a, b) == ab, (tier, a.id, b.id)
-                assert graph.ordered(a, b) == (ab or ba), (tier, a.id, b.id)
-
-    graph._hb_labels = None
-    sweep("index")
     graph.prepare_queries()
-    sweep("label")
+    for a in segs:
+        for b in segs:
+            if a is b:
+                continue
+            ab = bool(reach[a.id] >> b.id & 1)
+            ba = bool(reach[b.id] >> a.id & 1)
+            assert graph.happens_before(a, b) == ab, (a.id, b.id)
+            assert graph.ordered(a, b) == (ab or ba), (a.id, b.id)
     ctx = KernelContext(graph, segs)
     ctx.prepare_hb()
     ii, jj = np.triu_indices(len(segs), 1)
     mask = ctx.ordered_mask(ii.astype(np.int64), jj.astype(np.int64))
-    if mask is not None:
-        want = [bool(reach[segs[i].id] >> segs[j].id & 1
-                     or reach[segs[j].id] >> segs[i].id & 1)
-                for i, j in zip(ii.tolist(), jj.tolist())]
-        assert mask.tolist() == want, ctx.hb_tier
+    want = [bool(reach[segs[i].id] >> segs[j].id & 1
+                 or reach[segs[j].id] >> segs[i].id & 1)
+            for i, j in zip(ii.tolist(), jj.tolist())]
+    assert mask.tolist() == want, ctx.hb_tier
 
 
 class TreeSegment:

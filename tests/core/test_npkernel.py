@@ -5,15 +5,16 @@ end-to-end kernel to the all-pairs Python loop of the test oracle
 (``tests/core/analysis_oracle.py``) on random graphs.
 """
 
+import random
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import npkernel
 from repro.core.analysis import find_races
 from repro.core.npkernel import KernelContext, coalesce_arrays, intersect_arrays
 from repro.core.segments import SegmentGraph
 from repro.util.intervals import IntervalSet
-from tests.core.analysis_oracle import find_races_naive
+from tests.core.analysis_oracle import conflict_ranges, find_races_naive
 
 ranges_strategy = st.lists(
     st.tuples(st.integers(0, 400), st.integers(1, 40)).map(
@@ -71,7 +72,6 @@ class TestPrimitives:
     @given(ranges_strategy, ranges_strategy, ranges_strategy, ranges_strategy)
     @settings(max_examples=150, deadline=None)
     def test_conflict_matches_python_formula(self, w1, r1, w2, r2):
-        from repro.core.analysis import _conflict_ranges
         g = make_graph(2, [], [])
         s1, s2 = g.segments
         for lo, hi in w1:
@@ -82,7 +82,7 @@ class TestPrimitives:
             s2.record(lo, hi - lo, True, None)
         for lo, hi in r2:
             s2.record(lo, hi - lo, False, None)
-        oracle = _conflict_ranges(s1, s2)
+        oracle = conflict_ranges(s1, s2)
         ctx = KernelContext(g, [s1, s2])
         ctx.prepare_hb()
         (ci, cj, lo, hi), ordered = ctx.check_pairs(
@@ -94,15 +94,22 @@ class TestPrimitives:
 
 @st.composite
 def graph_strategy(draw):
+    """A random DAG with accesses.  The edges go through a permutation of
+    the ids, so ids need not be topological (as in real runs), and the
+    addresses sit above a base that may reach past ``2**48`` or up to the
+    loader's ``2**63`` bound."""
     n = draw(st.integers(2, 8))
+    perm = draw(st.permutations(range(n)))
     edges = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
         .filter(lambda t: t[0] < t[1]), max_size=8))
+    base = draw(st.sampled_from([0, 2**48 - 64, 2**50, 2**63 - 2**12]))
     accesses = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, 60),
                   st.integers(1, 16), st.booleans()),
         min_size=1, max_size=24))
-    return n, edges, [(i, lo, lo + sz, w) for i, lo, sz, w in accesses]
+    return (n, [(perm[i], perm[j]) for i, j in edges],
+            [(i, base + lo, base + lo + sz, w) for i, lo, sz, w in accesses])
 
 
 class TestKernelParity:
@@ -122,36 +129,9 @@ class TestKernelParity:
         b = find_races(g2, workers=2)
         assert keys(find_races_naive(g1)) == keys(b.candidates)
 
-    def test_unbatched_fallback_matches(self):
-        # huge addresses overflow the per-pair window: the context must fall
-        # back to the per-pair loop, still agree with the oracle, and count
-        # the pairs it intersected that way
-        from repro.obs.metrics import get_registry
-        reg = get_registry()
-
-        def unbatched(g):
-            mark = reg.mark()
-            found = keys(find_races(g).candidates)
-            counters = reg.delta_since(mark)["counters"]
-            return found, counters.get("analysis.intersect.unbatched_pairs", 0)
-
-        big = 1 << 50
-        accesses = [(0, big, big + 8, True), (1, big + 4, big + 12, True)]
-        g1 = make_graph(2, [], accesses)
-        g2 = make_graph(2, [], accesses)
-        segs = [s for s in g2.segments if s.has_accesses]
-        ctx = KernelContext(g2, segs)
-        assert not ctx._batched
-        found, count = unbatched(g2)
-        assert found and found == keys(find_races_naive(g1))
-        assert count > 0
-        low = [(i, lo - big, hi - big, w) for i, lo, hi, w in accesses]
-        found, count = unbatched(make_graph(2, [], low))
-        assert found and count == 0
-
-    def test_label_overflow_falls_back(self):
-        """Labels wider than int64 no longer fall back: their dense ranks
-        take the ``label`` tier and answer like the raw labels."""
+    def test_wide_label_ranks_match_raw_labels(self):
+        """Labels wider than int64 take the ``label`` tier as dense int64
+        ranks and answer like the raw labels."""
         g = make_graph(4, [], [(k, 0, 8, True) for k in range(4)])
         _wide_labels(g)
         segs = [s for s in g.segments if s.has_accesses]
@@ -182,7 +162,7 @@ def _assert_mask_matches_labels(g, ctx):
 
 
 class TestHbTierObservability:
-    """Every batched-HB fallback is a counter, and the tier is a gauge."""
+    """The batched-HB tier is a gauge, and no tier books a fallback."""
 
     def _delta(self, build):
         from repro.obs.metrics import get_registry
@@ -206,7 +186,7 @@ class TestHbTierObservability:
         assert tier == ctx.hb_tier == "label"
         assert not any(k.startswith("analysis.hb.") for k in counters)
 
-    def test_overflow_books_counter_then_matrix(self):
+    def test_wide_labels_stay_on_label_tier(self):
         """80-bit labels book no fallback counter and stay on the label
         tier, with the same answers as the raw labels."""
         g = make_graph(4, [], [(k, 0, 8, True) for k in range(4)])
@@ -217,14 +197,34 @@ class TestHbTierObservability:
         assert g.dp_rebuilds == 0
         _assert_mask_matches_labels(g, ctx)
 
-    def test_matrix_skip_books_counter_then_per_pair(self, monkeypatch):
-        monkeypatch.setattr(npkernel, "MATRIX_MAX_SEGS", 1)
-        g = make_graph(2, [], [(0, 0, 8, True), (1, 0, 8, True)])
+    def test_reach_tier_past_4096_segments(self):
+        """An inexact graph with more than 4,096 accessing segments, whose
+        edges often run from higher to lower ids, takes the packed-row
+        tier, books no fallback counter, and answers every candidate pair
+        like ``graph.ordered``."""
+        n = 4200
+        rng = random.Random(5)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = [(perm[k], perm[min(n - 1, k + rng.randint(1, 40))])
+                 for k in range(n - 1)]
+        accesses = [(k, 8 * k, 8 * k + 16, k % 3 == 0) for k in range(n)]
+        accesses += [(k, 1 << 20, (1 << 20) + 8, True)
+                     for k in range(0, n, 60)]
+        g = make_graph(n, edges, accesses)
         ctx, counters, tier = self._delta(lambda: self._ctx(g))
-        assert counters["analysis.hb.matrix_skipped"] == 1
-        assert tier == ctx.hb_tier == "per_pair"
+        assert len(ctx.segs) > 4096
+        assert any(a > b for a, b in edges)
+        assert tier == ctx.hb_tier == "reach"
+        assert not any(k.startswith("analysis.hb.") for k in counters)
+        ii, jj = ctx.candidate_pairs()
+        got = ctx.ordered_mask(ii, jj)
+        want = [g.ordered(ctx.segs[i], ctx.segs[j])
+                for i, j in zip(ii.tolist(), jj.tolist())]
+        assert got.tolist() == want
+        assert any(want) and not all(want)
 
-    def test_fib_overflows_labels_and_uses_matrix(self):
+    def test_fib_answers_every_query_from_label_ranks(self):
         """fib(17) on 4 threads: its order-maintenance labels are 72 bits
         wide, yet the exact series-parallel graph answers every HB query
         from label ranks — no DP rebuild, no DP query."""
@@ -241,7 +241,6 @@ class TestHbTierObservability:
         assert not any(k.startswith("analysis.hb.") for k in counters)
         assert get_registry().gauge("analysis.hb_tier").value == "label"
         graph = result.stats["graph"]
-        assert graph["segments"] > npkernel.MATRIX_MAX_SEGS
         assert graph["hb_relabels"] > 0
         assert graph["dp_rebuilds"] == 0
         assert graph["queries"]["dp"] == 0

@@ -196,16 +196,8 @@ class TestHbIndexAgainstOracle:
         assert idx is not None
         # dependence-free fork-join programs must stay on the exact index
         assert idx.exact, idx.inexact_reason
-        reach = graph._reachability()
-        segs = graph.segments
-        for a in segs:
-            for b in segs:
-                if a is b:
-                    continue
-                hint = idx.happens_before_hint(a.id, b.id)
-                assert hint is not None
-                assert hint == bool(reach[a.id] >> b.id & 1), \
-                    f"({a.id} -> {b.id})"
+        assert None not in idx.label_arrays(len(graph.segments))[0]
+        _assert_labels_match_dp(graph)
         assert_hb_matches_dp(graph)
 
     @given(st.integers(0, 10 ** 6))
@@ -216,16 +208,23 @@ class TestHbIndexAgainstOracle:
         body = _random_body(random.Random(prog_seed), with_deps=True)
         tool = _run(body, nthreads=2, seed=prog_seed % 97)
         graph = tool.builder.graph
-        idx = graph.hb_index
-        reach = graph._reachability()
-        for a in graph.segments:
-            for b in graph.segments:
-                if a is b:
-                    continue
-                hint = idx.happens_before_hint(a.id, b.id)
-                if hint is not None:
-                    assert hint == bool(reach[a.id] >> b.id & 1)
+        if graph.hb_index.exact:
+            _assert_labels_match_dp(graph)
         assert_hb_matches_dp(graph)
+
+
+def _assert_labels_match_dp(graph):
+    """The index's (E, H) label order says ``a`` happens-before ``b`` iff
+    the DP does, for every placed segment pair."""
+    e, h = graph.hb_index.label_arrays(len(graph.segments))
+    reach = graph._reachability()
+    segs = graph.segments
+    for a in segs:
+        for b in segs:
+            if a is b or e[a.id] is None or e[b.id] is None:
+                continue
+            assert (e[a.id] < e[b.id] and h[a.id] < h[b.id]) == \
+                bool(reach[a.id] >> b.id & 1), f"({a.id} -> {b.id})"
 
 
 # ---------------------------------------------------------------------------

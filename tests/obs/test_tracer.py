@@ -213,7 +213,7 @@ class TestWitness:
             assert w.s1_tasks and w.s2_tasks        # live run: tasks known
             assert w.nca_id is not None             # same parallel region
             assert w.first_interval is not None
-            assert w.hb_explanation["tier"] in ("label", "index", "dp")
+            assert w.hb_explanation["tier"] in ("label", "dp")
             assert "reason" in w.hb_explanation
             # the witness survives the JSON path
             d = w.to_dict()
@@ -236,6 +236,41 @@ class TestWitness:
     def test_without_explain_no_witness(self):
         result = run_benchmark(program(RACY), "taskgrind")
         assert all(r.witness is None for r in result.reports)
+
+    def test_multi_report_run_walks_graph_once(self, tmp_path, monkeypatch):
+        """Online and offline, ``--explain`` walks the graph's reverse
+        adjacency and topological order once per report list, not once
+        per report."""
+        from repro.bench.programs import BenchProgram
+        from repro.core.segments import SegmentGraph
+        from repro.core.trace import analyze_trace, save_trace
+        from repro.workloads.lulesh import LuleshConfig, run_lulesh
+        calls = {"predecessors_map": 0, "topo_positions": 0}
+        for name in calls:
+            def counted(graph, _walk=getattr(SegmentGraph, name), _name=name):
+                calls[_name] += 1
+                return _walk(graph)
+            monkeypatch.setattr(SegmentGraph, name, counted)
+        cfg = LuleshConfig(s=16, tel=4, tnl=4, iterations=4, progress=True,
+                           racy=True)
+        lulesh = BenchProgram(name="lulesh", racy=True,
+                              entry=lambda env: run_lulesh(env, cfg),
+                              description="racy LULESH",
+                              source_file="lulesh.cc",
+                              features=frozenset({"task"}))
+        result = run_benchmark(lulesh, "taskgrind", nthreads=1,
+                               keep_machine=True,
+                               taskgrind_options=TaskgrindOptions(
+                                   explain=True))
+        assert result.report_count > 1
+        assert all(r.witness is not None for r in result.reports)
+        assert calls == {"predecessors_map": 1, "topo_positions": 1}
+        path = str(tmp_path / "lulesh.trace")
+        save_trace(result.tool_obj, result.machine, path)
+        reports = analyze_trace(path, explain=True)
+        assert len(reports) > 1
+        assert all(r.witness is not None for r in reports)
+        assert calls == {"predecessors_map": 2, "topo_positions": 2}
 
 
 # ---------------------------------------------------------------------------
