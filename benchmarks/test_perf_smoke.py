@@ -1,8 +1,9 @@
 """Perf-path smoke: the fast paths must not change any analysis result.
 
-Assert-only (no wall-clock gates — timings live in ``python -m
-repro.bench.perf`` / ``BENCH_perf.json``): for every DRB and TMB program,
-checked against the test oracles in ``tests/core/analysis_oracle.py``,
+Assert-only (no wall-clock gates — the perf gate, ``python -m
+repro.bench.perf``, holds real-run layer times to ``BENCH_perf.json``):
+for every DRB and TMB program, checked against the test oracles in
+``tests/core/analysis_oracle.py``,
 
 * the write-combining recorder leaves the same access sets as per-access
   interval-tree inserts (``TreeSegment``) of the run's access log, and

@@ -13,9 +13,9 @@ cares about:
   axis when the gate trips.
 
 The block lands under the top-level ``"serve"`` key of the perf document
-(``--merge-into BENCH_perf.json``) and is gated by
-:func:`repro.bench.perf.compare_to_baseline` at the same tolerance as
-the workload speedups (``--baseline``).
+(``--merge-into BENCH_perf.json``) and :func:`_check_serve` gates a fresh
+block against it (``--baseline``): chunk throughput as a floor, endpoint
+p95 latency as an inverted ceiling, both at ``--tolerance``.
 
 ``--faults`` switches to the chaos campaign the nightly ``serve-chaos``
 job runs: every session is re-driven under worker-hang, trace-corrupt
@@ -39,7 +39,8 @@ overload turns into typed 429s with ``Retry-After`` (which the backoff
 client rides out to eventual success) — never untyped drops.
 
 Exit codes: 0 ok; 1 gate/verification/chaos failure; 3 unusable
-baseline (mirrors ``repro.bench.perf``).
+baseline or ``--merge-into`` target (``EXIT_BASELINE_UNUSABLE``, shared
+with ``repro.bench.perf``).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.bench.perf import EXIT_BASELINE_UNUSABLE, compare_to_baseline
+from repro.bench.perf import EXIT_BASELINE_UNUSABLE, load_baseline
 from repro.core.reports import report_to_dict
 from repro.core.trace import analyze_trace, save_trace
 from repro.errors import GuestCrash, OutOfMemory, ReproError, SimDeadlock
@@ -329,6 +330,88 @@ def run_load(traces: List[Tuple[str, str]], *, clients: int, rounds: int,
         "mismatches": rec.mismatches,
         "failures": rec.failures,
     }
+
+
+# ---------------------------------------------------------------------------
+# the gate (--baseline)
+# ---------------------------------------------------------------------------
+
+#: absolute grace (ms) added to serve p95 ceilings.  Endpoint p95s are
+#: single-digit milliseconds over a handful of samples, and the analysis
+#: threads contend on the GIL, so one scheduler hiccup triples a tail
+#: latency; the regressions this gate exists to catch (a lost cache, an
+#: accidentally quadratic ingest path) are 10-100x, far past any grace
+SERVE_P95_GRACE_MS = 5.0
+
+
+def _check_serve(fresh_s: Dict, base_s: Dict, tolerance: float
+                 ) -> Tuple[bool, List[str]]:
+    """Gate a fresh serve block: throughput floor + p95 ceilings.
+
+    Throughput is higher-better: fresh must stay at or above
+    ``baseline × (1 - tolerance)``.  Endpoint p95 latency is lower-better,
+    so the gate inverts: fresh must stay under
+    ``(baseline + grace) / (1 - tolerance)``.  Returns ``(ok, lines)``;
+    on failure a line names every breach and a blame line the job phase.
+    """
+    lines: List[str] = []
+    breached: List[str] = []
+    base_tp = base_s.get("throughput_chunks_per_s")
+    if base_tp:
+        got = fresh_s.get("throughput_chunks_per_s", 0.0)
+        floor = base_tp * (1.0 - tolerance)
+        verdict = "ok" if got >= floor else "REGRESSION"
+        if got < floor:
+            breached.append("serve/throughput")
+        lines.append(f"{'serve':<10} {'throughput':<11} "
+                     f"baseline {base_tp:.0f} chunks/s  fresh {got:.0f}  "
+                     f"floor {floor:.0f}  {verdict}")
+    for ep, entry in sorted(base_s.get("endpoints", {}).items()):
+        base_p95 = entry.get("p95_ms")
+        if base_p95 is None:
+            continue
+        got = fresh_s.get("endpoints", {}).get(ep, {}).get("p95_ms")
+        ceiling = (base_p95 + SERVE_P95_GRACE_MS) / (1.0 - tolerance)
+        # a fresh doc that lost the measurement gates at infinity —
+        # dropping an endpoint from the bench is itself a regression
+        got_v = float("inf") if got is None else got
+        verdict = "ok" if got_v <= ceiling else "REGRESSION"
+        if got_v > ceiling:
+            breached.append(f"serve/{ep}.p95")
+        lines.append(f"{'serve':<10} {ep + '.p95':<11} "
+                     f"baseline {base_p95:.2f}ms  fresh "
+                     f"{'lost' if got is None else f'{got:.2f}ms'}  "
+                     f"ceiling {ceiling:.2f}ms  {verdict}")
+    if breached:
+        lines.append("breached tolerance: " + ", ".join(breached))
+        lines.append(_blame_serve(fresh_s, base_s))
+    return not breached, lines
+
+
+def _blame_serve(fresh_s: Dict, base_s: Dict) -> str:
+    """Name the job phase behind a serve breach (the blame line).
+
+    The endpoint is already in the breach item; the phase comes from the
+    per-job ``job_phases`` p95s both blocks record — the phase whose p95
+    grew most is the prime suspect (queue-wait growth means shard
+    starvation, build growth means the graph cache stopped hitting).
+    """
+    worst: Optional[Tuple[str, float, float, float]] = None
+    for phase, entry in base_s.get("job_phases", {}).items():
+        base_p95 = entry.get("p95_ms")
+        got_p95 = fresh_s.get("job_phases", {}).get(phase, {}).get("p95_ms")
+        if base_p95 is None or got_p95 is None:
+            continue
+        delta = got_p95 - base_p95
+        if worst is None or delta > worst[1]:
+            worst = (phase, delta, base_p95, got_p95)
+    if worst is None or worst[1] <= 0:
+        return ("serve: no job phase slower than baseline "
+                "(HTTP/queueing-side regression)")
+    phase, delta, base_p95, got_p95 = worst
+    return (f"serve: top regressing phase {phase!r} "
+            f"(p95 {base_p95:.2f}ms -> {got_p95:.2f}ms, "
+            f"+{delta:.2f}ms vs baseline)")
 
 
 # ---------------------------------------------------------------------------
@@ -880,11 +963,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
     if args.merge_into:
-        try:
-            with open(args.merge_into) as fh:
-                perf_doc = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            perf_doc = {"bench": "perf", "workloads": {}}
+        perf_doc = load_baseline(args.merge_into)
+        if perf_doc is None:
+            return EXIT_BASELINE_UNUSABLE
         perf_doc["serve"] = serve_block
         with open(args.merge_into, "w") as fh:
             json.dump(perf_doc, fh, indent=2)
@@ -892,24 +973,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"merged serve block into {args.merge_into}")
 
     if args.baseline:
-        try:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-        except OSError as exc:
-            print(f"cannot read baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return EXIT_BASELINE_UNUSABLE
-        except json.JSONDecodeError as exc:
-            print(f"baseline {args.baseline} is not valid JSON: {exc}",
-                  file=sys.stderr)
+        baseline = load_baseline(args.baseline)
+        if baseline is None:
             return EXIT_BASELINE_UNUSABLE
         if not baseline.get("serve"):
             print(f"baseline {args.baseline} has no 'serve' block — "
                   "regenerate with: python -m repro.bench.serve "
                   f"--merge-into {args.baseline}", file=sys.stderr)
             return EXIT_BASELINE_UNUSABLE
-        ok, lines = compare_to_baseline({"serve": serve_block}, baseline,
-                                        args.tolerance)
+        ok, lines = _check_serve(serve_block, baseline["serve"],
+                                 args.tolerance)
         print(f"\nserve gate vs {args.baseline} "
               f"(tolerance {args.tolerance:.0%}):")
         for line in lines:

@@ -21,8 +21,8 @@ friendly; this module is the cold document layer:
   non-raising variant used by ``repro.obs.tracecheck``.
 * **Diffing.**  :func:`diff_profiles` aggregates the virtual-time axis by
   ``(klass, frame)`` (summed over threads), computes per-bucket deltas
-  and names the top regressing bucket — the primitive the perf gate uses
-  to say *why* a phase regressed, not just that it did.
+  and names the top regressing bucket, so a diff says *why* virtual time
+  grew, not just that it did (``--fail-on-regression`` gates on it).
 
 CLI (``python -m repro profile ...``)::
 
@@ -298,22 +298,6 @@ def diff_profiles(a: dict, b: dict) -> dict:
         "buckets": rows,
         "top_regression": top,
     }
-
-
-def top_regressing_class(a_classes: Dict[str, float],
-                         b_classes: Dict[str, float]
-                         ) -> Optional[Tuple[str, float]]:
-    """Largest positive per-class delta between two class-total maps.
-
-    The perf gate stores class totals (not full documents) in
-    ``BENCH_perf.json``; this names the responsible bucket on a breach.
-    """
-    best: Optional[Tuple[str, float]] = None
-    for klass in sorted(set(a_classes) | set(b_classes)):
-        delta = b_classes.get(klass, 0.0) - a_classes.get(klass, 0.0)
-        if delta > 0 and (best is None or delta > best[1]):
-            best = (klass, delta)
-    return best
 
 
 # ---------------------------------------------------------------------------

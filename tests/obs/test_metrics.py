@@ -1,12 +1,14 @@
 """Tests for the observability layer (repro.obs.metrics).
 
-Three groups:
+Four groups:
 
 * instrument semantics — counters, gauges, histograms;
 * phase timers — nesting, re-entrancy, exception safety, wall vs virtual
   time (both clocks injectable for determinism);
-* the stable key contract — the stats documents the CI perf gate and the
-  offline smoke job parse, produced by a real instrumented run.
+* the stable key contract — the stats documents the end-to-end benchmark
+  and the offline smoke job parse, produced by a real instrumented run;
+* the perf gate (``repro.bench.perf``) — its comparison of real-run
+  layers against a baseline, and its exit codes.
 """
 
 import json
@@ -14,7 +16,9 @@ import json
 import pytest
 
 from repro.bench import drb
-from repro.bench.perf import compare_to_baseline
+import repro.bench.perf as perf
+from repro.bench.perf import (EXIT_BASELINE_UNUSABLE, compare_to_baseline,
+                              summarize)
 from repro.bench.runner import run_benchmark
 from repro.core.trace import analyze_trace_with_stats, save_trace
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -266,65 +270,191 @@ class TestStatsDocuments:
 # the perf-gate comparison (pure function, no timing)
 # ---------------------------------------------------------------------------
 
-def doc(**speedups):
-    return {"workloads": {wl: {"combined_speedup": s}
-                          for wl, s in speedups.items()}}
+def result(correct=True, failed=0, **metrics):
+    """A ``perfbench/run.py --trace 1`` result line (racy LULESH-like)."""
+    values = {"record_ms": 30.0, "hb_filter_ms": 1.0, "suppress_ms": 0.3,
+              "segments": 245, "hb_dp_queries": 6216}
+    values.update(metrics)
+    return {"correct": correct, "attempted": 3, "failed": failed,
+            "metrics": {k: {"value": v,
+                            "unit": "ms" if k.endswith("_ms") else "count"}
+                        for k, v in values.items() if v is not None}}
+
+
+def doc(**results):
+    """A perf document: one run per workload, heat's record-sync speedup."""
+    out = summarize({wl: [r] for wl, r in results.items()})
+    out["record_sync"] = {"heat": {"speedup": 11.2}}
+    return out
+
+
+def breach_and_blame(lines):
+    """The gate's ``breached:`` and ``blame:`` lines (None when absent)."""
+    return tuple(next((ln for ln in lines if ln.startswith(prefix)), None)
+                 for prefix in ("breached: ", "blame: "))
 
 
 class TestPerfGate:
     def test_passes_within_tolerance(self):
-        ok, lines = compare_to_baseline(doc(fib=1.5, heat=2.0),
-                                        doc(fib=2.0, heat=2.2),
-                                        tolerance=0.4)
-        assert ok
-        assert len(lines) == 2
+        # 55 ms is under the 2 x 30 + 1 ms ceiling
+        ok, lines = compare_to_baseline(doc(lulesh=result(record_ms=55.0)),
+                                        doc(lulesh=result()))
+        assert ok, lines
+        assert not any(ln.startswith(("breached", "blame")) for ln in lines)
 
     def test_fails_beyond_tolerance(self):
-        ok, lines = compare_to_baseline(doc(fib=1.0), doc(fib=2.0),
-                                        tolerance=0.4)
+        ok, lines = compare_to_baseline(doc(lulesh=result(suppress_ms=5.3)),
+                                        doc(lulesh=result()))
         assert not ok
-        assert any("REGRESSION" in line for line in lines)
-
-    def test_only_common_workloads_compared(self):
-        # the quick CI preset skips LULESH; a baseline that has it must not
-        # fail the gate on the missing workload
-        ok, lines = compare_to_baseline(doc(fib=2.0),
-                                        doc(fib=2.0, lulesh=3.0),
-                                        tolerance=0.4)
-        assert ok
-        assert len(lines) == 1
-
-    def test_no_common_workloads_fails(self):
-        ok, _ = compare_to_baseline(doc(fib=2.0), doc(heat=2.0),
-                                    tolerance=0.4)
-        assert not ok
-
-    def test_improvement_always_passes(self):
-        ok, _ = compare_to_baseline(doc(fib=9.0), doc(fib=2.0), tolerance=0.0)
-        assert ok
+        breach, blame = breach_and_blame(lines)
+        assert breach == "breached: lulesh/suppress_ms"
+        assert blame.startswith("blame: lulesh/suppress_ms grew most")
 
     def test_failure_names_the_breaching_workload_and_phase(self):
-        ok, lines = compare_to_baseline(doc(fib=1.0, heat=2.2),
-                                        doc(fib=2.0, heat=2.0),
-                                        tolerance=0.4)
+        # both layers pass their ceilings; the blame line names the one
+        # furthest past it, not the one with the larger absolute growth
+        fresh = doc(fib=result(),
+                    lulesh=result(record_ms=62.0, hb_filter_ms=30.0))
+        ok, lines = compare_to_baseline(fresh, doc(fib=result(),
+                                                   lulesh=result()))
         assert not ok
-        assert lines[-1] == "breached tolerance: fib/combined"
+        breach, blame = breach_and_blame(lines)
+        assert breach == "breached: lulesh/record_ms, lulesh/hb_filter_ms"
+        assert blame.startswith("blame: lulesh/hb_filter_ms grew most")
 
-    def test_record_sync_speedup_is_gated(self):
-        base = doc(heat=2.0)
-        base["workloads"]["heat"]["record_sync"] = {"speedup": 10.0}
-        fresh = doc(heat=2.0)
-        fresh["workloads"]["heat"]["record_sync"] = {"speedup": 1.0}
-        ok, lines = compare_to_baseline(fresh, base, tolerance=0.4)
+    def test_count_mismatch_inside_time_ceiling_breaches(self):
+        # lulesh's record_ms is nearer its ceiling, but only fib breached:
+        # the blame line names fib's layer
+        fresh = doc(fib=result(hb_dp_queries=7000, hb_filter_ms=2.5),
+                    lulesh=result(record_ms=58.0))
+        ok, lines = compare_to_baseline(fresh, doc(fib=result(),
+                                                   lulesh=result()))
         assert not ok
-        assert "heat/record_sync" in lines[-1]
+        breach, blame = breach_and_blame(lines)
+        assert breach == "breached: fib/hb_dp_queries"
+        assert blame.startswith("blame: fib/hb_filter_ms grew most")
+
+    def test_improvement_always_passes(self):
+        fast = result(record_ms=1.0, hb_filter_ms=0.1, suppress_ms=0.0)
+        fresh = doc(lulesh=fast)
+        fresh["record_sync"]["heat"]["speedup"] = 90.0
+        ok, lines = compare_to_baseline(fresh, doc(lulesh=result()))
+        assert ok, lines
 
     def test_fresh_doc_missing_a_gated_phase_fails(self):
-        base = doc(heat=2.0)
-        base["workloads"]["heat"]["analyze"] = {"speedup": 2.0}
-        ok, lines = compare_to_baseline(doc(heat=2.0), base, tolerance=0.4)
+        ok, lines = compare_to_baseline(doc(lulesh=result(suppress_ms=None)),
+                                        doc(lulesh=result()))
         assert not ok
-        assert "heat/analyze" in lines[-1]
+        breach, blame = breach_and_blame(lines)
+        assert breach == "breached: lulesh/suppress_ms"
+        assert "lost" in blame
+
+    def test_only_common_workloads_compared(self):
+        # a run the baseline has no entry for is held to its own checks
+        # only (main refuses such a baseline with exit 3; without
+        # --baseline this is every run)
+        fresh = doc(fib=result(), lulesh=result(record_ms=900.0))
+        ok, lines = compare_to_baseline(fresh, doc(fib=result()))
+        assert ok, lines
+        assert [ln.split()[0] for ln in lines if ln.startswith("lulesh")] \
+            == ["lulesh/run"]
+
+    def test_no_common_workloads_fails(self):
+        ok, lines = compare_to_baseline(doc(), doc(fib=result(),
+                                                   lulesh=result()))
+        assert not ok
+        assert breach_and_blame(lines)[0] == "breached: fib/run, lulesh/run"
+
+    def test_record_sync_speedup_is_gated(self):
+        fresh = doc(lulesh=result())
+        fresh["record_sync"]["heat"]["speedup"] = 6.0   # floor 6.72x
+        ok, lines = compare_to_baseline(fresh, doc(lulesh=result()))
+        assert not ok
+        assert breach_and_blame(lines)[0] == "breached: heat/record_sync"
+
+    def test_repeated_workload_gates_its_medians(self):
+        fresh = summarize({"fib": [result(record_ms=t)
+                                   for t in (90.0, 31.0, 29.0)]})
+        assert fresh["runs"]["fib"] == {"count": 3, "correct": True,
+                                        "failed": 0}
+        assert fresh["layers"]["fib"]["record_ms"] == 31.0
+        assert fresh["layers"]["fib"]["segments"] == 245
+
+
+class TestPerfGateExitCodes:
+    """``main``: the run files, the baseline file and the exit code."""
+
+    def _main(self, tmp_path, monkeypatch, runs, baseline):
+        monkeypatch.setattr(perf, "run_record_sync", lambda: {
+            "fib": {"full_s": 0.05, "sync_s": 0.001, "speedup": 50.0},
+            "heat": {"full_s": 0.01, "sync_s": 0.001, "speedup": 10.0}})
+        args = []
+        for wl, res in runs:
+            path = tmp_path / f"{wl}.out"
+            text = res if isinstance(res, str) else json.dumps(res)
+            path.write_text("fib(17) = 1597\n" + text + "\n")
+            args.append(f"{wl}={path}")
+        if isinstance(baseline, dict):
+            path = tmp_path / "base.json"
+            path.write_text(json.dumps(baseline))
+            baseline = str(path)
+        return perf.main(["--baseline", baseline,
+                          "--json", str(tmp_path / "fresh.json"), *args])
+
+    def base(self, **results):
+        out = doc(**results)
+        out["record_sync"] = {"fib": {"speedup": 47.8},
+                              "heat": {"speedup": 11.2}}
+        return out
+
+    def test_passing_runs_exit_zero(self, tmp_path, monkeypatch):
+        rc = self._main(tmp_path, monkeypatch,
+                        [("fib", result()), ("lulesh", result())],
+                        self.base(fib=result(), lulesh=result()))
+        assert rc == 0
+        fresh = json.loads((tmp_path / "fresh.json").read_text())
+        assert set(fresh) == {"bench", "runs", "layers", "record_sync"}
+
+    @pytest.mark.parametrize("bad", [result(correct=False),
+                                     result(failed=2),
+                                     "Traceback (most recent call last):"],
+                             ids=["incorrect", "failed", "no-result"])
+    def test_bad_run_exits_one_and_names_workload(self, tmp_path,
+                                                  monkeypatch, capsys, bad):
+        rc = self._main(tmp_path, monkeypatch,
+                        [("fib", bad), ("lulesh", result())],
+                        self.base(fib=result(), lulesh=result()))
+        assert rc == 1
+        assert "breached: fib/run" in capsys.readouterr().out
+
+    def test_missing_run_exits_one_and_names_workload(self, tmp_path,
+                                                      monkeypatch, capsys):
+        rc = self._main(tmp_path, monkeypatch, [("lulesh", result())],
+                        self.base(fib=result(), lulesh=result()))
+        assert rc == 1
+        assert "breached: fib/run" in capsys.readouterr().out
+
+    def test_unusable_baseline_exits_three(self, tmp_path, monkeypatch):
+        runs = [("fib", result())]
+        assert self._main(tmp_path, monkeypatch, runs,
+                          str(tmp_path / "nope.json")) \
+            == EXIT_BASELINE_UNUSABLE
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert self._main(tmp_path, monkeypatch, runs, str(bad)) \
+            == EXIT_BASELINE_UNUSABLE
+
+    def test_baseline_lacking_a_workload_exits_three(self, tmp_path,
+                                                     monkeypatch, capsys):
+        rc = self._main(tmp_path, monkeypatch,
+                        [("fib", result()), ("serve", result())],
+                        self.base(fib=result()))
+        assert rc == EXIT_BASELINE_UNUSABLE
+        assert "layers.serve" in capsys.readouterr().err
+        no_sync = self.base(fib=result())
+        del no_sync["record_sync"]["heat"]
+        assert self._main(tmp_path, monkeypatch, [("fib", result())],
+                          no_sync) == EXIT_BASELINE_UNUSABLE
 
 
 # ---------------------------------------------------------------------------

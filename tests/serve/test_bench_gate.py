@@ -1,14 +1,14 @@
-"""Tests for the load-generator helpers and the serve side of the perf
-gate: breach naming, blame lines, the chaos degradation contract, and
-the distinct exit code for an unusable baseline."""
+"""Tests for the load-generator helpers and the serve gate: breach
+naming, blame lines, the chaos degradation contract, and the distinct
+exit code for an unusable baseline."""
 
 import json
 
 import pytest
 
-import repro.bench.perf as perf
-from repro.bench.perf import EXIT_BASELINE_UNUSABLE, compare_to_baseline
-from repro.bench.serve import (_check_chaos_outcome, _race_key,
+import repro.bench.serve as serve_bench
+from repro.bench.perf import EXIT_BASELINE_UNUSABLE
+from repro.bench.serve import (_check_chaos_outcome, _check_serve, _race_key,
                                _summarize_ms, _well_formed_partial,
                                percentile)
 
@@ -113,11 +113,14 @@ class TestChaosContract:
 
 
 # ---------------------------------------------------------------------------
-# the serve side of compare_to_baseline
+# the serve gate (_check_serve)
 # ---------------------------------------------------------------------------
 
 def _serve_block(tp=1000.0, upload_p95=1.0, analyze_p95=5.0):
     return {
+        "sessions": 10,
+        "chunks_uploaded": 40,
+        "elapsed_s": 0.04,
         "throughput_chunks_per_s": tp,
         "endpoints": {
             "upload_chunk": {"count": 40, "p50_ms": upload_p95 / 2,
@@ -129,28 +132,28 @@ def _serve_block(tp=1000.0, upload_p95=1.0, analyze_p95=5.0):
             "build": {"count": 10, "p50_ms": 0.5, "p95_ms": 1.0},
             "analyze": {"count": 10, "p50_ms": 2.0, "p95_ms": analyze_p95},
         },
+        "failures": [],
+        "mismatches": [],
     }
 
 
 class TestServeGate:
     def test_identical_blocks_pass(self):
-        ok, lines = compare_to_baseline({"serve": _serve_block()},
-                                        {"serve": _serve_block()}, 0.4)
+        ok, lines = _check_serve(_serve_block(), _serve_block(), 0.4)
         assert ok, lines
         assert any("throughput" in line for line in lines)
 
     def test_throughput_floor_breach_names_serve(self):
-        ok, lines = compare_to_baseline({"serve": _serve_block(tp=100.0)},
-                                        {"serve": _serve_block(tp=1000.0)},
-                                        0.4)
+        ok, lines = _check_serve(_serve_block(tp=100.0),
+                                 _serve_block(tp=1000.0), 0.4)
         assert not ok
         assert any("breached tolerance: serve/throughput" in line
                    for line in lines)
 
     def test_p95_ceiling_breach_names_endpoint_and_phase(self):
-        fresh = {"serve": _serve_block(upload_p95=50.0, analyze_p95=60.0)}
-        base = {"serve": _serve_block(upload_p95=1.0, analyze_p95=5.0)}
-        ok, lines = compare_to_baseline(fresh, base, 0.4)
+        fresh = _serve_block(upload_p95=50.0, analyze_p95=60.0)
+        base = _serve_block(upload_p95=1.0, analyze_p95=5.0)
+        ok, lines = _check_serve(fresh, base, 0.4)
         assert not ok
         breach = [ln for ln in lines if ln.startswith("breached")][0]
         assert "serve/upload_chunk.p95" in breach
@@ -158,98 +161,93 @@ class TestServeGate:
         assert any("top regressing phase 'analyze'" in ln for ln in lines)
 
     def test_breach_without_phase_growth_blames_http_side(self):
-        fresh = {"serve": _serve_block(upload_p95=50.0)}
-        base = {"serve": _serve_block(upload_p95=1.0)}
-        ok, lines = compare_to_baseline(fresh, base, 0.4)
+        ok, lines = _check_serve(_serve_block(upload_p95=50.0),
+                                 _serve_block(upload_p95=1.0), 0.4)
         assert not ok
         assert any("HTTP/queueing-side regression" in ln for ln in lines)
 
-    def test_serve_only_documents_are_comparable(self):
-        # no workloads at all must not trip the no-common-workloads guard
-        ok, lines = compare_to_baseline({"serve": _serve_block()},
-                                        {"serve": _serve_block()}, 0.4)
-        assert ok
-        assert lines != ["no common workloads between fresh run and baseline"]
+    def test_serve_only_documents_are_comparable(self, bench):
+        # the serve gate reads only the baseline's serve block: a perf
+        # document without the real-run blocks still gates
+        assert bench({"serve": _serve_block()}) == 0
 
     def test_absolute_grace_absorbs_submillisecond_noise(self):
         # 0.1ms -> 0.55ms is >5x relative, but within the absolute grace
-        fresh = {"serve": _serve_block(upload_p95=0.55)}
-        base = {"serve": _serve_block(upload_p95=0.1)}
-        ok, _lines = compare_to_baseline(fresh, base, 0.4)
+        ok, _lines = _check_serve(_serve_block(upload_p95=0.55),
+                                  _serve_block(upload_p95=0.1), 0.4)
         assert ok
 
     def test_lost_endpoint_measurement_is_a_breach(self):
-        fresh = {"serve": _serve_block()}
-        del fresh["serve"]["endpoints"]["report"]
-        ok, lines = compare_to_baseline(fresh, {"serve": _serve_block()},
-                                        0.4)
+        fresh = _serve_block()
+        del fresh["endpoints"]["report"]
+        ok, lines = _check_serve(fresh, _serve_block(), 0.4)
         assert not ok
         assert any("serve/report.p95" in line for line in lines)
 
 
 # ---------------------------------------------------------------------------
-# --baseline exit codes (repro.bench.perf)
+# --baseline / --merge-into exit codes (repro.bench.serve)
 # ---------------------------------------------------------------------------
 
-def _wl_entry(speedup=2.0):
-    return {"segments": 2, "edges": 1, "raw_records": 10, "events": 10,
-            "events_dropped": 0, "hb_exact": True, "hb_inexact_reason": None,
-            "record": {"legacy_s": 1.0, "fast_s": 0.5, "speedup": 2.0},
-            "record_sync": {"full_s": 1.0, "sync_s": 0.25, "speedup": 4.0},
-            "analyze": {"legacy_s": 1.0, "fast_s": 0.5, "speedup": speedup,
-                        "candidates": 1},
-            "combined_speedup": speedup,
-            "stats": {"phases": {}, "record_counters": {}},
-            "profile": {"classes": {"mem.read": 10.0}, "vtime_ops": 10.0}}
-
-
-def _fake_doc():
-    return {"bench": "perf", "element_bytes": 8, "max_events": 10,
-            "repeats": 1,
-            "workloads": {"fib": _wl_entry(), "heat": _wl_entry()}}
-
-
 @pytest.fixture
-def fake_perf(monkeypatch, tmp_path):
-    monkeypatch.setattr(perf, "run_perf", lambda **kw: _fake_doc())
-    return tmp_path
+def bench(monkeypatch, tmp_path):
+    """Run the serve bench's CLI on a canned load block; returns its rc.
+
+    ``baseline`` is a document (written to a file) or a path.
+    """
+    fresh = {"block": _serve_block()}
+    monkeypatch.setattr(serve_bench, "materialize_traces",
+                        lambda *a, **kw: [])
+    monkeypatch.setattr(serve_bench, "run_load",
+                        lambda *a, **kw: fresh["block"])
+
+    def run(baseline, block=None, *extra):
+        if block is not None:
+            fresh["block"] = block
+        if isinstance(baseline, dict):
+            path = tmp_path / "base.json"
+            path.write_text(json.dumps(baseline))
+            baseline = str(path)
+        return serve_bench.main(["--baseline", baseline, *extra])
+
+    return run
 
 
 class TestBaselineExitCodes:
-    def _main(self, tmp_path, baseline_arg):
-        return perf.main(["--skip-lulesh", "--repeats", "1",
-                          "--json", str(tmp_path / "fresh.json"),
-                          "--baseline", baseline_arg])
-
-    def test_missing_baseline_file(self, fake_perf, capsys):
-        rc = self._main(fake_perf, str(fake_perf / "nope.json"))
+    def test_missing_baseline_file(self, bench, tmp_path, capsys):
+        rc = bench(str(tmp_path / "nope.json"))
         assert rc == EXIT_BASELINE_UNUSABLE
-        assert "regenerate" in capsys.readouterr().err
+        assert "cannot read baseline" in capsys.readouterr().err
 
-    def test_unparseable_baseline(self, fake_perf):
-        bad = fake_perf / "bad.json"
+    def test_unparseable_baseline(self, bench, tmp_path):
+        bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert self._main(fake_perf, str(bad)) == EXIT_BASELINE_UNUSABLE
+        assert bench(str(bad)) == EXIT_BASELINE_UNUSABLE
 
-    def test_baseline_lacking_gated_workload(self, fake_perf, capsys):
-        partial = fake_perf / "partial.json"
-        doc = _fake_doc()
-        del doc["workloads"]["heat"]
-        partial.write_text(json.dumps(doc))
-        assert self._main(fake_perf, str(partial)) == EXIT_BASELINE_UNUSABLE
-        assert "heat" in capsys.readouterr().err
+    def test_baseline_lacking_gated_workload(self, bench, capsys):
+        # a perf document without the serve block cannot gate the bench
+        rc = bench({"bench": "perf", "layers": {}})
+        assert rc == EXIT_BASELINE_UNUSABLE
+        assert "'serve' block" in capsys.readouterr().err
 
-    def test_usable_baseline_passes(self, fake_perf):
-        good = fake_perf / "good.json"
-        good.write_text(json.dumps(_fake_doc()))
-        assert self._main(fake_perf, str(good)) == 0
+    def test_usable_baseline_passes(self, bench):
+        assert bench({"serve": _serve_block()}) == 0
 
-    def test_real_regression_still_exits_one(self, fake_perf, monkeypatch):
-        slow = _fake_doc()
-        for wl in slow["workloads"].values():
-            wl["combined_speedup"] = 0.5
-            wl["analyze"]["speedup"] = 0.5
-        monkeypatch.setattr(perf, "run_perf", lambda **kw: slow)
-        good = fake_perf / "base.json"
-        good.write_text(json.dumps(_fake_doc()))
-        assert self._main(fake_perf, str(good)) == 1
+    def test_real_regression_still_exits_one(self, bench):
+        assert bench({"serve": _serve_block()},
+                     _serve_block(tp=100.0)) == 1
+
+    def test_merge_into_needs_a_readable_perf_document(self, bench,
+                                                       tmp_path):
+        target = tmp_path / "perf.json"
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"serve": _serve_block()}))
+        assert bench(str(base), None, "--merge-into", str(target)) \
+            == EXIT_BASELINE_UNUSABLE
+        assert not target.exists()
+        target.write_text(json.dumps({"bench": "perf", "layers": {}}))
+        assert bench(str(base), _serve_block(tp=900.0), "--merge-into",
+                     str(target)) == 0
+        merged = json.loads(target.read_text())
+        assert merged["layers"] == {}
+        assert merged["serve"]["throughput_chunks_per_s"] == 900.0
