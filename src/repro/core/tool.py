@@ -462,6 +462,7 @@ class TaskgrindTool(Tool):
         if machine is not None:
             doc["record"]["hub"] = machine.instrumentation.stats()
             doc["virtual"] = machine.cost.stats()
+            doc["sched"] = machine.scheduler.stats()
         if graph is not None:
             doc["graph"] = graph.stats()
         doc["analysis"] = {

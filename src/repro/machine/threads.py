@@ -1,10 +1,14 @@
-"""Deterministic simulated threads with strict token-passing scheduling.
+"""Deterministic simulated threads with strict token passing.
 
 Each simulated thread is a real Python thread, but **exactly one runs at any
-moment**: the scheduler (running on the thread that called
-:meth:`Scheduler.run`) hands a token to one simulated thread, which runs guest
-code until it hits a *scheduling point* (:meth:`Scheduler.yield_point`,
-:meth:`Scheduler.block_until`, or termination) and hands the token back.
+moment**: the one holding the scheduler token.  It runs guest code until it
+hits a *scheduling point* (:meth:`Scheduler.yield_point`,
+:meth:`Scheduler.block_until`, or termination), picks the next thread
+itself and hands the token straight to it.  A thread that picks itself
+keeps running without touching an OS primitive.  The thread that called
+:meth:`Scheduler.run` (the master) only starts the first slice and waits
+for the run to end.  Every simulated thread pins itself to one CPU, so
+guest execution stays on one core across handoffs.
 
 Consequences, all load-bearing for the reproduction:
 
@@ -29,6 +33,7 @@ kernel or the Valgrind scheduler.
 from __future__ import annotations
 
 import enum
+import os
 import threading
 from typing import Callable, List, Optional
 
@@ -38,7 +43,9 @@ from repro.util.rng import RngHub
 
 _TRACER = get_tracer()
 
-_SLICE_TIMEOUT = 300.0      # seconds of *real* time before declaring a hang
+#: seconds of *real* time without a scheduling decision before the master
+#: declares a hang
+_SLICE_TIMEOUT = 300.0
 
 
 class ThreadState(enum.Enum):
@@ -54,7 +61,7 @@ class _Abort(BaseException):
 
 
 class SimThread:
-    """One simulated thread: a real thread gated by a resume event."""
+    """One simulated thread: a real thread gated by its token lock."""
 
     def __init__(self, sched: "Scheduler", tid: int, fn: Callable[[], object],
                  name: str) -> None:
@@ -68,16 +75,20 @@ class SimThread:
         self.block_pred: Optional[Callable[[], bool]] = None
         self.exc: Optional[BaseException] = None
         self.result: object = None
-        self._resume = threading.Event()
+        # held while the thread is parked; releasing it hands over the token
+        self._token = threading.Lock()
+        self._token.acquire()
         self._real = threading.Thread(target=self._entry,
                                       name=f"sim-{tid}-{name}", daemon=True)
 
     # -- real-thread side -------------------------------------------------
 
     def _entry(self) -> None:
-        self.sched._local.sim_thread = self
+        sched = self.sched
+        sched._local.sim_thread = self
         try:
-            self._wait_for_token()
+            self._park()
+            sched._pin()
             self.result = self.fn()
         except _Abort:
             pass
@@ -89,12 +100,14 @@ class SimThread:
                 _TRACER.instant("thread.exit", self.id, cat="thread",
                                 args={"name": self.name,
                                       "faulted": self.exc is not None})
-            self.sched._token_to_master()
+            if not sched._aborting:
+                nxt = sched._next(self)
+                if nxt is not None:
+                    nxt._token.release()
 
-    def _wait_for_token(self) -> None:
-        if not self._resume.wait(timeout=_SLICE_TIMEOUT):  # pragma: no cover
-            raise MachineError(f"simulated thread {self.id} never resumed")
-        self._resume.clear()
+    def _park(self) -> None:
+        """Block until handed the token (abort hands it over too)."""
+        self._token.acquire()
         if self.sched._aborting:
             raise _Abort()
 
@@ -103,7 +116,7 @@ class SimThread:
 
 
 class Scheduler:
-    """Token-passing scheduler over :class:`SimThread` instances."""
+    """Direct token-handoff scheduler over :class:`SimThread` instances."""
 
     #: probability of picking a uniformly random runnable thread instead of
     #: the min-vtime one — models OS scheduling noise / wake latencies, and
@@ -111,13 +124,16 @@ class Scheduler:
     #: observes for Archer (e.g. Table II's "149 to 273" report range).
     JITTER = 0.25
 
-    def __init__(self, rng: Optional[RngHub] = None,
-                 policy: str = "min_vtime") -> None:
+    def __init__(self, rng: Optional[RngHub] = None) -> None:
         self.rng = rng or RngHub(0)
-        self.policy = policy
         self.threads: List[SimThread] = []
         self.now = 0.0                       # vtime of the last-run slice
-        self.switches = 0
+        self.switches = 0                    # picks, self-picks included
+        self.self_picks = 0                  # slices resumed with no handoff
+        #: the CPU every simulated thread pins itself to; None when unpinned
+        self.cpu: Optional[int] = (min(os.sched_getaffinity(0))
+                                   if hasattr(os, "sched_setaffinity")
+                                   else None)
         #: replay hooks (repro.replay).  ``pick_observer(tid)`` is called
         #: after every scheduling decision; ``pick_override(ready)`` — when
         #: set — *makes* the decision instead of the seeded policy (and the
@@ -127,7 +143,9 @@ class Scheduler:
         self.pick_override: Optional[
             Callable[[List["SimThread"]], "SimThread"]] = None
         self.peak_live = 0                   # max concurrently-live threads
-        self._master = threading.Event()
+        # held by the master until a token holder hands it the outcome
+        self._master = threading.Lock()
+        self._outcome: Optional[BaseException] = None
         self._aborting = False
         self._local = threading.local()
         self._started = False
@@ -146,6 +164,11 @@ class Scheduler:
 
     def maybe_current(self) -> Optional[SimThread]:
         return getattr(self._local, "sim_thread", None)
+
+    def stats(self) -> dict:
+        """The ``sched`` block of ``taskgrind-stats/1``."""
+        return {"switches": self.switches, "self_picks": self.self_picks,
+                "cpu": self.cpu}
 
     # -- thread creation -------------------------------------------------------
 
@@ -175,15 +198,14 @@ class Scheduler:
         """Give the scheduler a chance to run somebody else."""
         t = self.current()
         t.state = ThreadState.RUNNABLE
-        self._token_to_master()
-        t._wait_for_token()
-        t.state = ThreadState.RUNNING
+        self._switch(t)
 
     def block_until(self, pred: Callable[[], bool], reason: str) -> None:
         """Suspend the calling thread until ``pred()`` holds.
 
-        The predicate is evaluated by the scheduler between slices; it must be
-        cheap and must only read state mutated by other simulated threads.
+        The predicate is evaluated at every later scheduling decision; it
+        must be cheap and must only read state mutated by other simulated
+        threads.
         """
         if pred():
             return
@@ -191,16 +213,64 @@ class Scheduler:
         t.state = ThreadState.BLOCKED
         t.block_pred = pred
         t.block_reason = reason
-        self._token_to_master()
-        t._wait_for_token()
-        t.state = ThreadState.RUNNING
+        self._switch(t)
         t.block_pred = None
         t.block_reason = ""
 
-    def _token_to_master(self) -> None:
-        self._master.set()
+    def _switch(self, cur: SimThread) -> None:
+        """End ``cur``'s slice: pick the next one and hand it the token."""
+        if self._aborting:
+            raise _Abort()
+        nxt = self._next(cur)
+        if nxt is cur:
+            self.self_picks += 1
+            return
+        if nxt is not None:
+            nxt._token.release()
+        cur._park()
 
-    # -- master loop ---------------------------------------------------------------
+    def _next(self, cur: Optional[SimThread]) -> Optional[SimThread]:
+        """Close ``cur``'s slice and pick the thread that runs next.
+
+        Runs only on the token holder.  Returns None once the run is over:
+        the outcome (None, or the exception to raise) has gone to the
+        master, and the caller must touch no scheduler state after that.
+        """
+        if cur is not None:
+            self.now = max(self.now, cur.vtime)
+            if cur.exc is not None:
+                return self._finish(cur.exc)
+        live = [t for t in self.threads if t.state != ThreadState.DONE]
+        if not live:
+            return self._finish(None)
+        try:
+            t = self._pick(live)
+        except Exception as exc:        # the master raises it, not the guest
+            return self._finish(exc)
+        if t is None:
+            return self._finish(SimDeadlock(
+                {x.id: x.block_reason or x.state.value for x in live}))
+        if t.state == ThreadState.BLOCKED:
+            # Time passed while waiting: jump to the present.
+            t.vtime = max(t.vtime, self.now)
+        t.state = ThreadState.RUNNING
+        self.switches += 1
+        return t
+
+    def _finish(self, outcome: Optional[BaseException]) -> None:
+        self._outcome = outcome
+        self._master.release()
+
+    def _pin(self) -> None:
+        """Pin the calling simulated thread to :attr:`cpu`."""
+        if self.cpu is None:
+            return
+        try:
+            os.sched_setaffinity(0, {self.cpu})    # pid 0: this thread
+        except OSError:
+            self.cpu = None
+
+    # -- master ---------------------------------------------------------------------
 
     def run(self) -> None:
         """Drive all simulated threads to completion.
@@ -212,23 +282,30 @@ class Scheduler:
         if self._started:
             raise MachineError("Scheduler.run is single-shot")
         self._started = True
+        self._master.acquire()
         try:
-            while True:
-                live = [t for t in self.threads if t.state != ThreadState.DONE]
-                if not live:
-                    break
-                t = self._pick(live)
-                if t is None:
-                    states = {x.id: x.block_reason or x.state.value for x in live}
-                    raise SimDeadlock(states)
-                self._run_slice(t)
-                failed = next((x for x in self.threads if x.exc is not None), None)
-                if failed is not None:
-                    raise failed.exc
+            first = self._next(None)
+            if first is not None:
+                first._token.release()
+            self._await_outcome()
+            if self._outcome is not None:
+                raise self._outcome
         except BaseException:
             self._abort_all()
             raise
-        self._abort_all()        # no-op when everything finished cleanly
+        self._abort_all()        # only joins when everything finished cleanly
+
+    def _await_outcome(self) -> None:
+        """Wait for the run to end; a run whose switch count stalls for
+        ``_SLICE_TIMEOUT`` has hung."""
+        seen = self.switches
+        while not self._master.acquire(timeout=_SLICE_TIMEOUT):
+            if self.switches == seen:
+                tid = next((t.id for t in self.threads
+                            if t.state == ThreadState.RUNNING), None)
+                raise MachineError(
+                    f"simulated thread {tid} hung (real deadlock?)")
+            seen = self.switches
 
     def _pick(self, live: List[SimThread]) -> Optional[SimThread]:
         ready: List[SimThread] = []
@@ -247,7 +324,7 @@ class Scheduler:
                 self.pick_observer(chosen.id)
             return chosen
         chosen = None
-        if len(ready) > 1 and self.policy == "min_vtime":
+        if len(ready) > 1:
             if self.rng.randint("sched.jitter", 0, 100) < self.JITTER * 100:
                 chosen = ready[self.rng.choice("sched.jitterpick",
                                                len(ready))]
@@ -263,25 +340,18 @@ class Scheduler:
             self.pick_observer(chosen.id)
         return chosen
 
-    def _run_slice(self, t: SimThread) -> None:
-        if t.state == ThreadState.BLOCKED:
-            # Time passed while waiting: jump to the present.
-            t.vtime = max(t.vtime, self.now)
-        t.state = ThreadState.RUNNING
-        self.switches += 1
-        t._resume.set()
-        if not self._master.wait(timeout=_SLICE_TIMEOUT):  # pragma: no cover
-            raise MachineError(f"simulated thread {t.id} hung (real deadlock?)")
-        self._master.clear()
-        self.now = max(self.now, t.vtime)
-
     def _abort_all(self) -> None:
+        """Unwind every parked thread, one at a time, and join them all.
+
+        A parked thread wakes with ``_aborting`` set and raises
+        :class:`_Abort`; a thread still running (a hang) raises it at its
+        next scheduling point.
+        """
         self._aborting = True
         for t in self.threads:
-            while t.state != ThreadState.DONE:
-                t._resume.set()
-                if not self._master.wait(timeout=30):  # pragma: no cover
-                    break
-                self._master.clear()
-        for t in self.threads:
+            if t.state not in (ThreadState.DONE, ThreadState.RUNNING):
+                try:
+                    t._token.release()
+                except RuntimeError:
+                    pass    # a thread still running handed it over already
             t._real.join(timeout=30)

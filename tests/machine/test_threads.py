@@ -1,8 +1,13 @@
 """Tests for the deterministic token-passing scheduler."""
 
+import os
+import sys
+import time
+
 import pytest
 
-from repro.errors import SimDeadlock
+from repro.errors import MachineError, ReplayDivergenceError, SimDeadlock
+from repro.machine import threads
 from repro.machine.threads import Scheduler, ThreadState
 from repro.util.rng import RngHub
 
@@ -106,6 +111,7 @@ def test_deadlock_detected():
 
 
 def test_deadlock_circular_wait_two_threads():
+    """The second thread to block finds the deadlock itself."""
     sched = Scheduler()
     state = {"a": False, "b": False}
 
@@ -121,7 +127,9 @@ def test_deadlock_circular_wait_two_threads():
     sched.spawn(t2)
     with pytest.raises(SimDeadlock) as ei:
         sched.run()
-    assert len(ei.value.states) == 2
+    assert ei.value.states == {0: "a waits b", 1: "b waits a"}
+    assert all(t.state == ThreadState.DONE for t in sched.threads)
+    assert not any(t._real.is_alive() for t in sched.threads)
 
 
 def test_guest_exception_propagates():
@@ -198,7 +206,6 @@ def test_run_is_single_shot():
     sched = Scheduler()
     sched.spawn(lambda: None)
     sched.run()
-    from repro.errors import MachineError
     with pytest.raises(MachineError):
         sched.run()
 
@@ -216,3 +223,160 @@ def test_many_threads_scale():
         sched.spawn(body)
     sched.run()
     assert counter["n"] == 64
+
+
+def test_long_parked_thread_is_not_a_hang(monkeypatch):
+    """A thread parked far longer than the slice timeout, while a sibling
+    keeps switching, resumes: only a stalled run is a hang."""
+    monkeypatch.setattr(threads, "_SLICE_TIMEOUT", 0.5)
+    sched = Scheduler()
+    slices = {"n": 0}
+    out = []
+
+    def worker():
+        for _ in range(15):                # parks the waiter for ~0.75 s
+            time.sleep(0.05)
+            slices["n"] += 1
+            sched.yield_point()
+
+    def waiter():
+        sched.block_until(lambda: slices["n"] == 15, "wait for 15 slices")
+        out.append("resumed")
+
+    sched.spawn(waiter)
+    sched.spawn(worker)
+    sched.run()
+    assert out == ["resumed"]
+
+
+def _spinners(sched, n, rounds):
+    def body():
+        for _ in range(rounds):
+            sched.current().vtime += 1
+            sched.yield_point()
+    for _ in range(n):
+        sched.spawn(body)
+
+
+def test_pick_override_error_mid_run_surfaces_from_run():
+    sched = Scheduler()
+    _spinners(sched, 3, 20)
+    picks = []
+
+    def override(ready):
+        if len(picks) == 10:
+            raise ReplayDivergenceError("pick", 10, 0, [t.id for t in ready])
+        picks.append(ready[0].id)
+        return ready[0]
+
+    sched.pick_override = override
+    with pytest.raises(ReplayDivergenceError) as ei:
+        sched.run()
+    assert ei.value.index == 10
+    # the pick ran on a simulated thread, yet every thread unwound
+    assert all(t.state == ThreadState.DONE for t in sched.threads)
+    assert not any(t._real.is_alive() for t in sched.threads)
+
+
+def test_single_thread_resumes_itself_without_handoff():
+    sched = Scheduler()
+    _spinners(sched, 1, 25)
+    sched.run()
+    # only the master's first slice is an OS handoff
+    assert sched.switches == 26
+    assert sched.self_picks == sched.switches - 1
+    assert sched.stats() == {"switches": 26, "self_picks": 25,
+                             "cpu": sched.cpu}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no per-thread CPU affinity on this platform")
+def test_simulated_threads_share_one_pinned_cpu():
+    sched = Scheduler()
+    seen = []
+
+    def body():
+        seen.append(os.sched_getaffinity(0))
+        sched.yield_point()
+        seen.append(os.sched_getaffinity(0))
+
+    sched.spawn(body)
+    sched.spawn(body)
+    master_mask = os.sched_getaffinity(0)
+    sched.run()
+    if sched.cpu is None:
+        pytest.skip("the platform refused the affinity call")
+    assert sched.cpu == min(master_mask)
+    assert seen == [{sched.cpu}] * 4
+    assert os.sched_getaffinity(0) == master_mask   # the master stays free
+
+
+def test_run_completes_unpinned_when_affinity_fails(monkeypatch):
+    def refuse(pid, mask):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    sched = Scheduler()
+    sched.cpu = 0          # as if the platform offered affinity
+    _spinners(sched, 2, 5)
+    sched.run()
+    assert sched.cpu is None
+    assert sched.stats()["cpu"] is None
+    assert all(t.state == ThreadState.DONE for t in sched.threads)
+
+
+def test_stalled_run_is_declared_hung(monkeypatch):
+    monkeypatch.setattr(threads, "_SLICE_TIMEOUT", 0.1)
+    sched = Scheduler()
+
+    def stuck():
+        time.sleep(0.5)            # no scheduling point for 5 timeouts
+        sched.yield_point()
+
+    sched.spawn(stuck)
+    with pytest.raises(MachineError, match="thread 0 hung"):
+        sched.run()
+    # the stuck thread unwinds at its next scheduling point
+    assert sched.threads[0].state == ThreadState.DONE
+
+
+def test_exactly_one_thread_runs_under_fast_interpreter_switching():
+    """More simulated threads than cores, the interpreter asked to switch
+    threads as often as it can: slices still never overlap."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sched = Scheduler(RngHub(3))
+        tape = []
+        sched.pick_observer = tape.append
+        holder = [None]
+        total = {"n": 0}
+        progress = [0] * 8
+
+        def worker(k):
+            def body():
+                me = sched.current()
+                for i in range(100):
+                    assert holder[0] is None
+                    holder[0] = me
+                    n = total["n"]
+                    sum(range(50))             # widen the update window
+                    total["n"] = n + 1
+                    progress[k] += 1
+                    holder[0] = None
+                    if k and i % 5 == 0:
+                        sched.block_until(
+                            lambda: progress[k - 1] >= progress[k],
+                            f"{k} trails {k - 1}")
+                    else:
+                        sched.yield_point()
+            return body
+
+        for k in range(8):
+            sched.spawn(worker(k))
+        sched.run()
+    finally:
+        sys.setswitchinterval(old)
+    assert total["n"] == 800
+    assert sched.switches == len(tape)
+    assert not any(t._real.is_alive() for t in sched.threads)

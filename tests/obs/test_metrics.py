@@ -223,6 +223,14 @@ class TestStatsDocuments:
         assert doc["resilience"]["analysis"]["complete"] is True
         assert doc["analysis"]["reports"] == result.report_count
 
+    def test_sched_block_publishes_the_scheduler_ints(self):
+        result = run_racy()
+        sched = result.machine.scheduler
+        assert result.stats["sched"] == {"switches": sched.switches,
+                                         "self_picks": sched.self_picks,
+                                         "cpu": sched.cpu}
+        assert 0 <= sched.self_picks < sched.switches
+
     def test_suppression_classes_all_present(self):
         # Section IV's four suppression classes each have a counter
         supp = run_racy().stats["suppress"]

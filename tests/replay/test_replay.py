@@ -1,6 +1,7 @@
 """Two-phase record/replay: determinism proof, parity, tamper detection."""
 
 import copy
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,11 @@ from repro.core.tool import TaskgrindOptions
 from repro.errors import ReplayDivergenceError
 from repro.replay import (ReplayFilter, ScheduleDoc, record_bench,
                           replay_bench)
-from repro.replay.cli import _canon_reports
+from repro.replay.cli import _canon_reports, main as replay_main
+
+#: sync-pass schedules saved by ``repro run <wl> --record sync
+#: --save-schedule`` under the master-relayed scheduler
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +92,17 @@ class TestReplayParity:
         result, _ = replay_bench(ScheduleDoc.from_dict(data))
         assert _canon_reports(result.reports, None) \
             == _canon_reports(racy_single_pass.reports, None)
+
+
+class TestCommittedSchedules:
+    """Schedules recorded by an earlier version of the scheduler replay
+    under this one, with verdicts identical to a fresh single pass."""
+
+    @pytest.mark.parametrize("name,rc", [("sched-fib.json", 0),
+                                         ("sched-heat-racy.json", 1)])
+    def test_replays_with_single_pass_parity(self, name, rc, capsys):
+        assert replay_main([str(DATA / name), "--verify-single-pass"]) == rc
+        assert "parity: replayed verdicts identical" in capsys.readouterr().out
 
 
 class TestPartialReplay:
