@@ -305,7 +305,6 @@ def run_load(traces: List[Tuple[str, str]], *, clients: int, rounds: int,
         for t in threads:
             t.join()
         elapsed = time.perf_counter() - t0
-        builds = srv.service.cache.graph_builds
     reg = get_registry()
     return {
         "clients": clients,
@@ -322,8 +321,6 @@ def run_load(traces: List[Tuple[str, str]], *, clients: int, rounds: int,
         "job_phases": {name: _summarize_ms(samples)
                        for name, samples in sorted(rec.phase_ms.items())},
         "cache": {
-            "graph_builds": builds,
-            "graph_hits": reg.counter("serve.cache.graph.hits").value,
             "result_hits": reg.counter("serve.cache.result.hits").value,
         },
         "verified": verify and not rec.mismatches,
@@ -393,8 +390,8 @@ def _blame_serve(fresh_s: Dict, base_s: Dict) -> str:
 
     The endpoint is already in the breach item; the phase comes from the
     per-job ``job_phases`` p95s both blocks record — the phase whose p95
-    grew most is the prime suspect (queue-wait growth means shard
-    starvation, build growth means the graph cache stopped hitting).
+    grew most is the prime suspect (queue-wait growth means the analysis
+    threads are saturated, build growth means graph assembly slowed).
     """
     worst: Optional[Tuple[str, float, float, float]] = None
     for phase, entry in base_s.get("job_phases", {}).items():
@@ -805,9 +802,9 @@ def run_kill_chaos(traces: List[Tuple[str, str]], *, shards: int,
 def run_overload(traces: List[Tuple[str, str]], *, probes: int = 10) -> dict:
     """A full job queue must shed typed 429s that backoff rides out.
 
-    One shard, queue depth 1, worker wedged: every extra analyze must be
-    a typed 429 with ``Retry-After`` (never an untyped drop), and a
-    retrying client must reach 202 once the queue frees.
+    One analysis thread, queue depth 1, worker wedged: every extra
+    analyze must be a typed 429 with ``Retry-After`` (never an untyped
+    drop), and a retrying client must reach 202 once the queue frees.
     """
     _name, path = traces[0]
     lines = read_trace_lines(path)
@@ -872,7 +869,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--rounds", type=int, default=2,
                     help="times each trace is replayed (default: 2)")
     ap.add_argument("--shards", type=int, default=4,
-                    help="server worker shards (default: 4)")
+                    help="server analysis threads (default: 4)")
     ap.add_argument("--max-traces", type=int, default=6,
                     help="trace-set size cap incl. corpus (default: 6)")
     ap.add_argument("--corpus-dir", default=None,

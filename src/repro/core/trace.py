@@ -132,10 +132,20 @@ def dump_environment(machine) -> dict:
     return {"regions": regions, "blocks": blocks}
 
 
+def canonical_json(doc) -> bytes:
+    """The canonical encoding: sorted keys, compact separators, UTF-8.
+
+    Chunk CRCs, the serve layer's content hash, its journal framing and
+    its result blobs are all computed over this form, so envelope
+    whitespace and key order never change them.
+    """
+    return json.dumps(doc, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
 def _payload_crc(payload) -> int:
-    """CRC-32 over the canonical (sorted, compact) payload JSON."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(canon.encode("utf-8")) & 0xFFFFFFFF
+    """CRC-32 over the canonical payload JSON."""
+    return zlib.crc32(canonical_json(payload)) & 0xFFFFFFFF
 
 
 class _ChunkWriter:
@@ -159,9 +169,7 @@ class _ChunkWriter:
                "vtime": self.vtime, "crc": _payload_crc(payload),
                "payload": payload}
         doc.update(extra)
-        line = json.dumps(doc, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-        line = _FAULTS.on_trace_chunk(self._seq, line)
+        line = _FAULTS.on_trace_chunk(self._seq, canonical_json(doc))
         if line is None:
             # injected truncation: model the torn half-write of a crash
             self._fh.write(b'{"seq": %d, "kind": "torn' % self._seq)

@@ -326,11 +326,11 @@ class ServeOverloadError(ServeError):
     """The service shed this request to protect itself (HTTP 429).
 
     Raised by the admission-control layer (bounded job-queue depth,
-    bounded in-flight upload bytes), an open per-endpoint circuit breaker,
-    or a draining server.  Always carries ``retry_after_s`` — the server's
-    estimate of when capacity returns — which the HTTP layer surfaces as a
-    ``Retry-After`` header so well-behaved clients back off instead of
-    hammering an overloaded queue.
+    bounded in-flight upload bytes) or a draining server.  Always carries
+    ``retry_after_s`` — the server's estimate of when capacity returns —
+    which the HTTP layer surfaces as a ``Retry-After`` header so
+    well-behaved clients back off instead of hammering an overloaded
+    queue.
     """
 
     def __init__(self, resource: str, *, retry_after_s: float,

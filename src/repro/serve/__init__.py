@@ -1,10 +1,10 @@
 """Race-analysis-as-a-service: the trace-ingestion server.
 
-The service spine from ROADMAP item 1: streamed ``taskgrind-trace/2``
-chunk uploads with CRC validation at the edge (:mod:`repro.serve.store`),
-content-hash-keyed graph/result caches (:mod:`repro.serve.cache`), a
-sharded worker pool reusing the supervised analysis's deadline/retry/
-quarantine machinery (:mod:`repro.serve.jobs`), and a stdlib-only
+Streamed ``taskgrind-trace/2`` chunk uploads with CRC validation at the
+edge (:mod:`repro.serve.store`), one executor of analysis threads reusing
+the supervised analysis's deadline/retry/quarantine machinery, each job
+on a graph of its own (:mod:`repro.serve.jobs`), finished reports
+memoized by content hash and analysis options, and a stdlib-only
 HTTP/1.1 JSON API (:mod:`repro.serve.http`, :mod:`repro.serve.app`).
 
 Durability (ROADMAP: crash-recoverable service): with ``--state-dir``
@@ -13,9 +13,9 @@ every accepted chunk and job transition is journaled write-ahead
 server recovers sealed uploads byte-exactly, resumes partial uploads at
 the journaled ``next_seq``, and re-enqueues interrupted jobs exactly
 once.  Overload is shed, not absorbed (:mod:`repro.serve.overload`):
-bounded queues and a per-endpoint circuit breaker answer typed 429s with
-``Retry-After``, which :class:`ServeClient` honors with decorrelated-
-jitter backoff.
+a bounded job queue and bounded in-flight upload bytes answer typed 429s
+with ``Retry-After``, which :class:`ServeClient` honors with
+decorrelated-jitter backoff.
 
 Entry points: ``python -m repro serve`` (CLI), or in-process::
 
@@ -30,7 +30,6 @@ Entry points: ``python -m repro serve`` (CLI), or in-process::
 from repro.serve.app import ServeConfig, TraceService
 from repro.serve.client import ServeClient, error_from_body, read_trace_lines
 from repro.serve.durable import ChunkStore, DurableLog, RecoveredState
-from repro.serve.overload import (AdmissionControl, CircuitBreaker,
-                                  backoff_delays)
+from repro.serve.overload import AdmissionControl, backoff_delays
 from repro.serve.server import ServerThread, TraceServer
 from repro.serve.wal import WalRecord, WalWriter, read_wal

@@ -1,12 +1,13 @@
 """The race-analysis service: routes, job executor, error mapping.
 
 Request handlers run on the event loop and stay cheap (edge validation,
-queue pushes, dict lookups); the only CPU-heavy work — graph assembly and
-Algorithm 1 — happens in :class:`~repro.serve.jobs.JobPool` executor
-threads.  Report documents are **content-addressed**: they carry the
-upload's content hash but no job ids, so a cache hit can serve the exact
-bytes a previous job produced and the serve-smoke byte-parity check
-against ``repro.core.offline`` is meaningful.
+executor submits, dict lookups); the only CPU-heavy work — graph assembly
+and Algorithm 1 — happens in :class:`~repro.serve.jobs.JobPool` executor
+threads, each job on a graph of its own.  Report documents are
+**content-addressed**: they carry the upload's content hash but no job
+ids, so a memo hit can serve the exact bytes a previous job produced and
+the serve-smoke byte-parity check against ``repro.core.offline`` is
+meaningful.
 
 Error mapping (the :mod:`repro.errors` taxonomy → HTTP):
 
@@ -25,24 +26,22 @@ anything else                         500
 
 from __future__ import annotations
 
-import asyncio
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.reports import report_to_dict
-from repro.core.trace import analyze_loaded
+from repro.core.trace import analyze_loaded, assemble_chunks
 from repro.errors import (InjectedFault, JobStateError, ResourceNotFound,
                           ServeError, ServeOverloadError,
                           TraceCorruptionError, TraceFormatError,
                           UploadSequenceError)
 from repro.obs.metrics import get_registry
-from repro.serve.cache import BuildCache
 from repro.serve.durable import DurableLog
 from repro.serve.http import Request, Response
 from repro.serve.jobs import AnalysisJob, JobPool
-from repro.serve.overload import AdmissionControl, CircuitBreaker
+from repro.serve.overload import AdmissionControl
 from repro.serve.store import TraceStore
 
 import json
@@ -125,12 +124,11 @@ def _parse_analyze_options(trace_id: str, body: bytes) -> dict:
 class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0                      # 0: kernel-assigned (tests/bench)
+    #: analysis executor threads
     shards: int = 4
     analysis_workers: int = 2
     deadline_s: Optional[float] = None
     max_retries: int = 2
-    graph_cache: int = 32
-    result_cache: int = 128
     #: durable state directory (None: in-memory only, nothing survives)
     state_dir: Optional[str] = None
     fsync: str = "always"              # WAL fsync policy: always|interval|never
@@ -138,13 +136,10 @@ class ServeConfig:
     max_queue_depth: int = 256
     max_upload_bytes: int = 256 * 1024 * 1024
     retry_after_s: float = 0.25
-    #: per-endpoint circuit breaker (consecutive 5xx → open for cooldown)
-    breaker_threshold: int = 5
-    breaker_cooldown_s: float = 1.0
 
 
 class TraceService:
-    """Everything behind the routes; owns store, caches and the pool."""
+    """Everything behind the routes; owns store, result memo and pool."""
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
@@ -156,16 +151,16 @@ class TraceService:
             self.durable = DurableLog(cfg.state_dir,
                                       fsync_policy=cfg.fsync)
         self.store = TraceStore(durable=self.durable)
-        self.cache = BuildCache(graph_capacity=cfg.graph_cache,
-                                result_capacity=cfg.result_cache)
-        self.pool = JobPool(self._execute_job, shards=cfg.shards,
+        #: finished non-degraded reports by (content hash, analysis
+        #: options).  Unbounded like the pool's job table, which keeps
+        #: every result document alive anyway.
+        self._results: Dict[tuple, dict] = {}
+        self.pool = JobPool(self._execute_job, threads=cfg.shards,
                             durable=self.durable)
         self.admission = AdmissionControl(
             max_queue_depth=cfg.max_queue_depth,
             max_upload_bytes=cfg.max_upload_bytes,
             retry_after_s=cfg.retry_after_s)
-        self.breaker = CircuitBreaker(threshold=cfg.breaker_threshold,
-                                      cooldown_s=cfg.breaker_cooldown_s)
         self.draining = False
         self._requeue: List[AnalysisJob] = []
         if self.durable is not None:
@@ -173,16 +168,16 @@ class TraceService:
             self._requeue = self.pool.restore(self.durable.recovered)
         self.started_at = time.time()
 
-    async def resume_recovered(self) -> None:
+    def resume_recovered(self) -> None:
         """Re-enqueue jobs that were queued/running at crash time.
 
-        Called once by the server after the pool's workers exist; submits
-        with ``journal=False`` because recovery compaction already
-        re-emitted each job's ``job-enqueued`` record — exactly once.
+        Called once by the server after the pool's executor exists;
+        recovery compaction already re-emitted each job's
+        ``job-enqueued`` record, so each runs exactly once.
         """
         jobs, self._requeue = self._requeue, []
         for job in jobs:
-            await self.pool.submit(job, journal=False)
+            self.pool.submit(job)
 
     def close(self, *, clean: bool = True) -> None:
         """Release the durable log (journaling the clean-shutdown marker
@@ -193,11 +188,10 @@ class TraceService:
             self.durable.close()
 
     def _admit(self, endpoint: str) -> None:
-        """Work-accepting endpoints check drain state + circuit breaker."""
+        """Work-accepting endpoints refuse new work while draining."""
         if self.draining:
             raise ServeOverloadError(endpoint, draining=True,
                                      retry_after_s=self.config.retry_after_s)
-        self.breaker.check(endpoint)
 
     # -- routing -------------------------------------------------------------
 
@@ -206,20 +200,18 @@ class TraceService:
         endpoint, resp = "unmatched", None
         t0 = time.perf_counter()
         try:
-            endpoint, resp = await self._dispatch(req)
+            endpoint, resp = self._dispatch(req)
         except Exception as exc:  # noqa: BLE001 — every error becomes JSON
             resp = error_response(exc)
         finally:
             reg.counter(f"serve.http.{endpoint}.requests").inc()
             if resp is not None and resp.status >= 400:
                 reg.counter(f"serve.http.{endpoint}.errors").inc()
-            if resp is not None:
-                self.breaker.record(endpoint, resp.status)
             reg.histogram(f"serve.http.{endpoint}.us").observe(
                 (time.perf_counter() - t0) * 1e6)
         return resp
 
-    async def _dispatch(self, req: Request) -> Tuple[str, Response]:
+    def _dispatch(self, req: Request) -> Tuple[str, Response]:
         parts = [p for p in req.path.split("/") if p]
         method = req.method
         if parts == ["healthz"] and method == "GET":
@@ -232,50 +224,46 @@ class TraceService:
                 content_type="text/plain; version=0.0.4")
         if parts[:1] == ["v1"] and len(parts) >= 2:
             if parts[1] == "traces":
-                return await self._dispatch_traces(method, parts, req)
+                return self._dispatch_traces(method, parts, req)
             if parts[1] == "jobs":
-                return await self._dispatch_jobs(method, parts)
+                return self._dispatch_jobs(method, parts)
         return "unmatched", Response(status=404, doc={"error": {
             "type": "ResourceNotFound",
             "message": f"no route for {method} {req.path}"}})
 
-    async def _run(self, endpoint: str, fn, *args) -> Tuple[str, Response]:
+    def _run(self, endpoint: str, fn, *args) -> Tuple[str, Response]:
         """Run one matched route; errors become responses *with the
-        endpoint attributed*, which the circuit breaker depends on."""
+        endpoint attributed*, which the per-endpoint metrics rely on."""
         try:
-            resp = fn(*args)
-            if asyncio.iscoroutine(resp):
-                resp = await resp
-            return endpoint, resp
+            return endpoint, fn(*args)
         except Exception as exc:  # noqa: BLE001 — every error becomes JSON
             return endpoint, error_response(exc)
 
-    async def _dispatch_traces(self, method: str, parts,
-                               req: Request) -> Tuple[str, Response]:
+    def _dispatch_traces(self, method: str, parts,
+                         req: Request) -> Tuple[str, Response]:
         if parts == ["v1", "traces"] and method == "POST":
-            return await self._run("create_trace", self._create_trace)
+            return self._run("create_trace", self._create_trace)
         if len(parts) == 5 and parts[3] == "chunks" and method == "PUT":
-            return await self._run("upload_chunk", self._upload_chunk,
-                                   parts[2], parts[4], req)
+            return self._run("upload_chunk", self._upload_chunk,
+                             parts[2], parts[4], req)
         if len(parts) == 3 and method == "GET":
-            return await self._run("trace_status", lambda: Response(
+            return self._run("trace_status", lambda: Response(
                 doc=self.store.get(parts[2]).to_dict()))
         if len(parts) == 4 and parts[3] == "analyze" and method == "POST":
-            return await self._run("analyze", self._start_analysis,
-                                   parts[2], req)
+            return self._run("analyze", self._start_analysis,
+                             parts[2], req)
         raise ResourceNotFound("route", "/".join(parts))
 
-    async def _dispatch_jobs(self, method: str,
-                             parts) -> Tuple[str, Response]:
+    def _dispatch_jobs(self, method: str, parts) -> Tuple[str, Response]:
         if method != "GET" or len(parts) not in (3, 4):
             raise ResourceNotFound("route", "/".join(parts))
         if len(parts) == 3:
-            return await self._run("job_status", lambda: Response(
+            return self._run("job_status", lambda: Response(
                 doc=self.pool.get(parts[2]).status_dict()))
         if parts[3] == "report":
-            return await self._run("report", self._report, parts[2])
+            return self._run("report", self._report, parts[2])
         if parts[3] == "timeline":
-            return await self._run("timeline", lambda: Response(doc={
+            return self._run("timeline", lambda: Response(doc={
                 "displayTimeUnit": "ms",
                 "traceEvents": self.pool.get(parts[2]).timeline_events()}))
         raise ResourceNotFound("route", "/".join(parts))
@@ -305,7 +293,7 @@ class TraceService:
         doc["trace_id"] = job.trace_id
         return Response(doc=doc)
 
-    async def _start_analysis(self, trace_id: str, req: Request) -> Response:
+    def _start_analysis(self, trace_id: str, req: Request) -> Response:
         self._admit("analyze")
         self.admission.admit_job(self.pool.active_count())
         up = self.store.get(trace_id)
@@ -320,31 +308,30 @@ class TraceService:
             "chunk_count": len(up.chunks),
         }
         job = self.pool.create(trace_id, up.content_hash, params)
-        await self.pool.submit(job)
+        self.pool.submit(job)
         return Response(status=202, doc={"job_id": job.job_id,
                                          "trace_id": trace_id,
                                          "state": job.state,
-                                         "shard": job.shard,
                                          "content_hash": job.content_hash})
 
-    # -- the job executor (runs on a shard thread) ---------------------------
+    # -- the job executor (runs on an executor thread) -----------------------
 
     def _execute_job(self, job: AnalysisJob) -> Tuple[dict, bool]:
         reg = get_registry()
         p = job.params
-        key = BuildCache.result_key(
-            job.content_hash, workers=p["workers"],
-            deadline_s=p["deadline_s"], max_retries=p["max_retries"],
-            explain=p["explain"])
-        cached = self.cache.get_result(key)
+        key = (job.content_hash, p["workers"], p["deadline_s"],
+               p["max_retries"], p["explain"])
+        cached = self._results.get(key)
         if cached is not None:
             job.cache_hit = True
+            reg.counter("serve.cache.result.hits").inc()
             return cached, False
         up = self.store.get(job.trace_id)
         chunks = up.chunks[:p["chunk_count"]]    # append-only: safe snapshot
-        with job.span("build"):
-            salvaged = self.cache.get_graph(job.content_hash, chunks,
-                                            label=job.trace_id)
+        with job.span("build"), reg.phase("serve.build"):
+            # the graph is this job's alone: analysis counts its queries
+            salvaged = assemble_chunks(chunks, label=job.trace_id)
+            salvaged.graph.prepare_queries()
         with job.span("analyze"), reg.phase("serve.analyze"):
             la = analyze_loaded(salvaged.graph, salvaged.view,
                                 salvaged.suppression,
@@ -372,8 +359,9 @@ class TraceService:
         degraded = (not salvaged.coverage.complete
                     or not la.partial.complete)
         if not degraded:
-            # degraded results are never cached: the damage may be a
+            # degraded results are never memoized: the damage may be a
             # transient fault, and the same content hash must be able to
-            # analyze clean once the fault clears
-            self.cache.put_result(key, doc)
+            # analyze clean once the fault clears.  Two concurrent misses
+            # on one key both run and store equal documents.
+            self._results[key] = doc
         return doc, degraded

@@ -9,11 +9,11 @@ record a racy synthetic trace (plus a fuzz-corpus reproducer when the
 corpus is present), upload it chunk-by-chunk over real HTTP to an
 in-process server, analyze, and assert the served race report is
 **byte-identical** to ``repro.core.offline`` on the same trace file.  It
-also proves cache keying (a re-upload of the same content triggers zero
-graph rebuilds) and validates the job timeline artifact with
-:mod:`repro.obs.tracecheck`.  Artifacts (trace, both reports, timeline)
-land in ``--out`` for CI upload on failure.  Exit 0 on parity, 1 on any
-divergence.
+also proves memo keying (re-uploading the same content and analyzing it
+with identical options is a ``cache_hit``) and validates the job timeline
+artifact with :mod:`repro.obs.tracecheck`.  Artifacts (trace, both
+reports, timeline) land in ``--out`` for CI upload on failure.  Exit 0 on
+parity, 1 on any divergence.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--port", type=int, default=8787,
                     help="listen port; 0 for kernel-assigned (default: 8787)")
     ap.add_argument("--shards", type=int, default=4,
-                    help="worker shards draining analysis jobs (default: 4)")
+                    help="analysis threads running jobs (default: 4)")
     ap.add_argument("--workers", type=int, default=2,
                     help="supervised analysis workers per job (default: 2)")
     ap.add_argument("--deadline-s", type=float, default=None,
@@ -96,7 +96,7 @@ def _serve_forever(config: ServeConfig) -> int:
         server = TraceServer(config)
         await server.start()
         print(f"taskgrind-serve listening on http://{config.host}:"
-              f"{server.port} ({config.shards} shards, "
+              f"{server.port} ({config.shards} analysis threads, "
               f"workers={config.analysis_workers}"
               + (f", state-dir={config.state_dir}"
                  if config.state_dir else "") + ")", flush=True)
@@ -191,21 +191,17 @@ def run_smoke(config: ServeConfig, out_dir: str) -> int:
                       "w") as fh:
                 json.dump(timeline, fh, indent=2)
 
-        # cache keying: re-upload + re-analyze the first trace must not
-        # rebuild its graph (content hash hits the warm entry)
+        # memo keying: a re-upload of the first trace has its content
+        # hash, so analyzing it with identical options is a memo hit
         name, path = traces[0]
-        builds_before = srv.service.cache.graph_builds
         trace_id, _ack = client.upload_trace(read_trace_lines(path))
-        job_id = client.analyze(trace_id)
-        client.wait(job_id, timeout=120.0)
-        builds_after = srv.service.cache.graph_builds
-        if builds_after != builds_before:
-            failures.append(
-                f"cache: re-upload of {name} rebuilt the graph "
-                f"({builds_before} -> {builds_after} builds)")
+        status = client.wait(client.analyze(trace_id), timeout=120.0)
+        if not status["cache_hit"]:
+            failures.append(f"memo: re-analysis of re-uploaded {name} with "
+                            "identical options was not a cache hit")
         else:
-            print(f"  cache: re-upload of {name} hit the warm graph "
-                  f"({builds_after} total builds)")
+            print(f"  memo: re-analysis of re-uploaded {name} was a "
+                  "cache hit")
 
     if failures:
         for f in failures:

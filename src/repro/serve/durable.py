@@ -41,17 +41,13 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.trace import canonical_json
 from repro.errors import StateDirError
 from repro.obs.metrics import get_registry
 from repro.serve.wal import WalRecord, WalWriter, read_wal
 
 WAL_NAME = "wal.jsonl"
 CHUNKS_DIR = "chunks"
-
-
-def _canonical(doc) -> bytes:
-    return json.dumps(doc, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
 
 
 class ChunkStore:
@@ -127,7 +123,10 @@ class RecoveredUpload:
     trace_id: str
     #: parsed chunk envelope docs, dense accepted order
     chunks: List[dict] = field(default_factory=list)
-    #: raw body byte counts (rebuilds ``bytes_received``)
+    #: each chunk's blob digest, parallel to ``chunks`` (what compaction
+    #: re-journals)
+    digests: List[str] = field(default_factory=list)
+    #: total length of the stored bodies (rebuilds ``bytes_received``)
     body_bytes: int = 0
     sealed: bool = False
     #: content hash claimed by the seal record (cross-checked on restore)
@@ -146,6 +145,7 @@ class RecoveredJob:
     #: terminal state, or None → re-enqueue exactly once
     state: Optional[str] = None
     result: Optional[dict] = None
+    result_digest: Optional[str] = None
     error: Optional[dict] = None
 
 
@@ -206,6 +206,7 @@ def replay_wal(records: List[WalRecord], store: ChunkStore
                 up.truncated = True
                 continue
             up.chunks.append(doc)
+            up.digests.append(p["digest"])
             up.body_bytes += len(body)
         elif rec.kind == "upload-sealed":
             up = st.uploads.get(p["trace_id"])
@@ -250,6 +251,7 @@ def replay_wal(records: List[WalRecord], store: ChunkStore
                 continue
             job.state = p["state"]
             job.result = result
+            job.result_digest = digest
             job.error = p.get("error")
         elif rec.kind == "clean-shutdown":
             pass                # read_wal already booked it in info
@@ -271,8 +273,8 @@ class DurableLog:
     refuse to start rather than silently run in-memory.
     """
 
-    def __init__(self, state_dir: str, *, fsync_policy: str = "always",
-                 fsync_interval: int = 16) -> None:
+    def __init__(self, state_dir: str, *,
+                 fsync_policy: str = "always") -> None:
         self.state_dir = state_dir
         self._policy = fsync_policy
         reg = get_registry()
@@ -322,10 +324,9 @@ class DurableLog:
         try:
             for up in st.uploads.values():
                 writer.append("upload-created", {"trace_id": up.trace_id})
-                for seq, doc in enumerate(up.chunks):
-                    body = _canonical(doc)  # may differ from wire bytes —
-                    # the envelope doc IS the state; digest over canon form
-                    digest = self.chunks.put(body)
+                for seq, (doc, digest) in enumerate(zip(up.chunks,
+                                                        up.digests)):
+                    # replay just read this blob: the digest resolves
                     writer.append("chunk-accepted", {
                         "trace_id": up.trace_id, "seq": seq,
                         "kind": doc.get("kind"), "digest": digest})
@@ -342,9 +343,8 @@ class DurableLog:
                 if job.state is not None:
                     terminal: dict = {"job_id": job.job_id,
                                       "state": job.state}
-                    if job.result is not None:
-                        terminal["result_digest"] = self.chunks.put(
-                            _canonical(job.result))
+                    if job.result_digest is not None:
+                        terminal["result_digest"] = job.result_digest
                     if job.error is not None:
                         terminal["error"] = job.error
                     writer.append("job-terminal", terminal)
@@ -362,13 +362,14 @@ class DurableLog:
     def upload_created(self, trace_id: str) -> None:
         self._writer.append("upload-created", {"trace_id": trace_id})
 
-    def chunk_accepted(self, trace_id: str, seq: int,
-                       envelope: dict) -> None:
-        """Durably store the chunk body, then journal its acceptance."""
-        digest = self.chunks.put(_canonical(envelope))
+    def chunk_accepted(self, trace_id: str, seq: int, kind: str,
+                       body: bytes) -> None:
+        """Durably store the chunk body as received, then journal its
+        acceptance."""
+        digest = self.chunks.put(body)
         self._writer.append("chunk-accepted", {
-            "trace_id": trace_id, "seq": seq,
-            "kind": envelope.get("kind"), "digest": digest})
+            "trace_id": trace_id, "seq": seq, "kind": kind,
+            "digest": digest})
 
     def upload_sealed(self, trace_id: str, content_hash: str,
                       chunks: int) -> None:
@@ -387,7 +388,7 @@ class DurableLog:
                      error: Optional[dict] = None) -> None:
         doc: dict = {"job_id": job_id, "state": state}
         if result is not None:
-            doc["result_digest"] = self.chunks.put(_canonical(result))
+            doc["result_digest"] = self.chunks.put(canonical_json(result))
         if error is not None:
             doc["error"] = error
         self._writer.append("job-terminal", doc)

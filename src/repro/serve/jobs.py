@@ -1,16 +1,15 @@
-"""Sharded analysis job pool for the ingestion server.
+"""Analysis job pool for the ingestion server.
 
-Each shard is one asyncio queue drained by one worker coroutine; CPU-bound
-analysis runs on a thread pool (one thread per shard) via
-``run_in_executor``, so the event loop keeps serving uploads while jobs
-grind.  Shard selection hashes the trace's **content hash**, which gives
-cache affinity for free: re-analyses of the same trace land on the same
-shard and hit its warm graph.
+Jobs run on one :class:`~concurrent.futures.ThreadPoolExecutor`, whose
+work queue is the only job queue: the event loop hands a job over once
+its response is written and keeps serving uploads while jobs grind.
+Each job assembles its own segment graph, so jobs of the same trace may
+run at the same time on different threads.
 
 The job executor reuses :func:`repro.core.trace.analyze_loaded` — the same
 supervised deadline/retry/quarantine machinery as the offline pipeline —
 so a hung or crashing analysis worker degrades the job to a *partial*
-report with ``unchecked_pairs`` accounting instead of wedging the shard.
+report with ``unchecked_pairs`` accounting instead of wedging a thread.
 
 Job lifecycle: ``queued → running → done | degraded | failed``.
 ``degraded`` means the report is well-formed but carries incomplete-
@@ -49,7 +48,6 @@ class AnalysisJob:
     job_id: str
     trace_id: str
     content_hash: str
-    shard: int
     params: dict
     state: str = QUEUED
     submitted_at: float = field(default_factory=time.perf_counter)
@@ -83,7 +81,6 @@ class AnalysisJob:
             "trace_id": self.trace_id,
             "content_hash": self.content_hash,
             "state": self.state,
-            "shard": self.shard,
             "params": dict(self.params),
             "cache_hit": self.cache_hit,
             "recovered": self.recovered,
@@ -102,17 +99,16 @@ class AnalysisJob:
         """The job's phases as Chrome trace-event ``X`` spans (µs)."""
         def us(seconds: float) -> int:
             return max(0, int(seconds * 1e6))
-        events = [{"ph": "M", "ts": 0, "pid": 1, "tid": self.shard,
-                   "name": "thread_name",
-                   "args": {"name": f"shard-{self.shard}"}}]
+        events = [{"ph": "M", "ts": 0, "pid": 1, "tid": 0,
+                   "name": "thread_name", "args": {"name": "job"}}]
         if self.started_at is not None:
             events.append({
-                "ph": "X", "ts": 0, "pid": 1, "tid": self.shard,
+                "ph": "X", "ts": 0, "pid": 1, "tid": 0,
                 "name": "queue-wait", "cat": "serve",
                 "dur": us(self.started_at - self.submitted_at)})
         for name, start, dur in sorted(self.spans, key=lambda s: s[1]):
             events.append({"ph": "X", "ts": us(start), "pid": 1,
-                           "tid": self.shard, "name": name, "cat": "serve",
+                           "tid": 0, "name": name, "cat": "serve",
                            "dur": us(dur),
                            "args": {"job": self.job_id}})
         return events
@@ -123,39 +119,28 @@ class AnalysisJob:
 
 
 class JobPool:
-    """The sharded queues + executor threads behind ``POST .../analyze``."""
+    """The executor threads behind ``POST .../analyze``."""
 
     def __init__(self, execute: Callable[[AnalysisJob], Tuple[dict, bool]],
-                 *, shards: int = 4, durable=None) -> None:
-        self.shards = max(1, shards)
+                 *, threads: int = 4, durable=None) -> None:
+        self.threads = max(1, threads)
         self._execute_fn = execute
-        self._queues: List[asyncio.Queue] = []
-        self._workers: List[asyncio.Task] = []
         self._pool: Optional[ThreadPoolExecutor] = None
         self._jobs: Dict[str, AnalysisJob] = {}
         self._next_id = 0
         self._lock = threading.Lock()
         self._durable = durable
 
-    def shard_of(self, content_hash: str) -> int:
-        return int(content_hash[:8] or "0", 16) % self.shards
+    # -- lifecycle -----------------------------------------------------------
 
-    # -- lifecycle (event-loop side) ----------------------------------------
+    def start(self) -> None:
+        self._pool = ThreadPoolExecutor(max_workers=self.threads,
+                                        thread_name_prefix="serve-analysis")
 
-    async def start(self) -> None:
-        self._pool = ThreadPoolExecutor(max_workers=self.shards,
-                                        thread_name_prefix="serve-shard")
-        self._queues = [asyncio.Queue() for _ in range(self.shards)]
-        self._workers = [asyncio.ensure_future(self._drain(k))
-                         for k in range(self.shards)]
-
-    async def stop(self) -> None:
-        for task in self._workers:
-            task.cancel()
-        for task in self._workers:
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        self._workers = []
+    def stop(self) -> None:
+        """Stop without waiting: queued jobs never start (a durable
+        server re-enqueues them on restart), running ones finish on
+        their threads."""
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
@@ -167,10 +152,14 @@ class JobPool:
         with self._lock:
             self._next_id += 1
             job = AnalysisJob(job_id=f"j{self._next_id}", trace_id=trace_id,
-                              content_hash=content_hash,
-                              shard=self.shard_of(content_hash),
-                              params=params)
+                              content_hash=content_hash, params=params)
             self._jobs[job.job_id] = job
+        if self._durable is not None:
+            # write-ahead: the enqueue is journaled before the client can
+            # see the job id.  Recovered jobs come from restore(), so
+            # their compacted record is never journaled twice.
+            self._durable.job_enqueued(job.job_id, trace_id, content_hash,
+                                       params)
         return job
 
     def get(self, job_id: str) -> AnalysisJob:
@@ -198,44 +187,43 @@ class JobPool:
             return sum(1 for j in self._jobs.values()
                        if j.state not in TERMINAL)
 
-    async def submit(self, job: AnalysisJob, *, journal: bool = True) -> None:
-        if journal and self._durable is not None:
-            # write-ahead: enqueue survives a crash before execution.
-            # Recovered jobs re-submit with journal=False — compaction
-            # already re-emitted their record, and journaling again would
-            # violate the exactly-once re-enqueue contract.
-            self._durable.job_enqueued(job.job_id, job.trace_id,
-                                       job.content_hash, job.params)
+    def submit(self, job: AnalysisJob) -> None:
+        """Queue ``job`` on the executor (``create`` journaled it).
+
+        Call on the event loop.  The handoff waits for the loop's current
+        callback to end: a thread that started the job at once would
+        hold the GIL while the caller's response is still unsent.
+        """
         reg = get_registry()
         reg.counter("serve.jobs.submitted").inc()
-        reg.gauge("serve.jobs.inflight").set(
-            sum(1 for j in self._jobs.values() if j.state not in TERMINAL))
-        await self._queues[job.shard].put(job)
+        reg.gauge("serve.jobs.inflight").set(self.active_count())
+        asyncio.get_running_loop().call_soon(self._hand_off, job)
+
+    def _hand_off(self, job: AnalysisJob) -> None:
+        if self._pool is not None:      # stopped meanwhile: stays queued
+            self._pool.submit(self._run_one, job)
 
     async def drain(self) -> None:
-        """Graceful shutdown: wait for every queued job to finish."""
-        for queue in self._queues:
-            await queue.join()
+        """Graceful shutdown: wait for every submitted job to finish.
 
-    # -- the shard worker ----------------------------------------------------
+        One loop pass first lets the handoffs already scheduled reach the
+        executor; its own shutdown then does the waiting, off the event
+        loop so reads keep being served meanwhile.  The server has
+        stopped admitting analyses before it drains.
+        """
+        await asyncio.sleep(0)
+        if self._pool is not None:
+            await asyncio.get_running_loop().run_in_executor(
+                None, self._pool.shutdown)
 
-    async def _drain(self, shard: int) -> None:
-        loop = asyncio.get_event_loop()
-        queue = self._queues[shard]
-        while True:
-            job = await queue.get()
-            job.started_at = time.perf_counter()
-            job.state = RUNNING
-            reg = get_registry()
-            reg.histogram("serve.jobs.queue_wait_us").observe(
-                (job.started_at - job.submitted_at) * 1e6)
-            try:
-                await loop.run_in_executor(self._pool, self._run_one, job)
-            finally:
-                queue.task_done()
+    # -- the executor thread -------------------------------------------------
 
     def _run_one(self, job: AnalysisJob) -> None:
         reg = get_registry()
+        job.started_at = time.perf_counter()
+        job.state = RUNNING
+        reg.histogram("serve.jobs.queue_wait_us").observe(
+            (job.started_at - job.submitted_at) * 1e6)
         job.executions += 1
         try:
             result, degraded = self._execute_fn(job)
@@ -251,7 +239,7 @@ class JobPool:
             job.state = state
             reg.counter("serve.jobs.degraded" if degraded
                         else "serve.jobs.completed").inc()
-        except Exception as exc:  # noqa: BLE001 — shard must survive any job
+        except Exception as exc:  # noqa: BLE001 — a thread must survive any job
             job.error = {"type": type(exc).__name__, "message": str(exc)}
             job.state = FAILED
             if self._durable is not None:
@@ -275,14 +263,13 @@ class JobPool:
         and a set done-event; jobs that were queued or running when the
         server died are returned for the caller to re-submit **exactly
         once** after the pool starts (they cannot be queued here — the
-        event loop does not exist yet).
+        executor does not exist yet).
         """
         requeue: List[AnalysisJob] = []
         with self._lock:
             for rec in recovered.jobs.values():
                 job = AnalysisJob(job_id=rec.job_id, trace_id=rec.trace_id,
                                   content_hash=rec.content_hash,
-                                  shard=self.shard_of(rec.content_hash),
                                   params=dict(rec.params), recovered=True)
                 if rec.state is not None:
                     job.state = rec.state

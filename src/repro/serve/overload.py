@@ -1,21 +1,14 @@
-"""Overload protection: admission control + per-endpoint circuit breaker.
+"""Overload protection: admission control and client backoff.
 
 A heavyweight-analysis service fails differently from a stateless API:
 jobs hold gigabyte graphs for minutes, so an unbounded queue does not
 *delay* overload, it *converts* it into an OOM kill that loses every
 queued job at once.  The serve layer therefore sheds load at the edge:
-
-* **admission control** — bounded job-queue depth and bounded in-flight
-  upload bytes.  A request past either limit gets a typed
-  :class:`~repro.errors.ServeOverloadError` → HTTP 429 with a
-  ``Retry-After`` header, never a silent drop or an unbounded enqueue;
-* **circuit breaker** — per endpoint, opened by a run of consecutive
-  5xx responses.  While open, requests are refused instantly (429 with
-  the remaining cooldown as ``Retry-After``); after the cooldown one
-  *probe* request is admitted (half-open) and its outcome decides
-  whether the breaker closes or re-opens.  This keeps a crashing
-  executor from burning every client's retry budget on requests that
-  cannot succeed.
+bounded job-queue depth and bounded in-flight upload bytes.  A request
+past either limit gets a typed :class:`~repro.errors.ServeOverloadError`
+→ HTTP 429 with a ``Retry-After`` header, never a silent drop or an
+unbounded enqueue, and :func:`backoff_delays` is how the client rides
+it out.
 
 Every shed is booked under ``serve.shed.*`` so the load bench can prove
 overload turned into orderly 429s rather than timeouts.
@@ -23,9 +16,7 @@ overload turned into orderly 429s rather than timeouts.
 
 from __future__ import annotations
 
-import threading
-import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.errors import ServeOverloadError
 from repro.obs.metrics import get_registry
@@ -55,81 +46,6 @@ class AdmissionControl:
                 "upload-bytes", retry_after_s=self.retry_after_s,
                 limit=self.max_upload_bytes,
                 current=open_bytes + body_len)
-
-
-class CircuitBreaker:
-    """Consecutive-5xx breaker, one independent circuit per endpoint.
-
-    States: *closed* (normal), *open* (refusing, cooldown running),
-    *half-open* (cooldown elapsed; exactly one probe in flight).  The
-    classic Nygard shape, kept deliberately small: consecutive failures
-    rather than a rate window, because the serve endpoints are few and a
-    run of 5xx on one of them means a deterministic defect (a poisoned
-    cache entry, a broken executor), not statistical noise.
-    """
-
-    def __init__(self, *, threshold: int = 5, cooldown_s: float = 1.0,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        self.threshold = max(1, threshold)
-        self.cooldown_s = cooldown_s
-        self._clock = clock
-        self._lock = threading.Lock()
-        #: endpoint -> {failures, opened_at, probing}
-        self._state: Dict[str, dict] = {}
-
-    def _circuit(self, endpoint: str) -> dict:
-        return self._state.setdefault(
-            endpoint, {"failures": 0, "opened_at": None, "probing": False})
-
-    def check(self, endpoint: str) -> None:
-        """Admission gate; raises while the endpoint's circuit is open."""
-        with self._lock:
-            c = self._circuit(endpoint)
-            if c["opened_at"] is None:
-                return
-            remaining = self.cooldown_s - (self._clock() - c["opened_at"])
-            if remaining > 0:
-                get_registry().counter("serve.shed.breaker").inc()
-                raise ServeOverloadError(
-                    f"breaker:{endpoint}",
-                    retry_after_s=max(0.001, remaining),
-                    limit=self.threshold, current=c["failures"])
-            if c["probing"]:
-                # one probe at a time; everyone else keeps backing off
-                get_registry().counter("serve.shed.breaker").inc()
-                raise ServeOverloadError(
-                    f"breaker:{endpoint}", retry_after_s=self.cooldown_s,
-                    limit=self.threshold, current=c["failures"])
-            c["probing"] = True         # half-open: admit this one request
-
-    def record(self, endpoint: str, status: int) -> None:
-        """Feed back a response status for breaker bookkeeping."""
-        if status == 429:
-            return          # sheds are not endpoint failures
-        with self._lock:
-            c = self._circuit(endpoint)
-            if status < 500:
-                if c["opened_at"] is not None:
-                    get_registry().counter("serve.breaker.closed").inc()
-                c.update(failures=0, opened_at=None, probing=False)
-                return
-            c["failures"] += 1
-            if c["probing"] or c["failures"] >= self.threshold:
-                # a failed probe re-opens with a fresh cooldown
-                if c["opened_at"] is None or c["probing"]:
-                    get_registry().counter("serve.breaker.opened").inc()
-                c["opened_at"] = self._clock()
-                c["probing"] = False
-
-    def state_of(self, endpoint: str) -> str:
-        """``closed`` / ``open`` / ``half-open`` (introspection + tests)."""
-        with self._lock:
-            c = self._circuit(endpoint)
-            if c["opened_at"] is None:
-                return "closed"
-            if self._clock() - c["opened_at"] >= self.cooldown_s:
-                return "half-open"
-            return "open"
 
 
 def backoff_delays(*, base_s: float = 0.05, cap_s: float = 2.0,

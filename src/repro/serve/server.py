@@ -1,9 +1,10 @@
 """Server plumbing: asyncio lifecycle + an in-process thread harness.
 
-:class:`TraceServer` owns the listening socket and the job pool's worker
-tasks on whatever event loop calls it.  :class:`ServerThread` wraps that
-in a daemon thread with its own loop — the shape the tests and the load
-bench use to talk real HTTP to an in-process server with zero setup.
+:class:`TraceServer` owns the listening socket, on whatever event loop
+calls it, and starts and stops the job pool's executor with it.
+:class:`ServerThread` wraps that in a daemon thread with its own loop —
+the shape the tests and the load bench use to talk real HTTP to an
+in-process server with zero setup.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ class TraceServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        await self.service.pool.start()
-        # jobs recovered as queued/running re-enter the shard queues now
-        # that workers exist — exactly once, no re-journaling
-        await self.service.resume_recovered()
+        self.service.pool.start()
+        # jobs recovered as queued/running re-enter the queue now that
+        # the executor exists — exactly once, no re-journaling
+        self.service.resume_recovered()
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port)
 
@@ -47,7 +48,7 @@ class TraceServer:
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
-        await self.service.pool.stop()
+        self.service.pool.stop()
         # journals the clean-shutdown marker — unless the log was frozen
         # by a kill, in which case this is a no-op and recovery correctly
         # classifies the restart as a crash

@@ -20,16 +20,18 @@ body is validated *at the edge* before it is accepted:
   speaks (→ :class:`~repro.errors.TraceVersionError`, 400).
 
 Accepted chunks feed a running SHA-256 over their canonical payload form —
-the **content hash** that keys the segment-graph/HB-index cache.  Two
-clients uploading the same logical trace (even with different envelope
-whitespace or key order) land on the same hash and share one graph build.
+the **content hash** that keys the service's result memo.  Two clients
+uploading the same logical trace (even with different envelope whitespace
+or key order) land on the same hash, so analyzing either with the same
+options serves one stored report.
 
 When the service runs with ``--state-dir``, every accept is journaled
 into the :class:`~repro.serve.durable.DurableLog` **before** the
-in-memory commit (chunk body to the content-addressed store, then the
-``chunk-accepted`` record), so :meth:`TraceStore.restore` can rebuild
-uploads after a crash: sealed uploads reappear complete, partial uploads
-resume at the exact journaled ``next_seq``.
+in-memory commit (the chunk body as received to the content-addressed
+store, then the ``chunk-accepted`` record), so
+:meth:`TraceStore.restore` can rebuild uploads after a crash: sealed
+uploads reappear complete, partial uploads resume at the exact journaled
+``next_seq``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.trace import TRACE_VERSION
+from repro.core.trace import TRACE_VERSION, canonical_json
 from repro.errors import (ResourceNotFound, TraceCorruptionError,
                           TraceFormatError, TraceVersionError,
                           UploadSequenceError)
@@ -53,11 +55,6 @@ _FAULTS = get_injector()
 #: upload lifecycle states
 OPEN = "open"
 COMPLETE = "complete"
-
-
-def _canonical(payload) -> bytes:
-    return json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
 
 
 @dataclass
@@ -174,7 +171,7 @@ class TraceStore:
             raise UploadSequenceError(
                 trace_id, expected_seq=up.next_seq, got_seq=url_seq,
                 reason="out-of-order chunk (dense prefix required)")
-        canon = _canonical(doc["payload"])
+        canon = canonical_json(doc["payload"])
         computed = zlib.crc32(canon) & 0xFFFFFFFF
         if computed != doc["crc"]:
             reg.counter("serve.ingest.crc_rejects").inc()
@@ -203,7 +200,8 @@ class TraceStore:
                 # BEFORE the in-memory commit.  A crash between the two
                 # leaves a journaled chunk the memory never saw — recovery
                 # replays it, the resuming client gets a duplicate ack.
-                self._durable.chunk_accepted(trace_id, url_seq, doc)
+                self._durable.chunk_accepted(trace_id, url_seq,
+                                             doc["kind"], body)
             up.chunks.append(doc)
             up.next_seq += 1
             up.bytes_received += len(body)
@@ -227,22 +225,23 @@ class TraceStore:
 
         Each recovered upload's chunks are re-fed through the same
         SHA-256 discipline as live accepts, so the content hash — and
-        therefore cache keys and report bytes — is identical across the
-        restart.  A seal record's claimed hash is cross-checked; on
-        mismatch the upload is left OPEN (the client must finish or
-        re-upload it) rather than serving analysis of dubious bytes.
+        therefore memo keys and report bytes — is identical across the
+        restart, and ``bytes_received`` is the journaled bodies' length,
+        the bytes the server had received.  A seal record's claimed hash
+        is cross-checked; on mismatch the upload is left OPEN (the client
+        must finish or re-upload it) rather than serving analysis of
+        dubious bytes.
         """
         reg = get_registry()
         with self._lock:
             for rec in recovered.uploads.values():
-                up = TraceUpload(trace_id=rec.trace_id, recovered=True)
+                up = TraceUpload(trace_id=rec.trace_id, recovered=True,
+                                 bytes_received=rec.body_bytes)
                 for seq, doc in enumerate(rec.chunks):
-                    canon = _canonical(doc["payload"])
                     up.chunks.append(doc)
                     up.next_seq += 1
-                    up.bytes_received += len(canon)
                     up._hasher.update(f"{seq}|{doc['kind']}|".encode())
-                    up._hasher.update(canon)
+                    up._hasher.update(canonical_json(doc["payload"]))
                 ends = bool(rec.chunks) and rec.chunks[-1]["kind"] == "end"
                 if rec.sealed and rec.content_hash is not None \
                         and rec.content_hash != up.content_hash:

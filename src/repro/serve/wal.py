@@ -48,7 +48,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import IO, List, Optional, Tuple
 
-from repro.core.trace import _payload_crc
+from repro.core.trace import _payload_crc, canonical_json
 from repro.errors import StateDirError
 from repro.faults.inject import get_injector
 from repro.obs.metrics import get_registry
@@ -74,7 +74,7 @@ class WalWriter:
     """Appends CRC-framed records to an open journal stream.
 
     Thread-safe: upload handlers journal from the event loop while job
-    executors journal terminal states from shard threads.  ``freeze()``
+    executors journal terminal states from analysis threads.  ``freeze()``
     models SIGKILL — after it, every append is a silent no-op, exactly
     like a dead process (the chaos bench uses it to kill a server without
     letting in-flight work sneak a last record in).
@@ -112,10 +112,8 @@ class WalWriter:
                 return
             doc = {"seq": self._seq, "kind": kind,
                    "crc": _payload_crc(payload), "payload": payload}
-            line = json.dumps(doc, sort_keys=True,
-                              separators=(",", ":")).encode("utf-8")
             try:
-                line = _FAULTS.on_wal_record(self._seq, line)
+                line = _FAULTS.on_wal_record(self._seq, canonical_json(doc))
             except Exception:
                 # injected server death: nothing may journal after this
                 self.frozen = True

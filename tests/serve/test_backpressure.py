@@ -1,4 +1,4 @@
-"""Overload behavior: admission control, circuit breaker, client backoff.
+"""Overload behavior: admission control, drain refusal, client backoff.
 
 Overload must turn into *typed* 429s with ``Retry-After`` — never into
 unbounded queues, silent drops or untyped 500s — and the client must
@@ -6,8 +6,6 @@ honor the hint with decorrelated-jitter backoff (satellite: typed
 ``{"error": {...}}`` bodies re-raise as the matching
 :mod:`repro.errors` classes on the client side).
 """
-
-import time
 
 import pytest
 
@@ -17,8 +15,7 @@ from repro.faults.inject import inject_plan
 from repro.faults.plan import FaultPlan
 from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.serve.client import error_from_body
-from repro.serve.overload import (AdmissionControl, CircuitBreaker,
-                                  backoff_delays)
+from repro.serve.overload import AdmissionControl, backoff_delays
 
 
 class TestAdmissionUnit:
@@ -38,58 +35,6 @@ class TestAdmissionUnit:
         with pytest.raises(ServeOverloadError) as exc:
             adm.admit_upload(41, 60)
         assert exc.value.fields()["resource"] == "upload-bytes"
-
-
-class TestBreakerUnit:
-    def _clock(self):
-        self.now += 0.0
-        return self.now
-
-    def test_opens_after_threshold_and_half_opens(self):
-        self.now = 0.0
-        br = CircuitBreaker(threshold=3, cooldown_s=1.0,
-                            clock=lambda: self.now)
-        for _ in range(2):
-            br.record("upload_chunk", 503)
-        br.check("upload_chunk")            # still closed at 2 failures
-        br.record("upload_chunk", 503)      # 3rd: opens
-        assert br.state_of("upload_chunk") == "open"
-        with pytest.raises(ServeOverloadError) as exc:
-            br.check("upload_chunk")
-        assert 0 < exc.value.retry_after_s <= 1.0
-        self.now = 1.5
-        assert br.state_of("upload_chunk") == "half-open"
-        br.check("upload_chunk")            # the single probe is admitted
-        with pytest.raises(ServeOverloadError):
-            br.check("upload_chunk")        # concurrent probe refused
-        br.record("upload_chunk", 200)      # probe succeeded: closed
-        assert br.state_of("upload_chunk") == "closed"
-        br.check("upload_chunk")
-
-    def test_failed_probe_reopens(self):
-        self.now = 0.0
-        br = CircuitBreaker(threshold=2, cooldown_s=1.0,
-                            clock=lambda: self.now)
-        br.record("analyze", 500)
-        br.record("analyze", 500)
-        self.now = 1.1
-        br.check("analyze")                 # probe
-        br.record("analyze", 500)           # probe failed: fresh cooldown
-        assert br.state_of("analyze") == "open"
-        with pytest.raises(ServeOverloadError):
-            br.check("analyze")
-
-    def test_429_is_not_an_endpoint_failure(self):
-        br = CircuitBreaker(threshold=1)
-        br.record("analyze", 429)
-        assert br.state_of("analyze") == "closed"
-
-    def test_endpoints_are_independent(self):
-        br = CircuitBreaker(threshold=1, cooldown_s=60.0)
-        br.record("upload_chunk", 500)
-        with pytest.raises(ServeOverloadError):
-            br.check("upload_chunk")
-        br.check("create_trace")            # other circuits unaffected
 
 
 class TestBackoffDelays:
@@ -149,29 +94,6 @@ class TestServerSheds:
             assert "retry-after" in client.last_headers
             # reads still work during a drain: clients collect results
             assert client.trace_status(trace_id)["state"] == "complete"
-
-    def test_breaker_opens_on_consecutive_5xx(self, trace_lines):
-        cfg = ServeConfig(breaker_threshold=3, breaker_cooldown_s=0.15)
-        with ServerThread(cfg) as srv, \
-                ServeClient(srv.base_url, retries=0) as client:
-            trace_id = client.create_trace()
-            # unlimited injected stream deaths: every PUT is a 503
-            with inject_plan(FaultPlan.single("trace-truncate", 0)):
-                for _ in range(3):
-                    status, _doc = client.upload_chunk(
-                        trace_id, 0, trace_lines[0], retry=False)
-                    assert status == 503
-                status, doc = client.upload_chunk(
-                    trace_id, 0, trace_lines[0], retry=False)
-                assert status == 429        # breaker open: shed instantly
-                assert doc["error"]["resource"] == "breaker:upload_chunk"
-            time.sleep(0.2)                 # cooldown elapses; fault gone
-            status, _doc = client.upload_chunk(trace_id, 0, trace_lines[0],
-                                               retry=False)
-            assert status == 200            # the probe closes the circuit
-            status, _doc = client.upload_chunk(trace_id, 1, trace_lines[1],
-                                               retry=False)
-            assert status == 200
 
 
 class TestClientBackoff:

@@ -7,11 +7,15 @@ produces for an uploaded trace must serialize identically to what
 """
 
 import json
+import sys
 
 from repro.core.reports import report_to_dict
-from repro.core.trace import TRACE_VERSION, analyze_trace
+from repro.core.trace import (TRACE_VERSION, analyze_trace,
+                              analyze_trace_with_stats)
+from repro.faults.inject import inject_plan
+from repro.faults.plan import FaultPlan
 from repro.obs.tracecheck import validate_events
-from repro.serve import ServeClient
+from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.serve.client import read_trace_lines
 
 from tests.serve.conftest import chunk_line, header_line
@@ -168,13 +172,11 @@ class TestAnalyzeOptionValidation:
             assert doc["error"]["type"] == "TraceFormatError", body
             assert field in doc["error"]["message"], body
 
-    def test_malformed_requests_leave_the_breaker_closed(self, server,
-                                                         client,
-                                                         trace_lines):
+    def test_malformed_requests_leave_analyze_usable(self, client,
+                                                     trace_lines):
         trace_id, _ = client.upload_trace(trace_lines)
         for body, _field in BAD_ANALYZE_BODIES[:6]:
             assert self._analyze(client, trace_id, body)[0] == 400
-        assert server.service.breaker.state_of("analyze") == "closed"
         status, doc = self._analyze(client, trace_id,
                                     {"workers": 2, "deadline_s": None,
                                      "max_retries": 0, "explain": True})
@@ -183,20 +185,16 @@ class TestAnalyzeOptionValidation:
 
 
 class TestCacheKeying:
-    def test_reupload_shares_one_graph_build(self, server, trace_lines):
+    def test_reupload_reanalysis_is_a_memo_hit(self, server, trace_lines):
         with ServeClient(server.base_url) as client:
             t1, _ = client.upload_trace(trace_lines)
             j1 = client.analyze(t1)
-            client.wait(j1, timeout=60.0)
-            builds_after_first = server.service.cache.graph_builds
-            assert builds_after_first == 1
-            # same bytes again: same content hash, zero new graph builds
-            t2, ack2 = client.upload_trace(trace_lines)
+            assert client.wait(j1, timeout=60.0)["cache_hit"] is False
+            # same bytes again: same content hash, identical options
+            t2, _ = client.upload_trace(trace_lines)
             assert t2 != t1
             j2 = client.analyze(t2)
             doc2 = client.wait(j2, timeout=60.0)
-            assert server.service.cache.graph_builds == builds_after_first
-            # identical params: the whole result comes from cache
             assert doc2["cache_hit"] is True
             s1, r1 = client.report(j1)
             s2, r2 = client.report(j2)
@@ -206,16 +204,76 @@ class TestCacheKeying:
             assert json.dumps(r1, sort_keys=True) == \
                 json.dumps(r2, sort_keys=True)
 
-    def test_distinct_params_rebuild_result_not_graph(self, server,
+    def test_each_memo_miss_reports_the_offline_graph(self, server,
+                                                      trace_file,
                                                       trace_lines):
+        """Every analysis that runs builds its own graph, so the query
+        counts in a report are that analysis's alone."""
+        _reports, offline = analyze_trace_with_stats(trace_file)
         with ServeClient(server.base_url) as client:
-            t1, _ = client.upload_trace(trace_lines)
-            j1 = client.analyze(t1)
-            client.wait(j1, timeout=60.0)
-            j2 = client.analyze(t1, workers=1)
-            doc2 = client.wait(j2, timeout=60.0)
-            assert doc2["cache_hit"] is False
-            assert server.service.cache.graph_builds == 1
+            trace_id, _ = client.upload_trace(trace_lines)
+            for options in ({}, {"workers": 1}, {"explain": True}):
+                job_id = client.analyze(trace_id, **options)
+                doc = client.wait(job_id, timeout=60.0)
+                assert doc["state"] == "done", options
+                assert doc["cache_hit"] is False, options
+                _status, report = client.report(job_id)
+                assert report["graph"] == offline["graph"], options
+
+
+class TestConcurrentJobs:
+    def test_same_trace_jobs_run_at_once(self, trace_file, trace_lines):
+        """Two analyses of one trace overlap on two threads, one of them
+        held by a hung analysis worker, and both match offline."""
+        reports, offline = analyze_trace_with_stats(trace_file)
+        want_errors = json.dumps([report_to_dict(r) for r in reports],
+                                 sort_keys=True)
+        with ServerThread(ServeConfig(shards=2)) as srv, \
+                ServeClient(srv.base_url) as client:
+            trace_id, _ = client.upload_trace(trace_lines)
+            with inject_plan(FaultPlan.single("worker-hang", 0,
+                                              seconds=0.5, times=1)):
+                j1 = client.analyze(trace_id)
+                j2 = client.analyze(trace_id, workers=1)
+                docs = [client.wait(j, timeout=60.0) for j in (j1, j2)]
+            assert [d["state"] for d in docs] == ["done", "done"]
+            a, b = (srv.service.pool.get(j) for j in (j1, j2))
+            assert max(a.started_at, b.started_at) < \
+                min(a.finished_at, b.finished_at)
+            for job_id in (j1, j2):
+                _status, report = client.report(job_id)
+                assert json.dumps(report["errors"],
+                                  sort_keys=True) == want_errors
+                assert report["graph"] == offline["graph"]
+
+    def test_many_jobs_on_more_threads_than_cores(self, trace_file,
+                                                  trace_lines):
+        """Twelve analyses of one trace over three option sets on four
+        threads with a short switch interval: each job that runs builds
+        and queries only its own graph, and memo hits run nothing."""
+        reports, offline = analyze_trace_with_stats(trace_file)
+        want_errors = json.dumps([report_to_dict(r) for r in reports],
+                                 sort_keys=True)
+        option_sets = ({}, {"workers": 1}, {"max_retries": 0}) * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ServerThread(ServeConfig(shards=4)) as srv, \
+                    ServeClient(srv.base_url) as client:
+                trace_id, _ = client.upload_trace(trace_lines)
+                job_ids = [client.analyze(trace_id, **options)
+                           for options in option_sets]
+                docs = [client.wait(j, timeout=120.0) for j in job_ids]
+                served = [client.report(j)[1] for j in job_ids]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [d["state"] for d in docs] == ["done"] * len(job_ids)
+        assert sum(not d["cache_hit"] for d in docs) >= 3
+        for doc, report in zip(docs, served):
+            assert ("build" in doc["phases"]) is not doc["cache_hit"]
+            assert json.dumps(report["errors"],
+                              sort_keys=True) == want_errors
+            assert report["graph"] == offline["graph"]
 
 
 class TestDegradedUpload:

@@ -1,4 +1,4 @@
-"""Unit tests for the sharded job pool and the per-job timeline."""
+"""Unit tests for the job pool and the per-job timeline."""
 
 import asyncio
 
@@ -9,24 +9,24 @@ from repro.obs.tracecheck import validate_events
 from repro.serve.jobs import JobPool
 
 
-def _pool(execute=lambda job: ({"error_count": 0}, False), shards=4):
-    return JobPool(execute, shards=shards)
+def _pool(execute=lambda job: ({"error_count": 0}, False)):
+    return JobPool(execute, threads=4)
 
 
-class TestShardAffinity:
-    def test_shard_is_deterministic_in_content_hash(self):
-        pool = _pool(shards=4)
-        h = "deadbeef" + "0" * 56
-        assert pool.shard_of(h) == pool.shard_of(h)
-        assert pool.shard_of(h) == int("deadbeef", 16) % 4
-        assert 0 <= pool.shard_of("") < 4
+def _run_to_end(pool):
+    async def drive():
+        pool.start()
+        try:
+            job = pool.create("t1", "00" * 32, {})
+            pool.submit(job)
+            await asyncio.wait_for(pool.drain(), timeout=10.0)
+            return job
+        finally:
+            pool.stop()
 
-    def test_same_hash_same_shard_across_jobs(self):
-        pool = _pool(shards=3)
-        a = pool.create("t1", "ab" * 32, {})
-        b = pool.create("t2", "ab" * 32, {})
-        assert a.shard == b.shard
-        assert a.job_id != b.job_id
+    job = asyncio.run(drive())
+    assert job.wait(0)
+    return job
 
 
 class TestJobStates:
@@ -46,19 +46,7 @@ class TestJobStates:
             raise ValueError("executor exploded")
 
         pool = _pool(execute=boom)
-
-        async def drive():
-            await pool.start()
-            try:
-                job = pool.create("t1", "00" * 32, {})
-                await pool.submit(job)
-                await asyncio.get_event_loop().run_in_executor(
-                    None, job.wait, 10.0)
-                return job
-            finally:
-                await pool.stop()
-
-        job = asyncio.run(drive())
+        job = _run_to_end(pool)
         assert job.state == "failed"
         assert job.error["type"] == "ValueError"
         with pytest.raises(JobStateError, match="exploded"):
@@ -66,19 +54,7 @@ class TestJobStates:
 
     def test_degraded_flag_from_executor(self):
         pool = _pool(execute=lambda job: ({"error_count": 1}, True))
-
-        async def drive():
-            await pool.start()
-            try:
-                job = pool.create("t1", "00" * 32, {})
-                await pool.submit(job)
-                await asyncio.get_event_loop().run_in_executor(
-                    None, job.wait, 10.0)
-                return job
-            finally:
-                await pool.stop()
-
-        job = asyncio.run(drive())
+        job = _run_to_end(pool)
         assert job.state == "degraded"
         assert pool.report_of(job.job_id) == {"error_count": 1}
 
@@ -97,7 +73,7 @@ class TestTimeline:
         names = [e["name"] for e in events if e["ph"] == "X"]
         assert names[0] == "queue-wait"
         assert "build" in names and "analyze" in names
-        assert all(e["tid"] == job.shard for e in events)
+        assert len({(e["pid"], e["tid"]) for e in events}) == 1
 
     def test_status_dict_carries_phases(self):
         pool = _pool()

@@ -85,6 +85,35 @@ class TestUploadRecovery:
         finally:
             srv.stop()
 
+    def test_bytes_received_survives_restarts(self, state_dir, trace_lines):
+        """A restart reports the bytes the server received, not their
+        canonical re-encoding, and so does a second boot, which reads
+        the compacted journal."""
+        loose = [json.dumps(json.loads(line)).encode()
+                 for line in trace_lines]
+        half = len(loose) // 2
+        srv = ServerThread(_config(state_dir)).start()
+        try:
+            with ServeClient(srv.base_url) as client:
+                trace_id = client.create_trace()
+                for seq in range(half):
+                    status, _ = client.upload_chunk(trace_id, seq,
+                                                    loose[seq])
+                    assert status == 200
+                want = client.trace_status(trace_id)["bytes_received"]
+        finally:
+            srv.kill()
+        assert want == sum(len(body) for body in loose[:half])
+        for _boot in range(2):
+            srv = ServerThread(_config(state_dir)).start()
+            try:
+                with ServeClient(srv.base_url) as client:
+                    doc = client.trace_status(trace_id)
+            finally:
+                srv.kill()
+            assert doc["next_seq"] == half
+            assert doc["bytes_received"] == want
+
     def test_recovered_ids_are_never_reissued(self, state_dir, trace_lines):
         srv = ServerThread(_config(state_dir)).start()
         try:
