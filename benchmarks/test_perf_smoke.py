@@ -7,11 +7,10 @@ for every DRB and TMB program, checked against the test oracles in
 
 * the write-combining recorder leaves the same access sets as per-access
   interval-tree inserts (``TreeSegment``) of the run's access log, and
-  every happens-before tier agrees with the reachability DP on every
+  every happens-before answer agrees with a breadth-first search on every
   segment pair of the recorded graph;
 * on the recorded graph, ``find_races`` (one worker and several) produces
-  the all-pairs pass's candidates pair-for-pair, byte-for-byte;
-* the fork-join majority of the suite stays on the exact O(1) index.
+  the all-pairs pass's candidates pair-for-pair, byte-for-byte.
 """
 
 from __future__ import annotations
@@ -70,16 +69,3 @@ def test_analysis_pass_parity(program, nthreads):
     for workers in (1, 4):
         assert _canon(find_races(graph, workers=workers).candidates) == naive
 
-
-def test_exact_index_sweep():
-    """The fork-join majority of the suite answers HB from the exact
-    order-maintenance index (each graph's tiers are held to the DP by
-    ``test_fastpath_parity``)."""
-    exact = 0
-    for program, nthreads in ALL_PROGRAMS:
-        tool = _run(program, nthreads).tool_obj
-        if tool is None or tool.builder is None:
-            continue
-        if tool.builder.hb.exact:
-            exact += 1
-    assert exact >= len(ALL_PROGRAMS) // 2

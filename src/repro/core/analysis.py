@@ -33,8 +33,12 @@ sequential pass; more workers are its Section VII future-work item ("the
 analysis is embarrassingly parallel, but currently run sequentially"),
 which the A1 ablation measures.
 
-Phase names: ``analysis.prepare`` for the HB index and its batched
-backing, ``analysis.candidates`` for the interval pools and the sweep,
+Happens-before has one answer: the graph's bitmask reachability DP,
+built once in ``analysis.prepare`` and packed into per-segment rows the
+pair check reads (:meth:`~repro.core.npkernel.KernelContext.prepare_hb`).
+
+Phase names: ``analysis.prepare`` for the reachability DP and its packed
+rows, ``analysis.candidates`` for the interval pools and the sweep,
 ``analysis.pairs`` for the pair check alone (booked per worker thread, so
 its wall seconds sum across workers) and ``analysis.supervise`` for the
 supervised chunk loop around it.
@@ -321,10 +325,8 @@ def find_races(graph: SegmentGraph, *, workers: int = 1,
     reg = get_registry()
     result = PartialAnalysis()
     with reg.phase("analysis"):
-        # everything workers read is built here, single-threaded: the HB
-        # index, the segments' flat interval sets and the kernel context
-        with reg.phase("analysis.prepare"):
-            graph.prepare_queries()
+        # everything workers read is built here, single-threaded: the
+        # segments' flat interval sets, the kernel context and its DP rows
         segs = [s for s in graph.segments if s.has_accesses]
         with reg.phase("analysis.candidates"):
             ctx = KernelContext(graph, segs)

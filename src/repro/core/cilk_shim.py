@@ -44,7 +44,6 @@ class CilkSegmentBuilder(SegmentBuilder):
         entry = self.current_entry(thread_id)
         creation = self._close(entry.segment, thread_id)
         cont = self._open(thread_id, entry.task, entry.segment.kind)
-        self.hb.fork_child(creation.id, cont.id)
         self.graph.add_edge(creation, cont)
         entry.segment = cont
         self._frame_creation[child.fid] = creation
@@ -54,8 +53,6 @@ class CilkSegmentBuilder(SegmentBuilder):
         seg = self._open(thread_id, frame, "task",
                          label_loc=frame.create_loc)
         creation = self._frame_creation.get(frame.fid)
-        if creation is not None:
-            self.hb.fork_child(creation.id, seg.id)
         self.graph.add_edge(creation, seg)
         self._stack(thread_id).append(_TaskEntry(task=frame, segment=seg))
 
@@ -75,7 +72,6 @@ class CilkSegmentBuilder(SegmentBuilder):
         for child in self._children.get(frame.fid, ()):
             self.graph.add_edge(
                 self._frame_creation.get(("final", child.fid)), seg)
-        self._hb_ensure_placed(seg)
         entry.segment = seg
 
 

@@ -23,9 +23,8 @@ merges.  This module reformulates the whole pass over flat sorted
   plus adjacent difference.  The output is two index arrays ``(ii, jj)``
   sorted by ``(i, j)``.
 * **Batched happens-before** — a whole chunk of candidate pairs is filtered
-  with one vectorized comparison of dense E/H label *ranks* (when the
-  order-maintenance index is exact) or one bit test in packed
-  reachability rows copied from the bitmask DP (when it is not).
+  with one bit test per pair in packed reachability rows copied from the
+  graph's bitmask DP, the one happens-before answer every run uses.
 * **Row output** — the conflicts leave the kernel as int64 rows
   ``(i, j, lo, hi)``, one per conflict piece, their ranks mapped back to
   addresses, ready for :class:`repro.core.analysis.ConflictTable`.
@@ -42,7 +41,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as _np
 
-from repro.obs.metrics import get_registry
 from repro.util.intervals import IntervalSet
 
 #: Each candidate pair's operand intervals, as endpoint ranks, are relocated
@@ -134,15 +132,6 @@ def _sorted_unique(x: "_np.ndarray") -> "_np.ndarray":
     return x[keep]
 
 
-def _ranks(labels: List[int]) -> "_np.ndarray":
-    """Dense ``int64`` ranks of distinct labels of any width:
-    ``ranks[a] < ranks[b]`` iff ``labels[a] < labels[b]``."""
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    ranks = _np.empty(len(labels), dtype=_np.int64)
-    ranks[order] = _np.arange(len(labels), dtype=_np.int64)
-    return ranks
-
-
 # ---------------------------------------------------------------------------
 # per-pass context: pools, candidate sweep, batched happens-before backing
 # ---------------------------------------------------------------------------
@@ -191,15 +180,10 @@ class KernelContext:
     sweep, so chunk workers only read.  Construction pools the segments'
     write and read intervals (:class:`_Pool`) as ranks into ``coords``, the
     sorted distinct endpoints; :meth:`candidate_pairs` sweeps the pools for
-    the pairs Algorithm 1 must check.  :meth:`prepare_hb` then builds the
-    batched happens-before backing :meth:`check_pairs` reads:
-
-    * exact order-maintenance labels → two dense ``int64`` rank arrays;
-    * otherwise → each analysed segment's bitmask DP row, packed into one
-      ``uint8`` buffer of ``⌈n/8⌉`` bytes per segment.
-
-    The tier reached is ``hb_tier`` (``label|reach``, also the
-    ``analysis.hb_tier`` gauge).
+    the pairs Algorithm 1 must check.  :meth:`prepare_hb` then packs each
+    analysed segment's bitmask DP row into one ``uint8`` buffer of
+    ``⌈n/8⌉`` bytes per segment, the happens-before backing
+    :meth:`check_pairs` reads.
     """
 
     def __init__(self, graph, segs: Sequence) -> None:
@@ -215,8 +199,6 @@ class KernelContext:
         for pool in pools:
             pool.los = _np.searchsorted(self.coords, pool.los)
             pool.his = _np.searchsorted(self.coords, pool.his)
-        self.hb_tier = None
-        self._e = self._h = None
 
     def candidate_pairs(self) -> Tuple["_np.ndarray", "_np.ndarray"]:
         """Segment index pairs sharing at least one byte with >= 1 write.
@@ -270,38 +252,12 @@ class KernelContext:
 
     # -- batched happens-before ---------------------------------------------
 
-    def prepare_hb(self) -> str:
-        """Build the batched happens-before backing; returns the tier."""
-        if self._snapshot_ranks():
-            self.hb_tier = "label"
-        else:
-            self._pack_reach()
-            self.hb_tier = "reach"
-        get_registry().gauge("analysis.hb_tier").set(self.hb_tier)
-        return self.hb_tier
-
-    def _snapshot_ranks(self) -> bool:
-        graph = self.graph
-        labs = graph._hb_labels
-        if labs is None:
-            return False
-        e, h = labs
-        ids = [s.id for s in self.segs]
-        evals = [e[sid] for sid in ids]
-        if any(v is None for v in evals):
-            return False
-        # order-maintenance labels are arbitrary-precision ints (fib's are
-        # 72 bits wide), but queries only compare them: dense ranks over
-        # the analysed segments answer every query and always fit int64
-        self._e = _ranks(evals)
-        self._h = _ranks([h[sid] for sid in ids])
-        return True
-
-    def _pack_reach(self) -> None:
+    def prepare_hb(self) -> None:
         """Copy each analysed segment's DP descendant bitmask into row ``k``
         of one flat ``uint8`` buffer: bit ``sid & 7`` of byte
         ``k * nbytes + (sid >> 3)`` is set iff segment ``sid`` descends
-        from ``segs[k]``.  No larger than the DP it is copied from."""
+        from ``segs[k]``.  Builds the DP if no query has yet; the rows are
+        no larger than the DP they are copied from."""
         reach = self.graph._reachability()
         self._nbytes = nbytes = (len(reach) + 7) // 8
         self._rows = _np.frombuffer(
@@ -315,12 +271,7 @@ class KernelContext:
                      ) -> "_np.ndarray":
         """Batched ``graph.ordered`` over pair index arrays (after
         :meth:`prepare_hb`)."""
-        graph = self.graph
-        if self._e is not None:
-            graph.q_label += ii.shape[0]
-            return ((self._e[ii] < self._e[jj])
-                    == (self._h[ii] < self._h[jj]))
-        graph.q_dp += ii.shape[0]
+        self.graph.q_dp += ii.shape[0]
         # ids are not topological, so either segment may be the ancestor:
         # bit j of row i or bit i of row j
         rows, nbytes = self._rows, self._nbytes

@@ -40,7 +40,6 @@ class QthreadsSegmentBuilder(SegmentBuilder):
         entry = self.current_entry(thread_id)
         creation = self._close(entry.segment, thread_id)
         cont = self._open(thread_id, entry.task, entry.segment.kind)
-        self.hb.fork_child(creation.id, cont.id)
         self.graph.add_edge(creation, cont)
         entry.segment = cont
         self._fork_creation[child.qid] = creation
@@ -48,8 +47,6 @@ class QthreadsSegmentBuilder(SegmentBuilder):
     def on_task_begin(self, task: QTask, thread_id: int) -> None:
         seg = self._open(thread_id, task, "task", label_loc=task.create_loc)
         creation = self._fork_creation.get(task.qid)
-        if creation is not None:
-            self.hb.fork_child(creation.id, seg.id)
         self.graph.add_edge(creation, seg)
         self._stack(thread_id).append(_TaskEntry(task=task, segment=seg))
 
@@ -59,9 +56,6 @@ class QthreadsSegmentBuilder(SegmentBuilder):
 
     def on_feb_fill(self, addr: int, generation: int,
                     thread_id: int) -> None:
-        # FEB transfers are point-to-point edges, not fork-join — the
-        # two-order labeling cannot express them
-        self.hb.mark_inexact("qthreads FEB transfer")
         entry = self.current_entry(thread_id)
         release = self._close(entry.segment, thread_id)
         seg = self._open(thread_id, entry.task, entry.segment.kind)
@@ -71,7 +65,6 @@ class QthreadsSegmentBuilder(SegmentBuilder):
 
     def on_feb_consume(self, addr: int, generation: int, thread_id: int,
                        drained: bool) -> None:
-        self.hb.mark_inexact("qthreads FEB transfer")
         entry = self.current_entry(thread_id)
         prior = self._close(entry.segment, thread_id)
         seg = self._open(thread_id, entry.task, entry.segment.kind)

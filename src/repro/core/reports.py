@@ -33,8 +33,8 @@ class ProvenanceWitness:
     Assembled from the segment graph after analysis: where each racing
     segment came from (its ancestry up the graph), where their histories
     last met (nearest common ancestor), the first conflicting byte
-    interval, and which happens-before query tier established that no
-    ordering path exists.
+    interval, and the reachability evidence that no ordering path
+    exists.
     """
 
     #: ancestry of each racing segment as ``(seg_id, kind, label)`` triples,
@@ -47,7 +47,7 @@ class ProvenanceWitness:
     nca_id: Optional[int] = None
     nca_label: str = ""
     first_interval: Optional[Tuple[int, int]] = None
-    #: which query tier answered "unordered" and its evidence
+    #: the DP's evidence for "unordered" (``SegmentGraph.explain_unordered``)
     hb_explanation: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:

@@ -28,6 +28,11 @@ undeferred (`if(0)`) task    additionally child final -> creator continuation
 detach fulfill               body final + fulfilling segment -> completion node
 ===========================  ===================================================
 
+The builder only adds nodes and edges.  Happens-before is a path in the
+finished graph: :class:`SegmentGraph` answers every query — online,
+offline, served, and for the baseline tools that reuse the builder — from
+one bitmask reachability DP, built when the analysis first reads it.
+
 Which of these a tool applies is controlled by :class:`SegmentModelConfig` —
 the knob that models the capability differences between Taskgrind,
 TaskSanitizer and ROMP in Table I (e.g. TaskSanitizer does not support
@@ -46,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.hbindex import HbIndex
 from repro.machine.debuginfo import SourceLocation
 from repro.obs.metrics import get_registry
 from repro.obs.prof import get_profiler
@@ -314,14 +318,35 @@ class Segment:
         return f"<Segment {self.id} {self.kind} t{self.thread_id} {self.label()}>"
 
 
-class SegmentGraph:
-    """DAG of segments with an O(1) label index + bitset reachability DP.
+def kahn_order(succ: List[List[int]]) -> List[int]:
+    """Kahn topological order of the graph with adjacency lists ``succ``.
 
-    Happens-before queries take one of two tiers: the flat label snapshot
-    :meth:`prepare_queries` takes while the order-maintenance
-    :class:`~repro.core.hbindex.HbIndex` is exact, or else the bitmask
-    reachability DP.  The tests hold the label tier to the DP on every
-    segment pair.
+    Shorter than ``succ`` exactly when the graph has a cycle: the nodes on
+    a cycle, and those after one, never reach in-degree zero.
+    """
+    indeg = [0] * len(succ)
+    for succs in succ:
+        for t in succs:
+            indeg[t] += 1
+    frontier = [i for i, d in enumerate(indeg) if d == 0]
+    order: List[int] = []
+    while frontier:
+        sid = frontier.pop()
+        order.append(sid)
+        for t in succ[sid]:
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                frontier.append(t)
+    return order
+
+
+class SegmentGraph:
+    """DAG of segments with a bitset reachability DP.
+
+    Every happens-before query reads one descendant bitmask per segment,
+    built by one reverse-topological DP the first time a query needs it
+    (Taskgrind runs Algorithm 1 after the program ends, so the graph is
+    complete by then) and dropped by any later graph mutation.
     """
 
     def __init__(self) -> None:
@@ -329,13 +354,8 @@ class SegmentGraph:
         self._succ: List[List[int]] = []
         self.edge_count = 0
         self._reach: Optional[List[int]] = None    # descendant bitmask per node
-        self.hb_index: Optional[HbIndex] = None
-        #: (E, H) label snapshot from prepare_queries — valid only while the
-        #: graph is unchanged
-        self._hb_labels: Optional[Tuple[List, List]] = None
-        # query-path mix (plain ints: incremented on the analysis hot path,
+        # query count (a plain int: incremented on the analysis hot path,
         # published into the metrics registry at stats-assembly time)
-        self.q_label = 0           # answered from the flat label snapshot
         self.q_dp = 0              # answered by the bitmask DP
         self.dp_rebuilds = 0       # full reachability DP materializations
         #: replay hook (repro.replay): an object with ``on_segment(seg)``
@@ -348,7 +368,6 @@ class SegmentGraph:
         self.segments.append(seg)
         self._succ.append([])
         self._reach = None
-        self._hb_labels = None
         if self.observer is not None:
             self.observer.on_segment(seg)
         return seg
@@ -359,11 +378,8 @@ class SegmentGraph:
         self._succ[src.id].append(dst.id)
         self.edge_count += 1
         self._reach = None
-        self._hb_labels = None
         if self.observer is not None:
             self.observer.on_edge(src.id, dst.id)
-        if self.hb_index is not None:
-            self.hb_index.on_edge(src.id, dst.id)
         if _TRACER.enabled and (src.thread_id != dst.thread_id
                                 or src.virtual or dst.virtual):
             # cross-thread / join-node edges are the synchronisation edges —
@@ -377,21 +393,8 @@ class SegmentGraph:
     def _topo_order(self) -> List[int]:
         """Kahn topological order (ids are *not* topological: a task executed
         inside a barrier closes after the join node was created)."""
-        n = len(self.segments)
-        indeg = [0] * n
-        for succs in self._succ:
-            for t in succs:
-                indeg[t] += 1
-        frontier = [i for i in range(n) if indeg[i] == 0]
-        order: List[int] = []
-        while frontier:
-            sid = frontier.pop()
-            order.append(sid)
-            for t in self._succ[sid]:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    frontier.append(t)
-        if len(order) != n:  # pragma: no cover - construction invariant
+        order = kahn_order(self._succ)
+        if len(order) != len(self.segments):  # pragma: no cover - invariant
             raise AssertionError("segment graph has a cycle")
         return order
 
@@ -412,34 +415,8 @@ class SegmentGraph:
                 self._reach = self._compute_reach()
         return self._reach
 
-    def prepare_queries(self) -> None:
-        """Materialize whatever the query path will need.
-
-        Called once before a query-heavy pass (Algorithm 1) so the first
-        ``ordered`` call doesn't pay a full DP rebuild mid-loop — and so that
-        when the O(1) index can answer, the DP is not built at all.  When the
-        index is exact, its labels are snapshotted into flat arrays for the
-        cheapest possible per-query cost.
-        """
-        idx = self.hb_index
-        if idx is None or not idx.exact:
-            self._reachability()
-        elif self._hb_labels is None:
-            self._hb_labels = idx.label_arrays(len(self.segments))
-
     def ordered(self, a: Segment, b: Segment) -> bool:
         """True when a path exists between ``a`` and ``b`` (either direction)."""
-        labs = self._hb_labels
-        if labs is not None:
-            e, h = labs
-            ea, eb = e[a.id], e[b.id]
-            if ea is not None and eb is not None:
-                # both E and H are strict total orders: a path exists iff
-                # the two label comparisons agree in direction
-                self.q_label += 1
-                if _PROF.enabled:
-                    _PROF.count("hb.query.label")
-                return (ea < eb) == (h[a.id] < h[b.id])
         self.q_dp += 1
         if _PROF.enabled:
             _PROF.count("hb.query.dp")
@@ -447,15 +424,6 @@ class SegmentGraph:
         return bool(reach[a.id] >> b.id & 1) or bool(reach[b.id] >> a.id & 1)
 
     def happens_before(self, a: Segment, b: Segment) -> bool:
-        labs = self._hb_labels
-        if labs is not None:
-            e, h = labs
-            ea, eb = e[a.id], e[b.id]
-            if ea is not None and eb is not None:
-                self.q_label += 1
-                if _PROF.enabled:
-                    _PROF.count("hb.query.label")
-                return ea < eb and h[a.id] < h[b.id]
         self.q_dp += 1
         if _PROF.enabled:
             _PROF.count("hb.query.dp")
@@ -467,26 +435,9 @@ class SegmentGraph:
     def explain_unordered(self, a: Segment, b: Segment) -> dict:
         """Why the query path found no happens-before path.
 
-        Mirrors the tier selection of :meth:`ordered` without touching the
-        query counters: reports which mechanism answered (label snapshot or
-        bitmask DP) and the evidence it used — the provenance half of a
-        race report's witness.
+        Reads the same DP rows as :meth:`ordered` without touching the
+        query counter: the provenance half of a race report's witness.
         """
-        labs = self._hb_labels
-        if labs is not None:
-            e, h = labs
-            ea, eb = e[a.id], e[b.id]
-            if ea is not None and eb is not None:
-                ha, hb = h[a.id], h[b.id]
-                return {
-                    "tier": "label",
-                    "e_labels": [ea, eb], "h_labels": [ha, hb],
-                    "reason": (
-                        f"order-maintenance labels disagree in direction: "
-                        f"E({ea} {'<' if ea < eb else '>'} {eb}) but "
-                        f"H({ha} {'<' if ha < hb else '>'} {hb}) — the "
-                        f"segments are parallel branches"),
-                }
         reach = self._reachability()
         return {
             "tier": "dp",
@@ -523,28 +474,24 @@ class SegmentGraph:
         """Simulated footprint of the graph + its access sets (one tree node
         per interval, as the paper's per-segment trees would hold)."""
         nodes = sum(len(s.reads) + len(s.writes) for s in self.segments)
-        index_bytes = (self.hb_index.memory_bytes()
-                       if self.hb_index is not None else 0)
         return (nodes * bytes_per_node
                 + len(self.segments) * bytes_per_segment
-                + self.edge_count * 16
-                + index_bytes)
+                + self.edge_count * 16)
 
     def stats(self) -> dict:
-        """Graph shape + happens-before query mix for the stats document."""
-        idx = self.hb_index
+        """Graph shape + happens-before query count for the stats document.
+
+        ``queries.label`` stays a literal 0 for readers of the older
+        two-tier document: every query is a DP query.
+        """
         return {
             "segments": len(self.segments),
             "edges": self.edge_count,
-            "hb_exact": idx.exact if idx is not None else False,
-            "hb_inexact_reason": (idx.inexact_reason
-                                  if idx is not None else None),
             "queries": {
-                "label": self.q_label,
+                "label": 0,
                 "dp": self.q_dp,
             },
             "dp_rebuilds": self.dp_rebuilds,
-            "hb_relabels": idx.relabel_count if idx is not None else 0,
             "memory_bytes": self.memory_bytes(),
         }
 
@@ -585,11 +532,6 @@ class SegmentBuilder:
         self.machine = machine
         self.config = config or SegmentModelConfig()
         self.graph = SegmentGraph()
-        #: O(1) fork-join happens-before labels, maintained as events arrive.
-        #: Event shapes the labeling can't express mark it inexact and the
-        #: graph falls back to the bitmask DP.
-        self.hb = HbIndex()
-        self.graph.hb_index = self.hb
         #: when set to a list, every access is appended as
         #: ``(segment_id, addr, size, is_write)`` — the capture hook the
         #: perf bench and the recorder tests replay through per-access
@@ -677,14 +619,8 @@ class SegmentBuilder:
         st = self._stack(thread_id)
         if not st:
             seg = self._open(thread_id, None, "serial")
-            self.hb.place_root(seg.id)
             st.append(_TaskEntry(task=None, segment=seg))
         return st[-1]
-
-    def _hb_ensure_placed(self, seg: Segment) -> None:
-        """Root-place a segment that ended up with no incoming edges."""
-        if self.hb.exact and not self.hb.placed(seg.id):
-            self.hb.place_root(seg.id)
 
     def current_segment(self, thread_id: int) -> Segment:
         return self.current_entry(thread_id).segment
@@ -741,10 +677,6 @@ class SegmentBuilder:
                                thread_id: int) -> None:
         seg = self._open(thread_id, task, "implicit")
         fork = self._region_fork.get(region.id)
-        if fork is not None:
-            self.hb.fork_child(fork.id, seg.id)   # team members are parallel
-        else:
-            self.hb.place_root(seg.id)
         self.graph.add_edge(fork, seg)
         self._stack(thread_id).append(_TaskEntry(task=task, segment=seg))
         self.info(task).creation_segment = self._region_fork.get(region.id)
@@ -762,9 +694,6 @@ class SegmentBuilder:
         creation = self._close(entry.segment, thread_id)
         cont = self._open(thread_id, entry.task,
                           entry.segment.kind if entry.task else "serial")
-        # the continuation and the (future) task child are both parallel
-        # branches forked off the creation segment
-        self.hb.fork_child(creation.id, cont.id)
         self.graph.add_edge(creation, cont)
         entry.segment = cont
         ti = self.info(task)
@@ -791,9 +720,6 @@ class SegmentBuilder:
         if (dep.kind == DepKind.MUTEXINOUTSET
                 and not self.config.honor_mutexinoutset):
             return
-        # dependence edges cut across the fork-join nesting: not expressible
-        # in the two-order labeling (DePa handles pure fork-join only)
-        self.hb.mark_inexact("task dependence")
         self.info(succ).preds.append((pred, dep))
 
     def on_task_schedule_begin(self, task: Task, thread_id: int) -> None:
@@ -809,11 +735,6 @@ class SegmentBuilder:
             return
         seg = self._open(thread_id, task, "task",
                          label_loc=self._task_label(task))
-        if ti.creation_segment is not None:
-            self.hb.fork_child(ti.creation_segment.id, seg.id)
-        if self.config.honor_mutexinoutset and task.mutexinoutset_addrs:
-            # observed-order serialization edges are not fork-join shaped
-            self.hb.mark_inexact("mutexinoutset ordering")
         self.graph.add_edge(ti.creation_segment, seg)
         for pred, _dep in ti.preds:
             self.graph.add_edge(self.info(pred).final_segment, seg)
@@ -872,8 +793,6 @@ class SegmentBuilder:
     def on_task_detach_fulfill(self, task: Task, thread_id: int) -> None:
         if not self.config.honor_detach:
             return
-        # completion nodes join strands from unrelated nesting levels
-        self.hb.mark_inexact("detach fulfill")
         ti = self.info(task)
         node = self.graph.new_segment(thread_id=thread_id, task=task,
                                       kind="join", virtual=True)
@@ -946,7 +865,6 @@ class SegmentBuilder:
             if self.config.honor_taskwait:
                 for child in self.info(task).children:
                     self.graph.add_edge(self.info(child).final_segment, seg)
-            self._hb_ensure_placed(seg)
             entry.segment = seg
         elif kind == SyncKind.TASKGROUP:
             members = self._group_stack[task.tid].pop()
@@ -970,7 +888,6 @@ class SegmentBuilder:
                     for fin in self._region_unjoined.get(region.id, []):
                         self.graph.add_edge(fin, seg)
                     self._region_unjoined[region.id] = []
-                self._hb_ensure_placed(seg)
                 entry.segment = seg
                 return
             key = (region.id, thread_id)
@@ -984,10 +901,6 @@ class SegmentBuilder:
                 self._region_unjoined[region.id] = []
                 self._barrier_absorbed.add((region.id, k))
             seg = self._open(thread_id, entry.task, entry.segment.kind)
-            # every member's post-barrier segment is a parallel branch off
-            # the join node — plain sequential placement would order them
-            if self.hb.placed(join.id):
-                self.hb.fork_child(join.id, seg.id)
             self.graph.add_edge(join, seg)
             prior = self._taskwait_prior.pop((task.tid, thread_id), None)
             self.graph.add_edge(prior, seg)

@@ -70,8 +70,8 @@ class TaskgrindOptions:
     #: honor ``private=True`` site declarations with compile-time elision
     #: (no-op instrumentation); False records every declared site normally
     elide_sites: bool = True
-    #: attach a provenance witness (ancestry, NCA, hb-tier evidence) to each
-    #: report — the ``--explain`` flag
+    #: attach a provenance witness (ancestry, NCA, reachability evidence) to
+    #: each report — the ``--explain`` flag
     explain: bool = False
     #: tool-memory ceiling in bytes (None = unlimited): when the modeled
     #: footprint crosses it, access recording degrades to coarse

@@ -24,13 +24,14 @@ Trace format (version 2)
 ------------------------
 One JSON object per line.  Line 0 is the header chunk (declares totals);
 then ``segments`` chunks (``chunk_segments`` graph nodes each, ids dense
-and in order), ``edges`` chunks, one ``environment``, one ``suppression``,
-an optional ``stats`` chunk, and an ``end`` footer.  Every line carries a
-CRC-32 of its canonical payload JSON plus the cost-model virtual time at
-write — so the salvage reader can checksum each chunk independently and
-report the last good vtime of a torn stream.  Any other format — such
-as a version-1 single-document trace — is rejected with a
-:class:`~repro.errors.TraceVersionError` naming the version found.
+and in order, each with the edges whose highest-id endpoint it holds),
+one ``environment``, one ``suppression``, an optional ``stats`` chunk, and
+an ``end`` footer.  Every line carries a CRC-32 of its canonical payload
+JSON plus the cost-model virtual time at write — so the salvage reader can
+checksum each chunk independently and report the last good vtime of a
+torn stream.  Any other format — such as a version-1 single-document
+trace — is rejected with a :class:`~repro.errors.TraceVersionError`
+naming the version found.
 
 CLI: ``python -m repro.core.offline <trace.json> [--workers N]``.
 """
@@ -46,7 +47,7 @@ from typing import IO, List, Optional, Tuple
 
 from repro.core.analysis import PartialAnalysis, analyze_and_suppress
 from repro.core.reports import RaceReport, build_report
-from repro.core.segments import SegmentGraph
+from repro.core.segments import SegmentGraph, kahn_order
 from repro.core.suppress import SuppressionConfig, SuppressionEngine
 from repro.errors import (TraceCorruptionError, TraceFormatError,
                           TraceVersionError)
@@ -64,8 +65,6 @@ TRACE_SCHEMA = "taskgrind-trace/2"
 #: costs a bounded slice of the run, large enough that chunk framing stays
 #: a rounding error of the document size
 DEFAULT_CHUNK_SEGMENTS = 256
-#: edges per ``edges`` chunk
-DEFAULT_CHUNK_EDGES = 4096
 
 _FAULTS = get_injector()
 
@@ -403,6 +402,53 @@ def _load_segment(graph: SegmentGraph, sd: dict) -> None:
     seg.tls_snapshot = tls
 
 
+def _edge_pairs(stored, end: int) -> List[Tuple[int, int]]:
+    """A chunk's stored edges as ``(src, dst)`` pairs, after checking each
+    is what the writer emits: two non-bool ints in ``[0, end)``.  Raises
+    ``ValueError`` or ``TypeError``."""
+    out: List[Tuple[int, int]] = []
+    for edge in stored:
+        if type(edge) is not list or len(edge) != 2:
+            raise ValueError(f"edge {edge!r} is not an id pair")
+        src, dst = edge
+        if type(src) is not int or type(dst) is not int \
+                or not (0 <= src < end and 0 <= dst < end):
+            raise ValueError(f"edge {edge!r} is not two segment ids "
+                             f"below {end}")
+        out.append((src, dst))
+    return out
+
+
+def _stored_edges(chunk) -> int:
+    """How many edges a lost segment chunk carried."""
+    edges = chunk.payload.get("edges")
+    return len(edges) if type(edges) is list else 0
+
+
+def _acyclic_prefix(ends: List[int], pairs: List[Tuple[int, int]]) -> int:
+    """How many leading segment chunks, ending at ids ``ends``, keep the
+    edges among their segments acyclic: one Kahn pass over the whole run
+    when it is a DAG, a binary search over the chunks when it is not."""
+    def acyclic(chunks: int) -> bool:
+        n = ends[chunks - 1] if chunks else 0
+        succ: List[List[int]] = [[] for _ in range(n)]
+        for src, dst in pairs:
+            if src < n and dst < n:
+                succ[src].append(dst)
+        return len(kahn_order(succ)) == n
+
+    if acyclic(len(ends)):
+        return len(ends)
+    good, bad = 0, len(ends)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if acyclic(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
 def load_environment(data: dict) -> OfflineMachineView:
     regions = [_OfflineRegion(name=r["name"], base=r["base"], size=r["size"],
                               kind=RegionKind(r["kind"]),
@@ -566,51 +612,62 @@ def _assemble_v2(path: str, chunks: List[_RawChunk],
         cov.complete = False
         cov.errors.append("header chunk lost; totals unknown")
 
-    graph = SegmentGraph()
-    next_id = 0
-    seg_stream_broken = False
-    inline_edges: List[list] = []
+    # Edges ride in the chunk of their highest-id endpoint, so a dense run
+    # of segment chunks carries every ordering among its own segments.  A
+    # chunk whose edges are malformed or close a cycle is lost whole, with
+    # everything after it: losing an edge must lose an endpoint with it,
+    # or salvage would invent races.
+    runs: List[_RawChunk] = []
+    ends: List[int] = []
+    pairs: List[Tuple[int, int]] = []
+    broken = False
     for c in chunks:
         if c.kind != "segments":
             continue
-        # edges ride in the chunk of their highest-id endpoint, so the
-        # contiguous prefix below is guaranteed to carry every ordering
-        # among its own segments.  Edges from *rejected* chunks are still
-        # harvested: any that land inside the prefix are genuine
-        # happens-before facts (extra ordering can only remove races,
-        # never invent them); the dangling filter drops the rest.
-        inline_edges.extend(c.payload.get("edges", []))
-        if seg_stream_broken or c.payload.get("start") != next_id:
-            # a chunk before this one was lost: ids would no longer be
-            # dense, so everything from the gap on is unrecoverable
-            seg_stream_broken = True
-            cov.complete = False
-            continue
+        start = ends[-1] if ends else 0
+        if not broken and c.payload.get("start") == start:
+            try:
+                end = start + len(c.payload["segments"])
+                chunk_pairs = _edge_pairs(c.payload.get("edges", []), end)
+            except (LookupError, TypeError, ValueError) as exc:
+                cov.errors.append(f"segment chunk {c.seq}: {exc}")
+            else:
+                pairs += chunk_pairs
+                runs.append(c)
+                ends.append(end)
+                continue
+        # a chunk before this one was lost (ids would no longer be dense),
+        # or this one is damaged: everything from here on is unrecoverable
+        broken = True
+        cov.complete = False
+        cov.edges_dropped_dangling += _stored_edges(c)
+    keep = _acyclic_prefix(ends, pairs)
+    if keep < len(runs):
+        cov.complete = False
+        cov.errors.append(f"segment chunk {runs[keep].seq}: happens-before "
+                          "edges close a cycle")
+        del runs[keep:]
+
+    graph = SegmentGraph()
+    for c in runs:
         try:
             for sd in c.payload["segments"]:
                 _load_segment(graph, sd)
-                next_id += 1
         except (LookupError, TypeError, ValueError) as exc:
-            seg_stream_broken = True
             cov.complete = False
             cov.errors.append(
                 f"segment chunk {c.seq}: unreadable segment after id "
-                f"{next_id - 1}: {exc!r}")
-    cov.segments_recovered = len(graph.segments)
-    if cov.segments_total is not None \
-            and cov.segments_recovered < cov.segments_total:
+                f"{len(graph.segments) - 1}: {exc!r}")
+            break
+    n = cov.segments_recovered = len(graph.segments)
+    if cov.segments_total is not None and n < cov.segments_total:
         cov.complete = False
-
-    n = len(graph.segments)
-    edge_lists = [inline_edges] + [c.payload.get("edges", [])
-                                   for c in chunks if c.kind == "edges"]
-    for edges in edge_lists:
-        for src, dst in edges:
-            if src < n and dst < n:
-                graph.add_edge(graph.segments[src], graph.segments[dst])
-                cov.edges_recovered += 1
-            else:
-                cov.edges_dropped_dangling += 1
+    for src, dst in pairs:
+        if src < n and dst < n:
+            graph.add_edge(graph.segments[src], graph.segments[dst])
+            cov.edges_recovered += 1
+        else:
+            cov.edges_dropped_dangling += 1
 
     env = next((c for c in chunks if c.kind == "environment"), None)
     if env is not None:

@@ -3,7 +3,7 @@
 This is the *generator-side* oracle: it derives the intended races of a
 :class:`repro.fuzz.spec.FuzzProgram` directly from the spec's structural
 happens-before rules, using an implementation that shares nothing with
-``repro.core`` (no segments, no interval trees, no order-maintenance index)
+``repro.core`` (no segments, no interval trees, no segment graph)
 *or* with the vector-clock oracle in :mod:`repro.fuzz.oracles` — three
 independent derivations of the same relation is what makes the differential
 harness meaningful.

@@ -5,7 +5,7 @@ this module attributes every virtual-time op the cost model charges to a
 two-axis key:
 
 * **instrumentation class** — which part of the tool paid (raw access
-  recording, write-combining hit/spill/flush, HB query tier, suppression
+  recording, write-combining hit/spill/flush, HB query, suppression
   class, elided no-op, translation, scheduling, sync, alloc, ...);
 * **guest attribution frame** — where the guest was when it paid: the
   shadow call stack joined with ``;`` (vex SuperBlock symbols included,

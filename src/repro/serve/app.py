@@ -331,7 +331,6 @@ class TraceService:
         with job.span("build"), reg.phase("serve.build"):
             # the graph is this job's alone: analysis counts its queries
             salvaged = assemble_chunks(chunks, label=job.trace_id)
-            salvaged.graph.prepare_queries()
         with job.span("analyze"), reg.phase("serve.analyze"):
             la = analyze_loaded(salvaged.graph, salvaged.view,
                                 salvaged.suppression,

@@ -4,10 +4,9 @@ recorder.
 The production code finds candidate pairs with array operations
 (:meth:`repro.core.npkernel.KernelContext.candidate_pairs`), checks them in
 batches (:meth:`~repro.core.npkernel.KernelContext.check_pairs`), answers
-happens-before from order-maintenance labels where they are exact, and
-records accesses through a write-combining buffer.  This module keeps the
-straightforward forms those replaced, so tests can check that both give
-the same answers:
+happens-before from a bitmask reachability DP, and records accesses
+through a write-combining buffer.  This module keeps the straightforward
+forms those replaced, so tests can check that both give the same answers:
 
 * :func:`candidate_pairs` — the pure-Python candidate sweep;
 * :func:`conflict_ranges` — one pair's conflict set by three linear
@@ -21,8 +20,9 @@ the same answers:
   all-pairs oracle);
 * :func:`naive_table` / :func:`find_races_naive` — the faithful Algorithm
   1 as a standalone pass, for direct comparisons;
-* :func:`assert_hb_matches_dp` — every happens-before tier against the
-  bitmask reachability DP;
+* :func:`assert_hb_matches_dp` — every happens-before answer (per pair,
+  witness evidence, packed rows) against one breadth-first search per
+  segment over the graph's successor lists, sharing no code with the DP;
 * :class:`TreeSegment` / :func:`assert_sets_match_log` — the recorder's
   flat read and write sets against one :class:`IntervalTree` insert per
   access of the same access log (the paper's Section III-B structure).
@@ -131,7 +131,6 @@ def all_pairs(ctx: KernelContext) -> Tuple[np.ndarray, np.ndarray]:
 
 def naive_table(graph: SegmentGraph) -> ConflictTable:
     """Faithful Algorithm 1: every pair with a write, filtered by HB."""
-    graph.prepare_queries()
     segs = [s for s in graph.segments if s.has_accesses]
     writes = [bool(s.writes) for s in segs]
     n = len(segs)
@@ -146,34 +145,48 @@ def find_races_naive(graph: SegmentGraph) -> List[RaceCandidate]:
     return naive_table(graph).candidates()
 
 
-def assert_hb_matches_dp(graph: SegmentGraph) -> None:
-    """Every HB tier agrees with the reachability DP on every segment pair.
+def descendants(graph: SegmentGraph) -> List[Set[int]]:
+    """Every segment's descendant ids, by a breadth-first search over
+    ``graph._succ`` from each segment in turn."""
+    out: List[Set[int]] = []
+    for sid in range(len(graph.segments)):
+        seen: Set[int] = set()
+        frontier = list(graph._succ[sid])
+        while frontier:
+            nxt = []
+            for t in frontier:
+                if t not in seen:
+                    seen.add(t)
+                    nxt.extend(graph._succ[t])
+            frontier = nxt
+        out.append(seen)
+    return out
 
-    ``ordered`` and ``happens_before`` are swept after
-    :meth:`SegmentGraph.prepare_queries`, so an exact graph answers from
-    the label snapshot and any other from the DP itself.  The batched
-    rank compare or packed-row bit test of :class:`KernelContext` is
-    checked on the same pairs.
-    """
-    reach = graph._reachability()
+
+def assert_hb_matches_dp(graph: SegmentGraph) -> None:
+    """Every happens-before answer agrees with :func:`descendants` on every
+    segment pair: ``ordered``, ``happens_before``, the reachability
+    evidence of ``explain_unordered``, and the packed-row mask of
+    :meth:`KernelContext.ordered_mask`."""
+    desc = descendants(graph)
     segs = graph.segments
-    graph.prepare_queries()
     for a in segs:
         for b in segs:
             if a is b:
                 continue
-            ab = bool(reach[a.id] >> b.id & 1)
-            ba = bool(reach[b.id] >> a.id & 1)
+            ab, ba = b.id in desc[a.id], a.id in desc[b.id]
             assert graph.happens_before(a, b) == ab, (a.id, b.id)
             assert graph.ordered(a, b) == (ab or ba), (a.id, b.id)
+            why = graph.explain_unordered(a, b)
+            assert (why["a_reaches_b"], why["b_reaches_a"]) == (ab, ba), \
+                (a.id, b.id)
     ctx = KernelContext(graph, segs)
     ctx.prepare_hb()
     ii, jj = np.triu_indices(len(segs), 1)
     mask = ctx.ordered_mask(ii.astype(np.int64), jj.astype(np.int64))
-    want = [bool(reach[segs[i].id] >> segs[j].id & 1
-                 or reach[segs[j].id] >> segs[i].id & 1)
+    want = [segs[j].id in desc[segs[i].id] or segs[i].id in desc[segs[j].id]
             for i, j in zip(ii.tolist(), jj.tolist())]
-    assert mask.tolist() == want, ctx.hb_tier
+    assert mask.tolist() == want
 
 
 class TreeSegment:

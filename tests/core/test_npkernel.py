@@ -129,48 +129,16 @@ class TestKernelParity:
         b = find_races(g2, workers=2)
         assert keys(find_races_naive(g1)) == keys(b.candidates)
 
-    def test_wide_label_ranks_match_raw_labels(self):
-        """Labels wider than int64 take the ``label`` tier as dense int64
-        ranks and answer like the raw labels."""
-        g = make_graph(4, [], [(k, 0, 8, True) for k in range(4)])
-        _wide_labels(g)
-        segs = [s for s in g.segments if s.has_accesses]
-        ctx = KernelContext(g, segs)
-        assert ctx.prepare_hb() == "label"
-        assert ctx._e.dtype == np.int64
-        _assert_mask_matches_labels(g, ctx)
-
-
-def _wide_labels(g):
-    """80-bit (E, H) labels: segments 0 < 1 in both orders (ordered), 2
-    and 3 reversed in H (unordered with each other and with 0 and 1)."""
-    g._hb_labels = ({0: (1 << 80) + 1, 1: (1 << 80) + 2, 2: (1 << 80) + 3,
-                     3: (1 << 80) + 4},
-                    {0: (1 << 81) + 3, 1: (1 << 81) + 4, 2: (1 << 81) + 2,
-                     3: (1 << 81) + 1})
-
-
-def _assert_mask_matches_labels(g, ctx):
-    """The batched rank compare agrees with ``graph.ordered`` on the raw
-    labels for every pair."""
-    n = len(ctx.segs)
-    ii, jj = np.triu_indices(n, 1)
-    got = ctx.ordered_mask(ii.astype(np.int64), jj.astype(np.int64))
-    want = [g.ordered(ctx.segs[i], ctx.segs[j]) for i, j in zip(ii, jj)]
-    assert got.tolist() == want
-    assert any(want) and not all(want)
-
 
 class TestHbTierObservability:
-    """The batched-HB tier is a gauge, and no tier books a fallback."""
+    """The batched HB check books no fallback counter."""
 
     def _delta(self, build):
         from repro.obs.metrics import get_registry
         reg = get_registry()
         mark = reg.mark()
         ctx = build()
-        return ctx, reg.delta_since(mark)["counters"], \
-            reg.gauge("analysis.hb_tier").value
+        return ctx, reg.delta_since(mark)["counters"]
 
     def _ctx(self, g):
         segs = [s for s in g.segments if s.has_accesses]
@@ -178,30 +146,11 @@ class TestHbTierObservability:
         ctx.prepare_hb()
         return ctx
 
-    def test_label_tier(self):
-        g = make_graph(2, [], [(0, 0, 8, True), (1, 0, 8, True)])
-        g._hb_labels = ({s.id: s.id for s in g.segments},
-                        {s.id: -s.id for s in g.segments})
-        ctx, counters, tier = self._delta(lambda: self._ctx(g))
-        assert tier == ctx.hb_tier == "label"
-        assert not any(k.startswith("analysis.hb.") for k in counters)
-
-    def test_wide_labels_stay_on_label_tier(self):
-        """80-bit labels book no fallback counter and stay on the label
-        tier, with the same answers as the raw labels."""
-        g = make_graph(4, [], [(k, 0, 8, True) for k in range(4)])
-        _wide_labels(g)
-        ctx, counters, tier = self._delta(lambda: self._ctx(g))
-        assert not any(k.startswith("analysis.hb.") for k in counters)
-        assert tier == ctx.hb_tier == "label"
-        assert g.dp_rebuilds == 0
-        _assert_mask_matches_labels(g, ctx)
-
     def test_reach_tier_past_4096_segments(self):
-        """An inexact graph with more than 4,096 accessing segments, whose
-        edges often run from higher to lower ids, takes the packed-row
-        tier, books no fallback counter, and answers every candidate pair
-        like ``graph.ordered``."""
+        """A graph with more than 4,096 accessing segments, whose edges
+        often run from higher to lower ids, takes the packed-row check,
+        books no fallback counter, and answers every candidate pair like
+        ``graph.ordered``."""
         n = 4200
         rng = random.Random(5)
         perm = list(range(n))
@@ -212,10 +161,9 @@ class TestHbTierObservability:
         accesses += [(k, 1 << 20, (1 << 20) + 8, True)
                      for k in range(0, n, 60)]
         g = make_graph(n, edges, accesses)
-        ctx, counters, tier = self._delta(lambda: self._ctx(g))
+        ctx, counters = self._delta(lambda: self._ctx(g))
         assert len(ctx.segs) > 4096
         assert any(a > b for a, b in edges)
-        assert tier == ctx.hb_tier == "reach"
         assert not any(k.startswith("analysis.hb.") for k in counters)
         ii, jj = ctx.candidate_pairs()
         got = ctx.ordered_mask(ii, jj)
@@ -224,13 +172,11 @@ class TestHbTierObservability:
         assert got.tolist() == want
         assert any(want) and not all(want)
 
-    def test_fib_answers_every_query_from_label_ranks(self):
-        """fib(17) on 4 threads: its order-maintenance labels are 72 bits
-        wide, yet the exact series-parallel graph answers every HB query
-        from label ranks — no DP rebuild, no DP query."""
+    def test_fib_answers_every_query_from_one_dp(self):
+        """fib(17) on 4 threads: its series-parallel graph builds the
+        reachability DP once, and every candidate pair is one DP query."""
         from repro.bench.programs import BenchProgram
         from repro.bench.runner import run_benchmark
-        from repro.obs.metrics import get_registry
         from repro.workloads.synthetic import omp_fib
         program = BenchProgram(name="fib", racy=False,
                                entry=lambda env: omp_fib(env, 17),
@@ -239,10 +185,8 @@ class TestHbTierObservability:
         result = run_benchmark(program, "taskgrind", nthreads=4, seed=7)
         counters = result.stats["registry"]["counters"]
         assert not any(k.startswith("analysis.hb.") for k in counters)
-        assert get_registry().gauge("analysis.hb_tier").value == "label"
         graph = result.stats["graph"]
-        assert graph["hb_relabels"] > 0
-        assert graph["dp_rebuilds"] == 0
-        assert graph["queries"]["dp"] == 0
-        assert graph["queries"]["label"] == \
+        assert graph["dp_rebuilds"] == 1
+        assert graph["queries"]["label"] == 0
+        assert graph["queries"]["dp"] == \
             counters["analysis.candidate_pairs"] > 0

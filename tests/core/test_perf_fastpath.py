@@ -1,5 +1,5 @@
-"""Property tests for the perf fast paths (write-combining recorder, O(1)
-happens-before index, batched analysis).
+"""Property tests for the perf fast paths (write-combining recorder,
+happens-before, batched analysis).
 
 Three contracts, each checked against the pre-existing implementation as
 oracle (``tests/core/analysis_oracle.py``):
@@ -8,9 +8,9 @@ oracle (``tests/core/analysis_oracle.py``):
   byte-identical access sets to one interval-tree insert per access
   (``TreeSegment.record_immediate``), for any access stream and for the
   access log of a whole tool run, drained once or after every access;
-* every happens-before tier (order-maintenance index hints, the label
-  snapshot, the batched rank compare) agrees with the bitmask reachability
-  DP on **every** segment pair of randomly shaped programs;
+* every happens-before answer (per-pair queries, witness evidence, the
+  batched packed-row mask) agrees with a breadth-first search over the
+  graph on **every** segment pair of randomly shaped programs;
 * the analysis pass (at several worker counts) produces the candidate set
   of the faithful all-pairs pass.
 """
@@ -28,9 +28,11 @@ from repro.core.suppress import SuppressionEngine
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.machine.machine import Machine
 from repro.openmp.api import make_env
+from tests.cilk.test_cilk import fib_program, run_cilk
 from tests.core.analysis_oracle import (TreeSegment, assert_hb_matches_dp,
                                         assert_sets_match_log,
                                         find_races_naive, naive_table)
+from tests.qthreads.test_qthreads import run_qt
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +101,7 @@ class TestRecorderParity:
 
 
 # ---------------------------------------------------------------------------
-# random program driver (shared by the HB-index and analysis parity tests)
+# random programs (shared by the HB and analysis parity tests)
 # ---------------------------------------------------------------------------
 
 def _random_body(rng: random.Random, *, with_deps: bool):
@@ -182,49 +184,61 @@ def _run(body, *, nthreads: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# HB index vs bitmask oracle
+# happens-before vs a breadth-first search
 # ---------------------------------------------------------------------------
 
-class TestHbIndexAgainstOracle:
-    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 4]))
-    @settings(max_examples=25, deadline=None)
-    def test_all_pairs_agree(self, prog_seed, nthreads):
-        body = _random_body(random.Random(prog_seed), with_deps=False)
+def _qthreads_body(env):
+    """A FEB transfer between two qthreads and a third one unordered with
+    both."""
+    data = env.ctx.malloc(16, name="data")
+    flag = env.ctx.malloc(8, name="flag")
+
+    def producer():
+        data.write(0, 1, line=7)
+        env.writeEF(flag, 1)
+
+    def consumer():
+        env.readFE(flag)
+        data.read(0, line=12)
+
+    def bystander():
+        data.write(8, 2, line=15)
+
+    env.fork(producer)
+    env.fork(consumer)
+    env.fork(bystander)
+
+
+def _graph_of(shape: str, prog_seed: int, nthreads: int):
+    if shape == "cilk":
+        tool = TaskgrindTool()
+        run_cilk(fib_program(6), tool=tool, nworkers=nthreads,
+                 seed=prog_seed % 97)
+    elif shape == "qthreads":
+        tool = TaskgrindTool()
+        # a consumer blocked on an empty FEB holds its shepherd: one
+        # shepherd alone would deadlock
+        run_qt(_qthreads_body, tool=tool, nworkers=max(nthreads, 2),
+               seed=prog_seed % 97)
+    else:
+        body = _random_body(random.Random(prog_seed),
+                            with_deps=shape == "dependences")
         tool = _run(body, nthreads=nthreads, seed=prog_seed % 97)
-        graph = tool.builder.graph
-        idx = graph.hb_index
-        assert idx is not None
-        # dependence-free fork-join programs must stay on the exact index
-        assert idx.exact, idx.inexact_reason
-        assert None not in idx.label_arrays(len(graph.segments))[0]
-        _assert_labels_match_dp(graph)
+    return tool.builder.graph
+
+
+class TestHbAgainstOracle:
+    @given(st.sampled_from(["fork-join", "dependences", "cilk", "qthreads"]),
+           st.integers(0, 10 ** 6), st.sampled_from([1, 2, 4]))
+    @example("cilk", 3, 4)
+    @example("qthreads", 3, 4)
+    @settings(max_examples=30, deadline=None)
+    def test_all_pairs_agree(self, shape, prog_seed, nthreads):
+        """Fork-join, task-dependence, Cilk and Qthreads graphs all answer
+        happens-before from the one DP, like a search over the graph."""
+        graph = _graph_of(shape, prog_seed, nthreads)
+        assert len(graph.segments) > 2
         assert_hb_matches_dp(graph)
-
-    @given(st.integers(0, 10 ** 6))
-    @settings(max_examples=15, deadline=None)
-    def test_dependences_degrade_safely(self, prog_seed):
-        """With task dependences the index may go inexact — every query must
-        then fall back to the DP, and every tier must still match it."""
-        body = _random_body(random.Random(prog_seed), with_deps=True)
-        tool = _run(body, nthreads=2, seed=prog_seed % 97)
-        graph = tool.builder.graph
-        if graph.hb_index.exact:
-            _assert_labels_match_dp(graph)
-        assert_hb_matches_dp(graph)
-
-
-def _assert_labels_match_dp(graph):
-    """The index's (E, H) label order says ``a`` happens-before ``b`` iff
-    the DP does, for every placed segment pair."""
-    e, h = graph.hb_index.label_arrays(len(graph.segments))
-    reach = graph._reachability()
-    segs = graph.segments
-    for a in segs:
-        for b in segs:
-            if a is b or e[a.id] is None or e[b.id] is None:
-                continue
-            assert (e[a.id] < e[b.id] and h[a.id] < h[b.id]) == \
-                bool(reach[a.id] >> b.id & 1), f"({a.id} -> {b.id})"
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,62 @@ class TestMalformedSegments:
         assert json.loads(out.stdout) == [False, 1]
 
 
+class TestMalformedEdges:
+    """A CRC-valid segment chunk whose edges the writer could not have
+    emitted (not two non-bool ids inside the chunk's prefix, or closing a
+    cycle) is lost whole with everything after it, so no edge is dropped
+    without losing an endpoint."""
+
+    @pytest.fixture
+    def chunked(self, run_taskgrind, tmp_path):
+        """The racy listing saved four segments to a chunk: five chunks,
+        the racers in the second and third, the damage in the last."""
+        tool, machine = run_taskgrind(racy_listing)
+        path = tmp_path / "chunked.json"
+        save_trace(tool, machine, str(path), chunk_segments=4)
+        return str(path), tool
+
+    @pytest.mark.parametrize("strict", [False, True],
+                             ids=["salvage", "strict"])
+    @pytest.mark.parametrize("edge", [
+        "2-cycle", [-1, 0], [0, 1, 2], ["0", 1]],
+        ids=["2-cycle", "negative", "not-a-pair", "string-id"])
+    def test_damaged_edge_loses_its_chunk(self, chunked, tmp_path, edge,
+                                          strict):
+        """At the parent, the 2-cycle and the negative id (which Python
+        indexes from the end) raised ``AssertionError`` from the DP's
+        topological sort, the triple a ``ValueError`` in salvage mode and
+        the string id a ``TypeError`` in both modes."""
+        path, tool = chunked
+        lines = open(path).read().splitlines()
+        docs = [json.loads(line) for line in lines]
+        last = [d for d in docs if d["kind"] == "segments"][-1]
+        start = last["payload"]["start"]
+        if edge == "2-cycle":                    # reverse one of its edges
+            src, dst = last["payload"]["edges"][0]
+            edge = [dst, src]
+        last["payload"]["edges"].append(edge)
+        last["crc"] = _payload_crc(last["payload"])
+        bad = _damaged(tmp_path, [json.dumps(d) for d in docs])
+        if strict:
+            with pytest.raises(TraceCorruptionError,
+                               match=f"segment chunk {last['seq']}"):
+                analyze_trace(bad, strict=True)
+            return
+        reports, stats = analyze_trace_with_stats(bad)
+        cov = stats["coverage"]
+        assert cov["complete"] is False
+        assert cov["segments"]["recovered"] == start == 16
+        assert any(e.startswith(f"segment chunk {last['seq']}:")
+                   for e in cov["errors"])
+        # every edge of the kept chunks survives, and the racers (segments
+        # 5 and 9) still race
+        kept = [e for d in docs if d["kind"] == "segments" and d is not last
+                for e in d["payload"]["edges"]]
+        assert cov["edges"]["recovered"] == len(kept)
+        assert _keys(reports) == _keys(tool.reports)
+
+
 class TestOfflineCli:
     def test_damaged_trace_exits_cleanly(self, traced, tmp_path, capsys):
         path, _ = traced

@@ -164,7 +164,6 @@ class TestShuffleStability:
         from repro.core.trace import load_trace
 
         graph, _view, _supp = load_trace(trace_path)
-        graph.prepare_queries()
         segs = [s for s in graph.segments if s.has_accesses]
         ctx = KernelContext(graph, segs)
         ii, jj = ctx.candidate_pairs()

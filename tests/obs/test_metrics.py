@@ -213,10 +213,11 @@ class TestStatsDocuments:
         assert doc["virtual"]["makespan_ops"] > 0
         assert doc["virtual"]["seconds"] > 0
         graph = doc["graph"]
-        for key in ("segments", "edges", "hb_exact", "queries",
-                    "dp_rebuilds"):
+        for key in ("segments", "edges", "queries", "dp_rebuilds"):
             assert key in graph, f"missing graph.{key}"
-        for key in ("fast_path", "hb_mode"):
+        assert graph["queries"]["label"] == 0
+        for key in ("fast_path", "hb_mode", "hb_exact", "hb_inexact_reason",
+                    "hb_relabels"):
             assert key not in rec and key not in graph, key
         for key in ("mode", "kernel"):
             assert key not in doc["analysis"], key

@@ -213,7 +213,9 @@ class TestWitness:
             assert w.s1_tasks and w.s2_tasks        # live run: tasks known
             assert w.nca_id is not None             # same parallel region
             assert w.first_interval is not None
-            assert w.hb_explanation["tier"] in ("label", "dp")
+            assert w.hb_explanation["tier"] == "dp"
+            assert not w.hb_explanation["a_reaches_b"]
+            assert not w.hb_explanation["b_reaches_a"]
             assert "reason" in w.hb_explanation
             # the witness survives the JSON path
             d = w.to_dict()

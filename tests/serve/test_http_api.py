@@ -313,6 +313,29 @@ class TestDegradedUpload:
         assert report["coverage"]["segments"]["recovered"] == 0
         assert report["error_count"] == 0
 
+    def test_cyclic_edges_degrade(self, client, trace_lines):
+        """A CRC-valid segment chunk whose edges close a cycle is lost
+        whole, so the job degrades; it used to fail with the reachability
+        DP's ``AssertionError``."""
+        lines = list(trace_lines)
+        for seq, line in enumerate(lines):
+            doc = json.loads(line)
+            if doc["kind"] == "segments":
+                src, dst = doc["payload"]["edges"][0]
+                doc["payload"]["edges"].append([dst, src])
+                lines[seq] = chunk_line(seq, "segments", doc["payload"])
+        trace_id = client.create_trace()
+        for seq, line in enumerate(lines):
+            assert client.upload_chunk(trace_id, seq, line)[0] == 200
+        job_id = client.analyze(trace_id)
+        doc = client.wait(job_id, timeout=60.0)
+        assert doc["state"] == "degraded", doc.get("error")
+        status, report = client.report(job_id)
+        assert status == 200
+        coverage = report["coverage"]
+        assert coverage["segments"]["recovered"] == 0
+        assert any("close a cycle" in e for e in coverage["errors"])
+
     def test_header_only_upload_analyzes_empty(self, client):
         trace_id = client.create_trace()
         assert client.upload_chunk(trace_id, 0, header_line())[0] == 200
