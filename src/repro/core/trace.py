@@ -11,10 +11,9 @@ on another machine entirely.
 This module implements that pipeline:
 
 * :func:`save_trace` — serialize a finished run to the chunked,
-  per-chunk-checksummed ``taskgrind-trace/2`` stream (atomic tmp+rename,
-  flushed chunk-by-chunk so a crashed writer loses at most one chunk);
-* :func:`load_trace` / :func:`load_trace_full` — strict readers that raise
-  the :mod:`repro.errors` trace taxonomy on any damage;
+  per-chunk-checksummed ``taskgrind-trace/2`` stream;
+* :func:`load_trace` — the strict reader: raises the :mod:`repro.errors`
+  trace taxonomy on any damage;
 * :func:`load_trace_salvaged` — the crash-tolerant reader: recovers the
   longest valid prefix of a truncated or corrupted trace and reports what
   was lost in a :class:`TraceCoverage` block instead of raising;
@@ -26,10 +25,11 @@ One JSON object per line.  Line 0 is the header chunk (declares totals);
 then ``segments`` chunks (``chunk_segments`` graph nodes each, ids dense
 and in order, each with the edges whose highest-id endpoint it holds),
 one ``environment``, one ``suppression``, an optional ``stats`` chunk, and
-an ``end`` footer.  Every line carries a CRC-32 of its canonical payload
-JSON plus the cost-model virtual time at write — so the salvage reader can
-checksum each chunk independently and report the last good vtime of a
-torn stream.  Any other format — such as a version-1 single-document
+an ``end`` footer.  The framing is :mod:`repro.util.chunks`'s, each line
+stamped with the cost-model virtual time at write, so the salvage reader
+can checksum each chunk independently (skipping a line that fails) and
+report the last good vtime of a torn stream.  Any other format — such as
+a version-1 single-document
 trace — is rejected with a :class:`~repro.errors.TraceVersionError`
 naming the version found.
 
@@ -38,9 +38,6 @@ CLI: ``python -m repro.core.offline <trace.json> [--workers N]``.
 
 from __future__ import annotations
 
-import json
-import os
-import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import IO, List, Optional, Tuple
@@ -56,6 +53,8 @@ from repro.machine.debuginfo import SourceLocation
 from repro.machine.memory import RegionKind
 from repro.machine.tls import TlsSnapshot
 from repro.obs.metrics import get_registry
+from repro.util.chunks import (ChunkError, ChunkWriter, chunk_lines,
+                               decode_chunk, save_atomic, verify_crc)
 from repro.util.intervals import IntervalSet
 
 TRACE_VERSION = 2
@@ -65,8 +64,6 @@ TRACE_SCHEMA = "taskgrind-trace/2"
 #: costs a bounded slice of the run, large enough that chunk framing stays
 #: a rounding error of the document size
 DEFAULT_CHUNK_SEGMENTS = 256
-
-_FAULTS = get_injector()
 
 
 # ---------------------------------------------------------------------------
@@ -131,95 +128,18 @@ def dump_environment(machine) -> dict:
     return {"regions": regions, "blocks": blocks}
 
 
-def canonical_json(doc) -> bytes:
-    """The canonical encoding: sorted keys, compact separators, UTF-8.
-
-    Chunk CRCs, the serve layer's content hash, its journal framing and
-    its result blobs are all computed over this form, so envelope
-    whitespace and key order never change them.
-    """
-    return json.dumps(doc, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-
-
-def _payload_crc(payload) -> int:
-    """CRC-32 over the canonical payload JSON."""
-    return zlib.crc32(canonical_json(payload)) & 0xFFFFFFFF
-
-
-class _ChunkWriter:
-    """Emits checksummed chunk lines, consulting the fault injector.
-
-    Flushes the OS buffer after every chunk, so a dying writer leaves the
-    stream torn mid-line at worst — exactly what the salvage reader is
-    built to survive.
-    """
-
-    def __init__(self, fh: IO[bytes], vtime: float = 0.0) -> None:
-        self._fh = fh
-        self._seq = 0
-        self.vtime = vtime
-        self.truncated = False
-
-    def emit(self, kind: str, payload, **extra) -> None:
-        if self.truncated:
-            return
-        doc = {"seq": self._seq, "kind": kind,
-               "vtime": self.vtime, "crc": _payload_crc(payload),
-               "payload": payload}
-        doc.update(extra)
-        line = _FAULTS.on_trace_chunk(self._seq, canonical_json(doc))
-        if line is None:
-            # injected truncation: model the torn half-write of a crash
-            self._fh.write(b'{"seq": %d, "kind": "torn' % self._seq)
-            self._fh.flush()
-            self.truncated = True
-            return
-        self._fh.write(line + b"\n")
-        self._fh.flush()
-        self._seq += 1
-
-    @property
-    def chunks(self) -> int:
-        return self._seq
-
-
 def save_trace(tool, machine, path: str, *,
                chunk_segments: int = DEFAULT_CHUNK_SEGMENTS) -> None:
-    """Serialize a Taskgrind run for offline analysis — atomically.
+    """Serialize a Taskgrind run for offline analysis, atomically
+    (:func:`~repro.util.chunks.save_atomic`): an interrupted save never
+    leaves a half-written ``path``, and a trace already there survives.
 
     The document embeds the recording run's stats block (when the tool
     provides one), so offline analysis can report the *record* phase —
     including its cost-model virtual time — next to its own phases.
-
-    The write goes to ``path + ".tmp"`` and is renamed into place only
-    once the stream is complete (or deliberately truncated by a fault
-    plan): an interrupted save never leaves a half-written ``path``
-    behind, and a pre-existing trace at ``path`` survives the crash.
     """
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            _write_v2(tool, machine, fh, chunk_segments=chunk_segments)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def checkpoint_trace(tool, machine, path: str) -> None:
-    """Mid-run trace snapshot (periodic flush during recording).
-
-    Safe to call while the instrumented program is still running: reading
-    an open segment's sets drains its write-combined pending accesses into
-    new sets, and recording resumes into fresh buffers afterwards.  Each
-    checkpoint is a complete, atomic trace — a crash between checkpoints
-    costs only the accesses since the last one.
-    """
-    save_trace(tool, machine, path)
+    save_atomic(path, lambda fh: _write_v2(tool, machine, fh,
+                                           chunk_segments=chunk_segments))
 
 
 def _supp_flags(tool) -> dict:
@@ -244,7 +164,7 @@ def _write_v2(tool, machine, fh: IO[bytes], *,
                                   []).append([src, dst])
     vtime = float(machine.cost.vtime_ops) \
         if hasattr(machine, "cost") else 0.0
-    w = _ChunkWriter(fh, vtime=vtime)
+    w = ChunkWriter(fh, get_injector().on_trace_chunk, vtime=vtime)
     w.emit("header", {
         "segments": len(segments),
         "edges": len(edges),
@@ -258,7 +178,7 @@ def _write_v2(tool, machine, fh: IO[bytes], *,
     w.emit("suppression", _supp_flags(tool))
     if hasattr(tool, "stats"):
         w.emit("stats", tool.stats())
-    w.emit("end", {"chunks": w.chunks})
+    w.emit("end", {"chunks": w.seq})
 
 
 # ---------------------------------------------------------------------------
@@ -546,68 +466,61 @@ class SalvagedTrace:
 class _RawChunk:
     seq: int
     kind: str
-    vtime: float
     payload: dict
-    byte_offset: int
+    #: where the line starts in the file (``None`` for uploaded chunks)
+    byte_offset: Optional[int]
 
 
-def _scan_chunks(path: str, data: bytes, cov: TraceCoverage
-                 ) -> List[_RawChunk]:
-    """Parse + checksum every line independently; book damage in ``cov``."""
+def _scan_chunks(data: bytes, cov: TraceCoverage) -> List[_RawChunk]:
+    """Decode + checksum every line independently; book damage in ``cov``."""
     chunks: List[_RawChunk] = []
-    offset = 0
-    for raw in data.split(b"\n"):
-        line = raw.strip()
-        line_offset = offset
-        offset += len(raw) + 1
-        if not line:
-            continue
-        err: Optional[str] = None
+    for offset, line in chunk_lines(data):
         try:
-            doc = json.loads(line)
-            if not isinstance(doc, dict):
-                err = "chunk line is not a JSON object"
-            else:
-                payload = doc.get("payload")
-                crc = doc.get("crc")
-                seq = doc.get("seq")
-                kind = doc.get("kind")
-                if payload is None or crc is None or seq is None \
-                        or kind is None:
-                    err = "chunk envelope missing seq/kind/crc/payload"
-                elif _payload_crc(payload) != crc:
-                    err = (f"checksum mismatch (stored {crc}, computed "
-                           f"{_payload_crc(payload)})")
-        except json.JSONDecodeError as exc:
-            err = f"undecodable chunk line: {exc.msg}"
-        if err is not None:
+            doc = decode_chunk(line)
+            verify_crc(doc)
+        except ChunkError as exc:
             cov.chunks_corrupt += 1
             cov.complete = False
             if cov.first_bad_byte is None:
-                cov.first_bad_byte = line_offset
-                try:
-                    cov.first_bad_chunk = json.loads(line).get("seq")
-                except (json.JSONDecodeError, AttributeError):
-                    cov.first_bad_chunk = None
-            cov.errors.append(f"byte {line_offset}: {err}")
+                cov.first_bad_byte, cov.first_bad_chunk = offset, exc.seq
+            cov.errors.append(f"byte {offset}: {exc}")
             continue
-        cov.chunks_valid += 1
-        cov.last_good_vtime = max(cov.last_good_vtime,
-                                  float(doc.get("vtime", 0.0)))
-        chunks.append(_RawChunk(seq=doc["seq"], kind=doc["kind"],
-                                vtime=float(doc.get("vtime", 0.0)),
-                                payload=doc["payload"],
-                                byte_offset=line_offset))
+        chunks.append(_accept(cov, doc, offset))
     return chunks
 
 
-def _assemble_v2(path: str, chunks: List[_RawChunk],
+def _accept(cov: TraceCoverage, doc: dict, offset: Optional[int]
+            ) -> _RawChunk:
+    """Book one chunk that passed the framing checks."""
+    cov.chunks_valid += 1
+    cov.last_good_vtime = max(cov.last_good_vtime,
+                              float(doc.get("vtime", 0.0)))
+    return _RawChunk(seq=doc["seq"], kind=doc["kind"],
+                     payload=doc["payload"], byte_offset=offset)
+
+
+def _lose(cov: TraceCoverage, chunk: _RawChunk, error: str) -> None:
+    """Book content damage in a framing-valid chunk, the first bad one
+    unless one before it in the stream was booked already."""
+    cov.complete = False
+    cov.errors.append(error)
+    first = cov.first_bad_byte
+    if (first is None and cov.first_bad_chunk is None) \
+            or (first is not None and chunk.byte_offset < first):
+        cov.first_bad_chunk, cov.first_bad_byte = chunk.seq, chunk.byte_offset
+
+
+def _assemble_v2(chunks: List[_RawChunk],
                  cov: TraceCoverage) -> SalvagedTrace:
     """Rebuild the longest valid prefix from independently-valid chunks."""
     header = next((c for c in chunks if c.kind == "header"), None)
     if header is not None:
-        cov.segments_total = header.payload.get("segments")
-        cov.edges_total = header.payload.get("edges")
+        totals = header.payload.get("segments"), header.payload.get("edges")
+        if all(type(t) is int and t >= 0 for t in totals):
+            cov.segments_total, cov.edges_total = totals
+        else:
+            _lose(cov, header, f"header chunk {header.seq}: totals "
+                               f"{list(totals)!r} are not counts")
     else:
         cov.complete = False
         cov.errors.append("header chunk lost; totals unknown")
@@ -630,7 +543,7 @@ def _assemble_v2(path: str, chunks: List[_RawChunk],
                 end = start + len(c.payload["segments"])
                 chunk_pairs = _edge_pairs(c.payload.get("edges", []), end)
             except (LookupError, TypeError, ValueError) as exc:
-                cov.errors.append(f"segment chunk {c.seq}: {exc}")
+                _lose(cov, c, f"segment chunk {c.seq}: {exc}")
             else:
                 pairs += chunk_pairs
                 runs.append(c)
@@ -643,9 +556,8 @@ def _assemble_v2(path: str, chunks: List[_RawChunk],
         cov.edges_dropped_dangling += _stored_edges(c)
     keep = _acyclic_prefix(ends, pairs)
     if keep < len(runs):
-        cov.complete = False
-        cov.errors.append(f"segment chunk {runs[keep].seq}: happens-before "
-                          "edges close a cycle")
+        _lose(cov, runs[keep], f"segment chunk {runs[keep].seq}: "
+                               "happens-before edges close a cycle")
         del runs[keep:]
 
     graph = SegmentGraph()
@@ -654,10 +566,8 @@ def _assemble_v2(path: str, chunks: List[_RawChunk],
             for sd in c.payload["segments"]:
                 _load_segment(graph, sd)
         except (LookupError, TypeError, ValueError) as exc:
-            cov.complete = False
-            cov.errors.append(
-                f"segment chunk {c.seq}: unreadable segment after id "
-                f"{len(graph.segments) - 1}: {exc!r}")
+            _lose(cov, c, f"segment chunk {c.seq}: unreadable segment after "
+                          f"id {len(graph.segments) - 1}: {exc!r}")
             break
     n = cov.segments_recovered = len(graph.segments)
     if cov.segments_total is not None and n < cov.segments_total:
@@ -676,8 +586,7 @@ def _assemble_v2(path: str, chunks: List[_RawChunk],
         except (KeyError, TypeError, ValueError) as exc:
             view = _empty_view()
             cov.environment_recovered = False
-            cov.complete = False
-            cov.errors.append(f"environment chunk unreadable: {exc!r}")
+            _lose(cov, env, f"environment chunk unreadable: {exc!r}")
     else:
         view = _empty_view()
         cov.environment_recovered = False
@@ -714,15 +623,13 @@ def load_trace_salvaged(path: str) -> SalvagedTrace:
     first_line = data.split(b"\n", 1)[0].strip()
     if not first_line:
         cov.complete = False
-        cov.segments_total = None
         cov.errors.append("empty trace file")
         return SalvagedTrace(graph=SegmentGraph(), view=_empty_view(),
                              suppression={}, stats=None, coverage=cov)
-    header_doc: Optional[dict] = None
     try:
-        header_doc = json.loads(first_line)
-    except json.JSONDecodeError:
-        header_doc = None
+        header_doc = decode_chunk(first_line)
+    except ChunkError as exc:
+        header_doc = exc.doc
     if isinstance(header_doc, dict) and (
             "graph" in header_doc
             or ("version" in header_doc and "kind" not in header_doc)
@@ -733,12 +640,10 @@ def load_trace_salvaged(path: str) -> SalvagedTrace:
         # would misread every chunk
         raise TraceVersionError(path, header_doc.get("version"),
                                 f"version {TRACE_VERSION}")
-    chunks = _scan_chunks(path, data, cov)
-    return _assemble_v2(path, chunks, cov)
+    return _assemble_v2(_scan_chunks(data, cov), cov)
 
 
-def assemble_chunks(chunk_docs, *, label: str = "<uploaded>"
-                    ) -> SalvagedTrace:
+def assemble_chunks(chunk_docs) -> SalvagedTrace:
     """Assemble already-validated v2 chunk envelopes into a trace.
 
     The ingestion server's adapter onto the salvage reader: its upload
@@ -748,21 +653,13 @@ def assemble_chunks(chunk_docs, *, label: str = "<uploaded>"
     ``{seq, kind, vtime, crc, payload}`` dicts in accepted order.
     """
     cov = TraceCoverage()
-    chunks: List[_RawChunk] = []
-    for doc in chunk_docs:
-        cov.chunks_valid += 1
-        cov.last_good_vtime = max(cov.last_good_vtime,
-                                  float(doc.get("vtime", 0.0)))
-        chunks.append(_RawChunk(seq=doc["seq"], kind=doc["kind"],
-                                vtime=float(doc.get("vtime", 0.0)),
-                                payload=doc["payload"], byte_offset=0))
+    chunks = [_accept(cov, doc, None) for doc in chunk_docs]
     if not chunks:
         cov.complete = False
-        cov.segments_total = None
         cov.errors.append("no chunks uploaded")
         return SalvagedTrace(graph=SegmentGraph(), view=_empty_view(),
                              suppression={}, stats=None, coverage=cov)
-    return _assemble_v2(label, chunks, cov)
+    return _assemble_v2(chunks, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -802,13 +699,6 @@ def load_trace(path: str) -> Tuple[SegmentGraph, OfflineMachineView, dict]:
     """
     s = _load_strict(path)
     return s.graph, s.view, s.suppression
-
-
-def load_trace_full(path: str) -> Tuple[SegmentGraph, OfflineMachineView,
-                                        dict, Optional[dict]]:
-    """:func:`load_trace` plus the embedded record-time stats block."""
-    s = _load_strict(path)
-    return s.graph, s.view, s.suppression, s.stats
 
 
 # ---------------------------------------------------------------------------
@@ -912,21 +802,16 @@ def analyze_trace_with_stats(path: str, *, workers: int = 1,
     baseline = reg.mark()
     with reg.phase("offline"):
         with reg.phase("offline.load"):
-            if strict:
-                graph, view, supp_flags, record_stats = load_trace_full(path)
-                coverage = None
-            else:
-                salvaged = load_trace_salvaged(path)
-                graph, view = salvaged.graph, salvaged.view
-                supp_flags = salvaged.suppression
-                record_stats = salvaged.stats
-                coverage = salvaged.coverage
-                if not coverage.complete:
-                    reg.counter("resilience.trace_salvaged").inc()
-                    reg.counter("resilience.trace_chunks_lost").inc(
-                        coverage.chunks_corrupt)
-        la = analyze_loaded(graph, view, supp_flags, coverage=coverage,
-                            workers=workers, explain=explain)
+            loaded = _load_strict(path) if strict \
+                else load_trace_salvaged(path)
+            coverage = None if strict else loaded.coverage
+            if coverage is not None and not coverage.complete:
+                reg.counter("resilience.trace_salvaged").inc()
+                reg.counter("resilience.trace_chunks_lost").inc(
+                    coverage.chunks_corrupt)
+        la = analyze_loaded(loaded.graph, loaded.view, loaded.suppression,
+                            coverage=coverage, workers=workers,
+                            explain=explain)
     reports = la.reports
     stats = {
         "schema": "taskgrind-offline-stats/1",
@@ -937,9 +822,9 @@ def analyze_trace_with_stats(path: str, *, workers: int = 1,
             "resilience": la.partial.to_dict(),
         },
         "suppress": la.engine.stats_doc(),
-        "graph": graph.stats(),
+        "graph": loaded.graph.stats(),
         "phases": reg.delta_since(baseline)["phases"],
-        "record_run": record_stats,
+        "record_run": loaded.stats,
     }
     if coverage is not None:
         stats["coverage"] = coverage.to_dict()

@@ -3,10 +3,9 @@
 The profiler core (:mod:`repro.obs.prof`) is stdlib-only and hot-path
 friendly; this module is the cold document layer:
 
-* **Format.**  A profile is a JSONL stream of checksummed chunks using the
-  same framing as v2 traces (:class:`repro.core.trace._ChunkWriter`): each
-  line carries ``seq``/``kind``/``crc``/``payload``, with the CRC-32 taken
-  over the canonical (sorted, compact) payload JSON.  Chunk kinds, in
+* **Format.**  A profile is a JSONL stream of checksummed chunks in the
+  framing of :mod:`repro.util.chunks` (``seq``/``kind``/``crc``/
+  ``payload``, CRC-32 over the canonical payload).  Chunk kinds, in
   order: one ``header`` (schema + version), zero or more ``vtime`` chunks
   (virtual-time buckets ``[tid, klass, frame, ops]``), zero or more
   ``counts`` chunks (count-axis buckets ``[klass, frame, n]``), an
@@ -16,7 +15,8 @@ friendly; this module is the cold document layer:
 * **Strictness.**  Profiles follow the schedule documents' philosophy,
   not the traces': there is **no salvage mode**.  A profile with a bad
   checksum or a missing ``end`` would silently misattribute ops, so
-  :func:`load_profile` fails fast with :class:`ProfileFormatError` /
+  :func:`load_profile` fails fast with :class:`ProfileFormatError` (not
+  a chunk envelope, or a payload without its kind's fields) /
   :class:`ProfileCorruptionError`.  :func:`validate_profile_doc` is the
   non-raising variant used by ``repro.obs.tracecheck``.
 * **Diffing.**  :func:`diff_profiles` aggregates the virtual-time axis by
@@ -36,19 +36,29 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.trace import _ChunkWriter, _payload_crc
 from repro.errors import ProfileCorruptionError, ProfileFormatError
+from repro.faults.inject import get_injector
 from repro.obs.prof import PROFILE_SCHEMA, Profiler, format_ops
+from repro.util.chunks import (ChunkError, ChunkWriter, chunk_lines,
+                               decode_chunk, payload_problem, save_atomic,
+                               verify_crc)
 
 PROFILE_VERSION = 1
 
 #: virtual-time / count buckets per chunk line (keeps lines greppable and
 #: bounds the blast radius of a torn write to one chunk)
 CELLS_PER_CHUNK = 256
+
+#: the payload fields each chunk kind needs, with the types they may have
+_FIELDS = {
+    "vtime": {"cells": (list,)},
+    "counts": {"cells": (list,)},
+    "phases": {"phases": (dict,)},
+    "meta": {"total_ops": (int, float, type(None))},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -57,44 +67,25 @@ CELLS_PER_CHUNK = 256
 
 def save_profile(path: str, prof: Profiler, *,
                  phases: Optional[dict] = None) -> None:
-    """Serialize ``prof`` as a ``taskgrind-profile/1`` document — atomically.
-
-    Same tmp+rename discipline as trace/schedule saves: an interrupted
-    write never leaves a half-written ``path`` behind.
-    """
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            writer = _ChunkWriter(fh)
-            writer.emit("header", {"schema": PROFILE_SCHEMA,
-                                   "version": PROFILE_VERSION})
-            vtime = [list(row) for row in prof.vtime_cells()]
-            for i in range(0, len(vtime), CELLS_PER_CHUNK):
-                writer.emit("vtime",
-                            {"cells": vtime[i:i + CELLS_PER_CHUNK]})
-            counts = [list(row) for row in prof.count_cells()]
-            for i in range(0, len(counts), CELLS_PER_CHUNK):
-                writer.emit("counts",
-                            {"cells": counts[i:i + CELLS_PER_CHUNK]})
-            if phases:
-                # registry snapshots carry dict-shaped phase rows
-                # ({count, wall_s, vtime_ops, vtime_s}); tuples from older
-                # callers are normalized to lists
-                writer.emit("phases",
-                            {"phases": {name: (dict(vals)
-                                               if isinstance(vals, dict)
-                                               else list(vals))
-                                        for name, vals
-                                        in sorted(phases.items())}})
-            writer.emit("meta", dict(prof.meta, total_ops=prof.total_ops))
-            writer.emit("end", {"chunks": writer.chunks})
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    """Serialize ``prof`` as a ``taskgrind-profile/1`` document, atomically
+    like trace and schedule saves: an interrupted write never leaves a
+    half-written ``path`` behind."""
+    def write(fh) -> None:
+        writer = ChunkWriter(fh, get_injector().on_trace_chunk, vtime=0.0)
+        writer.emit("header", {"schema": PROFILE_SCHEMA,
+                               "version": PROFILE_VERSION})
+        vtime = [list(row) for row in prof.vtime_cells()]
+        for i in range(0, len(vtime), CELLS_PER_CHUNK):
+            writer.emit("vtime", {"cells": vtime[i:i + CELLS_PER_CHUNK]})
+        counts = [list(row) for row in prof.count_cells()]
+        for i in range(0, len(counts), CELLS_PER_CHUNK):
+            writer.emit("counts", {"cells": counts[i:i + CELLS_PER_CHUNK]})
+        if phases:
+            # registry phase rows: {count, wall_s, vtime_ops, vtime_s}
+            writer.emit("phases", {"phases": phases})
+        writer.emit("meta", dict(prof.meta, total_ops=prof.total_ops))
+        writer.emit("end", {"chunks": writer.seq})
+    save_atomic(path, write)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +107,7 @@ def _parse(path: str) -> Tuple[dict, List[_Problem]]:
             raw = fh.read()
     except OSError as exc:
         return doc, [("format", None, f"cannot read: {exc}")]
-    lines = [ln for ln in raw.decode("utf-8", "replace").splitlines()
-             if ln.strip()]
+    lines = [line for _offset, line in chunk_lines(raw)]
     if not lines:
         return doc, [("format", None, "empty file")]
     saw_end = False
@@ -126,30 +116,22 @@ def _parse(path: str) -> Tuple[dict, List[_Problem]]:
             problems.append(("corrupt", idx, "data after the end chunk"))
             break
         try:
-            chunk = json.loads(line)
-        except ValueError:
-            problems.append(("corrupt", idx,
-                             "line is not JSON (torn write?)"))
-            break
-        if not isinstance(chunk, dict):
-            problems.append(("format", idx, "chunk is not an object"))
-            break
-        missing = [k for k in ("seq", "kind", "crc", "payload")
-                   if k not in chunk]
-        if missing:
-            problems.append(("format", idx,
-                             f"chunk missing keys {missing}"))
+            chunk = decode_chunk(line)
+            verify_crc(chunk)
+        except ChunkError as exc:
+            problems.append(("format" if exc.check == "envelope"
+                             else "corrupt", idx, str(exc)))
             break
         if chunk["seq"] != idx:
             problems.append(("corrupt", idx,
                              f"seq not monotone: expected {idx}, "
                              f"found {chunk['seq']}"))
             break
-        payload = chunk["payload"]
-        if chunk["crc"] != _payload_crc(payload):
-            problems.append(("corrupt", idx, "payload checksum mismatch"))
+        kind, payload = chunk["kind"], chunk["payload"]
+        problem = payload_problem(payload, _FIELDS.get(kind, {}))
+        if problem is not None:
+            problems.append(("format", idx, problem))
             break
-        kind = chunk["kind"]
         if idx == 0:
             if kind != "header":
                 problems.append(("format", idx,
@@ -169,7 +151,7 @@ def _parse(path: str) -> Tuple[dict, List[_Problem]]:
             doc["schema"] = payload["schema"]
             doc["version"] = payload["version"]
         elif kind == "vtime":
-            for cell in payload.get("cells", ()):
+            for cell in payload["cells"]:
                 if not (isinstance(cell, list) and len(cell) == 4):
                     problems.append(("format", idx,
                                      f"malformed vtime cell {cell!r}"))
@@ -181,7 +163,7 @@ def _parse(path: str) -> Tuple[dict, List[_Problem]]:
                     continue
                 doc["vtime"].append(cell)
         elif kind == "counts":
-            for cell in payload.get("cells", ()):
+            for cell in payload["cells"]:
                 if not (isinstance(cell, list) and len(cell) == 3):
                     problems.append(("format", idx,
                                      f"malformed count cell {cell!r}"))
@@ -193,7 +175,7 @@ def _parse(path: str) -> Tuple[dict, List[_Problem]]:
                     continue
                 doc["counts"].append(cell)
         elif kind == "phases":
-            doc["phases"] = payload.get("phases", {})
+            doc["phases"] = payload["phases"]
         elif kind == "meta":
             doc["meta"] = payload
         elif kind == "end":

@@ -1,10 +1,11 @@
 """The ``taskgrind-schedule/1`` document: a pinned schedule, nothing more.
 
-Layout mirrors the ``taskgrind-trace/2`` chunk stream (one checksummed
-JSON line per chunk, atomic tmp+rename save, the writer consults the fault
-injector) but the *content* is orders of magnitude smaller: no access
-trees, no byte ranges — only what is needed to re-execute the same
-interleaving and prove it stayed the same.
+The stream uses the chunk framing of :mod:`repro.util.chunks` (one
+checksummed JSON line per chunk, atomic save, the writer consults the
+fault injector's trace-chunk hook) but the *content* is orders of
+magnitude smaller than a trace's: no access trees, no byte ranges — only
+what is needed to re-execute the same interleaving and prove it stayed
+the same.
 
 Chunk kinds, in stream order::
 
@@ -20,20 +21,23 @@ Chunk kinds, in stream order::
 Loading is **strict only** — there is deliberately no salvage reader.  A
 trace missing its tail still describes real prefix evidence; a schedule
 missing its tail would pin a *different execution* and silently change
-every downstream verdict.  Truncation, bad checksums, or count mismatches
-raise the :mod:`repro.errors` schedule taxonomy instead.
+every downstream verdict.  A first line that is not a chunk is a
+``ScheduleFormatError``; any later framing failure, truncation, a payload
+without the fields its kind needs (:data:`_FIELDS`), or a count mismatch
+is a ``ScheduleCorruptionError``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.trace import _ChunkWriter, _payload_crc
 from repro.errors import (ScheduleCorruptionError, ScheduleFormatError,
                           ScheduleVersionError)
+from repro.faults.inject import get_injector
+from repro.util.chunks import (ChunkError, ChunkWriter, chunk_lines,
+                               decode_chunk, payload_problem, save_atomic,
+                               verify_crc)
 
 SCHEDULE_SCHEMA = "taskgrind-schedule/1"
 SCHEDULE_VERSION = 1
@@ -41,6 +45,16 @@ SCHEDULE_VERSION = 1
 #: picks/edges/allocs per chunk (small ints), segments per chunk (wider rows)
 CHUNK_PICKS = 4096
 CHUNK_SEGMENTS = 1024
+
+#: the element streams, each chunked as ``{start, <kind>: [...]}``
+_ELEMENTS = ("picks", "segments", "edges", "allocs")
+
+#: the payload fields each chunk kind needs, with the types they may have
+_FIELDS = {
+    "header": {"counts": (dict,), "final_vclock": (int, float)},
+    **{kind: {"start": (int,), kind: (list,)} for kind in _ELEMENTS},
+    "rng": {"draws": (dict,)},
+}
 
 
 @dataclass
@@ -110,44 +124,28 @@ class ScheduleDoc:
 def save_schedule(doc: ScheduleDoc, path: str) -> None:
     """Write ``doc`` atomically as a chunked ``taskgrind-schedule/1`` stream.
 
-    Reuses the trace chunk writer, so armed fault plans (trace-truncate /
-    trace-corrupt points) damage schedule saves exactly like trace saves —
-    which the strict loader must then refuse, never half-replay.
+    The writer consults the trace-chunk fault hook, so armed fault plans
+    (trace-truncate / trace-corrupt points) damage schedule saves exactly
+    like trace saves — which the strict loader must then refuse, never
+    half-replay.
     """
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            writer = _ChunkWriter(fh, vtime=doc.final_vclock)
-            writer.emit("header", {
-                "schema": SCHEDULE_SCHEMA, "version": SCHEDULE_VERSION,
-                "counts": doc.counts(),
-                "final_vclock": doc.final_vclock})
-            writer.emit("program", doc.program)
-            for base in range(0, len(doc.picks), CHUNK_PICKS):
-                writer.emit("picks", {
-                    "start": base,
-                    "picks": doc.picks[base:base + CHUNK_PICKS]})
-            for base in range(0, len(doc.segments), CHUNK_SEGMENTS):
-                writer.emit("segments", {
-                    "start": base,
-                    "segments": doc.segments[base:base + CHUNK_SEGMENTS]})
-            for base in range(0, len(doc.edges), CHUNK_PICKS):
-                writer.emit("edges", {
-                    "start": base,
-                    "edges": doc.edges[base:base + CHUNK_PICKS]})
-            for base in range(0, len(doc.allocs), CHUNK_PICKS):
-                writer.emit("allocs", {
-                    "start": base,
-                    "allocs": doc.allocs[base:base + CHUNK_PICKS]})
-            writer.emit("rng", {"draws": doc.rng_draws})
-            writer.emit("end", {"chunks": writer.chunks + 1})
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    def write(fh) -> None:
+        writer = ChunkWriter(fh, get_injector().on_trace_chunk,
+                             vtime=doc.final_vclock)
+        writer.emit("header", {
+            "schema": SCHEDULE_SCHEMA, "version": SCHEDULE_VERSION,
+            "counts": doc.counts(),
+            "final_vclock": doc.final_vclock})
+        writer.emit("program", doc.program)
+        for kind in _ELEMENTS:
+            items = getattr(doc, kind)
+            size = CHUNK_SEGMENTS if kind == "segments" else CHUNK_PICKS
+            for base in range(0, len(items), size):
+                writer.emit(kind, {"start": base,
+                                   kind: items[base:base + size]})
+        writer.emit("rng", {"draws": doc.rng_draws})
+        writer.emit("end", {"chunks": writer.seq + 1})
+    save_atomic(path, write)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +157,9 @@ def load_schedule(path: str) -> ScheduleDoc:
 
     Raises :class:`ScheduleFormatError` when the file is not a schedule,
     :class:`ScheduleVersionError` on a version this replayer does not
-    speak, and :class:`ScheduleCorruptionError` on checksum failures,
-    truncation, out-of-order chunks, or count mismatches.
+    speak, and :class:`ScheduleCorruptionError` on framing or checksum
+    failures past the first line, truncation, out-of-order chunks,
+    payloads without their kind's fields, or count mismatches.
     """
     try:
         with open(path, "rb") as fh:
@@ -173,49 +172,25 @@ def load_schedule(path: str) -> ScheduleDoc:
     doc = ScheduleDoc()
     counts: Optional[Dict[str, int]] = None
     saw_end = False
-    expected_seq = 0
-    offset = 0
-    for raw in data.split(b"\n"):
-        line = raw.strip()
-        line_offset = offset
-        offset += len(raw) + 1
-        if not line:
-            continue
+    seq = -1
+    for seq, (offset, line) in enumerate(chunk_lines(data)):
+        def corrupt(reason: str) -> ScheduleCorruptionError:
+            return ScheduleCorruptionError(path, byte_offset=offset,
+                                           chunk_seq=seq, reason=reason)
         if saw_end:
-            raise ScheduleCorruptionError(
-                path, byte_offset=line_offset, chunk_seq=expected_seq,
-                reason="data after the end chunk")
+            raise corrupt("data after the end chunk")
         try:
-            chunk = json.loads(line)
-        except ValueError as exc:
-            if expected_seq == 0:
-                raise ScheduleFormatError(
-                    path, f"first line is not JSON: {exc}") from exc
-            raise ScheduleCorruptionError(
-                path, byte_offset=line_offset, chunk_seq=expected_seq,
-                reason=f"unparseable chunk line: {exc}") from exc
-        if not isinstance(chunk, dict) or "payload" not in chunk \
-                or "crc" not in chunk or "kind" not in chunk:
-            if expected_seq == 0:
-                raise ScheduleFormatError(
-                    path, "first line lacks the chunk envelope "
-                          "(seq/kind/crc/payload)")
-            raise ScheduleCorruptionError(
-                path, byte_offset=line_offset, chunk_seq=expected_seq,
-                reason="chunk line lacks the envelope keys")
-        payload = chunk["payload"]
-        if chunk.get("seq") != expected_seq:
-            raise ScheduleCorruptionError(
-                path, byte_offset=line_offset, chunk_seq=expected_seq,
-                reason=f"chunk sequence {chunk.get('seq')!r}, expected "
-                       f"{expected_seq} (reordered or spliced stream)")
-        if _payload_crc(payload) != chunk["crc"]:
-            raise ScheduleCorruptionError(
-                path, byte_offset=line_offset, chunk_seq=expected_seq,
-                reason=f"checksum mismatch (stored {chunk['crc']}, "
-                       f"computed {_payload_crc(payload)})")
-        kind = chunk["kind"]
-        if expected_seq == 0:
+            chunk = decode_chunk(line)
+            verify_crc(chunk)
+        except ChunkError as exc:
+            if seq == 0 and exc.check != "crc":
+                raise ScheduleFormatError(path, f"first line: {exc}") from exc
+            raise corrupt(str(exc)) from exc
+        if chunk["seq"] != seq:
+            raise corrupt(f"chunk sequence {chunk['seq']!r}, expected {seq} "
+                          "(reordered or spliced stream)")
+        kind, payload = chunk["kind"], chunk["payload"]
+        if seq == 0:
             if kind != "header":
                 raise ScheduleFormatError(
                     path, f"first chunk is {kind!r}, expected the schedule "
@@ -226,53 +201,38 @@ def load_schedule(path: str) -> ScheduleDoc:
                 raise ScheduleVersionError(
                     path, schema if schema != SCHEDULE_SCHEMA else version,
                     f"{SCHEDULE_SCHEMA} v{SCHEDULE_VERSION}")
+        problem = payload_problem(payload, _FIELDS.get(kind, {}))
+        if problem is not None:
+            raise corrupt(f"{kind} chunk: {problem}")
+        if seq == 0:
             counts = dict(payload["counts"])
             doc.final_vclock = payload["final_vclock"]
         elif kind == "program":
             doc.program = payload
-        elif kind == "picks":
-            _append_at(path, line_offset, doc.picks,
-                       payload["start"], payload["picks"])
-        elif kind == "segments":
-            _append_at(path, line_offset, doc.segments,
-                       payload["start"], payload["segments"])
-        elif kind == "edges":
-            _append_at(path, line_offset, doc.edges,
-                       payload["start"], payload["edges"])
-        elif kind == "allocs":
-            _append_at(path, line_offset, doc.allocs,
-                       payload["start"], payload["allocs"])
+        elif kind in _ELEMENTS:
+            target = getattr(doc, kind)
+            if payload["start"] != len(target):
+                raise corrupt(f"chunk starts at element {payload['start']}, "
+                              f"expected {len(target)} (missing or "
+                              "duplicated chunk)")
+            target.extend(payload[kind])
         elif kind == "rng":
             doc.rng_draws = dict(payload["draws"])
         elif kind == "end":
             saw_end = True
         else:
-            raise ScheduleCorruptionError(
-                path, byte_offset=line_offset, chunk_seq=expected_seq,
-                reason=f"unknown chunk kind {kind!r}")
-        expected_seq += 1
+            raise corrupt(f"unknown chunk kind {kind!r}")
 
     if counts is None:
         raise ScheduleFormatError(path, "no schedule header chunk")
     if not saw_end:
         raise ScheduleCorruptionError(
-            path, byte_offset=len(data), chunk_seq=expected_seq,
+            path, byte_offset=len(data), chunk_seq=seq + 1,
             reason="truncated: no end chunk")
     got = doc.counts()
     if got != counts:
         raise ScheduleCorruptionError(
-            path, byte_offset=len(data), chunk_seq=expected_seq,
+            path, byte_offset=len(data), chunk_seq=seq + 1,
             reason=f"element counts {got} do not match the header "
                    f"{counts}")
     return doc
-
-
-def _append_at(path: str, byte_offset: int, target: list,
-               start: int, items: list) -> None:
-    """Chunks must arrive in order and dovetail exactly."""
-    if start != len(target):
-        raise ScheduleCorruptionError(
-            path, byte_offset=byte_offset, chunk_seq=None,
-            reason=f"chunk starts at element {start}, expected "
-                   f"{len(target)} (missing or duplicated chunk)")
-    target.extend(items)

@@ -41,10 +41,10 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.trace import canonical_json
 from repro.errors import StateDirError
 from repro.obs.metrics import get_registry
 from repro.serve.wal import WalRecord, WalWriter, read_wal
+from repro.util.chunks import ChunkError, canonical_json, decode_chunk
 
 WAL_NAME = "wal.jsonl"
 CHUNKS_DIR = "chunks"
@@ -174,7 +174,8 @@ def _id_num(resource_id: str) -> int:
 
 def replay_wal(records: List[WalRecord], store: ChunkStore
                ) -> RecoveredState:
-    """Fold a validated record prefix into recovered serve state."""
+    """Fold a validated record prefix (payload fields checked by
+    :func:`~repro.serve.wal.read_wal`) into recovered serve state."""
     st = RecoveredState()
     for rec in records:
         p = rec.payload
@@ -201,9 +202,12 @@ def replay_wal(records: List[WalRecord], store: ChunkStore
                     f"seq {len(up.chunks)}")
                 continue
             try:
-                doc = json.loads(body)
-            except json.JSONDecodeError:
+                doc = decode_chunk(body)
+            except ChunkError as exc:
                 up.truncated = True
+                st.errors.append(
+                    f"{p['trace_id']}: chunk {p['seq']} body unreadable "
+                    f"({exc}); upload frozen at seq {len(up.chunks)}")
                 continue
             up.chunks.append(doc)
             up.digests.append(p["digest"])

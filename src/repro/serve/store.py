@@ -3,8 +3,8 @@
 One :class:`TraceUpload` per ``POST /v1/traces``; each ``PUT .../chunks/{seq}``
 body is validated *at the edge* before it is accepted:
 
-* the envelope must parse as a JSON object with ``seq``/``kind``/``crc``/
-  ``payload`` (→ :class:`~repro.errors.TraceFormatError`, 400);
+* the line must pass the chunk envelope check (:mod:`repro.util.chunks`)
+  (→ :class:`~repro.errors.TraceFormatError`, 400);
 * ``seq`` must equal the next expected sequence number — the
   ``taskgrind-trace/2`` salvage contract only covers a **dense prefix**, so
   gaps and post-``end`` uploads are refused outright
@@ -15,7 +15,8 @@ body is validated *at the edge* before it is accepted:
   *different* body under an old seq is a 409 conflict;
 * the payload CRC-32 must match the envelope's claim, computed over the
   same canonical JSON the writer used
-  (→ :class:`~repro.errors.TraceCorruptionError`, 422);
+  (→ :class:`~repro.errors.TraceCorruptionError`, 422), and those
+  canonical bytes feed the content hash;
 * chunk 0 must be a ``header`` declaring the trace version this reader
   speaks (→ :class:`~repro.errors.TraceVersionError`, 400).
 
@@ -37,18 +38,18 @@ uploads reappear complete, partial uploads resume at the exact journaled
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
-import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.core.trace import TRACE_VERSION, canonical_json
+from repro.core.trace import TRACE_VERSION
 from repro.errors import (ResourceNotFound, TraceCorruptionError,
                           TraceFormatError, TraceVersionError,
                           UploadSequenceError)
 from repro.faults.inject import get_injector
 from repro.obs.metrics import get_registry
+from repro.util.chunks import (ChunkError, canonical_json, decode_chunk,
+                               verify_crc)
 
 _FAULTS = get_injector()
 
@@ -134,15 +135,9 @@ class TraceStore:
         reg = get_registry()
         body = _FAULTS.on_upload_chunk(url_seq, body)
         try:
-            doc = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(
-                trace_id, f"undecodable chunk line: {exc.msg}") from exc
-        if not isinstance(doc, dict):
-            raise TraceFormatError(trace_id, "chunk line is not a JSON object")
-        if any(doc.get(k) is None for k in ("seq", "kind", "crc", "payload")):
-            raise TraceFormatError(
-                trace_id, "chunk envelope missing seq/kind/crc/payload")
+            doc = decode_chunk(body)
+        except ChunkError as exc:
+            raise TraceFormatError(trace_id, str(exc)) from exc
         if doc["seq"] != url_seq:
             raise UploadSequenceError(
                 trace_id, expected_seq=up.next_seq, got_seq=url_seq,
@@ -171,14 +166,13 @@ class TraceStore:
             raise UploadSequenceError(
                 trace_id, expected_seq=up.next_seq, got_seq=url_seq,
                 reason="out-of-order chunk (dense prefix required)")
-        canon = canonical_json(doc["payload"])
-        computed = zlib.crc32(canon) & 0xFFFFFFFF
-        if computed != doc["crc"]:
+        try:
+            canon = verify_crc(doc)
+        except ChunkError as exc:
             reg.counter("serve.ingest.crc_rejects").inc()
             raise TraceCorruptionError(
                 trace_id, byte_offset=up.bytes_received, chunk_seq=url_seq,
-                reason=f"checksum mismatch (stored {doc['crc']}, "
-                       f"computed {computed})")
+                reason=str(exc)) from exc
         if url_seq == 0:
             if doc["kind"] != "header":
                 raise TraceFormatError(

@@ -21,14 +21,13 @@ record kind           payload
                       crashes
 ====================  =====================================================
 
-Framing is exactly the ``taskgrind-trace/2`` chunk discipline
-(:class:`repro.core.trace._ChunkWriter`): one JSON object per line with
-``{seq, kind, crc, payload}``, CRC-32 over the canonical payload, dense
-``seq``.  The reader therefore inherits the salvage contract the rest of
-the repo already proves — **a recovered journal is a prefix**: a torn
-trailing record (the half-line a dying writer leaves behind) is dropped,
-and nothing after the first damaged line is trusted.  Recovered state may
-lose work, it must never invent work.
+Framing is :mod:`repro.util.chunks`'s with no ``vtime``: one JSON object
+per line with ``{seq, kind, crc, payload}``, CRC-32 over the canonical
+payload, dense ``seq``.  The reader applies the salvage contract — **a
+recovered journal is a prefix**: the first line that fails the framing
+checks (a torn trailing record does), breaks the dense ``seq`` or lacks a
+payload field of :data:`RECORD_FIELDS` ends the trusted prefix.
+Recovered state may lose work, it must never invent work.
 
 Durability is governed by one knob, ``fsync_policy``:
 
@@ -42,16 +41,16 @@ Durability is governed by one knob, ``fsync_policy``:
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, List, Optional, Tuple
 
-from repro.core.trace import _payload_crc, canonical_json
 from repro.errors import StateDirError
 from repro.faults.inject import get_injector
 from repro.obs.metrics import get_registry
+from repro.util.chunks import (ChunkError, ChunkWriter, chunk_lines,
+                               decode_chunk, payload_problem, verify_crc)
 
 WAL_SCHEMA = "taskgrind-serve-wal/1"
 WAL_VERSION = 1
@@ -59,6 +58,21 @@ WAL_VERSION = 1
 FSYNC_POLICIES = ("always", "interval", "never")
 
 _FAULTS = get_injector()
+
+_OPT_STR = (str, type(None))
+
+#: the payload fields :func:`~repro.serve.durable.replay_wal` reads from
+#: each record kind, with the types they may have
+RECORD_FIELDS = {
+    "upload-created": {"trace_id": (str,)},
+    "chunk-accepted": {"trace_id": (str,), "seq": (int,), "digest": (str,)},
+    "upload-sealed": {"trace_id": (str,), "content_hash": _OPT_STR,
+                      "chunks": (int, type(None))},
+    "job-enqueued": {"job_id": (str,), "trace_id": (str,),
+                     "content_hash": (str,), "params": (dict,)},
+    "job-terminal": {"job_id": (str,), "state": (str,),
+                     "result_digest": _OPT_STR},
+}
 
 
 @dataclass
@@ -81,24 +95,26 @@ class WalWriter:
     """
 
     def __init__(self, fh: IO[bytes], *, fsync_policy: str = "always",
-                 fsync_interval: int = 16, start_seq: int = 0) -> None:
+                 fsync_interval: int = 16) -> None:
         if fsync_policy not in FSYNC_POLICIES:
             raise ValueError(f"unknown fsync policy {fsync_policy!r} "
                              f"(choose from {FSYNC_POLICIES})")
         self._fh = fh
-        self._seq = start_seq
+        self._out = ChunkWriter(fh, self._fault)
         self._lock = threading.Lock()
         self._policy = fsync_policy
         self._interval = max(1, fsync_interval)
         self._unsynced = 0
         self.frozen = False
-        if start_seq == 0:
-            self.append("header", {"schema": WAL_SCHEMA,
-                                   "version": WAL_VERSION})
+        self.append("header", {"schema": WAL_SCHEMA, "version": WAL_VERSION})
 
-    @property
-    def records(self) -> int:
-        return self._seq
+    def _fault(self, seq: int, line: bytes) -> Optional[bytes]:
+        try:
+            return _FAULTS.on_wal_record(seq, line)
+        except Exception:
+            # injected server death: nothing may journal after this
+            self.frozen = True
+            raise
 
     def freeze(self) -> None:
         """Simulate process death: all further appends are dropped."""
@@ -110,24 +126,13 @@ class WalWriter:
         with self._lock:
             if self.frozen:
                 return
-            doc = {"seq": self._seq, "kind": kind,
-                   "crc": _payload_crc(payload), "payload": payload}
-            try:
-                line = _FAULTS.on_wal_record(self._seq, canonical_json(doc))
-            except Exception:
-                # injected server death: nothing may journal after this
-                self.frozen = True
-                raise
+            written = self._out.emit(kind, payload)
             reg = get_registry()
-            if line is None:
+            if self._out.torn:
                 # injected torn write: the half-line a dying writer leaves
-                self._fh.write(b'{"seq": %d, "kind": "torn' % self._seq)
-                self._fh.flush()
                 self.frozen = True
                 reg.counter("serve.wal.torn_writes").inc()
                 return
-            self._fh.write(line + b"\n")
-            self._fh.flush()
             self._unsynced += 1
             if self._policy == "always" or (
                     self._policy == "interval"
@@ -135,9 +140,8 @@ class WalWriter:
                 os.fsync(self._fh.fileno())
                 self._unsynced = 0
                 reg.counter("serve.wal.fsyncs").inc()
-            self._seq += 1
             reg.counter("serve.wal.records").inc()
-            reg.counter("serve.wal.bytes").inc(len(line) + 1)
+            reg.counter("serve.wal.bytes").inc(written)
 
     def sync(self) -> None:
         """Force any interval-buffered records to disk."""
@@ -168,8 +172,8 @@ def read_wal(path: str) -> Tuple[List[WalRecord], dict]:
 
     Returns ``(records, info)`` where ``info`` books what recovery wants
     to report: ``clean`` (a trailing ``clean-shutdown`` record was found),
-    ``dropped`` (lines abandoned after the first damaged one — a torn
-    trailing record counts), and ``errors`` (human-readable damage notes).
+    ``dropped`` (the first damaged line and every line after it), and
+    ``errors`` (human-readable damage notes).
 
     Only a wrong *format* raises (:class:`~repro.errors.StateDirError`):
     a journal whose header declares a schema this build does not speak
@@ -180,31 +184,26 @@ def read_wal(path: str) -> Tuple[List[WalRecord], dict]:
         data = fh.read()
     records: List[WalRecord] = []
     info = {"clean": False, "dropped": 0, "errors": []}
-    expected_seq = 0
-    lines = [ln for ln in data.split(b"\n") if ln.strip()]
+    lines = [line for _offset, line in chunk_lines(data)]
     for index, line in enumerate(lines):
-        err: Optional[str] = None
         try:
-            doc = json.loads(line)
-            if not isinstance(doc, dict):
-                err = "record line is not a JSON object"
-            elif any(doc.get(k) is None
-                     for k in ("seq", "kind", "crc", "payload")):
-                err = "record envelope missing seq/kind/crc/payload"
-            elif _payload_crc(doc["payload"]) != doc["crc"]:
-                err = (f"checksum mismatch (stored {doc['crc']}, computed "
-                       f"{_payload_crc(doc['payload'])})")
-            elif doc["seq"] != expected_seq:
+            doc = decode_chunk(line)
+            verify_crc(doc)
+        except ChunkError as exc:
+            err: Optional[str] = str(exc)
+        else:
+            if doc["seq"] != index:
                 err = (f"seq {doc['seq']} breaks the dense prefix "
-                       f"(expected {expected_seq})")
-        except json.JSONDecodeError as exc:
-            err = f"undecodable record line: {exc.msg}"
+                       f"(expected {index})")
+            else:
+                err = payload_problem(doc["payload"],
+                                      RECORD_FIELDS.get(doc["kind"], {}))
         if err is not None:
             # prefix rule: nothing after the first damaged line is trusted
             info["dropped"] = len(lines) - index
             info["errors"].append(f"record line {index}: {err}")
             break
-        if expected_seq == 0:
+        if index == 0:
             if doc["kind"] != "header":
                 raise StateDirError(
                     path, f"journal record 0 is {doc['kind']!r}, "
@@ -215,9 +214,8 @@ def read_wal(path: str) -> Tuple[List[WalRecord], dict]:
                 raise StateDirError(
                     path, f"journal declares {schema!r} v{version!r}; "
                           f"this build speaks {WAL_SCHEMA} v{WAL_VERSION}")
-        records.append(WalRecord(seq=doc["seq"], kind=doc["kind"],
+        records.append(WalRecord(seq=index, kind=doc["kind"],
                                  payload=doc["payload"]))
-        expected_seq += 1
     if records and records[-1].kind == "clean-shutdown" \
             and not info["dropped"]:
         info["clean"] = True

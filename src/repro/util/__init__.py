@@ -2,6 +2,9 @@
 
 Submodules
 ----------
+chunks
+    The checksummed JSONL chunk framing every saved or streamed document
+    shares: envelope and CRC checks, the writer, the atomic save.
 intervals
     Half-open integer interval algebra (:class:`~repro.util.intervals.Interval`,
     :class:`~repro.util.intervals.IntervalSet`).

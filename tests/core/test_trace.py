@@ -7,9 +7,9 @@ import pytest
 from repro.core.npkernel import KernelContext
 from repro.core.offline import main as offline_main
 from repro.core.reports import format_report
-from repro.core.trace import (_payload_crc, analyze_trace, load_trace,
-                              save_trace)
+from repro.core.trace import analyze_trace, load_trace, save_trace
 from repro.errors import TraceVersionError
+from repro.util.chunks import payload_crc
 from tests.core.analysis_oracle import all_pairs
 
 
@@ -135,7 +135,7 @@ class TestSuppressionsOffline:
             if doc["kind"] == "suppression":
                 doc["payload"] = {"suppress_stack": False,
                                   "suppress_tls": False}
-                doc["crc"] = _payload_crc(doc["payload"])
+                doc["crc"] = payload_crc(doc["payload"])
                 lines[i] = json.dumps(doc)
         raw = tmp_path / "raw.json"
         raw.write_text("\n".join(lines) + "\n")

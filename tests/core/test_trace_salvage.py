@@ -14,12 +14,12 @@ import pytest
 
 import repro
 from repro.core.offline import main as offline_main
-from repro.core.trace import (_payload_crc, analyze_trace,
-                              analyze_trace_with_stats, load_trace,
-                              load_trace_salvaged, save_trace)
+from repro.core.trace import (analyze_trace, analyze_trace_with_stats,
+                              load_trace, load_trace_salvaged, save_trace)
 from repro.errors import InjectedFault, TraceCorruptionError, TraceError
 from repro.faults.inject import inject_plan
 from repro.faults.plan import FaultPlan
+from repro.util.chunks import payload_crc
 
 
 def racy_listing(env):
@@ -62,7 +62,7 @@ def _resegmented(path, tmp_path, edit):
         doc = json.loads(line)
         if doc["kind"] == "segments":
             edit(doc["payload"]["segments"])
-            doc["crc"] = _payload_crc(doc["payload"])
+            doc["crc"] = payload_crc(doc["payload"])
             line = json.dumps(doc)
         lines.append(line)
     return _damaged(tmp_path, lines, "malformed.json")
@@ -72,6 +72,12 @@ def _racers(tool):
     """The ids of the racing segment pair, lower first."""
     (report,) = tool.reports
     return sorted((report.s1.id, report.s2.id))
+
+
+def _offset_of(path, seq):
+    """The byte offset of chunk ``seq``'s line in the file at ``path``."""
+    lines = open(path, "rb").read().split(b"\n")
+    return sum(len(line) + 1 for line in lines[:seq])
 
 
 class TestSalvage:
@@ -189,8 +195,14 @@ class TestMalformedSegments:
         assert cov["segments"]["recovered"] == stats["graph"]["segments"] \
             == racers[0]
         assert any("unreadable segment" in e for e in cov["errors"])
-        with pytest.raises(TraceCorruptionError):
+        # the one segment chunk is the first bad chunk, in salvage and
+        # strict mode alike
+        assert (cov["chunks"]["first_bad"],
+                cov["chunks"]["first_bad_byte"]) == (1, _offset_of(bad, 1))
+        with pytest.raises(TraceCorruptionError) as exc:
             analyze_trace(bad, strict=True)
+        assert exc.value.chunk_seq == 1
+        assert exc.value.byte_offset == _offset_of(bad, 1)
 
     def test_id_gap_loses_the_tail_under_optimize(self, traced, tmp_path):
         """The dense-id check must not be an ``assert``: under ``python -O``
@@ -246,12 +258,14 @@ class TestMalformedEdges:
             src, dst = last["payload"]["edges"][0]
             edge = [dst, src]
         last["payload"]["edges"].append(edge)
-        last["crc"] = _payload_crc(last["payload"])
+        last["crc"] = payload_crc(last["payload"])
         bad = _damaged(tmp_path, [json.dumps(d) for d in docs])
         if strict:
             with pytest.raises(TraceCorruptionError,
-                               match=f"segment chunk {last['seq']}"):
+                               match=f"segment chunk {last['seq']}") as exc:
                 analyze_trace(bad, strict=True)
+            assert exc.value.chunk_seq == last["seq"]
+            assert exc.value.byte_offset == _offset_of(bad, last["seq"])
             return
         reports, stats = analyze_trace_with_stats(bad)
         cov = stats["coverage"]
@@ -265,6 +279,34 @@ class TestMalformedEdges:
                 for e in d["payload"]["edges"]]
         assert cov["edges"]["recovered"] == len(kept)
         assert _keys(reports) == _keys(tool.reports)
+
+
+class TestMalformedHeader:
+    """Header totals the writer could not have emitted lose only the
+    totals: the segments still load, and the coverage says why it cannot
+    tell whether they are all there."""
+
+    @pytest.mark.parametrize("totals", [
+        {"segments": "many"}, {"edges": -1}, {"segments": True},
+        {"edges": None}], ids=["string", "negative", "bool", "null"])
+    def test_bad_totals_are_lost_not_the_load(self, traced, tmp_path,
+                                              totals):
+        path, tool = traced
+        docs = [json.loads(line) for line in open(path).read().splitlines()]
+        docs[0]["payload"].update(totals)
+        docs[0]["crc"] = payload_crc(docs[0]["payload"])
+        bad = _damaged(tmp_path, [json.dumps(d) for d in docs])
+        salvaged = load_trace_salvaged(bad)
+        cov = salvaged.coverage
+        assert not cov.complete
+        assert cov.segments_total is None and cov.edges_total is None
+        assert cov.segments_recovered == len(tool.builder.graph.segments)
+        assert any(e.startswith("header chunk 0: totals") for e in cov.errors)
+        assert (cov.first_bad_chunk, cov.first_bad_byte) == (0, 0)
+        assert _keys(analyze_trace(bad)) == _keys(tool.reports)
+        with pytest.raises(TraceCorruptionError) as exc:
+            analyze_trace(bad, strict=True)
+        assert (exc.value.chunk_seq, exc.value.byte_offset) == (0, 0)
 
 
 class TestOfflineCli:

@@ -290,10 +290,10 @@ class TestProfileDoc:
         with pytest.raises(ProfileError):
             load_profile(str(path))
         # a wrong-schema header with a *valid* crc is a format error
-        from repro.core.trace import _payload_crc
+        from repro.util.chunks import payload_crc
         payload = {"schema": "other/9", "version": 9}
         path.write_text(json.dumps(
-            {"seq": 0, "kind": "header", "crc": _payload_crc(payload),
+            {"seq": 0, "kind": "header", "crc": payload_crc(payload),
              "payload": payload}) + "\n")
         with pytest.raises(ProfileFormatError):
             load_profile(str(path))
@@ -301,12 +301,12 @@ class TestProfileDoc:
     def test_total_ops_cross_check(self, prof, tmp_path):
         path = self.make_profile(tmp_path)
         lines = path.read_text().splitlines()
-        from repro.core.trace import _payload_crc
+        from repro.util.chunks import payload_crc
         for i, line in enumerate(lines):
             chunk = json.loads(line)
             if chunk["kind"] == "meta":
                 chunk["payload"]["total_ops"] = 999.0
-                chunk["crc"] = _payload_crc(chunk["payload"])
+                chunk["crc"] = payload_crc(chunk["payload"])
                 lines[i] = json.dumps(chunk)
         path.write_text("\n".join(lines) + "\n")
         problems = validate_profile_doc(str(path))

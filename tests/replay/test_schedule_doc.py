@@ -8,12 +8,12 @@ import json
 
 import pytest
 
-from repro.core.trace import _ChunkWriter
 from repro.errors import (ScheduleCorruptionError, ScheduleError,
                           ScheduleFormatError, ScheduleVersionError)
 from repro.replay.schedule import (CHUNK_PICKS, SCHEDULE_SCHEMA,
                                    SCHEDULE_VERSION, ScheduleDoc,
                                    load_schedule, save_schedule)
+from repro.util.chunks import ChunkWriter, payload_crc
 
 
 def make_doc(npicks: int = 7) -> ScheduleDoc:
@@ -94,7 +94,7 @@ class TestStrictLoading:
     def test_wrong_version(self, tmp_path):
         path = str(tmp_path / "future.json")
         with open(path, "wb") as fh:
-            w = _ChunkWriter(fh)
+            w = ChunkWriter(fh, vtime=0.0)
             w.emit("header", {"schema": SCHEDULE_SCHEMA,
                               "version": SCHEDULE_VERSION + 1,
                               "counts": {}, "final_vclock": 0.0})
@@ -169,7 +169,7 @@ class TestStrictLoading:
         # check must refuse, even though every chunk passed its checksum
         path = str(tmp_path / "short.json")
         with open(path, "wb") as fh:
-            w = _ChunkWriter(fh)
+            w = ChunkWriter(fh, vtime=0.0)
             w.emit("header", {"schema": SCHEDULE_SCHEMA,
                               "version": SCHEDULE_VERSION,
                               "counts": {"picks": 2, "segments": 0,
@@ -187,7 +187,7 @@ class TestStrictLoading:
         # chunk that somehow kept valid seq numbers — still refused
         path = str(tmp_path / "gap.json")
         with open(path, "wb") as fh:
-            w = _ChunkWriter(fh)
+            w = ChunkWriter(fh, vtime=0.0)
             w.emit("header", {"schema": SCHEDULE_SCHEMA,
                               "version": SCHEDULE_VERSION,
                               "counts": {"picks": 4, "segments": 0,
@@ -195,5 +195,34 @@ class TestStrictLoading:
                                          "rng_streams": 0},
                               "final_vclock": 0.0})
             w.emit("picks", {"start": 2, "picks": [0, 1]})
-        with pytest.raises(ScheduleCorruptionError, match="element"):
+        with pytest.raises(ScheduleCorruptionError, match="element") as exc:
             load_schedule(path)
+        assert exc.value.chunk_seq == 1
+
+    @pytest.mark.parametrize("kind,payload,reason", [
+        ("header", {"counts": [1]}, "'counts' has type list"),
+        ("header", {"final_vclock": "99"}, "'final_vclock' has type str"),
+        ("picks", {"start": None}, "'start' is missing"),
+        ("picks", {"picks": 7}, "'picks' has type int"),
+        ("segments", {"start": True}, "'start' has type bool"),
+        ("rng", {"draws": [["omp.steal", 3]]}, "'draws' has type list"),
+    ])
+    def test_payload_without_its_fields_is_corruption(self, tmp_path, kind,
+                                                      payload, reason):
+        """A CRC-valid chunk whose payload lacks a field its kind needs, or
+        holds one of another type, used to raise ``KeyError`` or
+        ``TypeError`` from the loader."""
+        path = tmp_path / "s.json"
+        save_schedule(make_doc(), str(path))
+        lines = path.read_bytes().splitlines()
+        seq, doc = next((i, json.loads(line)) for i, line in enumerate(lines)
+                        if json.loads(line)["kind"] == kind)
+        doc["payload"].update(payload)            # None drops the field
+        doc["payload"] = {k: v for k, v in doc["payload"].items()
+                          if v is not None}
+        doc["crc"] = payload_crc(doc["payload"])
+        lines[seq] = json.dumps(doc).encode()
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ScheduleCorruptionError, match=reason) as exc:
+            load_schedule(str(path))
+        assert exc.value.chunk_seq == seq

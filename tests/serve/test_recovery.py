@@ -20,6 +20,7 @@ from repro.faults.plan import FaultPlan
 from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.serve.durable import ChunkStore, DurableLog, replay_wal
 from repro.serve.wal import read_wal
+from repro.util.chunks import canonical_json, payload_crc
 
 
 def _config(state_dir) -> ServeConfig:
@@ -270,6 +271,57 @@ class TestCleanVsCrash:
             job = srv.service.pool.get(job_id)
             assert job.state == "done"      # terminal record was journaled
             assert srv.service.durable.recovered.requeue_jobs == []
+        finally:
+            srv.stop()
+
+
+class TestMalformedRecords:
+    """A CRC-valid journal record whose payload lacks a field its kind
+    needs, or holds one of another type, ends the trusted prefix like a
+    torn line.  It used to raise ``KeyError``/``TypeError`` out of
+    ``DurableLog`` and stop the server from starting."""
+
+    @pytest.mark.parametrize("kind,payload", [
+        ("upload-created", {}),
+        ("job-enqueued", {"job_id": "j9", "trace_id": "t1",
+                          "content_hash": "0" * 64, "params": [1]}),
+    ], ids=["upload-without-id", "params-not-an-object"])
+    def test_server_restarts_on_the_prefix(self, state_dir, trace_lines,
+                                           kind, payload):
+        srv = ServerThread(_config(state_dir)).start()
+        try:
+            with ServeClient(srv.base_url) as client:
+                trace_id, ack = client.upload_trace(trace_lines)
+                job_id = client.analyze(trace_id)
+                assert client.wait(job_id, timeout=60.0)["state"] == "done"
+        finally:
+            srv.kill()
+        wal = state_dir / "wal.jsonl"
+        seq = len(wal.read_bytes().splitlines())
+        with open(wal, "ab") as fh:
+            # the malformed record, then an intact one past it
+            for rec in ((kind, payload),
+                        ("upload-created", {"trace_id": "t77"})):
+                fh.write(canonical_json({
+                    "seq": seq, "kind": rec[0], "crc": payload_crc(rec[1]),
+                    "payload": rec[1]}) + b"\n")
+                seq += 1
+
+        srv = ServerThread(_config(state_dir)).start()
+        try:
+            recovered = srv.service.durable.recovered
+            assert recovered.dropped_records == 2
+            assert any(f"record line {seq - 2}: payload field" in e
+                       for e in recovered.errors)
+            assert not recovered.clean
+            # the earlier state, and nothing past the damage
+            assert set(recovered.uploads) == {trace_id}
+            assert set(recovered.jobs) == {job_id}
+            with ServeClient(srv.base_url) as client:
+                doc = client.trace_status(trace_id)
+                assert doc["state"] == "complete"
+                assert doc["content_hash"] == ack["content_hash"]
+                assert client.job(job_id)["state"] == "done"
         finally:
             srv.stop()
 

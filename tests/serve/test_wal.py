@@ -11,13 +11,13 @@ import os
 
 import pytest
 
-from repro.core.trace import _payload_crc
 from repro.errors import InjectedFault, StateDirError
 from repro.faults.inject import inject_plan
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import get_registry
 from repro.serve.durable import ChunkStore
 from repro.serve.wal import (WAL_SCHEMA, WAL_VERSION, WalWriter, read_wal)
+from repro.util.chunks import payload_crc
 
 
 def _open_writer(tmp_path, **kw):
@@ -65,7 +65,7 @@ class TestWriterReaderRoundTrip:
         path = str(tmp_path / "wal.jsonl")
         payload = {"schema": "somebody-elses-journal/9", "version": 9}
         doc = {"seq": 0, "kind": "header",
-               "crc": _payload_crc(payload), "payload": payload}
+               "crc": payload_crc(payload), "payload": payload}
         with open(path, "w") as fh:
             fh.write(json.dumps(doc, sort_keys=True,
                                 separators=(",", ":")) + "\n")
@@ -113,7 +113,7 @@ class TestSalvagePrefix:
         w.close()
         payload = {"trace_id": "t9"}
         doc = {"seq": 7, "kind": "upload-created",
-               "crc": _payload_crc(payload), "payload": payload}
+               "crc": payload_crc(payload), "payload": payload}
         with open(path, "ab") as fh:
             fh.write(json.dumps(doc, sort_keys=True,
                                 separators=(",", ":")).encode() + b"\n")
