@@ -23,7 +23,7 @@ from typing import Dict, List
 from repro.baselines.tsan import TsanCore, TsanRace
 from repro.machine.cost import ToolCost
 from repro.openmp.ompt import OmptObserver, SyncKind
-from repro.vex.events import AccessEvent, FreeEvent
+from repro.vex.events import FreeEvent
 from repro.vex.tool import Tool
 
 
@@ -173,20 +173,19 @@ class ArcherTool(Tool):
     def make_ompt_shim(self) -> ArcherOmptShim:
         return ArcherOmptShim(self)
 
-    def on_access(self, event: AccessEvent) -> None:
-        if event.atomic:
+    def on_access(self, thread_id: int, addr: int, size: int,
+                  is_write: bool, symbol, loc, site, atomic: bool) -> None:
+        if atomic:
             return                      # atomics are synchronisation, not races
         if self.machine.scheduler.peak_live > 1:
             cost = self.machine.cost
             cost.clock.charge(self.machine.scheduler.maybe_current(),
-                              cost.params.access_ops(event.size)
+                              cost.params.access_ops(size)
                               * self.MT_CONTENTION_FACTOR)
-        if event.is_write:
-            self.core.on_write(event.thread_id, event.addr, event.end,
-                               event.loc)
+        if is_write:
+            self.core.on_write(thread_id, addr, addr + size, loc)
         else:
-            self.core.on_read(event.thread_id, event.addr, event.end,
-                              event.loc)
+            self.core.on_read(thread_id, addr, addr + size, loc)
 
     def on_free(self, event: FreeEvent) -> None:
         if not event.retained:

@@ -29,7 +29,7 @@ from repro.errors import GuestCrash
 from repro.machine.cost import ToolCost
 from repro.machine.memory import RegionKind
 from repro.util.intervals import IntervalSet
-from repro.vex.events import AccessEvent, FreeEvent
+from repro.vex.events import FreeEvent
 from repro.vex.tool import Tool
 
 #: bytes per access-history record (no compaction!)
@@ -126,21 +126,21 @@ class RompTool(Tool):
                 return True
         return False
 
-    def on_access(self, event: AccessEvent) -> None:
-        if event.symbol.name in self.RUNTIME_AWARE_SYMBOLS:
+    def on_access(self, thread_id: int, addr: int, size: int,
+                  is_write: bool, symbol, loc, site, atomic: bool) -> None:
+        if symbol.name in self.RUNTIME_AWARE_SYMBOLS:
             return                      # capture reads modeled precisely
-        if event.symbol.name.startswith("__kmp"):
+        if symbol.name.startswith("__kmp"):
             return                      # runtime internals: ROMP knows them
-        if self._arena_lookup(event.addr):
+        if self._arena_lookup(addr):
             return                      # runtime-owned descriptors excluded
-        self.history_records += max(1, event.size // 8) * RETOUCH_FACTOR
+        self.history_records += max(1, size // 8) * RETOUCH_FACTOR
         if self.history_records * HISTORY_RECORD_BYTES > self.memory_cap:
             raise GuestCrash(self.name,
                              "access history exhausted memory "
                              f"({self.history_records} records)")
-        self.builder.record_access(event.thread_id,
-                                   self._virtualize(event.addr), event.size,
-                                   event.is_write, event.loc)
+        self.builder.record_access(thread_id, self._virtualize(addr), size,
+                                   is_write, loc)
 
     # -- analysis + coarse suppressions ----------------------------------------------
 

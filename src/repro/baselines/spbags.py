@@ -31,7 +31,6 @@ from repro.cilk.runtime import CilkEnv, CilkFrame, CilkObserver
 from repro.errors import ToolError
 from repro.machine.cost import ToolCost
 from repro.machine.debuginfo import SourceLocation
-from repro.vex.events import AccessEvent
 from repro.vex.tool import Tool
 
 
@@ -177,32 +176,32 @@ class SpBagsTool(Tool, CilkObserver):
             return None
         return self.bags.frame_node(self._current[-1].fid)
 
-    def on_access(self, event: AccessEvent) -> None:
+    def on_access(self, thread_id: int, addr: int, size: int,
+                  is_write: bool, symbol, loc, site, atomic: bool) -> None:
         node = self._frame_node()
         if node is None:
             return
-        lo, hi = event.addr, event.end
+        lo, hi = addr, addr + size
 
         def upd(cell: Optional[_Cell]) -> _Cell:
             cell = _Cell() if cell is None else cell.clone()
-            if event.is_write:
+            if is_write:
                 if cell.reader is not None and \
                         self.bags.kind_of(cell.reader) == "P":
-                    self.races.append(SpBagsRace(lo, hi, "rw",
-                                                 event.loc))
+                    self.races.append(SpBagsRace(lo, hi, "rw", loc))
                 if cell.writer is not None and \
                         self.bags.kind_of(cell.writer) == "P":
-                    self.races.append(SpBagsRace(lo, hi, "ww", event.loc))
+                    self.races.append(SpBagsRace(lo, hi, "ww", loc))
                 cell.writer = node
-                cell.writer_loc = event.loc
+                cell.writer_loc = loc
             else:
                 if cell.writer is not None and \
                         self.bags.kind_of(cell.writer) == "P":
-                    self.races.append(SpBagsRace(lo, hi, "wr", event.loc))
+                    self.races.append(SpBagsRace(lo, hi, "wr", loc))
                 if cell.reader is None or \
                         self.bags.kind_of(cell.reader) == "S":
                     cell.reader = node
-                    cell.reader_loc = event.loc
+                    cell.reader_loc = loc
             return cell
 
         self.shadow.update(lo, hi, upd)

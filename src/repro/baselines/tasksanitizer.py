@@ -26,7 +26,7 @@ from repro.core.segments import SegmentBuilder, SegmentModelConfig
 from repro.errors import NoCompilerSupport
 from repro.machine.cost import ToolCost
 from repro.openmp.ompt import OmptObserver, SyncKind
-from repro.vex.events import AccessEvent, FreeEvent
+from repro.vex.events import FreeEvent
 from repro.vex.tool import Tool
 
 #: Virtual-address stride separating allocation epochs (coloring).
@@ -165,10 +165,10 @@ class TaskSanitizerTool(Tool):
 
     # -- accesses --------------------------------------------------------------------
 
-    def on_access(self, event: AccessEvent) -> None:
-        self.builder.record_access(event.thread_id,
-                                   self._virtualize(event.addr), event.size,
-                                   event.is_write, event.loc)
+    def on_access(self, thread_id: int, addr: int, size: int,
+                  is_write: bool, symbol, loc, site, atomic: bool) -> None:
+        self.builder.record_access(thread_id, self._virtualize(addr), size,
+                                   is_write, loc)
 
     # -- analysis --------------------------------------------------------------------
 

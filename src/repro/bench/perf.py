@@ -141,11 +141,11 @@ def expand_elements(stream: List[Tuple[int, int, int, bool]],
 
 def _replay_tool(events: List[Tuple[int, int, int, bool]], *, sync: bool
                  ) -> Tuple[float, TaskgrindTool]:
-    """Replay the captured stream through a real tool's raw access path.
+    """Replay the captured stream through a real tool's access handler.
 
     This times exactly the work ``record_mode="sync"`` elides: the stream
-    goes through :meth:`TaskgrindTool.on_access_raw` — symbol filter,
-    budget check, write-combining recorder — in full mode, and through the
+    goes through :meth:`TaskgrindTool.on_access` — symbol filter, budget
+    check, write-combining recorder — in full mode, and through the
     rebound counter-bump handler in sync mode.  The segment id from the
     capture doubles as the thread id, so the full-mode replay keeps the
     capture's per-segment partitioning.
@@ -156,10 +156,10 @@ def _replay_tool(events: List[Tuple[int, int, int, bool]], *, sync: bool
     tool = TaskgrindTool(opts)
     machine.add_tool(tool)
     symbol = Symbol("bench_stream", file="bench.c")
-    on_access_raw = tool.on_access_raw
+    on_access = tool.on_access
     t0 = time.perf_counter()
     for sid, addr, size, w in events:
-        on_access_raw(sid, addr, size, w, symbol, None)
+        on_access(sid, addr, size, w, symbol, None, None, False)
     for seg in tool.builder.graph.segments:
         seg.flush_accesses()
     return time.perf_counter() - t0, tool

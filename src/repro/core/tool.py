@@ -44,7 +44,6 @@ from repro.obs.metrics import get_registry
 from repro.obs.prof import get_profiler
 from repro.obs.tracer import get_tracer
 from repro.vex.elide import ElisionPlan
-from repro.vex.events import AccessEvent
 from repro.vex.tool import Tool
 
 #: prebound attribution profiler — the access hot paths below guard every
@@ -99,13 +98,11 @@ class TaskgrindTool(Tool):
 
     name = "taskgrind"
     is_dbi = True
-    # raw dispatch into the write-combining recorder; the hub still routes
-    # atomic accesses through on_access
-    fast_path = True
     # ~100x single-thread slowdown and the Valgrind big lock (serialized
-    # client); translation charged once per symbol (JIT to VEX IR).  The
-    # write-combining fast path charges a cheaper per-access factor (most
-    # accesses hit the direct-mapped recorder cache instead of the trees).
+    # client); translation charged once per symbol (JIT to VEX IR).  Plain
+    # accesses charge a cheaper per-access factor than atomic ones (most
+    # hit the write-combining recorder's direct-mapped cache instead of
+    # the trees).
     cost = ToolCost(access_factor=117.0, compute_factor=20.0,
                     translation_ops=200_000.0,
                     serialize=True, bytes_per_tree_node=64,
@@ -127,8 +124,6 @@ class TaskgrindTool(Tool):
         self.raw_candidates: int = 0
         self.filtered_accesses = 0
         self.recorded_accesses = 0
-        self.fast_accesses = 0          # via on_access_raw (no event object)
-        self.legacy_accesses = 0        # via on_access (AccessEvent path)
         self.file_suppressed = 0
         self._symbol_filtered: dict = {}       # symbol name -> filtered?
         #: supervised-analysis coverage of the last finalize
@@ -140,8 +135,8 @@ class TaskgrindTool(Tool):
         #: sync-only recording (two-phase first pass): the hub still
         #: dispatches every access here — keeping the cost-model charges,
         #: and therefore the schedule, identical to a full run — but the
-        #: handlers are rebound to a counter bump, skipping the symbol
-        #: memo, budget check and tree insert entirely
+        #: handler is rebound to a counter bump, skipping the symbol memo,
+        #: budget check and tree insert entirely
         self.sync_only = self.options.record_mode == "sync"
         self.sync_skipped = 0
         if self.options.record_mode not in ("full", "sync"):
@@ -149,7 +144,6 @@ class TaskgrindTool(Tool):
                 f"unknown record_mode {self.options.record_mode!r}")
         if self.sync_only:
             self.on_access = self._on_access_sync
-            self.on_access_raw = self._on_access_raw_sync
         #: partial-replay scope + its accounting
         self.replay_filter = self.options.replay_filter
         self.filter_recorded = 0        # accesses recorded (possibly clipped)
@@ -250,34 +244,12 @@ class TaskgrindTool(Tool):
 
     # -- access recording ------------------------------------------------------------
 
-    def on_access(self, event: AccessEvent) -> None:
-        if event.site is not None:
+    def on_access(self, thread_id: int, addr: int, size: int,
+                  is_write: bool, symbol, loc, site, atomic: bool) -> None:
+        """Record one observed access, atomic or not, into its segment."""
+        if site is not None:
             # statically elided: the declaration already proved the runtime
             # suppression verdict, so the access never enters the trees
-            self.elision.note(event.site)
-            if _PROF.enabled:
-                _PROF.hint_access("elide.noop")
-            return
-        if self.suppressor.symbol_filtered(event.symbol.name):
-            self.filtered_accesses += 1
-            if _PROF.enabled:
-                _PROF.hint_access("suppress.symbol-filter")
-            return
-        if self.replay_filter is not None \
-                and self.replay_filter.filters_addresses:
-            self._record_clipped(event.thread_id, event.addr, event.size,
-                                 event.is_write, event.loc, legacy=True)
-            return
-        self.recorded_accesses += 1
-        self.legacy_accesses += 1
-        if self._budget_active:
-            self._check_memory_budget()
-        self.builder.record_access(event.thread_id, event.addr, event.size,
-                                   event.is_write, event.loc)
-
-    def on_access_raw(self, thread_id: int, addr: int, size: int,
-                      is_write: bool, symbol, loc, site=None) -> None:
-        if site is not None:
             self.elision.note(site)
             if _PROF.enabled:
                 _PROF.hint_access("elide.noop")
@@ -298,13 +270,12 @@ class TaskgrindTool(Tool):
             self._record_clipped(thread_id, addr, size, is_write, loc)
             return
         self.recorded_accesses += 1
-        self.fast_accesses += 1
         if self._budget_active:
             self._check_memory_budget()
         self.builder.record_access(thread_id, addr, size, is_write, loc)
 
     def _record_clipped(self, thread_id: int, addr: int, size: int,
-                        is_write: bool, loc, legacy: bool = False) -> None:
+                        is_write: bool, loc) -> None:
         """Partial replay: record only the bytes inside the filter scope.
 
         Clipping (rather than dropping whole accesses) keeps the recorded
@@ -319,10 +290,6 @@ class TaskgrindTool(Tool):
             return
         self.recorded_accesses += 1
         self.filter_recorded += 1
-        if legacy:
-            self.legacy_accesses += 1
-        else:
-            self.fast_accesses += 1
         if self._budget_active:
             self._check_memory_budget()
         for lo, hi in spans:
@@ -331,14 +298,9 @@ class TaskgrindTool(Tool):
 
     # -- sync-only recording (two-phase first pass) -----------------------------
 
-    def _on_access_sync(self, event: AccessEvent) -> None:
-        self.sync_skipped += 1
-        if _PROF.enabled:
-            _PROF.hint_access("record.sync-skip")
-
-    def _on_access_raw_sync(self, thread_id: int, addr: int, size: int,
-                            is_write: bool, symbol, loc,
-                            site=None) -> None:
+    def _on_access_sync(self, thread_id: int, addr: int, size: int,
+                        is_write: bool, symbol, loc, site,
+                        atomic: bool) -> None:
         self.sync_skipped += 1
         if _PROF.enabled:
             _PROF.hint_access("record.sync-skip")
@@ -447,8 +409,6 @@ class TaskgrindTool(Tool):
                 "mode": self.options.record_mode,
                 "recorded_accesses": self.recorded_accesses,
                 "filtered_accesses": self.filtered_accesses,
-                "fast_accesses": self.fast_accesses,
-                "legacy_accesses": self.legacy_accesses,
                 "sync_skipped_accesses": self.sync_skipped,
             },
         }

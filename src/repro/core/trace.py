@@ -538,7 +538,8 @@ def _assemble_v2(chunks: List[_RawChunk],
         if c.kind != "segments":
             continue
         start = ends[-1] if ends else 0
-        if not broken and c.payload.get("start") == start:
+        got = c.payload.get("start")
+        if not broken and got == start:
             try:
                 end = start + len(c.payload["segments"])
                 chunk_pairs = _edge_pairs(c.payload.get("edges", []), end)
@@ -549,6 +550,11 @@ def _assemble_v2(chunks: List[_RawChunk],
                 runs.append(c)
                 ends.append(end)
                 continue
+        elif not broken:
+            gap = f"; segment ids {start}..{got - 1} are missing" \
+                if type(got) is int and got > start else ""
+            _lose(cov, c, f"segment chunk {c.seq}: starts at id {got!r} "
+                          f"where {start} was due{gap}")
         # a chunk before this one was lost (ids would no longer be dense),
         # or this one is damaged: everything from here on is unrecoverable
         broken = True
@@ -570,8 +576,11 @@ def _assemble_v2(chunks: List[_RawChunk],
                           f"id {len(graph.segments) - 1}: {exc!r}")
             break
     n = cov.segments_recovered = len(graph.segments)
-    if cov.segments_total is not None and n < cov.segments_total:
+    total = cov.segments_total
+    if total is not None and n < total:
         cov.complete = False
+        cov.errors.append(f"{total - n} of the header's {total} segments "
+                          f"missing (ids {n}..{total - 1})")
     for src, dst in pairs:
         if src < n and dst < n:
             graph.add_edge(graph.segments[src], graph.segments[dst])

@@ -80,10 +80,9 @@ class ToolCost:
     bytes_per_shadow_range: int = 0
     bytes_per_tree_node: int = 64
     bytes_per_segment: int = 0
-    #: when set, observed accesses dispatched through the tool's *raw* fast
-    #: path (write-combining recorder, no event object) charge this factor
-    #: instead of ``access_factor`` — the cheaper instrumented-access cost of
-    #: the batched recorder
+    #: when set, observed *non-atomic* accesses charge this factor instead
+    #: of ``access_factor`` — the cheaper instrumented-access cost of a
+    #: write-combining recorder; atomic ones keep ``access_factor``
     fast_access_factor: Optional[float] = None
 
 
@@ -171,24 +170,24 @@ class CostModel:
     # -- time ------------------------------------------------------------
 
     def charge_access(self, thread, size: int, observed: bool,
-                      fast: bool = False) -> None:
+                      atomic: bool = False) -> None:
         self.counters["accesses"] += 1
         self.counters["access_bytes"] += size
         ops = self.params.access_ops(size)
         if observed:
-            factor = self.tool_cost.access_factor
-            if fast and self.tool_cost.fast_access_factor is not None:
-                factor = self.tool_cost.fast_access_factor
+            factor = self.tool_cost.fast_access_factor
+            if atomic or factor is None:
+                factor = self.tool_cost.access_factor
             ops *= factor
         self.clock.charge(thread, ops)
         prof = self._prof
         if prof is not None:
             if not observed:
                 default = "access.unobserved"
-            elif fast:
-                default = "record.access"
+            elif atomic:
+                default = "record.access.atomic"
             else:
-                default = "record.access.legacy"
+                default = "record.access"
             prof.charge(getattr(thread, "id", -1),
                         prof.take_access_hint(default), ops)
 

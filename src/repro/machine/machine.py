@@ -28,7 +28,7 @@ from repro.machine.tls import TlsRegistry
 from repro.obs.metrics import get_registry
 from repro.util.rng import RngHub
 from repro.vex.client_requests import ClientRequestRouter
-from repro.vex.events import AllocEvent, FreeEvent
+from repro.vex.events import FreeEvent
 from repro.vex.instrument import Instrumentation
 from repro.vex.replacement import ReplacementRegistry
 from repro.vex.tool import Tool
@@ -91,11 +91,10 @@ class Machine:
 
         self.tls = TlsRegistry(self.space)
 
-        self.tools: List[Tool] = []
-        self._tool_cost = None
+        #: the one analysis tool (:meth:`add_tool`), if any
+        self.tool: Optional[Tool] = None
         self.cost: CostModel = CostModel(cost_params)
         self.instrumentation = Instrumentation(self.space, self.cost)
-        self._cost_params = cost_params
         # phases timed while this machine runs report its virtual clock
         self.metrics = get_registry()
         from repro.machine.cost import OPS_PER_SECOND
@@ -130,11 +129,14 @@ class Machine:
     # -- tool management ------------------------------------------------------
 
     def add_tool(self, tool: Tool) -> None:
-        """Attach an analysis tool (must happen before :meth:`run`)."""
-        self.tools.append(tool)
-        self.instrumentation.add_tool(tool)
-        # The most expensive attached tool defines the run's cost behaviour
-        # (the harness attaches at most one real tool per run).
+        """Attach the run's analysis tool (before :meth:`run`).  Like a
+        Valgrind process, a machine carries at most one tool, and it
+        defines the run's cost behaviour."""
+        if self.tool is not None:
+            raise MachineError(f"machine already carries tool "
+                               f"{self.tool.name!r}; cannot add "
+                               f"{tool.name!r}")
+        self.tool = self.instrumentation.tool = tool
         self.cost.tool_cost = tool.cost
         self.cost.clock.serialize = tool.cost.serialize
         tool.attach(self)
@@ -151,8 +153,6 @@ class Machine:
         self.tls.register_thread(t.id)
         self._contexts[t.id] = ThreadContext(
             thread_id=t.id, stack=ThreadStack(self.space, stack_region, t.id))
-        for tool in self.tools:
-            tool.on_thread_start(t.id)
         return t
 
     def current_thread(self) -> SimThread:
@@ -184,25 +184,19 @@ class Machine:
     def globals_bytes(self) -> int:
         return self._globals_cursor - GLOBALS_BASE
 
-    # -- allocator event fan-out ------------------------------------------------------
+    # -- allocator events --------------------------------------------------------------
 
     def _notify_alloc(self, block) -> None:
-        thread = self.scheduler.maybe_current()
-        self.cost.charge_alloc(thread)
-        event = AllocEvent(addr=block.addr, size=block.size,
-                           thread_id=getattr(thread, "id", -1), seq=block.seq,
-                           site=block.alloc_site, stack=block.alloc_stack)
-        for tool in self.tools:
-            tool.on_alloc(event)
+        self.cost.charge_alloc(self.scheduler.maybe_current())
 
     def _notify_free(self, block, retained: bool) -> None:
         thread = self.scheduler.maybe_current()
         self.cost.charge_alloc(thread)
-        event = FreeEvent(addr=block.addr, size=block.size,
-                          thread_id=getattr(thread, "id", -1), seq=block.seq,
-                          retained=retained)
-        for tool in self.tools:
-            tool.on_free(event)
+        if self.tool is not None:
+            self.tool.on_free(FreeEvent(
+                addr=block.addr, size=block.size,
+                thread_id=getattr(thread, "id", -1), seq=block.seq,
+                retained=retained))
 
     # -- run -------------------------------------------------------------------------
 
@@ -239,6 +233,6 @@ class Machine:
             thread_bytes=max(0, self.scheduler.peak_live - 1)
             * PER_THREAD_RSS_BYTES,
         )
-        meter.tool_bytes = sum(tool.memory_bytes(meter.app_bytes)
-                               for tool in self.tools)
+        if self.tool is not None:
+            meter.tool_bytes = self.tool.memory_bytes(meter.app_bytes)
         return meter

@@ -4,9 +4,10 @@ Taskgrind's value proposition is a *known, bounded* heavyweight overhead;
 this module attributes every virtual-time op the cost model charges to a
 two-axis key:
 
-* **instrumentation class** — which part of the tool paid (raw access
-  recording, write-combining hit/spill/flush, HB query, suppression
-  class, elided no-op, translation, scheduling, sync, alloc, ...);
+* **instrumentation class** — which part of the tool paid (plain or
+  atomic access recording, write-combining hit/spill/flush, HB query,
+  suppression class, elided no-op, translation, scheduling, sync,
+  alloc, ...);
 * **guest attribution frame** — where the guest was when it paid: the
   shadow call stack joined with ``;`` (vex SuperBlock symbols included,
   because :meth:`GuestVM.run` executes inside a shadow frame), falling

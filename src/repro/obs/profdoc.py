@@ -16,9 +16,10 @@ friendly; this module is the cold document layer:
   not the traces': there is **no salvage mode**.  A profile with a bad
   checksum or a missing ``end`` would silently misattribute ops, so
   :func:`load_profile` fails fast with :class:`ProfileFormatError` (not
-  a chunk envelope, or a payload without its kind's fields) /
-  :class:`ProfileCorruptionError`.  :func:`validate_profile_doc` is the
-  non-raising variant used by ``repro.obs.tracecheck``.
+  a chunk envelope, a payload without its kind's fields, or a cell of
+  another shape) / :class:`ProfileCorruptionError`.
+  :func:`validate_profile_doc` is the non-raising variant used by
+  ``repro.obs.tracecheck``.
 * **Diffing.**  :func:`diff_profiles` aggregates the virtual-time axis by
   ``(klass, frame)`` (summed over threads), computes per-bucket deltas
   and names the top regressing bucket, so a diff says *why* virtual time
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -43,8 +45,8 @@ from repro.errors import ProfileCorruptionError, ProfileFormatError
 from repro.faults.inject import get_injector
 from repro.obs.prof import PROFILE_SCHEMA, Profiler, format_ops
 from repro.util.chunks import (ChunkError, ChunkWriter, chunk_lines,
-                               decode_chunk, payload_problem, save_atomic,
-                               verify_crc)
+                               decode_chunk, payload_problem, row_fits,
+                               save_atomic, verify_crc)
 
 PROFILE_VERSION = 1
 
@@ -58,6 +60,13 @@ _FIELDS = {
     "counts": {"cells": (list,)},
     "phases": {"phases": (dict,)},
     "meta": {"total_ops": (int, float, type(None))},
+}
+
+#: the types of one cell's fields per cell kind; the last field, the op
+#: or event count, must also be finite and >= 0
+_CELLS = {
+    "vtime": ((int,), (str,), (str,), (int, float)),    # tid klass frame ops
+    "counts": ((str,), (str,), (int,)),                 # klass frame n
 }
 
 
@@ -150,30 +159,14 @@ def _parse(path: str) -> Tuple[dict, List[_Problem]]:
                 break
             doc["schema"] = payload["schema"]
             doc["version"] = payload["version"]
-        elif kind == "vtime":
+        elif kind in _CELLS:
             for cell in payload["cells"]:
-                if not (isinstance(cell, list) and len(cell) == 4):
+                if row_fits(cell, _CELLS[kind]) \
+                        and 0 <= cell[-1] < math.inf:
+                    doc[kind].append(cell)
+                else:
                     problems.append(("format", idx,
-                                     f"malformed vtime cell {cell!r}"))
-                    continue
-                if not isinstance(cell[3], (int, float)) or cell[3] < 0:
-                    problems.append((
-                        "corrupt", idx,
-                        f"negative or non-numeric op count in {cell!r}"))
-                    continue
-                doc["vtime"].append(cell)
-        elif kind == "counts":
-            for cell in payload["cells"]:
-                if not (isinstance(cell, list) and len(cell) == 3):
-                    problems.append(("format", idx,
-                                     f"malformed count cell {cell!r}"))
-                    continue
-                if not isinstance(cell[2], int) or cell[2] < 0:
-                    problems.append((
-                        "corrupt", idx,
-                        f"negative or non-integer count in {cell!r}"))
-                    continue
-                doc["counts"].append(cell)
+                                     f"malformed {kind} cell {cell!r}"))
         elif kind == "phases":
             doc["phases"] = payload["phases"]
         elif kind == "meta":

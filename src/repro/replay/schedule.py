@@ -23,8 +23,9 @@ trace missing its tail still describes real prefix evidence; a schedule
 missing its tail would pin a *different execution* and silently change
 every downstream verdict.  A first line that is not a chunk is a
 ``ScheduleFormatError``; any later framing failure, truncation, a payload
-without the fields its kind needs (:data:`_FIELDS`), or a count mismatch
-is a ``ScheduleCorruptionError``.
+without the fields its kind needs (:data:`_FIELDS`), an element row of
+another shape (:func:`_row_fits`), or a count mismatch is a
+``ScheduleCorruptionError``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from repro.errors import (ScheduleCorruptionError, ScheduleFormatError,
                           ScheduleVersionError)
 from repro.faults.inject import get_injector
 from repro.util.chunks import (ChunkError, ChunkWriter, chunk_lines,
-                               decode_chunk, payload_problem, save_atomic,
-                               verify_crc)
+                               decode_chunk, payload_problem, row_fits,
+                               save_atomic, verify_crc)
 
 SCHEDULE_SCHEMA = "taskgrind-schedule/1"
 SCHEDULE_VERSION = 1
@@ -55,6 +56,21 @@ _FIELDS = {
     **{kind: {"start": (int,), kind: (list,)} for kind in _ELEMENTS},
     "rng": {"draws": (dict,)},
 }
+
+#: the types of one element row's fields, per list-row element stream (a
+#: pick is a bare int thread id)
+_ROWS = {
+    "segments": ((int,), (str,), (bool,), (int, float)),
+    "edges": ((int,), (int,)),
+    "allocs": ((int,), (int,), (int,)),
+}
+
+
+def _row_fits(kind: str, row) -> bool:
+    """Whether one element row has the shape the recorder writes."""
+    if kind == "picks":
+        return type(row) is int
+    return row_fits(row, _ROWS[kind])
 
 
 @dataclass
@@ -159,7 +175,8 @@ def load_schedule(path: str) -> ScheduleDoc:
     :class:`ScheduleVersionError` on a version this replayer does not
     speak, and :class:`ScheduleCorruptionError` on framing or checksum
     failures past the first line, truncation, out-of-order chunks,
-    payloads without their kind's fields, or count mismatches.
+    payloads without their kind's fields, element rows of another shape,
+    or count mismatches.
     """
     try:
         with open(path, "rb") as fh:
@@ -215,6 +232,10 @@ def load_schedule(path: str) -> ScheduleDoc:
                 raise corrupt(f"chunk starts at element {payload['start']}, "
                               f"expected {len(target)} (missing or "
                               "duplicated chunk)")
+            for k, row in enumerate(payload[kind]):
+                if not _row_fits(kind, row):
+                    raise corrupt(f"{kind} chunk: malformed element "
+                                  f"{payload['start'] + k}: {row!r}")
             target.extend(payload[kind])
         elif kind == "rng":
             doc.rng_draws = dict(payload["draws"])

@@ -100,6 +100,14 @@ def payload_problem(payload: dict, fields: Dict[str, tuple]
     return None
 
 
+def row_fits(row, shape: tuple) -> bool:
+    """Whether ``row`` is a list of ``len(shape)`` values, each of an exact
+    type its ``shape`` entry lists (so a bool is not an int here): the
+    check a reader makes on the rows inside a payload's lists."""
+    return type(row) is list and len(row) == len(shape) \
+        and all(type(v) in types for v, types in zip(row, shape))
+
+
 def chunk_lines(data: bytes) -> Iterator[Tuple[int, bytes]]:
     """``(byte offset, stripped line)`` for each non-blank line."""
     offset = 0

@@ -5,7 +5,7 @@ tool plugin inject instrumentation around every load/store.  Here the
 "recompilation" is structural: every guest access performed through
 :class:`repro.machine.program.GuestContext` is funneled through
 :class:`~repro.vex.instrument.Instrumentation`, which dispatches to the
-registered tools — with each tool's *visibility* honoured (a compile-time
+machine's one tool — with the tool's *visibility* honoured (a compile-time
 tool does not observe accesses in symbols that were not compiled with
 instrumentation; a DBI tool observes everything).
 
@@ -18,7 +18,7 @@ The other two Valgrind facilities the paper leans on are here too:
   and IV-B).
 """
 
-from repro.vex.events import AccessEvent, AllocEvent, FreeEvent
+from repro.vex.events import FreeEvent
 from repro.vex.instrument import Instrumentation
 from repro.vex.client_requests import ClientRequestRouter
 from repro.vex.replacement import ReplacementRegistry
@@ -27,7 +27,6 @@ from repro.vex.ir import SuperBlock
 from repro.vex.translate import Assembler, GuestVM
 
 __all__ = [
-    "AccessEvent", "AllocEvent", "FreeEvent",
-    "Instrumentation", "ClientRequestRouter", "ReplacementRegistry", "Tool",
-    "SuperBlock", "Assembler", "GuestVM",
+    "FreeEvent", "Instrumentation", "ClientRequestRouter",
+    "ReplacementRegistry", "Tool", "SuperBlock", "Assembler", "GuestVM",
 ]

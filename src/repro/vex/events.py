@@ -1,58 +1,14 @@
-"""Event records emitted by the instrumentation layer.
+"""Event records the machine hands to its tool.
 
-An :class:`AccessEvent` is the simulated equivalent of one instrumented VEX
-load/store (possibly covering a dense byte range — the same compaction the
-paper's interval trees perform).  It carries everything a tool may condition
-on: the executing simulated thread, the enclosing symbol and its
-instrumentation provenance, and the source location if debug info is present.
+Accesses reach the tool as plain arguments of
+:meth:`repro.vex.tool.Tool.on_access`, one call per access, so no record is
+built on that hot path.  A heap deallocation is rare enough to travel as a
+:class:`FreeEvent`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-from repro.machine.debuginfo import SourceLocation, Symbol
-
-
-@dataclass(frozen=True)
-class AccessEvent:
-    """One guest memory access of ``size`` bytes at ``addr``."""
-
-    addr: int
-    size: int
-    is_write: bool
-    thread_id: int
-    symbol: Symbol                      # enclosing guest function
-    loc: Optional[SourceLocation]       # precise file:line, if any
-    atomic: bool = False                # issued via an atomic construct
-    site: Optional[object] = None       # StaticSite when the access flows
-                                        # through an elided declared handle
-
-    @property
-    def end(self) -> int:
-        return self.addr + self.size
-
-    @property
-    def kind(self) -> str:
-        return "write" if self.is_write else "read"
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        where = f" at {self.loc}" if self.loc else ""
-        return (f"{self.kind}[{self.addr:#x}+{self.size}] "
-                f"t{self.thread_id} in {self.symbol.name}{where}")
-
-
-@dataclass(frozen=True)
-class AllocEvent:
-    """A heap allocation, as seen by the (possibly wrapping) tool."""
-
-    addr: int
-    size: int
-    thread_id: int
-    seq: int
-    site: Optional[SourceLocation]
-    stack: Tuple[SourceLocation, ...]
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ This is the reproduction's stand-in for the VEX JIT loop: the
 for each load/store, and the hub
 
 1. validates the mapping (a bad guest access is a simulated SIGSEGV),
-2. charges simulated time (base cost × the tool's per-access factor when the
-   tool observes the access, plus a one-time translation charge per symbol
-   for DBI tools),
-3. dispatches the event to every attached tool whose visibility covers it.
+2. hands the access to the machine's one tool when the tool's visibility
+   covers it (plus a one-time translation charge per symbol for DBI tools),
+3. charges simulated time: base cost, times the tool's per-access factor
+   when the tool observed the access.
 
 Symbol filtering for Taskgrind's *ignore-list*/*instrument-list*
 (Section IV-A) is deliberately **not** done here: it is tool policy, applied
@@ -19,33 +19,26 @@ instrument.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.machine.cost import CostModel
 from repro.machine.debuginfo import SourceLocation, Symbol
 from repro.machine.memory import AddressSpace
-from repro.vex.events import AccessEvent
 from repro.vex.tool import Tool
 
 
 class Instrumentation:
-    """Access funnel + tool dispatch."""
+    """Access funnel + dispatch to the one attached tool."""
 
     def __init__(self, space: AddressSpace, cost: CostModel) -> None:
         self.space = space
         self.cost = cost
-        self.tools: List[Tool] = []
-        self.enabled = True
+        #: the attached tool (set by :meth:`Machine.add_tool`), if any
+        self.tool: Optional[Tool] = None
+        # hot-path counts, published into the stats doc at snapshot time
         self.access_count = 0
-        self._all_fast = False      # every attached tool accepts raw dispatch
-        # hot-path hit rates, published into the stats doc at snapshot time
-        self.raw_dispatched = 0     # accesses through the no-event fast path
-        self.event_dispatched = 0   # accesses through AccessEvent objects
-        self.unobserved = 0         # accesses no attached tool saw
-
-    def add_tool(self, tool: Tool) -> None:
-        self.tools.append(tool)
-        self._all_fast = all(t.fast_path for t in self.tools)
+        self.dispatched = 0         # accesses the tool observed
+        self.unobserved = 0         # accesses the tool did not see
 
     # -- the hot path -------------------------------------------------------
 
@@ -55,8 +48,8 @@ class Instrumentation:
         """Record one guest access of ``size`` bytes at ``addr``.
 
         ``site`` is the :class:`~repro.vex.elide.StaticSite` token attached
-        to statically-elided access handles; it rides through to the tools,
-        which drop the access before recording (the declaration already
+        to statically-elided access handles; it rides through to the tool,
+        which drops the access before recording (the declaration already
         proved the runtime suppression verdict).
 
         Sync-only recording (``TaskgrindOptions.record_mode="sync"``, the
@@ -68,52 +61,20 @@ class Instrumentation:
         """
         self.space.check_mapped(addr, size, "write" if is_write else "read")
         self.access_count += 1
-        if not self.enabled:
-            self.cost.charge_access(thread, size, observed=False)
-            return
-        if self._all_fast and not atomic:
-            # raw dispatch: no AccessEvent allocation, cheaper access charge
-            observed = False
-            thread_id = getattr(thread, "id", -1)
-            for tool in self.tools:
-                if tool.sees_symbol(symbol):
-                    observed = True
-                    if tool.is_dbi:
-                        self.cost.charge_translation(thread, symbol.name)
-                    tool.on_access_raw(thread_id, addr, size, is_write,
-                                       symbol, loc, site)
-            if observed:
-                self.raw_dispatched += 1
-            else:
-                self.unobserved += 1
-            self.cost.charge_access(thread, size, observed=observed,
-                                    fast=True)
-            return
-        event = AccessEvent(addr=addr, size=size, is_write=is_write,
-                            thread_id=getattr(thread, "id", -1),
-                            symbol=symbol, loc=loc, atomic=atomic,
-                            site=site)
-        observed = False
-        for tool in self.tools:
-            if tool.sees(event):
-                observed = True
-                if tool.is_dbi:
-                    self.cost.charge_translation(thread, symbol.name)
-                tool.on_access(event)
+        tool = self.tool
+        observed = tool is not None and tool.sees(symbol)
         if observed:
-            self.event_dispatched += 1
+            if tool.is_dbi:
+                self.cost.charge_translation(thread, symbol.name)
+            tool.on_access(getattr(thread, "id", -1), addr, size, is_write,
+                           symbol, loc, site, atomic)
+            self.dispatched += 1
         else:
             self.unobserved += 1
-        self.cost.charge_access(thread, size, observed=observed)
+        self.cost.charge_access(thread, size, observed, atomic)
 
     def stats(self) -> dict:
-        """Hub-level dispatch mix for the stats document."""
-        return {
-            "accesses": self.access_count,
-            "raw_dispatched": self.raw_dispatched,
-            "event_dispatched": self.event_dispatched,
-            "unobserved": self.unobserved,
-            # dispatched but not recorded (tools in sync-only record mode)
-            "sync_skipped": sum(getattr(t, "sync_skipped", 0)
-                                for t in self.tools),
-        }
+        """Hub-level dispatch counts for the stats document."""
+        return {"accesses": self.access_count,
+                "dispatched": self.dispatched,
+                "unobserved": self.unobserved}

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.machine.cost import ToolCost
-from repro.vex.events import AccessEvent, AllocEvent, FreeEvent
+from repro.vex.events import FreeEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.machine import Machine
@@ -34,9 +34,6 @@ class Tool:
     name: str = "nulgrind"
     #: True for dynamic *binary* instrumentation: sees every access.
     is_dbi: bool = False
-    #: True when the tool accepts raw access dispatch (:meth:`on_access_raw`)
-    #: — lets the hub skip :class:`AccessEvent` allocation on the hot path.
-    fast_path: bool = False
     #: Simulated time/memory behaviour (see :class:`repro.machine.cost.ToolCost`).
     cost = ToolCost()
 
@@ -58,50 +55,31 @@ class Tool:
         """Wire the tool into the machine before the guest starts."""
         self.machine = machine
 
-    def detach(self) -> None:
-        self.machine = None
-
     def finalize(self) -> List:
         """Post-execution analysis; returns the tool's race reports."""
         return []
 
     # -- visibility ---------------------------------------------------------------
 
-    def sees(self, event: AccessEvent) -> bool:
-        """Whether this tool observes ``event`` (DBI vs compile-time scope)."""
-        return self.is_dbi or event.symbol.instrumented
-
-    def sees_symbol(self, symbol) -> bool:
-        """:meth:`sees` without an event object (the raw fast path)."""
+    def sees(self, symbol) -> bool:
+        """Whether this tool observes accesses in ``symbol`` (DBI vs
+        compile-time scope)."""
         return self.is_dbi or symbol.instrumented
 
     # -- event callbacks --------------------------------------------------------
 
-    def on_access(self, event: AccessEvent) -> None:
-        """Called for every access the tool *sees* (per :meth:`sees`)."""
+    def on_access(self, thread_id: int, addr: int, size: int,
+                  is_write: bool, symbol, loc, site, atomic: bool) -> None:
+        """Called for every access the tool *sees* (per :meth:`sees`).
 
-    def on_access_raw(self, thread_id: int, addr: int, size: int,
-                      is_write: bool, symbol, loc, site=None) -> None:
-        """Raw fast-path observation (only when ``fast_path`` is True).
-
-        Semantically identical to :meth:`on_access` but the hub passes the
-        fields directly instead of allocating an :class:`AccessEvent` per
-        access — the dominant Python-side cost of the hot loop.  ``site``
-        carries the static-elision token of declared private handles (see
-        :mod:`repro.vex.elide`).
+        ``symbol`` is the enclosing guest function, ``loc`` the precise
+        source location if debug info has one, ``site`` the static-elision
+        token of declared private handles (see :mod:`repro.vex.elide`) and
+        ``atomic`` whether an atomic construct issued the access.
         """
-
-    def on_alloc(self, event: AllocEvent) -> None:
-        """Heap allocation (fires for all tools; wrapping is separate)."""
 
     def on_free(self, event: FreeEvent) -> None:
         """Heap deallocation."""
-
-    def on_thread_start(self, thread_id: int) -> None:
-        """A simulated thread came to life."""
-
-    def on_thread_exit(self, thread_id: int) -> None:
-        """A simulated thread finished."""
 
     def memory_bytes(self, app_bytes: int = 0) -> int:
         """Simulated bytes of tool metadata at end of run (for Table II).

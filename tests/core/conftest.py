@@ -102,15 +102,14 @@ def run_with_builder():
             name = "rec"
             is_dbi = True
 
-            def on_access(self, event):
+            def on_access(self, thread_id, addr, size, is_write, symbol,
+                          loc, site, atomic):
                 # mimic Taskgrind's default ignore-list so graph assertions
                 # see only the guest program's own traffic
-                if event.symbol.name.startswith((".omp_task_prologue",
-                                                 "__kmp")):
+                if symbol.name.startswith((".omp_task_prologue", "__kmp")):
                     return
-                obs.builder.record_access(event.thread_id, event.addr,
-                                          event.size, event.is_write,
-                                          event.loc)
+                obs.builder.record_access(thread_id, addr, size, is_write,
+                                          loc)
 
         machine.add_tool(Rec())
 

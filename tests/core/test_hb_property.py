@@ -72,13 +72,12 @@ class TestHbShapeProperties:
             name = "rec"
             is_dbi = True
 
-            def on_access(self, event):
-                if event.symbol.name.startswith((".omp_task_prologue",
-                                                 "__kmp")):
+            def on_access(self, thread_id, addr, size, is_write, symbol,
+                          loc, site, atomic):
+                if symbol.name.startswith((".omp_task_prologue", "__kmp")):
                     return
-                obs.builder.record_access(event.thread_id, event.addr,
-                                          event.size, event.is_write,
-                                          event.loc)
+                obs.builder.record_access(thread_id, addr, size, is_write,
+                                          loc)
 
         machine.add_tool(Rec())
 

@@ -223,20 +223,68 @@ class TestMalformedSegments:
         assert json.loads(out.stdout) == [False, 1]
 
 
+@pytest.fixture
+def chunked(run_taskgrind, tmp_path):
+    """The racy listing saved four segments to a chunk: five segment
+    chunks, the racers in the second and third."""
+    tool, machine = run_taskgrind(racy_listing)
+    path = tmp_path / "chunked.json"
+    save_trace(tool, machine, str(path), chunk_segments=4)
+    return str(path), tool
+
+
+class TestLostSegmentChunk:
+    """A whole segment chunk missing from an otherwise intact stream is
+    named: by the next segment chunk, whose ids no longer follow on, or,
+    when the lost chunks were the last ones, by the header's total.  Both
+    used to leave strict mode with "at byte offset -1: incomplete trace"."""
+
+    def _without(self, chunked, tmp_path, which):
+        """The chunked trace minus its ``which``-th segment chunk line:
+        ``(damaged path, parsed chunks of the intact file, line indexes of
+        its segment chunks)``."""
+        path, _ = chunked
+        lines = open(path).read().splitlines()
+        docs = [json.loads(line) for line in lines]
+        segs = [i for i, d in enumerate(docs) if d["kind"] == "segments"]
+        del lines[segs[which]]
+        return _damaged(tmp_path, lines), docs, segs
+
+    def test_gap_names_the_missing_ids(self, chunked, tmp_path):
+        bad, docs, segs = self._without(chunked, tmp_path, 1)
+        assert [docs[i]["payload"]["start"] for i in segs[:3]] == [0, 4, 8]
+        after = docs[segs[2]]["seq"]        # now on line segs[1]
+        cov = load_trace_salvaged(bad).coverage
+        assert cov.segments_recovered == 4             # the same prefix
+        assert f"segment chunk {after}: starts at id 8 where 4 was due; " \
+            "segment ids 4..7 are missing" in cov.errors
+        assert (cov.first_bad_chunk, cov.first_bad_byte) \
+            == (after, _offset_of(bad, segs[1]))
+        with pytest.raises(TraceCorruptionError,
+                           match="segment ids 4..7 are missing") as exc:
+            analyze_trace(bad, strict=True)
+        assert (exc.value.chunk_seq, exc.value.byte_offset) \
+            == (after, _offset_of(bad, segs[1]))
+
+    def test_lost_tail_names_the_missing_count(self, chunked, tmp_path):
+        bad, docs, segs = self._without(chunked, tmp_path, -1)
+        total = docs[0]["payload"]["segments"]
+        start = docs[segs[-1]]["payload"]["start"]
+        cov = load_trace_salvaged(bad).coverage
+        assert cov.segments_recovered == start == 16   # the same prefix
+        missing = f"{total - start} of the header's {total} segments " \
+            f"missing (ids {start}..{total - 1})"
+        assert missing in cov.errors
+        with pytest.raises(TraceCorruptionError,
+                           match=r"segments missing \(ids 16\.\."):
+            analyze_trace(bad, strict=True)
+
+
 class TestMalformedEdges:
     """A CRC-valid segment chunk whose edges the writer could not have
     emitted (not two non-bool ids inside the chunk's prefix, or closing a
     cycle) is lost whole with everything after it, so no edge is dropped
-    without losing an endpoint."""
-
-    @pytest.fixture
-    def chunked(self, run_taskgrind, tmp_path):
-        """The racy listing saved four segments to a chunk: five chunks,
-        the racers in the second and third, the damage in the last."""
-        tool, machine = run_taskgrind(racy_listing)
-        path = tmp_path / "chunked.json"
-        save_trace(tool, machine, str(path), chunk_segments=4)
-        return str(path), tool
+    without losing an endpoint.  The damage goes in the last chunk."""
 
     @pytest.mark.parametrize("strict", [False, True],
                              ids=["salvage", "strict"])

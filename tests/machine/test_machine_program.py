@@ -1,15 +1,21 @@
 """Integration tests: Machine + GuestContext + instrumentation funnel."""
 
+from collections import namedtuple
+
 import pytest
 
-from repro.errors import SegmentationFault
+from repro.errors import MachineError, SegmentationFault
 from repro.machine.machine import Machine
 from repro.machine.program import GuestContext
-from repro.vex.tool import Tool
+from repro.vex.tool import NullTool, Tool
+
+#: the arguments of one ``Tool.on_access`` call
+Access = namedtuple("Access", "thread_id addr size is_write symbol loc site "
+                              "atomic")
 
 
 class RecordingTool(Tool):
-    """Captures every event for assertions."""
+    """Captures every access and free for assertions."""
 
     name = "recorder"
 
@@ -17,21 +23,13 @@ class RecordingTool(Tool):
         super().__init__()
         self.is_dbi = dbi
         self.accesses = []
-        self.allocs = []
         self.frees = []
-        self.threads = []
 
-    def on_access(self, e):
-        self.accesses.append(e)
-
-    def on_alloc(self, e):
-        self.allocs.append(e)
+    def on_access(self, *access):
+        self.accesses.append(Access(*access))
 
     def on_free(self, e):
         self.frees.append(e)
-
-    def on_thread_start(self, tid):
-        self.threads.append(tid)
 
 
 def run_program(body, tool=None, seed=0):
@@ -62,20 +60,18 @@ def test_basic_heap_access_events():
 
 
 def test_alloc_event_has_stack_trace():
-    tool = RecordingTool()
-
     def body(ctx):
         with ctx.function("main", line=1):
             ctx.line(10)
             with ctx.function("helper", line=20):
                 ctx.malloc(16, line=22)
 
-    run_program(body, tool)
-    (alloc,) = tool.allocs
-    assert alloc.site.line == 22
-    names = [loc.function for loc in alloc.stack]
+    m = run_program(body, RecordingTool())
+    (block,) = m.allocator.all_blocks
+    assert block.alloc_site.line == 22
+    names = [loc.function for loc in block.alloc_stack]
     assert names == ["main", "helper"]
-    assert [loc.line for loc in alloc.stack] == [10, 22]
+    assert [loc.line for loc in block.alloc_stack] == [10, 22]
 
 
 def test_free_event_and_recycling_visible():
@@ -96,7 +92,6 @@ def test_compile_time_tool_misses_uninstrumented_symbols():
     """The core DBI-vs-compile-time mechanism."""
     dbi = RecordingTool(dbi=True)
     ct = RecordingTool(dbi=False)
-    ct.name = "compile-time"
 
     def body(ctx):
         with ctx.function("main", line=1):
@@ -106,14 +101,20 @@ def test_compile_time_tool_misses_uninstrumented_symbols():
                               library="libomp.so"):
                 x.write(0)     # runtime-internal access
 
-    m = Machine()
-    m.add_tool(dbi)
-    m.add_tool(ct)
-    ctx = GuestContext(m)
-    m.run(lambda: body(ctx))
+    run_program(body, dbi)
+    run_program(body, ct)
     assert len(dbi.accesses) == 2
     assert len(ct.accesses) == 1
     assert ct.accesses[0].symbol.name == "main"
+
+
+def test_machine_carries_one_tool():
+    m = Machine()
+    tool = RecordingTool()
+    m.add_tool(tool)
+    with pytest.raises(MachineError, match="already carries tool"):
+        m.add_tool(NullTool())
+    assert m.tool is tool and m.instrumentation.tool is tool
 
 
 def test_stack_vars_alias_across_sequential_calls():
@@ -216,13 +217,3 @@ def test_memory_meter_accounts_everything():
     assert meter.globals_bytes >= 256
     assert meter.tls_bytes > 0        # thread 0's TCB + static block
     assert meter.total_bytes == meter.app_bytes  # no tool memory
-
-
-def test_thread_start_callback_fires():
-    tool = RecordingTool()
-
-    def body(ctx):
-        pass
-
-    run_program(body, tool)
-    assert tool.threads == [0]

@@ -1,11 +1,17 @@
 """Edge-case tests for the guest programming API (Buffer, GuestContext)."""
 
+from collections import namedtuple
+
 import pytest
 
 from repro.errors import MachineError
 from repro.machine.machine import Machine
 from repro.machine.program import GuestContext
 from repro.vex.tool import Tool
+
+#: the arguments of one ``Tool.on_access`` call
+Access = namedtuple("Access", "thread_id addr size is_write symbol loc site "
+                              "atomic")
 
 
 class Capture(Tool):
@@ -16,8 +22,8 @@ class Capture(Tool):
         super().__init__()
         self.events = []
 
-    def on_access(self, e):
-        self.events.append(e)
+    def on_access(self, *access):
+        self.events.append(Access(*access))
 
 
 def run(body, tool=None):

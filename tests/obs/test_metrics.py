@@ -205,11 +205,14 @@ class TestStatsDocuments:
         assert doc["schema"] == "taskgrind-stats/1"
         rec = doc["record"]
         for key in ("mode", "recorded_accesses", "filtered_accesses",
-                    "fast_accesses", "legacy_accesses", "hub"):
+                    "sync_skipped_accesses", "hub"):
             assert key in rec, f"missing record.{key}"
         assert rec["recorded_accesses"] > 0
-        assert rec["fast_accesses"] + rec["legacy_accesses"] \
-            == rec["recorded_accesses"]
+        hub = rec["hub"]
+        assert set(hub) == {"accesses", "dispatched", "unobserved"}
+        # a DBI tool observes every access the guest makes
+        assert hub["dispatched"] == hub["accesses"] > 0
+        assert hub["unobserved"] == 0
         assert doc["virtual"]["makespan_ops"] > 0
         assert doc["virtual"]["seconds"] > 0
         graph = doc["graph"]
@@ -217,7 +220,7 @@ class TestStatsDocuments:
             assert key in graph, f"missing graph.{key}"
         assert graph["queries"]["label"] == 0
         for key in ("fast_path", "hb_mode", "hb_exact", "hb_inexact_reason",
-                    "hb_relabels"):
+                    "hb_relabels", "fast_accesses", "legacy_accesses"):
             assert key not in rec and key not in graph, key
         for key in ("mode", "kernel"):
             assert key not in doc["analysis"], key

@@ -298,6 +298,46 @@ class TestProfileDoc:
         with pytest.raises(ProfileFormatError):
             load_profile(str(path))
 
+    @pytest.mark.parametrize("kind,cell", [
+        ("vtime", [0, ["x"], "main", 1.0]),
+        ("vtime", [0, "compute", None, 1.0]),
+        ("vtime", ["0", "compute", "main", 1.0]),
+        ("vtime", [0, "compute", "main", -1.0]),
+        ("vtime", [0, "compute", "main", float("inf")]),
+        ("vtime", [0, "compute", "main", True]),
+        ("vtime", [0, "compute", "main"]),
+        ("counts", [["hb"], NO_FRAME, 2]),
+        ("counts", ["hb.query.label", 7, 2]),
+        ("counts", ["hb.query.label", NO_FRAME, 2.5]),
+        ("counts", ["hb.query.label", NO_FRAME, -2]),
+        ("counts", "hb.query.label"),
+    ], ids=["list-class", "null-frame", "string-tid", "negative-ops",
+            "infinite-ops", "bool-ops", "short", "list-class-count",
+            "int-frame", "float-count", "negative-count", "not-a-list"])
+    def test_malformed_cell_is_a_format_problem(self, prof, tmp_path,
+                                                capsys, kind, cell):
+        """A CRC-valid cell of another shape used to pass ``profile
+        check`` (a list-valued class), and ``profile show``/``diff`` then
+        ended in ``TypeError: unhashable type: 'list'`` (or, for an
+        infinite op count, ``OverflowError``)."""
+        from repro.util.chunks import payload_crc
+        path = self.make_profile(tmp_path)
+        lines = path.read_text().splitlines()
+        seq = next(i for i, line in enumerate(lines)
+                   if json.loads(line)["kind"] == kind)
+        chunk = json.loads(lines[seq])
+        chunk["payload"]["cells"][0] = cell
+        chunk["crc"] = payload_crc(chunk["payload"])
+        lines[seq] = json.dumps(chunk)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ProfileFormatError, match=f"malformed {kind}"):
+            load_profile(str(path))
+        assert validate_profile_doc(str(path)) \
+            == [f"chunk {seq}: malformed {kind} cell {cell!r}"]
+        assert profdoc.main(["check", str(path)]) == 1
+        assert profdoc.main(["show", str(path)]) == 2
+        assert "malformed" in capsys.readouterr().err
+
     def test_total_ops_cross_check(self, prof, tmp_path):
         path = self.make_profile(tmp_path)
         lines = path.read_text().splitlines()

@@ -226,3 +226,30 @@ class TestStrictLoading:
         with pytest.raises(ScheduleCorruptionError, match=reason) as exc:
             load_schedule(str(path))
         assert exc.value.chunk_seq == seq
+
+    @pytest.mark.parametrize("kind,row,reason", [
+        ("picks", True, "picks chunk: malformed element 1: True"),
+        ("picks", "1", "malformed element 1: '1'"),
+        ("segments", 5, "segments chunk: malformed element 1: 5"),
+        ("segments", [1, "task", 1, 12.5], "malformed element 1"),
+        ("segments", [1, "task", True, "12.5"], "malformed element 1"),
+        ("edges", [1], r"edges chunk: malformed element 1: \[1\]"),
+        ("edges", [1, 2.0], "malformed element 1"),
+        ("allocs", [2, 1, None], "allocs chunk: malformed element 1"),
+    ])
+    def test_malformed_row_is_corruption(self, tmp_path, kind, row, reason):
+        """A CRC-valid element row of another shape used to load, and
+        ``repro replay`` then ended in a ``TypeError`` (a segment row
+        ``5``) or misreported the damage as a divergence (a pick)."""
+        path = tmp_path / "s.json"
+        save_schedule(make_doc(), str(path))
+        lines = path.read_bytes().splitlines()
+        seq, doc = next((i, json.loads(line)) for i, line in enumerate(lines)
+                        if json.loads(line)["kind"] == kind)
+        doc["payload"][kind][1] = row
+        doc["crc"] = payload_crc(doc["payload"])
+        lines[seq] = json.dumps(doc).encode()
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ScheduleCorruptionError, match=reason) as exc:
+            load_schedule(str(path))
+        assert exc.value.chunk_seq == seq
