@@ -44,7 +44,8 @@ from typing import IO, List, Optional, Tuple
 
 from repro.core.analysis import PartialAnalysis, analyze_and_suppress
 from repro.core.reports import RaceReport, build_report
-from repro.core.segments import SegmentGraph, kahn_order
+from repro.core.segments import (_NO_ACCESSES, Segment, SegmentGraph,
+                                 kahn_order)
 from repro.core.suppress import SuppressionConfig, SuppressionEngine
 from repro.errors import (TraceCorruptionError, TraceFormatError,
                           TraceVersionError)
@@ -54,7 +55,8 @@ from repro.machine.memory import RegionKind
 from repro.machine.tls import TlsSnapshot
 from repro.obs.metrics import get_registry
 from repro.util.chunks import (ChunkError, ChunkWriter, chunk_lines,
-                               decode_chunk, save_atomic, verify_crc)
+                               decode_chunk, row_fits, save_atomic,
+                               verify_crc)
 from repro.util.intervals import IntervalSet
 
 TRACE_VERSION = 2
@@ -74,12 +76,6 @@ def _loc_to_list(loc: Optional[SourceLocation]):
     if loc is None:
         return None
     return [loc.file, loc.line, loc.function]
-
-
-def _loc_from_list(data) -> Optional[SourceLocation]:
-    if data is None:
-        return None
-    return SourceLocation(data[0], data[1], data[2])
 
 
 def _seg_to_dict(seg) -> dict:
@@ -271,11 +267,55 @@ class OfflineMachineView:
 #: exclusive bound on a stored address: the analysis pools addresses as int64
 _ADDR_LIMIT = 1 << 63
 
+_LOC_ROW = ((str,), (int,), (str,))
+_INT3 = ((int,),) * 3
+
+# Locations and TLS snapshots are frozen, so a load shares one object per
+# distinct value and checks each the first time it is read (a value equal
+# to one already read shares it: JSON's true and 1.0 equal 1).  Their keys
+# must hash, so a list where the writer puts a scalar fails the lookup.
+
+
+def _location(data, interned: dict) -> Optional[SourceLocation]:
+    """A stored ``None`` or ``[file, line, function]`` of types ``[str,
+    int, str]``.  Raises ``TypeError`` or ``ValueError``."""
+    if data is None:
+        return None
+    key = tuple(data)
+    loc = interned.get(key)
+    if loc is None:
+        if not row_fits(data, _LOC_ROW):
+            raise ValueError(f"location {data!r} is not [str, int, str]")
+        loc = interned[key] = SourceLocation(*key)
+    return loc
+
+
+def _tls_snapshot(t, interned: dict) -> Optional[TlsSnapshot]:
+    """A stored ``None`` or snapshot with int ``thread``, ``tcb`` and
+    ``generation`` and ``[int, int, int]`` dtv entries.  Raises
+    ``LookupError``, ``TypeError`` or ``ValueError``."""
+    if t is None:
+        return None
+    key = (t["thread"], t["tcb"], t["generation"],
+           tuple(map(tuple, t["dtv"])))
+    snap = interned.get(key)
+    if snap is None:
+        if not (row_fits(list(key[:3]), _INT3) and type(t["dtv"]) is list
+                and all(row_fits(entry, _INT3) for entry in t["dtv"])):
+            raise ValueError(f"tls snapshot {t!r} is not the writer's")
+        snap = interned[key] = TlsSnapshot(*key)
+    return snap
+
 
 def _interval_set(pairs) -> IntervalSet:
     """Adopt a stored interval list after one linear check that it is what
-    the writer emits: int pairs with ``0 <= lo < hi < 2**63``, ascending,
-    disjoint and non-adjacent.  Raises ``ValueError`` or ``TypeError``."""
+    the writer emits: a list of int pairs with ``0 <= lo < hi < 2**63``,
+    ascending, disjoint and non-adjacent.  Every empty list shares one
+    empty set.  Raises ``ValueError`` or ``TypeError``."""
+    if type(pairs) is not list:
+        raise ValueError(f"interval list {pairs!r} is not a list")
+    if not pairs:
+        return _NO_ACCESSES
     los: List[int] = []
     his: List[int] = []
     prev_hi = -1
@@ -287,39 +327,38 @@ def _interval_set(pairs) -> IntervalSet:
         los.append(lo)
         his.append(hi)
         prev_hi = hi
-    out = IntervalSet()
+    out = IntervalSet.__new__(IntervalSet)      # adopts, builds nothing
     out._los, out._his = los, his
     return out
 
 
-def _load_segment(graph: SegmentGraph, sd: dict) -> None:
-    """Decode one stored segment and append it to ``graph``.
-
-    Every field is decoded and checked before the graph is touched, so a
-    malformed segment raises (``KeyError``, ``TypeError``, ``ValueError``,
-    ``IndexError``) and leaves the graph as it was.
-    """
-    if sd["id"] != len(graph.segments):
-        raise ValueError(f"segment id {sd['id']!r} where "
-                         f"{len(graph.segments)} was due: trace ids must "
-                         "be dense and ordered")
-    fields = dict(thread_id=sd["thread"], task=None, kind=sd["kind"],
-                  virtual=sd["virtual"], sp_at_start=sd["sp_at_start"],
-                  stack_bounds=tuple(sd["stack_bounds"]),
-                  label_loc=_loc_from_list(sd["label_loc"]))
-    reads = _interval_set(sd["reads"])
-    writes = _interval_set(sd["writes"])
-    loc_samples = [(lo, hi, w, _loc_from_list(loc))
-                   for lo, hi, w, loc in sd["loc_samples"]]
-    t = sd["tls"]
-    tls = None if t is None else TlsSnapshot(
-        thread_id=t["thread"], tcb=t["tcb"], generation=t["generation"],
-        dtv=tuple(tuple(entry) for entry in t["dtv"]))
-    seg = graph.new_segment(**fields)
-    seg.open = False
-    seg._reads, seg._writes = reads, writes
-    seg.loc_samples = loc_samples
-    seg.tls_snapshot = tls
+def _decode_segments(stored, start: int, locs: dict, snaps: dict
+                     ) -> Tuple[List[Segment], Optional[Exception]]:
+    """One segment chunk's stored segments, ids from ``start``, decoded up
+    to the first malformed one, and the error that stopped there (``None``
+    when all decoded).  ``locs`` and ``snaps`` intern the load's values."""
+    out: List[Segment] = []
+    try:
+        for sd in stored:
+            sid = start + len(out)
+            if sd["id"] != sid:
+                raise ValueError(f"segment id {sd['id']!r} where {sid} was "
+                                 "due: trace ids must be dense and ordered")
+            seg = Segment(sid, sd["thread"], None, sd["kind"],
+                          virtual=sd["virtual"],
+                          sp_at_start=sd["sp_at_start"],
+                          stack_bounds=tuple(sd["stack_bounds"]),
+                          label_loc=_location(sd["label_loc"], locs))
+            seg.open = False
+            seg._reads = _interval_set(sd["reads"])
+            seg._writes = _interval_set(sd["writes"])
+            seg.loc_samples = [(lo, hi, w, _location(loc, locs))
+                               for lo, hi, w, loc in sd["loc_samples"]]
+            seg.tls_snapshot = _tls_snapshot(sd["tls"], snaps)
+            out.append(seg)
+    except (LookupError, TypeError, ValueError) as exc:
+        return out, exc
+    return out, None
 
 
 def _edge_pairs(stored, end: int) -> List[Tuple[int, int]]:
@@ -374,10 +413,11 @@ def load_environment(data: dict) -> OfflineMachineView:
                               kind=RegionKind(r["kind"]),
                               owner_thread=r["owner"])
                for r in data["regions"]]
+    locs: dict = {}
     blocks = [_OfflineBlock(addr=b["addr"], size=b["size"],
                             req_size=b["req_size"], seq=b["seq"],
-                            alloc_site=_loc_from_list(b["site"]),
-                            alloc_stack=tuple(_loc_from_list(s)
+                            alloc_site=_location(b["site"], locs),
+                            alloc_stack=tuple(_location(s, locs)
                                               for s in b["stack"]),
                             freed=b["freed"], retained=b["retained"])
               for b in data["blocks"]]
@@ -477,7 +517,7 @@ def _scan_chunks(data: bytes, cov: TraceCoverage) -> List[_RawChunk]:
     for offset, line in chunk_lines(data):
         try:
             doc = decode_chunk(line)
-            verify_crc(doc)
+            verify_crc(doc, line)
         except ChunkError as exc:
             cov.chunks_corrupt += 1
             cov.complete = False
@@ -567,11 +607,14 @@ def _assemble_v2(chunks: List[_RawChunk],
         del runs[keep:]
 
     graph = SegmentGraph()
+    locs: dict = {}
+    snaps: dict = {}
     for c in runs:
-        try:
-            for sd in c.payload["segments"]:
-                _load_segment(graph, sd)
-        except (LookupError, TypeError, ValueError) as exc:
+        segs, exc = _decode_segments(c.payload["segments"],
+                                     len(graph.segments), locs, snaps)
+        graph.segments += segs
+        graph._succ += [[] for _ in segs]
+        if exc is not None:
             _lose(cov, c, f"segment chunk {c.seq}: unreadable segment after "
                           f"id {len(graph.segments) - 1}: {exc!r}")
             break

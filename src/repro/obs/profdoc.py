@@ -126,7 +126,7 @@ def _parse(path: str) -> Tuple[dict, List[_Problem]]:
             break
         try:
             chunk = decode_chunk(line)
-            verify_crc(chunk)
+            verify_crc(chunk, line)
         except ChunkError as exc:
             problems.append(("format" if exc.check == "envelope"
                              else "corrupt", idx, str(exc)))

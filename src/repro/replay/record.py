@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.obs.metrics import get_registry
-from repro.replay.schedule import ScheduleDoc
+from repro.replay.schedule import BENCH_OPTIONS, ScheduleDoc
 
 
 class ScheduleRecorder:
@@ -93,10 +93,7 @@ def record_bench(program, *, nthreads: int = 4, seed: int = 0,
     recorder = ScheduleRecorder({
         "kind": "bench", "name": program.name, "nthreads": nthreads,
         "seed": seed, "record_mode": options.record_mode,
-        "options": {
-            "dedupe": options.dedupe,
-            "model_multithread_lockup": options.model_multithread_lockup,
-        }})
+        "options": {key: getattr(options, key) for key in BENCH_OPTIONS}})
     reg = get_registry()
     with reg.phase("replay.record"):
         result = run_benchmark(program, "taskgrind", nthreads=nthreads,

@@ -23,9 +23,10 @@ trace missing its tail still describes real prefix evidence; a schedule
 missing its tail would pin a *different execution* and silently change
 every downstream verdict.  A first line that is not a chunk is a
 ``ScheduleFormatError``; any later framing failure, truncation, a payload
-without the fields its kind needs (:data:`_FIELDS`), an element row of
-another shape (:func:`_row_fits`), or a count mismatch is a
-``ScheduleCorruptionError``.
+without the fields its kind needs (:data:`_FIELDS`), a ``bench`` program
+ref ``replay_bench`` could not re-run (:func:`_bench_ref_problem`), an
+element row of another shape (:func:`_row_fits`), or a count mismatch is
+a ``ScheduleCorruptionError``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ _ELEMENTS = ("picks", "segments", "edges", "allocs")
 #: the payload fields each chunk kind needs, with the types they may have
 _FIELDS = {
     "header": {"counts": (dict,), "final_vclock": (int, float)},
+    "program": {"kind": (str,)},
     **{kind: {"start": (int,), kind: (list,)} for kind in _ELEMENTS},
     "rng": {"draws": (dict,)},
 }
@@ -64,6 +66,28 @@ _ROWS = {
     "edges": ((int,), (int,)),
     "allocs": ((int,), (int,), (int,)),
 }
+
+
+#: what ``replay_bench`` reads from a ``bench`` program ref to re-run it
+_BENCH_REF = {"name": (str,), "nthreads": (int,), "seed": (int,)}
+
+#: the ``TaskgrindOptions`` fields ``record_bench`` writes into a ``bench``
+#: ref's ``options`` and ``replay_bench`` sets back, each a bool
+BENCH_OPTIONS = ("dedupe", "model_multithread_lockup")
+
+
+def _bench_ref_problem(ref: dict) -> Optional[str]:
+    """What keeps a ``bench`` program ref from re-running, or ``None``."""
+    problem = payload_problem(ref, _BENCH_REF)
+    if problem is None and ref["nthreads"] < 1:
+        problem = f"nthreads {ref['nthreads']} is not a thread count"
+    options = ref.get("options", {})
+    if problem is None and not (
+            type(options) is dict and options.keys() <= set(BENCH_OPTIONS)
+            and all(type(v) is bool for v in options.values())):
+        problem = (f"options {options!r} are not bool values of "
+                   f"{list(BENCH_OPTIONS)}")
+    return problem
 
 
 def _row_fits(kind: str, row) -> bool:
@@ -198,7 +222,7 @@ def load_schedule(path: str) -> ScheduleDoc:
             raise corrupt("data after the end chunk")
         try:
             chunk = decode_chunk(line)
-            verify_crc(chunk)
+            verify_crc(chunk, line)
         except ChunkError as exc:
             if seq == 0 and exc.check != "crc":
                 raise ScheduleFormatError(path, f"first line: {exc}") from exc
@@ -225,6 +249,10 @@ def load_schedule(path: str) -> ScheduleDoc:
             counts = dict(payload["counts"])
             doc.final_vclock = payload["final_vclock"]
         elif kind == "program":
+            problem = _bench_ref_problem(payload) \
+                if payload["kind"] == "bench" else None
+            if problem is not None:
+                raise corrupt(f"program chunk: {problem}")
             doc.program = payload
         elif kind in _ELEMENTS:
             target = getattr(doc, kind)

@@ -44,7 +44,8 @@ from typing import Dict, List, Optional
 from repro.errors import StateDirError
 from repro.obs.metrics import get_registry
 from repro.serve.wal import WalRecord, WalWriter, read_wal
-from repro.util.chunks import ChunkError, canonical_json, decode_chunk
+from repro.util.chunks import (ChunkError, canonical_json, decode_chunk,
+                               verify_crc)
 
 WAL_NAME = "wal.jsonl"
 CHUNKS_DIR = "chunks"
@@ -123,6 +124,9 @@ class RecoveredUpload:
     trace_id: str
     #: parsed chunk envelope docs, dense accepted order
     chunks: List[dict] = field(default_factory=list)
+    #: the payload bytes each chunk's CRC check covered, parallel to
+    #: ``chunks`` (what the content hash is re-derived from)
+    payloads: List[bytes] = field(default_factory=list)
     #: each chunk's blob digest, parallel to ``chunks`` (what compaction
     #: re-journals)
     digests: List[str] = field(default_factory=list)
@@ -203,6 +207,7 @@ def replay_wal(records: List[WalRecord], store: ChunkStore
                 continue
             try:
                 doc = decode_chunk(body)
+                payload = verify_crc(doc, body)
             except ChunkError as exc:
                 up.truncated = True
                 st.errors.append(
@@ -210,6 +215,7 @@ def replay_wal(records: List[WalRecord], store: ChunkStore
                     f"({exc}); upload frozen at seq {len(up.chunks)}")
                 continue
             up.chunks.append(doc)
+            up.payloads.append(payload)
             up.digests.append(p["digest"])
             up.body_bytes += len(body)
         elif rec.kind == "upload-sealed":

@@ -13,18 +13,18 @@ body is validated *at the edge* before it is accepted:
   a client that crashed after the server accepted but before the ack
   arrived resumes by resending, and idempotence makes that safe; only a
   *different* body under an old seq is a 409 conflict;
-* the payload CRC-32 must match the envelope's claim, computed over the
-  same canonical JSON the writer used
-  (→ :class:`~repro.errors.TraceCorruptionError`, 422), and those
-  canonical bytes feed the content hash;
+* the payload CRC-32 must match the envelope's claim
+  (:func:`~repro.util.chunks.verify_crc`,
+  → :class:`~repro.errors.TraceCorruptionError`, 422), and the payload
+  bytes it covered feed the content hash;
 * chunk 0 must be a ``header`` declaring the trace version this reader
   speaks (→ :class:`~repro.errors.TraceVersionError`, 400).
 
-Accepted chunks feed a running SHA-256 over their canonical payload form —
-the **content hash** that keys the service's result memo.  Two clients
-uploading the same logical trace (even with different envelope whitespace
-or key order) land on the same hash, so analyzing either with the same
-options serves one stored report.
+Accepted chunks feed a running SHA-256 over the payload bytes their CRC
+covered — the **content hash** that keys the service's result memo.  Two
+clients uploading the same logical trace (even with different envelope
+whitespace or key order) land on the same hash, so analyzing either with
+the same options serves one stored report.
 
 When the service runs with ``--state-dir``, every accept is journaled
 into the :class:`~repro.serve.durable.DurableLog` **before** the
@@ -48,8 +48,7 @@ from repro.errors import (ResourceNotFound, TraceCorruptionError,
                           UploadSequenceError)
 from repro.faults.inject import get_injector
 from repro.obs.metrics import get_registry
-from repro.util.chunks import (ChunkError, canonical_json, decode_chunk,
-                               verify_crc)
+from repro.util.chunks import ChunkError, decode_chunk, verify_crc
 
 _FAULTS = get_injector()
 
@@ -73,7 +72,7 @@ class TraceUpload:
 
     @property
     def content_hash(self) -> str:
-        """SHA-256 over the canonical payloads accepted so far."""
+        """SHA-256 over the payload bytes accepted so far."""
         return self._hasher.hexdigest()
 
     def to_dict(self) -> dict:
@@ -167,7 +166,7 @@ class TraceStore:
                 trace_id, expected_seq=up.next_seq, got_seq=url_seq,
                 reason="out-of-order chunk (dense prefix required)")
         try:
-            canon = verify_crc(doc)
+            payload = verify_crc(doc, body)
         except ChunkError as exc:
             reg.counter("serve.ingest.crc_rejects").inc()
             raise TraceCorruptionError(
@@ -200,7 +199,7 @@ class TraceStore:
             up.next_seq += 1
             up.bytes_received += len(body)
             up._hasher.update(f"{url_seq}|{doc['kind']}|".encode())
-            up._hasher.update(canon)
+            up._hasher.update(payload)
             if doc["kind"] == "end":
                 up.state = COMPLETE
                 if self._durable is not None:
@@ -218,7 +217,8 @@ class TraceStore:
         """Rebuild uploads from a :class:`~repro.serve.durable.RecoveredState`.
 
         Each recovered upload's chunks are re-fed through the same
-        SHA-256 discipline as live accepts, so the content hash — and
+        SHA-256 discipline as live accepts (the payload bytes the CRC
+        check covered in the journaled body), so the content hash — and
         therefore memo keys and report bytes — is identical across the
         restart, and ``bytes_received`` is the journaled bodies' length,
         the bytes the server had received.  A seal record's claimed hash
@@ -231,11 +231,12 @@ class TraceStore:
             for rec in recovered.uploads.values():
                 up = TraceUpload(trace_id=rec.trace_id, recovered=True,
                                  bytes_received=rec.body_bytes)
-                for seq, doc in enumerate(rec.chunks):
+                for seq, (doc, payload) in enumerate(zip(rec.chunks,
+                                                         rec.payloads)):
                     up.chunks.append(doc)
                     up.next_seq += 1
                     up._hasher.update(f"{seq}|{doc['kind']}|".encode())
-                    up._hasher.update(canonical_json(doc["payload"]))
+                    up._hasher.update(payload)
                 ends = bool(rec.chunks) and rec.chunks[-1]["kind"] == "end"
                 if rec.sealed and rec.content_hash is not None \
                         and rec.content_hash != up.content_hash:

@@ -188,7 +188,7 @@ def read_wal(path: str) -> Tuple[List[WalRecord], dict]:
     for index, line in enumerate(lines):
         try:
             doc = decode_chunk(line)
-            verify_crc(doc)
+            verify_crc(doc, line)
         except ChunkError as exc:
             err: Optional[str] = str(exc)
         else:

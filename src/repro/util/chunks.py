@@ -7,9 +7,12 @@ the serve journal are all one JSON object per line::
      "vtime": <number, optional>, ...writer extras}
 
 with ``crc`` the CRC-32 of the payload's canonical encoding, so envelope
-whitespace and key order never change it.  This module owns the framing;
-what a reader does with a damaged chunk (skip it, cut the stream there,
-raise, answer 400 or 422) is the reader's policy.
+whitespace and key order never change it.  :func:`verify_crc` checks a
+line in the writer's canonical form over its payload bytes as written, so
+a *foreign* line (a canonical envelope around other payload bytes, its CRC
+over those bytes) passes too; no writer here emits one.  This module owns
+the framing; what a reader does with a damaged chunk (skip it, cut the
+stream there, raise, answer 400 or 422) is the reader's policy.
 """
 
 from __future__ import annotations
@@ -25,6 +28,11 @@ _ENVELOPE = {"seq": (int, "an int"), "kind": (str, "a string"),
              "crc": (int, "an int"), "payload": (dict, "an object")}
 
 _FLOAT_MAX = sys.float_info.max
+
+#: an envelope encoded with the payload ``0`` holds this text where the
+#: payload goes; one holding it more than once takes the re-encode path
+_PAYLOAD_KEY = b'"payload":'
+_PAYLOAD_MARK = _PAYLOAD_KEY + b"0"
 
 
 def canonical_json(doc) -> bytes:
@@ -75,9 +83,20 @@ def decode_chunk(line: bytes) -> dict:
     return doc
 
 
-def verify_crc(doc: dict) -> bytes:
-    """Check a decoded chunk's CRC; returns the canonical payload bytes it
-    covers.  Raises :class:`ChunkError`."""
+def verify_crc(doc: dict, line: bytes) -> bytes:
+    """Check the CRC of ``doc``, decoded from ``line``; returns the payload
+    bytes it covers.  A line that is the envelope's canonical encoding with
+    one span in the payload's place is checked over that span; any other,
+    or a failing span, over the payload re-encoded canonically.  Raises
+    :class:`ChunkError`."""
+    head, _, tail = canonical_json({**doc, "payload": 0}).partition(
+        _PAYLOAD_MARK)
+    head += _PAYLOAD_KEY
+    if _PAYLOAD_MARK not in tail and len(line) > len(head) + len(tail) \
+            and line.startswith(head) and line.endswith(tail):
+        span = line[len(head):len(line) - len(tail)]
+        if zlib.crc32(span) & 0xFFFFFFFF == doc["crc"]:
+            return span
     canon = canonical_json(doc["payload"])
     computed = zlib.crc32(canon) & 0xFFFFFFFF
     if computed != doc["crc"]:

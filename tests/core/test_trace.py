@@ -58,7 +58,15 @@ class TestRoundTrip:
             assert a.reads.pairs() == b.reads.pairs()
             assert a.writes.pairs() == b.writes.pairs()
             assert a.thread_id == b.thread_id
-            assert (a.tls_snapshot is None) == (b.tls_snapshot is None)
+            assert (a.kind, a.virtual, a.sp_at_start, a.stack_bounds) \
+                == (b.kind, b.virtual, b.sp_at_start, tuple(b.stack_bounds))
+            assert a.label_loc == b.label_loc
+            assert a.loc_samples == b.loc_samples
+            assert a.tls_snapshot == b.tls_snapshot
+            assert not a.open
+        assert graph._succ == orig._succ
+        assert any(s.tls_snapshot is not None for s in graph.segments)
+        assert any(s.loc_samples for s in graph.segments)
 
     def test_offline_reports_match_online(self, trace_path):
         path, tool = trace_path

@@ -204,6 +204,40 @@ class TestMalformedSegments:
         assert exc.value.chunk_seq == 1
         assert exc.value.byte_offset == _offset_of(bad, 1)
 
+    @pytest.mark.parametrize("edit", [
+        lambda seg: seg.update(label_loc=[["x"], 1, "f"]),
+        lambda seg: seg.update(label_loc=["x", "1", "f"]),
+        lambda seg: seg["loc_samples"][0].__setitem__(3, ["x", 1]),
+        lambda seg: seg["tls"].update(dtv=[[1, 2]]),
+        lambda seg: seg["tls"].update(dtv=[[1, 2, [3]]]),
+        lambda seg: seg["tls"].update(tcb="0"),
+    ], ids=["unhashable-location", "string-line", "short-sample-location",
+            "short-dtv-entry", "unhashable-dtv-entry", "string-tcb"])
+    def test_malformed_location_or_tls_loses_the_segment(self, traced,
+                                                         tmp_path, edit):
+        """Locations and TLS snapshots are interned per load, so each
+        distinct one is checked once; one the writer could not have
+        emitted (an unhashable field among them, which used to load
+        silently) loses its segment like a malformed interval."""
+        path, tool = traced
+        racers = _racers(tool)
+
+        def edit_racers(segs):
+            for sid in racers:
+                edit(segs[sid])
+        bad = _resegmented(path, tmp_path, edit_racers)
+        reports, stats = analyze_trace_with_stats(bad)
+        cov = stats["coverage"]
+        assert reports == [] and cov["complete"] is False
+        assert cov["segments"]["recovered"] == stats["graph"]["segments"] \
+            == racers[0]
+        assert any("unreadable segment" in e for e in cov["errors"])
+        with pytest.raises(TraceCorruptionError,
+                           match="segment chunk 1: unreadable") as exc:
+            analyze_trace(bad, strict=True)
+        assert exc.value.chunk_seq == 1
+        assert exc.value.byte_offset == _offset_of(bad, 1)
+
     def test_id_gap_loses_the_tail_under_optimize(self, traced, tmp_path):
         """The dense-id check must not be an ``assert``: under ``python -O``
         a chunk with ids ``[0, 5, ...]`` still loads only segment 0."""
@@ -355,6 +389,28 @@ class TestMalformedHeader:
         with pytest.raises(TraceCorruptionError) as exc:
             analyze_trace(bad, strict=True)
         assert (exc.value.chunk_seq, exc.value.byte_offset) == (0, 0)
+
+
+class TestMalformedEnvironment:
+    def test_short_alloc_site_loses_only_the_environment(self, traced,
+                                                         tmp_path):
+        """An allocation site too short to be a location used to escape
+        the salvage reader as ``IndexError``."""
+        path, tool = traced
+        docs = [json.loads(line) for line in open(path).read().splitlines()]
+        env = next(d for d in docs if d["kind"] == "environment")
+        env["payload"]["blocks"][0]["site"] = []
+        env["crc"] = payload_crc(env["payload"])
+        bad = _damaged(tmp_path, [json.dumps(d) for d in docs])
+        cov = load_trace_salvaged(bad).coverage
+        assert not cov.environment_recovered
+        assert cov.segments_recovered == len(tool.builder.graph.segments)
+        assert any(e.startswith("environment chunk unreadable")
+                   for e in cov.errors)
+        assert cov.first_bad_chunk == env["seq"]
+        with pytest.raises(TraceCorruptionError) as exc:
+            analyze_trace(bad, strict=True)
+        assert exc.value.chunk_seq == env["seq"]
 
 
 class TestOfflineCli:

@@ -176,7 +176,8 @@ class TestStrictLoading:
                                          "edges": 0, "allocs": 0,
                                          "rng_streams": 0},
                               "final_vclock": 0.0})
-            w.emit("program", {"kind": "bench", "name": "x"})
+            w.emit("program", {"kind": "bench", "name": "x", "nthreads": 1,
+                               "seed": 0})
             w.emit("rng", {"draws": {}})
             w.emit("end", {"chunks": 4})
         with pytest.raises(ScheduleCorruptionError, match="counts"):
@@ -253,3 +254,71 @@ class TestStrictLoading:
         with pytest.raises(ScheduleCorruptionError, match=reason) as exc:
             load_schedule(str(path))
         assert exc.value.chunk_seq == seq
+
+
+class TestProgramRef:
+    """A CRC-valid ``program`` chunk that ``replay_bench`` could not re-run
+    is corruption.  ``nthreads: "4"`` used to end ``repro replay`` in a
+    ``TypeError`` and ``options: [1]`` in an ``AttributeError``, both exit
+    1 ("races found"), and any ``options`` key was set on the options."""
+
+    def _with_program(self, tmp_path, edit):
+        path = tmp_path / "s.json"
+        save_schedule(make_doc(), str(path))
+        lines = path.read_bytes().splitlines()
+        doc = json.loads(lines[1])
+        assert doc["kind"] == "program"
+        edit(doc["payload"])
+        doc["crc"] = payload_crc(doc["payload"])
+        lines[1] = json.dumps(doc).encode()
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        return str(path)
+
+    @pytest.mark.parametrize("field,value,reason", [
+        ("kind", 5, "'kind' has type int"),
+        ("kind", None, "'kind' is missing"),
+        ("name", None, "'name' is missing"),
+        ("nthreads", "4", "'nthreads' has type str"),
+        ("nthreads", True, "'nthreads' has type bool"),
+        ("nthreads", 0, "nthreads 0 is not a thread count"),
+        ("seed", 0.0, "'seed' has type float"),
+        ("options", [1], r"options \[1\] are not"),
+        ("options", None, "options None are not"),
+        ("options", {"explain": True}, "are not bool values"),
+        ("options", {"dedupe": 1}, "are not bool values"),
+    ])
+    def test_bench_ref_that_cannot_rerun_is_corruption(self, tmp_path,
+                                                       field, value,
+                                                       reason):
+        def edit(ref):
+            if value is None and field != "options":
+                del ref[field]
+            else:
+                ref[field] = value
+        path = self._with_program(tmp_path, edit)
+        with pytest.raises(ScheduleCorruptionError,
+                           match=f"program chunk: .*{reason}") as exc:
+            load_schedule(path)
+        assert exc.value.chunk_seq == 1
+
+    def test_options_may_be_absent_or_any_subset(self, tmp_path):
+        for options in (None, {}, {"model_multithread_lockup": False},
+                        {"dedupe": True, "model_multithread_lockup": True}):
+            def edit(ref):
+                ref.pop("options")
+                if options is not None:
+                    ref["options"] = options
+            ref = load_schedule(self._with_program(tmp_path, edit)).program
+            assert ref.get("options") == options
+
+    def test_other_kinds_need_only_a_kind(self, tmp_path):
+        path = self._with_program(
+            tmp_path, lambda ref: (ref.clear(), ref.update(kind="fuzz")))
+        assert load_schedule(path).program == {"kind": "fuzz"}
+
+    def test_replay_exits_2_without_a_traceback(self, tmp_path, capsys):
+        from repro.replay.cli import main as replay_main
+        path = self._with_program(
+            tmp_path, lambda ref: ref.update(nthreads="4"))
+        assert replay_main([path]) == 2
+        assert "program chunk" in capsys.readouterr().err

@@ -21,6 +21,7 @@ from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.serve.durable import ChunkStore, DurableLog, replay_wal
 from repro.serve.wal import read_wal
 from repro.util.chunks import canonical_json, payload_crc
+from tests.util.chunk_forms import foreign_line, loose_line
 
 
 def _config(state_dir) -> ServeConfig:
@@ -114,6 +115,38 @@ class TestUploadRecovery:
                 srv.kill()
             assert doc["next_seq"] == half
             assert doc["bytes_received"] == want
+
+    def test_restart_reports_the_live_content_hash(self, state_dir,
+                                                   trace_lines):
+        """A restart re-derives each upload's content hash from the
+        journaled bodies over the bytes the live accept hashed: the payload
+        as written for a writer line and for a foreign one (a canonical
+        envelope around a spaced payload, its CRC over those bytes), the
+        canonical re-encoding for a loose one.  So does a second boot,
+        which reads the compacted journal."""
+        forms = {"writer": trace_lines,
+                 "loose": [loose_line(line) for line in trace_lines],
+                 "foreign": [foreign_line(line) for line in trace_lines]}
+        srv = ServerThread(_config(state_dir)).start()
+        try:
+            with ServeClient(srv.base_url) as client:
+                live = {form: client.upload_trace(lines)
+                        for form, lines in forms.items()}
+        finally:
+            srv.kill()
+        hashes = {form: ack["content_hash"] for form, (_, ack) in live.items()}
+        assert hashes["writer"] == hashes["loose"] != hashes["foreign"]
+        for _boot in range(2):
+            srv = ServerThread(_config(state_dir)).start()
+            try:
+                with ServeClient(srv.base_url) as client:
+                    for form, (trace_id, _ack) in live.items():
+                        doc = client.trace_status(trace_id)
+                        assert doc["recovered"], form
+                        assert doc["state"] == "complete", form
+                        assert doc["content_hash"] == hashes[form], form
+            finally:
+                srv.kill()
 
     def test_recovered_ids_are_never_reissued(self, state_dir, trace_lines):
         srv = ServerThread(_config(state_dir)).start()

@@ -6,7 +6,9 @@ strict trace loading, schedules and profiles raise their taxonomies, the
 journal cuts its trusted prefix, and the serve edge answers 400 or 422.
 What they share is that a line failing the framing checks ends in that
 policy -- including a CRC-valid line whose payload is not an object, and
-a ``vtime`` the CRC does not cover -- never in a traceback.
+a ``vtime`` the CRC does not cover -- never in a traceback, whether the
+damaged line is in the writer's canonical form (its CRC checked over the
+payload bytes as written) or loose (its payload re-encoded).
 """
 
 import io
@@ -28,9 +30,12 @@ from repro.replay.schedule import load_schedule, save_schedule
 from repro.serve.app import error_response
 from repro.serve.durable import DurableLog
 from repro.serve.store import TraceStore
+from repro.serve.wal import WalWriter
+from repro.util import chunks
 from repro.util.chunks import (ChunkError, ChunkWriter, canonical_json,
                                chunk_lines, decode_chunk, payload_crc,
                                payload_problem, save_atomic, verify_crc)
+from tests.util.chunk_forms import foreign_line
 
 GOOD = {"seq": 3, "kind": "segments", "crc": payload_crc({"a": 1}),
         "payload": {"a": 1}, "vtime": 7.5}
@@ -102,16 +107,101 @@ class TestCrc:
         canon = canonical_json(payload)
         assert canon == b'{"a":"\\u00e9","b":[1,{"c":3,"d":2}]}'
         doc = {**GOOD, "payload": payload, "crc": payload_crc(payload)}
-        assert verify_crc(doc) == canon
+        assert verify_crc(doc, _line(doc)) == canon
+        assert verify_crc(doc, canonical_json(doc)) == canon
 
     def test_envelope_noise_does_not_change_the_crc(self):
         loose = json.dumps(GOOD, indent=3, sort_keys=False).encode()
-        assert verify_crc(decode_chunk(loose)) == b'{"a":1}'
+        assert verify_crc(decode_chunk(loose), loose) == b'{"a":1}'
 
     def test_mismatch_is_a_crc_error(self):
-        with pytest.raises(ChunkError, match="checksum mismatch") as exc:
-            verify_crc({**GOOD, "crc": GOOD["crc"] ^ 1})
-        assert exc.value.check == "crc" and exc.value.seq == 3
+        doc = {**GOOD, "crc": GOOD["crc"] ^ 1}
+        for line in (_line(doc), canonical_json(doc)):
+            with pytest.raises(ChunkError, match="checksum mismatch") as exc:
+                verify_crc(doc, line)
+            assert exc.value.check == "crc" and exc.value.seq == 3
+
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """Every value ``canonical_json`` encodes while the test runs."""
+    seen = []
+    real = chunks.canonical_json
+
+    def spy(doc):
+        seen.append(doc)
+        return real(doc)
+    monkeypatch.setattr(chunks, "canonical_json", spy)
+    return seen
+
+
+def _wal_lines():
+    fh = io.BytesIO()
+    wal = WalWriter(fh, fsync_policy="never")
+    wal.append("upload-created", {"trace_id": "t1"})
+    wal.append("chunk-accepted", {"trace_id": "t1", "seq": 0,
+                                  "kind": "header", "digest": "ab" * 32})
+    wal.append("clean-shutdown", {})
+    return fh.getvalue().splitlines()
+
+
+class TestCrcOverBytesAsWritten:
+    """A line in the writer's canonical form has its CRC checked over the
+    payload bytes as written: no payload is re-encoded."""
+
+    def test_writer_lines_return_their_payload_bytes(self, streams,
+                                                     encoded):
+        _paths, lines, _full = streams
+        every = [*lines.items(), ("wal", _wal_lines())]
+        encoded.clear()                         # the journal writer's
+        checked = 0
+        for name, stream in every:
+            for line in stream:
+                doc = decode_chunk(line)
+                assert verify_crc(doc, line) \
+                    == canonical_json(doc["payload"]), name
+                checked += 1
+        # verify_crc encoded each envelope, with the payload 0, and nothing
+        # else (the canonical_json above is not the one it calls)
+        assert len(encoded) == checked
+        assert all(doc["payload"] == 0 for doc in encoded)
+
+    def test_only_the_envelope_is_encoded(self, encoded):
+        line = canonical_json(GOOD)
+        assert verify_crc(decode_chunk(line), line) == b'{"a":1}'
+        assert encoded == [{**GOOD, "payload": 0}]
+
+    def test_foreign_line_is_checked_over_its_bytes(self):
+        """A canonical envelope around non-canonical payload bytes whose
+        CRC covers those bytes as written: accepted, returning them.  The
+        same envelope written loosely is checked against the canonical
+        re-encoding, which that CRC does not match."""
+        line = foreign_line(canonical_json(GOOD))
+        assert line == (b'{"crc":%d,"kind":"segments","payload":{"a": 1},'
+                        b'"seq":3,"vtime":7.5}' % decode_chunk(line)["crc"])
+        assert verify_crc(decode_chunk(line), line) == b'{"a": 1}'
+        loose = json.dumps(json.loads(line)).encode()
+        with pytest.raises(ChunkError, match="checksum mismatch"):
+            verify_crc(decode_chunk(loose), loose)
+
+    def test_payload_mark_twice_takes_the_re_encode_path(self, encoded):
+        """An extra envelope field holding ``"payload":0`` makes the split
+        ambiguous: the payload is re-encoded, and the verdict stands."""
+        doc = {**GOOD, "extra": {"payload": 0}}
+        line = canonical_json(doc)
+        assert verify_crc(decode_chunk(line), line) == b'{"a":1}'
+        assert encoded[-1] == {"a": 1}
+        foreign = foreign_line(line)
+        with pytest.raises(ChunkError, match="checksum mismatch"):
+            verify_crc(decode_chunk(foreign), foreign)
+
+    def test_intact_trace_load_encodes_no_payload(self, streams, encoded):
+        paths, _lines, _full = streams
+        size = os.path.getsize(paths["trace"])
+        cov = load_trace_salvaged(paths["trace"]).coverage
+        assert cov.complete and len(encoded) == cov.chunks_valid
+        assert all(doc["payload"] == 0 for doc in encoded)
+        assert sum(len(canonical_json(doc)) for doc in encoded) < size // 10
 
 
 class TestPayloadProblem:
@@ -176,9 +266,9 @@ class TestWriter:
             w.emit("k", {"a": 1})
         assert seen == [0, 1, 2]
         lines = [line for _off, line in chunk_lines(fh.getvalue())]
-        verify_crc(decode_chunk(lines[0]))
+        verify_crc(decode_chunk(lines[0]), lines[0])
         with pytest.raises(ChunkError, match="checksum"):
-            verify_crc(decode_chunk(lines[1]))
+            verify_crc(decode_chunk(lines[1]), lines[1])
 
     def test_torn_write_leaves_a_half_line_and_stops(self):
         fh = io.BytesIO()
@@ -224,16 +314,24 @@ class TestSaveAtomic:
 # one damage matrix over every reader
 # ---------------------------------------------------------------------------
 
-#: (damage, position) -- position 0 is each stream's first line, 1 the one
-#: after it; a torn line is always the last
-CASES = [(damage, at) for damage in ("list-payload", "str-payload",
-                                     "str-seq", "null-vtime", "flipped-crc")
-         for at in (0, 1)] + [("torn", -1)]
+#: (damage, position, form) -- position 0 is each stream's first line, 1
+#: the one after it; a torn line is always the last.  The damaged line is
+#: rewritten loosely (``json.dumps``, its payload re-encoded to check the
+#: CRC) or in the writer's canonical form (its CRC checked over the payload
+#: bytes as written); a torn line is a cut writer line.
+CASES = [pytest.param(damage, at, form,
+                      id=f"{damage}-{at}" + ("" if form == "loose"
+                                             else f"-{form}"))
+         for form in ("loose", "writer")
+         for damage in ("list-payload", "str-payload", "str-seq",
+                        "null-vtime", "flipped-crc")
+         for at in (0, 1)] + [pytest.param("torn", -1, "writer",
+                                           id="torn--1")]
 
 
-def _damage(lines, damage, at):
-    """``lines`` with line ``at`` damaged; returns (lines, index, the seq
-    the damaged chunk still names, its check)."""
+def _damage(lines, damage, at, form="writer"):
+    """``lines`` with line ``at`` damaged and rewritten in ``form``; returns
+    (lines, index, the seq the damaged chunk still names, its check)."""
     lines = list(lines)
     at = at % len(lines)
     if damage == "torn":
@@ -252,7 +350,8 @@ def _damage(lines, damage, at):
         doc["vtime"] = None
     elif damage == "flipped-crc":
         doc["crc"] ^= 1
-    lines[at] = json.dumps(doc).encode()
+    lines[at] = json.dumps(doc).encode() if form == "loose" \
+        else canonical_json(doc)
     seq = None if damage == "str-seq" else at
     return lines, at, seq, "crc" if damage == "flipped-crc" else "envelope"
 
@@ -290,12 +389,12 @@ def streams(tmp_path_factory):
     return paths, lines, {r.key() for r in result.reports}
 
 
-@pytest.mark.parametrize("damage,at", CASES)
+@pytest.mark.parametrize("damage,at,form", CASES)
 class TestDamageMatrix:
     def test_trace_salvage_loses_the_chunk(self, streams, tmp_path,
-                                           damage, at):
+                                           damage, at, form):
         _paths, lines, full = streams
-        bad, index, seq, _check = _damage(lines["trace"], damage, at)
+        bad, index, seq, _check = _damage(lines["trace"], damage, at, form)
         path = str(tmp_path / "bad.json")
         _write(path, bad)
         cov = load_trace_salvaged(path).coverage
@@ -305,9 +404,9 @@ class TestDamageMatrix:
         assert {r.key() for r in analyze_trace(path)} <= full
 
     def test_trace_strict_names_the_chunk(self, streams, tmp_path,
-                                          damage, at):
+                                          damage, at, form):
         _paths, lines, _full = streams
-        bad, index, seq, _check = _damage(lines["trace"], damage, at)
+        bad, index, seq, _check = _damage(lines["trace"], damage, at, form)
         path = str(tmp_path / "bad.json")
         _write(path, bad)
         with pytest.raises(TraceCorruptionError) as exc:
@@ -316,9 +415,10 @@ class TestDamageMatrix:
         assert exc.value.byte_offset == _offset(bad, index)
 
     def test_schedule_raises_its_taxonomy(self, streams, tmp_path,
-                                          damage, at):
+                                          damage, at, form):
         _paths, lines, _full = streams
-        bad, index, _seq, check = _damage(lines["schedule"], damage, at)
+        bad, index, _seq, check = _damage(lines["schedule"], damage, at,
+                                          form)
         path = str(tmp_path / "bad.json")
         _write(path, bad)
         if index == 0 and check != "crc":
@@ -331,9 +431,10 @@ class TestDamageMatrix:
         assert exc.value.byte_offset == _offset(bad, index)
 
     def test_profile_raises_and_validation_lists_it(self, streams, tmp_path,
-                                                    damage, at):
+                                                    damage, at, form):
         _paths, lines, _full = streams
-        bad, index, _seq, check = _damage(lines["profile"], damage, at)
+        bad, index, _seq, check = _damage(lines["profile"], damage, at,
+                                          form)
         path = str(tmp_path / "bad.json")
         _write(path, bad)
         want = ProfileFormatError if check == "envelope" \
@@ -344,7 +445,7 @@ class TestDamageMatrix:
         assert problems and problems[0].startswith(f"chunk {index}: ")
 
     def test_wal_cuts_the_prefix_and_the_log_opens(self, streams, tmp_path,
-                                                   damage, at):
+                                                   damage, at, form):
         _paths, lines, _full = streams
         state = tmp_path / "state"
         log = DurableLog(str(state), fsync_policy="never")
@@ -354,7 +455,7 @@ class TestDamageMatrix:
         log.close()
         wal = state / "wal.jsonl"
         journal = wal.read_bytes().splitlines()
-        bad, index, _seq, _check = _damage(journal, damage, at)
+        bad, index, _seq, _check = _damage(journal, damage, at, form)
         _write(wal, bad)
         recovered = DurableLog(str(state), fsync_policy="never").recovered
         assert recovered.dropped_records == len(journal) - index
@@ -368,9 +469,9 @@ class TestDamageMatrix:
                 == up.chunks
 
     def test_serve_edge_rejects_and_stays_retryable(self, streams, damage,
-                                                    at):
+                                                    at, form):
         _paths, lines, _full = streams
-        bad, index, _seq, check = _damage(lines["trace"], damage, at)
+        bad, index, _seq, check = _damage(lines["trace"], damage, at, form)
         store = TraceStore()
         up = store.create()
         for seq in range(index):
