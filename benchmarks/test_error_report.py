@@ -27,7 +27,7 @@ def romp_report():
     tool, reports = run_tool("romp")
     assert len(reports) == 1
     from repro.core.reports import build_report
-    return build_report(tool.machine, reports[0])
+    return build_report(tool.machine.allocator, reports[0])
 
 
 class TestListing6Fidelity:

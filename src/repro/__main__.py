@@ -29,6 +29,11 @@ Global flags (work with every subcommand)::
     --trace-timeline OUT.json         # record the execution timeline and
                                       # export Chrome trace-event JSON
                                       # (virtual-time axis; load in Perfetto)
+
+A subcommand that parses one of these itself gets it as typed when it
+follows the subcommand's name: ``offline`` parses both (``offline T
+--json --stats`` prints one JSON document, the stats embedded), ``run``
+parses ``--trace-timeline``.
 """
 
 from __future__ import annotations
@@ -51,6 +56,12 @@ COMMANDS = {
     "faults": "repro.faults.selftest",
     "profile": "repro.obs.profdoc",
     "serve": "repro.serve.cli",
+}
+
+#: the global flags a subcommand parses itself
+OWN_FLAGS = {
+    "offline": ("--stats", "--trace-timeline"),
+    "run": ("--trace-timeline",),
 }
 
 
@@ -98,8 +109,12 @@ def _extract_timeline_flag(argv: List[str]
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv, stats_mode = _extract_stats_flag(argv)
-    argv, timeline_path = _extract_timeline_flag(argv)
+    own = OWN_FLAGS.get(argv[0], ()) if argv else ()
+    stats_mode = timeline_path = None
+    if "--stats" not in own:
+        argv, stats_mode = _extract_stats_flag(argv)
+    if "--trace-timeline" not in own:
+        argv, timeline_path = _extract_timeline_flag(argv)
     if not argv or argv[0] in ("-h", "--help") or argv[0] not in COMMANDS:
         print(__doc__)
         return 0 if argv and argv[0] in ("-h", "--help") else 2

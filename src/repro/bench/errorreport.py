@@ -60,7 +60,7 @@ def render() -> str:
         out.append("(no race reported)")
     for cand in romp_reports:
         from repro.core.reports import build_report
-        rep = build_report(romp_tool.machine, cand)
+        rep = build_report(romp_tool.machine.allocator, cand)
         out.append(format_report(rep, style="romp"))
     out.append("")
 

@@ -462,7 +462,7 @@ def _unsuppressed_races(path: str) -> set:
     the pre-suppression candidate set."""
     from repro.core.trace import analyze_loaded, load_trace_salvaged
     salvaged = load_trace_salvaged(path)
-    la = analyze_loaded(salvaged.graph, salvaged.view,
+    la = analyze_loaded(salvaged.graph, salvaged.allocator,
                         {"suppress_tls": False, "suppress_stack": False},
                         coverage=salvaged.coverage)
     return {_race_key(report_to_dict(r)) for r in la.reports}

@@ -6,9 +6,11 @@ columns ``(i, j, lo, hi)``, one row per conflicting byte range (a
 order.  The sweep builds no per-pair object.  The Section IV
 suppressions (:meth:`repro.core.suppress.SuppressionEngine.filter_all`)
 classify all rows at once, and only pairs with surviving bytes become
-:class:`RaceCandidate` objects.  :func:`analyze_and_suppress` is that
-pipeline — pass, raw count, replay pair filter, suppression — shared by
-the online tool and the offline and served analyzers.
+:class:`RaceCandidate` objects.  :func:`analyze_and_suppress` is the whole
+back half of every run — pass, raw count, replay pair filter,
+suppression, then the Listing-6 reports with their notes, witnesses and
+timeline race flows — shared by the online tool and the offline and
+served analyzers.
 
 There is one pass, :func:`find_races`.  It produces the table the
 faithful Algorithm 1 would — for every pair of segments with no
@@ -41,7 +43,8 @@ Phase names: ``analysis.prepare`` for the reachability DP and its packed
 rows, ``analysis.candidates`` for the interval pools and the sweep,
 ``analysis.pairs`` for the pair check alone (booked per worker thread, so
 its wall seconds sum across workers) and ``analysis.supervise`` for the
-supervised chunk loop around it.
+supervised chunk loop around it.  The report step books ``report``, and
+its ``--explain`` witnesses ``explain`` inside it.
 """
 
 from __future__ import annotations
@@ -49,17 +52,23 @@ from __future__ import annotations
 import concurrent.futures
 import time
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
 from repro.core import npkernel
 from repro.core.npkernel import KernelContext
+from repro.core.reports import RaceReport, build_report, build_witnesses
 from repro.core.segments import Segment, SegmentGraph
 from repro.faults.inject import get_injector
 from repro.obs.metrics import get_registry
+from repro.obs.tracer import get_tracer
 from repro.util.intervals import IntervalSet
+
+if TYPE_CHECKING:       # both import this module
+    from repro.core.suppress import SuppressionEngine
+    from repro.machine.allocator import Allocator
 
 _FAULTS = get_injector()
 
@@ -404,21 +413,29 @@ def find_races(graph: SegmentGraph, *, workers: int = 1,
 class Detection:
     """What :func:`analyze_and_suppress` found, with the pipeline's books."""
 
-    surviving: List[RaceCandidate]
+    reports: List[RaceReport]
     #: segment pairs with conflicting bytes before any filter
     raw_candidates: int
     #: the pass's coverage: chunks checked, retried and quarantined
     partial: PartialAnalysis
+    #: the suppression engine the run's conflicts went through
+    engine: SuppressionEngine
     #: pairs the replay pair filter dropped before suppression
     pair_dropped: int = 0
 
 
-def analyze_and_suppress(graph: SegmentGraph, engine, *,
+def analyze_and_suppress(graph: SegmentGraph, engine: SuppressionEngine,
+                         allocator: Allocator, *,
                          workers: int = 1,
                          deadline_s: Optional[float] = None,
                          max_retries: int = 2,
-                         pair_filter=None) -> Detection:
-    """Algorithm 1, the replay pair filter and Section IV suppression.
+                         pair_filter=None,
+                         select: Optional[Callable[[List[RaceReport]],
+                                                   List[RaceReport]]] = None,
+                         explain: bool = False,
+                         notes: Tuple[str, ...] = ()) -> Detection:
+    """Algorithm 1, the replay pair filter, Section IV suppression and the
+    report step: the back half of every run.
 
     The one pipeline behind :meth:`repro.core.tool.TaskgrindTool.finalize`
     and :func:`repro.core.trace.analyze_loaded` (offline and served).
@@ -427,6 +444,16 @@ def analyze_and_suppress(graph: SegmentGraph, engine, *,
     :class:`repro.replay.filter.ReplayFilter`) keeps only the rows of the
     segment pairs it admits.  ``engine`` is the run's
     :class:`repro.core.suppress.SuppressionEngine`.
+
+    In the ``report`` phase each surviving candidate becomes a
+    :class:`~repro.core.reports.RaceReport` placed by ``allocator`` (a
+    :class:`~repro.machine.allocator.Allocator`, whose ``space`` holds the
+    regions); ``select`` may narrow the list (the online tool's dedupe and
+    suppression file); ``explain`` attaches provenance witnesses in the
+    ``explain`` phase.  A degraded run's reports all carry ``notes`` (the
+    caller's: memory-budget coarsening, trace salvage), then the
+    "incomplete analysis" note when chunks went unchecked.  An enabled
+    tracer gets one race flow per report.
     """
     partial = find_races(graph, workers=workers, deadline_s=deadline_s,
                          max_retries=max_retries)
@@ -436,4 +463,25 @@ def analyze_and_suppress(graph: SegmentGraph, engine, *,
     if pair_filter is not None and pair_filter.pairs:
         table = table.select(table.pair_mask(pair_filter.admits_pair))
         dropped = raw - table.pair_count()
-    return Detection(engine.filter_all(table), raw, partial, dropped)
+    surviving = engine.filter_all(table)
+    reg = get_registry()
+    with reg.phase("report"):
+        reports = [build_report(allocator, c) for c in surviving]
+        if select is not None:
+            reports = select(reports)
+        if explain:
+            with reg.phase("explain"):
+                build_witnesses(graph, reports)
+        if not partial.complete:
+            notes += ("incomplete analysis: " + partial.summary(),)
+        if notes:
+            for r in reports:
+                r.notes += notes
+        tracer = get_tracer()
+        if tracer.enabled:
+            for r in reports:
+                tracer.race_flow(r.s1.id, r.s2.id, t1=r.s1.thread_id,
+                                 t2=r.s2.thread_id, args={
+                    "label1": r.s1.label(), "label2": r.s2.label(),
+                    "bytes": r.ranges.total_bytes})
+    return Detection(reports, raw, partial, engine, dropped)

@@ -18,12 +18,15 @@ for the L456 error-reporting comparison bench.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.core.analysis import RaceCandidate
 from repro.core.segments import Segment, SegmentGraph
 from repro.machine.debuginfo import SourceLocation, format_stack
 from repro.util.intervals import IntervalSet
+
+if TYPE_CHECKING:       # analysis imports this module to build reports
+    from repro.core.analysis import RaceCandidate
+    from repro.machine.allocator import Allocator
 
 
 @dataclass
@@ -102,16 +105,18 @@ class RaceReport:
                 min(self.s1.id, self.s2.id), max(self.s1.id, self.s2.id))
 
 
-def build_report(machine, cand: RaceCandidate) -> RaceReport:
-    """Assemble a report for one surviving candidate."""
+def build_report(allocator: Allocator, cand: RaceCandidate) -> RaceReport:
+    """Assemble a report for one surviving candidate: ``allocator`` (the
+    run's, or a loaded trace's) names the heap block and its ``space`` the
+    region holding the first conflicting byte."""
     span = cand.ranges.span
     assert span is not None
     s1_loc = cand.s1.sample_loc(span.lo, span.hi)
     s2_loc = cand.s2.sample_loc(span.lo, span.hi)
     report = RaceReport(s1=cand.s1, s2=cand.s2, ranges=cand.ranges,
                         s1_loc=s1_loc, s2_loc=s2_loc,
-                        region_desc=machine.space.describe(span.lo))
-    block = machine.allocator.block_at(span.lo)
+                        region_desc=allocator.space.describe(span.lo))
+    block = allocator.block_at(span.lo)
     if block is not None:
         report.block_addr = block.addr
         report.block_size = block.req_size or block.size

@@ -219,8 +219,8 @@ class Segment:
     __slots__ = ("id", "thread_id", "task", "kind", "virtual", "open",
                  "_reads", "_writes", "_pend_r", "_pend_w",
                  "loc_samples", "sp_at_start",
-                 "stack_bounds", "tls_snapshot", "label_loc", "seq_opened",
-                 "seq_closed")
+                 "stack_bounds", "tls_snapshot", "label_loc", "saved_label",
+                 "seq_opened", "seq_closed")
 
     def __init__(self, sid: int, thread_id: int, task: Optional[Task],
                  kind: str, *, virtual: bool = False,
@@ -243,6 +243,8 @@ class Segment:
         self.stack_bounds = stack_bounds
         self.tls_snapshot: Optional[TlsSnapshot] = None
         self.label_loc = label_loc
+        #: the label a saved trace recorded (a loaded segment has no task)
+        self.saved_label: Optional[str] = None
         self.seq_opened = -1
         self.seq_closed = -1
 
@@ -312,6 +314,8 @@ class Segment:
             return str(self.label_loc)
         if self.task is not None:
             return self.task.label()
+        if self.saved_label is not None:
+            return self.saved_label
         return f"{self.kind}#{self.id}"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -41,7 +41,7 @@ import numpy as _np
 
 from repro.core.analysis import ConflictTable, RaceCandidate
 from repro.core.segments import Segment
-from repro.machine.memory import RegionKind
+from repro.machine.memory import AddressSpace, RegionKind
 from repro.obs.metrics import get_registry
 from repro.obs.prof import get_profiler
 from repro.obs.tracer import get_tracer
@@ -80,11 +80,13 @@ class SuppressionStats:
 
 
 class SuppressionEngine:
-    """Applies the analysis-time suppressions (TLS + stack) to candidates."""
+    """Applies the analysis-time suppressions (TLS + stack) to candidates,
+    by the regions of ``space`` (the run's, or a loaded trace's,
+    :class:`~repro.machine.memory.AddressSpace`)."""
 
-    def __init__(self, machine, config: Optional[SuppressionConfig] = None
-                 ) -> None:
-        self.machine = machine
+    def __init__(self, space: Optional[AddressSpace],
+                 config: Optional[SuppressionConfig] = None) -> None:
+        self.space = space
         self.config = config or SuppressionConfig()
         self.stats = SuppressionStats()
 
@@ -153,7 +155,7 @@ class SuppressionEngine:
         stack = _np.zeros(n, dtype=bool)
         tls = _np.zeros(n, dtype=bool)
         cfg = self.config
-        regions = self.machine.space.regions          # sorted by base
+        regions = self.space.regions          # sorted by base
         if not (n and regions and (cfg.suppress_stack or cfg.suppress_tls)):
             return stack, tls
         lo, hi = table.lo, table.hi

@@ -10,8 +10,11 @@ Wiring (mirrors Fig. 2 of the paper):
 * ``on_access`` observes **every** access (DBI), drops those filtered by the
   ignore/instrument lists (IV-A), and records the rest into the current
   segment's read/write interval sets (III-B).
-* ``finalize`` runs the determinacy-race pass (Algorithm 1), applies the TLS
-  and stack suppressions (IV-C/IV-D), and assembles the Listing-6 reports.
+* ``finalize`` hands the graph to the back half every run shares
+  (:func:`repro.core.analysis.analyze_and_suppress`: Algorithm 1, the TLS
+  and stack suppressions of IV-C/IV-D, the Listing-6 reports), adding
+  only what a live run has: report dedupe, the suppression file and the
+  memory-budget note.
 
 Modeled defect — the Table II multi-thread ``deadlock``
 -------------------------------------------------------
@@ -31,18 +34,16 @@ dependence-free) never take this path, matching Tables I and II.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.analysis import PartialAnalysis, analyze_and_suppress
 from repro.core.ompt_shim import TaskgrindOmptShim
-from repro.core.reports import (RaceReport, build_report, build_witnesses,
-                                dedupe_reports)
+from repro.core.reports import RaceReport, dedupe_reports
 from repro.core.segments import SegmentBuilder, SegmentModelConfig
 from repro.core.suppress import SuppressionConfig, SuppressionEngine
 from repro.machine.cost import ToolCost
 from repro.obs.metrics import get_registry
 from repro.obs.prof import get_profiler
-from repro.obs.tracer import get_tracer
 from repro.vex.elide import ElisionPlan
 from repro.vex.tool import Tool
 
@@ -167,7 +168,7 @@ class TaskgrindTool(Tool):
                 return f"task:{st[-1].task.label()}"
 
             _PROF.bind_ancestry_provider(_task_frame)
-        self.suppressor = SuppressionEngine(machine,
+        self.suppressor = SuppressionEngine(machine.space,
                                             self.options.suppression)
         if self.options.suppression.suppress_recycling:
             machine.replacements.replace("free")      # free -> no-op (IV-B)
@@ -338,59 +339,43 @@ class TaskgrindTool(Tool):
             reg.publish("taskgrind", self.stats())
             return self.reports
         with reg.phase("finalize"):
-            graph = self.builder.graph
             opts = self.options
             found = analyze_and_suppress(
-                graph, self.suppressor, workers=opts.analysis_workers,
+                self.builder.graph, self.suppressor, self.machine.allocator,
+                workers=opts.analysis_workers,
                 deadline_s=opts.analysis_deadline_s,
                 max_retries=opts.analysis_max_retries,
-                pair_filter=self.replay_filter)
+                pair_filter=self.replay_filter, select=self._select,
+                explain=opts.explain, notes=self._budget_note())
             self.partial_analysis = found.partial
             self.raw_candidates = found.raw_candidates
             self.filter_pair_dropped = found.pair_dropped
-            surviving = found.surviving
-            with reg.phase("report"):
-                reports = [build_report(self.machine, c) for c in surviving]
-                if self.options.dedupe:
-                    reports = dedupe_reports(reports)
-                if self.options.suppression_file is not None:
-                    from repro.core.suppfile import load_suppressions
-                    supp = load_suppressions(self.options.suppression_file)
-                    reports, self.file_suppressed = supp.filter(reports)
-                if self.options.explain:
-                    with reg.phase("explain"):
-                        build_witnesses(graph, reports)
-                for note in self._degradation_notes():
-                    for r in reports:
-                        r.notes = r.notes + (note,)
-                tracer = get_tracer()
-                if tracer.enabled:
-                    for r in reports:
-                        tracer.race_flow(r.s1.id, r.s2.id,
-                                         t1=r.s1.thread_id,
-                                         t2=r.s2.thread_id, args={
-                            "label1": r.s1.label(), "label2": r.s2.label(),
-                            "bytes": r.ranges.total_bytes})
-            self.reports = reports
+            self.reports = found.reports
         reg.publish("taskgrind", self.stats())
+        return self.reports
+
+    def _select(self, reports: List[RaceReport]) -> List[RaceReport]:
+        """What only a live run narrows reports by: dedupe, then the
+        suppression file (counting what it mutes)."""
+        if self.options.dedupe:
+            reports = dedupe_reports(reports)
+        if self.options.suppression_file is not None:
+            from repro.core.suppfile import load_suppressions
+            supp = load_suppressions(self.options.suppression_file)
+            reports, self.file_suppressed = supp.filter(reports)
         return reports
 
-    def _degradation_notes(self) -> List[str]:
-        """Suppression-style warnings stamped on every report of a degraded
-        run — a report reader must never mistake coarsened or partial
-        evidence for the exact kind."""
-        notes: List[str] = []
-        if self.budget_tripped_at is not None:
-            notes.append(
-                f"degraded precision: memory budget "
+    def _budget_note(self) -> Tuple[str, ...]:
+        """The warning every report carries once the memory budget
+        tripped: a reader must never mistake coarsened evidence for the
+        exact kind."""
+        if self.budget_tripped_at is None:
+            return ()
+        return (f"degraded precision: memory budget "
                 f"({self.options.memory_budget} bytes) exceeded after "
                 f"{self.budget_tripped_at} accesses; later accesses "
                 f"recorded at {self.builder.coarse_granule}-byte granularity "
-                f"(byte ranges over-approximate)")
-        pa = self.partial_analysis
-        if pa is not None and not pa.complete:
-            notes.append("incomplete analysis: " + pa.summary())
-        return notes
+                f"(byte ranges over-approximate)",)
 
     # -- observability --------------------------------------------------------------------
 

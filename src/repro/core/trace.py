@@ -38,20 +38,20 @@ CLI: ``python -m repro.core.offline <trace.json> [--workers N]``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import IO, List, Optional, Tuple
 
-from repro.core.analysis import PartialAnalysis, analyze_and_suppress
-from repro.core.reports import RaceReport, build_report
+from repro.core.analysis import Detection, analyze_and_suppress
+from repro.core.reports import RaceReport
 from repro.core.segments import (_NO_ACCESSES, Segment, SegmentGraph,
                                  kahn_order)
 from repro.core.suppress import SuppressionConfig, SuppressionEngine
 from repro.errors import (TraceCorruptionError, TraceFormatError,
                           TraceVersionError)
 from repro.faults.inject import get_injector
+from repro.machine.allocator import AllocationBlock, Allocator
 from repro.machine.debuginfo import SourceLocation
-from repro.machine.memory import RegionKind
+from repro.machine.memory import HEAP_BASE, AddressSpace, Region, RegionKind
 from repro.machine.tls import TlsSnapshot
 from repro.obs.metrics import get_registry
 from repro.util.chunks import (ChunkError, ChunkWriter, chunk_lines,
@@ -178,89 +178,6 @@ def _write_v2(tool, machine, fh: IO[bytes], *,
 
 
 # ---------------------------------------------------------------------------
-# the offline machine view
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _OfflineRegion:
-    name: str
-    base: int
-    size: int
-    kind: RegionKind
-    owner_thread: Optional[int]
-
-    @property
-    def end(self) -> int:
-        return self.base + self.size
-
-
-@dataclass
-class _OfflineBlock:
-    addr: int
-    size: int
-    req_size: int
-    seq: int
-    alloc_site: Optional[SourceLocation]
-    alloc_stack: Tuple[SourceLocation, ...]
-    freed: bool
-    retained: bool
-
-    @property
-    def end(self) -> int:
-        return self.addr + self.size
-
-
-class _OfflineSpace:
-    def __init__(self, regions: List[_OfflineRegion]) -> None:
-        self._regions = sorted(regions, key=lambda r: r.base)
-        self._bases = [r.base for r in self._regions]
-
-    @property
-    def regions(self) -> List[_OfflineRegion]:
-        """Every region, sorted by base (as ``AddressSpace.regions``)."""
-        return list(self._regions)
-
-    def region_at(self, addr: int) -> Optional[_OfflineRegion]:
-        """The region containing ``addr``, or ``None`` — the last region
-        based at or below ``addr``, as ``AddressSpace.region_at``."""
-        k = bisect_right(self._bases, addr) - 1
-        if k >= 0 and addr < self._regions[k].end:
-            return self._regions[k]
-        return None
-
-    def describe(self, addr: int) -> str:
-        r = self.region_at(addr)
-        if r is None:
-            return f"{addr:#x} (unmapped)"
-        who = f" of thread {r.owner_thread}" if r.owner_thread is not None \
-            else ""
-        return f"{addr:#x} ({r.kind.value} '{r.name}'{who} " \
-               f"+{addr - r.base:#x})"
-
-
-class _OfflineAllocator:
-    def __init__(self, blocks: List[_OfflineBlock]) -> None:
-        self.all_blocks = blocks
-
-    def block_at(self, addr: int, include_retained: bool = True):
-        for block in reversed(self.all_blocks):
-            if block.addr <= addr < block.end:
-                if block.freed and not (block.retained and include_retained):
-                    continue
-                return block
-        return None
-
-
-class OfflineMachineView:
-    """Quacks like a Machine for SuppressionEngine and build_report."""
-
-    def __init__(self, space: _OfflineSpace,
-                 allocator: _OfflineAllocator) -> None:
-        self.space = space
-        self.allocator = allocator
-
-
-# ---------------------------------------------------------------------------
 # deserialization
 # ---------------------------------------------------------------------------
 
@@ -332,11 +249,27 @@ def _interval_set(pairs) -> IntervalSet:
     return out
 
 
+def _samples(rows, locs: dict) -> list:
+    """A segment's stored location samples, after checking each row is the
+    writer's ``[int, int, bool, location]``.  Raises ``TypeError`` or
+    ``ValueError``."""
+    out = []
+    for lo, hi, w, loc in rows:
+        if type(lo) is not int or type(hi) is not int or type(w) is not bool:
+            raise ValueError(f"location sample {[lo, hi, w, loc]!r} is not "
+                             "[int, int, bool, location]")
+        out.append((lo, hi, w, _location(loc, locs)))
+    return out
+
+
 def _decode_segments(stored, start: int, locs: dict, snaps: dict
                      ) -> Tuple[List[Segment], Optional[Exception]]:
     """One segment chunk's stored segments, ids from ``start``, decoded up
     to the first malformed one, and the error that stopped there (``None``
-    when all decoded).  ``locs`` and ``snaps`` intern the load's values."""
+    when all decoded).  Every field must have the writer's type: int
+    ``thread`` and ``sp_at_start``, str ``kind`` and ``label``, bool
+    ``virtual``, ``[int, int]`` ``stack_bounds`` (a bool is no int).
+    ``locs`` and ``snaps`` intern the load's values."""
     out: List[Segment] = []
     try:
         for sd in stored:
@@ -344,16 +277,23 @@ def _decode_segments(stored, start: int, locs: dict, snaps: dict
             if sd["id"] != sid:
                 raise ValueError(f"segment id {sd['id']!r} where {sid} was "
                                  "due: trace ids must be dense and ordered")
-            seg = Segment(sid, sd["thread"], None, sd["kind"],
-                          virtual=sd["virtual"],
-                          sp_at_start=sd["sp_at_start"],
-                          stack_bounds=tuple(sd["stack_bounds"]),
+            thread, kind, virtual = sd["thread"], sd["kind"], sd["virtual"]
+            sp, label = sd["sp_at_start"], sd["label"]
+            stack_lo, stack_hi = sd["stack_bounds"]
+            if type(thread) is not int or type(kind) is not str \
+                    or type(virtual) is not bool or type(sp) is not int \
+                    or type(stack_lo) is not int \
+                    or type(stack_hi) is not int or type(label) is not str:
+                raise ValueError(f"segment {sid}: a field is not of the "
+                                 "writer's type")
+            seg = Segment(sid, thread, None, kind, virtual=virtual,
+                          sp_at_start=sp, stack_bounds=(stack_lo, stack_hi),
                           label_loc=_location(sd["label_loc"], locs))
+            seg.saved_label = label
             seg.open = False
             seg._reads = _interval_set(sd["reads"])
             seg._writes = _interval_set(sd["writes"])
-            seg.loc_samples = [(lo, hi, w, _location(loc, locs))
-                               for lo, hi, w, loc in sd["loc_samples"]]
+            seg.loc_samples = _samples(sd["loc_samples"], locs)
             seg.tls_snapshot = _tls_snapshot(sd["tls"], snaps)
             out.append(seg)
     except (LookupError, TypeError, ValueError) as exc:
@@ -408,25 +348,37 @@ def _acyclic_prefix(ends: List[int], pairs: List[Tuple[int, int]]) -> int:
     return good
 
 
-def load_environment(data: dict) -> OfflineMachineView:
-    regions = [_OfflineRegion(name=r["name"], base=r["base"], size=r["size"],
-                              kind=RegionKind(r["kind"]),
-                              owner_thread=r["owner"])
-               for r in data["regions"]]
+def _allocator(space: AddressSpace) -> Allocator:
+    """An allocator over ``space`` and its heap region, holding no blocks
+    (a loaded run never allocates, so a space without a heap gets an
+    empty, unmapped one)."""
+    heap = next((r for r in space.regions if r.kind is RegionKind.HEAP),
+                Region("heap", HEAP_BASE, 0, RegionKind.HEAP))
+    return Allocator(space, heap)
+
+
+def load_environment(data: dict) -> Allocator:
+    """The stored environment in the machine's own types: each region
+    mapped into an :class:`AddressSpace`, which rejects overlapping ones,
+    and each block an :class:`AllocationBlock` of an :class:`Allocator`
+    over that space (freed blocks kept in its history only).  Raises
+    ``LookupError``, ``TypeError`` or ``ValueError``."""
+    space = AddressSpace()
+    for r in data["regions"]:
+        space.map_region(Region(r["name"], r["base"], r["size"],
+                                RegionKind(r["kind"]), r["owner"]))
+    allocator = _allocator(space)
     locs: dict = {}
-    blocks = [_OfflineBlock(addr=b["addr"], size=b["size"],
-                            req_size=b["req_size"], seq=b["seq"],
-                            alloc_site=_location(b["site"], locs),
-                            alloc_stack=tuple(_location(s, locs)
-                                              for s in b["stack"]),
-                            freed=b["freed"], retained=b["retained"])
-              for b in data["blocks"]]
-    return OfflineMachineView(_OfflineSpace(regions),
-                              _OfflineAllocator(blocks))
-
-
-def _empty_view() -> OfflineMachineView:
-    return OfflineMachineView(_OfflineSpace([]), _OfflineAllocator([]))
+    for b in data["blocks"]:
+        block = AllocationBlock(
+            addr=b["addr"], size=b["size"], seq=b["seq"],
+            req_size=b["req_size"], alloc_site=_location(b["site"], locs),
+            alloc_stack=tuple(_location(s, locs) for s in b["stack"]),
+            freed=b["freed"], retained=b["retained"])
+        allocator.all_blocks.append(block)
+        if not block.freed:
+            allocator.blocks[block.addr] = block
+    return allocator
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +448,8 @@ class SalvagedTrace:
     """Everything :func:`load_trace_salvaged` recovered."""
 
     graph: SegmentGraph
-    view: OfflineMachineView
+    #: the recorded heap blocks; its ``space`` holds the recorded regions
+    allocator: Allocator
     suppression: dict
     stats: Optional[dict]
     coverage: TraceCoverage
@@ -634,13 +587,13 @@ def _assemble_v2(chunks: List[_RawChunk],
     env = next((c for c in chunks if c.kind == "environment"), None)
     if env is not None:
         try:
-            view = load_environment(env.payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            view = _empty_view()
+            allocator = load_environment(env.payload)
+        except (LookupError, TypeError, ValueError) as exc:
+            allocator = _allocator(AddressSpace())
             cov.environment_recovered = False
             _lose(cov, env, f"environment chunk unreadable: {exc!r}")
     else:
-        view = _empty_view()
+        allocator = _allocator(AddressSpace())
         cov.environment_recovered = False
         cov.complete = False
         cov.errors.append("environment chunk lost; reports will lack "
@@ -656,7 +609,7 @@ def _assemble_v2(chunks: List[_RawChunk],
     if end is None:
         cov.complete = False
         cov.errors.append("end marker missing: trace truncated")
-    return SalvagedTrace(graph=graph, view=view, suppression=supp,
+    return SalvagedTrace(graph=graph, allocator=allocator, suppression=supp,
                          stats=stats, coverage=cov)
 
 
@@ -666,18 +619,20 @@ def load_trace_salvaged(path: str) -> SalvagedTrace:
     Never raises on damage within the stream — a truncated file, a
     corrupt middle chunk or an outright empty file all come back as a
     (possibly empty) graph plus a :class:`TraceCoverage` explaining the
-    loss.  Only a missing file or another *format* still raises (there is
-    nothing to salvage from the wrong format).
+    loss.  Only a file it cannot read or of another *format* raises
+    :class:`~repro.errors.TraceFormatError` (there is nothing to salvage).
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise TraceFormatError(path, repr(exc)) from exc
     cov = TraceCoverage()
     first_line = data.split(b"\n", 1)[0].strip()
     if not first_line:
         cov.complete = False
         cov.errors.append("empty trace file")
-        return SalvagedTrace(graph=SegmentGraph(), view=_empty_view(),
-                             suppression={}, stats=None, coverage=cov)
+        return _no_trace(cov)
     try:
         header_doc = decode_chunk(first_line)
     except ChunkError as exc:
@@ -709,9 +664,14 @@ def assemble_chunks(chunk_docs) -> SalvagedTrace:
     if not chunks:
         cov.complete = False
         cov.errors.append("no chunks uploaded")
-        return SalvagedTrace(graph=SegmentGraph(), view=_empty_view(),
-                             suppression={}, stats=None, coverage=cov)
+        return _no_trace(cov)
     return _assemble_v2(chunks, cov)
+
+
+def _no_trace(cov: TraceCoverage) -> SalvagedTrace:
+    return SalvagedTrace(graph=SegmentGraph(),
+                         allocator=_allocator(AddressSpace()),
+                         suppression={}, stats=None, coverage=cov)
 
 
 # ---------------------------------------------------------------------------
@@ -719,12 +679,7 @@ def assemble_chunks(chunk_docs) -> SalvagedTrace:
 # ---------------------------------------------------------------------------
 
 def _load_strict(path: str) -> SalvagedTrace:
-    try:
-        salvaged = load_trace_salvaged(path)
-    except TraceFormatError:
-        raise
-    except (OSError, ValueError) as exc:
-        raise TraceFormatError(path, repr(exc)) from exc
+    salvaged = load_trace_salvaged(path)
     cov = salvaged.coverage
     if cov.complete:
         return salvaged
@@ -740,7 +695,7 @@ def _load_strict(path: str) -> SalvagedTrace:
         reason="; ".join(cov.errors) or "incomplete trace")
 
 
-def load_trace(path: str) -> Tuple[SegmentGraph, OfflineMachineView, dict]:
+def load_trace(path: str) -> Tuple[SegmentGraph, Allocator, dict]:
     """Strict load: any damage raises the :mod:`repro.errors` taxonomy.
 
     :class:`~repro.errors.TraceVersionError` for unknown versions (it
@@ -750,75 +705,42 @@ def load_trace(path: str) -> Tuple[SegmentGraph, OfflineMachineView, dict]:
     :class:`~repro.errors.TraceFormatError` for files that are not traces.
     """
     s = _load_strict(path)
-    return s.graph, s.view, s.suppression
+    return s.graph, s.allocator, s.suppression
 
 
 # ---------------------------------------------------------------------------
 # offline analysis
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LoadedAnalysis:
-    """Result of :func:`analyze_loaded`: reports + the pipeline's books."""
-
-    reports: List[RaceReport]
-    raw_candidates: int
-    partial: PartialAnalysis
-    engine: SuppressionEngine
-
-
-def analyze_loaded(graph: SegmentGraph, view: OfflineMachineView,
+def analyze_loaded(graph: SegmentGraph, allocator: Allocator,
                    supp_flags: dict, *,
                    coverage: Optional[TraceCoverage] = None,
                    workers: int = 1,
                    explain: bool = False,
                    deadline_s: Optional[float] = None,
-                   max_retries: int = 2) -> LoadedAnalysis:
+                   max_retries: int = 2) -> Detection:
     """Algorithm 1 + suppression + reporting on an already-loaded trace.
 
-    The shared back half of the offline pipeline: the file-based
-    :func:`analyze_trace_with_stats` and the ingestion server's job
-    executor (which assembles graphs from uploaded chunks and caches them
-    by content hash) both funnel through here, so their reports are
-    byte-identical for the same trace content.  ``workers``,
-    ``deadline_s`` and ``max_retries`` go to
+    The file-based :func:`analyze_trace_with_stats` and the ingestion
+    server's job executor (which assembles graphs from uploaded chunks)
+    both funnel through here into
+    :func:`~repro.core.analysis.analyze_and_suppress`, the back half the
+    online tool runs too, so their reports are byte-identical for the
+    same trace content.  The stored suppression flags pick the Section IV
+    classes; a salvaged trace's reports carry its coverage note.
+    ``workers``, ``deadline_s`` and ``max_retries`` go to
     :func:`~repro.core.analysis.find_races`.
     """
-    from repro.core.reports import build_witnesses
-    from repro.obs.tracer import get_tracer
-    reg = get_registry()
     config = SuppressionConfig(
         suppress_tls=supp_flags.get("suppress_tls", True),
         suppress_stack=supp_flags.get("suppress_stack", True))
-    engine = SuppressionEngine(view, config)
-    found = analyze_and_suppress(graph, engine,
-                                 workers=workers, deadline_s=deadline_s,
-                                 max_retries=max_retries)
-    partial, surviving = found.partial, found.surviving
-    with reg.phase("report"):
-        reports = [build_report(view, c) for c in surviving]
-        notes = []
-        if coverage is not None and not coverage.complete:
-            notes.append("incomplete evidence: " + coverage.summary())
-        if not partial.complete:
-            notes.append("incomplete analysis: " + partial.summary())
-        for note in notes:
-            for r in reports:
-                r.notes = r.notes + (note,)
-        if explain:
-            with reg.phase("explain"):
-                build_witnesses(graph, reports)
-        tracer = get_tracer()
-        if tracer.enabled:
-            for r in reports:
-                tracer.race_flow(r.s1.id, r.s2.id,
-                                 t1=r.s1.thread_id, t2=r.s2.thread_id,
-                                 args={
-                    "label1": r.s1.label(), "label2": r.s2.label(),
-                    "bytes": r.ranges.total_bytes})
-    return LoadedAnalysis(reports=reports,
-                          raw_candidates=found.raw_candidates,
-                          partial=partial, engine=engine)
+    notes: Tuple[str, ...] = ()
+    if coverage is not None and not coverage.complete:
+        notes = ("incomplete evidence: " + coverage.summary(),)
+    return analyze_and_suppress(
+        graph, SuppressionEngine(allocator.space, config), allocator,
+        workers=workers, deadline_s=deadline_s, max_retries=max_retries,
+        explain=explain, notes=notes)
 
 
 def analyze_trace(path: str, *, workers: int = 1,
@@ -861,9 +783,9 @@ def analyze_trace_with_stats(path: str, *, workers: int = 1,
                 reg.counter("resilience.trace_salvaged").inc()
                 reg.counter("resilience.trace_chunks_lost").inc(
                     coverage.chunks_corrupt)
-        la = analyze_loaded(loaded.graph, loaded.view, loaded.suppression,
-                            coverage=coverage, workers=workers,
-                            explain=explain)
+        la = analyze_loaded(loaded.graph, loaded.allocator,
+                            loaded.suppression, coverage=coverage,
+                            workers=workers, explain=explain)
     reports = la.reports
     stats = {
         "schema": "taskgrind-offline-stats/1",

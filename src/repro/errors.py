@@ -87,9 +87,11 @@ class ToolError(ReproError):
 class TraceError(ReproError):
     """Base class for trace save/load failures.
 
-    The salvage reader (:func:`repro.core.trace.load_trace_salvaged`) never
-    raises these — it degrades to the longest valid prefix instead.  Only
-    the strict loaders (``load_trace`` / ``--strict-trace``) escalate.
+    The salvage reader (:func:`repro.core.trace.load_trace_salvaged`)
+    raises these only for a file it cannot read or of another format —
+    damage inside the stream degrades to the longest valid prefix
+    instead.  The strict loaders (``load_trace`` / ``--strict-trace``)
+    escalate any damage.
     """
 
 

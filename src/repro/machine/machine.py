@@ -95,16 +95,19 @@ class Machine:
         self.tool: Optional[Tool] = None
         self.cost: CostModel = CostModel(cost_params)
         self.instrumentation = Instrumentation(self.space, self.cost)
-        # phases timed while this machine runs report its virtual clock
+        # phases timed while this machine runs report its virtual clock;
+        # the process-wide clocks hold the cost model, never the machine,
+        # so a finished run is not kept alive until the next one starts
         self.metrics = get_registry()
         from repro.machine.cost import OPS_PER_SECOND
-        self.metrics.set_vclock(lambda: self.cost.vtime_ops,
+        cost = self.cost
+        self.metrics.set_vclock(lambda: cost.vtime_ops,
                                 ops_per_second=OPS_PER_SECOND)
         from repro.obs.tracer import get_tracer
         tracer = get_tracer()
         if tracer.enabled:
             # timeline timestamps follow this machine's virtual clock too
-            tracer.set_vclock(lambda: self.cost.vtime_ops,
+            tracer.set_vclock(lambda: cost.vtime_ops,
                               ops_per_second=OPS_PER_SECOND)
         from repro.obs.prof import get_profiler
         prof = get_profiler()

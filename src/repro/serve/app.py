@@ -332,7 +332,7 @@ class TraceService:
             # the graph is this job's alone: analysis counts its queries
             salvaged = assemble_chunks(chunks)
         with job.span("analyze"), reg.phase("serve.analyze"):
-            la = analyze_loaded(salvaged.graph, salvaged.view,
+            la = analyze_loaded(salvaged.graph, salvaged.allocator,
                                 salvaged.suppression,
                                 coverage=salvaged.coverage,
                                 workers=p["workers"],

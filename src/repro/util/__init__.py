@@ -16,8 +16,6 @@ rng
     Seeded, named random streams so every simulated schedule is reproducible.
 tables
     Plain-text table rendering for the benchmark harnesses.
-log
-    Small logging shim used across the package.
 """
 
 from repro.util.intervals import Interval, IntervalSet

@@ -1,5 +1,8 @@
 """Tests for the benchmark runner and the verdict plumbing."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.baselines.common import Verdict, classify
@@ -77,6 +80,17 @@ class TestRunBenchmark:
         a = run_benchmark(prog(racy_entry, racy=True), "taskgrind", seed=0)
         b = run_benchmark(prog(racy_entry, racy=True), "taskgrind", seed=1)
         assert a.verdict == b.verdict == Verdict.TP   # logical analysis
+
+    def test_finished_machine_is_not_kept_alive(self):
+        """The registry's virtual clock holds the run's cost model, not
+        its machine: a dropped result frees the machine, its tool, graph
+        and allocator, before the next machine is built."""
+        result = run_benchmark(prog(racy_entry, racy=True), "taskgrind",
+                               keep_machine=True)
+        machine = weakref.ref(result.machine)
+        del result
+        gc.collect()
+        assert machine() is None
 
 
 class TestRegistries:

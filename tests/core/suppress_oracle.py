@@ -25,7 +25,7 @@ _PROF = get_profiler()
 
 
 class ScalarSuppression:
-    """Per-candidate suppression over ``engine``'s machine, config and
+    """Per-candidate suppression over ``engine``'s address space, config and
     stats (the engine's TLS check is shared: it is scalar in both)."""
 
     def __init__(self, engine: SuppressionEngine) -> None:
@@ -63,7 +63,7 @@ class ScalarSuppression:
     def _piece_suppressed(self, piece: Interval, s1: Segment,
                           s2: Segment) -> bool:
         engine = self.engine
-        region = engine.machine.space.region_at(piece.lo)
+        region = engine.space.region_at(piece.lo)
         if region is None:
             return False
         if region.kind == RegionKind.STACK and engine.config.suppress_stack:

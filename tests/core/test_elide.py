@@ -68,7 +68,7 @@ class TestPlanGating:
         assert not plan.site_elidable(UNKNOWN)
 
     def test_engine_delegates(self):
-        eng = SuppressionEngine(machine=None,
+        eng = SuppressionEngine(space=None,
                                 config=SuppressionConfig(suppress_tls=False))
         assert eng.site_elidable(STACK_LOCAL)
         assert not eng.site_elidable(TLS_LOCAL)

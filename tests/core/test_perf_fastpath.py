@@ -282,6 +282,7 @@ class TestAnalysisParity:
         assert_hb_matches_dp(graph)
         table = naive_table(graph)
         assert tool.raw_candidates == table.pair_count()
-        engine = SuppressionEngine(tool.machine, tool.options.suppression)
+        engine = SuppressionEngine(tool.machine.space,
+                                   tool.options.suppression)
         assert [(r.s1.id, r.s2.id) for r in reports] == \
             [c.key() for c in engine.filter_all(table)]

@@ -135,13 +135,16 @@ def test_faulted_pipeline_keeps_a_subset(small_chunks):
     graph, machine = result.tool_obj.builder.graph, result.machine
 
     def survivors(found):
-        return {(c.key(), tuple(c.ranges.pairs())) for c in found.surviving}
+        return {((r.s1.id, r.s2.id), tuple(r.ranges.pairs()))
+                for r in found.reports}
 
-    clean = analyze_and_suppress(graph, SuppressionEngine(machine),
-                                 workers=2)
+    clean = analyze_and_suppress(graph, SuppressionEngine(machine.space),
+                                 machine.allocator, workers=2)
     with inject_plan(FaultPlan.single("worker-exc", 0)):
-        faulted = analyze_and_suppress(graph, SuppressionEngine(machine),
-                                       workers=2, max_retries=0)
+        faulted = analyze_and_suppress(graph,
+                                       SuppressionEngine(machine.space),
+                                       machine.allocator, workers=2,
+                                       max_retries=0)
     assert not faulted.partial.complete
     assert faulted.raw_candidates < clean.raw_candidates
     assert survivors(faulted) <= survivors(clean)

@@ -122,8 +122,9 @@ class TestSupervisor:
         graph = tool.builder.graph
         full = _cand_keys(find_races_naive(graph))
         with inject_plan(FaultPlan.single("worker-exc", 0, times=1)):
-            found = analyze_and_suppress(graph, SuppressionEngine(machine),
-                                         workers=2)
+            found = analyze_and_suppress(graph,
+                                         SuppressionEngine(machine.space),
+                                         machine.allocator, workers=2)
         assert found.partial.complete and found.partial.retries == 1
         assert found.raw_candidates == len(full)
 

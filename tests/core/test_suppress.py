@@ -8,7 +8,7 @@ from repro.machine.debuginfo import DebugInfo
 
 class TestSymbolFilter:
     def make(self, **kw):
-        return SuppressionEngine(machine=None, config=SuppressionConfig(**kw))
+        return SuppressionEngine(space=None, config=SuppressionConfig(**kw))
 
     def test_default_ignore_list_drops_kmp(self):
         eng = self.make()

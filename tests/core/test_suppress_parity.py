@@ -45,9 +45,9 @@ def assert_parity(graph, machine, config=None):
     """Both filters over one table: same survivors, same stats."""
     config = config or SuppressionConfig()
     table = find_races(graph).table
-    vec = SuppressionEngine(machine, config)
+    vec = SuppressionEngine(machine.space, config)
     got = vec.filter_all(table)
-    oracle = SuppressionEngine(machine, config)
+    oracle = SuppressionEngine(machine.space, config)
     want = ScalarSuppression(oracle).filter_all(table.candidates())
     assert _keys(got) == _keys(want)
     assert vec.stats == oracle.stats
@@ -221,7 +221,7 @@ def test_edge_cases(suppress_stack, suppress_tls):
     assert stats.stack_suppressed == int(suppress_stack)
     assert stats.tls_suppressed == int(suppress_tls)
     assert stats.tls_gen_warnings == (2 if suppress_tls else 0)
-    survivors = SuppressionEngine(machine, config).filter_all(
+    survivors = SuppressionEngine(machine.space, config).filter_all(
         find_races(graph).table)
     same_thread = next(c for c in survivors if c.key() == (0, 1))
     expected = [p for p in PIECES
@@ -245,7 +245,7 @@ def test_other_threads_stack_survives():
 
 def test_empty_table():
     graph = SegmentGraph()
-    engine = SuppressionEngine(SimpleNamespace(space=AddressSpace()))
+    engine = SuppressionEngine(AddressSpace())
     assert engine.filter_all(find_races(graph).table) == []
     assert engine.stats_doc() == {"tls": 0, "stack": 0, "survived": 0,
                                   "fully_suppressed_pairs": 0,
@@ -284,11 +284,12 @@ def test_tracer_and_profiler_events_match(observed):
         table = find_races(g).table
         mark = tracer.mark()
         prof.reset()
-        SuppressionEngine(m).filter_all(table)
+        SuppressionEngine(m.space).filter_all(table)
         got, got_counts = _instants(tracer, mark), prof.count_cells()
         mark = tracer.mark()
         prof.reset()
-        ScalarSuppression(SuppressionEngine(m)).filter_all(table.candidates())
+        ScalarSuppression(SuppressionEngine(m.space)).filter_all(
+            table.candidates())
         assert got == _instants(tracer, mark)
         assert got_counts == prof.count_cells()
         assert got

@@ -61,12 +61,17 @@ class TestRoundTrip:
             assert (a.kind, a.virtual, a.sp_at_start, a.stack_bounds) \
                 == (b.kind, b.virtual, b.sp_at_start, tuple(b.stack_bounds))
             assert a.label_loc == b.label_loc
+            assert a.label() == b.label()
             assert a.loc_samples == b.loc_samples
             assert a.tls_snapshot == b.tls_snapshot
             assert not a.open
         assert graph._succ == orig._succ
         assert any(s.tls_snapshot is not None for s in graph.segments)
         assert any(s.loc_samples for s in graph.segments)
+        # a segment labelled by its task, not a pragma location, keeps
+        # the recording run's label
+        assert any(b.label_loc is None and b.task is not None
+                   for b in orig.segments)
 
     def test_offline_reports_match_online(self, trace_path):
         path, tool = trace_path

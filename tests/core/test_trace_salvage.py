@@ -19,7 +19,7 @@ from repro.core.trace import (analyze_trace, analyze_trace_with_stats,
 from repro.errors import InjectedFault, TraceCorruptionError, TraceError
 from repro.faults.inject import inject_plan
 from repro.faults.plan import FaultPlan
-from repro.util.chunks import payload_crc
+from repro.util.chunks import canonical_json, payload_crc
 
 
 def racy_listing(env):
@@ -53,17 +53,19 @@ def _damaged(tmp_path, lines, name="damaged.json"):
     return str(path)
 
 
-def _resegmented(path, tmp_path, edit):
+def _resegmented(path, tmp_path, edit, form="loose"):
     """The trace at ``path`` with ``edit(segments)`` applied to its segment
     dicts and the chunk re-checksummed: damage that passes the CRC and only
-    the segment decoder can catch."""
+    the segment decoder can catch.  ``form`` writes the damaged line
+    ``loose`` or in the writer's ``canonical`` form."""
     lines = []
     for line in open(path).read().splitlines():
         doc = json.loads(line)
         if doc["kind"] == "segments":
             edit(doc["payload"]["segments"])
             doc["crc"] = payload_crc(doc["payload"])
-            line = json.dumps(doc)
+            line = json.dumps(doc) if form == "loose" \
+                else canonical_json(doc).decode()
         lines.append(line)
     return _damaged(tmp_path, lines, "malformed.json")
 
@@ -211,32 +213,54 @@ class TestMalformedSegments:
         lambda seg: seg["tls"].update(dtv=[[1, 2]]),
         lambda seg: seg["tls"].update(dtv=[[1, 2, [3]]]),
         lambda seg: seg["tls"].update(tcb="0"),
+        lambda seg: seg["loc_samples"][0].__setitem__(0, "x"),
+        lambda seg: seg["loc_samples"][0].__setitem__(2, 1),
+        lambda seg: seg["loc_samples"][0].append(None),
+        lambda seg: seg.update(thread="1"),
+        lambda seg: seg.update(thread=True),
+        lambda seg: seg.update(kind=1),
+        lambda seg: seg.update(virtual=0),
+        lambda seg: seg.update(sp_at_start=None),
+        lambda seg: seg.update(stack_bounds=["a", "b"]),
+        lambda seg: seg.update(stack_bounds=[1, 2, 3]),
+        lambda seg: seg.update(label=["x"]),
     ], ids=["unhashable-location", "string-line", "short-sample-location",
-            "short-dtv-entry", "unhashable-dtv-entry", "string-tcb"])
+            "short-dtv-entry", "unhashable-dtv-entry", "string-tcb",
+            "sample-string-lo", "sample-int-is-write", "sample-five-fields",
+            "string-thread", "bool-thread", "int-kind", "int-virtual",
+            "null-sp", "string-stack-bounds", "three-stack-bounds",
+            "list-label"])
     def test_malformed_location_or_tls_loses_the_segment(self, traced,
                                                          tmp_path, edit):
         """Locations and TLS snapshots are interned per load, so each
         distinct one is checked once; one the writer could not have
         emitted (an unhashable field among them, which used to load
-        silently) loses its segment like a malformed interval."""
+        silently) loses its segment like a malformed interval.  So does
+        any other field not of the writer's type, a bool never passing
+        for an int: a sample row whose ``lo`` is a string used to end the
+        report step in a ``TypeError`` traceback, and a string thread
+        loaded silently.  The damaged line is written loose and in the
+        writer's form."""
         path, tool = traced
         racers = _racers(tool)
 
         def edit_racers(segs):
             for sid in racers:
                 edit(segs[sid])
-        bad = _resegmented(path, tmp_path, edit_racers)
-        reports, stats = analyze_trace_with_stats(bad)
-        cov = stats["coverage"]
-        assert reports == [] and cov["complete"] is False
-        assert cov["segments"]["recovered"] == stats["graph"]["segments"] \
-            == racers[0]
-        assert any("unreadable segment" in e for e in cov["errors"])
-        with pytest.raises(TraceCorruptionError,
-                           match="segment chunk 1: unreadable") as exc:
-            analyze_trace(bad, strict=True)
-        assert exc.value.chunk_seq == 1
-        assert exc.value.byte_offset == _offset_of(bad, 1)
+        for form in ("loose", "canonical"):
+            bad = _resegmented(path, tmp_path, edit_racers, form)
+            reports, stats = analyze_trace_with_stats(bad)
+            cov = stats["coverage"]
+            assert reports == [] and cov["complete"] is False
+            # the segments before the first bad one are kept
+            assert cov["segments"]["recovered"] \
+                == stats["graph"]["segments"] == racers[0]
+            assert any("unreadable segment" in e for e in cov["errors"])
+            with pytest.raises(TraceCorruptionError,
+                               match="segment chunk 1: unreadable") as exc:
+                analyze_trace(bad, strict=True)
+            assert exc.value.chunk_seq == 1
+            assert exc.value.byte_offset == _offset_of(bad, 1)
 
     def test_id_gap_loses_the_tail_under_optimize(self, traced, tmp_path):
         """The dense-id check must not be an ``assert``: under ``python -O``
@@ -412,6 +436,26 @@ class TestMalformedEnvironment:
             analyze_trace(bad, strict=True)
         assert exc.value.chunk_seq == env["seq"]
 
+    def test_overlapping_regions_lose_the_environment(self, traced,
+                                                      tmp_path):
+        """The stored regions are mapped into an ``AddressSpace``, which
+        rejects an overlap: such an environment used to load, and a
+        region lookup silently picked one of the two."""
+        path, tool = traced
+        docs = [json.loads(line) for line in open(path).read().splitlines()]
+        env = next(d for d in docs if d["kind"] == "environment")
+        heap = next(r for r in env["payload"]["regions"]
+                    if r["kind"] == "heap")
+        env["payload"]["regions"].append(
+            {**heap, "name": "shadow", "base": heap["base"] + 16})
+        env["crc"] = payload_crc(env["payload"])
+        bad = _damaged(tmp_path, [json.dumps(d) for d in docs])
+        cov = load_trace_salvaged(bad).coverage
+        assert not cov.environment_recovered
+        assert cov.segments_recovered == len(tool.builder.graph.segments)
+        assert any("mapping overlap" in e for e in cov.errors)
+        assert cov.first_bad_chunk == env["seq"]
+
 
 class TestOfflineCli:
     def test_damaged_trace_exits_cleanly(self, traced, tmp_path, capsys):
@@ -442,6 +486,18 @@ class TestOfflineCli:
         assert offline_main([bad]) == 0          # the racers are lost
         assert "WARNING: trace damaged" in capsys.readouterr().out
         assert offline_main([bad, "--strict-trace"]) == 2
+
+    @pytest.mark.parametrize("strict", [False, True],
+                             ids=["salvage", "strict"])
+    def test_unreadable_path_exits_typed(self, tmp_path, capsys, strict):
+        """A path that is no readable file is a format error in salvage
+        mode too (exit 2, the taxonomy message), not a ``FileNotFoundError``
+        or ``IsADirectoryError`` traceback read as "races found"."""
+        flags = ["--strict-trace"] if strict else []
+        for path in (tmp_path / "missing.trace", tmp_path):
+            assert offline_main([str(path)] + flags) == 2
+            err = capsys.readouterr().err
+            assert f"error: {path}: not a readable taskgrind trace" in err
 
     def test_strict_flag_ok_on_intact_trace(self, traced, capsys):
         path, _ = traced

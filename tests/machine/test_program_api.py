@@ -1,5 +1,6 @@
 """Edge-case tests for the guest programming API (Buffer, GuestContext)."""
 
+import json
 from collections import namedtuple
 
 import pytest
@@ -169,3 +170,16 @@ class TestLauncher:
         rc = main(["errorreport"])
         assert rc == 0
         assert "Taskgrind report" in capsys.readouterr().out
+
+    def test_offline_parses_its_own_stats_flag(self, tmp_path, capsys):
+        """``offline --json --stats`` prints one JSON document with the
+        stats embedded: the launcher hands the flag over instead of
+        printing the registry as a second document."""
+        from repro.__main__ import main
+        trace = str(tmp_path / "trace.json")
+        assert main(["run", "027-taskdependmissing-orig",
+                     "--save-trace", trace]) == 1      # races found
+        capsys.readouterr()
+        assert main(["offline", trace, "--json", "--stats=json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["stats"]["schema"] == "taskgrind-offline-stats/1"

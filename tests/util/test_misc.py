@@ -1,9 +1,5 @@
-"""Tests for the small utilities: seeded RNG streams, tables, logging."""
+"""Tests for the small utilities: seeded RNG streams, tables."""
 
-import logging
-
-
-from repro.util.log import enable_verbose, get_logger
 from repro.util.rng import RngHub
 from repro.util.tables import render_kv, render_table
 
@@ -72,15 +68,3 @@ class TestTables:
         cols = [line.index(":") for line in text.splitlines() if ":" in line]
         assert len(set(cols)) == 1
 
-
-class TestLog:
-    def test_logger_hierarchy(self):
-        child = get_logger("analysis")
-        assert child.name == "repro.analysis"
-        assert get_logger().name == "repro"
-
-    def test_enable_verbose_idempotent(self):
-        enable_verbose()
-        n = len(logging.getLogger("repro").handlers)
-        enable_verbose()
-        assert len(logging.getLogger("repro").handlers) == n
