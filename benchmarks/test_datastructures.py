@@ -8,7 +8,7 @@ back the happens-before queries of Algorithm 1.
 
 from repro.core.segments import SegmentGraph
 from repro.util.intervals import IntervalSet
-from repro.util.itree import IntervalTree
+from tests.util.itree import IntervalTree
 
 
 def dense_insert(n):

@@ -11,7 +11,8 @@ Subcommands map one-to-one to the paper's artifacts::
     python -m repro offline TRACE     # offline analysis of a saved trace
     python -m repro run PROGRAM       # one program under one tool
     python -m repro replay SCHEDULE   # deterministic two-phase replay
-    python -m repro perf              # record/analyze fast-path bench
+    python -m repro perf              # perf gate: perfbench outputs vs
+                                      # the committed BENCH_perf.json
     python -m repro fuzz              # differential schedule-fuzzing
     python -m repro faults            # resilience self-test (fault matrix)
     python -m repro profile           # overhead-attribution profiles
@@ -21,11 +22,12 @@ Subcommands map one-to-one to the paper's artifacts::
 
 Global flags (work with every subcommand)::
 
-    --stats[=json|pretty|prom]        # print the observability document
+    --stats [json|pretty|prom]        # print the observability document
                                       # (phase wall/virtual timings, counters,
                                       # per-tool stats) after the subcommand;
                                       # 'prom' renders Prometheus text
-                                      # exposition format
+                                      # exposition format; a bare --stats is
+                                      # 'pretty' (--stats=MODE works too)
     --trace-timeline OUT.json         # record the execution timeline and
                                       # export Chrome trace-event JSON
                                       # (virtual-time axis; load in Perfetto)
@@ -58,6 +60,8 @@ COMMANDS = {
     "serve": "repro.serve.cli",
 }
 
+STATS_MODES = ("json", "pretty", "prom")
+
 #: the global flags a subcommand parses itself
 OWN_FLAGS = {
     "offline": ("--stats", "--trace-timeline"),
@@ -66,15 +70,19 @@ OWN_FLAGS = {
 
 
 def _extract_stats_flag(argv: List[str]) -> Tuple[List[str], Optional[str]]:
-    """Strip a launcher-level ``--stats[=json|pretty|prom]`` from anywhere."""
+    """Strip a launcher-level ``--stats [MODE]`` / ``--stats=MODE`` from
+    anywhere.  A bare ``--stats`` takes the next word as its mode only
+    when that word is one of :data:`STATS_MODES`."""
     out: List[str] = []
     mode: Optional[str] = None
-    for arg in argv:
+    for i, arg in enumerate(argv):
         if arg == "--stats":
             mode = "pretty"
+        elif arg in STATS_MODES and i and argv[i - 1] == "--stats":
+            mode = arg
         elif arg.startswith("--stats="):
             value = arg.split("=", 1)[1]
-            if value not in ("json", "pretty", "prom"):
+            if value not in STATS_MODES:
                 print(f"unknown --stats mode {value!r} "
                       "(expected json, pretty or prom)", file=sys.stderr)
                 value = "pretty"

@@ -195,10 +195,6 @@ class ArcherTool(Tool):
         self.reports = self.core.unique_races()
         return self.reports
 
-    @property
-    def raw_race_count(self) -> int:
-        return len(self.core.races)
-
     def memory_bytes(self, app_bytes: int = 0) -> int:
         # peak concurrent threads: real libomp pools its workers
         extra_threads = max(0, self.machine.scheduler.peak_live - 1)

@@ -72,6 +72,9 @@ if TYPE_CHECKING:       # both import this module
 
 _FAULTS = get_injector()
 
+#: seconds before a failed chunk's first retry; each later round doubles it
+RETRY_BACKOFF_S = 0.01
+
 #: one block of conflict rows: ``(i, j, lo, hi)`` columns of equal length
 Rows = Tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]
 
@@ -317,17 +320,18 @@ def _attempt(check: Callable[[int], Tuple[Rows, int]],
 
 
 def find_races(graph: SegmentGraph, *, workers: int = 1,
-               deadline_s: Optional[float] = None, max_retries: int = 2,
-               backoff_s: float = 0.01) -> PartialAnalysis:
+               deadline_s: Optional[float] = None,
+               max_retries: int = 2) -> PartialAnalysis:
     """Algorithm 1 under supervision: the raw conflicts and their coverage.
 
     The candidate pairs are checked in chunks of the kernel's batch
     (:data:`repro.core.npkernel._PAIR_BATCH` pairs) by ``workers``
     threads; one worker is the sequential pass.  Every chunk is attempted
     up to ``1 + max_retries`` times with exponential backoff between
-    attempts; a chunk whose worker raises (or runs past ``deadline_s``) on
-    every attempt is quarantined and its candidate pairs booked as
-    unchecked — the chunks that *did* complete are never discarded.
+    attempts (:data:`RETRY_BACKOFF_S`, doubling); a chunk whose worker
+    raises (or runs past ``deadline_s``) on every attempt is quarantined
+    and its candidate pairs booked as unchecked — the chunks that *did*
+    complete are never discarded.
     Faults are observed exactly where the fault injector plants them
     (:meth:`FaultInjector.on_analysis_chunk`).
     """
@@ -371,7 +375,7 @@ def find_races(graph: SegmentGraph, *, workers: int = 1,
                 if attempt > 0:
                     reg.counter("resilience.chunks_retried").inc(len(pending))
                     result.retries += len(pending)
-                    time.sleep(backoff_s * (2 ** (attempt - 1)))
+                    time.sleep(RETRY_BACKOFF_S * (2 ** (attempt - 1)))
                 outcome, late = _attempt(check, pending, workers_eff,
                                          deadline_s)
                 if late:

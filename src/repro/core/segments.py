@@ -99,14 +99,11 @@ _NO_ACCESSES = IntervalSet()
 class SegmentModelConfig:
     """Which synchronisation semantics a tool's segment model understands."""
 
-    honor_dependencies: bool = True
     honor_inoutset: bool = True           # TaskSanitizer: False
     honor_mutexinoutset: bool = True
     honor_detach: bool = True             # TaskSanitizer: False
-    honor_taskwait: bool = True
     honor_taskgroup: bool = True
     honor_undeferred: bool = True         # sequence if(0)/serialized tasks
-    honor_mergeable: bool = False         # nobody models merged tasks (DRB129)
     #: treat tasks the user annotated as deferrable as truly deferred even if
     #: the runtime serialized them (Taskgrind's client-request annotation)
     honor_deferrable_annotation: bool = True
@@ -717,8 +714,6 @@ class SegmentBuilder:
 
     def on_task_dependence_pair(self, pred: Task, succ: Task,
                                 dep: Dependence) -> None:
-        if not self.config.honor_dependencies:
-            return
         if dep.kind == DepKind.INOUTSET and not self.config.honor_inoutset:
             return
         if (dep.kind == DepKind.MUTEXINOUTSET
@@ -728,7 +723,7 @@ class SegmentBuilder:
 
     def on_task_schedule_begin(self, task: Task, thread_id: int) -> None:
         ti = self.info(task)
-        if task.is_merged and self.config.honor_mergeable is False:
+        if task.is_merged:
             # Nobody in the paper's tool set models merged-task semantics:
             # the merged task's accesses land in the encountering task's
             # segment (which is exactly why DRB129 is a universal FN).
@@ -866,9 +861,8 @@ class SegmentBuilder:
             prior = self._taskwait_prior.pop((task.tid, thread_id), None)
             seg = self._open(thread_id, entry.task, entry.segment.kind)
             self.graph.add_edge(prior, seg)
-            if self.config.honor_taskwait:
-                for child in self.info(task).children:
-                    self.graph.add_edge(self.info(child).final_segment, seg)
+            for child in self.info(task).children:
+                self.graph.add_edge(self.info(child).final_segment, seg)
             entry.segment = seg
         elif kind == SyncKind.TASKGROUP:
             members = self._group_stack[task.tid].pop()

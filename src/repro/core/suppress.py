@@ -65,7 +65,6 @@ class SuppressionConfig:
     suppress_recycling: bool = True        # install the free-as-noop wrapper
     suppress_tls: bool = True
     suppress_stack: bool = True
-    suppress_sequenced_same_thread: bool = True  # kept True; listed for ablation
 
 
 @dataclass

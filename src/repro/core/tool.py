@@ -74,11 +74,10 @@ class TaskgrindOptions:
     #: each report — the ``--explain`` flag
     explain: bool = False
     #: tool-memory ceiling in bytes (None = unlimited): when the modeled
-    #: footprint crosses it, access recording degrades to coarse
-    #: ``memory_budget_granule``-byte intervals instead of dying OOM, and
-    #: every report carries a degraded-precision warning
+    #: footprint crosses it, access recording degrades to coarse 64-byte
+    #: intervals (:meth:`SegmentBuilder.enter_coarse_mode`) instead of
+    #: dying OOM, and every report carries a degraded-precision warning
     memory_budget: Optional[int] = None
-    memory_budget_granule: int = 64
     #: supervised analysis: per-chunk wall deadline (None = none) and
     #: retry budget before a failing chunk is quarantined
     analysis_deadline_s: Optional[float] = None
@@ -321,11 +320,11 @@ class TaskgrindTool(Tool):
         if self.memory_bytes() <= self.options.memory_budget:
             return
         self.budget_tripped_at = self.recorded_accesses
-        granule = self.options.memory_budget_granule
-        self.builder.enter_coarse_mode(granule)
+        self.builder.enter_coarse_mode()
         reg = get_registry()
         reg.counter("resilience.memory_budget_trips").inc()
-        reg.gauge("resilience.coarse_granule").set(granule)
+        reg.gauge("resilience.coarse_granule").set(
+            self.builder.coarse_granule)
 
     # -- post-mortem analysis -----------------------------------------------------------
 

@@ -18,9 +18,10 @@ reports them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Iterable, List, Optional, Tuple
 
+from repro.core.suppress import SuppressionConfig
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.errors import GuestCrash, OutOfMemory, SimDeadlock
 from repro.fuzz.spec import FuzzProgram
@@ -30,16 +31,34 @@ SLOT_BYTES = 8
 SCRATCH_BYTES = 16
 
 
+_SUPPRESSION_KEYS = frozenset(f.name for f in fields(SuppressionConfig))
+_OPTION_KEYS = frozenset(f.name for f in fields(TaskgrindOptions))
+#: keys reproducers written before the analysis kept one path may carry
+#: (the kernel and the mode): they load, and select nothing
+RETIRED_OPTION_KEYS = frozenset({"analysis_kernel", "analysis"})
+
+
+def check_option_keys(keys: Iterable[str]) -> None:
+    """Raise ``ValueError`` naming the first key that is neither a
+    :class:`SuppressionConfig` nor a :class:`TaskgrindOptions` field, nor
+    one of :data:`RETIRED_OPTION_KEYS`."""
+    for key in keys:
+        if key not in _SUPPRESSION_KEYS and key not in _OPTION_KEYS \
+                and key not in RETIRED_OPTION_KEYS:
+            raise ValueError(f"unknown option {key!r}: neither a "
+                             "SuppressionConfig nor a TaskgrindOptions field")
+
+
 def fuzz_options(**overrides) -> TaskgrindOptions:
     """Taskgrind options for fuzzing: the real analysis, not the modeled
     Table II lock-up artifact (which is a reproduction fidelity feature,
     not behaviour under test)."""
+    check_option_keys(overrides)
     opts = TaskgrindOptions(model_multithread_lockup=False)
-    supp = opts.suppression
     for key, value in overrides.items():
-        if hasattr(supp, key):
-            setattr(supp, key, value)
-        else:
+        if key in _SUPPRESSION_KEYS:
+            setattr(opts.suppression, key, value)
+        elif key in _OPTION_KEYS:
             setattr(opts, key, value)
     return opts
 

@@ -19,6 +19,7 @@ import json
 import os
 from typing import Callable, Iterator, List, Optional, Tuple
 
+from repro.fuzz.executors import check_option_keys
 from repro.fuzz.spec import FuzzProgram, validate
 
 REPRO_SCHEMA = "taskgrind-fuzz-repro/1"
@@ -230,11 +231,16 @@ def write_reproducer(program: FuzzProgram, corpus_dir: str, *,
 
 
 def load_reproducer(path: str) -> Tuple[FuzzProgram, List[str], dict, str]:
-    """Read one corpus entry → (program, expected kinds, options, note)."""
+    """Read one corpus entry → (program, expected kinds, options, note).
+
+    An ``options`` key that no Taskgrind option has is a ``ValueError``,
+    not an override silently set on nothing."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("schema") != REPRO_SCHEMA:
         raise ValueError(f"{path}: not a {REPRO_SCHEMA} document")
     program = FuzzProgram.from_json(json.dumps(doc["program"]))
-    return program, list(doc.get("expect", [])), dict(doc.get("options", {})), \
+    options = dict(doc.get("options", {}))
+    check_option_keys(options)
+    return program, list(doc.get("expect", [])), options, \
         str(doc.get("note", ""))

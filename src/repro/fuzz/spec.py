@@ -102,15 +102,6 @@ class FuzzProgram:
 
     # -- structure helpers ----------------------------------------------------
 
-    def task_count(self) -> int:
-        """Number of explicit tasks (qtasks / dep tasks / spawned tasks)."""
-        if self.family in ("deps", "feb"):
-            return len(self.body)
-        if self.family == "barrier":
-            return 0
-        return sum(1 for body in iter_bodies(self.body)
-                   for op in body if op[0] == "task")
-
     def op_count(self) -> int:
         if self.family == "barrier":
             return sum(len(r) for rounds in self.body for r in rounds)

@@ -223,10 +223,6 @@ class Allocator:
         """Bytes currently held from the OS's perspective: live + retained."""
         return self.live_bytes + self.retained_bytes
 
-    @property
-    def arena_used(self) -> int:
-        return self._top - self.region.base
-
 
 class FastArena:
     """A library-internal pool allocator that recycles regardless of tools.

@@ -158,16 +158,10 @@ class Machine:
             thread_id=t.id, stack=ThreadStack(self.space, stack_region, t.id))
         return t
 
-    def current_thread(self) -> SimThread:
-        return self.scheduler.current()
-
     def context(self, thread_id: Optional[int] = None) -> ThreadContext:
         if thread_id is None:
             thread_id = self.scheduler.current_id()
         return self._contexts[thread_id]
-
-    def thread_contexts(self) -> Dict[int, ThreadContext]:
-        return dict(self._contexts)
 
     # -- globals -------------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
 from repro.errors import MachineError
-from repro.machine.debuginfo import SourceLocation, Symbol
+from repro.machine.debuginfo import SourceLocation
 from repro.machine.machine import Machine
 
 
@@ -122,10 +122,6 @@ class GuestContext:
 
     def _tctx(self):
         return self.machine.context()
-
-    @property
-    def current_symbol(self) -> Symbol:
-        return self._tctx().symbol
 
     @property
     def current_location(self) -> Optional[SourceLocation]:

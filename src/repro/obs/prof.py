@@ -95,7 +95,12 @@ class Profiler:
         self.enabled = True
 
     def disable(self) -> None:
+        """Disarm, keeping the buckets.  The frame providers close over
+        the run's machine and recorder, so they are unbound: callers
+        write their profile before this, and nothing reads a frame after."""
         self.enabled = False
+        self._frame_provider = None
+        self._ancestry_provider = None
 
     def reset(self) -> None:
         self._vtime.clear()

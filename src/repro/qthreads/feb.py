@@ -53,7 +53,3 @@ class FebTable:
 
     def peek(self, addr: int) -> object:
         return self.word(addr).value
-
-    @property
-    def tracked_words(self) -> int:
-        return len(self._words)

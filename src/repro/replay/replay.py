@@ -24,7 +24,7 @@ means the executions differ, which is precisely what the check is for.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.errors import ReplayDivergenceError
 from repro.obs.metrics import get_registry

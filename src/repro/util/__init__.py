@@ -8,10 +8,6 @@ chunks
 intervals
     Half-open integer interval algebra (:class:`~repro.util.intervals.Interval`,
     :class:`~repro.util.intervals.IntervalSet`).
-itree
-    Self-balancing (AVL) interval tree, the paper's Section III-B
-    per-segment structure: kept as a micro-benchmark subject and a test
-    oracle (segments record into flat ``IntervalSet`` lists).
 rng
     Seeded, named random streams so every simulated schedule is reproducible.
 tables
@@ -19,6 +15,5 @@ tables
 """
 
 from repro.util.intervals import Interval, IntervalSet
-from repro.util.itree import IntervalTree
 
-__all__ = ["Interval", "IntervalSet", "IntervalTree"]
+__all__ = ["Interval", "IntervalSet"]

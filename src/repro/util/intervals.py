@@ -12,8 +12,8 @@ two value types everything else builds on:
 :class:`IntervalSet` is also each segment's read and write set: the
 recorder drains its write-combining buffer into one through
 :func:`coalesce_sorted_pairs`, and the analysis kernel pools the sets'
-columns as they are.  The paper's interval tree
-(:mod:`repro.util.itree`) is kept as a micro-benchmark subject and a test
+columns as they are.  The paper's interval tree lives with the tests
+(``tests/util/itree.py``), as a micro-benchmark subject and the recorder's
 oracle.
 """
 
@@ -219,9 +219,6 @@ class IntervalSet:
             hi = max(hi, self._his[j - 1])
         self._los[i:j] = [lo]
         self._his[i:j] = [hi]
-
-    def add_interval(self, iv: Interval) -> None:
-        self.add(iv.lo, iv.hi)
 
     def remove(self, lo: int, hi: int) -> None:
         """Remove every byte of ``[lo, hi)`` from the set."""

@@ -52,8 +52,8 @@ Site-classification lattice::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.obs.prof import get_profiler
 from repro.vex.ir import (Binop, Const, Expr, Get, Load, Put, RdTmp, Store,

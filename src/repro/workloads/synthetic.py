@@ -159,10 +159,6 @@ def omp_scratch(env: OmpEnv, tasks: int = 8, iters: int = 64) -> int:
     return sum(sums)
 
 
-def scratch_reference(tasks: int = 8, iters: int = 64) -> int:
-    return tasks * sum(range(iters))
-
-
 # ---------------------------------------------------------------------------
 # n-queens: irregular task tree with a shared counter
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from repro.baselines.common import Verdict, classify
 from repro.bench.programs import BenchProgram
 from repro.bench.runner import TOOLS, run_benchmark
+from repro.obs.prof import get_profiler
 
 
 def prog(entry, racy=False, **kw):
@@ -91,6 +92,23 @@ class TestRunBenchmark:
         del result
         gc.collect()
         assert machine() is None
+
+    def test_profiled_machine_is_not_kept_alive(self):
+        """The profiler's frame providers close over the machine and its
+        recorder: disabling it after a profiled run frees them."""
+        prof = get_profiler()
+        prof.enable()
+        try:
+            result = run_benchmark(prog(racy_entry, racy=True), "taskgrind",
+                                   keep_machine=True)
+            prof.disable()
+            machine = weakref.ref(result.machine)
+            del result
+            gc.collect()
+            assert machine() is None
+        finally:
+            prof.disable()
+            prof.reset()
 
 
 class TestRegistries:

@@ -38,7 +38,7 @@ from repro.core.analysis import ConflictTable, RaceCandidate, Rows
 from repro.core.npkernel import KernelContext
 from repro.core.segments import Segment, SegmentGraph
 from repro.util.intervals import IntervalSet
-from repro.util.itree import IntervalTree
+from tests.util.itree import IntervalTree
 
 
 def write_index(segs: Sequence[Segment]) -> List[Tuple[int, int, int, bool]]:

@@ -1,5 +1,10 @@
 """Differential oracle + shrinker behaviour."""
 
+import json
+import os
+
+import pytest
+
 from repro.fuzz.diff import run_differential
 from repro.fuzz.executors import fuzz_options
 from repro.fuzz.gen import generate
@@ -96,6 +101,32 @@ class TestReproducerIO:
         assert kinds == ["suppression"]
         assert options == {"suppress_recycling": False}
         assert note == "unit test"
+
+    def test_unknown_option_key_is_refused(self, tmp_path, capsys):
+        """A misspelled override would otherwise be set on nothing, and
+        the run would quietly take the default (IV-C on): the loader, the
+        option builder, the CLI and the serve bench's corpus recorder all
+        refuse it, naming the key."""
+        from repro.bench.serve import record_corpus_trace
+        from repro.fuzz.cli import main
+        src = os.path.join(os.path.dirname(__file__), "corpus",
+                           "deps-8fda18624ce3.json")
+        with open(src) as fh:
+            doc = json.load(fh)
+        doc["options"] = {"suppres_tls": False}
+        path = str(tmp_path / "misspelled.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ValueError, match="'suppres_tls'"):
+            load_reproducer(path)
+        with pytest.raises(ValueError, match="'suppres_tls'"):
+            fuzz_options(suppres_tls=False)
+        with pytest.raises(ValueError, match="'suppres_tls'"):
+            record_corpus_trace(path, str(tmp_path / "trace.json"))
+        capsys.readouterr()
+        assert main(["--reproducer", path, "--schedules", "1",
+                     "--no-shrink"]) == 2
+        assert "'suppres_tls'" in capsys.readouterr().err
 
     def test_doc_shape(self):
         doc = reproducer_doc(generate(4), kinds=[])

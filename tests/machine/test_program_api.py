@@ -183,3 +183,20 @@ class TestLauncher:
         assert main(["offline", trace, "--json", "--stats=json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["stats"]["schema"] == "taskgrind-offline-stats/1"
+
+    def test_stats_takes_a_following_mode_word(self, capsys):
+        """``--stats json`` prints the registry as JSON, as ``--stats=json``
+        does; a word after a bare ``--stats`` that is no mode stays the
+        subcommand's argument."""
+        from repro.__main__ import main
+        run = ["run", "027-taskdependmissing-orig", "--tool", "none"]
+        for flags in (["--stats", "json"], ["--stats=json"]):
+            assert main(run + flags) == 0
+            out = capsys.readouterr().out
+            doc = json.loads(out[out.index("\n{\n") + 1:])
+            assert "counters" in doc
+        assert main(["run", "--stats", "027-taskdependmissing-orig",
+                     "--tool", "none"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("027-taskdependmissing-orig under none")
+        assert "== stats ==" in out

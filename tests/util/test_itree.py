@@ -1,4 +1,4 @@
-"""Unit + property tests for the AVL interval tree (repro.util.itree).
+"""Unit + property tests for the AVL interval tree (tests.util.itree).
 
 The property tests use :class:`IntervalSet` as an oracle: any sequence of
 inserts must leave the tree covering exactly the same bytes, with invariants
@@ -8,7 +8,7 @@ inserts must leave the tree covering exactly the same bytes, with invariants
 from hypothesis import given, settings, strategies as st
 
 from repro.util.intervals import IntervalSet
-from repro.util.itree import IntervalTree
+from tests.util.itree import IntervalTree
 
 
 def build(pairs):

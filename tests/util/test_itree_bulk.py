@@ -10,7 +10,7 @@ used as the oracle.
 from hypothesis import given, settings, strategies as st
 
 from repro.util.intervals import coalesce_sorted_pairs
-from repro.util.itree import IntervalTree
+from tests.util.itree import IntervalTree
 
 
 def inserted(pairs):
