@@ -60,7 +60,7 @@ from repro.bench.perf import EXIT_BASELINE_UNUSABLE, load_baseline
 from repro.core.reports import report_to_dict
 from repro.core.trace import analyze_trace, save_trace
 from repro.errors import GuestCrash, OutOfMemory, ReproError, SimDeadlock
-from repro.faults.plan import FaultPlan, builtin_plan
+from repro.faults.plan import ANALYSIS_KINDS, FaultPlan, builtin_plan
 from repro.faults.inject import inject_plan
 from repro.obs.metrics import get_registry
 from repro.serve.app import ServeConfig
@@ -595,6 +595,13 @@ def _check_chaos_outcome(outcome: dict, clean: set) -> List[str]:
                         f"({outcome.get('report_error')})")
         return problems
     problems.extend(f"{where}: {p}" for p in _well_formed_partial(report))
+    # an analysis fault has a target only if the analysis has a chunk
+    chunks = report.get("analysis", {}).get("resilience", {}).get(
+        "chunks", {}).get("total", 0)
+    fired = outcome.get("fired")
+    if fired is not None and not any(fired.values()) and (
+            chunks or outcome["plan"].split("@")[0] not in ANALYSIS_KINDS):
+        problems.append(f"{where}: the fault never fired")
     got = {_race_key(e) for e in report.get("errors", [])}
     invented = got - clean
     if invented:
@@ -702,31 +709,37 @@ def _one_kill_session(name: str, lines: List[bytes], spec: str,
 
 def _one_kill_mid_analysis(name: str, lines: List[bytes], shards: int,
                            expected: str) -> dict:
-    """Kill while the job runs; restart must re-enqueue it exactly once."""
+    """Kill while the job runs; restart must re-enqueue it exactly once.
+
+    The kill fires inside the job's terminal journal append, a point
+    every analysis reaches (one with no candidate pair has no chunk for
+    a ``worker-hang`` to stall), so the journal keeps the enqueue and
+    loses the finish, whatever the trace.
+    """
     outcome: dict = {"trace": name, "plan": "kill-mid-analysis",
                      "violations": []}
     where = f"{name} under kill-mid-analysis"
     viol = outcome["violations"].append
     with tempfile.TemporaryDirectory(prefix="serve-kill-") as state_dir:
         srv = ServerThread(_durable_config(state_dir, shards)).start()
-        killed = False
         job_id = None
         try:
             with ServeClient(srv.base_url) as client:
                 trace_id, _ = client.upload_trace(lines)
-                # wedge the single worker so the kill lands mid-run,
-                # before the terminal record can reach the journal
-                with inject_plan(FaultPlan.single("worker-hang", 0,
-                                                  seconds=0.4, times=1)):
+                # the next two records: the job's enqueue, then its finish
+                records, _info = read_wal(os.path.join(state_dir,
+                                                       "wal.jsonl"))
+                plan = FaultPlan.single("kill-server", len(records) + 1)
+                with inject_plan(plan):
                     job_id = client.analyze(trace_id, workers=1)
-                    time.sleep(0.05)
-                    srv.kill()
-                    killed = True
+                    client.wait(job_id, timeout=120.0)
+                outcome["fired"] = dict(plan.fired_summary())
+                if not any(outcome["fired"].values()):
+                    viol(f"{where}: the kill never fired")
         except (ReproError, TimeoutError, ConnectionError) as exc:
             viol(f"{where}: setup failed — {type(exc).__name__}: {exc}")
         finally:
-            if not killed:
-                srv.kill()
+            srv.kill()
         if job_id is None:
             return outcome
 
@@ -784,7 +797,8 @@ def run_kill_chaos(traces: List[Tuple[str, str]], *, shards: int,
             runs.append(outcome)
         if not kinds or "kill-server" in kinds:
             outcome = _one_kill_mid_analysis(name, lines, shards, expected)
-            outcome["attacks"] = "SIGKILL while the analysis job runs"
+            outcome["attacks"] = ("SIGKILL while the analysis job runs, "
+                                  "inside its terminal journal append")
             violations.extend(outcome.pop("violations"))
             runs.append(outcome)
     return {

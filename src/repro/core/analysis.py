@@ -20,9 +20,12 @@ happens-before path, ``s1.w ∩ (s2.r ∪ s2.w)`` — without visiting all
 the segment pairs that actually share bytes, as two index arrays sorted
 by ``(i, j)``, and
 :meth:`~repro.core.npkernel.KernelContext.check_pairs` filters them by
-happens-before and intersects them.  The faithful all-pairs pass and the
-per-pair Python check are test oracles (``tests/core/analysis_oracle.py``),
-not production paths.
+happens-before and intersects them.  Given the run's suppression engine,
+the sweep leaves out the pairs that share bytes only in frames both
+segments pushed themselves: Section IV-D acts twice, on whole pairs
+before the pair check and on pieces after it.  The faithful all-pairs
+pass and the per-pair Python check are test oracles
+(``tests/core/analysis_oracle.py``), not production paths.
 
 The pair check runs in chunks of the kernel's own batch
 (:data:`~repro.core.npkernel._PAIR_BATCH` pairs) under a supervisor: each
@@ -209,6 +212,9 @@ class PartialAnalysis:
     retries: int = 0
     deadline_hits: int = 0
     quarantined: List[QuarantinedChunk] = field(default_factory=list)
+    #: access intervals the Section IV-D rule classed local to their
+    #: segment before the candidate sweep
+    stack_local_intervals: int = 0
 
     @property
     def candidates(self) -> List[RaceCandidate]:
@@ -319,10 +325,18 @@ def _attempt(check: Callable[[int], Tuple[Rows, int]],
     return outcome, late
 
 
-def find_races(graph: SegmentGraph, *, workers: int = 1,
+def find_races(graph: SegmentGraph, *,
+               engine: Optional[SuppressionEngine] = None,
+               workers: int = 1,
                deadline_s: Optional[float] = None,
                max_retries: int = 2) -> PartialAnalysis:
     """Algorithm 1 under supervision: the raw conflicts and their coverage.
+
+    With an ``engine`` whose stack rule is on, a segment pair that shares
+    bytes only in frames both segments pushed themselves is never checked
+    (:meth:`~repro.core.suppress.SuppressionEngine.stack_local`): Section
+    IV-D would suppress every such byte, so the conflicts that survive
+    suppression are the same, and only the raw ones shrink.
 
     The candidate pairs are checked in chunks of the kernel's batch
     (:data:`repro.core.npkernel._PAIR_BATCH` pairs) by ``workers``
@@ -342,8 +356,11 @@ def find_races(graph: SegmentGraph, *, workers: int = 1,
         # segments' flat interval sets, the kernel context and its DP rows
         segs = [s for s in graph.segments if s.has_accesses]
         with reg.phase("analysis.candidates"):
-            ctx = KernelContext(graph, segs)
+            ctx = KernelContext(graph, segs, engine)
             ii, jj = ctx.candidate_pairs()
+        result.stack_local_intervals = int(ctx.local.sum())
+        reg.counter("analysis.stack_local_intervals").inc(
+            result.stack_local_intervals)
         reg.counter("analysis.candidate_pairs").inc(len(ii))
         with reg.phase("analysis.prepare"):
             ctx.prepare_hb()
@@ -418,7 +435,8 @@ class Detection:
     """What :func:`analyze_and_suppress` found, with the pipeline's books."""
 
     reports: List[RaceReport]
-    #: segment pairs with conflicting bytes before any filter
+    #: segment pairs with conflicting bytes that Algorithm 1 checked
+    #: (after the Section IV-D stack-local skip, before any other filter)
     raw_candidates: int
     #: the pass's coverage: chunks checked, retried and quarantined
     partial: PartialAnalysis
@@ -447,7 +465,9 @@ def analyze_and_suppress(graph: SegmentGraph, engine: SuppressionEngine,
     :func:`find_races`.  ``pair_filter`` (a
     :class:`repro.replay.filter.ReplayFilter`) keeps only the rows of the
     segment pairs it admits.  ``engine`` is the run's
-    :class:`repro.core.suppress.SuppressionEngine`.
+    :class:`repro.core.suppress.SuppressionEngine`: :func:`find_races`
+    skips the pairs its stack rule would drop whole, and it drops the
+    suppressed pieces of the rest.
 
     In the ``report`` phase each surviving candidate becomes a
     :class:`~repro.core.reports.RaceReport` placed by ``allocator`` (a
@@ -459,8 +479,8 @@ def analyze_and_suppress(graph: SegmentGraph, engine: SuppressionEngine,
     "incomplete analysis" note when chunks went unchecked.  An enabled
     tracer gets one race flow per report.
     """
-    partial = find_races(graph, workers=workers, deadline_s=deadline_s,
-                         max_retries=max_retries)
+    partial = find_races(graph, engine=engine, workers=workers,
+                         deadline_s=deadline_s, max_retries=max_retries)
     table = partial.table
     raw = table.pair_count()
     dropped = 0

@@ -17,11 +17,15 @@ merges.  This module reformulates the whole pass over flat sorted
   staying small whatever the addresses are.
 * **Candidate sweep** — all pooled intervals sorted by ``lo``; interval
   ``k`` overlaps exactly the later intervals ``m`` with ``lo[m] < hi[k]``,
-  a contiguous range found by one ``searchsorted``.  The ranges are
-  expanded in blocks of at most :data:`_SWEEP_BLOCK` interval pairs, and
-  the segment pairs are encoded as ``i * n + j`` and deduplicated by sort
-  plus adjacent difference.  The output is two index arrays ``(ii, jj)``
-  sorted by ``(i, j)``.
+  a contiguous range found by one ``searchsorted``.  Intervals the
+  Section IV-D rule classes local to their segment
+  (:meth:`repro.core.suppress.SuppressionEngine.stack_local`) pair only
+  with non-local ones, so a segment pair sharing bytes only between
+  local intervals is never checked.  The ranges are expanded in blocks
+  of at most :data:`_SWEEP_BLOCK` interval pairs, and the segment pairs
+  are encoded as ``i * n + j`` and deduplicated by sort plus adjacent
+  difference.  The output is two index arrays ``(ii, jj)`` sorted by
+  ``(i, j)``.
 * **Batched happens-before** — a whole chunk of candidate pairs is filtered
   with one bit test per pair in packed reachability rows copied from the
   graph's bitmask DP, the one happens-before answer every run uses.
@@ -121,6 +125,20 @@ def intersect_arrays(alos, ahis, blos, bhis):
     return los, his
 
 
+def _expand(src, base, counts, target):
+    """Interval pairs ``(k, m)`` in blocks of at most :data:`_SWEEP_BLOCK`:
+    interval ``src[s]`` meets ``target[base[s] + t]`` (``base[s] + t``
+    when ``target`` is ``None``) for every ``t < counts[s]``."""
+    cum = _np.cumsum(counts)
+    total = int(cum[-1]) if cum.shape[0] else 0
+    first = cum - counts
+    for p0 in range(0, total, _SWEEP_BLOCK):
+        p = _np.arange(p0, min(p0 + _SWEEP_BLOCK, total), dtype=_np.int64)
+        s = _np.searchsorted(cum, p, side="right")
+        m = base[s] + (p - first[s])
+        yield src[s], (m if target is None else target[m])
+
+
 def _sorted_unique(x: "_np.ndarray") -> "_np.ndarray":
     """``np.unique`` by an in-place sort of ``x`` plus adjacent difference
     (numpy's hash-based ``unique`` is an order of magnitude slower on
@@ -178,7 +196,9 @@ class KernelContext:
 
     Built and prepared single-threaded before the (possibly parallel) pair
     sweep, so chunk workers only read.  Construction pools the segments'
-    write and read intervals (:class:`_Pool`) as ranks into ``coords``, the
+    write and read intervals (:class:`_Pool`), has ``engine`` (a
+    :class:`~repro.core.suppress.SuppressionEngine`, if any) class each one
+    stack-local or not, and maps the pools to ranks into ``coords``, the
     sorted distinct endpoints; :meth:`candidate_pairs` sweeps the pools for
     the pairs Algorithm 1 must check.  :meth:`prepare_hb` then packs each
     analysed segment's bitmask DP row into one ``uint8`` buffer of
@@ -186,14 +206,25 @@ class KernelContext:
     :meth:`check_pairs` reads.
     """
 
-    def __init__(self, graph, segs: Sequence) -> None:
+    def __init__(self, graph, segs: Sequence, engine=None) -> None:
         self.graph = graph
         self.segs = segs
-        self.w_pool = _Pool([seg.writes for seg in segs])
-        self.r_pool = _Pool([seg.reads for seg in segs])
+        self.w_pool = w = _Pool([seg.writes for seg in segs])
+        self.r_pool = r = _Pool([seg.reads for seg in segs])
+        idx = _np.arange(len(segs), dtype=_np.int64)
+        #: each pooled interval's segment, writes first
+        self.seg = _np.concatenate((_np.repeat(idx, w.lens),
+                                    _np.repeat(idx, r.lens)))
+        #: which pooled intervals ``engine``'s stack rule classes local
+        #: (none without an engine), judged on addresses before the pools
+        #: become ranks
+        self.local = (_np.zeros(self.seg.shape[0], dtype=bool)
+                      if engine is None else engine.stack_local(
+                          segs, self.seg, _np.concatenate((w.los, r.los)),
+                          _np.concatenate((w.his, r.his))))
         # the sweeps only compare endpoints, so ranks answer like addresses
         # and fit a pair's window whatever the addresses are
-        pools = (self.w_pool, self.r_pool)
+        pools = (w, r)
         self.coords = _sorted_unique(_np.concatenate(
             [col for pool in pools for col in (pool.los, pool.his)]))
         for pool in pools:
@@ -201,12 +232,19 @@ class KernelContext:
             pool.his = _np.searchsorted(self.coords, pool.his)
 
     def candidate_pairs(self) -> Tuple["_np.ndarray", "_np.ndarray"]:
-        """Segment index pairs sharing at least one byte with >= 1 write.
+        """Segment index pairs sharing at least one byte with >= 1 write,
+        outside local × local interval overlaps.
 
         ``(ii, jj)`` with ``ii < jj``, sorted by ``(i, j)``.  Every pooled
         interval sorted by ``lo``: interval ``k`` overlaps exactly the
         later intervals ``m`` with ``lo[m] < hi[k]``, so its partners are
-        the contiguous range ``(k, end[k])``.  The ranges are expanded
+        the contiguous range ``(k, end[k])``.  Two streams enumerate them:
+        a non-local interval meets all of its partners, a local one only
+        the non-local ones, found by one ``searchsorted`` over the
+        non-local ``lo``s.  Bytes two local intervals share lie in frames
+        both segments pushed, which Section IV-D suppresses, so a pair
+        that shares no other bytes is never checked; every other pair is
+        checked on its full access sets.  Each stream is expanded
         :data:`_SWEEP_BLOCK` interval pairs at a time — one long interval
         spanning many short ones is split across blocks too — so the
         temporaries stay bounded whatever the overlap depth; only the
@@ -218,29 +256,27 @@ class KernelContext:
         if not lo.shape[0]:
             return _empty()
         hi = _np.concatenate((w.his, r.his))
-        idx = _np.arange(n, dtype=_np.int64)
-        seg = _np.concatenate((_np.repeat(idx, w.lens),
-                               _np.repeat(idx, r.lens)))
         order = _np.argsort(lo, kind="stable")
         is_write = order < w.los.shape[0]
-        lo, hi, seg = lo[order], hi[order], seg[order]
+        lo, hi, seg = lo[order], hi[order], self.seg[order]
         end = _np.searchsorted(lo, hi, side="left")
-        # interval pair p belongs to interval k with cum[k-1] <= p < cum[k]
-        counts = end - _np.arange(1, lo.shape[0] + 1)
-        cum = _np.cumsum(counts)
-        first = cum - counts
-        total = int(cum[-1])
+        local = self.local[order]
+        # a non-local interval meets all its partners; a local one only
+        # the non-local ones, from the first non-local interval after it
+        far = _np.flatnonzero(~local)
+        near = _np.flatnonzero(local)
+        first = _np.searchsorted(far, near, side="right")
+        last = _np.searchsorted(lo[far], hi[near], side="left")
+        streams = ((far, far + 1, end[far] - far - 1, None),
+                   (near, first, last - first, far))
         codes = []
-        for p0 in range(0, total, _SWEEP_BLOCK):
-            p = _np.arange(p0, min(p0 + _SWEEP_BLOCK, total),
-                           dtype=_np.int64)
-            k = _np.searchsorted(cum, p, side="right")
-            m = k + 1 + (p - first[k])
-            a, b = seg[k], seg[m]
-            keep = (a != b) & (is_write[k] | is_write[m])
-            a, b = a[keep], b[keep]
-            codes.append(_sorted_unique(_np.minimum(a, b) * n
-                                        + _np.maximum(a, b)))
+        for src, base, counts, target in streams:
+            for k, m in _expand(src, base, counts, target):
+                a, b = seg[k], seg[m]
+                keep = (a != b) & (is_write[k] | is_write[m])
+                a, b = a[keep], b[keep]
+                codes.append(_sorted_unique(_np.minimum(a, b) * n
+                                            + _np.maximum(a, b)))
         if not codes:
             return _empty()
         code = _np.concatenate(codes)

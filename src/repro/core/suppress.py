@@ -29,7 +29,12 @@ scalar DTV check.  Only pairs with surviving bytes become
    is suppressed when, for *both* segments, the address lies below the stack
    pointer registered at segment start (i.e. in a frame pushed during the
    segment itself).  A conflict in the *parent's* frame is not suppressed —
-   the residual multi-thread TMB false positives the paper reports.
+   the residual multi-thread TMB false positives the paper reports.  The
+   rule also acts before Algorithm 1's pair check: it classes each access
+   interval local to its segment or not
+   (:meth:`SuppressionEngine.stack_local`), and a pair that shares bytes
+   only between local intervals is never checked, since every such byte
+   would be suppressed.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import numpy as _np
 
 from repro.core.analysis import ConflictTable, RaceCandidate
 from repro.core.segments import Segment
-from repro.machine.memory import AddressSpace, RegionKind
+from repro.machine.memory import AddressSpace, Region, RegionKind
 from repro.obs.metrics import get_registry
 from repro.obs.prof import get_profiler
 from repro.obs.tracer import get_tracer
@@ -147,6 +152,32 @@ class SuppressionEngine:
         reg.counter("suppress.fully_suppressed_pairs").inc(n_full)
         return out
 
+    def stack_local(self, segs: Sequence[Segment], seg: _np.ndarray,
+                    lo: _np.ndarray, hi: _np.ndarray) -> _np.ndarray:
+        """Per access interval ``[lo, hi)`` of segment ``segs[seg]``: did
+        the segment reach it only through frames it pushed itself?
+
+        An interval is local when it lies wholly inside one stack region
+        and :func:`_stack_local_rows` holds for it and its own segment;
+        nothing is local when the stack rule is off or there is no
+        address space.
+        A conflict piece shared by two local intervals then lies in that
+        one region, owned by both segments' thread, and inside both IV-D
+        ranges, so :meth:`filter_all` would suppress it: Algorithm 1 need
+        not check a pair that shares bytes only between local intervals.
+        Judged on addresses, never on ranks: a rank does not say where an
+        interval ends against a stack bound or start pointer.
+        """
+        local = _np.zeros(lo.shape[0], dtype=bool)
+        regions = self.space.regions if self.space is not None else []
+        if not (self.config.suppress_stack and regions and local.shape[0]):
+            return local
+        rows, owner, end = _in_regions(regions, lo, RegionKind.STACK)
+        lo, hi, side = lo[rows], hi[rows], seg[rows]
+        local[rows] = (hi <= end) & _stack_local_rows(
+            owner, lo, hi, *(c[side] for c in _segment_columns(segs)))
+        return local
+
     def _classify(self, table: ConflictTable
                   ) -> Tuple[_np.ndarray, _np.ndarray]:
         """Per-row masks: (stack-suppressed, TLS-suppressed)."""
@@ -158,24 +189,9 @@ class SuppressionEngine:
         if not (n and regions and (cfg.suppress_stack or cfg.suppress_tls)):
             return stack, tls
         lo, hi = table.lo, table.hi
-        bases = _np.fromiter((r.base for r in regions), dtype=_np.int64,
-                             count=len(regions))
-        ends = _np.fromiter((r.end for r in regions), dtype=_np.int64,
-                            count=len(regions))
-        # the region of a piece is the region holding its first byte
-        ridx = _np.searchsorted(bases, lo, side="right") - 1
-        mapped = ridx >= 0
-        mapped[mapped] = lo[mapped] < ends[ridx[mapped]]
-        kinds = [r.kind for r in regions]
         if cfg.suppress_stack:
-            is_stack = _np.fromiter((k == RegionKind.STACK for k in kinds),
-                                    dtype=bool, count=len(regions))
-            rows = _np.flatnonzero(mapped & is_stack[ridx])
+            rows, owner, _end = _in_regions(regions, lo, RegionKind.STACK)
             if rows.shape[0]:
-                owner = _np.fromiter(
-                    (_NO_OWNER if r.owner_thread is None else r.owner_thread
-                     for r in regions), dtype=_np.int64,
-                    count=len(regions))[ridx[rows]]
                 local = _np.ones(rows.shape[0], dtype=bool)
                 cols = _segment_columns(table.segs)
                 for side in (table.i[rows], table.j[rows]):
@@ -183,12 +199,11 @@ class SuppressionEngine:
                                                *(c[side] for c in cols))
                 stack[rows[local]] = True
         if cfg.suppress_tls:
-            is_tls = _np.fromiter((k == RegionKind.TLS for k in kinds),
-                                  dtype=bool, count=len(regions))
             segs = table.segs
+            rows, _owner, _end = _in_regions(regions, lo, RegionKind.TLS)
             # the scalar residue: TLS pieces are few, and the DTV
             # generation warning needs each pair's snapshots
-            for r in _np.flatnonzero(mapped & is_tls[ridx]).tolist():
+            for r in rows.tolist():
                 tls[r] = self._tls_suppressed(
                     int(lo[r]), int(hi[r]), segs[int(table.i[r])],
                     segs[int(table.j[r])])
@@ -226,6 +241,30 @@ class SuppressionEngine:
 
 #: owner of a region no thread owns: equal to no segment's thread id
 _NO_OWNER = _np.iinfo(_np.int64).min
+
+
+def _in_regions(regions: Sequence[Region], lo: _np.ndarray,
+                kind: RegionKind
+                ) -> Tuple[_np.ndarray, _np.ndarray, _np.ndarray]:
+    """The rows of ``lo`` whose address lies in a region of ``kind``, with
+    that region's owner thread and end: ``(rows, owner, end)``.
+
+    ``regions`` are disjoint and sorted by base, so an address lies in the
+    last region based at or below it, if it lies before that region's end.
+    """
+    count = len(regions)
+    bases = _np.fromiter((r.base for r in regions), _np.int64, count)
+    ends = _np.fromiter((r.end for r in regions), _np.int64, count)
+    ridx = _np.searchsorted(bases, lo, side="right") - 1
+    mapped = ridx >= 0
+    mapped[mapped] = lo[mapped] < ends[ridx[mapped]]
+    of_kind = _np.fromiter((r.kind == kind for r in regions), bool, count)
+    rows = _np.flatnonzero(mapped & of_kind[ridx])
+    ridx = ridx[rows]
+    owner = _np.fromiter(
+        (_NO_OWNER if r.owner_thread is None else r.owner_thread
+         for r in regions), _np.int64, count)
+    return rows, owner[ridx], ends[ridx]
 
 
 def _segment_columns(segs: Sequence[Segment]) -> Tuple[_np.ndarray, ...]:

@@ -412,6 +412,9 @@ class TaskgrindTool(Tool):
         doc["analysis"] = {
             "raw_candidates": self.raw_candidates,
             "reports": len(self.reports),
+            "stack_local_intervals": (
+                self.partial_analysis.stack_local_intervals
+                if self.partial_analysis is not None else 0),
         }
         resilience: dict = {
             "memory_budget": self.options.memory_budget,

@@ -793,6 +793,7 @@ def analyze_trace_with_stats(path: str, *, workers: int = 1,
         "analysis": {
             "raw_candidates": la.raw_candidates,
             "reports": len(reports),
+            "stack_local_intervals": la.partial.stack_local_intervals,
             "resilience": la.partial.to_dict(),
         },
         "suppress": la.engine.stats_doc(),

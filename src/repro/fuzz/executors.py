@@ -19,7 +19,7 @@ reports them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro.core.suppress import SuppressionConfig
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
@@ -33,27 +33,34 @@ SCRATCH_BYTES = 16
 
 _SUPPRESSION_KEYS = frozenset(f.name for f in fields(SuppressionConfig))
 _OPTION_KEYS = frozenset(f.name for f in fields(TaskgrindOptions))
+#: the fields that hold a flag: a JSON ``"no"`` would be truthy
+_BOOL_KEYS = frozenset(f.name for cls in (SuppressionConfig, TaskgrindOptions)
+                       for f in fields(cls) if isinstance(f.default, bool))
 #: keys reproducers written before the analysis kept one path may carry
 #: (the kernel and the mode): they load, and select nothing
 RETIRED_OPTION_KEYS = frozenset({"analysis_kernel", "analysis"})
 
 
-def check_option_keys(keys: Iterable[str]) -> None:
+def check_options(options: Mapping[str, object]) -> None:
     """Raise ``ValueError`` naming the first key that is neither a
     :class:`SuppressionConfig` nor a :class:`TaskgrindOptions` field, nor
-    one of :data:`RETIRED_OPTION_KEYS`."""
-    for key in keys:
+    one of :data:`RETIRED_OPTION_KEYS`, or a flag whose value is not a
+    bool."""
+    for key, value in options.items():
         if key not in _SUPPRESSION_KEYS and key not in _OPTION_KEYS \
                 and key not in RETIRED_OPTION_KEYS:
             raise ValueError(f"unknown option {key!r}: neither a "
                              "SuppressionConfig nor a TaskgrindOptions field")
+        if key in _BOOL_KEYS and not isinstance(value, bool):
+            raise ValueError(f"option {key!r} must be true or false, "
+                             f"not {value!r}")
 
 
 def fuzz_options(**overrides) -> TaskgrindOptions:
     """Taskgrind options for fuzzing: the real analysis, not the modeled
     Table II lock-up artifact (which is a reproduction fidelity feature,
     not behaviour under test)."""
-    check_option_keys(overrides)
+    check_options(overrides)
     opts = TaskgrindOptions(model_multithread_lockup=False)
     for key, value in overrides.items():
         if key in _SUPPRESSION_KEYS:

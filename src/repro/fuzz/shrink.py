@@ -19,7 +19,7 @@ import json
 import os
 from typing import Callable, Iterator, List, Optional, Tuple
 
-from repro.fuzz.executors import check_option_keys
+from repro.fuzz.executors import check_options
 from repro.fuzz.spec import FuzzProgram, validate
 
 REPRO_SCHEMA = "taskgrind-fuzz-repro/1"
@@ -233,14 +233,24 @@ def write_reproducer(program: FuzzProgram, corpus_dir: str, *,
 def load_reproducer(path: str) -> Tuple[FuzzProgram, List[str], dict, str]:
     """Read one corpus entry → (program, expected kinds, options, note).
 
-    An ``options`` key that no Taskgrind option has is a ``ValueError``,
-    not an override silently set on nothing."""
+    A document of another shape — not an object, ``options`` that are
+    not an object, ``expect`` that is not a list, a ``program`` that
+    :meth:`FuzzProgram.from_json` refuses — or an ``options`` key that no
+    Taskgrind option has, or a flag that is not a bool, is a
+    ``ValueError`` naming the field, not a traceback or an override
+    silently set on nothing."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the document is not a JSON object")
     if doc.get("schema") != REPRO_SCHEMA:
         raise ValueError(f"{path}: not a {REPRO_SCHEMA} document")
     program = FuzzProgram.from_json(json.dumps(doc["program"]))
-    options = dict(doc.get("options", {}))
-    check_option_keys(options)
-    return program, list(doc.get("expect", [])), options, \
-        str(doc.get("note", ""))
+    options = doc.get("options", {})
+    if not isinstance(options, dict):
+        raise ValueError(f"{path}: 'options' is not a JSON object")
+    expect = doc.get("expect", [])
+    if not isinstance(expect, list):
+        raise ValueError(f"{path}: 'expect' is not a JSON list")
+    check_options(options)
+    return program, list(expect), dict(options), str(doc.get("note", ""))

@@ -86,9 +86,17 @@ class FuzzProgram:
 
     @classmethod
     def from_json(cls, text: str) -> "FuzzProgram":
+        """Parse :meth:`to_json`'s document; one of another shape is a
+        ``ValueError`` naming what is wrong."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("a fuzz program is a JSON object, "
+                             f"not {type(doc).__name__}")
         if doc.get("schema") != SCHEMA:
             raise ValueError(f"not a {SCHEMA} document")
+        if not isinstance(doc.get("body"), list):
+            raise ValueError("a fuzz program's 'body' is a list, "
+                             f"not {type(doc.get('body')).__name__}")
         return cls(family=doc["family"], seed=doc["seed"],
                    nthreads=doc["nthreads"], slots=doc["slots"],
                    body=doc["body"])

@@ -346,6 +346,7 @@ class TraceService:
                 "analysis": {
                     "raw_candidates": la.raw_candidates,
                     "reports": len(la.reports),
+                    "stack_local_intervals": la.partial.stack_local_intervals,
                     "resilience": la.partial.to_dict(),
                 },
                 "errors": [report_to_dict(r) for r in la.reports],

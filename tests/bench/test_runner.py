@@ -146,7 +146,6 @@ class TestTable1Harness:
     def test_subset_run(self):
         """Spot-check two known-stable rows through the full harness."""
         from repro.bench import drb
-        from repro.bench.table1 import Table1Row, run_table1
 
         r072 = run_benchmark(drb.by_name("072-taskdep1-orig"), "taskgrind")
         assert r072.cell() == "TN"

@@ -18,6 +18,11 @@ forms those replaced, so tests can check that both give the same answers:
   Algorithm 1's :math:`O(n^2)` candidate set (a drop-in for
   ``KernelContext.candidate_pairs``, so the production pass runs as the
   all-pairs oracle);
+* :func:`all_pairs_outside_frames` — :func:`all_pairs` less the pairs
+  that share bytes only between intervals local to their own segments'
+  frames, by :func:`interval_is_stack_local`, Section IV-D's interval rule
+  written one interval at a time (the drop-in for a run whose stack rule
+  is on);
 * :func:`naive_table` / :func:`find_races_naive` — the faithful Algorithm
   1 as a standalone pass, for direct comparisons;
 * :func:`assert_hb_matches_dp` — every happens-before answer (per pair,
@@ -37,6 +42,7 @@ import numpy as np
 from repro.core.analysis import ConflictTable, RaceCandidate, Rows
 from repro.core.npkernel import KernelContext
 from repro.core.segments import Segment, SegmentGraph
+from repro.machine.memory import RegionKind
 from repro.util.intervals import IntervalSet
 from tests.util.itree import IntervalTree
 
@@ -127,6 +133,57 @@ def all_pairs(ctx: KernelContext) -> Tuple[np.ndarray, np.ndarray]:
     ii, jj = np.triu_indices(len(ctx.segs), 1)
     keep = writes[ii] | writes[jj]
     return ii[keep].astype(np.int64), jj[keep].astype(np.int64)
+
+
+def interval_is_stack_local(space, seg: Segment, lo: int, hi: int) -> bool:
+    """Did ``seg`` reach ``[lo, hi)`` only through frames it pushed itself?
+
+    The interval lies wholly inside one stack region owned by ``seg``'s
+    thread, and inside ``seg``'s stack bounds below its start stack
+    pointer (stacks grow downward).
+    """
+    region = space.region_at(lo)
+    if region is None or region.kind != RegionKind.STACK:
+        return False
+    if region.owner_thread != seg.thread_id or hi > region.end:
+        return False
+    stack_lo, stack_hi = seg.stack_bounds
+    return stack_lo <= lo and hi <= stack_hi and hi <= seg.sp_at_start
+
+
+def all_pairs_outside_frames(engine):
+    """A drop-in for ``KernelContext.candidate_pairs`` over ``engine``'s
+    address space: :func:`all_pairs`, less every pair whose overlapping
+    intervals (one of them a write) are all stack-local to their own
+    segments.  With no engine, no space or the stack rule off it is
+    :func:`all_pairs`."""
+
+    def candidate_pairs(ctx: KernelContext) -> Tuple[np.ndarray, np.ndarray]:
+        ii, jj = all_pairs(ctx)
+        if engine is None or engine.space is None \
+                or not engine.config.suppress_stack:
+            return ii, jj
+        space = engine.space
+        classed = [[(lo, hi, is_write,
+                     interval_is_stack_local(space, seg, lo, hi))
+                    for is_write, ivs in ((True, seg.writes),
+                                          (False, seg.reads))
+                    for lo, hi in ivs.pairs()]
+                   for seg in ctx.segs]
+
+        def local_only(a: int, b: int) -> bool:
+            overlaps = [l1 and l2
+                        for lo1, hi1, w1, l1 in classed[a]
+                        for lo2, hi2, w2, l2 in classed[b]
+                        if lo1 < hi2 and lo2 < hi1 and (w1 or w2)]
+            return bool(overlaps) and all(overlaps)
+
+        keep = np.array([not local_only(a, b)
+                         for a, b in zip(ii.tolist(), jj.tolist())],
+                        dtype=bool)
+        return ii[keep], jj[keep]
+
+    return candidate_pairs
 
 
 def naive_table(graph: SegmentGraph) -> ConflictTable:

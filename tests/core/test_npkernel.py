@@ -174,19 +174,32 @@ class TestHbTierObservability:
 
     def test_fib_answers_every_query_from_one_dp(self):
         """fib(17) on 4 threads: its series-parallel graph builds the
-        reachability DP once, and every candidate pair is one DP query."""
+        reachability DP once, and every candidate pair is one DP query.
+        Its segments share bytes only in frames they pushed themselves,
+        so no pair reaches the check; the unfiltered pass checks many, and
+        Section IV-D suppresses every one."""
         from repro.bench.programs import BenchProgram
         from repro.bench.runner import run_benchmark
+        from repro.core.suppress import SuppressionEngine
         from repro.workloads.synthetic import omp_fib
         program = BenchProgram(name="fib", racy=False,
                                entry=lambda env: omp_fib(env, 17),
                                description="fib(17)", source_file="fib.c",
                                features=frozenset({"task"}))
-        result = run_benchmark(program, "taskgrind", nthreads=4, seed=7)
+        result = run_benchmark(program, "taskgrind", nthreads=4, seed=7,
+                               keep_machine=True)
         counters = result.stats["registry"]["counters"]
         assert not any(k.startswith("analysis.hb.") for k in counters)
         graph = result.stats["graph"]
         assert graph["dp_rebuilds"] == 1
         assert graph["queries"]["label"] == 0
+        # a counter never incremented is absent
         assert graph["queries"]["dp"] == \
-            counters["analysis.candidate_pairs"] > 0
+            counters.get("analysis.candidate_pairs", 0) == 0
+        assert result.stats["analysis"]["stack_local_intervals"] > 0
+        unfiltered = find_races(result.tool_obj.builder.graph).table
+        assert unfiltered.pair_count() > 0
+        engine = SuppressionEngine(result.machine.space)
+        assert engine.filter_all(unfiltered) == []
+        assert engine.stats.fully_suppressed_pairs == \
+            unfiltered.pair_count()

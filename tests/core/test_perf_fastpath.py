@@ -271,7 +271,7 @@ class TestAnalysisParity:
         """End-to-end: the recorder's sets equal per-access tree inserts of
         the run's access log (also when every access is followed by a
         drain), the HB tiers match the DP on the same graph, and the
-        reports are the all-pairs pass's."""
+        reports are the survivors of the all-pairs pass's suppression."""
         body = _random_body(random.Random(prog_seed), with_deps=True)
         tool = _run(body, nthreads=2, seed=prog_seed % 97,
                     drain_every_access=drain_every_access)
@@ -281,7 +281,9 @@ class TestAnalysisParity:
         assert_sets_match_log(graph, tool.builder.access_log)
         assert_hb_matches_dp(graph)
         table = naive_table(graph)
-        assert tool.raw_candidates == table.pair_count()
+        skipping = find_races(graph, engine=tool.suppressor).table
+        assert tool.raw_candidates == skipping.pair_count() \
+            <= table.pair_count()
         engine = SuppressionEngine(tool.machine.space,
                                    tool.options.suppression)
         assert [(r.s1.id, r.s2.id) for r in reports] == \

@@ -4,8 +4,11 @@ produce the conflict table.
 
 ``raw_candidates``, the reports and the ``suppress`` block must be
 identical with one worker and with two and for the all-pairs oracle
-candidates, with the batched pair check and with the oracle's per-pair
-Python loop in its place; a run with injected chunk faults may lose
+candidates (less the pairs that share bytes only in frames both segments
+pushed, by the oracle's scalar form of Section IV-D's interval rule), with
+the batched pair check and with the oracle's per-pair Python loop in its
+place, both on the pass that skips those pairs and on the unfiltered one;
+a run with injected chunk faults may lose
 exactly the rows of its quarantined chunks and must invent none; a replay
 ``--pairs`` filter keeps exactly the admitted pairs.
 """
@@ -14,6 +17,7 @@ import contextlib
 
 import pytest
 
+import repro.core.analysis as analysis_mod
 import repro.core.npkernel as npkernel_mod
 from repro.bench import drb, tmb
 from repro.bench.programs import BenchProgram
@@ -27,27 +31,39 @@ from repro.faults.inject import inject_plan
 from repro.faults.plan import FaultPlan
 from repro.replay.filter import ReplayFilter
 from repro.workloads.lulesh import LuleshConfig, run_lulesh
-from tests.core.analysis_oracle import (all_pairs, candidate_pairs,
-                                        loop_check_pairs)
+from tests.core.analysis_oracle import (all_pairs_outside_frames,
+                                        candidate_pairs, loop_check_pairs)
 
 #: (workers, pair check): ``naive`` is one worker over the oracle's
-#: all-pairs candidates; ``python`` patches the oracle's per-pair loop over
-#: the batched ``numpy`` check
+#: all-pairs candidates, less the pairs the run's engine would skip as
+#: stack-local; ``python`` patches the oracle's per-pair loop over the
+#: batched ``numpy`` check
 PASSES = [("naive", "python"), (1, "python"), (1, "numpy"),
           (2, "python"), (2, "numpy")]
 
 
 @contextlib.contextmanager
-def _pass(workers, kernel):
+def _pass(workers, kernel, prefilter=True):
     """Swap the oracles in for one :data:`PASSES` entry; yields the
-    worker count to run with."""
+    worker count to run with.  ``prefilter=False`` runs the unfiltered
+    pass: ``find_races`` ignores the engine it is given, so it skips no
+    pair as stack-local and suppression drops them instead."""
     with pytest.MonkeyPatch.context() as mp:
         if kernel == "python":
             mp.setattr(KernelContext, "check_pairs", loop_check_pairs)
-        if workers == "naive":
-            mp.setattr(KernelContext, "candidate_pairs", all_pairs)
-            workers = 1
-        yield workers
+        find_races_in_pass = analysis_mod.find_races
+
+        def find_races_of_pass(graph, *, engine=None, **kwargs):
+            if not prefilter:
+                engine = None
+            if workers == "naive":
+                # the candidates of the engine the pass runs with
+                mp.setattr(KernelContext, "candidate_pairs",
+                           all_pairs_outside_frames(engine))
+            return find_races_in_pass(graph, engine=engine, **kwargs)
+
+        mp.setattr(analysis_mod, "find_races", find_races_of_pass)
+        yield 1 if workers == "naive" else workers
 
 LULESH = BenchProgram(
     name="lulesh", racy=True,
@@ -61,8 +77,9 @@ PROGRAMS = [(tmb.by_name("1003-stack.3"), 1), (tmb.by_name("1006-tls.1"), 1),
             (drb.by_name("127-tasking-threadprivate1-orig"), 4), (LULESH, 1)]
 
 
-def _outcome(program, nthreads, workers=1, kernel="numpy", **options):
-    with _pass(workers, kernel) as analysis_workers:
+def _outcome(program, nthreads, workers=1, kernel="numpy", prefilter=True,
+             **options):
+    with _pass(workers, kernel, prefilter) as analysis_workers:
         result = run_benchmark(
             program, "taskgrind", nthreads=nthreads, seed=2,
             taskgrind_options=TaskgrindOptions(
@@ -80,28 +97,46 @@ def _outcome(program, nthreads, workers=1, kernel="numpy", **options):
 @pytest.mark.parametrize("program,nthreads", PROGRAMS,
                          ids=[p.name for p, _ in PROGRAMS])
 def test_every_pass_and_kernel_agree(program, nthreads):
-    outcomes = {(workers, kernel):
-                _outcome(program, nthreads, workers, kernel)[:3]
-                for workers, kernel in PASSES}
-    reference = outcomes[(1, "numpy")]
-    assert reference[1] > 0
-    for combo, outcome in outcomes.items():
-        assert outcome == reference, combo
+    reference = {}
+    for prefilter in (False, True):
+        outcomes = {(workers, kernel): _outcome(program, nthreads, workers,
+                                                kernel, prefilter)[:3]
+                    for workers, kernel in PASSES}
+        reference[prefilter] = outcomes[(1, "numpy")]
+        for combo, outcome in outcomes.items():
+            assert outcome == reference[prefilter], (prefilter, combo)
+    (texts, raw, supp), (skip_texts, skip_raw, skip_supp) = (
+        reference[False], reference[True])
+    assert raw > 0
+    # the skipped pairs are those suppression drops whole: the same
+    # survivors, and only the stack rule's books shrink
+    assert skip_texts == texts
+    for key in ("tls", "survived", "tls_gen_warnings"):
+        assert skip_supp[key] == supp[key], key
+    skipped = raw - skip_raw
+    assert skipped >= 0
+    assert supp["fully_suppressed_pairs"] - skip_supp[
+        "fully_suppressed_pairs"] == skipped
+    assert supp["stack"] - skip_supp["stack"] >= skipped
 
 
 def test_offline_passes_agree(tmp_path):
     """The offline analyzer (and so the server) runs the same pipeline."""
     from repro.core.trace import analyze_trace_with_stats, save_trace
-    texts, raw, supp, result = _outcome(LULESH, 1)
     path = str(tmp_path / "lulesh.trace")
-    save_trace(result.tool_obj, result.machine, path)
-    for workers, kernel in PASSES:
-        with _pass(workers, kernel) as analysis_workers:
-            reports, stats = analyze_trace_with_stats(
-                path, workers=analysis_workers)
-        assert [format_report(r) for r in reports] == texts, (workers, kernel)
-        assert stats["analysis"]["raw_candidates"] == raw
-        assert stats["suppress"] == supp
+    for prefilter in (False, True):
+        texts, raw, supp, result = _outcome(LULESH, 1, prefilter=prefilter)
+        save_trace(result.tool_obj, result.machine, path)
+        for workers, kernel in PASSES:
+            with _pass(workers, kernel, prefilter) as analysis_workers:
+                reports, stats = analyze_trace_with_stats(
+                    path, workers=analysis_workers)
+            combo = (prefilter, workers, kernel)
+            assert [format_report(r) for r in reports] == texts, combo
+            assert stats["analysis"]["raw_candidates"] == raw, combo
+            assert stats["analysis"]["stack_local_intervals"] == \
+                result.stats["analysis"]["stack_local_intervals"], combo
+            assert stats["suppress"] == supp, combo
 
 
 def _rows(table):
@@ -140,12 +175,20 @@ def test_faulted_pipeline_keeps_a_subset(small_chunks):
 
     clean = analyze_and_suppress(graph, SuppressionEngine(machine.space),
                                  machine.allocator, workers=2)
-    with inject_plan(FaultPlan.single("worker-exc", 0)):
+    # poison the first chunk that holds a conflicting pair
+    table = clean.partial.table
+    conflicting = set(zip(table.i.tolist(), table.j.tolist()))
+    segs = [s for s in graph.segments if s.has_accesses]
+    ii, jj = KernelContext(graph, segs, SuppressionEngine(
+        machine.space)).candidate_pairs()
+    chunk = next(k for k, pair in enumerate(zip(ii.tolist(), jj.tolist()))
+                 if pair in conflicting) // npkernel_mod._PAIR_BATCH
+    with inject_plan(FaultPlan.single("worker-exc", chunk)):
         faulted = analyze_and_suppress(graph,
                                        SuppressionEngine(machine.space),
                                        machine.allocator, workers=2,
                                        max_retries=0)
-    assert not faulted.partial.complete
+    assert [q.index for q in faulted.partial.quarantined] == [chunk]
     assert faulted.raw_candidates < clean.raw_candidates
     assert survivors(faulted) <= survivors(clean)
 

@@ -1,6 +1,7 @@
 """Tests for the Section IV false-positive suppressions."""
 
 
+from repro.core.analysis import find_races
 from repro.core.suppress import SuppressionConfig, SuppressionEngine
 from repro.core.tool import TaskgrindOptions
 from repro.machine.debuginfo import DebugInfo
@@ -111,9 +112,17 @@ class TestStackSuppression:
                 env.taskwait()
             env.parallel_single(make, num_threads=1)
 
-        tool, _ = run_taskgrind(body, nthreads=1)
+        tool, machine = run_taskgrind(body, nthreads=1)
         assert tool.reports == []
-        assert tool.suppressor.stats.stack_suppressed >= 1
+        # both writes of z are classed local, so the pair is never checked
+        assert tool.stats()["analysis"]["stack_local_intervals"] >= 2
+        assert tool.raw_candidates == 0
+        # the unfiltered pass checks it, and IV-D suppresses it piece-wise
+        table = find_races(tool.builder.graph).table
+        engine = SuppressionEngine(machine.space)
+        assert table.pair_count() >= 1
+        assert engine.filter_all(table) == []
+        assert engine.stats.stack_suppressed >= 1
 
     def test_parent_frame_conflict_not_suppressed(self, run_taskgrind):
         """TMB 1001: a real race on the parent's stack var is kept."""

@@ -128,6 +128,49 @@ class TestReproducerIO:
                      "--no-shrink"]) == 2
         assert "'suppres_tls'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage,field", [
+        (lambda doc: [doc], "document"),
+        (lambda doc: dict(doc, program=5), "fuzz program"),
+        (lambda doc: dict(doc, program=dict(doc["program"], body=5)),
+         "'body'"),
+        (lambda doc: dict(doc, options=5), "'options'"),
+        (lambda doc: dict(doc, expect=5), "'expect'"),
+        (lambda doc: dict(doc, options={"suppress_tls": "no"}),
+         "'suppress_tls'"),
+        (lambda doc: dict(doc, options={"suppress_stack": 0}),
+         "'suppress_stack'"),
+    ], ids=["list-document", "program", "body", "options", "expect",
+            "tls-string", "stack-int"])
+    def test_damaged_document_is_refused(self, tmp_path, capsys, damage,
+                                         field):
+        """A document of another shape, or a flag that is not a bool (a
+        string ``"no"`` is truthy: the run would keep IV-C on), is a
+        ``ValueError`` naming the field, and the CLI exits 2 without a
+        traceback."""
+        from repro.fuzz.cli import main
+        src = os.path.join(os.path.dirname(__file__), "corpus",
+                           "deps-8fda18624ce3.json")
+        with open(src) as fh:
+            doc = json.load(fh)
+        path = str(tmp_path / "damaged.json")
+        with open(path, "w") as fh:
+            json.dump(damage(doc), fh)
+        with pytest.raises(ValueError, match=field):
+            load_reproducer(path)
+        capsys.readouterr()
+        assert main(["--reproducer", path, "--schedules", "1",
+                     "--no-shrink"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load reproducer" in err and field in err
+
+    def test_flag_of_another_type_is_refused(self):
+        with pytest.raises(ValueError, match="'suppress_tls'"):
+            fuzz_options(suppress_tls="no")
+        with pytest.raises(ValueError, match="'elide_sites'"):
+            fuzz_options(elide_sites=1)
+        assert fuzz_options(suppress_tls=False).suppression.suppress_tls \
+            is False
+
     def test_doc_shape(self):
         doc = reproducer_doc(generate(4), kinds=[])
         assert doc["schema"] == "taskgrind-fuzz-repro/1"

@@ -1,5 +1,7 @@
 """Generator determinism + validity (the seed-replay contract)."""
 
+import json
+
 import pytest
 
 from repro.fuzz.gen import generate
@@ -102,3 +104,11 @@ class TestSpecValidation:
     def test_from_json_rejects_wrong_schema(self):
         with pytest.raises(ValueError):
             FuzzProgram.from_json('{"schema": "nope/1"}')
+
+    def test_from_json_rejects_another_shape(self):
+        with pytest.raises(ValueError, match="JSON object, not list"):
+            FuzzProgram.from_json(json.dumps([json.loads(
+                generate(4).to_json())]))
+        doc = dict(json.loads(generate(4).to_json()), body=5)
+        with pytest.raises(ValueError, match="'body' is a list, not int"):
+            FuzzProgram.from_json(json.dumps(doc))

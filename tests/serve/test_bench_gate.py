@@ -99,6 +99,26 @@ class TestChaosContract:
         # same race present in the clean universe: no violation
         assert _check_chaos_outcome(out, clean={_race_key(race)}) == []
 
+    def test_fault_that_never_fired_violates(self):
+        out = dict(self.BASE, job_state="done", report=_report(),
+                   fired={"save-crash@1": 0})
+        problems = _check_chaos_outcome(out, set())
+        assert any("never fired" in p for p in problems)
+        out["fired"] = {"save-crash@1": 1}
+        assert _check_chaos_outcome(out, set()) == []
+
+    def test_analysis_fault_without_a_chunk_has_no_target(self):
+        """A worker-hang needs a chunk to stall: with no candidate pair
+        it cannot fire, and with one it must."""
+        chunks = {"complete": True, "chunks": {"total": 0},
+                  "pairs": {"total": 0, "checked": 0, "unchecked": 0}}
+        out = dict(self.BASE, plan="worker-hang@0", job_state="done",
+                   report=_report(chunks), fired={"worker-hang@0": 0})
+        assert _check_chaos_outcome(out, set()) == []
+        chunks["chunks"]["total"] = 1
+        problems = _check_chaos_outcome(out, set())
+        assert any("never fired" in p for p in problems)
+
     def test_failed_job_violates(self):
         out = dict(self.BASE, job_state="failed",
                    report_error={"status": 409})

@@ -219,6 +219,8 @@ class TestCacheKeying:
                 assert doc["cache_hit"] is False, options
                 _status, report = client.report(job_id)
                 assert report["graph"] == offline["graph"], options
+                assert report["analysis"]["stack_local_intervals"] == \
+                    offline["analysis"]["stack_local_intervals"], options
 
 
 class TestConcurrentJobs:
