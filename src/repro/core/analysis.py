@@ -39,8 +39,10 @@ analysis is embarrassingly parallel, but currently run sequentially"),
 which the A1 ablation measures.
 
 Happens-before has one answer: the graph's bitmask reachability DP,
-built once in ``analysis.prepare`` and packed into per-segment rows the
-pair check reads (:meth:`~repro.core.npkernel.KernelContext.prepare_hb`).
+built at most once, in ``analysis.prepare`` when some candidate pair
+reaches the check, and packed into per-segment rows the pair check reads
+(:meth:`~repro.core.npkernel.KernelContext.prepare_hb`).  A run with no
+candidate pair builds it only if a later reader asks.
 
 Phase names: ``analysis.prepare`` for the reachability DP and its packed
 rows, ``analysis.candidates`` for the interval pools and the sweep,
@@ -363,7 +365,11 @@ def find_races(graph: SegmentGraph, *,
             result.stack_local_intervals)
         reg.counter("analysis.candidate_pairs").inc(len(ii))
         with reg.phase("analysis.prepare"):
-            ctx.prepare_hb()
+            if len(ii):
+                # the packed DP rows serve only the pair check: a run with
+                # no candidate pair never builds the DP (a later reader,
+                # such as a witness, still builds it on first use)
+                ctx.prepare_hb()
         batch = npkernel._PAIR_BATCH
         chunks = [(ii[k:k + batch], jj[k:k + batch])
                   for k in range(0, len(ii), batch)]

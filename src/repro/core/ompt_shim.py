@@ -26,15 +26,16 @@ class TaskgrindOmptShim(OmptObserver):
 
     def __init__(self, machine) -> None:
         self.machine = machine
+        self._sched = machine.scheduler
+        self._request = machine.client_requests.request
 
     def _req(self, name: str, payload) -> None:
         if _TRACER.enabled:
-            _TRACER.instant(f"shim.ompt.{name}",
-                            self.machine.scheduler.current_id(), cat="shim")
-        self.machine.client_requests.request(name, payload)
+            _TRACER.instant(f"shim.ompt.{name}", self._tid(), cat="shim")
+        self._request(name, payload)
 
     def _tid(self) -> int:
-        return self.machine.scheduler.current_id()
+        return self._sched.current().id
 
     # -- parallel regions ---------------------------------------------------
 

@@ -56,7 +56,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.prof import get_profiler
 from repro.obs.tracer import get_tracer
 from repro.machine.tls import TlsSnapshot
-from repro.openmp.ompt import DepKind, Dependence, TaskFlags
+from repro.openmp.ompt import DepKind, Dependence
 from repro.openmp.tasks import Task
 from repro.util.intervals import IntervalSet, coalesce_sorted_pairs
 
@@ -637,13 +637,11 @@ class SegmentBuilder:
         """
         if not self.config.honor_undeferred:
             return False
-        undeferred_as_seen = bool(
-            task.flags & (TaskFlags.UNDEFERRED | TaskFlags.INCLUDED))
-        if not undeferred_as_seen:
+        if not (task.is_undeferred or task.is_included):
             return False
         if (self.config.honor_deferrable_annotation
                 and self.info(task).annotated
-                and not task.flags & TaskFlags.UNDEFERRED):
+                and not task.is_undeferred):
             # annotation rescues serialized tasks, never genuine if(0)
             return False
         return True

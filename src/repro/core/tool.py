@@ -174,29 +174,22 @@ class TaskgrindTool(Tool):
         machine.replacements.replace("malloc")        # stack traces (III-C)
 
         req = machine.client_requests
-        req.subscribe("tg_parallel_begin",
-                      lambda p: self.builder.on_parallel_begin(*p))
-        req.subscribe("tg_parallel_end",
-                      lambda p: self.builder.on_parallel_end(*p))
+        b = self.builder
+        req.subscribe("tg_parallel_begin", lambda p: b.on_parallel_begin(*p))
+        req.subscribe("tg_parallel_end", lambda p: b.on_parallel_end(*p))
         req.subscribe("tg_implicit_begin",
-                      lambda p: self.builder.on_implicit_task_begin(*p))
-        req.subscribe("tg_implicit_end",
-                      lambda p: self.builder.on_implicit_task_end(*p))
-        req.subscribe("tg_task_create",
-                      lambda p: self.builder.on_task_create(*p))
+                      lambda p: b.on_implicit_task_begin(*p))
+        req.subscribe("tg_implicit_end", lambda p: b.on_implicit_task_end(*p))
+        req.subscribe("tg_task_create", lambda p: b.on_task_create(*p))
         req.subscribe("tg_task_dependence",
-                      lambda p: self.builder.on_task_dependence_pair(*p))
+                      lambda p: b.on_task_dependence_pair(*p))
         req.subscribe("tg_task_begin", self._on_task_begin)
-        req.subscribe("tg_task_end",
-                      lambda p: self.builder.on_task_schedule_end(*p))
+        req.subscribe("tg_task_end", lambda p: b.on_task_schedule_end(*p))
         req.subscribe("tg_task_detach_fulfill",
-                      lambda p: self.builder.on_task_detach_fulfill(*p))
-        req.subscribe("tg_sync_begin",
-                      lambda p: self.builder.on_sync_begin(*p))
-        req.subscribe("tg_sync_end",
-                      lambda p: self.builder.on_sync_end(*p))
-        req.subscribe("taskgrind_deferrable",
-                      lambda task: self.builder.on_task_annotate_deferrable(task))
+                      lambda p: b.on_task_detach_fulfill(*p))
+        req.subscribe("tg_sync_begin", lambda p: b.on_sync_begin(*p))
+        req.subscribe("tg_sync_end", lambda p: b.on_sync_end(*p))
+        req.subscribe("taskgrind_deferrable", b.on_task_annotate_deferrable)
         req.subscribe("tg_static_site", self._on_static_site)
 
     def _on_static_site(self, payload):

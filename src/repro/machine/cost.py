@@ -157,22 +157,34 @@ class CostModel:
         self.tool_cost = tool_cost or ToolCost()
         self.clock = Clock(serialize=self.tool_cost.serialize)
         self._translated: set = set()
-        self.counters: Dict[str, int] = {
-            "accesses": 0, "access_bytes": 0, "tasks": 0, "syncs": 0,
-            "allocs": 0, "calls": 0,
-        }
+        # per-kind operation counts (plain ints on the charge paths; read
+        # as one dict through :attr:`counters`)
+        self.n_accesses = 0
+        self.n_access_bytes = 0
+        self.n_tasks = 0
+        self.n_syncs = 0
+        self.n_allocs = 0
+        self.n_calls = 0
         #: attribution profiler mirror (``repro.obs.prof.Profiler``), bound
         #: by the machine only when profiling is enabled — every
         #: ``clock.charge`` below is mirrored so per-bucket op totals sum
         #: to ``vtime_ops`` exactly under the serialized clock
         self._prof = None
 
+    @property
+    def counters(self) -> Dict[str, int]:
+        """Operations charged so far, by kind."""
+        return {"accesses": self.n_accesses,
+                "access_bytes": self.n_access_bytes, "tasks": self.n_tasks,
+                "syncs": self.n_syncs, "allocs": self.n_allocs,
+                "calls": self.n_calls}
+
     # -- time ------------------------------------------------------------
 
     def charge_access(self, thread, size: int, observed: bool,
                       atomic: bool = False) -> None:
-        self.counters["accesses"] += 1
-        self.counters["access_bytes"] += size
+        self.n_accesses += 1
+        self.n_access_bytes += size
         ops = self.params.access_ops(size)
         if observed:
             factor = self.tool_cost.fast_access_factor
@@ -208,7 +220,7 @@ class CostModel:
                               frame=symbol_name)
 
     def charge_task(self, thread) -> None:
-        self.counters["tasks"] += 1
+        self.n_tasks += 1
         self.clock.charge(thread, self.params.task_create)
         if self._prof is not None:
             self._prof.charge(getattr(thread, "id", -1), "task.create",
@@ -221,21 +233,21 @@ class CostModel:
                               self.params.task_schedule)
 
     def charge_sync(self, thread) -> None:
-        self.counters["syncs"] += 1
+        self.n_syncs += 1
         self.clock.charge(thread, self.params.sync_op)
         if self._prof is not None:
             self._prof.charge(getattr(thread, "id", -1), "sync",
                               self.params.sync_op)
 
     def charge_alloc(self, thread) -> None:
-        self.counters["allocs"] += 1
+        self.n_allocs += 1
         self.clock.charge(thread, self.params.alloc_op)
         if self._prof is not None:
             self._prof.charge(getattr(thread, "id", -1), "alloc",
                               self.params.alloc_op)
 
     def charge_call(self, thread) -> None:
-        self.counters["calls"] += 1
+        self.n_calls += 1
         self.clock.charge(thread, self.params.call_op)
         if self._prof is not None:
             self._prof.charge(getattr(thread, "id", -1), "call",
@@ -264,7 +276,7 @@ class CostModel:
             "seconds": self.seconds,
             "serialize": self.clock.serialize,
             "translated_symbols": len(self._translated),
-            "counters": dict(self.counters),
+            "counters": self.counters,
             "per_thread_ops": {str(tid): ops for tid, ops
                                in sorted(self.clock.per_thread_ops().items())},
         }

@@ -20,7 +20,7 @@ info instead.  Three things hang off it:
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.machine.memory import CODE_BASE
@@ -49,10 +49,20 @@ class Symbol:
     library: str = "a.out"           # which "object" it lives in
 
     addr: int = 0                    # synthetic code address, set on interning
+    #: one immutable location per line, handed out by :meth:`location`
+    _locations: Dict[int, SourceLocation] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def location(self, line: Optional[int] = None) -> SourceLocation:
-        return SourceLocation(self.file, self.line if line is None else line,
-                              self.name)
+        """``file:line`` in this symbol (its declaration line by default);
+        every call for one line returns the same object."""
+        if line is None:
+            line = self.line
+        loc = self._locations.get(line)
+        if loc is None:
+            loc = self._locations[line] = SourceLocation(self.file, line,
+                                                         self.name)
+        return loc
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tag = "" if self.instrumented else " [uninstrumented]"

@@ -53,12 +53,10 @@ class ThreadContext:
     def location(self) -> Optional[SourceLocation]:
         if not self.symbols:
             return None
-        sym = self.symbols[-1]
-        return SourceLocation(sym.file, self.lines[-1], sym.name)
+        return self.symbols[-1].location(self.lines[-1])
 
     def call_stack(self) -> Tuple[SourceLocation, ...]:
-        return tuple(SourceLocation(s.file, ln, s.name)
-                     for s, ln in zip(self.symbols, self.lines))
+        return tuple(s.location(ln) for s, ln in zip(self.symbols, self.lines))
 
 
 class Machine:
@@ -154,13 +152,14 @@ class Machine:
             size=self.stack_size, kind=RegionKind.STACK, owner_thread=t.id))
         self._next_stack_base += self.stack_size + (1 << 16)   # guard gap
         self.tls.register_thread(t.id)
-        self._contexts[t.id] = ThreadContext(
+        t.context = self._contexts[t.id] = ThreadContext(
             thread_id=t.id, stack=ThreadStack(self.space, stack_region, t.id))
         return t
 
     def context(self, thread_id: Optional[int] = None) -> ThreadContext:
+        """``thread_id``'s guest state; the running thread's by default."""
         if thread_id is None:
-            thread_id = self.scheduler.current_id()
+            return self.scheduler.current().context
         return self._contexts[thread_id]
 
     # -- globals -------------------------------------------------------------------

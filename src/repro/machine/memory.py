@@ -23,6 +23,7 @@ stacks           ``0x7f00_0000_0000``  per-thread stacks (grow downward)
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -85,6 +86,7 @@ class AddressSpace:
 
     def __init__(self) -> None:
         self._regions: List[Region] = []          # sorted by base
+        self._bases: List[int] = []               # their bases, for bisect
         self._mapped = IntervalSet()
         self._values: Dict[int, Tuple[int, object]] = {}   # addr -> (size, value)
 
@@ -95,43 +97,37 @@ class AddressSpace:
         if self._mapped.overlaps_range(region.base, region.end):
             raise ValueError(f"mapping overlap: {region!r}")
         self._mapped.add(region.base, region.end)
-        # insert sorted by base
-        lo, hi = 0, len(self._regions)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._regions[mid].base < region.base:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._regions.insert(lo, region)
+        i = bisect_left(self._bases, region.base)
+        self._regions.insert(i, region)
+        self._bases.insert(i, region.base)
         return region
 
     def unmap_region(self, region: Region) -> None:
-        self._regions.remove(region)
+        i = self._regions.index(region)
+        del self._regions[i]
+        del self._bases[i]
         self._mapped.remove(region.base, region.end)
         for addr in [a for a in self._values if region.contains(a)]:
             del self._values[addr]
 
     def region_at(self, addr: int) -> Optional[Region]:
         """The region containing ``addr``, or ``None``."""
-        lo, hi = 0, len(self._regions)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._regions[mid].base <= addr:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == 0:
+        i = bisect_right(self._bases, addr)
+        if i == 0:
             return None
-        r = self._regions[lo - 1]
-        return r if r.contains(addr) else None
+        r = self._regions[i - 1]
+        return r if addr < r.base + r.size else None
 
     def check_mapped(self, addr: int, size: int, kind: str) -> Region:
-        """Raise :class:`SegmentationFault` unless ``[addr, addr+size)`` is mapped."""
-        r = self.region_at(addr)
-        if r is None or not r.contains(addr, size):
-            raise SegmentationFault(addr, size, kind)
-        return r
+        """Raise :class:`SegmentationFault` unless the region holding byte
+        ``addr`` also holds ``[addr, addr+size)``; returns that region."""
+        i = bisect_right(self._bases, addr)
+        if i:
+            r = self._regions[i - 1]
+            end = r.base + r.size
+            if addr < end and addr + size <= end:
+                return r
+        raise SegmentationFault(addr, size, kind)
 
     @property
     def regions(self) -> List[Region]:
@@ -152,6 +148,8 @@ class AddressSpace:
 
     def clear_range(self, lo: int, hi: int) -> None:
         """Drop stored scalars in ``[lo, hi)`` (used on frame pop / free)."""
+        if not self._values:
+            return
         for addr in [a for a in self._values if lo <= a < hi]:
             del self._values[addr]
 

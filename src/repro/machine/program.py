@@ -22,13 +22,13 @@ compaction of the paper's interval trees.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.errors import MachineError
-from repro.machine.debuginfo import SourceLocation
-from repro.machine.machine import Machine
+from repro.machine.debuginfo import SourceLocation, Symbol
+from repro.machine.machine import Machine, ThreadContext
+from repro.machine.stack import StackFrame
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,42 @@ class Buffer:
         return f"Buffer({label} @ {self.addr:#x}+{self.size})"
 
 
+class _Activation:
+    """One ``with ctx.function(...)`` block: enter pushes the stack frame
+    and the debug frame and charges the call, exit pops both, on the
+    thread that entered."""
+
+    __slots__ = ("_ctx", "_sym", "_line", "_tctx", "_frame")
+
+    def __init__(self, ctx: "GuestContext", sym: Symbol, line: int) -> None:
+        self._ctx = ctx
+        self._sym = sym
+        self._line = line
+
+    def __enter__(self) -> StackFrame:
+        ctx = self._ctx
+        thread = ctx._sched.current()
+        tctx = self._tctx = thread.context
+        frame = self._frame = tctx.stack.push_frame(self._sym)
+        tctx.symbols.append(self._sym)
+        tctx.lines.append(self._line)
+        ctx.machine.cost.charge_call(thread)
+        return frame
+
+    def __exit__(self, *exc) -> None:
+        tctx = self._tctx
+        tctx.lines.pop()
+        tctx.symbols.pop()
+        tctx.stack.pop_frame(self._frame)
+
+
 class GuestContext:
     """The guest program's window on the simulated process."""
 
     def __init__(self, machine: Machine, *, source_file: str = "main.c",
                  nthreads: int = 1) -> None:
         self.machine = machine
+        self._sched = machine.scheduler
         self.source_file = source_file
         self.nthreads = nthreads
         #: Extension point: runtimes (OpenMP env, Cilk env) hang themselves here.
@@ -120,8 +150,8 @@ class GuestContext:
 
     # -- thread-side state --------------------------------------------------------
 
-    def _tctx(self):
-        return self.machine.context()
+    def _tctx(self) -> ThreadContext:
+        return self._sched.current().context
 
     @property
     def current_location(self) -> Optional[SourceLocation]:
@@ -139,25 +169,15 @@ class GuestContext:
 
     # -- functions ------------------------------------------------------------------
 
-    @contextlib.contextmanager
     def function(self, name: str, *, file: Optional[str] = None, line: int = 0,
                  instrumented: bool = True,
-                 library: str = "a.out") -> Iterator[None]:
-        """Enter guest function ``name``: push a stack frame + debug frame."""
+                 library: str = "a.out") -> _Activation:
+        """Enter guest function ``name`` (``with ctx.function(...) as
+        frame:``): push a stack frame + debug frame."""
         sym = self.machine.debug.intern(
             name, file=file or self.source_file, line=line,
             instrumented=instrumented, library=library)
-        tctx = self._tctx()
-        frame = tctx.stack.push_frame(sym)
-        tctx.symbols.append(sym)
-        tctx.lines.append(line)
-        self.machine.cost.charge_call(self.machine.scheduler.current())
-        try:
-            yield frame
-        finally:
-            tctx.lines.pop()
-            tctx.symbols.pop()
-            tctx.stack.pop_frame(frame)
+        return _Activation(self, sym, line)
 
     # -- memory: variables ---------------------------------------------------------
 
@@ -232,25 +252,27 @@ class GuestContext:
                  atomic: bool = False, site=None) -> None:
         if line is not None:
             self.line(line)
-        tctx = self._tctx()
+        thread = self._sched.current()
+        tctx = thread.context
         self.machine.instrumentation.access(
-            addr, size, False, thread=self.machine.scheduler.current(),
+            addr, size, False, thread=thread,
             symbol=tctx.symbol, loc=tctx.location, atomic=atomic, site=site)
 
     def write_mem(self, addr: int, size: int, *, line: Optional[int] = None,
                   atomic: bool = False, site=None) -> None:
         if line is not None:
             self.line(line)
-        tctx = self._tctx()
+        thread = self._sched.current()
+        tctx = thread.context
         self.machine.instrumentation.access(
-            addr, size, True, thread=self.machine.scheduler.current(),
+            addr, size, True, thread=thread,
             symbol=tctx.symbol, loc=tctx.location, atomic=atomic, site=site)
 
     # -- misc -------------------------------------------------------------------------
 
     def compute(self, flops: float) -> None:
         """Charge pure-compute simulated time (workload arithmetic)."""
-        self.machine.cost.charge_compute(self.machine.scheduler.current(), flops)
+        self.machine.cost.charge_compute(self._sched.current(), flops)
 
     def client_request(self, name: str, payload=None):
         return self.machine.client_requests.request(name, payload)

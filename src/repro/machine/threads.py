@@ -28,6 +28,12 @@ Guest code never sees this module directly; the runtimes
 (:mod:`repro.openmp`, :mod:`repro.cilk`) call the yield/block primitives at
 their task scheduling points, mirroring where a real runtime would enter the
 kernel or the Valgrind scheduler.
+
+Which simulated thread is running is one attribute, not a thread-local
+lookup: the token holder is the only real thread executing scheduler or
+guest code, so :meth:`Scheduler.current` reads the thread :meth:`_next`
+last picked (or the one :meth:`_abort_all` is unwinding).  Outside a run
+it is ``None``, and the master never asks while a run is in flight.
 """
 
 from __future__ import annotations
@@ -35,11 +41,14 @@ from __future__ import annotations
 import enum
 import os
 import threading
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.errors import MachineError, SimDeadlock
 from repro.obs.tracer import get_tracer
 from repro.util.rng import RngHub
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.machine.machine import ThreadContext
 
 _TRACER = get_tracer()
 
@@ -75,6 +84,9 @@ class SimThread:
         self.block_pred: Optional[Callable[[], bool]] = None
         self.exc: Optional[BaseException] = None
         self.result: object = None
+        #: guest execution state (shadow call stack, stack, lines), set by
+        #: :meth:`repro.machine.machine.Machine.new_thread`
+        self.context: Optional["ThreadContext"] = None
         # held while the thread is parked; releasing it hands over the token
         self._token = threading.Lock()
         self._token.acquire()
@@ -85,7 +97,6 @@ class SimThread:
 
     def _entry(self) -> None:
         sched = self.sched
-        sched._local.sim_thread = self
         try:
             self._park()
             sched._pin()
@@ -147,14 +158,15 @@ class Scheduler:
         self._master = threading.Lock()
         self._outcome: Optional[BaseException] = None
         self._aborting = False
-        self._local = threading.local()
         self._started = False
+        #: the token holder: set at each pick, cleared when the run ends
+        self._running: Optional[SimThread] = None
 
     # -- introspection ------------------------------------------------------
 
     def current(self) -> SimThread:
-        """The simulated thread the calling real thread embodies."""
-        t = getattr(self._local, "sim_thread", None)
+        """The simulated thread that holds the token (the caller)."""
+        t = self._running
         if t is None:
             raise MachineError("not running on a simulated thread")
         return t
@@ -163,7 +175,7 @@ class Scheduler:
         return self.current().id
 
     def maybe_current(self) -> Optional[SimThread]:
-        return getattr(self._local, "sim_thread", None)
+        return self._running
 
     def stats(self) -> dict:
         """The ``sched`` block of ``taskgrind-stats/1``."""
@@ -255,6 +267,7 @@ class Scheduler:
             t.vtime = max(t.vtime, self.now)
         t.state = ThreadState.RUNNING
         self.switches += 1
+        self._running = t
         return t
 
     def _finish(self, outcome: Optional[BaseException]) -> None:
@@ -293,6 +306,8 @@ class Scheduler:
         except BaseException:
             self._abort_all()
             raise
+        finally:
+            self._running = None
         self._abort_all()        # only joins when everything finished cleanly
 
     def _await_outcome(self) -> None:
@@ -350,6 +365,7 @@ class Scheduler:
         self._aborting = True
         for t in self.threads:
             if t.state not in (ThreadState.DONE, ThreadState.RUNNING):
+                self._running = t        # it unwinds as the token holder
                 try:
                     t._token.release()
                 except RuntimeError:

@@ -19,7 +19,7 @@ suppression (tested in ``tests/core/test_suppress.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.machine.memory import (AddressSpace, Region, RegionKind,
                                   DEFAULT_TLS_BLOCK_SIZE, TLS_BASE)
@@ -41,18 +41,27 @@ class TlsSnapshot:
 
 
 class _ThreadTls:
-    """Per-thread TCB + DTV."""
+    """Per-thread TCB + DTV.
+
+    Every change to ``blocks`` after registration bumps ``generation``, so
+    one snapshot serves every segment that ends in the same generation.
+    """
 
     def __init__(self, thread_id: int, tcb: int) -> None:
         self.thread_id = thread_id
         self.tcb = tcb
         self.generation = 1
         self.blocks: Dict[int, Tuple[int, int]] = {}   # module -> (base, size)
+        self._snapshot: Optional[TlsSnapshot] = None
 
     def snapshot(self) -> TlsSnapshot:
-        dtv = tuple(sorted((mod, base, size)
-                           for mod, (base, size) in self.blocks.items()))
-        return TlsSnapshot(self.thread_id, self.tcb, self.generation, dtv)
+        snap = self._snapshot
+        if snap is None or snap.generation != self.generation:
+            dtv = tuple(sorted((mod, base, size)
+                               for mod, (base, size) in self.blocks.items()))
+            snap = self._snapshot = TlsSnapshot(self.thread_id, self.tcb,
+                                                self.generation, dtv)
+        return snap
 
 
 class TlsRegistry:

@@ -25,6 +25,7 @@ Modeled-from-LLVM behaviours (each load-bearing for the paper's evaluation):
 from __future__ import annotations
 
 import collections
+import functools
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import RuntimeModelError
@@ -38,6 +39,30 @@ from repro.openmp.tasks import (DESCRIPTOR_HEADER_BYTES, PRIVATE_SLOT_BYTES,
 RUNTIME_LIB = "libomp.so"
 
 _TRACER = get_tracer()
+
+
+@functools.lru_cache(maxsize=None)
+def _explicit_flags(undeferred: bool, final: bool, included: bool,
+                    untied: bool, mergeable: bool,
+                    detachable: bool) -> TaskFlags:
+    """The OMPT flags of an explicit task (one ``enum.Flag`` build per
+    distinct combination, not per task)."""
+    flags = TaskFlags.EXPLICIT
+    if undeferred:
+        flags |= TaskFlags.UNDEFERRED
+    if final:
+        flags |= TaskFlags.FINAL
+    if included:
+        flags |= TaskFlags.INCLUDED
+    if untied:
+        flags |= TaskFlags.UNTIED
+    if mergeable:
+        flags |= TaskFlags.MERGEABLE
+        if undeferred or included:
+            flags |= TaskFlags.MERGED
+    if detachable:
+        flags |= TaskFlags.DETACHABLE
+    return flags
 
 
 class Taskgroup:
@@ -122,6 +147,7 @@ class OmpRuntime:
     def __init__(self, ctx: GuestContext, *, max_threads: int = 4) -> None:
         self.ctx = ctx
         self.machine = ctx.machine
+        self._sched = ctx.machine.scheduler
         self.max_threads = max_threads
         self.ompt = OmptDispatcher()
         # region ids are only used as within-run keys (builder fork/join
@@ -137,6 +163,7 @@ class OmpRuntime:
         self._mutexinoutset_held: Dict[int, int] = {}   # addr -> task id
         self._regions: List[ParallelRegion] = []
         self._initial_task: Optional[Task] = None
+        self._rt_addrs: Dict[str, int] = {}         # _rt_touch tag -> word
 
     # -- runtime-internal shared state ----------------------------------------
     #
@@ -147,18 +174,21 @@ class OmpRuntime:
     # a *naive* DBI run without the ignore-list floods with exactly these
     # conflicts (the paper's Section IV-A motivation).
 
-    def _rt_touch(self, tag: str, *, read_first: bool = False) -> None:
-        addr = self.machine.global_var(f"__kmp_{tag}", 8)
+    def _rt_touch(self, tag: str) -> None:
+        """Read-modify-write the runtime word ``__kmp_<tag>``."""
+        addr = self._rt_addrs.get(tag)
+        if addr is None:
+            addr = self._rt_addrs[tag] = self.machine.global_var(
+                f"__kmp_{tag}", 8)
         with self.ctx.function("__kmp_runtime_state", instrumented=False,
                                library=RUNTIME_LIB):
-            if read_first:
-                self.ctx.read_mem(addr, 8)
+            self.ctx.read_mem(addr, 8)
             self.ctx.write_mem(addr, 8)
 
     # -- identity helpers ---------------------------------------------------
 
     def _tid(self) -> int:
-        return self.machine.scheduler.current_id()
+        return self._sched.current().id
 
     def current_task(self) -> Task:
         tid = self._tid()
@@ -222,7 +252,7 @@ class OmpRuntime:
         # the encountering thread is member 0
         self._implicit_body(region, 0, fn)
 
-        self.machine.scheduler.block_until(
+        self._sched.block_until(
             lambda: region.done_members == size, "parallel join")
         self.ompt.emit("on_parallel_end", region, encountering)
         return region
@@ -231,7 +261,7 @@ class OmpRuntime:
                       fn: Callable[[int], None]) -> Callable[[], None]:
         def entry() -> None:
             # wait until the encountering thread has registered every member
-            self.machine.scheduler.block_until(
+            self._sched.block_until(
                 lambda: all(t >= 0 for t in region.member_threads),
                 "team setup")
             self._implicit_body(region, member, fn)
@@ -278,25 +308,13 @@ class OmpRuntime:
         # parse (and validate) the depend clause before any bookkeeping so a
         # malformed clause cannot leave counters half-updated
         deps = self._parse_depend(depend)
-        self.machine.cost.charge_task(self.machine.scheduler.current())
+        self.machine.cost.charge_task(self._sched.current())
 
-        flags = TaskFlags.EXPLICIT
-        serial_team = region is None or region.size == 1
-        if not if_:
-            flags |= TaskFlags.UNDEFERRED
-        if final or (creator.flags & TaskFlags.FINAL and not creator.is_implicit):
-            flags |= TaskFlags.FINAL | TaskFlags.INCLUDED
-        if serial_team:
-            # LLVM executes every task included on a serial team
-            flags |= TaskFlags.INCLUDED
-        if untied:
-            flags |= TaskFlags.UNTIED
-        if mergeable:
-            flags |= TaskFlags.MERGEABLE
-            if flags & (TaskFlags.UNDEFERRED | TaskFlags.INCLUDED):
-                flags |= TaskFlags.MERGED
-        if detachable:
-            flags |= TaskFlags.DETACHABLE
+        final = final or (creator.is_final and not creator.is_implicit)
+        # LLVM executes every task included on a serial team
+        included = final or region is None or region.size == 1
+        flags = _explicit_flags(not if_, final, included, untied, mergeable,
+                                detachable)
 
         task = Task(runtime=self, tid=self._new_task_id(), fn=fn,
                     parent=creator, flags=flags, region=region,
@@ -307,7 +325,7 @@ class OmpRuntime:
         task.dep_tracker = DependencyTracker()       # type: ignore[attr-defined]
         task.group_stack = []                        # type: ignore[attr-defined]
         task.create_thread = self._tid()
-        self._rt_touch("task_counter", read_first=True)
+        self._rt_touch("task_counter")
         if detachable:
             task.detach_event = DetachEvent(task)
 
@@ -324,7 +342,7 @@ class OmpRuntime:
             task.private_offsets[pname] = off
             off += PRIVATE_SLOT_BYTES
 
-        deferred = not (flags & (TaskFlags.INCLUDED | TaskFlags.UNDEFERRED))
+        deferred = if_ and not included
         if deferred:
             # Deferred tasks get a heap descriptor from the runtime's private
             # pool (``__kmp_fast_allocate`` — recycles even under a tool's
@@ -373,12 +391,12 @@ class OmpRuntime:
             self.ctx.client_request("taskgrind_deferrable", task)
 
         # -- dispatch
-        if task.flags & (TaskFlags.INCLUDED | TaskFlags.UNDEFERRED):
+        if not deferred:
             self._wait_for_deps(task)
             self._execute_task(task)
         elif task.dep_pending == 0:
             self._enqueue(task, self._tid())
-            self.machine.scheduler.yield_point()     # let thieves steal
+            self._sched.yield_point()     # let thieves steal
         # else: released when the last predecessor completes
         return task
 
@@ -405,7 +423,7 @@ class OmpRuntime:
             if other is not None:
                 self._execute_task(other)
             else:
-                self.machine.scheduler.block_until(
+                self._sched.block_until(
                     lambda: task.dep_pending == 0 or self._work_visible(),
                     f"deps of {task.label()}")
 
@@ -413,7 +431,7 @@ class OmpRuntime:
 
     def _enqueue(self, task: Task, tid: int) -> None:
         task.state = TaskState.READY
-        self._rt_touch(f"deque.t{tid}", read_first=True)
+        self._rt_touch(f"deque.t{tid}")
         self._deques.setdefault(tid, collections.deque()).append(task)
 
     def _work_visible(self, descendant_of: Optional[Task] = None) -> bool:
@@ -454,7 +472,7 @@ class OmpRuntime:
                 if self._eligible(own[i], descendant_of):
                     task = own[i]
                     del own[i]
-                    self._rt_touch(f"deque.t{tid}", read_first=True)
+                    self._rt_touch(f"deque.t{tid}")
                     return task
         victims = [t for t, dq in self._deques.items() if t != tid and dq]
         if victims:
@@ -466,7 +484,7 @@ class OmpRuntime:
                     if self._eligible(dq[i], descendant_of):
                         task = dq[i]
                         del dq[i]
-                        self._rt_touch(f"deque.t{victim}", read_first=True)
+                        self._rt_touch(f"deque.t{victim}")
                         return task
         return None
 
@@ -474,7 +492,7 @@ class OmpRuntime:
 
     def _execute_task(self, task: Task) -> None:
         tid = self._tid()
-        self.machine.cost.charge_schedule(self.machine.scheduler.current())
+        self.machine.cost.charge_schedule(self._sched.current())
         task.state = TaskState.RUNNING
         task.exec_thread = tid
         for addr in task.mutexinoutset_addrs:
@@ -529,12 +547,12 @@ class OmpRuntime:
                 and not task.detach_event.fulfilled):
             task.state = TaskState.DETACHED
             self.ompt.emit("on_task_schedule_end", task, tid, False)
-            self.machine.scheduler.yield_point()
+            self._sched.yield_point()
             return
         self._complete_task(task)
         # task completion is a task scheduling point: give the scheduler a
         # chance to run another thread (e.g. a thief picking up a successor)
-        self.machine.scheduler.yield_point()
+        self._sched.yield_point()
 
     def _complete_task(self, task: Task) -> None:
         tid = self._tid()
@@ -573,7 +591,7 @@ class OmpRuntime:
         """``#pragma omp taskwait`` — wait for the current task's children."""
         task = self.current_task()
         tid = self._tid()
-        self.machine.cost.charge_sync(self.machine.scheduler.current())
+        self.machine.cost.charge_sync(self._sched.current())
         if _TRACER.enabled:
             _TRACER.instant("sync.taskwait", tid, cat="sync",
                             args={"task": task.label(),
@@ -585,7 +603,7 @@ class OmpRuntime:
             if other is not None:
                 self._execute_task(other)
             else:
-                self.machine.scheduler.block_until(
+                self._sched.block_until(
                     lambda: task.children_incomplete == 0
                     or self._work_visible(task),
                     f"taskwait in {task.label()}")
@@ -597,7 +615,7 @@ class OmpRuntime:
         tid = self._tid()
         group = Taskgroup(task)
         task.group_stack.append(group)           # type: ignore[attr-defined]
-        self.machine.cost.charge_sync(self.machine.scheduler.current())
+        self.machine.cost.charge_sync(self._sched.current())
         if _TRACER.enabled:
             _TRACER.instant("sync.taskgroup", tid, cat="sync",
                             args={"task": task.label()})
@@ -611,7 +629,7 @@ class OmpRuntime:
                 if other is not None:
                     self._execute_task(other)
                 else:
-                    self.machine.scheduler.block_until(
+                    self._sched.block_until(
                         lambda: group.outstanding == 0
                         or self._work_visible(task),
                         f"taskgroup in {task.label()}")
@@ -623,7 +641,7 @@ class OmpRuntime:
         task = self.current_task()
         tid = self._tid()
         kind = SyncKind.BARRIER_IMPLICIT if implicit else SyncKind.BARRIER
-        self.machine.cost.charge_sync(self.machine.scheduler.current())
+        self.machine.cost.charge_sync(self._sched.current())
         if _TRACER.enabled:
             _TRACER.instant("sync.barrier", tid, cat="sync",
                             args={"implicit": implicit,
@@ -641,7 +659,7 @@ class OmpRuntime:
 
         bar = region.barrier
         my_gen = bar.generation
-        self._rt_touch(f"barrier.r{region.id}", read_first=True)
+        self._rt_touch(f"barrier.r{region.id}")
         bar.arrived += 1
         while True:
             if bar.generation > my_gen:
@@ -657,7 +675,7 @@ class OmpRuntime:
                 self._execute_task(other)
                 bar.arrived += 1
                 continue
-            self.machine.scheduler.block_until(
+            self._sched.block_until(
                 lambda: bar.generation > my_gen
                 or (bar.arrived == bar.size and region.incomplete_tasks == 0)
                 or self._work_visible(),
@@ -704,11 +722,11 @@ class OmpRuntime:
 
     def lock_acquire(self, name: str) -> None:
         tid = self._tid()
-        self.machine.cost.charge_sync(self.machine.scheduler.current())
-        self.machine.scheduler.block_until(
+        self.machine.cost.charge_sync(self._sched.current())
+        self._sched.block_until(
             lambda: name not in self._locks, f"lock {name}")
         self._locks[name] = tid
-        self._rt_touch(f"lock.{name}", read_first=True)
+        self._rt_touch(f"lock.{name}")
         self.ompt.emit("on_mutex_acquired", name, tid)
 
     def lock_release(self, name: str) -> None:

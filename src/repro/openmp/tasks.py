@@ -13,8 +13,9 @@ the mechanism behind the paper's remaining multi-thread TMB false positives.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.obs.tracer import get_tracer
 from repro.openmp.ompt import Dependence, TaskFlags
@@ -37,6 +38,16 @@ class TaskState(enum.Enum):
 #: Byte layout of the firstprivate payload inside the descriptor.
 PRIVATE_SLOT_BYTES = 8
 DESCRIPTOR_HEADER_BYTES = 32       # flags/refcount/etc. (runtime-internal)
+
+
+@functools.lru_cache(maxsize=None)
+def _flag_traits(flags: TaskFlags) -> Tuple[bool, bool, bool, bool, bool]:
+    """(implicit, included, undeferred, merged, final) of one flag set."""
+    return (bool(flags & (TaskFlags.IMPLICIT | TaskFlags.INITIAL)),
+            bool(flags & TaskFlags.INCLUDED),
+            bool(flags & TaskFlags.UNDEFERRED),
+            bool(flags & TaskFlags.MERGED),
+            bool(flags & TaskFlags.FINAL))
 
 
 class DetachEvent:
@@ -99,6 +110,18 @@ class Task:
     successor_deps: List[Dependence] = field(default_factory=list)
     mutexinoutset_addrs: List[int] = field(default_factory=list)
 
+    # what the flags say, read on every event: the flags never change after
+    # creation, so they are derived once (per distinct flag set, even)
+    is_implicit: bool = field(init=False, repr=False)
+    is_included: bool = field(init=False, repr=False)
+    is_undeferred: bool = field(init=False, repr=False)
+    is_merged: bool = field(init=False, repr=False)
+    is_final: bool = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        (self.is_implicit, self.is_included, self.is_undeferred,
+         self.is_merged, self.is_final) = _flag_traits(self.flags)
+
     def __hash__(self) -> int:
         return self.tid
 
@@ -106,22 +129,6 @@ class Task:
         return self is other
 
     # -- convenience -------------------------------------------------------
-
-    @property
-    def is_implicit(self) -> bool:
-        return bool(self.flags & (TaskFlags.IMPLICIT | TaskFlags.INITIAL))
-
-    @property
-    def is_included(self) -> bool:
-        return bool(self.flags & TaskFlags.INCLUDED)
-
-    @property
-    def is_undeferred(self) -> bool:
-        return bool(self.flags & TaskFlags.UNDEFERRED)
-
-    @property
-    def is_merged(self) -> bool:
-        return bool(self.flags & TaskFlags.MERGED)
 
     @property
     def done(self) -> bool:

@@ -14,7 +14,8 @@ from repro.core.analysis import find_races
 from repro.core.npkernel import KernelContext, coalesce_arrays, intersect_arrays
 from repro.core.segments import SegmentGraph
 from repro.util.intervals import IntervalSet
-from tests.core.analysis_oracle import conflict_ranges, find_races_naive
+from tests.core.analysis_oracle import (conflict_ranges, descendants,
+                                        find_races_naive)
 
 ranges_strategy = st.lists(
     st.tuples(st.integers(0, 400), st.integers(1, 40)).map(
@@ -173,11 +174,11 @@ class TestHbTierObservability:
         assert any(want) and not all(want)
 
     def test_fib_answers_every_query_from_one_dp(self):
-        """fib(17) on 4 threads: its series-parallel graph builds the
-        reachability DP once, and every candidate pair is one DP query.
-        Its segments share bytes only in frames they pushed themselves,
-        so no pair reaches the check; the unfiltered pass checks many, and
-        Section IV-D suppresses every one."""
+        """fib(17) on 4 threads: every candidate pair would be one DP
+        query, but its segments share bytes only in frames they pushed
+        themselves, so no pair reaches the check and the reachability DP
+        is never built; the unfiltered pass checks many, and Section IV-D
+        suppresses every one."""
         from repro.bench.programs import BenchProgram
         from repro.bench.runner import run_benchmark
         from repro.core.suppress import SuppressionEngine
@@ -191,7 +192,7 @@ class TestHbTierObservability:
         counters = result.stats["registry"]["counters"]
         assert not any(k.startswith("analysis.hb.") for k in counters)
         graph = result.stats["graph"]
-        assert graph["dp_rebuilds"] == 1
+        assert graph["dp_rebuilds"] == 0
         assert graph["queries"]["label"] == 0
         # a counter never incremented is absent
         assert graph["queries"]["dp"] == \
@@ -203,3 +204,42 @@ class TestHbTierObservability:
         assert engine.filter_all(unfiltered) == []
         assert engine.stats.fully_suppressed_pairs == \
             unfiltered.pair_count()
+
+    def test_lulesh_pairs_build_the_dp_once(self):
+        """Table II racy LULESH on 1 thread: 776 candidate pairs reach the
+        check, and all of them are answered from one DP build."""
+        from repro.bench.programs import BenchProgram
+        from repro.bench.runner import run_benchmark
+        from repro.workloads.lulesh import LuleshConfig, run_lulesh
+        cfg = LuleshConfig(s=16, tel=4, tnl=4, iterations=4, progress=True,
+                           racy=True)
+        program = BenchProgram(name="lulesh", racy=True,
+                               entry=lambda env: run_lulesh(env, cfg),
+                               description="lulesh", source_file="lulesh.cc",
+                               features=frozenset({"task"}))
+        result = run_benchmark(program, "taskgrind", nthreads=1, seed=7)
+        counters = result.stats["registry"]["counters"]
+        graph = result.stats["graph"]
+        assert counters["analysis.candidate_pairs"] == 776
+        assert graph["dp_rebuilds"] == 1
+        assert graph["queries"]["dp"] == 776
+
+    def test_zero_pair_graph_builds_the_dp_on_first_query(self):
+        """With no candidate pair, ``find_races`` leaves the DP unbuilt;
+        ``ordered`` then builds it once and agrees with a breadth-first
+        search on every pair."""
+        edges = [(0, 1), (1, 3), (0, 2), (2, 3), (4, 5)]
+        # reads everywhere, and the one write shares no byte with them
+        accesses = [(k, 0, 64, False) for k in range(6)]
+        accesses.append((5, 128, 136, True))
+        g = make_graph(6, edges, accesses)
+        table = find_races(g).table
+        assert table.pair_count() == 0
+        assert g.dp_rebuilds == 0 and g.q_dp == 0
+        desc = descendants(g)
+        for a in g.segments:
+            for b in g.segments:
+                if a is not b:
+                    assert g.ordered(a, b) == \
+                        (b.id in desc[a.id] or a.id in desc[b.id])
+        assert g.dp_rebuilds == 1

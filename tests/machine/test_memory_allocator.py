@@ -40,6 +40,28 @@ class TestAddressSpace:
         with pytest.raises(SegmentationFault):
             space.check_mapped(0x100C, 8, "write")   # runs off the end
 
+    def test_region_ends_and_adjacent_regions(self):
+        """A zero-size access at a region's end belongs to the region
+        starting there, and faults when none does; an access may not span
+        two adjacent regions; lookups stay right after an unmap."""
+        space = AddressSpace()
+        a = space.map_region(Region("a", 0x1000, 0x10, RegionKind.GLOBALS))
+        b = space.map_region(Region("b", 0x1010, 0x10, RegionKind.GLOBALS))
+        c = space.map_region(Region("c", 0x2000, 0x10, RegionKind.GLOBALS))
+        assert space.check_mapped(0x1000, 0x10, "read") is a
+        assert space.check_mapped(0x1010, 0, "read") is b
+        assert space.check_mapped(0x100F, 1, "read") is a
+        with pytest.raises(SegmentationFault):
+            space.check_mapped(0x100C, 8, "read")     # a into b
+        with pytest.raises(SegmentationFault):
+            space.check_mapped(0x1020, 0, "write")    # b's end, nothing after
+        space.unmap_region(b)
+        assert space.region_at(0x1010) is None
+        assert space.region_at(0x100F) is a and space.region_at(0x2000) is c
+        with pytest.raises(SegmentationFault):
+            space.check_mapped(0x1010, 0, "read")
+        assert [r.name for r in space.regions] == ["a", "c"]
+
     def test_scalar_store_load(self):
         space = AddressSpace()
         space.map_region(Region("g", 0x1000, 0x100, RegionKind.GLOBALS))

@@ -200,3 +200,43 @@ class TestLauncher:
         out = capsys.readouterr().out
         assert out.startswith("027-taskdependmissing-orig under none")
         assert "== stats ==" in out
+
+
+class TestUnwinding:
+    def test_guest_exception_in_nested_functions_pops_every_frame(self):
+        """A fault three calls deep on one thread unwinds it, and the
+        scheduler unwinds the others out of their own nested calls: no
+        thread keeps a frame, a debug frame or stack bytes."""
+        machine = Machine(seed=1)
+        ctx = GuestContext(machine)
+        sched = machine.scheduler
+
+        def worker(depth, fail):
+            def body():
+                def nest(level):
+                    with ctx.function(f"f{level}", line=level):
+                        ctx.stack_var(f"v{level}", 16).write()
+                        sched.yield_point()
+                        if level < depth:
+                            nest(level + 1)
+                        elif fail:
+                            raise ValueError("guest fault")
+                        else:
+                            sched.block_until(lambda: False, "parked")
+                nest(0)
+            return body
+
+        def main():
+            for k in range(1, 4):
+                machine.new_thread(worker(2 + k, fail=False))
+            worker(3, fail=True)()
+
+        with pytest.raises(ValueError, match="guest fault"):
+            machine.run(main)
+        contexts = [machine.context(t.id) for t in sched.threads]
+        assert len(contexts) == 4
+        for tctx in contexts:
+            assert tctx.stack.frames == []
+            assert tctx.symbols == [] and tctx.lines == []
+            assert tctx.stack.used_bytes == 0
+            assert tctx.stack.low_water < tctx.stack.region.end

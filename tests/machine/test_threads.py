@@ -380,3 +380,84 @@ def test_exactly_one_thread_runs_under_fast_interpreter_switching():
     assert total["n"] == 800
     assert sched.switches == len(tape)
     assert not any(t._real.is_alive() for t in sched.threads)
+
+
+# -- the running-thread handle ------------------------------------------------
+
+
+def _assert_no_current(sched):
+    with pytest.raises(MachineError, match="not running on a simulated"):
+        sched.current()
+    with pytest.raises(MachineError):
+        sched.current_id()
+    assert sched.maybe_current() is None
+
+
+def test_no_current_thread_before_run():
+    sched = Scheduler()
+    sched.spawn(lambda: None)
+    _assert_no_current(sched)
+
+
+def test_no_current_thread_after_clean_run():
+    sched = Scheduler()
+    for _ in range(3):
+        sched.spawn(sched.yield_point)
+    sched.run()
+    _assert_no_current(sched)
+
+
+def test_no_current_thread_after_guest_exception():
+    sched = Scheduler()
+
+    def boom():
+        sched.yield_point()
+        raise ValueError("guest bug")
+
+    sched.spawn(lambda: sched.block_until(lambda: False, "parked"))
+    sched.spawn(boom)
+    with pytest.raises(ValueError):
+        sched.run()
+    _assert_no_current(sched)
+
+
+def test_no_current_thread_after_deadlock():
+    sched = Scheduler()
+    sched.spawn(lambda: sched.block_until(lambda: False, "forever"))
+    sched.spawn(sched.yield_point)
+    with pytest.raises(SimDeadlock):
+        sched.run()
+    _assert_no_current(sched)
+
+
+def test_each_thread_reads_itself_across_yields_and_blocks():
+    """Four threads, each checking ``current()`` before and after every
+    yield and every block, with a barrier-like wait in the middle."""
+    sched = Scheduler(RngHub(3))
+    me = {}
+    arrived = []
+    seen = []
+
+    def body(k):
+        def run():
+            t = me[k]
+            for i in range(4):
+                assert sched.current() is t and sched.maybe_current() is t
+                assert sched.current_id() == t.id
+                t.vtime += k + 1
+                sched.yield_point()
+                assert sched.current() is t
+                seen.append((k, i))
+            arrived.append(k)
+            sched.block_until(lambda: len(arrived) == 4, "all arrive")
+            assert sched.current() is t and sched.current_id() == t.id
+            sched.yield_point()
+            assert sched.current() is t
+        return run
+
+    for k in range(4):
+        me[k] = sched.spawn(body(k))
+    sched.run()
+    assert sorted(seen) == [(k, i) for k in range(4) for i in range(4)]
+    assert sched.switches > 16
+    _assert_no_current(sched)
