@@ -91,7 +91,7 @@ def _repo_root() -> Path:
 
 
 # ---------------------------------------------------------------------------
-# trace materialization (corpus + synthetics → taskgrind-trace/2 files)
+# trace materialization (corpus + synthetics → taskgrind-trace/3 files)
 # ---------------------------------------------------------------------------
 
 def record_program_trace(name: str, path: str, *, seed: int = 0,

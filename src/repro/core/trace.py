@@ -11,7 +11,7 @@ on another machine entirely.
 This module implements that pipeline:
 
 * :func:`save_trace` — serialize a finished run to the chunked,
-  per-chunk-checksummed ``taskgrind-trace/2`` stream;
+  per-chunk-checksummed ``taskgrind-trace/3`` stream;
 * :func:`load_trace` — the strict reader: raises the :mod:`repro.errors`
   trace taxonomy on any damage;
 * :func:`load_trace_salvaged` — the crash-tolerant reader: recovers the
@@ -19,7 +19,7 @@ This module implements that pipeline:
   was lost in a :class:`TraceCoverage` block instead of raising;
 * :func:`analyze_trace` — run Algorithm 1 + suppressions offline.
 
-Trace format (version 2)
+Trace format (version 3)
 ------------------------
 One JSON object per line.  Line 0 is the header chunk (declares totals);
 then ``segments`` chunks (``chunk_segments`` graph nodes each, ids dense
@@ -28,10 +28,22 @@ one ``environment``, one ``suppression``, an optional ``stats`` chunk, and
 an ``end`` footer.  The framing is :mod:`repro.util.chunks`'s, each line
 stamped with the cost-model virtual time at write, so the salvage reader
 can checksum each chunk independently (skipping a line that fails) and
-report the last good vtime of a torn stream.  Any other format — such as
-a version-1 single-document
-trace — is rejected with a :class:`~repro.errors.TraceVersionError`
-naming the version found.
+report the last good vtime of a torn stream.  A segment chunk's payload
+is::
+
+    {"start": S, "edges": [[src, dst], ...],
+     "locations": [[file, line, function], ...],
+     "tls": [{"thread", "tcb", "generation", "dtv"}, ...],
+     "segments": [[thread, kind, virtual, label, label_loc, sp_at_start,
+                   stack_lo, stack_hi, reads, writes, loc_samples, tls],
+                  ...]}
+
+Row ``i`` is segment ``S + i``.  ``locations`` and ``tls`` hold each
+distinct value the chunk's segments name once; ``label_loc``, ``tls`` and
+the last field of each ``[lo, hi, is_write, location]`` sample row are an
+index into them, or ``null``.  Any other format — a version-2 trace of
+one object per segment, a version-1 single-document trace — is rejected
+with a :class:`~repro.errors.TraceVersionError` naming the version found.
 
 CLI: ``python -m repro.core.offline <trace.json> [--workers N]``.
 """
@@ -59,8 +71,8 @@ from repro.util.chunks import (ChunkError, ChunkWriter, chunk_lines,
                                verify_crc)
 from repro.util.intervals import IntervalSet
 
-TRACE_VERSION = 2
-TRACE_SCHEMA = "taskgrind-trace/2"
+TRACE_VERSION = 3
+TRACE_SCHEMA = "taskgrind-trace/3"
 
 #: graph nodes per ``segments`` chunk — small enough that one corrupt chunk
 #: costs a bounded slice of the run, large enough that chunk framing stays
@@ -78,6 +90,12 @@ def _loc_to_list(loc: Optional[SourceLocation]):
     return [loc.file, loc.line, loc.function]
 
 
+def _tls_to_dict(snap: TlsSnapshot) -> dict:
+    return {"thread": snap.thread_id, "tcb": snap.tcb,
+            "generation": snap.generation,
+            "dtv": [list(entry) for entry in snap.dtv]}
+
+
 def _seg_to_dict(seg) -> dict:
     snap = seg.tls_snapshot
     return {
@@ -93,11 +111,7 @@ def _seg_to_dict(seg) -> dict:
         "writes": seg.writes.pairs(),
         "loc_samples": [[lo, hi, w, _loc_to_list(loc)]
                         for lo, hi, w, loc in seg.loc_samples],
-        "tls": None if snap is None else {
-            "thread": snap.thread_id, "tcb": snap.tcb,
-            "generation": snap.generation,
-            "dtv": [list(entry) for entry in snap.dtv],
-        },
+        "tls": None if snap is None else _tls_to_dict(snap),
     }
 
 
@@ -134,8 +148,8 @@ def save_trace(tool, machine, path: str, *,
     provides one), so offline analysis can report the *record* phase —
     including its cost-model virtual time — next to its own phases.
     """
-    save_atomic(path, lambda fh: _write_v2(tool, machine, fh,
-                                           chunk_segments=chunk_segments))
+    save_atomic(path, lambda fh: _write(tool, machine, fh,
+                                        chunk_segments=chunk_segments))
 
 
 def _supp_flags(tool) -> dict:
@@ -145,31 +159,85 @@ def _supp_flags(tool) -> dict:
     }
 
 
-def _write_v2(tool, machine, fh: IO[bytes], *,
-              chunk_segments: int = DEFAULT_CHUNK_SEGMENTS) -> None:
-    data = dump_graph(tool.builder.graph)
-    segments, edges = data["segments"], data["edges"]
+#: the fields of a stored segment row, in the order the writer puts them
+SEGMENT_ROW = ("thread", "kind", "virtual", "label", "label_loc",
+               "sp_at_start", "stack_lo", "stack_hi", "reads", "writes",
+               "loc_samples", "tls")
+
+
+def _indexer(table: list, encode):
+    """A function from a value (or ``None``) to its row index in ``table``
+    (or ``None``), appending ``encode(value)`` the first time it sees an
+    equal value: each distinct value is stored once, in first-reference
+    order."""
+    indexes: dict = {}
+
+    def index(value) -> Optional[int]:
+        if value is None:
+            return None
+        at = indexes.get(value)
+        if at is None:
+            at = indexes[value] = len(table)
+            table.append(encode(value))
+        return at
+    return index
+
+
+def _segment_chunk(segs, start: int, edges: list) -> dict:
+    """The payload of one segment chunk: a :data:`SEGMENT_ROW` row per
+    segment, its locations and TLS snapshots each stored once in the
+    chunk's tables."""
+    locations: list = []
+    snapshots: list = []
+    loc_id = _indexer(locations, _loc_to_list)
+    snap_id = _indexer(snapshots, _tls_to_dict)
+    rows = []
+    for seg in segs:
+        stack_lo, stack_hi = seg.stack_bounds
+        rows.append([seg.thread_id, seg.kind, seg.virtual, seg.label(),
+                     loc_id(seg.label_loc), seg.sp_at_start,
+                     stack_lo, stack_hi, seg.reads.pairs(), seg.writes.pairs(),
+                     [[lo, hi, w, loc_id(loc)]
+                      for lo, hi, w, loc in seg.loc_samples],
+                     snap_id(seg.tls_snapshot)])
+    return {"start": start, "edges": edges, "locations": locations,
+            "tls": snapshots, "segments": rows}
+
+
+def segment_chunks(graph: SegmentGraph, chunk_segments: int) -> List[dict]:
+    """The graph's segment chunk payloads, one per ``chunk_segments``
+    segments."""
     # each edge travels with the chunk of its HIGHEST-id endpoint: any
     # contiguous segment prefix then carries the *complete* happens-before
     # relation among its segments.  A salvage that recovered segments
     # without their orderings would see everything as concurrent and
     # invent races — losing an edge must always lose an endpoint with it.
     edges_by_chunk: dict = {}
-    for src, dst in edges:
-        edges_by_chunk.setdefault(max(src, dst) // chunk_segments,
-                                  []).append([src, dst])
+    for src, succs in enumerate(graph._succ):
+        for dst in succs:
+            edges_by_chunk.setdefault(max(src, dst) // chunk_segments,
+                                      []).append([src, dst])
+    segments = graph.segments
+    return [
+        _segment_chunk(segments[start:start + chunk_segments], start,
+                       edges_by_chunk.get(index, []))
+        for index, start in enumerate(range(0, len(segments),
+                                            chunk_segments))]
+
+
+def _write(tool, machine, fh: IO[bytes], *,
+           chunk_segments: int = DEFAULT_CHUNK_SEGMENTS) -> None:
+    graph = tool.builder.graph
     vtime = float(machine.cost.vtime_ops) \
         if hasattr(machine, "cost") else 0.0
     w = ChunkWriter(fh, get_injector().on_trace_chunk, vtime=vtime)
     w.emit("header", {
-        "segments": len(segments),
-        "edges": len(edges),
+        "segments": len(graph.segments),
+        "edges": graph.edge_count,
         "chunk_segments": chunk_segments,
     }, schema=TRACE_SCHEMA, version=TRACE_VERSION)
-    for index, start in enumerate(range(0, len(segments), chunk_segments)):
-        batch = segments[start:start + chunk_segments]
-        w.emit("segments", {"start": start, "segments": batch,
-                            "edges": edges_by_chunk.get(index, [])})
+    for payload in segment_chunks(graph, chunk_segments):
+        w.emit("segments", payload)
     w.emit("environment", dump_environment(machine))
     w.emit("suppression", _supp_flags(tool))
     if hasattr(tool, "stats"):
@@ -207,12 +275,10 @@ def _location(data, interned: dict) -> Optional[SourceLocation]:
     return loc
 
 
-def _tls_snapshot(t, interned: dict) -> Optional[TlsSnapshot]:
-    """A stored ``None`` or snapshot with int ``thread``, ``tcb`` and
-    ``generation`` and ``[int, int, int]`` dtv entries.  Raises
-    ``LookupError``, ``TypeError`` or ``ValueError``."""
-    if t is None:
-        return None
+def _tls_snapshot(t, interned: dict) -> TlsSnapshot:
+    """A stored snapshot with int ``thread``, ``tcb`` and ``generation``
+    and ``[int, int, int]`` dtv entries.  Raises ``LookupError``,
+    ``TypeError`` or ``ValueError``."""
     key = (t["thread"], t["tcb"], t["generation"],
            tuple(map(tuple, t["dtv"])))
     snap = interned.get(key)
@@ -249,37 +315,77 @@ def _interval_set(pairs) -> IntervalSet:
     return out
 
 
-def _samples(rows, locs: dict) -> list:
+class _Table:
+    """One segment chunk's ``locations`` or ``tls`` table, called with a
+    segment's index into it.  A row is decoded, and so checked, the first
+    time a segment references it; ``interned`` shares equal values across
+    the load."""
+
+    __slots__ = ("name", "rows", "values", "decode", "interned")
+
+    def __init__(self, name: str, rows: list, decode, interned: dict
+                 ) -> None:
+        self.name = name
+        self.rows = rows
+        self.values: list = [None] * len(rows)
+        self.decode = decode
+        self.interned = interned
+
+    def __call__(self, index):
+        """The value row ``index`` holds, ``None`` for a ``None`` index.
+        Raises ``LookupError``, ``TypeError`` or ``ValueError``."""
+        if index is None:
+            return None
+        if type(index) is not int or not 0 <= index < len(self.values):
+            raise ValueError(f"{self.name} index {index!r} is not null or "
+                             f"an int below {len(self.values)}")
+        value = self.values[index]
+        if value is None:
+            row = self.rows[index]
+            if row is None:
+                raise ValueError(f"{self.name} row {index} is null")
+            value = self.values[index] = self.decode(row, self.interned)
+        return value
+
+
+def _samples(rows, location: _Table) -> list:
     """A segment's stored location samples, after checking each row is the
-    writer's ``[int, int, bool, location]``.  Raises ``TypeError`` or
+    writer's ``[int, int, bool, location index]``.  Raises ``TypeError`` or
     ``ValueError``."""
+    decoded = location.values
     out = []
-    for lo, hi, w, loc in rows:
+    for lo, hi, w, index in rows:
         if type(lo) is not int or type(hi) is not int or type(w) is not bool:
-            raise ValueError(f"location sample {[lo, hi, w, loc]!r} is not "
-                             "[int, int, bool, location]")
-        out.append((lo, hi, w, _location(loc, locs)))
+            raise ValueError(f"location sample {[lo, hi, w, index]!r} is "
+                             "not [int, int, bool, location index]")
+        # a row decoded already is read inline (samples outnumber the
+        # table's rows), anything else goes through the table's checks
+        loc = decoded[index] if type(index) is int \
+            and 0 <= index < len(decoded) else None
+        out.append((lo, hi, w, location(index) if loc is None else loc))
     return out
 
 
-def _decode_segments(stored, start: int, locs: dict, snaps: dict
+def _decode_segments(payload: dict, start: int, locs: dict, snaps: dict
                      ) -> Tuple[List[Segment], Optional[Exception]]:
-    """One segment chunk's stored segments, ids from ``start``, decoded up
-    to the first malformed one, and the error that stopped there (``None``
-    when all decoded).  Every field must have the writer's type: int
-    ``thread`` and ``sp_at_start``, str ``kind`` and ``label``, bool
-    ``virtual``, ``[int, int]`` ``stack_bounds`` (a bool is no int).
+    """One segment chunk's rows, ids from ``start``, decoded up to the
+    first malformed one, and the error that stopped there (``None`` when
+    all decoded).  A row is a list of the :data:`SEGMENT_ROW` fields, each
+    of the writer's type: int ``thread``, ``sp_at_start``, ``stack_lo`` and
+    ``stack_hi`` (a bool is no int), str ``kind`` and ``label``, bool
+    ``virtual``; ``label_loc`` and ``tls`` index the chunk's tables.
     ``locs`` and ``snaps`` intern the load's values."""
     out: List[Segment] = []
+    location = _Table("location", payload["locations"], _location, locs)
+    snapshot = _Table("tls", payload["tls"], _tls_snapshot, snaps)
     try:
-        for sd in stored:
+        for row in payload["segments"]:
             sid = start + len(out)
-            if sd["id"] != sid:
-                raise ValueError(f"segment id {sd['id']!r} where {sid} was "
-                                 "due: trace ids must be dense and ordered")
-            thread, kind, virtual = sd["thread"], sd["kind"], sd["virtual"]
-            sp, label = sd["sp_at_start"], sd["label"]
-            stack_lo, stack_hi = sd["stack_bounds"]
+            if type(row) is not list or len(row) != len(SEGMENT_ROW):
+                raise ValueError(f"segment {sid}: row is not a list of "
+                                 f"{len(SEGMENT_ROW)} fields")
+            (thread, kind, virtual, label, label_loc, sp, stack_lo,
+             stack_hi, reads, writes, samples, tls) = row
             if type(thread) is not int or type(kind) is not str \
                     or type(virtual) is not bool or type(sp) is not int \
                     or type(stack_lo) is not int \
@@ -288,13 +394,13 @@ def _decode_segments(stored, start: int, locs: dict, snaps: dict
                                  "writer's type")
             seg = Segment(sid, thread, None, kind, virtual=virtual,
                           sp_at_start=sp, stack_bounds=(stack_lo, stack_hi),
-                          label_loc=_location(sd["label_loc"], locs))
+                          label_loc=location(label_loc))
             seg.saved_label = label
             seg.open = False
-            seg._reads = _interval_set(sd["reads"])
-            seg._writes = _interval_set(sd["writes"])
-            seg.loc_samples = _samples(sd["loc_samples"], locs)
-            seg.tls_snapshot = _tls_snapshot(sd["tls"], snaps)
+            seg._reads = _interval_set(reads)
+            seg._writes = _interval_set(writes)
+            seg.loc_samples = _samples(samples, location)
+            seg.tls_snapshot = snapshot(tls)
             out.append(seg)
     except (LookupError, TypeError, ValueError) as exc:
         return out, exc
@@ -462,6 +568,8 @@ class _RawChunk:
     payload: dict
     #: where the line starts in the file (``None`` for uploaded chunks)
     byte_offset: Optional[int]
+    #: the envelope's ``version`` (the writer stamps it on the header)
+    version: object = None
 
 
 def _scan_chunks(data: bytes, cov: TraceCoverage) -> List[_RawChunk]:
@@ -489,7 +597,8 @@ def _accept(cov: TraceCoverage, doc: dict, offset: Optional[int]
     cov.last_good_vtime = max(cov.last_good_vtime,
                               float(doc.get("vtime", 0.0)))
     return _RawChunk(seq=doc["seq"], kind=doc["kind"],
-                     payload=doc["payload"], byte_offset=offset)
+                     payload=doc["payload"], byte_offset=offset,
+                     version=doc.get("version"))
 
 
 def _lose(cov: TraceCoverage, chunk: _RawChunk, error: str) -> None:
@@ -503,11 +612,18 @@ def _lose(cov: TraceCoverage, chunk: _RawChunk, error: str) -> None:
         cov.first_bad_chunk, cov.first_bad_byte = chunk.seq, chunk.byte_offset
 
 
-def _assemble_v2(chunks: List[_RawChunk],
-                 cov: TraceCoverage) -> SalvagedTrace:
-    """Rebuild the longest valid prefix from independently-valid chunks."""
+def _assemble(chunks: List[_RawChunk], cov: TraceCoverage,
+              source: str) -> SalvagedTrace:
+    """Rebuild the longest valid prefix from independently-valid chunks.
+
+    The step both readers share: a header of another version raises
+    :class:`~repro.errors.TraceVersionError` naming ``source``, since its
+    chunks would be misread rather than salvaged."""
     header = next((c for c in chunks if c.kind == "header"), None)
     if header is not None:
+        if header.version != TRACE_VERSION:
+            raise TraceVersionError(source, header.version,
+                                    f"version {TRACE_VERSION}")
         totals = header.payload.get("segments"), header.payload.get("edges")
         if all(type(t) is int and t >= 0 for t in totals):
             cov.segments_total, cov.edges_total = totals
@@ -534,6 +650,9 @@ def _assemble_v2(chunks: List[_RawChunk],
         got = c.payload.get("start")
         if not broken and got == start:
             try:
+                for key in ("segments", "locations", "tls"):
+                    if type(c.payload.get(key)) is not list:
+                        raise ValueError(f"{key} is not a list")
                 end = start + len(c.payload["segments"])
                 chunk_pairs = _edge_pairs(c.payload.get("edges", []), end)
             except (LookupError, TypeError, ValueError) as exc:
@@ -563,8 +682,8 @@ def _assemble_v2(chunks: List[_RawChunk],
     locs: dict = {}
     snaps: dict = {}
     for c in runs:
-        segs, exc = _decode_segments(c.payload["segments"],
-                                     len(graph.segments), locs, snaps)
+        segs, exc = _decode_segments(c.payload, len(graph.segments),
+                                     locs, snaps)
         graph.segments += segs
         graph._succ += [[] for _ in segs]
         if exc is not None:
@@ -647,17 +766,20 @@ def load_trace_salvaged(path: str) -> SalvagedTrace:
         # would misread every chunk
         raise TraceVersionError(path, header_doc.get("version"),
                                 f"version {TRACE_VERSION}")
-    return _assemble_v2(_scan_chunks(data, cov), cov)
+    return _assemble(_scan_chunks(data, cov), cov, path)
 
 
-def assemble_chunks(chunk_docs) -> SalvagedTrace:
-    """Assemble already-validated v2 chunk envelopes into a trace.
+def assemble_chunks(chunk_docs, source: str = "upload") -> SalvagedTrace:
+    """Assemble already-validated chunk envelopes into a trace.
 
     The ingestion server's adapter onto the salvage reader: its upload
     edge has already parsed and CRC-checked every envelope (rejecting bad
     ones at the wire), so this skips :func:`_scan_chunks` and goes
     straight to dense-prefix assembly.  ``chunk_docs`` are the parsed
-    ``{seq, kind, vtime, crc, payload}`` dicts in accepted order.
+    ``{seq, kind, vtime, crc, payload}`` dicts in accepted order.  Chunks
+    recovered from a journal never passed this reader's header check at
+    the edge: a header of another version raises
+    :class:`~repro.errors.TraceVersionError` naming ``source``.
     """
     cov = TraceCoverage()
     chunks = [_accept(cov, doc, None) for doc in chunk_docs]
@@ -665,7 +787,7 @@ def assemble_chunks(chunk_docs) -> SalvagedTrace:
         cov.complete = False
         cov.errors.append("no chunks uploaded")
         return _no_trace(cov)
-    return _assemble_v2(chunks, cov)
+    return _assemble(chunks, cov, source)
 
 
 def _no_trace(cov: TraceCoverage) -> SalvagedTrace:

@@ -302,7 +302,7 @@ class ResourceNotFound(ServeError):
 class UploadSequenceError(ServeError):
     """A chunk upload that breaks the dense-prefix contract.
 
-    ``taskgrind-trace/2`` salvage semantics only guarantee loss-not-
+    ``taskgrind-trace/3`` salvage semantics only guarantee loss-not-
     invention for a *dense* chunk prefix, so the server refuses gaps,
     duplicates and post-``end`` uploads outright instead of accepting an
     order it would later have to second-guess.

@@ -1,6 +1,6 @@
 """Plan-driven fault injection for resilience testing.
 
-The resilience layer (trace/2 salvage, the supervised parallel analysis,
+The resilience layer (trace/3 salvage, the supervised parallel analysis,
 the memory-budget guard) only earns trust if something actually breaks on
 demand.  This package is the breaker: a :class:`~repro.faults.plan.FaultPlan`
 names *where* to fail (allocator op N, analysis chunk K, trace chunk M) and

@@ -1,6 +1,6 @@
 """Race-analysis-as-a-service: the trace-ingestion server.
 
-Streamed ``taskgrind-trace/2`` chunk uploads with CRC validation at the
+Streamed ``taskgrind-trace/3`` chunk uploads with CRC validation at the
 edge (:mod:`repro.serve.store`), one executor of analysis threads reusing
 the supervised analysis's deadline/retry/quarantine machinery, each job
 on a graph of its own (:mod:`repro.serve.jobs`), finished reports

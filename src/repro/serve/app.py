@@ -330,7 +330,7 @@ class TraceService:
         chunks = up.chunks[:p["chunk_count"]]    # append-only: safe snapshot
         with job.span("build"), reg.phase("serve.build"):
             # the graph is this job's alone: analysis counts its queries
-            salvaged = assemble_chunks(chunks)
+            salvaged = assemble_chunks(chunks, job.trace_id)
         with job.span("analyze"), reg.phase("serve.analyze"):
             la = analyze_loaded(salvaged.graph, salvaged.allocator,
                                 salvaged.suppression,

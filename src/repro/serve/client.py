@@ -244,6 +244,6 @@ class ServeClient:
 
 
 def read_trace_lines(path: str) -> List[bytes]:
-    """A recorded ``taskgrind-trace/2`` file as upload-ready chunk lines."""
+    """A recorded ``taskgrind-trace/3`` file as upload-ready chunk lines."""
     with open(path, "rb") as fh:
         return [line for line in fh.read().split(b"\n") if line.strip()]

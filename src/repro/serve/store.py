@@ -6,7 +6,7 @@ body is validated *at the edge* before it is accepted:
 * the line must pass the chunk envelope check (:mod:`repro.util.chunks`)
   (→ :class:`~repro.errors.TraceFormatError`, 400);
 * ``seq`` must equal the next expected sequence number — the
-  ``taskgrind-trace/2`` salvage contract only covers a **dense prefix**, so
+  ``taskgrind-trace/3`` salvage contract only covers a **dense prefix**, so
   gaps and post-``end`` uploads are refused outright
   (→ :class:`~repro.errors.UploadSequenceError`, 409).  A **re-PUT of an
   already-accepted seq with the identical CRC** is a 200 no-op instead —

@@ -19,7 +19,7 @@ instrument.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Set
 
 from repro.machine.cost import CostModel
 from repro.machine.debuginfo import SourceLocation, Symbol
@@ -39,6 +39,12 @@ class Instrumentation:
         self.access_count = 0
         self.dispatched = 0         # accesses the tool observed
         self.unobserved = 0         # accesses the tool did not see
+        #: per thread id, the symbol names whose translation charge the
+        #: cost model has been asked for: it charges only the first such
+        #: call per symbol (per symbol and thread for a tool that does not
+        #: serialize the client), so every later one is skipped.  Kept on
+        #: the machine's hub, so the next run charges anew.
+        self._translated: Dict[int, Set[str]] = {}
 
     # -- the hot path -------------------------------------------------------
 
@@ -64,10 +70,16 @@ class Instrumentation:
         tool = self.tool
         observed = tool is not None and tool.sees(symbol)
         if observed:
+            tid = getattr(thread, "id", -1)
             if tool.is_dbi:
-                self.cost.charge_translation(thread, symbol.name)
-            tool.on_access(getattr(thread, "id", -1), addr, size, is_write,
-                           symbol, loc, site, atomic)
+                translated = self._translated.get(tid)
+                if translated is None:
+                    translated = self._translated[tid] = set()
+                if symbol.name not in translated:
+                    translated.add(symbol.name)
+                    self.cost.charge_translation(thread, symbol.name)
+            tool.on_access(tid, addr, size, is_write, symbol, loc, site,
+                           atomic)
             self.dispatched += 1
         else:
             self.unobserved += 1

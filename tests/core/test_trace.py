@@ -7,10 +7,12 @@ import pytest
 from repro.core.npkernel import KernelContext
 from repro.core.offline import main as offline_main
 from repro.core.reports import format_report
-from repro.core.trace import analyze_trace, load_trace, save_trace
+from repro.core.trace import (analyze_trace, assemble_chunks, load_trace,
+                              load_trace_salvaged, save_trace)
 from repro.errors import TraceVersionError
 from repro.util.chunks import payload_crc
 from tests.core.analysis_oracle import all_pairs
+from tests.util.chunk_forms import v2_trace_lines
 
 
 def racy_listing(env):
@@ -123,9 +125,38 @@ class TestRoundTrip:
             load_trace(str(old))
         assert exc.value.found == 1
         assert "version 1" in str(exc.value)
-        assert "version 2" in str(exc.value)
+        assert "version 3" in str(exc.value)
         assert offline_main([str(old)]) == 2
-        assert "version 2" in capsys.readouterr().err
+        assert "version 3" in capsys.readouterr().err
+
+    def test_version_2_trace_is_rejected(self, tmp_path, capsys):
+        """A trace of one object per segment is a typed version error, in
+        salvage and strict mode: read as rows, each of its segments would
+        be a malformed one, and salvage would load none of them."""
+        old = tmp_path / "v2.json"
+        old.write_bytes(b"\n".join(v2_trace_lines()) + b"\n")
+        with pytest.raises(TraceVersionError) as exc:
+            load_trace_salvaged(str(old))
+        assert exc.value.found == 2
+        for flags in ([], ["--strict-trace"]):
+            assert offline_main([str(old)] + flags) == 2
+            err = capsys.readouterr().err
+            assert "version 2" in err and "version 3" in err
+            assert "Traceback" not in err
+
+    def test_version_2_header_is_refused_wherever_it_sits(self, tmp_path):
+        """The assembly step both readers share checks the header's
+        version: chunks no upload edge of this version checked (a journal
+        a version-2 server wrote) and a file whose first line is torn are
+        refused too."""
+        lines = v2_trace_lines()
+        with pytest.raises(TraceVersionError, match="version 2"):
+            assemble_chunks([json.loads(line) for line in lines])
+        torn = tmp_path / "torn.json"
+        torn.write_bytes(b'{"seq": 0, "kind": "to\n'
+                         + b"\n".join(lines[1:] + lines[:1]) + b"\n")
+        with pytest.raises(TraceVersionError, match="version 2"):
+            load_trace_salvaged(str(torn))
 
 
 class TestSuppressionsOffline:

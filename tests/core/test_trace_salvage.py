@@ -14,8 +14,9 @@ import pytest
 
 import repro
 from repro.core.offline import main as offline_main
-from repro.core.trace import (analyze_trace, analyze_trace_with_stats,
-                              load_trace, load_trace_salvaged, save_trace)
+from repro.core.trace import (SEGMENT_ROW, analyze_trace,
+                              analyze_trace_with_stats, load_trace,
+                              load_trace_salvaged, save_trace)
 from repro.errors import InjectedFault, TraceCorruptionError, TraceError
 from repro.faults.inject import inject_plan
 from repro.faults.plan import FaultPlan
@@ -53,16 +54,23 @@ def _damaged(tmp_path, lines, name="damaged.json"):
     return str(path)
 
 
+#: positions in a stored segment row
+(THREAD, KIND, VIRTUAL, LABEL, LABEL_LOC, SP, STACK_LO, STACK_HI, READS,
+ WRITES, SAMPLES, TLS) = range(len(SEGMENT_ROW))
+assert SEGMENT_ROW[WRITES] == "writes" and SEGMENT_ROW[TLS] == "tls"
+
+
 def _resegmented(path, tmp_path, edit, form="loose"):
-    """The trace at ``path`` with ``edit(segments)`` applied to its segment
-    dicts and the chunk re-checksummed: damage that passes the CRC and only
-    the segment decoder can catch.  ``form`` writes the damaged line
-    ``loose`` or in the writer's ``canonical`` form."""
+    """The trace at ``path`` with ``edit(payload)`` applied to its segment
+    chunk payloads (rows and tables) and the chunk re-checksummed: damage
+    that passes the CRC and only the segment decoder can catch.  ``form``
+    writes the damaged line ``loose`` or in the writer's ``canonical``
+    form."""
     lines = []
     for line in open(path).read().splitlines():
         doc = json.loads(line)
         if doc["kind"] == "segments":
-            edit(doc["payload"]["segments"])
+            edit(doc["payload"])
             doc["crc"] = payload_crc(doc["payload"])
             line = json.dumps(doc) if form == "loose" \
                 else canonical_json(doc).decode()
@@ -80,6 +88,38 @@ def _offset_of(path, seq):
     """The byte offset of chunk ``seq``'s line in the file at ``path``."""
     lines = open(path, "rb").read().split(b"\n")
     return sum(len(line) + 1 for line in lines[:seq])
+
+
+def _add(payload, table, row):
+    """Append ``row`` to the chunk's ``table``; returns its index."""
+    payload[table].append(row)
+    return len(payload[table]) - 1
+
+
+def _tls_copy(payload, seg, **changes):
+    """The index of a new TLS table row: ``seg``'s snapshot with
+    ``changes``."""
+    return _add(payload, "tls", {**payload["tls"][seg[TLS]], **changes})
+
+
+def _assert_lost_from(bad, first):
+    """The trace at ``bad`` loads segments ``0..first-1`` and loses the
+    rest as unreadable, with its one segment chunk (seq 1) the first bad
+    chunk in salvage and strict mode alike."""
+    reports, stats = analyze_trace_with_stats(bad)
+    cov = stats["coverage"]
+    assert reports == [] and cov["complete"] is False
+    # lost whole: neither half-built into the graph nor counted
+    assert cov["segments"]["recovered"] == stats["graph"]["segments"] \
+        == first
+    assert any("unreadable segment" in e for e in cov["errors"])
+    assert (cov["chunks"]["first_bad"],
+            cov["chunks"]["first_bad_byte"]) == (1, _offset_of(bad, 1))
+    with pytest.raises(TraceCorruptionError,
+                       match="segment chunk 1: unreadable") as exc:
+        analyze_trace(bad, strict=True)
+    assert exc.value.chunk_seq == 1
+    assert exc.value.byte_offset == _offset_of(bad, 1)
 
 
 class TestSalvage:
@@ -186,44 +226,34 @@ class TestMalformedSegments:
         path, tool = traced
         racers = _racers(tool)
 
-        def edit(segs):
+        def edit(payload):
             for sid in racers:
-                segs[sid]["writes"] = [interval]
-        bad = _resegmented(path, tmp_path, edit)
-        reports, stats = analyze_trace_with_stats(bad)
-        cov = stats["coverage"]
-        assert reports == [] and cov["complete"] is False
-        # lost whole: neither half-built into the graph nor counted
-        assert cov["segments"]["recovered"] == stats["graph"]["segments"] \
-            == racers[0]
-        assert any("unreadable segment" in e for e in cov["errors"])
-        # the one segment chunk is the first bad chunk, in salvage and
-        # strict mode alike
-        assert (cov["chunks"]["first_bad"],
-                cov["chunks"]["first_bad_byte"]) == (1, _offset_of(bad, 1))
-        with pytest.raises(TraceCorruptionError) as exc:
-            analyze_trace(bad, strict=True)
-        assert exc.value.chunk_seq == 1
-        assert exc.value.byte_offset == _offset_of(bad, 1)
+                payload["segments"][sid][WRITES] = [interval]
+        _assert_lost_from(_resegmented(path, tmp_path, edit), racers[0])
 
     @pytest.mark.parametrize("edit", [
-        lambda seg: seg.update(label_loc=[["x"], 1, "f"]),
-        lambda seg: seg.update(label_loc=["x", "1", "f"]),
-        lambda seg: seg["loc_samples"][0].__setitem__(3, ["x", 1]),
-        lambda seg: seg["tls"].update(dtv=[[1, 2]]),
-        lambda seg: seg["tls"].update(dtv=[[1, 2, [3]]]),
-        lambda seg: seg["tls"].update(tcb="0"),
-        lambda seg: seg["loc_samples"][0].__setitem__(0, "x"),
-        lambda seg: seg["loc_samples"][0].__setitem__(2, 1),
-        lambda seg: seg["loc_samples"][0].append(None),
-        lambda seg: seg.update(thread="1"),
-        lambda seg: seg.update(thread=True),
-        lambda seg: seg.update(kind=1),
-        lambda seg: seg.update(virtual=0),
-        lambda seg: seg.update(sp_at_start=None),
-        lambda seg: seg.update(stack_bounds=["a", "b"]),
-        lambda seg: seg.update(stack_bounds=[1, 2, 3]),
-        lambda seg: seg.update(label=["x"]),
+        lambda p, seg: seg.__setitem__(
+            LABEL_LOC, _add(p, "locations", [["x"], 1, "f"])),
+        lambda p, seg: seg.__setitem__(
+            LABEL_LOC, _add(p, "locations", ["x", "1", "f"])),
+        lambda p, seg: seg[SAMPLES][0].__setitem__(
+            3, _add(p, "locations", ["x", 1])),
+        lambda p, seg: seg.__setitem__(TLS, _tls_copy(p, seg, dtv=[[1, 2]])),
+        lambda p, seg: seg.__setitem__(
+            TLS, _tls_copy(p, seg, dtv=[[1, 2, [3]]])),
+        lambda p, seg: seg.__setitem__(TLS, _tls_copy(p, seg, tcb="0")),
+        lambda p, seg: seg[SAMPLES][0].__setitem__(0, "x"),
+        lambda p, seg: seg[SAMPLES][0].__setitem__(2, 1),
+        lambda p, seg: seg[SAMPLES][0].append(None),
+        lambda p, seg: seg.__setitem__(THREAD, "1"),
+        lambda p, seg: seg.__setitem__(THREAD, True),
+        lambda p, seg: seg.__setitem__(KIND, 1),
+        lambda p, seg: seg.__setitem__(VIRTUAL, 0),
+        lambda p, seg: seg.__setitem__(SP, None),
+        lambda p, seg: seg.__setitem__(slice(STACK_LO, STACK_HI + 1),
+                                       ["a", "b"]),
+        lambda p, seg: seg.insert(STACK_HI + 1, 3),
+        lambda p, seg: seg.__setitem__(LABEL, ["x"]),
     ], ids=["unhashable-location", "string-line", "short-sample-location",
             "short-dtv-entry", "unhashable-dtv-entry", "string-tcb",
             "sample-string-lo", "sample-int-is-write", "sample-five-fields",
@@ -232,53 +262,90 @@ class TestMalformedSegments:
             "list-label"])
     def test_malformed_location_or_tls_loses_the_segment(self, traced,
                                                          tmp_path, edit):
-        """Locations and TLS snapshots are interned per load, so each
-        distinct one is checked once; one the writer could not have
+        """Locations and TLS snapshots sit in per-chunk tables and are
+        interned per load, so each distinct one is checked once, when a
+        segment first references it; one the writer could not have
         emitted (an unhashable field among them, which used to load
-        silently) loses its segment like a malformed interval.  So does
-        any other field not of the writer's type, a bool never passing
-        for an int: a sample row whose ``lo`` is a string used to end the
-        report step in a ``TypeError`` traceback, and a string thread
-        loaded silently.  The damaged line is written loose and in the
-        writer's form."""
+        silently) loses its segment like a malformed interval.  Each
+        damaged value is a new table row only the racers reference.  So
+        does any other field not of the writer's type, a bool never
+        passing for an int: a sample row whose ``lo`` is a string used to
+        end the report step in a ``TypeError`` traceback, and a string
+        thread loaded silently.  The damaged line is written loose and in
+        the writer's form."""
         path, tool = traced
         racers = _racers(tool)
 
-        def edit_racers(segs):
+        def edit_racers(payload):
             for sid in racers:
-                edit(segs[sid])
+                edit(payload, payload["segments"][sid])
         for form in ("loose", "canonical"):
             bad = _resegmented(path, tmp_path, edit_racers, form)
-            reports, stats = analyze_trace_with_stats(bad)
-            cov = stats["coverage"]
-            assert reports == [] and cov["complete"] is False
             # the segments before the first bad one are kept
-            assert cov["segments"]["recovered"] \
-                == stats["graph"]["segments"] == racers[0]
-            assert any("unreadable segment" in e for e in cov["errors"])
-            with pytest.raises(TraceCorruptionError,
-                               match="segment chunk 1: unreadable") as exc:
-                analyze_trace(bad, strict=True)
-            assert exc.value.chunk_seq == 1
-            assert exc.value.byte_offset == _offset_of(bad, 1)
+            _assert_lost_from(bad, racers[0])
 
-    def test_id_gap_loses_the_tail_under_optimize(self, traced, tmp_path):
-        """The dense-id check must not be an ``assert``: under ``python -O``
-        a chunk with ids ``[0, 5, ...]`` still loads only segment 0."""
-        path, _ = traced
+    @pytest.mark.parametrize("index", ["past-end", -1, False, "0"],
+                             ids=["out-of-range", "negative", "bool",
+                                  "string"])
+    @pytest.mark.parametrize("site", ["label_loc", "sample", "tls"])
+    def test_bad_table_index_loses_the_segment(self, traced, tmp_path,
+                                               site, index):
+        """A table index must be a non-bool int naming a row of the
+        chunk's table, or null: the racers' label location, sample
+        location or TLS snapshot pointing anywhere else loses them (a
+        ``False`` would otherwise read row 0, and -1 the last row)."""
+        path, tool = traced
+        racers = _racers(tool)
+        table = "tls" if site == "tls" else "locations"
 
-        def edit(segs):
-            segs[1]["id"] = 5
-        bad = _resegmented(path, tmp_path, edit)
-        probe = ("import json, sys\n"
-                 "from repro.core.trace import load_trace_salvaged\n"
-                 "cov = load_trace_salvaged(sys.argv[1]).coverage\n"
-                 "print(json.dumps([cov.complete, cov.segments_recovered]))")
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        out = subprocess.run([sys.executable, "-O", "-c", probe, bad],
-                             capture_output=True, text=True, check=True,
-                             env={**os.environ, "PYTHONPATH": src})
-        assert json.loads(out.stdout) == [False, 1]
+        def edit(payload):
+            bad = len(payload[table]) if index == "past-end" else index
+            for sid in racers:
+                seg = payload["segments"][sid]
+                if site == "sample":
+                    seg[SAMPLES][0][3] = bad
+                else:
+                    seg[TLS if site == "tls" else LABEL_LOC] = bad
+        _assert_lost_from(_resegmented(path, tmp_path, edit), racers[0])
+
+    @pytest.mark.parametrize("fields", [11, 13])
+    def test_row_of_another_length_loses_the_segment(self, traced, tmp_path,
+                                                     fields):
+        path, tool = traced
+        racers = _racers(tool)
+
+        def edit(payload):
+            for sid in racers:
+                row = payload["segments"][sid]
+                del row[fields:]
+                row += [None] * (fields - len(row))
+        _assert_lost_from(_resegmented(path, tmp_path, edit), racers[0])
+
+    @pytest.mark.parametrize("damage", [
+        lambda row: [row[0], "9", row[2]], lambda row: None],
+        ids=["string-line", "null-row"])
+    def test_malformed_table_row_loses_from_its_first_reference(
+            self, traced, tmp_path, damage):
+        """A table row is checked when a segment first references it: a
+        malformed location both racers reference, and no segment before
+        them, loses the segments from the first racer on."""
+        path, tool = traced
+        racers = _racers(tool)
+        rows = next(json.loads(line)["payload"]["segments"]
+                    for line in open(path)
+                    if json.loads(line)["kind"] == "segments")
+
+        def locations(row):
+            return {row[LABEL_LOC]} | {sample[3] for sample in row[SAMPLES]}
+        shared = set.intersection(*(locations(rows[sid]) for sid in racers))
+        shared -= set().union(*map(locations, rows[:racers[0]]))
+        shared.discard(None)
+        assert shared, "no location the racers reference first"
+
+        def edit(payload):
+            index = min(shared)
+            payload["locations"][index] = damage(payload["locations"][index])
+        _assert_lost_from(_resegmented(path, tmp_path, edit), racers[0])
 
 
 @pytest.fixture
@@ -289,6 +356,20 @@ def chunked(run_taskgrind, tmp_path):
     path = tmp_path / "chunked.json"
     save_trace(tool, machine, str(path), chunk_segments=4)
     return str(path), tool
+
+
+def _load_probe(path, *flags):
+    """``[complete, segments recovered]`` of a salvage load of ``path`` in
+    a fresh interpreter started with ``flags``."""
+    probe = ("import json, sys\n"
+             "from repro.core.trace import load_trace_salvaged\n"
+             "cov = load_trace_salvaged(sys.argv[1]).coverage\n"
+             "print(json.dumps([cov.complete, cov.segments_recovered]))")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run([sys.executable, *flags, "-c", probe, path],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    return json.loads(out.stdout)
 
 
 class TestLostSegmentChunk:
@@ -323,6 +404,23 @@ class TestLostSegmentChunk:
             analyze_trace(bad, strict=True)
         assert (exc.value.chunk_seq, exc.value.byte_offset) \
             == (after, _offset_of(bad, segs[1]))
+
+    def test_start_gap_loses_the_tail_under_optimize(self, chunked,
+                                                     tmp_path):
+        """Segment ids are implicit, row ``i`` of a chunk is ``start + i``:
+        a chunk whose ``start`` skips ids loads only the prefix before it,
+        and the check is no ``assert``, so ``python -O`` loads the same."""
+        path, _ = chunked
+        docs = [json.loads(line) for line in open(path).read().splitlines()]
+        second = [d for d in docs if d["kind"] == "segments"][1]
+        assert second["payload"]["start"] == 4
+        second["payload"]["start"] = 5
+        second["crc"] = payload_crc(second["payload"])
+        bad = _damaged(tmp_path, [json.dumps(d) for d in docs])
+        assert "segment ids 4..4 are missing" in " ".join(
+            load_trace_salvaged(bad).coverage.errors)
+        for flags in ((), ("-O",)):
+            assert _load_probe(bad, *flags) == [False, 4]
 
     def test_lost_tail_names_the_missing_count(self, chunked, tmp_path):
         bad, docs, segs = self._without(chunked, tmp_path, -1)
@@ -480,8 +578,8 @@ class TestOfflineCli:
         with a traceback (exit 1, read as "races found")."""
         path, tool = traced
 
-        def edit(segs):
-            segs[_racers(tool)[0]]["writes"] = [[1, 2, 3]]
+        def edit(payload):
+            payload["segments"][_racers(tool)[0]][WRITES] = [[1, 2, 3]]
         bad = _resegmented(path, tmp_path, edit)
         assert offline_main([bad]) == 0          # the racers are lost
         assert "WARNING: trace damaged" in capsys.readouterr().out

@@ -10,7 +10,7 @@ import zlib
 import pytest
 
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
-from repro.core.trace import TRACE_VERSION, save_trace
+from repro.core.trace import TRACE_SCHEMA, TRACE_VERSION, save_trace
 from repro.machine.machine import Machine
 from repro.openmp.api import make_env
 from repro.serve import ServeClient, ServeConfig, ServerThread
@@ -67,7 +67,7 @@ def client(server):
 
 
 def chunk_line(seq: int, kind: str, payload, **extras) -> bytes:
-    """A valid ``taskgrind-trace/2`` chunk line (correct CRC) for unit
+    """A valid ``taskgrind-trace/3`` chunk line (correct CRC) for unit
     tests that drive the upload state machine with synthetic chunks."""
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     doc = {"seq": seq, "kind": kind, "vtime": 0.0,
@@ -79,5 +79,5 @@ def chunk_line(seq: int, kind: str, payload, **extras) -> bytes:
 
 def header_line(**extras) -> bytes:
     extras.setdefault("version", TRACE_VERSION)
-    extras.setdefault("schema", "taskgrind-trace/2")
+    extras.setdefault("schema", TRACE_SCHEMA)
     return chunk_line(0, "header", {"segments": 0}, **extras)

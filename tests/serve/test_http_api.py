@@ -10,7 +10,7 @@ import json
 import sys
 
 from repro.core.reports import report_to_dict
-from repro.core.trace import (TRACE_VERSION, analyze_trace,
+from repro.core.trace import (SEGMENT_ROW, TRACE_VERSION, analyze_trace,
                               analyze_trace_with_stats)
 from repro.faults.inject import inject_plan
 from repro.faults.plan import FaultPlan
@@ -19,6 +19,9 @@ from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.serve.client import read_trace_lines
 
 from tests.serve.conftest import chunk_line, header_line
+from tests.util.chunk_forms import v2_trace_lines
+
+WRITES = SEGMENT_ROW.index("writes")
 
 
 class TestLifecycle:
@@ -117,6 +120,16 @@ class TestStructuredErrors:
             trace_id, 0, header_line(version=TRACE_VERSION + 1))
         assert status == 400
         assert doc["error"]["type"] == "TraceVersionError"
+
+    def test_version_2_upload_is_400(self, client):
+        """A trace recorded before the format moved to version 3 is refused
+        at its header, typed, naming both versions."""
+        trace_id = client.create_trace()
+        status, doc = client.upload_chunk(trace_id, 0, v2_trace_lines()[0])
+        assert status == 400
+        assert doc["error"]["type"] == "TraceVersionError"
+        assert "version 2" in doc["error"]["message"]
+        assert "version 3" in doc["error"]["message"]
 
     def test_unknown_trace_is_404(self, client):
         status, doc = client.request("GET", "/v1/traces/t404")
@@ -301,7 +314,7 @@ class TestDegradedUpload:
         for seq, line in enumerate(lines):
             doc = json.loads(line)
             if doc["kind"] == "segments":
-                doc["payload"]["segments"][0]["writes"] = [[1, 2, 3]]
+                doc["payload"]["segments"][0][WRITES] = [[1, 2, 3]]
                 lines[seq] = chunk_line(seq, "segments", doc["payload"])
         trace_id = client.create_trace()
         for seq, line in enumerate(lines):

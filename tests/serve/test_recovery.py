@@ -21,7 +21,7 @@ from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.serve.durable import ChunkStore, DurableLog, replay_wal
 from repro.serve.wal import read_wal
 from repro.util.chunks import canonical_json, payload_crc
-from tests.util.chunk_forms import foreign_line, loose_line
+from tests.util.chunk_forms import foreign_line, loose_line, v2_trace_lines
 
 
 def _config(state_dir) -> ServeConfig:
@@ -262,6 +262,31 @@ class TestJobRecovery:
                 json.dumps(want_report, sort_keys=True)
         finally:
             srv.stop()
+
+
+    def test_journaled_version_2_upload_fails_typed(self, state_dir):
+        """A journal written before the format moved to version 3 holds a
+        version-2 upload the edge accepted then.  It recovers as
+        journaled, and its analysis fails with ``TraceVersionError``
+        instead of loading its segments as malformed rows (a degraded
+        report with zero segments)."""
+        log = DurableLog(str(state_dir), fsync_policy="never")
+        log.upload_created("t1")
+        for seq, line in enumerate(v2_trace_lines()):
+            log.chunk_accepted("t1", seq, json.loads(line)["kind"], line)
+        log.close()
+
+        srv = ServerThread(_config(state_dir)).start()
+        try:
+            with ServeClient(srv.base_url) as client:
+                assert client.trace_status("t1")["state"] == "complete"
+                doc = client.wait(client.analyze("t1"), timeout=60.0)
+        finally:
+            srv.stop()
+        assert doc["state"] == "failed"
+        assert doc["error"]["type"] == "TraceVersionError"
+        assert "version 2" in doc["error"]["message"]
+        assert "version 3" in doc["error"]["message"]
 
 
 class TestCleanVsCrash:

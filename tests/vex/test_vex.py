@@ -1,6 +1,7 @@
 """Tests for the instrumentation layer: hub, client requests, replacement."""
 
 from collections import namedtuple
+from types import SimpleNamespace
 
 import pytest
 
@@ -107,6 +108,43 @@ class TestInstrumentationHub:
                        atomic=is_atomic)
             assert cost.clock.makespan_ops \
                 == factor * cost.params.access_ops(8)
+
+
+    @pytest.mark.parametrize("serialize", [True, False],
+                             ids=["serializing", "parallel"])
+    def test_translation_is_asked_once_per_symbol_and_thread(self,
+                                                             serialize):
+        """A DBI tool pays one translation charge per symbol (per symbol
+        and thread when it does not serialize the client).  The hub asks
+        the cost model on a thread's first access to a symbol only, and
+        the clocks and counters equal those of asking on every access.
+        Each machine's hub starts empty, so a second run charges anew."""
+        tool_cost = ToolCost(access_factor=3.0, translation_ops=1000.0,
+                             serialize=serialize)
+        for _run in range(2):
+            hub, cost, debug = make_hub(Capture(dbi=True),
+                                        tool_cost=tool_cost)
+            ref = CostModel(tool_cost=tool_cost)
+            for model in (cost, ref):
+                model.clock.serialize = serialize
+            asked = []
+            charge = cost.charge_translation
+            cost.charge_translation = lambda thread, name: (
+                asked.append((thread.id, name)), charge(thread, name))
+            threads = [SimpleNamespace(id=i, vtime=0.0) for i in range(2)]
+            twins = [SimpleNamespace(id=i, vtime=0.0) for i in range(2)]
+            syms = [debug.intern("f"), debug.intern("g")]
+            for _ in range(3):
+                for thread, twin in zip(threads, twins):
+                    for sym in syms:
+                        hub.access(0x1000, 8, False, thread=thread,
+                                   symbol=sym, loc=None)
+                        ref.charge_translation(twin, sym.name)
+                        ref.charge_access(twin, 8, True, False)
+            assert sorted(asked) == [(0, "f"), (0, "g"), (1, "f"), (1, "g")]
+            assert cost.stats() == ref.stats()
+            assert cost.stats()["translated_symbols"] \
+                == (2 if serialize else 4)
 
 
 class TestClientRequests:
