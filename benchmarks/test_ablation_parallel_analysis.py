@@ -1,12 +1,14 @@
-"""A1 — ablation: sequential vs parallel determinacy-race pass.
+"""A1 — ablation: the all-pairs determinacy-race pass vs the indexed one.
 
 The paper's Section VII: *"The determinacy race post-processing analysis is
 an embarrassingly parallel algorithm, but it is currently run sequentially
 within the Valgrind framework."*  This bench builds a large synthetic segment
 graph and compares the faithful O(n^2) pass (the test oracle in
-``tests/core/analysis_oracle.py``) with the address-indexed pass run
-sequentially (one worker) and thread-parallel (four workers) — asserting
-identical results and measuring the speedups a parallel pass would buy.
+``tests/core/analysis_oracle.py``) with the address-indexed pass, asserting
+identical results.  The pass stays sequential: more pair-check workers were
+measured and bought nothing (no benchmark workload has a second chunk of
+pairs, and on an eight-chunk stress graph two and four workers were
+slower than one; EXPERIMENTS.md, A1).
 """
 
 import pytest
@@ -54,13 +56,7 @@ def test_bench_naive(benchmark, graph, expected):
 
 
 def test_bench_sequential(benchmark, graph, expected):
-    cands = benchmark(find_races, graph, workers=1).candidates
-    assert sorted((c.key(), tuple(c.ranges.pairs())) for c in cands) == \
-        expected
-
-
-def test_bench_parallel(benchmark, graph, expected):
-    cands = benchmark(find_races, graph, workers=4).candidates
+    cands = benchmark(find_races, graph).candidates
     assert sorted((c.key(), tuple(c.ranges.pairs())) for c in cands) == \
         expected
 
@@ -78,9 +74,9 @@ class TestAblationShape:
         from repro.openmp.api import make_env
         from repro.workloads.lulesh import LuleshConfig, run_lulesh
 
-        def count(workers):
+        def count():
             machine = Machine(seed=0)
-            tool = TaskgrindTool(TaskgrindOptions(analysis_workers=workers))
+            tool = TaskgrindTool(TaskgrindOptions())
             machine.add_tool(tool)
             env = make_env(machine, nthreads=1, source_file="lulesh.cc")
             env.rt.ompt.register(tool.make_ompt_shim())
@@ -88,8 +84,8 @@ class TestAblationShape:
                 env, LuleshConfig(s=8, racy=True, iterations=2)))
             return len(tool.finalize())
 
-        counts = {workers: count(workers) for workers in (1, 4)}
+        indexed = count()
         monkeypatch.setattr(KernelContext, "candidate_pairs", all_pairs)
-        counts["naive"] = count(1)
-        assert counts["naive"] == counts[1] == counts[4]
-        assert counts["naive"] > 0
+        naive = count()
+        assert naive == indexed
+        assert naive > 0

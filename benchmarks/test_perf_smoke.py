@@ -9,8 +9,8 @@ for every DRB and TMB program, checked against the test oracles in
   interval-tree inserts (``TreeSegment``) of the run's access log, and
   every happens-before answer agrees with a breadth-first search on every
   segment pair of the recorded graph;
-* on the recorded graph, ``find_races`` (one worker and several) produces
-  the all-pairs pass's candidates pair-for-pair, byte-for-byte.
+* on the recorded graph, ``find_races`` produces the all-pairs pass's
+  candidates pair-for-pair, byte-for-byte.
 """
 
 from __future__ import annotations
@@ -66,6 +66,5 @@ def test_analysis_pass_parity(program, nthreads):
         return
     graph = res.tool_obj.builder.graph
     naive = _canon(find_races_naive(graph))
-    for workers in (1, 4):
-        assert _canon(find_races(graph, workers=workers).candidates) == naive
+    assert _canon(find_races(graph).candidates) == naive
 

@@ -26,7 +26,9 @@ from repro.baselines.archer import ArcherTool
 from repro.baselines.common import Verdict, classify
 from repro.baselines.romp import RompTool
 from repro.baselines.tasksanitizer import TaskSanitizerTool
+from repro.baselines.tsan import TsanRace
 from repro.bench.programs import BenchProgram
+from repro.core.reports import RaceReport, format_report
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.errors import (GuestCrash, NoCompilerSupport, OutOfMemory,
                           SimDeadlock)
@@ -204,6 +206,18 @@ def _all_program_names() -> List[str]:
         + [p.name for p in synth.REGISTRY]
 
 
+def _format_baseline(report) -> str:
+    """A baseline tool's report on one line: its two sides, byte range."""
+    if isinstance(report, TsanRace):        # Archer: two threads' accesses
+        sides = (f"thread {report.thread_a} at {report.loc_a}",
+                 f"thread {report.thread_b} at {report.loc_b}")
+        lo, hi = report.lo, report.hi
+    else:                                   # ROMP, TaskSanitizer: segments
+        sides = (report.s1.label(), report.s2.label())
+        lo, hi = report.ranges.span.lo, report.ranges.span.hi
+    return f"race: {sides[0]} and {sides[1]} on bytes [{lo:#x}, {hi:#x})"
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro run",
@@ -357,9 +371,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if result.crash_reason:
         print(f"  crash: {result.crash_reason}")
     for report in result.reports:
-        from repro.core.reports import format_report
         print()
-        print(format_report(report))
+        print(format_report(report) if isinstance(report, RaceReport)
+              else _format_baseline(report))
     if args.save_trace:
         crashed = result.verdict.name in ("NCS", "SEGV", "DEADLOCK")
         if result.machine is None or result.tool_obj is None or \

@@ -538,12 +538,12 @@ def _one_chaos_session(client: ServeClient, name: str, lines: List[bytes],
                 outcome["edge_error"] = ack.get("error", {})
                 break
         try:
-            # single supervised worker: distinct params from the clean
-            # session, so the content-addressed result cache cannot serve
-            # the clean document — the analysis truly re-runs under the
-            # armed plan and a planted hang meets the deadline/quarantine
-            # path instead of a cache hit
-            job_id = client.analyze(trace_id, workers=1)
+            # witnesses on: distinct params from the clean session, so the
+            # content-addressed result cache cannot serve the clean
+            # document — the analysis truly re-runs under the armed plan
+            # and a planted hang meets the deadline/quarantine path instead
+            # of a cache hit (the race key ignores witnesses)
+            job_id = client.analyze(trace_id, explain=True)
             status_doc = client.wait(job_id, timeout=60.0)
         except TimeoutError as exc:
             outcome["hang"] = str(exc)
@@ -731,7 +731,7 @@ def _one_kill_mid_analysis(name: str, lines: List[bytes], shards: int,
                                                        "wal.jsonl"))
                 plan = FaultPlan.single("kill-server", len(records) + 1)
                 with inject_plan(plan):
-                    job_id = client.analyze(trace_id, workers=1)
+                    job_id = client.analyze(trace_id)
                     client.wait(job_id, timeout=120.0)
                 outcome["fired"] = dict(plan.fired_summary())
                 if not any(outcome["fired"].values()):

@@ -30,13 +30,13 @@ pass and the per-pair Python check are test oracles
 The pair check runs in chunks of the kernel's own batch
 (:data:`~repro.core.npkernel._PAIR_BATCH` pairs) under a supervisor: each
 chunk gets a bounded number of retries with exponential backoff and an
-optional deadline that runs from when a worker starts it; chunks that keep
-failing are quarantined rather than allowed to take down the whole pass,
-and the result is a :class:`PartialAnalysis` that states exactly how many
-candidate pairs went unchecked.  One worker (the default) is the paper's
-sequential pass; more workers are its Section VII future-work item ("the
-analysis is embarrassingly parallel, but currently run sequentially"),
-which the A1 ablation measures.
+optional deadline that runs from when its worker thread starts it; chunks
+that keep failing are quarantined rather than allowed to take down the
+whole pass, and the result is a :class:`PartialAnalysis` that states
+exactly how many candidate pairs went unchecked.  The chunks run one
+after another, as the paper's pass does (Section VII: "embarrassingly
+parallel, but currently run sequentially"); more workers bought nothing
+measurable here, since no benchmark workload has a second chunk.
 
 Happens-before has one answer: the graph's bitmask reachability DP,
 built at most once, in ``analysis.prepare`` when some candidate pair
@@ -46,10 +46,10 @@ candidate pair builds it only if a later reader asks.
 
 Phase names: ``analysis.prepare`` for the reachability DP and its packed
 rows, ``analysis.candidates`` for the interval pools and the sweep,
-``analysis.pairs`` for the pair check alone (booked per worker thread, so
-its wall seconds sum across workers) and ``analysis.supervise`` for the
-supervised chunk loop around it.  The report step books ``report``, and
-its ``--explain`` witnesses ``explain`` inside it.
+``analysis.pairs`` for the pair check alone (booked on the worker thread)
+and ``analysis.supervise`` for the supervised chunk loop around it.  The
+report step books ``report``, and its ``--explain`` witnesses ``explain``
+inside it.
 """
 
 from __future__ import annotations
@@ -255,81 +255,42 @@ class PartialAnalysis:
 
 
 def _attempt(check: Callable[[int], Tuple[Rows, int]],
-             pending: Sequence[int], workers: int,
-             deadline_s: Optional[float]
+             pending: Sequence[int], deadline_s: Optional[float]
              ) -> Tuple[Dict[int, object], List[int]]:
-    """One attempt at every pending chunk.
+    """One attempt at every pending chunk, in order, on one worker thread.
 
     Returns ``(outcome, late)``: ``outcome[index]`` is the chunk's
     ``(rows, ordered)``, or the error text of an attempt that raised or
     missed its deadline; ``late`` lists the chunks that missed it.  The
-    deadline runs from when a worker starts the chunk.  A worker past it
-    is abandoned but stays stuck in its pool, so the chunks that never
-    started move to a fresh pool instead of queueing behind it; a chunk
-    that never started is neither late nor a failed attempt.
+    deadline runs from when the worker starts the chunk.  A chunk past it
+    is abandoned with its thread, and the next chunk starts on a fresh one.
     """
-    started: Dict[int, float] = {}
-
-    def run(index: int) -> Tuple[Rows, int]:
-        started[index] = time.monotonic()
-        return check(index)
-
-    pools: List[concurrent.futures.ThreadPoolExecutor] = []
-    live: Dict[concurrent.futures.Future, int] = {}
-
-    def launch(indices: Sequence[int]) -> None:
-        pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(workers, len(indices)))
-        pools.append(pool)
-        live.update((pool.submit(run, index), index) for index in indices)
-
     outcome: Dict[int, object] = {}
     late: List[int] = []
-    launch(pending)
+    pool = None
     try:
-        while live:
-            timeout = None
-            if deadline_s is not None:
-                begun = [started[i] for i in live.values() if i in started]
-                timeout = (max(0.0, min(begun) + deadline_s - time.monotonic())
-                           if begun else deadline_s)
-            # each wait walks every live future, so without a deadline to
-            # check between completions one wait takes them all
-            done, _ = concurrent.futures.wait(
-                live, timeout=timeout,
-                return_when=(concurrent.futures.ALL_COMPLETED
-                             if deadline_s is None
-                             else concurrent.futures.FIRST_COMPLETED))
-            for fut in done:
-                index = live.pop(fut)
-                try:
-                    outcome[index] = fut.result()
-                except Exception as exc:
-                    outcome[index] = repr(exc)
-            if deadline_s is None:
-                continue
-            now = time.monotonic()
-            over = [fut for fut, i in live.items()
-                    if i in started and now - started[i] >= deadline_s]
-            for fut in over:
-                index = live.pop(fut)
+        for index in pending:
+            if pool is None:
+                pool = concurrent.futures.ThreadPoolExecutor(max_workers=1)
+            future = pool.submit(check, index)
+            try:
+                outcome[index] = future.result(timeout=deadline_s)
+            except concurrent.futures.TimeoutError:
                 outcome[index] = f"deadline exceeded ({deadline_s}s)"
                 late.append(index)
-            if over:
-                queued = [fut for fut in live if fut.cancel()]
-                if queued:
-                    launch([live.pop(fut) for fut in queued])
+                # don't block on the stuck worker; let it finish alone
+                pool.shutdown(wait=False)
+                pool = None
+            except Exception as exc:
+                outcome[index] = repr(exc)
     finally:
-        # don't block on a worker stuck past its deadline; let stragglers
-        # finish alone
-        for pool in pools:
-            pool.shutdown(wait=deadline_s is None, cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(wait=False)
     return outcome, late
 
 
 def find_races(graph: SegmentGraph, *,
                engine: Optional[SuppressionEngine] = None,
-               workers: int = 1,
                deadline_s: Optional[float] = None,
                max_retries: int = 2) -> PartialAnalysis:
     """Algorithm 1 under supervision: the raw conflicts and their coverage.
@@ -341,21 +302,21 @@ def find_races(graph: SegmentGraph, *,
     suppression are the same, and only the raw ones shrink.
 
     The candidate pairs are checked in chunks of the kernel's batch
-    (:data:`repro.core.npkernel._PAIR_BATCH` pairs) by ``workers``
-    threads; one worker is the sequential pass.  Every chunk is attempted
-    up to ``1 + max_retries`` times with exponential backoff between
-    attempts (:data:`RETRY_BACKOFF_S`, doubling); a chunk whose worker
-    raises (or runs past ``deadline_s``) on every attempt is quarantined
-    and its candidate pairs booked as unchecked — the chunks that *did*
-    complete are never discarded.
+    (:data:`repro.core.npkernel._PAIR_BATCH` pairs), one after another on
+    a worker thread.  Every chunk is attempted up to ``1 + max_retries``
+    times with exponential backoff between attempts
+    (:data:`RETRY_BACKOFF_S`, doubling); a chunk whose check raises (or
+    runs past ``deadline_s``) on every attempt is quarantined and its
+    candidate pairs booked as unchecked — the chunks that *did* complete
+    are never discarded.
     Faults are observed exactly where the fault injector plants them
     (:meth:`FaultInjector.on_analysis_chunk`).
     """
     reg = get_registry()
     result = PartialAnalysis()
     with reg.phase("analysis"):
-        # everything workers read is built here, single-threaded: the
-        # segments' flat interval sets, the kernel context and its DP rows
+        # everything the worker reads is built here: the segments' flat
+        # interval sets, the kernel context and its DP rows
         segs = [s for s in graph.segments if s.has_accesses]
         with reg.phase("analysis.candidates"):
             ctx = KernelContext(graph, segs, engine)
@@ -375,16 +336,9 @@ def find_races(graph: SegmentGraph, *,
                   for k in range(0, len(ii), batch)]
         result.pairs_total = len(ii)
         result.chunks_total = len(chunks)
-        # a pool wider than the chunk list would idle the extra workers;
-        # clamp explicitly and record both counts so perf runs can see the
-        # effective parallelism, not the requested one
-        workers_eff = min(workers, len(chunks))
-        reg.gauge("analysis.workers_requested").set(workers)
-        reg.gauge("analysis.workers_effective").set(workers_eff)
 
         def check(index: int) -> Tuple[Rows, int]:
             _FAULTS.on_analysis_chunk(index)   # may raise / hang on demand
-            # per-worker-thread phase: wall seconds sum across workers
             with reg.phase("analysis.pairs"):
                 return ctx.check_pairs(*chunks[index])
 
@@ -399,8 +353,7 @@ def find_races(graph: SegmentGraph, *,
                     reg.counter("resilience.chunks_retried").inc(len(pending))
                     result.retries += len(pending)
                     time.sleep(RETRY_BACKOFF_S * (2 ** (attempt - 1)))
-                outcome, late = _attempt(check, pending, workers_eff,
-                                         deadline_s)
+                outcome, late = _attempt(check, pending, deadline_s)
                 if late:
                     result.deadline_hits += len(late)
                     reg.counter("resilience.analysis_deadline_hits").inc(
@@ -454,7 +407,6 @@ class Detection:
 
 def analyze_and_suppress(graph: SegmentGraph, engine: SuppressionEngine,
                          allocator: Allocator, *,
-                         workers: int = 1,
                          deadline_s: Optional[float] = None,
                          max_retries: int = 2,
                          pair_filter=None,
@@ -467,10 +419,9 @@ def analyze_and_suppress(graph: SegmentGraph, engine: SuppressionEngine,
 
     The one pipeline behind :meth:`repro.core.tool.TaskgrindTool.finalize`
     and :func:`repro.core.trace.analyze_loaded` (offline and served).
-    ``workers``, ``deadline_s`` and ``max_retries`` go to
-    :func:`find_races`.  ``pair_filter`` (a
-    :class:`repro.replay.filter.ReplayFilter`) keeps only the rows of the
-    segment pairs it admits.  ``engine`` is the run's
+    ``deadline_s`` and ``max_retries`` go to :func:`find_races`.
+    ``pair_filter`` (a :class:`repro.replay.filter.ReplayFilter`) keeps
+    only the rows of the segment pairs it admits.  ``engine`` is the run's
     :class:`repro.core.suppress.SuppressionEngine`: :func:`find_races`
     skips the pairs its stack rule would drop whole, and it drops the
     suppressed pieces of the rest.
@@ -485,8 +436,8 @@ def analyze_and_suppress(graph: SegmentGraph, engine: SuppressionEngine,
     "incomplete analysis" note when chunks went unchecked.  An enabled
     tracer gets one race flow per report.
     """
-    partial = find_races(graph, engine=engine, workers=workers,
-                         deadline_s=deadline_s, max_retries=max_retries)
+    partial = find_races(graph, engine=engine, deadline_s=deadline_s,
+                         max_retries=max_retries)
     table = partial.table
     raw = table.pair_count()
     dropped = 0

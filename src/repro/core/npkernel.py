@@ -194,8 +194,8 @@ class _Pool:
 class KernelContext:
     """Per-pass state shared by every chunk of one analysis run.
 
-    Built and prepared single-threaded before the (possibly parallel) pair
-    sweep, so chunk workers only read.  Construction pools the segments'
+    Built and prepared before the pair check, whose worker thread only
+    reads it.  Construction pools the segments'
     write and read intervals (:class:`_Pool`), has ``engine`` (a
     :class:`~repro.core.suppress.SuppressionEngine`, if any) class each one
     stack-local or not, and maps the pools to ranks into ``coords``, the

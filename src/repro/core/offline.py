@@ -33,8 +33,6 @@ from repro.errors import TraceError
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", help="trace JSON from save_trace()")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="pair-check worker threads (default: 1)")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
     parser.add_argument("--suggest", action="store_true",
@@ -74,8 +72,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         reg_baseline = get_registry().mark()
     try:
         reports, stats = analyze_trace_with_stats(
-            args.trace, workers=args.workers,
-            explain=args.explain, strict=args.strict_trace)
+            args.trace, explain=args.explain, strict=args.strict_trace)
     except TraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -59,8 +59,6 @@ class TaskgrindOptions:
 
     suppression: SuppressionConfig = field(default_factory=SuppressionConfig)
     segment_model: SegmentModelConfig = field(default_factory=SegmentModelConfig)
-    #: pair-check worker threads of the analysis (1 = sequential)
-    analysis_workers: int = 1
     #: collapse reports with identical segment-label pairs
     dedupe: bool = False
     #: model the multi-thread cross-thread-confirmation lock-up (Table II)
@@ -334,7 +332,6 @@ class TaskgrindTool(Tool):
             opts = self.options
             found = analyze_and_suppress(
                 self.builder.graph, self.suppressor, self.machine.allocator,
-                workers=opts.analysis_workers,
                 deadline_s=opts.analysis_deadline_s,
                 max_retries=opts.analysis_max_retries,
                 pair_filter=self.replay_filter, select=self._select,

@@ -5,8 +5,7 @@ an embarrassingly parallel algorithm, but it is currently run sequentially
 within the Valgrind framework after the instrumented program execution."*
 The natural fix is to externalize it: dump the segment graph (with each
 segment's read and write interval lists and the suppression metadata) at
-program exit and run Algorithm 1 offline — with one worker or several, or
-on another machine entirely.
+program exit and run Algorithm 1 offline, possibly on another machine.
 
 This module implements that pipeline:
 
@@ -45,7 +44,7 @@ index into them, or ``null``.  Any other format — a version-2 trace of
 one object per segment, a version-1 single-document trace — is rejected
 with a :class:`~repro.errors.TraceVersionError` naming the version found.
 
-CLI: ``python -m repro.core.offline <trace.json> [--workers N]``.
+CLI: ``python -m repro.core.offline <trace.json>``.
 """
 
 from __future__ import annotations
@@ -747,7 +746,8 @@ def load_trace_salvaged(path: str) -> SalvagedTrace:
     except OSError as exc:
         raise TraceFormatError(path, repr(exc)) from exc
     cov = TraceCoverage()
-    first_line = data.split(b"\n", 1)[0].strip()
+    # the first non-blank line, as the chunk scan reads every later one
+    first_line = next((line for _offset, line in chunk_lines(data)), b"")
     if not first_line:
         cov.complete = False
         cov.errors.append("empty trace file")
@@ -837,7 +837,6 @@ def load_trace(path: str) -> Tuple[SegmentGraph, Allocator, dict]:
 def analyze_loaded(graph: SegmentGraph, allocator: Allocator,
                    supp_flags: dict, *,
                    coverage: Optional[TraceCoverage] = None,
-                   workers: int = 1,
                    explain: bool = False,
                    deadline_s: Optional[float] = None,
                    max_retries: int = 2) -> Detection:
@@ -850,7 +849,7 @@ def analyze_loaded(graph: SegmentGraph, allocator: Allocator,
     online tool runs too, so their reports are byte-identical for the
     same trace content.  The stored suppression flags pick the Section IV
     classes; a salvaged trace's reports carry its coverage note.
-    ``workers``, ``deadline_s`` and ``max_retries`` go to
+    ``deadline_s`` and ``max_retries`` go to
     :func:`~repro.core.analysis.find_races`.
     """
     config = SuppressionConfig(
@@ -861,22 +860,19 @@ def analyze_loaded(graph: SegmentGraph, allocator: Allocator,
         notes = ("incomplete evidence: " + coverage.summary(),)
     return analyze_and_suppress(
         graph, SuppressionEngine(allocator.space, config), allocator,
-        workers=workers, deadline_s=deadline_s, max_retries=max_retries,
-        explain=explain, notes=notes)
+        deadline_s=deadline_s, max_retries=max_retries, explain=explain,
+        notes=notes)
 
 
-def analyze_trace(path: str, *, workers: int = 1,
-                  explain: bool = False,
+def analyze_trace(path: str, *, explain: bool = False,
                   strict: bool = False) -> List[RaceReport]:
     """The full offline pipeline: load, Algorithm 1, suppress, report."""
-    reports, _stats = analyze_trace_with_stats(path, workers=workers,
-                                               explain=explain,
+    reports, _stats = analyze_trace_with_stats(path, explain=explain,
                                                strict=strict)
     return reports
 
 
-def analyze_trace_with_stats(path: str, *, workers: int = 1,
-                             explain: bool = False,
+def analyze_trace_with_stats(path: str, *, explain: bool = False,
                              strict: bool = False
                              ) -> Tuple[List[RaceReport], dict]:
     """The offline pipeline with a per-phase stats document.
@@ -907,7 +903,7 @@ def analyze_trace_with_stats(path: str, *, workers: int = 1,
                     coverage.chunks_corrupt)
         la = analyze_loaded(loaded.graph, loaded.allocator,
                             loaded.suppression, coverage=coverage,
-                            workers=workers, explain=explain)
+                            explain=explain)
     reports = la.reports
     stats = {
         "schema": "taskgrind-offline-stats/1",

@@ -202,11 +202,9 @@ def run_taskgrind_two_phase(program: FuzzProgram, *, schedule_seed: int,
 
 
 def fault_fuzz_options() -> TaskgrindOptions:
-    """Fuzz options for fault campaigns: two analysis workers and a short
-    per-chunk deadline so planted hangs quarantine instead of stalling a
-    nightly run."""
+    """Fuzz options for fault campaigns: a short per-chunk deadline so
+    planted hangs quarantine instead of stalling a nightly run."""
     opts = fuzz_options()
-    opts.analysis_workers = 2
     opts.analysis_deadline_s = 0.1
     opts.analysis_max_retries = 1
     return opts
@@ -263,8 +261,7 @@ def run_taskgrind_salvaged(program: FuzzProgram, *, schedule_seed: int,
                 info["fired"][name] = info["fired"].get(name, 0) + count
             if os.path.exists(trace_path):
                 info["trace_written"] = True
-                offline, stats = analyze_trace_with_stats(
-                    trace_path, workers=2)
+                offline, stats = analyze_trace_with_stats(trace_path)
                 info["coverage_complete"] = stats["coverage"]["complete"]
                 oslots, onoise = normalize(offline, addr_map)
                 slots |= set(oslots)

@@ -82,7 +82,6 @@ def _is_int(v) -> bool:
 
 #: the analyze request body's fields: ``name -> (valid?, what it must be)``
 _ANALYZE_FIELDS = {
-    "workers": (lambda v: _is_int(v) and v >= 1, "an int >= 1"),
     "deadline_s": (lambda v: v is None or (
         (_is_int(v) or isinstance(v, float)) and math.isfinite(v) and v > 0),
         "null or a finite number > 0"),
@@ -126,7 +125,6 @@ class ServeConfig:
     port: int = 0                      # 0: kernel-assigned (tests/bench)
     #: analysis executor threads
     shards: int = 4
-    analysis_workers: int = 2
     deadline_s: Optional[float] = None
     max_retries: int = 2
     #: durable state directory (None: in-memory only, nothing survives)
@@ -300,7 +298,6 @@ class TraceService:
         opts = _parse_analyze_options(trace_id, req.body)
         cfg = self.config
         params = {
-            "workers": opts.get("workers", cfg.analysis_workers),
             "deadline_s": opts.get("deadline_s", cfg.deadline_s),
             "max_retries": opts.get("max_retries", cfg.max_retries),
             "explain": opts.get("explain", False),
@@ -319,8 +316,8 @@ class TraceService:
     def _execute_job(self, job: AnalysisJob) -> Tuple[dict, bool]:
         reg = get_registry()
         p = job.params
-        key = (job.content_hash, p["workers"], p["deadline_s"],
-               p["max_retries"], p["explain"])
+        key = (job.content_hash, p["deadline_s"], p["max_retries"],
+               p["explain"])
         cached = self._results.get(key)
         if cached is not None:
             job.cache_hit = True
@@ -335,7 +332,6 @@ class TraceService:
             la = analyze_loaded(salvaged.graph, salvaged.allocator,
                                 salvaged.suppression,
                                 coverage=salvaged.coverage,
-                                workers=p["workers"],
                                 explain=p["explain"],
                                 deadline_s=p["deadline_s"],
                                 max_retries=p["max_retries"])

@@ -36,7 +36,6 @@ from repro.serve.wal import FSYNC_POLICIES
 
 def _build_config(args: argparse.Namespace) -> ServeConfig:
     return ServeConfig(host=args.host, port=args.port, shards=args.shards,
-                       analysis_workers=args.workers,
                        deadline_s=args.deadline_s,
                        max_retries=args.max_retries,
                        state_dir=args.state_dir,
@@ -51,8 +50,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="listen port; 0 for kernel-assigned (default: 8787)")
     ap.add_argument("--shards", type=int, default=4,
                     help="analysis threads running jobs (default: 4)")
-    ap.add_argument("--workers", type=int, default=2,
-                    help="supervised analysis workers per job (default: 2)")
     ap.add_argument("--deadline-s", type=float, default=None,
                     help="per-chunk supervised deadline (default: none)")
     ap.add_argument("--max-retries", type=int, default=2)
@@ -96,8 +93,7 @@ def _serve_forever(config: ServeConfig) -> int:
         server = TraceServer(config)
         await server.start()
         print(f"taskgrind-serve listening on http://{config.host}:"
-              f"{server.port} ({config.shards} analysis threads, "
-              f"workers={config.analysis_workers}"
+              f"{server.port} ({config.shards} analysis threads"
               + (f", state-dir={config.state_dir}"
                  if config.state_dir else "") + ")", flush=True)
         loop = asyncio.get_event_loop()

@@ -1,13 +1,14 @@
 """Tests for the benchmark runner and the verdict plumbing."""
 
 import gc
+import re
 import weakref
 
 import pytest
 
 from repro.baselines.common import Verdict, classify
 from repro.bench.programs import BenchProgram
-from repro.bench.runner import TOOLS, run_benchmark
+from repro.bench.runner import TOOLS, main as run_main, run_benchmark
 from repro.obs.prof import get_profiler
 
 
@@ -109,6 +110,20 @@ class TestRunBenchmark:
         finally:
             prof.disable()
             prof.reset()
+
+
+class TestRunCli:
+    @pytest.mark.parametrize("tool", ["romp", "tasksanitizer", "archer"])
+    def test_baseline_reports_print_one_line_each(self, tool, capsys):
+        """A baseline tool's reports are no ``RaceReport``: each prints as
+        one line naming its two sides and its byte range, and the exit
+        code says races were found."""
+        assert run_main(["027-taskdependmissing-orig", "--tool", tool]) == 1
+        out = capsys.readouterr().out
+        count = int(re.search(r"(\d+) report\(s\)", out).group(1))
+        lines = re.findall(r"^race: .+ and .+ on bytes "
+                           r"\[0x[0-9a-f]+, 0x[0-9a-f]+\)$", out, re.M)
+        assert count >= 1 and len(lines) == count
 
 
 class TestRegistries:

@@ -1,9 +1,8 @@
 """Tests for the determinacy-race pass (Algorithm 1).
 
-Includes property tests asserting the address-indexed pass, with one
-worker and with several, produces the candidate set of the faithful
-all-pairs pass (the test oracle in ``tests/core/analysis_oracle.py``) on
-random graphs.
+Includes property tests asserting the address-indexed pass produces the
+candidate set of the faithful all-pairs pass (the test oracle in
+``tests/core/analysis_oracle.py``) on random graphs.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -29,8 +28,8 @@ def keys(cands):
     return sorted((c.key(), tuple(c.ranges.pairs())) for c in cands)
 
 
-def races(g, workers=1):
-    return find_races(g, workers=workers).candidates
+def races(g):
+    return find_races(g).candidates
 
 
 class TestAlgorithmOne:
@@ -91,7 +90,7 @@ class TestIndexedEquivalence:
         g, _ = make_graph(6, [(0, 1), (2, 3)],
                           [(i, (i % 3) * 8, (i % 3) * 8 + 12, i % 2 == 0)
                            for i in range(6)])
-        assert keys(find_races_naive(g)) == keys(races(g, workers=2))
+        assert keys(find_races_naive(g)) == keys(races(g))
 
     @given(
         st.integers(2, 10),
@@ -107,42 +106,6 @@ class TestIndexedEquivalence:
         g, _ = make_graph(n, edges, accs)
         expected = keys(find_races_naive(g))
         assert keys(races(g)) == expected
-        assert keys(races(g, workers=3)) == expected
-
-
-class TestParallelWorkerClamp:
-    """The pool is clamped to the chunk count and both figures are logged."""
-
-    def _gauges(self):
-        from repro.obs.metrics import get_registry
-        reg = get_registry()
-        return (reg.gauge("analysis.workers_requested").value,
-                reg.gauge("analysis.workers_effective").value)
-
-    def test_workers_beyond_chunks_are_clamped(self):
-        # 3 conflicting pairs -> 1 chunk of pairs; 16 requested workers
-        g, _ = make_graph(3, [], [(0, 0, 8, True), (1, 0, 8, True),
-                                  (2, 0, 8, True)])
-        cands = races(g, workers=16)
-        assert len(cands) == 3
-        requested, effective = self._gauges()
-        assert requested == 16
-        assert effective == 1
-
-    def test_effective_zero_when_no_pairs(self):
-        g, _ = make_graph(2, [], [(0, 0, 8, True), (1, 100, 108, True)])
-        assert races(g, workers=8) == []
-        requested, effective = self._gauges()
-        assert requested == 8
-        assert effective == 0
-
-    def test_result_identical_across_worker_counts(self):
-        g, _ = make_graph(5, [(0, 1)],
-                          [(i, (i % 2) * 8, (i % 2) * 8 + 8, True)
-                           for i in range(5)])
-        expected = keys(races(g, workers=1))
-        for w in (2, 3, 64):
-            assert keys(races(g, workers=w)) == expected
 
 
 class TestScaling:

@@ -127,7 +127,7 @@ class TestKernelParity:
                     for i in range(12)]
         g1 = make_graph(12, [(0, 1), (2, 3)], accesses)
         g2 = make_graph(12, [(0, 1), (2, 3)], accesses)
-        b = find_races(g2, workers=2)
+        b = find_races(g2)
         assert keys(find_races_naive(g1)) == keys(b.candidates)
 
 

@@ -257,11 +257,10 @@ class TestAnalysisParity:
         tool = _run(body, nthreads=nthreads, seed=prog_seed % 97)
         graph = tool.builder.graph
         naive = _canon(find_races_naive(graph))
-        for workers in (1, 2, 4):
-            par = find_races(graph, workers=workers).candidates
-            assert _canon(par) == naive
-            # any worker count promises a deterministic sorted order
-            assert [c.key() for c in par] == sorted(c.key() for c in par)
+        cands = find_races(graph).candidates
+        assert _canon(cands) == naive
+        # the pass promises a deterministic sorted order
+        assert [c.key() for c in cands] == sorted(c.key() for c in cands)
 
     @given(st.integers(0, 10 ** 6), st.booleans())
     @example(7, True)

@@ -1,9 +1,9 @@
 """The analyze → pair filter → suppress pipeline is one function of the
-recorded evidence, whichever candidate set, worker count and pair check
-produce the conflict table.
+recorded evidence, whichever candidate set and pair check produce the
+conflict table.
 
 ``raw_candidates``, the reports and the ``suppress`` block must be
-identical with one worker and with two and for the all-pairs oracle
+identical for the candidate sweep and for the all-pairs oracle
 candidates (less the pairs that share bytes only in frames both segments
 pushed, by the oracle's scalar form of Section IV-D's interval rule), with
 the batched pair check and with the oracle's per-pair Python loop in its
@@ -34,20 +34,19 @@ from repro.workloads.lulesh import LuleshConfig, run_lulesh
 from tests.core.analysis_oracle import (all_pairs_outside_frames,
                                         candidate_pairs, loop_check_pairs)
 
-#: (workers, pair check): ``naive`` is one worker over the oracle's
-#: all-pairs candidates, less the pairs the run's engine would skip as
-#: stack-local; ``python`` patches the oracle's per-pair loop over the
-#: batched ``numpy`` check
-PASSES = [("naive", "python"), (1, "python"), (1, "numpy"),
-          (2, "python"), (2, "numpy")]
+#: (candidates, pair check): ``naive`` swaps the oracle's all-pairs
+#: candidates, less the pairs the run's engine would skip as stack-local,
+#: for the ``sweep``; ``python`` patches the oracle's per-pair loop over
+#: the batched ``numpy`` check
+PASSES = [("naive", "python"), ("sweep", "python"), ("sweep", "numpy")]
 
 
 @contextlib.contextmanager
-def _pass(workers, kernel, prefilter=True):
-    """Swap the oracles in for one :data:`PASSES` entry; yields the
-    worker count to run with.  ``prefilter=False`` runs the unfiltered
-    pass: ``find_races`` ignores the engine it is given, so it skips no
-    pair as stack-local and suppression drops them instead."""
+def _pass(candidates, kernel, prefilter=True):
+    """Swap the oracles in for one :data:`PASSES` entry.
+    ``prefilter=False`` runs the unfiltered pass: ``find_races`` ignores
+    the engine it is given, so it skips no pair as stack-local and
+    suppression drops them instead."""
     with pytest.MonkeyPatch.context() as mp:
         if kernel == "python":
             mp.setattr(KernelContext, "check_pairs", loop_check_pairs)
@@ -56,14 +55,14 @@ def _pass(workers, kernel, prefilter=True):
         def find_races_of_pass(graph, *, engine=None, **kwargs):
             if not prefilter:
                 engine = None
-            if workers == "naive":
+            if candidates == "naive":
                 # the candidates of the engine the pass runs with
                 mp.setattr(KernelContext, "candidate_pairs",
                            all_pairs_outside_frames(engine))
             return find_races_in_pass(graph, engine=engine, **kwargs)
 
         mp.setattr(analysis_mod, "find_races", find_races_of_pass)
-        yield 1 if workers == "naive" else workers
+        yield
 
 LULESH = BenchProgram(
     name="lulesh", racy=True,
@@ -77,13 +76,12 @@ PROGRAMS = [(tmb.by_name("1003-stack.3"), 1), (tmb.by_name("1006-tls.1"), 1),
             (drb.by_name("127-tasking-threadprivate1-orig"), 4), (LULESH, 1)]
 
 
-def _outcome(program, nthreads, workers=1, kernel="numpy", prefilter=True,
-             **options):
-    with _pass(workers, kernel, prefilter) as analysis_workers:
+def _outcome(program, nthreads, candidates="sweep", kernel="numpy",
+             prefilter=True, **options):
+    with _pass(candidates, kernel, prefilter):
         result = run_benchmark(
             program, "taskgrind", nthreads=nthreads, seed=2,
-            taskgrind_options=TaskgrindOptions(
-                analysis_workers=analysis_workers, **options),
+            taskgrind_options=TaskgrindOptions(**options),
             keep_machine=True)
     stats = result.stats
     return ([format_report(r) for r in result.reports],
@@ -99,10 +97,9 @@ def _outcome(program, nthreads, workers=1, kernel="numpy", prefilter=True,
 def test_every_pass_and_kernel_agree(program, nthreads):
     reference = {}
     for prefilter in (False, True):
-        outcomes = {(workers, kernel): _outcome(program, nthreads, workers,
-                                                kernel, prefilter)[:3]
-                    for workers, kernel in PASSES}
-        reference[prefilter] = outcomes[(1, "numpy")]
+        outcomes = {combo: _outcome(program, nthreads, *combo, prefilter)[:3]
+                    for combo in PASSES}
+        reference[prefilter] = outcomes[("sweep", "numpy")]
         for combo, outcome in outcomes.items():
             assert outcome == reference[prefilter], (prefilter, combo)
     (texts, raw, supp), (skip_texts, skip_raw, skip_supp) = (
@@ -127,11 +124,10 @@ def test_offline_passes_agree(tmp_path):
     for prefilter in (False, True):
         texts, raw, supp, result = _outcome(LULESH, 1, prefilter=prefilter)
         save_trace(result.tool_obj, result.machine, path)
-        for workers, kernel in PASSES:
-            with _pass(workers, kernel, prefilter) as analysis_workers:
-                reports, stats = analyze_trace_with_stats(
-                    path, workers=analysis_workers)
-            combo = (prefilter, workers, kernel)
+        for candidates, kernel in PASSES:
+            with _pass(candidates, kernel, prefilter):
+                reports, stats = analyze_trace_with_stats(path)
+            combo = (prefilter, candidates, kernel)
             assert [format_report(r) for r in reports] == texts, combo
             assert stats["analysis"]["raw_candidates"] == raw, combo
             assert stats["analysis"]["stack_local_intervals"] == \
@@ -155,8 +151,9 @@ def test_quarantined_chunk_rows_absent_none_invented(small_chunks, kernel):
     *_, result = _outcome(LULESH, 1)
     graph = result.tool_obj.builder.graph
     full = _rows(find_races(graph).table)
-    with inject_plan(FaultPlan.single("worker-exc", 1)), _pass(2, kernel):
-        partial = find_races(graph, workers=2, max_retries=0)
+    with inject_plan(FaultPlan.single("worker-exc", 1)), \
+            _pass("sweep", kernel):
+        partial = find_races(graph, max_retries=0)
     assert [q.index for q in partial.quarantined] == [1]
     segs = [s for s in graph.segments if s.has_accesses]
     lost = set(sorted(candidate_pairs(segs))[4:8])
@@ -174,7 +171,7 @@ def test_faulted_pipeline_keeps_a_subset(small_chunks):
                 for r in found.reports}
 
     clean = analyze_and_suppress(graph, SuppressionEngine(machine.space),
-                                 machine.allocator, workers=2)
+                                 machine.allocator)
     # poison the first chunk that holds a conflicting pair
     table = clean.partial.table
     conflicting = set(zip(table.i.tolist(), table.j.tolist()))
@@ -186,21 +183,20 @@ def test_faulted_pipeline_keeps_a_subset(small_chunks):
     with inject_plan(FaultPlan.single("worker-exc", chunk)):
         faulted = analyze_and_suppress(graph,
                                        SuppressionEngine(machine.space),
-                                       machine.allocator, workers=2,
-                                       max_retries=0)
+                                       machine.allocator, max_retries=0)
     assert [q.index for q in faulted.partial.quarantined] == [chunk]
     assert faulted.raw_candidates < clean.raw_candidates
     assert survivors(faulted) <= survivors(clean)
 
 
-@pytest.mark.parametrize("workers,kernel", PASSES)
-def test_replay_pair_filter(workers, kernel):
-    texts, raw, _supp, full = _outcome(LULESH, 1, workers, kernel)
+@pytest.mark.parametrize("candidates,kernel", PASSES)
+def test_replay_pair_filter(candidates, kernel):
+    texts, raw, _supp, full = _outcome(LULESH, 1, candidates, kernel)
     first = full.reports[0]
     keep = (first.s1.id, first.s2.id)
     flt = ReplayFilter(pairs=frozenset({keep}))
     f_texts, f_raw, _f_supp, filtered = _outcome(
-        LULESH, 1, workers, kernel, replay_filter=flt)
+        LULESH, 1, candidates, kernel, replay_filter=flt)
     assert f_raw == raw
     assert f_texts == [t for t, r in zip(texts, full.reports)
                        if (r.s1.id, r.s2.id) == keep]

@@ -58,7 +58,7 @@ def tiny_chunks(monkeypatch):
 
 class TestSupervisor:
     def test_fault_free_run_is_complete(self, graph):
-        partial = find_races(graph, workers=2)
+        partial = find_races(graph)
         assert partial.complete
         assert partial.unchecked_pairs == 0
         assert partial.quarantined == []
@@ -71,7 +71,7 @@ class TestSupervisor:
         that chunk, not the whole analysis."""
         full = _cand_keys(find_races_naive(graph))
         with inject_plan(FaultPlan.single("worker-exc", 0)):
-            partial = find_races(graph, workers=2, max_retries=1)
+            partial = find_races(graph, max_retries=1)
         assert not partial.complete
         assert [q.index for q in partial.quarantined] == [0]
         assert partial.unchecked_pairs == 1
@@ -83,15 +83,14 @@ class TestSupervisor:
     def test_retry_recovers_a_transient_fault(self, graph, tiny_chunks):
         full = _cand_keys(find_races_naive(graph))
         with inject_plan(FaultPlan.single("worker-exc", 0, times=1)):
-            partial = find_races(graph, workers=2, max_retries=2)
+            partial = find_races(graph, max_retries=2)
         assert partial.complete
         assert partial.retries >= 1
         assert _cand_keys(partial.candidates) == full
 
     def test_hang_hits_deadline_and_quarantines(self, graph, tiny_chunks):
         with inject_plan(FaultPlan.single("worker-hang", 0, seconds=0.5)):
-            partial = find_races(graph, workers=2, deadline_s=0.05,
-                                 max_retries=0)
+            partial = find_races(graph, deadline_s=0.05, max_retries=0)
         assert partial.deadline_hits >= 1
         assert not partial.complete
         assert any("deadline" in q.error for q in partial.quarantined)
@@ -102,18 +101,17 @@ class TestSupervisor:
         has not begun, so only the hung chunk is quarantined, and the hung
         worker cannot hold the rest back until its hang ends."""
         later = set(sorted(_cand_keys(find_races_naive(graph)))[1:])
-        for workers, hang in ((1, 0.3), (2, 0.3), (1, 1.0)):
+        for hang in (0.3, 1.0):
             t0 = time.monotonic()
             with inject_plan(FaultPlan.single("worker-hang", 0,
                                               seconds=hang)):
-                partial = find_races(graph, workers=workers,
-                                     deadline_s=0.1, max_retries=0)
+                partial = find_races(graph, deadline_s=0.1, max_retries=0)
             elapsed = time.monotonic() - t0
-            assert [q.index for q in partial.quarantined] == [0], workers
-            assert partial.deadline_hits == 1, workers
+            assert [q.index for q in partial.quarantined] == [0], hang
+            assert partial.deadline_hits == 1, hang
             assert partial.pairs_checked == partial.pairs_total - 1
-            assert _cand_keys(partial.candidates) == later, workers
-        assert elapsed < hang          # a hang ten times the deadline
+            assert _cand_keys(partial.candidates) == later, hang
+            assert elapsed < hang, hang
 
     def test_parallel_entry_point_delegates(self, ran, tiny_chunks):
         """The pipeline entry point rides the supervisor: a transient
@@ -124,13 +122,13 @@ class TestSupervisor:
         with inject_plan(FaultPlan.single("worker-exc", 0, times=1)):
             found = analyze_and_suppress(graph,
                                          SuppressionEngine(machine.space),
-                                         machine.allocator, workers=2)
+                                         machine.allocator)
         assert found.partial.complete and found.partial.retries == 1
         assert found.raw_candidates == len(full)
 
     def test_partial_analysis_document(self, graph, tiny_chunks):
         with inject_plan(FaultPlan.single("worker-exc", 0)):
-            partial = find_races(graph, workers=2, max_retries=0)
+            partial = find_races(graph, max_retries=0)
         doc = partial.to_dict()
         assert doc["schema"] == "taskgrind-partial-analysis/1"
         assert doc["complete"] is False
@@ -156,7 +154,7 @@ class TestToolIntegration:
         return tool, tool.finalize()
 
     def test_incomplete_analysis_stamps_reports(self, tiny_chunks):
-        opts = TaskgrindOptions(analysis_workers=2, analysis_max_retries=0)
+        opts = TaskgrindOptions(analysis_max_retries=0)
         with inject_plan(FaultPlan.single("worker-exc", 0)):
             tool, reports = self._run(opts)
         assert tool.partial_analysis is not None

@@ -84,17 +84,16 @@ class TestRoundTrip:
         assert str(offline[0].alloc_site) == str(tool.reports[0].alloc_site)
 
     def test_all_modes_agree_offline(self, trace_path, monkeypatch):
-        """One worker and two report what the all-pairs oracle reports."""
+        """The candidate sweep reports what the all-pairs oracle reports."""
         path, _ = trace_path
 
-        def texts(workers):
-            return [format_report(r)
-                    for r in analyze_trace(path, workers=workers)]
-        got = {workers: texts(workers) for workers in (1, 2)}
+        def texts():
+            return [format_report(r) for r in analyze_trace(path)]
+        got = texts()
         monkeypatch.setattr(KernelContext, "candidate_pairs", all_pairs)
-        oracle = texts(1)
+        oracle = texts()
         assert len(oracle) == 1
-        assert all(t == oracle for t in got.values())
+        assert got == oracle
 
     def test_version_gate(self, trace_path, tmp_path):
         path, _ = trace_path
@@ -197,9 +196,17 @@ class TestCli:
 
     def test_json_output(self, trace_path, capsys):
         path, _ = trace_path
-        offline_main([path, "--json", "--workers", "2"])
+        offline_main([path, "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert doc["error_count"] == 1
+
+    def test_retired_workers_flag_exits_2(self, trace_path, capsys):
+        """The pair check runs on one worker: ``--workers`` is no option."""
+        path, _ = trace_path
+        with pytest.raises(SystemExit) as exc:
+            offline_main([path, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_clean_exit_code(self, run_taskgrind, tmp_path, capsys):
         tool, machine = run_taskgrind(stacky_clean, nthreads=1)

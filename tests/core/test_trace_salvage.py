@@ -14,13 +14,16 @@ import pytest
 
 import repro
 from repro.core.offline import main as offline_main
+from repro.core.reports import report_to_dict
 from repro.core.trace import (SEGMENT_ROW, analyze_trace,
                               analyze_trace_with_stats, load_trace,
                               load_trace_salvaged, save_trace)
-from repro.errors import InjectedFault, TraceCorruptionError, TraceError
+from repro.errors import (InjectedFault, TraceCorruptionError, TraceError,
+                          TraceVersionError)
 from repro.faults.inject import inject_plan
 from repro.faults.plan import FaultPlan
 from repro.util.chunks import canonical_json, payload_crc
+from tests.util.chunk_forms import v2_trace_lines
 
 
 def racy_listing(env):
@@ -208,6 +211,46 @@ class TestSalvage:
         _, stats = analyze_trace_with_stats(trunc)
         assert stats["coverage"]["complete"] is False
         assert stats["coverage"]["segments"]["recovered"] > 0
+
+
+class TestLeadingBlankLines:
+    """The empty-file and version checks read the first non-blank line,
+    as the chunk scan reads every later one."""
+
+    @pytest.mark.parametrize("lead", [b"\n", b" \r\n\n"],
+                             ids=["newline", "blank-lines"])
+    def test_blank_lead_loads_complete(self, traced, tmp_path, capsys,
+                                       lead):
+        path, _ = traced
+        padded = tmp_path / "padded.json"
+        padded.write_bytes(lead + open(path, "rb").read())
+        salvaged = load_trace_salvaged(str(padded))
+        assert salvaged.coverage.complete, salvaged.coverage.errors
+        assert len(salvaged.graph.segments) == \
+            len(load_trace_salvaged(path).graph.segments)
+        want = [report_to_dict(r) for r in analyze_trace(path)]
+        assert want
+        for strict in (False, True):
+            assert [report_to_dict(r) for r in
+                    analyze_trace(str(padded), strict=strict)] == want
+        assert offline_main([str(padded)]) == 1
+        assert "WARNING" not in capsys.readouterr().out
+
+    def test_blank_lead_before_version_2_header_is_refused(self, tmp_path,
+                                                           capsys):
+        old = tmp_path / "v2.trace.json"
+        old.write_bytes(b"\n" + b"\n".join(v2_trace_lines()) + b"\n")
+        with pytest.raises(TraceVersionError):
+            load_trace_salvaged(str(old))
+        assert offline_main([str(old)]) == 2
+        assert "version 2" in capsys.readouterr().err
+
+    def test_blank_lines_only_read_as_an_empty_file(self, tmp_path):
+        blank = tmp_path / "blank.json"
+        blank.write_bytes(b"\n \r\n\n")
+        salvaged = load_trace_salvaged(str(blank))
+        assert salvaged.graph.segments == []
+        assert salvaged.coverage.errors == ["empty trace file"]
 
 
 class TestMalformedSegments:

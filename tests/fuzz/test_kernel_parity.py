@@ -5,8 +5,7 @@ report-for-report indistinguishable from the per-pair Python loop of the
 test oracle (``tests/core/analysis_oracle.py``) on exactly the inputs the
 fuzz harness pins down: every checked-in reproducer (including
 intentionally-broken-suppression configs), truncated/salvaged traces, and
-arbitrary candidate-pair orderings (the chunks of a multi-worker pass
-complete in whatever order the scheduler lands on).
+arbitrary candidate-pair orderings.
 """
 
 import glob
@@ -150,9 +149,9 @@ class TestSalvagedTraceParity:
             assert report_keys(a) == got[cut], f"cut={cut}"
 
     def test_supervised_partial_parity(self, trace_path, monkeypatch):
-        b, sb = analyze_trace_with_stats(trace_path, workers=2)
+        b, sb = analyze_trace_with_stats(trace_path)
         monkeypatch.setattr(KernelContext, "check_pairs", loop_check_pairs)
-        a, sa = analyze_trace_with_stats(trace_path, workers=2)
+        a, sa = analyze_trace_with_stats(trace_path)
         assert report_keys(a) == report_keys(b)
         assert sa["coverage"]["complete"] and sb["coverage"]["complete"]
 
@@ -160,7 +159,7 @@ class TestSalvagedTraceParity:
 class TestShuffleStability:
     def test_check_pairs_is_order_independent(self, trace_path):
         """The batched kernel's output must not depend on the order pairs
-        arrive in — a multi-worker pass completes chunks in any order."""
+        arrive in."""
         from repro.core.trace import load_trace
 
         graph, _view, _supp = load_trace(trace_path)

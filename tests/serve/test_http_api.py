@@ -9,6 +9,8 @@ produces for an uploaded trace must serialize identically to what
 import json
 import sys
 
+import pytest
+
 from repro.core.reports import report_to_dict
 from repro.core.trace import (SEGMENT_ROW, TRACE_VERSION, analyze_trace,
                               analyze_trace_with_stats)
@@ -16,6 +18,7 @@ from repro.faults.inject import inject_plan
 from repro.faults.plan import FaultPlan
 from repro.obs.tracecheck import validate_events
 from repro.serve import ServeClient, ServeConfig, ServerThread
+from repro.serve.cli import main as serve_main
 from repro.serve.client import read_trace_lines
 
 from tests.serve.conftest import chunk_line, header_line
@@ -153,9 +156,7 @@ class TestStructuredErrors:
 
 #: malformed analyze bodies -> the field the 400 must name
 BAD_ANALYZE_BODIES = [
-    ({"workers": "two"}, "workers"),
-    ({"workers": 0}, "workers"),
-    ({"workers": True}, "workers"),
+    ({"workers": 2}, "workers"),
     ({"max_retries": -1}, "max_retries"),
     ({"max_retries": 1.5}, "max_retries"),
     ({"deadline_s": 0}, "deadline_s"),
@@ -191,10 +192,19 @@ class TestAnalyzeOptionValidation:
         for body, _field in BAD_ANALYZE_BODIES[:6]:
             assert self._analyze(client, trace_id, body)[0] == 400
         status, doc = self._analyze(client, trace_id,
-                                    {"workers": 2, "deadline_s": None,
-                                     "max_retries": 0, "explain": True})
+                                    {"deadline_s": None, "max_retries": 0,
+                                     "explain": True})
         assert status == 202, doc
         assert client.wait(doc["job_id"], timeout=60.0)["state"] == "done"
+
+    def test_serve_cli_refuses_workers(self, capsys):
+        """The pair check runs on one worker: ``repro serve --workers`` is
+        no option.  (``--smoke-recovery`` without a state dir returns
+        before any server starts, should the flag ever parse again.)"""
+        with pytest.raises(SystemExit) as exc:
+            serve_main(["--workers", "2", "--smoke-recovery"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestCacheKeying:
@@ -225,7 +235,7 @@ class TestCacheKeying:
         _reports, offline = analyze_trace_with_stats(trace_file)
         with ServeClient(server.base_url) as client:
             trace_id, _ = client.upload_trace(trace_lines)
-            for options in ({}, {"workers": 1}, {"explain": True}):
+            for options in ({}, {"max_retries": 0}, {"explain": True}):
                 job_id = client.analyze(trace_id, **options)
                 doc = client.wait(job_id, timeout=60.0)
                 assert doc["state"] == "done", options
@@ -249,7 +259,7 @@ class TestConcurrentJobs:
             with inject_plan(FaultPlan.single("worker-hang", 0,
                                               seconds=0.5, times=1)):
                 j1 = client.analyze(trace_id)
-                j2 = client.analyze(trace_id, workers=1)
+                j2 = client.analyze(trace_id, max_retries=0)
                 docs = [client.wait(j, timeout=60.0) for j in (j1, j2)]
             assert [d["state"] for d in docs] == ["done", "done"]
             a, b = (srv.service.pool.get(j) for j in (j1, j2))
@@ -269,7 +279,7 @@ class TestConcurrentJobs:
         reports, offline = analyze_trace_with_stats(trace_file)
         want_errors = json.dumps([report_to_dict(r) for r in reports],
                                  sort_keys=True)
-        option_sets = ({}, {"workers": 1}, {"max_retries": 0}) * 4
+        option_sets = ({}, {"deadline_s": 60.0}, {"max_retries": 0}) * 4
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -77,11 +77,11 @@ class TestTimeline:
 
     def test_status_dict_carries_phases(self):
         pool = _pool()
-        job = pool.create("t1", "00" * 32, {"workers": 2})
+        job = pool.create("t1", "00" * 32, {"max_retries": 1})
         with job.span("build"):
             pass
         doc = job.status_dict()
         assert doc["state"] == "queued"
         assert "build" in doc["phases"]
-        assert doc["params"]["workers"] == 2
+        assert doc["params"]["max_retries"] == 1
         assert doc["queue_wait_s"] >= 0

@@ -229,10 +229,11 @@ class TestJobRecovery:
             srv.stop()
 
 
-    def test_job_journaled_with_retired_kernel_param_runs(self, state_dir,
-                                                          trace_lines):
-        """A journal whose job params still carry ``kernel`` (written
-        while it was an analyze option) recovers and runs the job."""
+    def test_job_journaled_with_retired_params_runs(self, state_dir,
+                                                    trace_lines):
+        """A journal whose job params still carry ``kernel`` and
+        ``workers`` (written while they were analyze options) recovers
+        and runs the job, and serves the report a fresh job serves."""
         srv = ServerThread(_config(state_dir)).start()
         try:
             with ServeClient(srv.base_url) as client:
