@@ -36,17 +36,19 @@ def main() -> None:
     machine.run(lambda: run_lulesh(env, LuleshConfig(s=8, racy=True,
                                                      iterations=2)))
 
-    trace_path = Path(tempfile.mkdtemp()) / "lulesh.trace.json"
-    save_trace(tool, machine, str(trace_path))
-    size_kib = trace_path.stat().st_size / 1024
-    segments = len(tool.builder.graph.segments)
-    print(f"recorded {segments} segments to {trace_path} ({size_kib:.0f} KiB)")
+    with tempfile.TemporaryDirectory() as workdir:
+        trace_path = Path(workdir) / "lulesh.trace.json"
+        save_trace(tool, machine, str(trace_path))
+        size_kib = trace_path.stat().st_size / 1024
+        segments = len(tool.builder.graph.segments)
+        print(f"recorded {segments} segments to {trace_path} "
+              f"({size_kib:.0f} KiB)")
 
-    # 2. offline analysis
-    t0 = time.perf_counter()
-    reports = analyze_trace(str(trace_path))
-    dt = (time.perf_counter() - t0) * 1000
-    print(f"  offline: {len(reports)} race(s) in {dt:6.1f} ms")
+        # 2. offline analysis
+        t0 = time.perf_counter()
+        reports = analyze_trace(str(trace_path))
+        dt = (time.perf_counter() - t0) * 1000
+        print(f"  offline: {len(reports)} race(s) in {dt:6.1f} ms")
 
     # 3. the reports carry full debug info, exactly as online
     online = tool.finalize()

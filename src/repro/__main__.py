@@ -126,18 +126,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not argv or argv[0] in ("-h", "--help") or argv[0] not in COMMANDS:
         print(__doc__)
         return 0 if argv and argv[0] in ("-h", "--help") else 2
-    tracer = None
-    if timeline_path is not None:
-        from repro.obs.tracer import get_tracer
-        tracer = get_tracer()
-        tracer.enable()
     import importlib
+    from repro.errors import OutputError
+    from repro.obs.session import command_session
     module = importlib.import_module(COMMANDS[argv[0]])
-    rc = module.main(argv[1:])
-    if tracer is not None:
-        tracer.export(timeline_path)
-        tracer.disable()
-        print(f"wrote timeline to {timeline_path} ({len(tracer)} events)")
+    try:
+        with command_session(timeline=timeline_path):
+            rc = module.main(argv[1:])
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if stats_mode is not None:
         from repro.obs.metrics import get_registry
         registry = get_registry()

@@ -31,11 +31,12 @@ from repro.bench.programs import BenchProgram
 from repro.core.reports import RaceReport, format_report
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
 from repro.errors import (GuestCrash, NoCompilerSupport, OutOfMemory,
-                          SimDeadlock)
+                          OutputError, SimDeadlock)
 from repro.faults.inject import inject_plan
 from repro.faults.plan import FaultPlan
 from repro.machine.cost import MemoryMeter
 from repro.machine.machine import Machine
+from repro.obs.session import command_session, run_scope
 from repro.openmp.api import make_env
 from repro.vex.tool import NullTool
 
@@ -85,10 +86,8 @@ def run_benchmark(program: BenchProgram, tool_name: str, *,
                   on_machine: Optional[Callable] = None) -> RunResult:
     """Execute ``program`` under ``tool_name`` and classify the outcome.
 
-    The result's stats document carries a ``"registry"`` block with the
-    *per-run* metrics delta (counters/phases scoped to this call), so two
-    back-to-back runs in one process report independent numbers instead of
-    the process-lifetime cumulative registry state.
+    The result's stats document carries a ``"registry"`` block: the
+    registry delta of this call's run scope, not the process's totals.
 
     ``on_machine(machine, tool)`` is called after the environment is wired
     but before the run starts — the attachment point for the two-phase
@@ -100,91 +99,86 @@ def run_benchmark(program: BenchProgram, tool_name: str, *,
     to the crash, so the verdict keeps the crash class but the result still
     carries the reports and stats recovered from the prefix.
     """
-    from repro.obs.metrics import get_registry
-    from repro.obs.tracer import get_tracer
-    reg_baseline = get_registry().mark()
-    tracer = get_tracer()
-    if tracer.enabled:
-        # per-run timeline scope: segment ids restart at 0 each run, so the
-        # span-anchoring tables must not leak across back-to-back runs
-        tracer.new_run()
-    factory = TOOLS[tool_name]
-    if tool_name == "taskgrind" and taskgrind_options is not None:
-        tool = factory(taskgrind_options)
-    else:
-        tool = factory()
+    with run_scope() as registry_delta:
+        factory = TOOLS[tool_name]
+        if tool_name == "taskgrind" and taskgrind_options is not None:
+            tool = factory(taskgrind_options)
+        else:
+            tool = factory()
 
-    # compile-time gates (ncs) and instrumentation-time crashes (ROMP segv)
-    try:
-        tool.compile_check(program)
-    except NoCompilerSupport:
-        return RunResult(program.name, tool_name, nthreads, seed, Verdict.NCS)
-    except GuestCrash as crash:
-        return RunResult(program.name, tool_name, nthreads, seed,
-                         Verdict.SEGV, crash_reason=crash.reason)
-
-    machine = Machine(seed=seed)
-    if tool_name != "none":
-        machine.add_tool(tool)
-    env = make_env(machine, nthreads=nthreads,
-                   source_file=program.source_file)
-    if hasattr(tool, "make_ompt_shim") and tool_name != "none":
-        env.rt.ompt.register(tool.make_ompt_shim())
-
-    def entry() -> None:
-        with env.ctx.function("main", file=program.source_file, line=1):
-            program.entry(env)
-
-    result = RunResult(program.name, tool_name, nthreads, seed,
-                       Verdict.TN, tool_obj=tool)
-    if on_machine is not None:
-        on_machine(machine, tool)
-
-    def salvage_finalize() -> None:
-        """Best-effort post-crash analysis of the recorded prefix."""
-        if fault_plan is None or not hasattr(tool, "finalize"):
-            return
+        # compile-time gates (ncs) and instrumentation-time crashes (ROMP segv)
         try:
-            result.reports = tool.finalize()
-            result.report_count = len(result.reports)
-            if hasattr(tool, "stats"):
-                result.stats = tool.stats()
-        except Exception as exc:
-            result.crash_reason += f" (salvage finalize failed: {exc!r})"
+            tool.compile_check(program)
+        except NoCompilerSupport:
+            return RunResult(program.name, tool_name, nthreads, seed,
+                             Verdict.NCS)
+        except GuestCrash as crash:
+            return RunResult(program.name, tool_name, nthreads, seed,
+                             Verdict.SEGV, crash_reason=crash.reason)
 
-    with inject_plan(fault_plan):
-        try:
-            machine.run(entry)
-        except SimDeadlock:
-            result.verdict = Verdict.DEADLOCK
-            result.sim_seconds = machine.cost.seconds
-            result.memory = machine.memory_meter()
-            salvage_finalize()
-            if keep_machine:
-                result.machine = machine
-            return result
-        except (GuestCrash, OutOfMemory) as crash:
-            result.verdict = Verdict.SEGV
-            result.crash_reason = str(crash)
-            result.sim_seconds = machine.cost.seconds
-            result.memory = machine.memory_meter()
-            salvage_finalize()
-            if keep_machine:
-                result.machine = machine
-            return result
+        machine = Machine(seed=seed)
+        if tool_name != "none":
+            machine.add_tool(tool)
+        env = make_env(machine, nthreads=nthreads,
+                       source_file=program.source_file)
+        if hasattr(tool, "make_ompt_shim") and tool_name != "none":
+            env.rt.ompt.register(tool.make_ompt_shim())
 
-        reports = tool.finalize()
-    result.reports = reports
-    result.report_count = len(reports)
-    result.verdict = classify(bool(reports), program.racy)
-    result.sim_seconds = machine.cost.seconds
-    result.memory = machine.memory_meter()
-    if hasattr(tool, "stats"):
-        result.stats = tool.stats()
-        result.stats["registry"] = get_registry().delta_since(reg_baseline)
-    if keep_machine:
-        result.machine = machine
-    return result
+        def entry() -> None:
+            with env.ctx.function("main", file=program.source_file, line=1):
+                program.entry(env)
+
+        result = RunResult(program.name, tool_name, nthreads, seed,
+                           Verdict.TN, tool_obj=tool)
+        if on_machine is not None:
+            on_machine(machine, tool)
+
+        def salvage_finalize() -> None:
+            """Best-effort post-crash analysis of the recorded prefix."""
+            if fault_plan is None or not hasattr(tool, "finalize"):
+                return
+            try:
+                result.reports = tool.finalize()
+                result.report_count = len(result.reports)
+                if hasattr(tool, "stats"):
+                    result.stats = tool.stats()
+            except Exception as exc:
+                result.crash_reason += f" (salvage finalize failed: {exc!r})"
+
+        with inject_plan(fault_plan):
+            try:
+                machine.run(entry)
+            except SimDeadlock:
+                result.verdict = Verdict.DEADLOCK
+                result.sim_seconds = machine.cost.seconds
+                result.memory = machine.memory_meter()
+                salvage_finalize()
+                if keep_machine:
+                    result.machine = machine
+                return result
+            except (GuestCrash, OutOfMemory) as crash:
+                result.verdict = Verdict.SEGV
+                result.crash_reason = str(crash)
+                result.sim_seconds = machine.cost.seconds
+                result.memory = machine.memory_meter()
+                salvage_finalize()
+                if keep_machine:
+                    result.machine = machine
+                return result
+
+            reports = tool.finalize()
+        result.reports = reports
+        result.report_count = len(reports)
+        result.verdict = classify(bool(reports), program.racy)
+        result.sim_seconds = machine.cost.seconds
+        result.memory = machine.memory_meter()
+        if hasattr(tool, "stats"):
+            result.stats = tool.stats()
+            # the scope fills it with this run's registry delta as it closes
+            result.stats["registry"] = registry_delta
+        if keep_machine:
+            result.machine = machine
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +242,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="export the execution timeline as Chrome "
                              "trace-event JSON (virtual-time axis; load in "
                              "Perfetto)")
-    parser.add_argument("--profile", metavar="OUT.json", default=None,
-                        help="enable the attribution profiler and write a "
-                             "taskgrind-profile/1 document (see "
-                             "'python -m repro profile')")
-    parser.add_argument("--flame", metavar="OUT.folded", default=None,
-                        help="enable the attribution profiler and write "
-                             "collapsed-stack flamegraph text "
-                             "(flamegraph.pl input)")
     parser.add_argument("--fault-plan", metavar="PLAN", default=None,
                         help="arm a taskgrind-fault-plan/1 JSON file for "
                              "this run (resilience testing); "
@@ -304,21 +290,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    tracer = None
-    if args.trace_timeline is not None:
-        from repro.obs.tracer import get_tracer
-        tracer = get_tracer()
-        tracer.enable()
-    prof = None
-    if args.profile is not None or args.flame is not None:
-        from repro.obs.prof import get_profiler
-        prof = get_profiler()
-        prof.enable()
-        prof.meta.update({
-            "program": program.name, "tool": args.tool,
-            "nthreads": args.threads, "seed": args.seed,
-            "record_mode": args.record,
-        })
     options = None
     if args.explain or args.record != "full":
         options = TaskgrindOptions(explain=args.explain,
@@ -338,31 +309,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                     options.model_multithread_lockup,
             }})
         on_machine = recorder.attach
-    result = run_benchmark(program, args.tool, nthreads=args.threads,
-                           seed=args.seed, taskgrind_options=options,
-                           keep_machine=args.save_trace is not None,
-                           fault_plan=plan, on_machine=on_machine)
+    try:
+        with command_session(timeline=args.trace_timeline):
+            result = run_benchmark(program, args.tool, nthreads=args.threads,
+                                   seed=args.seed, taskgrind_options=options,
+                                   keep_machine=args.save_trace is not None,
+                                   fault_plan=plan, on_machine=on_machine)
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # re-arming the plan for the trace save resets its fired counters, so
     # bank the run-phase firings now for the summary line
     run_fired = dict(plan.fired_summary()) if plan is not None else {}
-    if tracer is not None:
-        tracer.export(args.trace_timeline)
-        tracer.disable()
-        print(f"wrote timeline to {args.trace_timeline} "
-              f"({len(tracer)} events)")
-    if prof is not None:
-        from repro.obs import profdoc
-        phases = ((result.stats or {}).get("registry") or {}).get("phases")
-        if args.profile is not None:
-            profdoc.save_profile(args.profile, prof, phases=phases)
-            print(f"wrote profile to {args.profile} "
-                  f"({len(prof)} buckets, "
-                  f"{prof.total_ops:.0f} attributed ops)")
-        if args.flame is not None:
-            with open(args.flame, "w", encoding="utf-8") as fh:
-                fh.write(prof.folded())
-            print(f"wrote flamegraph input to {args.flame}")
-        prof.disable()
     print(f"{result.program} under {result.tool} "
           f"({result.nthreads} threads, seed {result.seed}): "
           f"{result.cell()} — {result.report_count} report(s), "

@@ -62,7 +62,7 @@ from repro.core.trace import analyze_trace, save_trace
 from repro.errors import GuestCrash, OutOfMemory, ReproError, SimDeadlock
 from repro.faults.plan import ANALYSIS_KINDS, FaultPlan, builtin_plan
 from repro.faults.inject import inject_plan
-from repro.obs.metrics import get_registry
+from repro.obs.session import run_scope
 from repro.serve.app import ServeConfig
 from repro.serve.client import ServeClient, read_trace_lines
 from repro.serve.server import ServerThread
@@ -278,7 +278,7 @@ def run_load(traces: List[Tuple[str, str]], *, clients: int, rounds: int,
         work.put(None)
 
     config = ServeConfig(shards=shards)
-    with ServerThread(config) as srv:
+    with run_scope() as delta, ServerThread(config) as srv:
         def client_loop() -> None:
             with ServeClient(srv.base_url) as client:
                 while True:
@@ -305,7 +305,6 @@ def run_load(traces: List[Tuple[str, str]], *, clients: int, rounds: int,
         for t in threads:
             t.join()
         elapsed = time.perf_counter() - t0
-    reg = get_registry()
     return {
         "clients": clients,
         "rounds": rounds,
@@ -321,7 +320,7 @@ def run_load(traces: List[Tuple[str, str]], *, clients: int, rounds: int,
         "job_phases": {name: _summarize_ms(samples)
                        for name, samples in sorted(rec.phase_ms.items())},
         "cache": {
-            "result_hits": reg.counter("serve.cache.result.hits").value,
+            "result_hits": delta["counters"].get("serve.cache.result.hits", 0),
         },
         "verified": verify and not rec.mismatches,
         "mismatches": rec.mismatches,

@@ -31,8 +31,8 @@ _TRACER = get_tracer()
 class CilkSegmentBuilder(SegmentBuilder):
     """Series-parallel segment construction for the Cilk runtime."""
 
-    def __init__(self, machine, config=None) -> None:
-        super().__init__(machine, config)
+    def __init__(self, machine) -> None:
+        super().__init__(machine)
         self._children: Dict[int, List[CilkFrame]] = {}
         self._frame_creation: Dict[int, object] = {}
         self._sync_prior: Dict[int, object] = {}
@@ -110,7 +110,7 @@ def attach_cilk(tool, cilk_env) -> None:
     the shim on the runtime — call after ``machine.add_tool(tool)``.
     """
     machine = tool.machine
-    builder = CilkSegmentBuilder(machine, tool.options.segment_model)
+    builder = CilkSegmentBuilder(machine)
     tool.builder = builder
     req = machine.client_requests
     req.subscribe("tg_cilk_spawn", lambda p: builder.on_spawn(*p))

@@ -27,7 +27,8 @@ from typing import List, Optional
 
 from repro.core.reports import format_report, report_to_dict
 from repro.core.trace import analyze_trace_with_stats
-from repro.errors import TraceError
+from repro.errors import OutputError, TraceError
+from repro.obs.session import command_session
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -56,37 +57,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fail (exit 2) on any trace damage instead of "
                              "salvaging the longest valid prefix")
     args = parser.parse_args(argv)
-    tracer = None
-    if args.trace_timeline is not None:
-        from repro.obs.tracer import get_tracer
-        tracer = get_tracer()
-        tracer.enable()
-    prof = None
-    reg_baseline = None
-    if args.profile is not None:
-        from repro.obs.metrics import get_registry
-        from repro.obs.prof import get_profiler
-        prof = get_profiler()
-        prof.enable()
-        prof.meta.update({"trace": args.trace, "axis": "counts-only"})
-        reg_baseline = get_registry().mark()
     try:
-        reports, stats = analyze_trace_with_stats(
-            args.trace, explain=args.explain, strict=args.strict_trace)
-    except TraceError as exc:
+        with command_session(timeline=args.trace_timeline,
+                             profile=args.profile, meta={
+                                 "trace": args.trace, "axis": "counts-only"}):
+            reports, stats = analyze_trace_with_stats(
+                args.trace, explain=args.explain, strict=args.strict_trace)
+    except (TraceError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if tracer is not None:
-        tracer.export(args.trace_timeline)
-        tracer.disable()
-    if prof is not None:
-        from repro.obs.metrics import get_registry
-        from repro.obs.profdoc import save_profile
-        phases = get_registry().delta_since(reg_baseline).get("phases")
-        save_profile(args.profile, prof, phases=phases)
-        prof.disable()
-        print(f"wrote analyze-side profile to {args.profile}",
-              file=sys.stderr)
     if args.json:
         doc = {
             "tool": "taskgrind",

@@ -30,8 +30,8 @@ _TRACER = get_tracer()
 class QthreadsSegmentBuilder(SegmentBuilder):
     """Segment construction for the Qthreads runtime."""
 
-    def __init__(self, machine, config=None) -> None:
-        super().__init__(machine, config)
+    def __init__(self, machine) -> None:
+        super().__init__(machine)
         self._fork_creation: Dict[int, object] = {}
         self._feb_release: Dict[Tuple[int, int], object] = {}
 
@@ -105,7 +105,7 @@ class TaskgrindQthreadsShim(QthreadsObserver):
 def attach_qthreads(tool, qt_env) -> None:
     """Wire a TaskgrindTool to a Qthreads environment (after add_tool)."""
     machine = tool.machine
-    builder = QthreadsSegmentBuilder(machine, tool.options.segment_model)
+    builder = QthreadsSegmentBuilder(machine)
     tool.builder = builder
     req = machine.client_requests
     req.subscribe("tg_qt_fork", lambda p: builder.on_fork(*p))

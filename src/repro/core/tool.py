@@ -39,7 +39,7 @@ from typing import List, Optional, Tuple
 from repro.core.analysis import PartialAnalysis, analyze_and_suppress
 from repro.core.ompt_shim import TaskgrindOmptShim
 from repro.core.reports import RaceReport, dedupe_reports
-from repro.core.segments import SegmentBuilder, SegmentModelConfig
+from repro.core.segments import SegmentBuilder
 from repro.core.suppress import SuppressionConfig, SuppressionEngine
 from repro.machine.cost import ToolCost
 from repro.obs.metrics import get_registry
@@ -58,7 +58,6 @@ class TaskgrindOptions:
     """Command-line-ish options of the tool."""
 
     suppression: SuppressionConfig = field(default_factory=SuppressionConfig)
-    segment_model: SegmentModelConfig = field(default_factory=SegmentModelConfig)
     #: collapse reports with identical segment-label pairs
     dedupe: bool = False
     #: model the multi-thread cross-thread-confirmation lock-up (Table II)
@@ -152,7 +151,7 @@ class TaskgrindTool(Tool):
 
     def attach(self, machine) -> None:
         super().attach(machine)
-        self.builder = SegmentBuilder(machine, self.options.segment_model)
+        self.builder = SegmentBuilder(machine)
         if _PROF.enabled:
             # fallback attribution frame when a thread has no shadow stack
             # (runtime-internal charges): the executing task's ancestry label

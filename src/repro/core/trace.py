@@ -65,6 +65,7 @@ from repro.machine.debuginfo import SourceLocation
 from repro.machine.memory import HEAP_BASE, AddressSpace, Region, RegionKind
 from repro.machine.tls import TlsSnapshot
 from repro.obs.metrics import get_registry
+from repro.obs.session import run_scope
 from repro.util.chunks import (ChunkError, ChunkWriter, chunk_lines,
                                decode_chunk, row_fits, save_atomic,
                                verify_crc)
@@ -880,10 +881,8 @@ def analyze_trace_with_stats(path: str, *, explain: bool = False,
     The returned document mirrors the online tool's shape: the embedded
     record-phase stats (with their cost-model virtual time) under
     ``"record_run"``, the offline load/analysis/suppress/report phase
-    timings under ``"phases"``, plus analysis and suppression counters.
-    The phase timings are **per-run deltas** — two back-to-back analyses in
-    one process each report only their own work, not the registry's
-    cumulative process-lifetime totals.
+    timings under ``"phases"`` (this analysis's run scope, not the
+    process's totals), plus analysis and suppression counters.
 
     By default the load is salvage-mode: a damaged trace degrades to its
     longest valid prefix and the stats document carries a ``"coverage"``
@@ -891,8 +890,7 @@ def analyze_trace_with_stats(path: str, *, explain: bool = False,
     warning note).  ``strict=True`` restores fail-stop loading.
     """
     reg = get_registry()
-    baseline = reg.mark()
-    with reg.phase("offline"):
+    with run_scope() as delta, reg.phase("offline"):
         with reg.phase("offline.load"):
             loaded = _load_strict(path) if strict \
                 else load_trace_salvaged(path)
@@ -916,7 +914,7 @@ def analyze_trace_with_stats(path: str, *, explain: bool = False,
         },
         "suppress": la.engine.stats_doc(),
         "graph": loaded.graph.stats(),
-        "phases": reg.delta_since(baseline)["phases"],
+        "phases": delta["phases"],
         "record_run": loaded.stats,
     }
     if coverage is not None:

@@ -267,6 +267,13 @@ class ProfileCorruptionError(ProfileError):
         self.reason = reason
 
 
+class OutputError(ReproError):
+    """A command's timeline, profile or flamegraph path cannot be written."""
+
+    def __init__(self, what: str, path: str, reason: str) -> None:
+        super().__init__(f"cannot write the {what} to {path}: {reason}")
+
+
 # ---------------------------------------------------------------------------
 # ingestion-service taxonomy (repro.serve)
 # ---------------------------------------------------------------------------

@@ -12,14 +12,15 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.fuzz.diff import (DiffResult, run_differential,
-                             run_fault_differential,
+from repro.errors import OutputError
+from repro.fuzz.diff import (run_differential, run_fault_differential,
                              run_two_phase_differential)
 from repro.fuzz.executors import fuzz_options
 from repro.fuzz.gen import generate
 from repro.fuzz.shrink import load_reproducer, shrink, write_reproducer
 from repro.fuzz.spec import FAMILIES
 from repro.obs.metrics import get_registry
+from repro.obs.session import command_session
 
 DEFAULT_CORPUS = "tests/fuzz/corpus"
 
@@ -109,23 +110,40 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"reproducer {args.reproducer}: {pinned.family} "
               f"seed={pinned.seed} ({note or 'no note'})")
     options = fuzz_options(**overrides)
-    registry = get_registry()
-    prof = None
-    reg_baseline = None
-    if args.profile is not None:
-        from repro.obs.prof import get_profiler
-        prof = get_profiler()
-        prof.enable()
-        campaign_mode = ("fault" if args.faults
-                         else "two-phase" if args.two_phase else "fuzz")
-        prof.meta.update({"campaign": campaign_mode,
-                          "seeds": args.seeds,
-                          "schedules": args.schedules,
-                          "base_seed": args.base_seed})
-        reg_baseline = registry.mark()
-    deadline = time.monotonic() + args.budget if args.budget > 0 else None
+    mode = ("fault" if args.faults else "two-phase" if args.two_phase
+            else "fuzz")
+    try:
+        with command_session(profile=args.profile,
+                             meta={"campaign": mode, "seeds": args.seeds,
+                                   "schedules": args.schedules,
+                                   "base_seed": args.base_seed}):
+            report = _campaign(args, families, overrides, options, pinned)
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    divergent: List[DiffResult] = []
+    divergent = report["divergent"]
+    status = "FAIL" if divergent else "ok"
+    ran = len(report["seeds"])
+    total = 1 if pinned is not None else args.seeds
+    if ran < total:
+        print(f"budget exhausted after {ran}/{total} seeds")
+    print(f"{mode} campaign: {ran} programs x {args.schedules} schedules, "
+          f"{len(divergent)} divergent -> {status}")
+    if args.json_out:
+        with open(args.json_out, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote report to {args.json_out}")
+    return 1 if divergent else 0
+
+
+def _campaign(args, families: List[str], overrides: dict, options,
+              pinned) -> dict:
+    """The campaign's report: one ``seeds`` entry per seed run (fewer
+    when the budget ran out), one ``divergent`` entry per divergence."""
+    registry = get_registry()
+    deadline = time.monotonic() + args.budget if args.budget > 0 else None
     schema = ("taskgrind-fault-campaign/1" if args.faults
               else "taskgrind-two-phase-campaign/1" if args.two_phase
               else "taskgrind-fuzz-campaign/1")
@@ -136,13 +154,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                   "break_suppression": args.break_suppression,
                   "faults": args.faults, "two_phase": args.two_phase,
                   "reproducer": args.reproducer}}
-    ran = 0
-    stopped_early = False
     total = 1 if pinned is not None else args.seeds
     with registry.phase("fuzz.campaign"):
         for i in range(total):
             if deadline is not None and time.monotonic() > deadline:
-                stopped_early = True
                 break
             if pinned is not None:
                 seed, program = pinned.seed, pinned
@@ -160,14 +175,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             else:
                 result = run_differential(program, schedules=args.schedules,
                                           taskgrind_options=options)
-            ran += 1
             report["seeds"].append({
                 "seed": seed, "family": program.family,
                 "digest": program.digest(),
                 "truth": sorted(result.truth), "kinds": result.kinds()})
             if result.ok:
                 continue
-            divergent.append(result)
             print(f"DIVERGENCE {result.summary()}")
             for d in result.divergences:
                 print(f"  {d}")
@@ -202,28 +215,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 entry["reproducer"] = path
                 entry["shrunk_program"] = json.loads(small.to_json())
             report["divergent"].append(entry)
-
-    if prof is not None:
-        from repro.obs.profdoc import save_profile
-        phases = registry.delta_since(reg_baseline).get("phases")
-        save_profile(args.profile, prof, phases=phases)
-        prof.disable()
-        print(f"wrote campaign profile to {args.profile} "
-              f"({len(prof)} buckets)")
-
-    status = "FAIL" if divergent else "ok"
-    if stopped_early:
-        print(f"budget exhausted after {ran}/{total} seeds")
-    mode = ("fault" if args.faults else "two-phase" if args.two_phase
-            else "fuzz")
-    print(f"{mode} campaign: {ran} programs x {args.schedules} schedules, "
-          f"{len(divergent)} divergent -> {status}")
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote report to {args.json_out}")
-    return 1 if divergent else 0
+    return report
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -300,12 +300,9 @@ class MetricsRegistry:
     def mark(self) -> dict:
         """A raw-value baseline for :meth:`delta_since`.
 
-        The process-wide registry is a true singleton (hot paths prebind its
-        instruments at import time), so back-to-back runs in one process
-        accumulate into the same counters.  Callers that need a *per-run*
-        document take a mark before the run and subtract it afterwards —
-        each ``taskgrind-stats/1`` / ``taskgrind-offline-stats/1`` document
-        then reflects exactly one run.
+        Back-to-back runs in one process accumulate into the same
+        instruments, so :func:`repro.obs.session.run_scope` marks before a
+        run and subtracts afterwards.
         """
         return {
             "counters": {n: c.value for n, c in self._counters.items()},

@@ -39,11 +39,14 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ProfileCorruptionError, ProfileFormatError
+from repro.errors import (OutputError, ProfileCorruptionError, ProfileError,
+                          ProfileFormatError)
 from repro.faults.inject import get_injector
 from repro.obs.prof import PROFILE_SCHEMA, Profiler, format_ops
+from repro.obs.session import command_session, write_output
 from repro.util.chunks import (ChunkError, ChunkWriter, chunk_lines,
                                decode_chunk, payload_problem, row_fits,
                                save_atomic, verify_crc)
@@ -305,7 +308,6 @@ def _render_diff(diff: dict, top: int) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.bench.runner import _find_program, run_benchmark
     from repro.core.tool import TaskgrindOptions
-    from repro.obs.prof import get_profiler
     program = _find_program(args.program)
     if program is None:
         print(f"unknown program {args.program!r} "
@@ -313,40 +315,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     options = TaskgrindOptions(record_mode=args.record,
                                elide_sites=not args.no_elide)
-    prof = get_profiler()
-    prof.enable()
-    prof.meta.update({
-        "program": program.name, "tool": "taskgrind",
-        "nthreads": args.threads, "seed": args.seed,
-        "record_mode": args.record, "elide_sites": not args.no_elide,
-    })
+    meta = {"program": program.name, "tool": "taskgrind",
+            "nthreads": args.threads, "seed": args.seed,
+            "record_mode": args.record, "elide_sites": not args.no_elide}
     try:
-        result = run_benchmark(program, "taskgrind",
-                               nthreads=args.threads, seed=args.seed,
-                               taskgrind_options=options)
-        phases = ((result.stats or {}).get("registry") or {}).get("phases")
-        if args.out is not None:
-            save_profile(args.out, prof, phases=phases)
-            print(f"wrote profile to {args.out} ({len(prof)} buckets, "
-                  f"{prof.total_ops:.0f} attributed ops)")
-        if args.flame is not None:
-            with open(args.flame, "w", encoding="utf-8") as fh:
-                fh.write(prof.folded())
-            print(f"wrote flamegraph input to {args.flame}")
-        if args.json:
-            print(json.dumps(prof.snapshot(), indent=2, sort_keys=True))
-        elif args.out is None and args.flame is None:
-            sys.stdout.write(prof.folded())
-        print(f"# {result.program}: {result.cell()}, "
-              f"{format_ops(prof.total_ops)} ops attributed over "
-              f"{len(prof)} buckets", file=sys.stderr)
-    finally:
-        prof.disable()
+        with command_session(profile=args.out, flame=args.flame,
+                             profiling=True, meta=meta) as prof:
+            result = run_benchmark(program, "taskgrind",
+                                   nthreads=args.threads, seed=args.seed,
+                                   taskgrind_options=options)
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # the session disabled the profiler; its buckets stay
+    if args.json:
+        print(json.dumps(prof.snapshot(), indent=2, sort_keys=True))
+    elif args.out is None and args.flame is None:
+        sys.stdout.write(prof.folded())
+    print(f"# {result.program}: {result.cell()}, "
+          f"{format_ops(prof.total_ops)} ops attributed over "
+          f"{len(prof)} buckets", file=sys.stderr)
     return 0
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    from repro.errors import ProfileError
     try:
         a = load_profile(args.a)
         b = load_profile(args.b)
@@ -363,17 +355,15 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    from repro.errors import ProfileError
     try:
         doc = load_profile(args.profile)
-    except ProfileError as exc:
+        if args.flame is not None:
+            write_output("flamegraph input", args.flame, lambda path: Path(
+                path).write_text(to_folded(doc), encoding="utf-8"))
+            return 0
+    except (ProfileError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.flame is not None:
-        with open(args.flame, "w", encoding="utf-8") as fh:
-            fh.write(to_folded(doc))
-        print(f"wrote flamegraph input to {args.flame}")
-        return 0
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0

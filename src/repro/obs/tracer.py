@@ -176,17 +176,16 @@ class TimelineTracer:
         events = list(self._events)
         return events[-n:] if n < len(events) else events
 
-    def new_run(self) -> int:
+    def new_run(self) -> None:
         """Open a fresh per-run scope without dropping the recorded buffer.
 
         Clears the cross-run *anchoring* state — open-segment and completed
         span tables keyed by segment id — because segment ids restart at 0
         each run: without this, a race flow in run 2 could anchor into run
-        1's spans.  Returns :meth:`mark` for the new scope.
+        1's spans.
         """
         self._open_segs = {}
         self.seg_spans = {}
-        return self.mark()
 
     def _meta(self, name: str, pid: int, tid: int, args: dict) -> None:
         self._push({"ph": "M", "name": name, "pid": pid, "tid": tid,

@@ -125,6 +125,14 @@ class TestRunCli:
                            r"\[0x[0-9a-f]+, 0x[0-9a-f]+\)$", out, re.M)
         assert count >= 1 and len(lines) == count
 
+    @pytest.mark.parametrize("flag", ["--profile", "--flame"])
+    def test_retired_profile_flags_exit_2(self, flag, tmp_path, capsys):
+        """``repro profile run`` is the one way to profile a program."""
+        with pytest.raises(SystemExit) as exc:
+            run_main(["fib", flag, str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestRegistries:
     def test_drb_registry_complete(self):

@@ -139,13 +139,16 @@ class TestReproducerIO:
          "'suppress_tls'"),
         (lambda doc: dict(doc, options={"suppress_stack": 0}),
          "'suppress_stack'"),
+        (lambda doc: dict(doc, options={"segment_model": {}}),
+         "'segment_model'"),
     ], ids=["list-document", "program", "body", "options", "expect",
-            "tls-string", "stack-int"])
+            "tls-string", "stack-int", "segment-model"])
     def test_damaged_document_is_refused(self, tmp_path, capsys, damage,
                                          field):
-        """A document of another shape, or a flag that is not a bool (a
-        string ``"no"`` is truthy: the run would keep IV-C on), is a
-        ``ValueError`` naming the field, and the CLI exits 2 without a
+        """A document of another shape, a flag that is not a bool (a
+        string ``"no"`` is truthy: the run would keep IV-C on), or an
+        option no field has (``segment_model`` is no Taskgrind option) is
+        a ``ValueError`` naming the field, and the CLI exits 2 without a
         traceback."""
         from repro.fuzz.cli import main
         src = os.path.join(os.path.dirname(__file__), "corpus",

@@ -439,9 +439,13 @@ class TestCli:
         path.write_text(path.read_text().rsplit("\n", 2)[0] + "\n")
         assert profdoc.main(["check", str(path)]) == 1
 
-    def test_runner_profile_flag(self, prof, tmp_path, capsys):
-        from repro.bench.runner import main as run_main
-        out = tmp_path / "run.json"
-        rc = run_main(["fib", "--threads", "2", "--profile", str(out)])
-        assert rc in (0, 1)
-        assert validate_profile_doc(str(out)) == []
+    def test_profile_show_unwritable_flame(self, prof, tmp_path, capsys):
+        """A flame path in a missing directory is one ``error:`` line
+        naming it, exit 2, not a traceback."""
+        p, _ = profiled_run("fib")
+        path = tmp_path / "p.json"
+        save_profile(str(path), p)
+        bad = str(tmp_path / "missing" / "p.folded")
+        assert profdoc.main(["show", str(path), "--flame", bad]) == 2
+        assert f"error: cannot write the flamegraph input to {bad}" \
+            in capsys.readouterr().err

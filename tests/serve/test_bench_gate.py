@@ -81,6 +81,18 @@ class TestWellFormedPartial:
         assert any("coverage" in p for p in _well_formed_partial(doc))
 
 
+class TestRunLoad:
+    def test_result_hits_are_the_runs_own(self, trace_file):
+        """Each load run counts only its own memo hits: one client
+        uploading the same trace twice hits the fresh server's result
+        memo once, in the second call as in the first."""
+        hits = [serve_bench.run_load([("racy", trace_file)], clients=1,
+                                     rounds=2, shards=1,
+                                     verify=False)["cache"]["result_hits"]
+                for _ in range(2)]
+        assert hits == [1, 1]
+
+
 class TestChaosContract:
     BASE = {"trace": "heat", "plan": "save-crash@1"}
 

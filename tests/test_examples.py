@@ -7,6 +7,7 @@ integration test of the public API paths it demonstrates (the internal
 
 import pathlib
 import runpy
+import tempfile
 
 import pytest
 
@@ -16,10 +17,15 @@ EXAMPLES = sorted(
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
-def test_example_runs(path, capsys):
+def test_example_runs(path, capsys, monkeypatch, tmp_path):
+    """The example runs to completion, prints, and removes every temporary
+    file and directory it made."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(path), run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip(), f"{path.name} produced no output"
+    assert list(tmp_path.iterdir()) == [], \
+        f"{path.name} left entries in {tempfile.gettempdir()}"
 
 
 def test_all_examples_discovered():
