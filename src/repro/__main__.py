@@ -18,7 +18,6 @@ Subcommands map one-to-one to the paper's artifacts::
     python -m repro profile           # overhead-attribution profiles
                                       # (run/diff/show/check)
     python -m repro serve             # the trace-ingestion HTTP server
-                                      # (--smoke: record/upload/diff check)
 
 Global flags (work with every subcommand)::
 

@@ -21,12 +21,14 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import List, Optional
 
 from repro.baselines.romp import RompTool
 from repro.bench.runner import TOOLS
-from repro.errors import GuestCrash, SimDeadlock
+from repro.errors import GuestCrash, OutputError, SimDeadlock
 from repro.machine.machine import Machine
+from repro.obs.session import write_output
 from repro.openmp.api import make_env
 from repro.util.tables import render_table
 from repro.workloads.lulesh import LuleshConfig, run_lulesh
@@ -133,9 +135,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     points = run_fig4(tuple(args.sizes), include_romp=args.romp)
     print(render(points))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(to_csv(points) + "\n")
-        print(f"\nCSV written to {args.csv}")
+        try:
+            write_output("Fig. 4 CSV", args.csv, lambda path: Path(
+                path).write_text(to_csv(points) + "\n", encoding="utf-8"))
+        except OutputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -36,7 +36,8 @@ Against the baseline document the gate checks two blocks:
 A breach lists every breached ``workload/metric``, adds a blame line
 naming the time layer of a breached workload that grew most against its
 ceiling, and exits 1.  A baseline that cannot be read, or has no entry
-for a workload given or gated, exits 3 (``EXIT_BASELINE_UNUSABLE``).
+for a workload given or gated, exits 3 (``EXIT_BASELINE_UNUSABLE``); an
+unwritable ``--json`` path exits 2.
 
 ``--json`` writes the fresh ``runs``, ``layers`` and ``record_sync``
 blocks; a baseline is re-recorded by copying the blocks it gates from
@@ -54,8 +55,10 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.tool import TaskgrindOptions, TaskgrindTool
+from repro.errors import OutputError
 from repro.machine.debuginfo import Symbol
 from repro.machine.machine import Machine
+from repro.obs.session import write_json
 from repro.openmp.api import make_env
 from repro.workloads.synthetic import omp_fib, omp_heat
 
@@ -330,10 +333,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     fresh = summarize(runs)
     fresh["record_sync"] = run_record_sync()
     if args.json is not None:
-        with open(args.json, "w") as fh:
-            json.dump(fresh, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
+        try:
+            write_json("perf document", args.json, fresh)
+        except OutputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     ok, lines = compare_to_baseline(fresh, baseline)
     print(f"perf gate vs {args.baseline or 'no baseline'} (time ceiling "
           f"{LAYER_SLACK:g}x + {LAYER_GRACE_MS:g} ms, record-sync floor "

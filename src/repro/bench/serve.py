@@ -38,8 +38,9 @@ re-execution, and byte-identical reports.
 overload turns into typed 429s with ``Retry-After`` (which the backoff
 client rides out to eventual success) — never untyped drops.
 
-Exit codes: 0 ok; 1 gate/verification/chaos failure; 3 unusable
-baseline or ``--merge-into`` target (``EXIT_BASELINE_UNUSABLE``, shared
+Exit codes: 0 ok; 1 gate/verification/chaos failure; 2 usage or an
+unwritable ``--json`` / ``--merge-into`` path; 3 unusable baseline or
+unreadable ``--merge-into`` target (``EXIT_BASELINE_UNUSABLE``, shared
 with ``repro.bench.perf``).
 """
 
@@ -59,10 +60,11 @@ from typing import Dict, List, Optional, Tuple
 from repro.bench.perf import EXIT_BASELINE_UNUSABLE, load_baseline
 from repro.core.reports import report_to_dict
 from repro.core.trace import analyze_trace, save_trace
-from repro.errors import GuestCrash, OutOfMemory, ReproError, SimDeadlock
+from repro.errors import (GuestCrash, OutOfMemory, OutputError, ReproError,
+                          SimDeadlock)
 from repro.faults.plan import ANALYSIS_KINDS, FaultPlan, builtin_plan
 from repro.faults.inject import inject_plan
-from repro.obs.session import run_scope
+from repro.obs.session import run_scope, write_json
 from repro.serve.app import ServeConfig
 from repro.serve.client import ServeClient, read_trace_lines
 from repro.serve.server import ServerThread
@@ -130,8 +132,7 @@ def record_corpus_trace(corpus_path: str, out_path: str,
 
 
 def materialize_traces(workdir: str, *, corpus_dir: Optional[str],
-                       max_traces: int, programs: Tuple[str, ...] = (
-                           "heat-racy", "fib")) -> List[Tuple[str, str]]:
+                       max_traces: int) -> List[Tuple[str, str]]:
     """Build the trace set the clients replay: ``[(name, path), ...]``.
 
     Synthetic programs first (heat-racy contributes real race reports so
@@ -139,7 +140,7 @@ def materialize_traces(workdir: str, *, corpus_dir: Optional[str],
     order up to ``max_traces`` total.
     """
     out: List[Tuple[str, str]] = []
-    for name in programs:
+    for name in ("heat-racy", "fib"):
         path = os.path.join(workdir, f"{name}.trace.json")
         record_program_trace(name, path)
         out.append((name, path))
@@ -157,6 +158,13 @@ def materialize_traces(workdir: str, *, corpus_dir: Optional[str],
             except (ValueError, KeyError, OSError):
                 continue        # not a reproducer document: skip
     return out
+
+
+def _offline_errors(path: str) -> str:
+    """The ground truth a served report's ``errors`` must equal: the
+    offline pipeline's reports on the same file, as sorted-key JSON."""
+    return json.dumps([report_to_dict(r) for r in analyze_trace(path)],
+                      sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +266,11 @@ def run_session(client: ServeClient, lines: List[bytes], rec: _Recorder,
 # ---------------------------------------------------------------------------
 
 def run_load(traces: List[Tuple[str, str]], *, clients: int, rounds: int,
-             shards: int, verify: bool) -> dict:
-    """N concurrent clients replaying the trace set ``rounds`` times."""
+             shards: int) -> dict:
+    """N concurrent clients replaying the trace set ``rounds`` times,
+    each session's report checked against the offline pipeline's."""
     trace_lines = {name: read_trace_lines(path) for name, path in traces}
-    expected: Dict[str, Optional[str]] = {name: None for name, _ in traces}
-    if verify:
-        # ground truth: the offline pipeline on the file
-        for name, path in traces:
-            reports = analyze_trace(path)
-            expected[name] = json.dumps(
-                [report_to_dict(r) for r in reports], sort_keys=True)
+    expected = {name: _offline_errors(path) for name, path in traces}
 
     rec = _Recorder()
     work: "queue.Queue[Optional[str]]" = queue.Queue()
@@ -322,7 +325,7 @@ def run_load(traces: List[Tuple[str, str]], *, clients: int, rounds: int,
         "cache": {
             "result_hits": delta["counters"].get("serve.cache.result.hits", 0),
         },
-        "verified": verify and not rec.mismatches,
+        "verified": not rec.mismatches,
         "mismatches": rec.mismatches,
         "failures": rec.failures,
     }
@@ -619,6 +622,27 @@ def _durable_config(state_dir: str, shards: int) -> ServeConfig:
     return ServeConfig(shards=shards, state_dir=state_dir, fsync="never")
 
 
+def _recovered_job_problems(srv: ServerThread, client: ServeClient,
+                            job_id: str, expected: str) -> List[str]:
+    """The end of every kill session, after the restart: the job ends
+    ``done``, its report's ``errors`` equal the offline pipeline's bytes,
+    and it executed exactly once in the recovered process."""
+    problems: List[str] = []
+    done = client.wait(job_id, timeout=120.0)
+    if done["state"] != "done":
+        problems.append(f"recovered job ended {done['state']!r}")
+    http_status, report = client.report(job_id)
+    if http_status != 200:
+        problems.append(f"report fetch failed: {http_status}")
+    elif json.dumps(report.get("errors"), sort_keys=True) != expected:
+        problems.append("recovered report diverged from offline analysis")
+    executions = srv.service.pool.get(job_id).executions
+    if executions != 1:
+        problems.append(f"job executed {executions} times after recovery "
+                        "(exactly-once violated)")
+    return problems
+
+
 def _one_kill_session(name: str, lines: List[bytes], spec: str,
                       shards: int, expected: str) -> dict:
     """Upload under an armed journal fault, kill, restart, verify.
@@ -682,22 +706,9 @@ def _one_kill_session(name: str, lines: List[bytes], spec: str,
                 _tid, ack = client.upload_trace(lines, resume=trace_id)
                 if ack.get("state") != "complete":
                     viol(f"{where}: resumed upload did not seal: {ack}")
-                job_id = client.analyze(trace_id)
-                done = client.wait(job_id, timeout=120.0)
-                if done["state"] != "done":
-                    viol(f"{where}: post-recovery job ended "
-                         f"{done['state']!r}")
-                http_status, report = client.report(job_id)
-                if http_status != 200:
-                    viol(f"{where}: report fetch failed: {http_status}")
-                elif json.dumps(report.get("errors"),
-                                sort_keys=True) != expected:
-                    viol(f"{where}: post-recovery report diverged from "
-                         "offline analysis")
-                executions = srv.service.pool.get(job_id).executions
-                if executions != 1:
-                    viol(f"{where}: job executed {executions} times "
-                         "(exactly-once violated)")
+                for problem in _recovered_job_problems(
+                        srv, client, client.analyze(trace_id), expected):
+                    viol(f"{where}: {problem}")
         except (ReproError, TimeoutError, ConnectionError) as exc:
             viol(f"{where}: recovery session failed — "
                  f"{type(exc).__name__}: {exc}")
@@ -751,20 +762,9 @@ def _one_kill_mid_analysis(name: str, lines: List[bytes], shards: int,
                 viol(f"{where}: expected exactly [{job_id}] re-enqueued, "
                      f"got {requeued}")
             with ServeClient(srv.base_url) as client:
-                done = client.wait(job_id, timeout=120.0)
-                if done["state"] != "done":
-                    viol(f"{where}: recovered job ended {done['state']!r}")
-                http_status, report = client.report(job_id)
-                if http_status != 200:
-                    viol(f"{where}: report fetch failed: {http_status}")
-                elif json.dumps(report.get("errors"),
-                                sort_keys=True) != expected:
-                    viol(f"{where}: recovered report diverged from "
-                         "offline analysis")
-            executions = srv.service.pool.get(job_id).executions
-            if executions != 1:
-                viol(f"{where}: job executed {executions} times after "
-                     "recovery (exactly-once violated)")
+                for problem in _recovered_job_problems(srv, client, job_id,
+                                                       expected):
+                    viol(f"{where}: {problem}")
         except (ReproError, TimeoutError, ConnectionError) as exc:
             viol(f"{where}: recovery session failed — "
                  f"{type(exc).__name__}: {exc}")
@@ -787,8 +787,7 @@ def run_kill_chaos(traces: List[Tuple[str, str]], *, shards: int,
               if not kinds or spec.split("@")[0] in kinds]
     for name, path in traces:
         lines = read_trace_lines(path)
-        expected = json.dumps(
-            [report_to_dict(r) for r in analyze_trace(path)], sort_keys=True)
+        expected = _offline_errors(path)
         for spec, attacks in active:
             outcome = _one_kill_session(name, lines, spec, shards, expected)
             outcome["attacks"] = attacks
@@ -888,8 +887,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--corpus-dir", default=None,
                     help="fuzz corpus directory (default: autodetect "
                          "tests/fuzz/corpus)")
-    ap.add_argument("--no-verify", action="store_true",
-                    help="skip the offline byte-parity check per session")
     ap.add_argument("--faults", action="store_true",
                     help="run the chaos campaign instead of the load bench")
     ap.add_argument("--kill-chaos", action="store_true",
@@ -937,15 +934,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                    "chaos": run_chaos(traces, shards=args.shards)}
         else:
             serve_block = run_load(traces, clients=args.clients,
-                                   rounds=args.rounds, shards=args.shards,
-                                   verify=not args.no_verify)
+                                   rounds=args.rounds, shards=args.shards)
             doc = {"schema": SCHEMA, "bench": "serve", "serve": serve_block}
 
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
+        try:
+            write_json("bench document", args.json, doc)
+        except OutputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     if args.faults or args.kill_chaos or args.overload:
         chaos = doc["chaos"]
@@ -977,10 +974,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if perf_doc is None:
             return EXIT_BASELINE_UNUSABLE
         perf_doc["serve"] = serve_block
-        with open(args.merge_into, "w") as fh:
-            json.dump(perf_doc, fh, indent=2)
-            fh.write("\n")
-        print(f"merged serve block into {args.merge_into}")
+        try:
+            write_json("perf document", args.merge_into, perf_doc)
+        except OutputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     if args.baseline:
         baseline = load_baseline(args.baseline)

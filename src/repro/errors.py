@@ -268,7 +268,7 @@ class ProfileCorruptionError(ProfileError):
 
 
 class OutputError(ReproError):
-    """A command's timeline, profile or flamegraph path cannot be written."""
+    """A path a command writes its output to cannot be written."""
 
     def __init__(self, what: str, path: str, reason: str) -> None:
         super().__init__(f"cannot write the {what} to {path}: {reason}")

@@ -20,7 +20,7 @@ from repro.fuzz.gen import generate
 from repro.fuzz.shrink import load_reproducer, shrink, write_reproducer
 from repro.fuzz.spec import FAMILIES
 from repro.obs.metrics import get_registry
-from repro.obs.session import command_session
+from repro.obs.session import command_session, write_json
 
 DEFAULT_CORPUS = "tests/fuzz/corpus"
 
@@ -118,23 +118,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                                    "schedules": args.schedules,
                                    "base_seed": args.base_seed}):
             report = _campaign(args, families, overrides, options, pinned)
+        divergent = report["divergent"]
+        status = "FAIL" if divergent else "ok"
+        ran = len(report["seeds"])
+        total = 1 if pinned is not None else args.seeds
+        if ran < total:
+            print(f"budget exhausted after {ran}/{total} seeds")
+        print(f"{mode} campaign: {ran} programs x {args.schedules} "
+              f"schedules, {len(divergent)} divergent -> {status}")
+        if args.json_out:
+            write_json("campaign report", args.json_out, report,
+                       sort_keys=True)
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    divergent = report["divergent"]
-    status = "FAIL" if divergent else "ok"
-    ran = len(report["seeds"])
-    total = 1 if pinned is not None else args.seeds
-    if ran < total:
-        print(f"budget exhausted after {ran}/{total} seeds")
-    print(f"{mode} campaign: {ran} programs x {args.schedules} schedules, "
-          f"{len(divergent)} divergent -> {status}")
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote report to {args.json_out}")
     return 1 if divergent else 0
 
 

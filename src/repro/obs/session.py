@@ -4,6 +4,7 @@ tracer and profiler are scoped here and nowhere else (``docs/INTERNALS.md``
 
 from __future__ import annotations
 
+import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -80,3 +81,11 @@ def write_output(what: str, path: str,
     except OSError as exc:
         raise OutputError(what, path, exc.strerror or str(exc)) from exc
     print(f"wrote {what} to {path}", file=sys.stderr)
+
+
+def write_json(what: str, path: str, doc, *, sort_keys: bool = False
+               ) -> None:
+    """:func:`write_output` of ``doc`` as indented JSON and a newline."""
+    write_output(what, path, lambda p: Path(p).write_text(
+        json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n",
+        encoding="utf-8"))

@@ -71,9 +71,6 @@ class TimelineTracer:
         self._events: Deque[dict] = deque()
         self._max_events = 0
         self.dropped = 0
-        #: total events ever pushed since enable (ring evictions included);
-        #: the basis of the mark()/delta_since() per-run scope
-        self._total_emitted = 0
         self._wall0 = 0.0
         self._vclock: Optional[Callable[[], float]] = None
         self._ops_per_second = 0.0
@@ -113,7 +110,6 @@ class TimelineTracer:
         self.enabled = False
         self._events = deque()
         self.dropped = 0
-        self._total_emitted = 0
         self._vclock = None
         self._ops_per_second = 0.0
         self._vbase_us = 0.0
@@ -154,27 +150,8 @@ class TimelineTracer:
             self._events.popleft()
             self.dropped += 1
         self._events.append(ev)
-        self._total_emitted += 1
 
     # -- per-run scope -----------------------------------------------------
-
-    def mark(self) -> int:
-        """Opaque baseline for :meth:`delta_since` (mirrors the metrics
-        registry's mark/delta pair): the total-emitted watermark."""
-        return self._total_emitted
-
-    def delta_since(self, baseline: int) -> List[dict]:
-        """Events pushed since ``baseline`` that are still in the ring.
-
-        Events evicted by the ring since the mark are gone — callers can
-        detect that by comparing ``len(result)`` with
-        ``self._total_emitted - baseline``.
-        """
-        n = self._total_emitted - baseline
-        if n <= 0:
-            return []
-        events = list(self._events)
-        return events[-n:] if n < len(events) else events
 
     def new_run(self) -> None:
         """Open a fresh per-run scope without dropping the recorded buffer.

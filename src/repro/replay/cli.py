@@ -10,18 +10,18 @@ restored.  Partial replay narrows the scope::
     python -m repro replay sched.json --verify-single-pass
 
 Exit status: 0 no races; 1 races reported; 2 usage / unreadable or
-corrupt schedule; 3 the replay diverged from the recording; 4 the
-``--verify-single-pass`` parity check failed.
+corrupt schedule / unwritable ``--json`` path; 3 the replay diverged
+from the recording; 4 the ``--verify-single-pass`` parity check failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
-from repro.errors import ReplayDivergenceError, ScheduleError
+from repro.errors import OutputError, ReplayDivergenceError, ScheduleError
+from repro.obs.session import write_json
 from repro.replay.filter import ReplayFilter
 from repro.replay.replay import replay_bench
 from repro.replay.schedule import load_schedule
@@ -109,8 +109,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ReplayDivergenceError as exc:
         print(f"REPLAY DIVERGED: {exc}", file=sys.stderr)
         report_doc["diverged"] = exc.to_dict()
-        _write_json(args.json_out, report_doc)
-        return 3
+        return _finish(args.json_out, report_doc, 3)
     except ScheduleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -156,20 +155,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"  single-pass only: {key}", file=sys.stderr)
             for key in sorted(got - want):
                 print(f"  replay only: {key}", file=sys.stderr)
-            _write_json(args.json_out, report_doc)
-            return 4
-
-    _write_json(args.json_out, report_doc)
-    return 0 if not result.reports else 1
+            return _finish(args.json_out, report_doc, 4)
+    return _finish(args.json_out, report_doc, 1 if result.reports else 0)
 
 
-def _write_json(path: Optional[str], doc: dict) -> None:
-    if not path:
-        return
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote replay report to {path}")
+def _finish(path: Optional[str], doc: dict, rc: int) -> int:
+    """Write the verdict document when asked, then exit ``rc``; an
+    unwritable path exits 2."""
+    if path:
+        try:
+            write_json("replay report", path, doc, sort_keys=True)
+        except OutputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    return rc
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI

@@ -6,8 +6,8 @@ and Algorithm 1 — happens in :class:`~repro.serve.jobs.JobPool` executor
 threads, each job on a graph of its own.  Report documents are
 **content-addressed**: they carry the upload's content hash but no job
 ids, so a memo hit can serve the exact bytes a previous job produced and
-the serve-smoke byte-parity check against ``repro.core.offline`` is
-meaningful.
+the byte-parity check against ``repro.core.offline`` (the tests, the load
+and ``--kill-chaos`` rounds of ``repro.bench.serve``) is meaningful.
 
 Error mapping (the :mod:`repro.errors` taxonomy → HTTP):
 

@@ -86,7 +86,7 @@ class ServerThread:
     """An in-process server on a daemon-thread event loop.
 
     ``with ServerThread() as srv: client = ServeClient(srv.base_url)`` —
-    used by the unit tests, the serve-smoke CLI and the load generator.
+    used by the unit tests and the load generator's rounds.
     """
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:

@@ -269,11 +269,13 @@ def observed():
         prof.disable()
 
 
-def _instants(tracer, mark):
-    """(name, args) of the suppression instants, wall clock left out."""
+def _instants(tracer, start):
+    """(name, args) of the suppression instants pushed from ring index
+    ``start`` on, wall clock left out."""
     return [(ev["name"], {k: v for k, v in ev["args"].items()
                           if k != "wall_s"})
-            for ev in tracer.delta_since(mark) if ev.get("cat") == "suppress"]
+            for ev in list(tracer._events)[start:]
+            if ev.get("cat") == "suppress"]
 
 
 def test_tracer_and_profiler_events_match(observed):
@@ -282,14 +284,15 @@ def test_tracer_and_profiler_events_match(observed):
     tool, run_machine = _run(tmb.by_name("1003-stack.3"), 1)
     for g, m in ((graph, machine), (tool.builder.graph, run_machine)):
         table = find_races(g).table
-        mark = tracer.mark()
+        start = len(tracer)
         prof.reset()
         SuppressionEngine(m.space).filter_all(table)
-        got, got_counts = _instants(tracer, mark), prof.count_cells()
-        mark = tracer.mark()
+        got, got_counts = _instants(tracer, start), prof.count_cells()
+        start = len(tracer)
         prof.reset()
         ScalarSuppression(SuppressionEngine(m.space)).filter_all(
             table.candidates())
-        assert got == _instants(tracer, mark)
+        assert got == _instants(tracer, start)
         assert got_counts == prof.count_cells()
         assert got
+        assert tracer.dropped == 0

@@ -5,11 +5,13 @@ session: the launcher, ``repro.core.offline``, ``repro run``, ``repro
 fuzz`` and ``repro profile run``.  On every exit path (success, an
 unreadable input, an unwritable output, an exception inside the run) the
 process-wide tracer and profiler end disabled, with no frame provider
-bound to the finished machine.
+bound to the finished machine.  Every other document a command writes
+goes through the session's writer too, so an unwritable path ends typed.
 """
 
 import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +50,19 @@ RUNS = {
     "run": ("repro.bench.runner", "run_benchmark"),
     "fuzz": ("repro.fuzz.cli", "run_differential"),
     "profile-run": ("repro.bench.runner", "run_benchmark"),
+}
+
+#: command -> (module whose ``main`` runs it, argv writing its own
+#: document to ``{out}``)
+DOCUMENTS = {
+    "fuzz --json": ("repro.fuzz.cli", ["--seeds", "1", "--schedules", "1",
+                                       "--corpus-dir", "{d}",
+                                       "--json", "{out}"]),
+    "replay --json": ("repro.replay.cli", [
+        str(Path(__file__).resolve().parents[1] / "replay" / "data"
+            / "sched-fib.json"), "--json", "{out}"]),
+    "perf --json": ("repro.bench.perf", ["--json", "{out}"]),
+    "fig4 --csv": ("repro.bench.fig4", ["--sizes", "4", "--csv", "{out}"]),
 }
 
 
@@ -180,3 +195,21 @@ class TestCommandExitPaths:
             main(argv)
         assert_released()
         assert written(tmp_path) == []
+
+    @pytest.mark.parametrize("name", sorted(DOCUMENTS))
+    def test_unwritable_document_is_a_typed_error(self, name, tmp_path,
+                                                  monkeypatch, capsys):
+        """A command's own document in a missing directory ends in one
+        ``error:`` line that names it, exit 2, not a traceback with exit
+        1, which these commands use for a finding (a divergence, races,
+        a regression)."""
+        module, argv = DOCUMENTS[name]
+        module = importlib.import_module(module)
+        if name == "perf --json":      # the record-sync replay takes ~4 s
+            monkeypatch.setattr(module, "run_record_sync", lambda: {})
+        bad = str(tmp_path / "missing" / "out")
+        argv = [arg.format(out=bad, d=tmp_path / "corpus") for arg in argv]
+        assert module.main(argv) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1 and bad in errors[0]

@@ -85,12 +85,31 @@ class TestRunLoad:
     def test_result_hits_are_the_runs_own(self, trace_file):
         """Each load run counts only its own memo hits: one client
         uploading the same trace twice hits the fresh server's result
-        memo once, in the second call as in the first."""
-        hits = [serve_bench.run_load([("racy", trace_file)], clients=1,
-                                     rounds=2, shards=1,
-                                     verify=False)["cache"]["result_hits"]
-                for _ in range(2)]
-        assert hits == [1, 1]
+        memo once, in the second call as in the first.  Every session's
+        report is checked against the offline pipeline's bytes."""
+        docs = [serve_bench.run_load([("racy", trace_file)], clients=1,
+                                     rounds=2, shards=1) for _ in range(2)]
+        assert [doc["cache"]["result_hits"] for doc in docs] == [1, 1]
+        assert all(doc["sessions"] == 2 and doc["verified"] is True
+                   and doc["mismatches"] == [] for doc in docs)
+
+    def test_no_verify_is_no_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            serve_bench.main(["--no-verify"])
+        assert exc.value.code == 2
+        assert "--no-verify" in capsys.readouterr().err
+
+
+class TestKillChaos:
+    def test_kill_rounds_recover_the_racy_trace(self, trace_file):
+        """Both mid-upload plans and the mid-analysis kill on one racy
+        trace: each restart resumes at the journaled prefix, serves the
+        offline report bytes and runs the job exactly once."""
+        doc = serve_bench.run_kill_chaos([("racy", trace_file)], shards=1)
+        assert [run["plan"] for run in doc["runs"]] == [
+            "wal-torn-write@2", "kill-server@2", "kill-mid-analysis"]
+        assert doc["violations"] == [] and doc["ok"] is True
+        assert all(any(run["fired"].values()) for run in doc["runs"])
 
 
 class TestChaosContract:
@@ -246,6 +265,18 @@ def bench(monkeypatch, tmp_path):
 
 
 class TestBaselineExitCodes:
+    @pytest.mark.parametrize("flag", ["--json", "--merge-into"])
+    def test_unwritable_output_exits_two(self, bench, monkeypatch, tmp_path,
+                                         capsys, flag):
+        """An unwritable document path is one ``error:`` line and exit 2,
+        not a traceback with exit 1 (which means a gate breach)."""
+        monkeypatch.setattr(serve_bench, "load_baseline",
+                            lambda path: {"serve": _serve_block()})
+        out = str(tmp_path / "no-such-dir" / "doc.json")
+        assert bench(str(tmp_path / "base.json"), None, flag, out) == 2
+        err = capsys.readouterr().err
+        assert "error: cannot write the" in err and out in err
+
     def test_missing_baseline_file(self, bench, tmp_path, capsys):
         rc = bench(str(tmp_path / "nope.json"))
         assert rc == EXIT_BASELINE_UNUSABLE

@@ -18,7 +18,7 @@ from repro.faults.inject import inject_plan
 from repro.faults.plan import FaultPlan
 from repro.obs.tracecheck import validate_events
 from repro.serve import ServeClient, ServeConfig, ServerThread
-from repro.serve.cli import main as serve_main
+from repro.serve import cli as serve_cli
 from repro.serve.client import read_trace_lines
 
 from tests.serve.conftest import chunk_line, header_line
@@ -53,7 +53,7 @@ class TestLifecycle:
         client.wait(job_id, timeout=60.0)
         doc = client.timeline(job_id)
         events = doc["traceEvents"]
-        validate_events(events)
+        assert validate_events(events) == []
         spans = {e["name"] for e in events if e["ph"] == "X"}
         assert {"queue-wait", "build", "analyze", "report"} <= spans
 
@@ -197,14 +197,26 @@ class TestAnalyzeOptionValidation:
         assert status == 202, doc
         assert client.wait(doc["job_id"], timeout=60.0)["state"] == "done"
 
-    def test_serve_cli_refuses_workers(self, capsys):
+    def test_serve_cli_refuses_workers(self, capsys, monkeypatch):
         """The pair check runs on one worker: ``repro serve --workers`` is
-        no option.  (``--smoke-recovery`` without a state dir returns
-        before any server starts, should the flag ever parse again.)"""
+        no option.  (Serving is stubbed out, so the test cannot block on
+        a live server should the flag ever parse again.)"""
+        monkeypatch.setattr(serve_cli, "_serve_forever", lambda config: 0)
         with pytest.raises(SystemExit) as exc:
-            serve_main(["--workers", "2", "--smoke-recovery"])
+            serve_cli.main(["--workers", "2"])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--smoke", "--smoke-recovery",
+                                      "--out=serve-smoke"])
+    def test_serve_cli_has_no_smoke(self, capsys, monkeypatch, flag):
+        """``repro serve`` only serves: the serve contract's self-checks
+        are the tests and the ``repro.bench.serve`` rounds."""
+        monkeypatch.setattr(serve_cli, "_serve_forever", lambda config: 0)
+        with pytest.raises(SystemExit) as exc:
+            serve_cli.main([flag])
+        assert exc.value.code == 2
+        assert flag.split("=")[0] in capsys.readouterr().err
 
 
 class TestCacheKeying:

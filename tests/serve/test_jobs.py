@@ -69,7 +69,7 @@ class TestTimeline:
         with job.span("analyze"):
             pass
         events = job.timeline_events()
-        validate_events(events)
+        assert validate_events(events) == []
         names = [e["name"] for e in events if e["ph"] == "X"]
         assert names[0] == "queue-wait"
         assert "build" in names and "analyze" in names
